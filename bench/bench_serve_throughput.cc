@@ -1,6 +1,6 @@
 /// \file bench_serve_throughput.cc
-/// \brief Loadgen for prox::serve: starts the server in-process on an
-/// ephemeral loopback port, drives N concurrent clients through two waves
+/// \brief Loadgen for prox::serve: starts the epoll transport
+/// (net::EpollServer) in-process on an ephemeral loopback port, drives N concurrent clients through two waves
 /// of identical `POST /v1/summarize` requests, and reports per-wave
 /// p50/p99 latency plus the SummaryCache hit rate.
 ///
@@ -11,7 +11,7 @@
 /// contract; exits 1 on violation).
 ///
 /// Flags: --clients=N (8) --requests=N per client per wave (16)
-///        --threads=N server workers (4) --cache-mb=N (64)
+///        --threads=N server handler threads (4) --cache-mb=N (64)
 ///        --max-steps=N summarize knob (8) --slo-ms=N p99 gate (250)
 ///
 /// `--json` is the committed-baseline mode (BENCH_serve.json): after the
@@ -73,7 +73,6 @@
 #include "net/epoll_server.h"
 #include "serve/client.h"
 #include "serve/router.h"
-#include "serve/server.h"
 
 using namespace prox;
 
@@ -821,11 +820,11 @@ int main(int argc, char** argv) {
   router_options.route_stats.slo_latency_nanos = slo_ms * 1'000'000;
   serve::Router router(eng.get(), router_options);
 
-  serve::HttpServer::Options options;
+  net::EpollServer::Options options;
   options.port = 0;
-  options.threads = static_cast<int>(threads);
+  options.handler_threads = static_cast<int>(threads);
   options.max_inflight = static_cast<int>(clients) * 2 + 8;
-  serve::HttpServer server(options, [&router](const serve::HttpRequest& req) {
+  net::EpollServer server(options, [&router](const serve::HttpRequest& req) {
     return router.Handle(req);
   });
   if (Status status = server.Start(); !status.ok()) {
@@ -950,7 +949,8 @@ int main(int argc, char** argv) {
         "{\n"
         "  \"bench\": \"bench_serve_throughput --json\",\n"
         "  \"workload\": \"MovieLens 25/8/99, %ld clients x %ld requests x "
-        "2 waves, POST /v1/summarize\",\n"
+        "2 waves, POST /v1/summarize, epoll transport (%ld handler "
+        "threads)\",\n"
         "  \"contract\": \"server-side p50/p99 within 15%% (2ms floor) of "
         "client-side; route histogram count == requests served; server p99 "
         "<= slo_ms\",\n"
@@ -963,7 +963,7 @@ int main(int argc, char** argv) {
         "  \"cache_wave2_hits\": %llu,\n"
         "  \"ok\": %s\n"
         "}\n",
-        clients, requests,
+        clients, requests, threads,
         static_cast<unsigned long long>(requests_served),
         static_cast<unsigned long long>(server_stats.histogram_count),
         client_p50, client_p99, server_stats.p50_nanos, server_stats.p99_nanos,

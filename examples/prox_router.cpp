@@ -24,6 +24,8 @@
 ///
 /// SIGINT / SIGTERM drain in-flight requests and exit 0.
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -49,13 +51,17 @@ void PrintUsage() {
       "/healthz reports per-replica health. SIGINT drains and exits 0.\n");
 }
 
+/// `--flag=value` integer parse; exits 2 on garbage, negatives and
+/// anything past INT_MAX (every consumer narrows to int).
 bool ParseIntFlag(const std::string& arg, const char* flag, long* out) {
   std::string prefix = std::string(flag) + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
   char* end = nullptr;
   const std::string value = arg.substr(prefix.size());
+  errno = 0;
   *out = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() || *out < 0) {
+  if (value.empty() || end != value.c_str() + value.size() || *out < 0 ||
+      *out > INT_MAX || errno == ERANGE) {
     std::fprintf(stderr, "prox_router: bad value in %s\n", arg.c_str());
     std::exit(2);
   }

@@ -13,18 +13,16 @@
 ///
 /// Flags:
 ///   --port=N          listen port (default 8080; 0 = ephemeral, printed)
-///   --transport=T     blocking (default) or epoll. The epoll transport
-///                     (docs/NET.md) parks keep-alive connections in
-///                     event-loop shards instead of blocking a worker
-///                     thread per connection — same routes, byte-identical
-///                     responses, same drain contract.
-///   --shards=N        epoll event-loop shards (epoll transport only;
-///                     default: half the cores, clamped to [1, 8])
+///   --transport=epoll the only transport (docs/NET.md): keep-alive
+///                     connections park in epoll event-loop shards and
+///                     handlers run on a worker pool. Accepted for
+///                     compatibility; any other value exits 2.
+///   --shards=N        epoll event-loop shards (default: half the cores,
+///                     clamped to [1, 8])
 ///   --keepalive-ms=N  idle keep-alive budget before a connection is
-///                     reaped, both transports (default 15000; counted in
+///                     reaped (default 15000; counted in
 ///                     prox_serve_idle_reaped_total)
-///   --threads=N       request worker threads (blocking: connection
-///                     workers; epoll: handler pool) (default 4)
+///   --threads=N       request handler threads (default 4)
 ///   --cache-mb=N      SummaryCache byte budget in MiB (default 64)
 ///   --max-inflight=N  admitted-connection bound; beyond it new
 ///                     connections are shed with 503 (default 64)
@@ -52,6 +50,8 @@
 ///
 /// SIGINT / SIGTERM drain in-flight requests and exit 0.
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -64,7 +64,6 @@
 #include "net/epoll_server.h"
 #include "obs/log.h"
 #include "serve/router.h"
-#include "serve/server.h"
 
 using namespace prox;
 
@@ -72,18 +71,17 @@ namespace {
 
 void PrintUsage() {
   std::printf(
-      "usage: prox_server [--port=N] [--transport=blocking|epoll]\n"
+      "usage: prox_server [--port=N] [--transport=epoll]\n"
       "                   [--shards=N] [--keepalive-ms=N] [--threads=N]\n"
       "                   [--cache-mb=N] [--max-inflight=N] [--users=N]\n"
       "                   [--movies=N] [--seed=N] [--snapshot=<path>]\n"
       "                   [--cache-persist=<path>] [--simd=TIER]\n"
       "                   [--access-log[=<path>]] [--debug-endpoints]\n"
       "\n"
-      "--transport=epoll serves the same routes over event-loop shards\n"
-      "(docs/NET.md): responses are byte-identical to the blocking\n"
-      "transport, but idle keep-alive connections cost an fd instead of\n"
-      "a thread. --shards sizes the loops, --keepalive-ms bounds idle\n"
-      "connections on either transport.\n"
+      "Connections are served by epoll event-loop shards (docs/NET.md):\n"
+      "idle keep-alive connections cost an fd, not a thread. --shards\n"
+      "sizes the loops, --threads the handler pool, --keepalive-ms\n"
+      "bounds idle connections.\n"
       "--simd caps the batch-kernel SIMD tier (off|scalar, sse4.2,\n"
       "auto|avx2; results are bit-identical at every tier — see\n"
       "docs/KERNELS.md). PROX_SIMD=0 is the env equivalent.\n"
@@ -96,14 +94,17 @@ void PrintUsage() {
       "in-flight requests and exits 0.\n");
 }
 
-/// `--flag=value` integer parse; exits with usage on garbage.
+/// `--flag=value` integer parse; exits with usage on garbage, negatives
+/// and anything past INT_MAX (every consumer narrows to int).
 bool ParseIntFlag(const std::string& arg, const char* flag, long* out) {
   std::string prefix = std::string(flag) + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
   char* end = nullptr;
   const std::string value = arg.substr(prefix.size());
+  errno = 0;
   *out = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() || *out < 0) {
+  if (value.empty() || end != value.c_str() + value.size() || *out < 0 ||
+      *out > INT_MAX || errno == ERANGE) {
     std::fprintf(stderr, "prox_server: bad value in %s\n", arg.c_str());
     std::exit(2);
   }
@@ -114,7 +115,6 @@ bool ParseIntFlag(const std::string& arg, const char* flag, long* out) {
 
 int main(int argc, char** argv) {
   long port = 8080;
-  std::string transport = "blocking";
   long shards = 0;
   long keepalive_ms = 15000;
   long threads = 4;
@@ -135,9 +135,11 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg.rfind("--transport=", 0) == 0) {
-      transport = arg.substr(std::string("--transport=").size());
-      if (transport != "blocking" && transport != "epoll") {
-        std::fprintf(stderr, "prox_server: bad --transport value in %s\n",
+      if (arg != "--transport=epoll") {
+        std::fprintf(stderr,
+                     "prox_server: bad --transport value in %s (epoll is "
+                     "the only transport; the blocking transport was "
+                     "removed)\n",
                      arg.c_str());
         return 2;
       }
@@ -250,40 +252,20 @@ int main(int argc, char** argv) {
   auto handler = [&router](const serve::HttpRequest& req) {
     return router.Handle(req);
   };
-  // Both transports share the Handler contract and the drain behavior;
-  // only the concurrency model under the socket differs.
-  std::unique_ptr<serve::HttpServer> blocking_server;
-  std::unique_ptr<net::EpollServer> epoll_server;
-  int bound_port = 0;
-  if (transport == "epoll") {
-    net::EpollServer::Options options;
-    options.port = static_cast<int>(port);
-    options.shards = static_cast<int>(shards);
-    options.handler_threads = static_cast<int>(threads);
-    options.max_inflight = static_cast<int>(max_inflight);
-    options.idle_timeout_ms = static_cast<int>(keepalive_ms);
-    epoll_server = std::make_unique<net::EpollServer>(options, handler);
-    if (Status status = epoll_server->Start(); !status.ok()) {
-      std::fprintf(stderr, "prox_server: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    bound_port = epoll_server->port();
-  } else {
-    serve::HttpServer::Options options;
-    options.port = static_cast<int>(port);
-    options.threads = static_cast<int>(threads);
-    options.max_inflight = static_cast<int>(max_inflight);
-    options.idle_timeout_ms = static_cast<int>(keepalive_ms);
-    blocking_server = std::make_unique<serve::HttpServer>(options, handler);
-    if (Status status = blocking_server->Start(); !status.ok()) {
-      std::fprintf(stderr, "prox_server: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    bound_port = blocking_server->port();
+  net::EpollServer::Options server_options;
+  server_options.port = static_cast<int>(port);
+  server_options.shards = static_cast<int>(shards);
+  server_options.handler_threads = static_cast<int>(threads);
+  server_options.max_inflight = static_cast<int>(max_inflight);
+  server_options.idle_timeout_ms = static_cast<int>(keepalive_ms);
+  net::EpollServer server(server_options, handler);
+  if (Status status = server.Start(); !status.ok()) {
+    std::fprintf(stderr, "prox_server: %s\n", status.ToString().c_str());
+    return 1;
   }
-  std::printf("prox_server: listening on 127.0.0.1:%d (%s transport, "
+  std::printf("prox_server: listening on 127.0.0.1:%d (epoll transport, "
               "%ld workers, cache %ld MiB, max-inflight %ld, dataset %s)\n",
-              bound_port, transport.c_str(), threads, cache_mb, max_inflight,
+              server.port(), threads, cache_mb, max_inflight,
               router.dataset_fingerprint().c_str());
   std::fflush(stdout);
 
@@ -291,8 +273,7 @@ int main(int argc, char** argv) {
   sigwait(&shutdown_signals, &signal_number);
   std::printf("prox_server: signal %d, draining\n", signal_number);
   std::fflush(stdout);
-  if (epoll_server != nullptr) epoll_server->Stop();
-  if (blocking_server != nullptr) blocking_server->Stop();
+  server.Stop();
   if (access_log_sink != nullptr) {
     obs::SetAccessLogSink(nullptr);
     if (access_log_file != nullptr) std::fclose(access_log_file);

@@ -36,6 +36,11 @@ trap cleanup EXIT
 
 fail() {
   echo "store_smoke: FAIL: $*" >&2
+  for log in "$tmpdir"/server.log "$tmpdir"/*.h; do
+    [[ -f "$log" ]] || continue
+    echo "--- $log ---" >&2
+    cat "$log" >&2
+  done
   exit 1
 }
 
@@ -107,26 +112,32 @@ persisted="$tmpdir/persisted.snap"
 start_server --snapshot="$snap" --cache-persist="$persisted"
 code=$(curl -s -D "$tmpdir/first.h" -o "$tmpdir/first.json" \
          -w '%{http_code}' -X POST -d "$req" \
-         "http://127.0.0.1:$port/v1/summarize")
+         "http://127.0.0.1:$port/v1/summarize") || true
 [[ "$code" == 200 ]] || fail "summarize on snapshot boot returned $code"
 grep -qi '^x-prox-cache: miss' "$tmpdir/first.h" \
   || fail "first-process summarize was not a miss"
 kill -INT "$server_pid"
-wait "$server_pid" || fail "server exited non-zero after SIGINT"
+server_exit=0
+wait "$server_pid" || server_exit=$?
+[[ $server_exit -eq 0 ]] \
+  || fail "server exited $server_exit after SIGINT"
 server_pid=
 [[ -s "$persisted" ]] || fail "server did not persist a snapshot on drain"
 
 start_server --snapshot="$persisted"
 code=$(curl -s -D "$tmpdir/warm.h" -o "$tmpdir/warm.json" \
          -w '%{http_code}' -X POST -d "$req" \
-         "http://127.0.0.1:$port/v1/summarize")
+         "http://127.0.0.1:$port/v1/summarize") || true
 [[ "$code" == 200 ]] || fail "summarize on warm restart returned $code"
 grep -qi '^x-prox-cache: hit' "$tmpdir/warm.h" \
   || fail "restarted server's FIRST summarize was not a cache hit"
 cmp -s "$tmpdir/first.json" "$tmpdir/warm.json" \
   || fail "warm restart body differs from the original computation"
 kill -INT "$server_pid"
-wait "$server_pid" || fail "restarted server exited non-zero after SIGINT"
+server_exit=0
+wait "$server_pid" || server_exit=$?
+[[ $server_exit -eq 0 ]] \
+  || fail "restarted server exited $server_exit after SIGINT"
 server_pid=
 
 echo "store_smoke: OK (save, typed corrupt rejection, byte-identical" \

@@ -1,15 +1,21 @@
 #!/usr/bin/env bash
 # Configure a dedicated ThreadSanitizer build (-DPROX_SANITIZE=thread) and
 # run every CTest carrying the `tsan` label — the exec pool suite, the
-# end-to-end determinism suite, the serve loopback suite (many worker
-# threads against one session + cache), the ingest loopback suite
-# (concurrent POST /v1/ingest writers vs summarize readers over one
-# session, docs/INGEST.md), the legacy-vs-IR golden byte-identity suite
-# (worker-overlay Apply at threads {1,8}), the batch-kernel golden
-# suite (thread-local valuation blocks + call_once base packing on exec
-# workers, docs/KERNELS.md), and the epoll transport loopback suite
-# (event-loop shards + handler pool + blocking/epoll byte-identity,
+# end-to-end determinism suite, the serving-contract and request-tracing
+# loopback suites, the ingest loopback suite (concurrent POST /v1/ingest
+# writers vs summarize readers over one session, docs/INGEST.md), the
+# legacy-vs-IR golden byte-identity suite (worker-overlay Apply at
+# threads {1,8}), the batch-kernel golden suite (thread-local valuation
+# blocks + call_once base packing on exec workers, docs/KERNELS.md), the
+# snapshot-serving suite (docs/STORE.md), and the epoll transport loopback
+# suite (event-loop shards + handler pool + frozen wire goldens,
 # docs/NET.md) — under TSan.
+#
+# The target list is read from tests/CMakeLists.txt: every executable
+# whose gtest_discover_tests() carries `LABELS tsan` is built. A suite
+# that is not built registers only an unlabelled `<target>_NOT_BUILT`
+# placeholder, which `ctest -L tsan` would skip without a word, so the
+# script fails if any such placeholder remains.
 #
 # Usage: scripts/tsan_exec_tests.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -18,11 +24,26 @@ cd "$(dirname "$0")/.."
 
 build_dir=${1:-build-tsan}
 
+mapfile -t targets < <(tr '\n' ' ' < tests/CMakeLists.txt \
+  | grep -oE 'gtest_discover_tests\([A-Za-z0-9_]+[^)]*LABELS tsan\)' \
+  | sed -E 's/gtest_discover_tests\(([A-Za-z0-9_]+).*/\1/')
+if [[ ${#targets[@]} -eq 0 ]]; then
+  echo "tsan_exec_tests: no tsan-labelled targets found" >&2
+  exit 1
+fi
+echo "tsan_exec_tests: building ${targets[*]}"
+
 cmake -B "$build_dir" -S . \
   -DPROX_SANITIZE=thread \
   -DPROX_BUILD_BENCHMARKS=OFF \
   -DPROX_BUILD_EXAMPLES=OFF
-cmake --build "$build_dir" --target prox_exec_test prox_serve_loopback_test \
-  prox_ingest_loopback_test prox_ir_golden_test prox_kernels_golden_test \
-  prox_net_loopback_test -j
+cmake --build "$build_dir" --target "${targets[@]}" -j "$(nproc)"
+
+pattern=$(IFS='|'; echo "${targets[*]}")
+not_built=$(ctest --test-dir "$build_dir" -N \
+  | grep -oE "\b($pattern)_NOT_BUILT\b" || true)
+if [[ -n "$not_built" ]]; then
+  echo "tsan_exec_tests: suites not built: $not_built" >&2
+  exit 1
+fi
 ctest --test-dir "$build_dir" -L tsan --output-on-failure

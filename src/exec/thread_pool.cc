@@ -199,14 +199,17 @@ void ThreadPool::WorkerLoop(int self) {
 namespace {
 
 /// Shared state of one RunChunks call. Lives on the caller's stack; the
-/// caller blocks until `remaining` hits zero, so chunk tasks never outlive
-/// it.
+/// caller blocks until `done`, so chunk tasks never outlive it.
 struct ChunkJob {
   const std::function<void(int64_t, int64_t)>* body;
   std::atomic<int64_t> remaining;
   std::atomic<bool> cancelled{false};
   std::mutex mu;
   std::condition_variable done_cv;
+  /// Set under `mu` by the last chunk. The caller must not wait on
+  /// `remaining` instead: it could see zero and destroy the job while the
+  /// last chunk is still about to lock `mu` and notify.
+  bool done = false;
   std::exception_ptr error;
 
   void RunOne(int64_t lo, int64_t hi) {
@@ -224,6 +227,7 @@ struct ChunkJob {
     }
     if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(mu);
+      done = true;
       done_cv.notify_all();
     }
   }
@@ -249,9 +253,7 @@ void ThreadPool::RunChunks(int64_t begin, int64_t end, int64_t grain,
   }
 
   std::unique_lock<std::mutex> lock(job.mu);
-  job.done_cv.wait(lock, [&job] {
-    return job.remaining.load(std::memory_order_acquire) == 0;
-  });
+  job.done_cv.wait(lock, [&job] { return job.done; });
   if (job.error) std::rethrow_exception(job.error);
 }
 

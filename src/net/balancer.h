@@ -17,8 +17,8 @@ namespace prox {
 namespace net {
 
 /// \brief A consistent-hash HTTP balancer over `prox_server` replicas
-/// booted from one shared PROXSNAP snapshot. Plugs into either transport
-/// as its Handler (examples/prox_router.cpp puts it behind an
+/// booted from one shared PROXSNAP snapshot. Plugs into the transport as
+/// its Handler (examples/prox_router.cpp puts it behind an
 /// EpollServer).
 ///
 /// Routing: the key is the replicas' dataset fingerprint (fetched once

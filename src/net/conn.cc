@@ -101,9 +101,8 @@ void Connection::OnPeerError() { host_->CloseConnection(this); }
 
 void Connection::OnHandlerDone(serve::HttpResponse response) {
   handler_inflight_ = false;
-  // Same close decision as the blocking worker loop — deciding it here on
-  // the loop thread keeps the rendered Connection header consistent with
-  // the drain state at write time.
+  // Deciding the close bit here on the loop thread keeps the rendered
+  // Connection header consistent with the drain state at write time.
   bool close = request_wants_close_ || response.close_connection ||
                draining_ || host_->stopping();
   response.close_connection = close;

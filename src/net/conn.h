@@ -48,7 +48,7 @@ class ConnectionHost {
 /// construction: at most one request is being handled and at most one
 /// response plus a canned error is ever buffered, no matter how many
 /// requests the peer pipelines into its socket. Pipelined requests are
-/// answered strictly in order, matching the blocking transport.
+/// answered strictly in order.
 ///
 /// All methods run on the loop thread. The shard routes epoll events and
 /// posted handler completions here; timeouts are driven by the shard's
@@ -78,7 +78,7 @@ class Connection {
   /// close bit (client asked, handler asked, or server draining), renders
   /// the response and starts the flush — rendering on the loop thread
   /// keeps the close decision and the rendered Connection header in sync
-  /// with the drain state, exactly like the blocking worker loop.
+  /// with the drain state.
   void OnHandlerDone(serve::HttpResponse response);
 
   /// Drain entry: idle connections close now; in-flight ones finish their

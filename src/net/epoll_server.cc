@@ -317,6 +317,11 @@ Status EpollServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server already started");
   }
+  // htons() would silently wrap 70000 to 4464 and 65536 to 0 (ephemeral).
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("port out of range [0, 65535]: " +
+                                   std::to_string(options_.port));
+  }
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::Internal("socket(): " + std::string(std::strerror(errno)));

@@ -25,16 +25,16 @@ class Shard;
 /// (level-triggered epoll over non-blocking sockets), and a small handler
 /// worker pool so the loops never block on the engine.
 ///
-/// The contract is the blocking serve::HttpServer's, byte for byte: the
-/// same Handler type, the same split-read-safe HttpParser, responses
-/// rendered by the same serve::RenderResponse, the same canned error
-/// documents, the same bounded-admission 503 shedding, the same idle /
-/// mid-request timeout budgets, and the same graceful drain (Stop closes
-/// the listener, in-flight requests finish with `Connection: close`,
-/// then the loops exit). What changes is the cost model: a parked
-/// keep-alive connection is one fd and a small state machine instead of a
-/// blocked thread, so tens of thousands of idle connections fit in a few
-/// threads.
+/// The contract: requests are parsed by the split-read-safe
+/// serve::HttpParser, responses rendered by serve::RenderResponse, and
+/// transport failures answered with serve::CannedErrorResponse, so the
+/// wire bytes of every route are exactly the frozen transcripts in
+/// tests/net/golden/. On top of that: bounded-admission 503 shedding,
+/// idle / mid-request timeout budgets, and a graceful drain (Stop closes
+/// the listener, in-flight requests finish with `Connection: close`, then
+/// the loops exit). A parked keep-alive connection is one fd and a small
+/// state machine, not a blocked thread, so tens of thousands of idle
+/// connections fit in a few threads.
 ///
 /// Threading: each connection lives on exactly one shard; all of its
 /// state-machine transitions run on that shard's loop thread. Handlers
@@ -53,9 +53,8 @@ class EpollServer {
     /// Worker threads running the request handler (engine calls).
     int handler_threads = 4;
     /// Connections admitted at once; the acceptor sheds the rest with a
-    /// canned 503 (`prox_serve_overload_total`), same as the blocking
-    /// server. Raise well past the expected keep-alive population — for
-    /// the epoll transport parked connections are cheap.
+    /// canned 503 (`prox_serve_overload_total`). Raise well past the
+    /// expected keep-alive population — parked connections are cheap.
     int max_inflight = 4096;
     int backlog = 1024;
     /// Mid-request budget (partial request, no byte for this long → 408).
@@ -73,7 +72,8 @@ class EpollServer {
   EpollServer& operator=(const EpollServer&) = delete;
 
   /// Binds, listens, spawns the shards, the handler pool and the
-  /// acceptor. Fails with Internal when the socket can't be bound.
+  /// acceptor. Fails with InvalidArgument for a port outside [0, 65535]
+  /// or a bad host, and with Internal when the socket can't be bound.
   Status Start();
 
   /// Graceful drain (see class comment). Idempotent; safe to call from a

@@ -10,10 +10,9 @@ namespace net {
 
 /// \file
 /// The `prox_net_*` metric families (docs/OBSERVABILITY.md). The epoll
-/// transport shares the connection-level `prox_serve_*` families
-/// (connections/overload/inflight/idle-reaped) with the blocking server —
-/// same names, so scrape configs survive a `--transport` switch — and
-/// adds the event-loop- and balancer-specific series here.
+/// transport emits the connection-level `prox_serve_*` families
+/// (connections/overload/inflight/idle-reaped, serve/serve_metrics.h)
+/// and adds the event-loop- and balancer-specific series here.
 
 /// `prox_net_dispatch_total` — requests handed from an event-loop shard
 /// to the handler worker pool.

@@ -11,9 +11,9 @@
 namespace prox {
 namespace serve {
 
-/// \brief A minimal blocking HTTP/1.1 client for loopback use — the serve
-/// tests, the throughput loadgen (bench/bench_serve_throughput.cc) and
-/// smoke checks drive the server through it. Not a general client: IPv4
+/// \brief A minimal blocking HTTP/1.1 client for loopback use — the
+/// loopback tests, the throughput loadgen (bench/bench_serve_throughput.cc)
+/// and the balancer drive the epoll transport through it. Not a general client: IPv4
 /// only, Content-Length bodies only, no redirects.
 
 /// A parsed response. Header names are lower-cased.

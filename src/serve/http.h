@@ -50,10 +50,10 @@ struct HttpResponse {
 /// ("Unknown" for anything else).
 const char* StatusReason(int status);
 
-/// The canned transport-level error document both transports (and the
-/// balancer) send when no handler response exists: 503 shed, 408 idle
-/// mid-request, parser failures, 502 from the balancer. Shared so the
-/// blocking and epoll transports stay byte-identical on every path.
+/// The canned transport-level error document the epoll transport (and
+/// the balancer) send when no handler response exists: 503 shed, 408
+/// idle mid-request, parser failures, 502 from the balancer. Its bytes
+/// are part of the frozen wire goldens (tests/net/golden/).
 HttpResponse CannedErrorResponse(int status);
 
 /// Renders the full response message. Deterministic: no Date or Server

@@ -49,7 +49,7 @@ inline obs::Gauge* ServeInflight() {
 
 /// `prox_serve_idle_reaped_total` — keep-alive connections closed because
 /// they sat idle (no request in flight, empty parse buffer) past the idle
-/// timeout. Shared by the blocking and epoll transports.
+/// timeout. Emitted by the epoll transport's reap sweep (net/).
 inline obs::Counter* ServeIdleReaped() {
   return obs::MetricsRegistry::Default().GetCounter(
       "prox_serve_idle_reaped_total",

@@ -45,18 +45,23 @@ TEST(ThreadPoolTest, SubmitRunsTasks) {
   std::atomic<int> counter{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Set under `mu` by the last task: waiting on `counter` instead lets
+  // this frame (and `cv`) die while that task is about to notify.
+  bool done = false;
   constexpr int kTasks = 64;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
       if (counter.fetch_add(1) + 1 == kTasks) {
         std::lock_guard<std::mutex> lock(mu);
+        done = true;
         cv.notify_all();
       }
     });
   }
   std::unique_lock<std::mutex> lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                          [&] { return counter.load() == kTasks; }));
+  ASSERT_TRUE(
+      cv.wait_for(lock, std::chrono::seconds(30), [&] { return done; }));
+  EXPECT_EQ(counter.load(), kTasks);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
@@ -120,6 +125,20 @@ TEST(ParallelForTest, ExceptionPropagatesToCaller) {
   std::atomic<int64_t> sum{0};
   ParallelFor(&pool, 0, 10, 1, [&](int64_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 45);
+}
+
+TEST(ParallelForTest, BackToBackCallsNeverTouchAFinishedJob) {
+  // Each call's job lives on the caller's stack, and the next call reuses
+  // that stack slot. The caller must not return while the last chunk can
+  // still touch the job (lock its mutex, notify its condition variable):
+  // under TSan a premature return shows as a race on the reused slot, in
+  // plain builds as a hang or a corrupted stack.
+  ThreadPool pool(2);
+  for (int round = 0; round < 2000; ++round) {
+    std::atomic<int> ran{0};
+    ParallelFor(&pool, 0, 2, 1, [&](int64_t) { ran.fetch_add(1); });
+    ASSERT_EQ(ran.load(), 2) << "round " << round;
+  }
 }
 
 TEST(ParallelForTest, NestedCallFromWorkerRunsInlineWithoutDeadlock) {

@@ -1,5 +1,5 @@
 /// End-to-end ingest over a real loopback socket: POST /v1/ingest behind
-/// Router + SummaryCache + HttpServer. Covers delta-aware cache
+/// Router + SummaryCache + net::EpollServer. Covers delta-aware cache
 /// invalidation (miss → hit → ingest → miss → hit), fingerprint chaining
 /// on /healthz, the in-call resummarize directive, typed sequence errors
 /// over the wire, and summarize/ingest races. Carries the `tsan` CTest
@@ -17,9 +17,9 @@
 #include "ingest/delta.h"
 #include "ingest/synthetic.h"
 #include "engine/engine.h"
+#include "net/epoll_server.h"
 #include "serve/client.h"
 #include "serve/router.h"
-#include "serve/server.h"
 
 namespace prox {
 namespace serve {
@@ -42,11 +42,12 @@ class LoopbackServer {
       : engine_(engine::Engine::FromDataset(
             MovieLensGenerator::Generate(DatasetConfig()), EngineOptions())),
         router_(engine_.get()) {
-    HttpServer::Options options;
+    net::EpollServer::Options options;
     options.port = 0;
-    options.threads = 4;
+    options.shards = 2;
+    options.handler_threads = 4;
     options.read_timeout_ms = 2000;
-    server_ = std::make_unique<HttpServer>(
+    server_ = std::make_unique<net::EpollServer>(
         std::move(options),
         [this](const HttpRequest& request) { return router_.Handle(request); });
     Status status = server_->Start();
@@ -74,7 +75,7 @@ class LoopbackServer {
 
   std::unique_ptr<engine::Engine> engine_;
   Router router_;
-  std::unique_ptr<HttpServer> server_;
+  std::unique_ptr<net::EpollServer> server_;
 };
 
 /// A delta batch valid against the fixture's dataset, as a JSON body.

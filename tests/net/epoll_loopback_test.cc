@@ -1,11 +1,13 @@
 /// End-to-end tests of the epoll transport over a real loopback socket:
-/// the same MovieLens session behind Router + EpollServer, driven by
-/// serve::ClientConnection. Mirrors tests/serve/server_loopback_test.cc
-/// so the two transports are held to the same observable contract, and
-/// adds what only an event loop must prove: idle reaping without a
-/// thread parked per connection, 408 on mid-request stalls, and many
-/// concurrent keep-alive clients on a handful of threads. Carries the
-/// `tsan` CTest label (tests/CMakeLists.txt).
+/// a MovieLens session behind Router + EpollServer, driven by
+/// serve::ClientConnection. Covers the routes, cache identity, port
+/// validation, parser errors, split sends and pipelining, 503 shedding,
+/// idle reaping without a thread parked per connection, 408 on
+/// mid-request stalls, many concurrent keep-alive clients on a handful
+/// of threads, peer aborts and the drain. The route-level serving
+/// contract (single-flight, select/groups/evaluate, validation errors,
+/// /metrics) is tests/serve/server_loopback_test.cc. Carries the `tsan`
+/// CTest label (tests/CMakeLists.txt).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -59,6 +61,7 @@ class EpollLoopback {
 
   int port() const { return server_->port(); }
   EpollServer& server() { return *server_; }
+  engine::SummaryCache& cache() { return engine_->cache(); }
 
   Result<ClientResponse> Post(const std::string& target,
                               const std::string& body) {
@@ -108,15 +111,37 @@ TEST(EpollLoopbackTest, ColdAndCachedBodiesAreByteIdentical) {
   ASSERT_EQ(cold.value().status, 200) << cold.value().body;
   EXPECT_EQ(cold.value().Header("x-prox-cache"), "miss");
 
+  engine::SummaryCache::Stats before = fixture.cache().stats();
   auto cached = fixture.Post("/v1/summarize", kSummarizeBody);
   ASSERT_TRUE(cached.ok());
   ASSERT_EQ(cached.value().status, 200);
   EXPECT_EQ(cached.value().Header("x-prox-cache"), "hit");
   EXPECT_EQ(cached.value().body, cold.value().body);
+  EXPECT_EQ(fixture.cache().stats().hits, before.hits + 1);
 
+  // The body is the canonical JSON document.
   auto parsed = ParseJson(cold.value().body);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_NE(parsed.value().Find("final_size"), nullptr);
+  EXPECT_NE(parsed.value().Find("groups"), nullptr);
+}
+
+TEST(EpollLoopbackTest, StartRejectsOutOfRangePorts) {
+  // htons() would wrap 70000 to 4464 and 65536 to 0 (an ephemeral
+  // port); Start must refuse both before binding anything.
+  for (int port : {65536, 70000, -1}) {
+    EpollServer::Options options;
+    options.port = port;
+    options.shards = 1;
+    EpollServer server(options, [](const serve::HttpRequest&) {
+      return serve::HttpResponse{};
+    });
+    Status status = server.Start();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << port << ": " << status.ToString();
+    EXPECT_FALSE(server.running()) << port;
+    EXPECT_EQ(server.port(), 0) << port;
+  }
 }
 
 TEST(EpollLoopbackTest, KeepAliveServesManyExchangesOnOneConnection) {

@@ -1,7 +1,7 @@
 /// HttpParser torture: every route's request bytes pushed through the
 /// parser whole, one byte at a time, and at seeded randomized split
 /// points, asserting the parse is identical in all three feedings. This
-/// is the property both transports lean on — the epoll loops feed the
+/// is the property the transport leans on — the epoll loops feed the
 /// parser whatever recv() produced, so any split of the byte stream must
 /// parse the same. Covers /v1/ingest too, which the wire-level torture
 /// (transport_identity_test.cc) skips for being non-idempotent.

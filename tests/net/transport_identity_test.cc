@@ -1,20 +1,24 @@
-/// Transport byte-identity: the blocking and epoll transports must be
-/// indistinguishable on the wire. Each transport gets a fresh engine
-/// built from the same deterministically generated dataset, receives the
-/// same request sequence in the same order, and every response —
-/// status, headers, body — must match byte for byte, modulo the
-/// per-request x-prox-trace-id (random by design). Run across all three
-/// dataset families (MovieLens, Wikipedia, DDP), so family-specific
-/// response shapes (group schemas, valuation classes) are covered.
+/// Transport wire goldens: a fresh engine built from a deterministically
+/// generated dataset, behind the epoll transport, receives a fixed
+/// request sequence, and every response — status, headers, body — must
+/// match tests/net/golden/transport_<family>.txt byte for byte, modulo
+/// the per-request x-prox-trace-id (random by design). The goldens are
+/// frozen data: they were recorded from the former blocking transport,
+/// which this transport was proven byte-identical to, and no flag or
+/// variable regenerates them. Run across all three dataset families
+/// (MovieLens, Wikipedia, DDP), so family-specific response shapes
+/// (group schemas, valuation classes) are covered.
 ///
 /// Also the wire-level half of the torture suite: warmed idempotent
 /// requests are sent whole, one byte at a time, and at seeded random
-/// split points against BOTH transports, asserting byte-identical
-/// responses regardless of how the request bytes were framed.
+/// split points, asserting byte-identical responses regardless of how
+/// the request bytes were framed.
 /// Carries the `tsan` CTest label (tests/CMakeLists.txt).
 
+#include <fstream>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,7 +32,6 @@
 #include "net/epoll_server.h"
 #include "serve/client.h"
 #include "serve/router.h"
-#include "serve/server.h"
 
 namespace prox {
 namespace net {
@@ -38,12 +41,6 @@ using serve::ClientConnection;
 using serve::ClientResponse;
 
 constexpr char kSummarizeBody[] = "{\"w_dist\":0.7,\"max_steps\":5}";
-
-enum class Transport { kBlocking, kEpoll };
-
-const char* Name(Transport transport) {
-  return transport == Transport::kBlocking ? "blocking" : "epoll";
-}
 
 Dataset MakeDataset(const std::string& family) {
   if (family == "movielens") {
@@ -66,36 +63,26 @@ Dataset MakeDataset(const std::string& family) {
   return DdpGenerator::Generate(config);
 }
 
-/// A fresh engine + router behind the chosen transport. Fresh per
-/// transport so cache hit/miss sequences (X-Prox-Cache) line up exactly.
+/// A fresh engine + router behind the epoll transport. Fresh per test so
+/// cache hit/miss sequences (X-Prox-Cache) line up with the golden.
 class TransportFixture {
  public:
-  TransportFixture(Transport transport, const std::string& family)
+  explicit TransportFixture(const std::string& family)
       : engine_(engine::Engine::FromDataset(MakeDataset(family),
                                             EngineOptions())),
         router_(engine_.get()) {
-    auto handler = [this](const serve::HttpRequest& request) {
-      return router_.Handle(request);
-    };
-    if (transport == Transport::kEpoll) {
-      EpollServer::Options options;
-      options.port = 0;
-      options.shards = 2;
-      epoll_ = std::make_unique<EpollServer>(options, handler);
-      Status status = epoll_->Start();
-      EXPECT_TRUE(status.ok()) << status.ToString();
-      port_ = epoll_->port();
-    } else {
-      serve::HttpServer::Options options;
-      options.port = 0;
-      blocking_ = std::make_unique<serve::HttpServer>(options, handler);
-      Status status = blocking_->Start();
-      EXPECT_TRUE(status.ok()) << status.ToString();
-      port_ = blocking_->port();
-    }
+    EpollServer::Options options;
+    options.port = 0;
+    options.shards = 2;
+    server_ = std::make_unique<EpollServer>(
+        options, [this](const serve::HttpRequest& request) {
+          return router_.Handle(request);
+        });
+    Status status = server_->Start();
+    EXPECT_TRUE(status.ok()) << status.ToString();
   }
 
-  int port() const { return port_; }
+  int port() const { return server_->port(); }
 
  private:
   static engine::Engine::Options EngineOptions() {
@@ -106,17 +93,15 @@ class TransportFixture {
 
   std::unique_ptr<engine::Engine> engine_;
   serve::Router router_;
-  std::unique_ptr<serve::HttpServer> blocking_;
-  std::unique_ptr<EpollServer> epoll_;
-  int port_ = 0;
+  std::unique_ptr<EpollServer> server_;
 };
 
 struct Exchange {
   std::string method;
   std::string target;
   std::string body;
-  /// /metrics bodies read the process-global registry, which both
-  /// transports mutate — identity there is status + content type only.
+  /// /metrics bodies read the process-global registry, which every test
+  /// in the process mutates — identity there is status + headers only.
   bool identical_body = true;
 };
 
@@ -129,7 +114,7 @@ std::vector<Exchange> Sequence() {
       {"POST", "/v1/summarize", kSummarizeBody},        // hit, same bytes
       {"GET", "/v1/summary/groups", ""},
       {"POST", "/v1/select", "{\"all\":true}"},
-      {"POST", "/v1/summarize", kSummarizeBody},        // new selection: miss
+      {"POST", "/v1/summarize", kSummarizeBody},        // same key: hit
       {"POST", "/v1/evaluate",
        "{\"assignment\":{\"false_attributes\":[{\"attribute\":\"Gender\","
        "\"value\":\"M\"}]}}"},
@@ -152,7 +137,7 @@ std::string Normalize(const ClientResponse& response, bool with_body) {
       out += "<trace>";
     } else if (!with_body && name == "content-length") {
       // Excluded bodies (/metrics) differ in size too — the global
-      // registry grows as both transports serve the same sequence.
+      // registry grows with whatever the process has served.
       out += "<len>";
     } else {
       out += value;
@@ -185,91 +170,120 @@ std::vector<std::string> RunSequence(int port) {
   return normalized;
 }
 
+/// The golden file layout: per exchange, a "### METHOD target" line,
+/// the Normalize()d response, and a blank line.
+std::vector<std::string> Sections(const std::vector<std::string>& wire) {
+  const std::vector<Exchange> sequence = Sequence();
+  std::vector<std::string> sections;
+  for (size_t i = 0; i < wire.size(); ++i) {
+    sections.push_back("### " + sequence[i].method + " " +
+                       sequence[i].target + "\n" + wire[i] + "\n");
+  }
+  return sections;
+}
+
+/// Splits a golden file back into its sections (bodies are one-line
+/// JSON, so "\n### " only ever starts a section).
+std::vector<std::string> ReadGolden(const std::string& family) {
+  const std::string path =
+      std::string(PROX_NET_GOLDEN_DIR) + "/transport_" + family + ".txt";
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden " << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  std::vector<std::string> sections;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t next = text.find("\n### ", start);
+    size_t end = next == std::string::npos ? text.size() : next + 1;
+    sections.push_back(text.substr(start, end - start));
+    start = end;
+  }
+  return sections;
+}
+
 class TransportIdentityTest : public ::testing::TestWithParam<std::string> {};
 
+/// Live epoll responses against the transcript frozen from the former
+/// blocking transport, exchange by exchange.
 TEST_P(TransportIdentityTest, AllRoutesByteIdenticalAcrossTransports) {
   const std::string family = GetParam();
-  TransportFixture blocking(Transport::kBlocking, family);
-  TransportFixture epoll(Transport::kEpoll, family);
+  TransportFixture fixture(family);
 
-  std::vector<std::string> blocking_wire = RunSequence(blocking.port());
-  std::vector<std::string> epoll_wire = RunSequence(epoll.port());
+  std::vector<std::string> golden = ReadGolden(family);
+  std::vector<std::string> wire = Sections(RunSequence(fixture.port()));
 
-  ASSERT_EQ(blocking_wire.size(), epoll_wire.size());
-  const std::vector<Exchange> sequence = Sequence();
-  for (size_t i = 0; i < blocking_wire.size(); ++i) {
-    EXPECT_EQ(blocking_wire[i], epoll_wire[i])
-        << "exchange " << i << " (" << sequence[i].method << " "
-        << sequence[i].target << ") diverged between transports";
+  ASSERT_EQ(golden.size(), wire.size());
+  for (size_t i = 0; i < wire.size(); ++i) {
+    EXPECT_EQ(golden[i], wire[i])
+        << "exchange " << i << " diverged from the frozen wire golden";
   }
 }
 
 /// Wire-level torture: after warming, each idempotent request is sent
 /// whole, then one byte at a time, then at 25 seeded random splits; all
-/// feedings must produce byte-identical responses on both transports.
+/// feedings must produce byte-identical responses.
 TEST_P(TransportIdentityTest, SplitFedRequestsAnswerIdenticallyOnTheWire) {
   const std::string family = GetParam();
-  for (Transport transport : {Transport::kBlocking, Transport::kEpoll}) {
-    SCOPED_TRACE(Name(transport));
-    TransportFixture fixture(transport, family);
-    // Warm: selection + summary exist, so every request below is a pure
-    // read (summarize replays as cache hits).
-    ASSERT_EQ(serve::Fetch("127.0.0.1", fixture.port(), "POST",
-                           "/v1/summarize", kSummarizeBody, 30000)
-                  .value()
-                  .status,
-              200);
+  TransportFixture fixture(family);
+  // Warm: selection + summary exist, so every request below is a pure
+  // read (summarize replays as cache hits).
+  ASSERT_EQ(serve::Fetch("127.0.0.1", fixture.port(), "POST",
+                         "/v1/summarize", kSummarizeBody, 30000)
+                .value()
+                .status,
+            200);
 
-    const std::vector<std::pair<std::string, std::string>> targets = {
-        {"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", "/healthz"},
-        {"POST /v1/summarize HTTP/1.1\r\nHost: t\r\n"
-         "Content-Type: application/json\r\nContent-Length: " +
-             std::to_string(sizeof(kSummarizeBody) - 1) + "\r\n\r\n" +
-             kSummarizeBody,
-         "/v1/summarize"},
-        {"GET /v1/summary/groups HTTP/1.1\r\nHost: t\r\n\r\n", "/groups"},
-        {"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n", "/nope"},
-    };
+  const std::vector<std::pair<std::string, std::string>> targets = {
+      {"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", "/healthz"},
+      {"POST /v1/summarize HTTP/1.1\r\nHost: t\r\n"
+       "Content-Type: application/json\r\nContent-Length: " +
+           std::to_string(sizeof(kSummarizeBody) - 1) + "\r\n\r\n" +
+           kSummarizeBody,
+       "/v1/summarize"},
+      {"GET /v1/summary/groups HTTP/1.1\r\nHost: t\r\n\r\n", "/groups"},
+      {"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n", "/nope"},
+  };
 
-    std::mt19937_64 rng(20260807);
-    for (const auto& [raw, label] : targets) {
-      SCOPED_TRACE(label);
-      std::string reference;
-      // Feeding 0 = whole buffer, 1 = one byte per send, 2.. = random
-      // split points.
-      for (int feeding = 0; feeding < 27; ++feeding) {
-        auto connection =
-            ClientConnection::Connect("127.0.0.1", fixture.port(), 30000);
-        ASSERT_TRUE(connection.ok()) << connection.status().ToString();
-        ClientConnection client = std::move(connection).value();
-        if (feeding == 0) {
-          ASSERT_TRUE(client.SendRaw(raw).ok());
-        } else if (feeding == 1) {
-          for (char byte : raw) {
-            ASSERT_TRUE(client.SendRaw(std::string_view(&byte, 1)).ok());
-          }
-        } else {
-          size_t offset = 0;
-          std::uniform_int_distribution<size_t> chunk_size(1, 13);
-          while (offset < raw.size()) {
-            size_t take = std::min(raw.size() - offset, chunk_size(rng));
-            ASSERT_TRUE(
-                client.SendRaw(std::string_view(raw).substr(offset, take))
-                    .ok());
-            offset += take;
-          }
+  std::mt19937_64 rng(20260807);
+  for (const auto& [raw, label] : targets) {
+    SCOPED_TRACE(label);
+    std::string reference;
+    // Feeding 0 = whole buffer, 1 = one byte per send, 2.. = random
+    // split points.
+    for (int feeding = 0; feeding < 27; ++feeding) {
+      auto connection =
+          ClientConnection::Connect("127.0.0.1", fixture.port(), 30000);
+      ASSERT_TRUE(connection.ok()) << connection.status().ToString();
+      ClientConnection client = std::move(connection).value();
+      if (feeding == 0) {
+        ASSERT_TRUE(client.SendRaw(raw).ok());
+      } else if (feeding == 1) {
+        for (char byte : raw) {
+          ASSERT_TRUE(client.SendRaw(std::string_view(&byte, 1)).ok());
         }
-        auto response = client.ReadResponse();
-        ASSERT_TRUE(response.ok())
-            << "feeding " << feeding << ": " << response.status().ToString();
-        std::string normalized = Normalize(response.value(), true);
-        if (feeding == 0) {
-          reference = std::move(normalized);
-        } else {
-          ASSERT_EQ(normalized, reference) << "feeding " << feeding;
+      } else {
+        size_t offset = 0;
+        std::uniform_int_distribution<size_t> chunk_size(1, 13);
+        while (offset < raw.size()) {
+          size_t take = std::min(raw.size() - offset, chunk_size(rng));
+          ASSERT_TRUE(
+              client.SendRaw(std::string_view(raw).substr(offset, take))
+                  .ok());
+          offset += take;
         }
-        client.Close();
       }
+      auto response = client.ReadResponse();
+      ASSERT_TRUE(response.ok())
+          << "feeding " << feeding << ": " << response.status().ToString();
+      std::string normalized = Normalize(response.value(), true);
+      if (feeding == 0) {
+        reference = std::move(normalized);
+      } else {
+        ASSERT_EQ(normalized, reference) << "feeding " << feeding;
+      }
+      client.Close();
     }
   }
 }

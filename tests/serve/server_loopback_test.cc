@@ -1,7 +1,14 @@
-/// End-to-end tests over a real loopback socket: a MovieLens session behind
-/// Router + SummaryCache + HttpServer, driven by serve::ClientConnection.
-/// This suite carries the `tsan` CTest label (tests/CMakeLists.txt) — run
-/// it under ThreadSanitizer via scripts/tsan_exec_tests.sh builds.
+/// End-to-end tests of the serving contract over a real loopback socket: a
+/// MovieLens session behind Router + SummaryCache + net::EpollServer (the
+/// transport prox_server runs), driven by serve::ClientConnection. The
+/// fixture takes prox_server's knobs — handler threads, admission bound,
+/// keep-alive budget — so each case checks what a prox_server client sees:
+/// routes and error codes, cache identity and single-flight, /metrics,
+/// parser errors, split sends and pipelining, 503 shedding, idle reaping
+/// and the drain. Transport internals (408 stalls, peer aborts, dispatch
+/// accounting) live in tests/net/epoll_loopback_test.cc. This suite
+/// carries the `tsan` CTest label (tests/CMakeLists.txt) — run it under
+/// ThreadSanitizer via scripts/tsan_exec_tests.sh builds.
 
 #include <memory>
 #include <set>
@@ -14,10 +21,10 @@
 #include "common/json.h"
 #include "datasets/movielens.h"
 #include "engine/engine.h"
+#include "net/epoll_server.h"
 #include "serve/client.h"
 #include "serve/router.h"
 #include "serve/serve_metrics.h"
-#include "serve/server.h"
 
 namespace prox {
 namespace serve {
@@ -34,13 +41,14 @@ class LoopbackServer {
                           int idle_timeout_ms = 15000)
       : engine_(engine::Engine::FromDataset(MakeDataset(), EngineOptions())),
         router_(engine_.get()) {
-    HttpServer::Options options;
+    net::EpollServer::Options options;
     options.port = 0;
-    options.threads = threads;
+    options.shards = 2;
+    options.handler_threads = threads;
     options.max_inflight = max_inflight;
     options.read_timeout_ms = 2000;
     options.idle_timeout_ms = idle_timeout_ms;
-    server_ = std::make_unique<HttpServer>(
+    server_ = std::make_unique<net::EpollServer>(
         std::move(options),
         [this](const HttpRequest& request) { return router_.Handle(request); });
     Status status = server_->Start();
@@ -49,7 +57,7 @@ class LoopbackServer {
 
   int port() const { return server_->port(); }
   SummaryCache& cache() { return engine_->cache(); }
-  HttpServer& server() { return *server_; }
+  net::EpollServer& server() { return *server_; }
 
   Result<ClientResponse> Post(const std::string& target,
                               const std::string& body) {
@@ -75,7 +83,7 @@ class LoopbackServer {
 
   std::unique_ptr<engine::Engine> engine_;
   Router router_;
-  std::unique_ptr<HttpServer> server_;
+  std::unique_ptr<net::EpollServer> server_;
 };
 
 TEST(ServerLoopbackTest, HealthzAndUnknownRoutes) {
@@ -143,7 +151,7 @@ TEST(ServerLoopbackTest, EightConcurrentIdenticalPostsGetOneBody) {
     EXPECT_EQ(statuses[i], 200) << "client " << i;
     distinct.insert(bodies[i]);
   }
-  // The router single-flights identical cold requests: everyone gets the
+  // The engine single-flights identical cold requests: everyone gets the
   // same bytes (reruns would mint "#k"-suffixed summary names, so one
   // distinct body means Algorithm 1 ran exactly once) and every client
   // but the computing one ends on a cache hit. Racing fast-path lookups
@@ -221,7 +229,7 @@ TEST(ServerLoopbackTest, MetricsEndpointServesPrometheusText) {
   EXPECT_NE(text.find("prox_serve_requests_total"), std::string::npos);
   EXPECT_NE(text.find("prox_serve_cache_hit_total"), std::string::npos);
   EXPECT_NE(text.find("prox_serve_connections_total"), std::string::npos);
-  // The service-layer series from PR 1 flow through the same registry.
+  // The service-layer series flow through the same registry.
   EXPECT_NE(text.find("prox_service_requests_total"), std::string::npos);
   EXPECT_NE(text.find("# TYPE prox_serve_requests_total counter"),
             std::string::npos);
@@ -271,14 +279,14 @@ TEST(ServerLoopbackTest, SplitSendsAndPipeliningWork) {
 }
 
 TEST(ServerLoopbackTest, OverloadShedsWith503) {
-  // One worker, one admitted connection: the second connection is shed
-  // with a canned 503 while the first sits on the worker.
+  // One handler thread, one admitted connection: the second connection
+  // is shed with a canned 503 while the first holds the admission slot.
   LoopbackServer fixture(/*max_inflight=*/1, /*threads=*/1);
   auto holder = ClientConnection::Connect("127.0.0.1", fixture.port());
   ASSERT_TRUE(holder.ok());
   ClientConnection held = std::move(holder).value();
   // Complete one exchange so the holder is definitely admitted (not just
-  // sitting in the kernel backlog) and keeps its worker.
+  // sitting in the kernel backlog) and keeps its slot while idle.
   ASSERT_TRUE(held.SendRequest("GET", "/healthz").ok());
   auto ok = held.ReadResponse();
   ASSERT_TRUE(ok.ok());
@@ -294,9 +302,7 @@ TEST(ServerLoopbackTest, OverloadShedsWith503) {
 TEST(ServerLoopbackTest, IdleKeepAliveConnectionsAreReapedAndCounted) {
   // A short idle budget (and a distinct, longer read budget): a served
   // connection that then sits idle is closed from the server side and
-  // counted in prox_serve_idle_reaped_total. Before the idle budget
-  // existed, an idle connection pinned its worker for read_timeout_ms
-  // per wait with no accounting.
+  // counted in prox_serve_idle_reaped_total.
   LoopbackServer fixture(/*max_inflight=*/32, /*threads=*/4,
                          /*idle_timeout_ms=*/150);
   const uint64_t reaped_before = ServeIdleReaped()->value();

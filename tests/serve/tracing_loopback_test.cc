@@ -16,9 +16,9 @@
 #include "datasets/movielens.h"
 #include "obs/metrics.h"
 #include "engine/engine.h"
+#include "net/epoll_server.h"
 #include "serve/client.h"
 #include "serve/router.h"
-#include "serve/server.h"
 
 namespace prox {
 namespace serve {
@@ -41,11 +41,12 @@ class TracingServer {
   explicit TracingServer(bool debug_endpoints = true)
       : engine_(engine::Engine::FromDataset(MakeDataset(), EngineOptions())),
         router_(engine_.get(), RouterOptions(debug_endpoints)) {
-    HttpServer::Options options;
+    net::EpollServer::Options options;
     options.port = 0;
-    options.threads = 4;
+    options.shards = 2;
+    options.handler_threads = 4;
     options.read_timeout_ms = 2000;
-    server_ = std::make_unique<HttpServer>(
+    server_ = std::make_unique<net::EpollServer>(
         std::move(options),
         [this](const HttpRequest& request) { return router_.Handle(request); });
     Status status = server_->Start();
@@ -103,7 +104,7 @@ class TracingServer {
 
   std::unique_ptr<engine::Engine> engine_;
   Router router_;
-  std::unique_ptr<HttpServer> server_;
+  std::unique_ptr<net::EpollServer> server_;
 };
 
 TEST(TracingLoopbackTest, EveryResponseCarriesAFreshTraceId) {
