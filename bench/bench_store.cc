@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "datasets/movielens.h"
-#include "ir/adopt.h"
-#include "ir/term_pool.h"
 #include "engine/engine.h"
 #include "serve/router.h"
 #include "service/session.h"
@@ -55,14 +53,11 @@ std::string EnsureSnapshot(int users) {
   return path;
 }
 
-/// The boot path a snapshot replaces: generate the dataset, then intern
-/// the provenance into a TermPool the way Summarizer::Run does on its
-/// first touch. A loaded snapshot hands back the interned form directly.
+/// The boot path a snapshot replaces: generate the dataset, whose
+/// generator ends by adopting the provenance into a TermPool. A loaded
+/// snapshot hands back the interned form directly.
 Dataset GenerateAndAdopt(const MovieLensConfig& config) {
-  Dataset ds = MovieLensGenerator::Generate(config);
-  auto pool = std::make_shared<ir::TermPool>();
-  ds.provenance = ir::Adopt(*ds.provenance, pool);
-  return ds;
+  return MovieLensGenerator::Generate(config);
 }
 
 void BM_GenerateAdopt(benchmark::State& state) {

@@ -7,8 +7,6 @@
 #include <string>
 
 #include "harness/bench_util.h"
-#include "provenance/aggregate_expr.h"
-#include "provenance/ddp_expr.h"
 
 using namespace prox;
 using namespace prox::bench;

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "datasets/ddp.h"
-#include "provenance/ddp_expr.h"
+#include "provenance/facade.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
 
@@ -23,8 +23,8 @@ int main() {
   config.seed = 21;
   Dataset ds = DdpGenerator::Generate(config);
 
-  // Read structure through the DdpFacade: the summarizer returns a flat
-  // prox::ir expression, so a dynamic_cast to DdpExpression would fail.
+  // Datasets and summaries are flat prox::ir expressions; read their
+  // structure through the DdpFacade.
   const DdpFacade* ddp = ds.provenance->AsDdp();
   std::printf("DDP provenance: %zu executions, size %lld:\n  %s\n\n",
               ddp->ddp_num_executions(),

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "provenance/polynomial_expr.h"
+#include "ir/adopt.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
 #include "summarize/val_func.h"
@@ -55,10 +55,11 @@ int main() {
               result.ToString(registry).c_str());
 
   // Summarize the lineage of the "health" tuple.
-  PolynomialExpression lineage(result.tuples()[0].provenance);
+  std::unique_ptr<ProvenanceExpression> lineage = ir::Adopt(
+      result.tuples()[0].provenance, std::make_shared<ir::TermPool>());
   std::printf("lineage of (health): %s  (size %lld)\n\n",
-              lineage.ToString(registry).c_str(),
-              static_cast<long long>(lineage.Size()));
+              lineage->ToString(registry).c_str(),
+              static_cast<long long>(lineage->Size()));
 
   SemanticContext ctx;
   ctx.registry = &registry;
@@ -68,14 +69,14 @@ int main() {
                                          std::vector<AttrId>{expertise}));
 
   CancelSingleAnnotation cls(std::vector<DomainId>{claims_domain});
-  std::vector<Valuation> valuations = cls.Generate(lineage, ctx);
+  std::vector<Valuation> valuations = cls.Generate(*lineage, ctx);
   AbsoluteDifferenceValFunc vf;  // lineage evaluates to derivation counts
-  EnumeratedDistance oracle(&lineage, &registry, &vf, valuations);
+  EnumeratedDistance oracle(lineage.get(), &registry, &vf, valuations);
   SummarizerOptions options;
   options.w_dist = 0.7;
   options.w_size = 0.3;
   options.max_steps = 3;
-  Summarizer summarizer(&lineage, &registry, &ctx, &constraints, &oracle,
+  Summarizer summarizer(lineage.get(), &registry, &ctx, &constraints, &oracle,
                         &valuations, options);
   auto outcome = summarizer.Run();
   if (!outcome.ok()) {
@@ -100,7 +101,7 @@ int main() {
     MaterializedValuation approx_view =
         outcome.value().state.Transform(v, registry.size());
     std::printf("  %-24s exact %.0f derivations, approx %.0f\n", label,
-                lineage.Evaluate(exact_view).scalar(),
+                lineage->Evaluate(exact_view).scalar(),
                 outcome.value().summary->Evaluate(approx_view).scalar());
   };
   std::printf("\nderivation counts under hypothetical deletions:\n");

@@ -50,7 +50,7 @@ int main() {
     std::printf("workflow failed: %s\n", run.status().ToString().c_str());
     return 1;
   }
-  const AggregateExpression& p0 = *run.value().provenance;
+  const ProvenanceExpression& p0 = *run.value().provenance;
   std::printf("workflow produced provenance of size %lld over %zu "
               "annotations, e.g.:\n  %.200s…\n\n",
               static_cast<long long>(p0.Size()), registry.size(),

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "ir/adopt.h"
 #include "provenance/aggregate_expr.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
@@ -45,22 +46,26 @@ int main() {
   // --- 2. Provenance: P0 from Example 4.2.3. -----------------------------
   //   U1⊗(3,1) ⊕ U2⊗(5,1) ⊕ U3⊗(3,1)  for "Match Point"
   //   U2⊗(4,1)                         for "Blue Jasmine"
-  AggregateExpression p0(AggKind::kMax);
+  // The builder collects the terms; ir::Adopt turns them into the flat
+  // expression every summarization API works on.
+  AggregateExpression builder(AggKind::kMax);
   auto rate = [&](AnnotationId user, AnnotationId movie, double score) {
     TensorTerm t;
     t.monomial = Monomial({user, movie});
     t.group = movie;
     t.value = AggValue{score, 1.0};
-    p0.AddTerm(std::move(t));
+    builder.AddTerm(std::move(t));
   };
   rate(u1, match_point, 3);
   rate(u2, match_point, 5);
   rate(u3, match_point, 3);
   rate(u2, blue_jasmine, 4);
-  p0.Simplify();
+  builder.Simplify();
+  std::unique_ptr<ProvenanceExpression> p0 =
+      ir::Adopt(builder, std::make_shared<ir::TermPool>());
   std::printf("original provenance (size %lld):\n  %s\n\n",
-              static_cast<long long>(p0.Size()),
-              p0.ToString(registry).c_str());
+              static_cast<long long>(p0->Size()),
+              p0->ToString(registry).c_str());
 
   // --- 3. Semantics: users may be grouped when they share gender or role.
   SemanticContext ctx;
@@ -73,16 +78,16 @@ int main() {
   // --- 4. Distance: Euclidean VAL-FUNC over cancel-single-annotation
   // valuations (the Example 4.2.3 setting).
   CancelSingleAnnotation valuation_class;
-  std::vector<Valuation> valuations = valuation_class.Generate(p0, ctx);
+  std::vector<Valuation> valuations = valuation_class.Generate(*p0, ctx);
   EuclideanValFunc val_func;
-  EnumeratedDistance oracle(&p0, &registry, &val_func, valuations);
+  EnumeratedDistance oracle(p0.get(), &registry, &val_func, valuations);
 
   // --- 5. Summarize, favoring distance (wDist = 1). ----------------------
   SummarizerOptions options;
   options.w_dist = 1.0;
   options.w_size = 0.0;
   options.max_steps = 2;
-  Summarizer summarizer(&p0, &registry, &ctx, &constraints, &oracle,
+  Summarizer summarizer(p0.get(), &registry, &ctx, &constraints, &oracle,
                         &valuations, options);
   auto outcome = summarizer.Run();
   if (!outcome.ok()) {
@@ -106,7 +111,7 @@ int main() {
   // --- 6. Provision: what if U2's review is spam? -------------------------
   Valuation cancel_u2({u2}, "cancel U2");
   MaterializedValuation original_view(cancel_u2, registry.size());
-  EvalResult original = p0.Evaluate(original_view);
+  EvalResult original = p0->Evaluate(original_view);
   MaterializedValuation summary_view =
       result.state.Transform(cancel_u2, registry.size());
   EvalResult approx = result.summary->Evaluate(summary_view);

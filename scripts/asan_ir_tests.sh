@@ -3,8 +3,8 @@
 # and run the prox::ir and prox::store suites under ASan: the
 # TermPool/expression unit tests (`ir` label), the batch-kernel units
 # (`ir` label too — the kernels walk borrowed monomial spans into the
-# TermPool arena), the legacy-vs-IR and batch-kernel golden
-# byte-identity suites, the snapshot container/corruption suites
+# TermPool arena), the IR and batch-kernel golden byte-identity suites
+# (frozen outcomes in tests/ir/golden/), the snapshot container/corruption suites
 # (`store` label), and the streaming ingest suites (`ingest` label —
 # ApplyBatch appends into the interned TermPool arena and the warm-start
 # maintainer replays borrowed mapping state, docs/INGEST.md), plus the

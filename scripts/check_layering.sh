@@ -11,6 +11,10 @@
 #   3. libprox_c.so exports only prox_* symbols: the version script and
 #      --exclude-libs must keep the statically linked C++ engine out of
 #      the dynamic symbol table.
+#   4. One provenance representation (docs/IR.md): no `use_ir` switch
+#      under src/, tests/, bench/ or examples/, and only the producers
+#      (datasets/, workflow/, ddp/, provenance/) and ir/adopt.cc name the
+#      pointer-tree builder classes.
 #
 # Usage: scripts/check_layering.sh [build-dir]
 # The symbol check is skipped (with a note) when no build dir is given or
@@ -107,6 +111,25 @@ if [[ -n "$shared_lib" ]] && command -v nm >/dev/null 2>&1; then
 else
   note "libprox_c.so not found under '${build_dir:-<none>}'; skipping symbol check"
 fi
+
+# --- 4. one provenance representation ------------------------------------
+# Datasets are born prox::ir; the pointer-tree classes are builders that
+# only their producers and ir::Adopt may name. -w matches whole words, so
+# IrAggregateExpression and its siblings pass.
+offenders=$(grep -rnw 'use_ir' src tests bench examples || true)
+if [[ -n "$offenders" ]]; then
+  fail "use_ir is back (the summarizer runs one representation):"
+  printf '%s\n' "$offenders" >&2
+fi
+offenders=$(grep -rnwE 'AggregateExpression|DdpExpression|PolynomialExpression' \
+    src --exclude-dir=datasets --exclude-dir=workflow --exclude-dir=ddp \
+    --exclude-dir=provenance \
+  | grep -v '^src/ir/adopt\.cc:' || true)
+if [[ -n "$offenders" ]]; then
+  fail "pointer-tree builders named outside their producers and ir/adopt.cc:"
+  printf '%s\n' "$offenders" >&2
+fi
+note "representation lint: OK (no use_ir; builders stay with their producers)"
 
 if [[ "$failures" -gt 0 ]]; then
   note "$failures check(s) failed"

@@ -4,8 +4,8 @@
 # end-to-end determinism suite, the serving-contract and request-tracing
 # loopback suites, the ingest loopback suite (concurrent POST /v1/ingest
 # writers vs summarize readers over one session, docs/INGEST.md), the
-# legacy-vs-IR golden byte-identity suite (worker-overlay Apply at
-# threads {1,8}), the batch-kernel golden suite (thread-local valuation
+# IR golden byte-identity suite against tests/ir/golden/ (worker-overlay
+# Apply at threads {1,8}), the batch-kernel golden suite (thread-local valuation
 # blocks + call_once base packing on exec workers, docs/KERNELS.md), the
 # snapshot-serving suite (docs/STORE.md), and the epoll transport loopback
 # suite (event-loop shards + handler pool + frozen wire goldens,

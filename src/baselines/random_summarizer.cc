@@ -26,8 +26,8 @@ Result<SummaryOutcome> RandomSummarizer::Run() {
   SummaryOutcome outcome{nullptr, MappingState(registry_, options_.phi), {},
                          0.0, 0, false, 0, 0.0};
   MappingState& state = outcome.state;
-  // Same flat-IR hot path as the Summarizer (docs/IR.md): baselines apply
-  // homomorphisms in the same loop shape, so they adopt too.
+  // A run-local copy, as in the Summarizer: Apply interns into this pool,
+  // never into p0's (docs/IR.md).
   std::unique_ptr<ProvenanceExpression> current =
       ir::Adopt(*p0_, std::make_shared<ir::TermPool>());
   double dist = oracle_->Distance(*current, state);

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "ddp/machine.h"
+#include "ir/adopt.h"
 #include "provenance/ddp_expr.h"
 
 namespace prox {
@@ -82,7 +83,7 @@ Dataset DdpGenerator::Generate(const DdpConfig& config) {
   if (config.from_machine) {
     expr = GenerateFromMachine(config, ds.registry.get(), &cost_table,
                                &db_table, &rng);
-    ds.provenance = std::move(expr);
+    ds.provenance = ir::Adopt(*expr, std::make_shared<ir::TermPool>());
     ds.constraints.SetRule(cost_domain, std::make_unique<NumericToleranceRule>(
                                             cost_attr, config.cost_tolerance));
     ds.constraints.SetRule(db_domain, std::make_unique<AnyMergeRule>("D"));
@@ -166,7 +167,7 @@ Dataset DdpGenerator::Generate(const DdpConfig& config) {
     }
   }
   expr->Simplify();
-  ds.provenance = std::move(expr);
+  ds.provenance = ir::Adopt(*expr, std::make_shared<ir::TermPool>());
 
   // --- Constraints, valuations, VAL-FUNC per Table 5.1 / Example 5.2.2. --
   ds.constraints.SetRule(cost_domain, std::make_unique<NumericToleranceRule>(

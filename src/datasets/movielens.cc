@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ir/adopt.h"
 #include "provenance/aggregate_expr.h"
 
 namespace prox {
@@ -155,7 +156,7 @@ Dataset MovieLensGenerator::Generate(const MovieLensConfig& config) {
     for (TensorTerm& term : user_terms) expr->AddTerm(std::move(term));
   }
   expr->Simplify();
-  ds.provenance = std::move(expr);
+  ds.provenance = ir::Adopt(*expr, std::make_shared<ir::TermPool>());
 
   // --- Constraints, valuation class and VAL-FUNC per Table 5.1. ----------
   ds.constraints.SetRule(user_domain,

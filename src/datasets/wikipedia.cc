@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ir/adopt.h"
 #include "provenance/aggregate_expr.h"
 
 namespace prox {
@@ -147,7 +148,7 @@ Dataset WikipediaGenerator::Generate(const WikipediaConfig& config) {
     }
   }
   expr->Simplify();
-  ds.provenance = std::move(expr);
+  ds.provenance = ir::Adopt(*expr, std::make_shared<ir::TermPool>());
 
   // --- Constraints, valuations, VAL-FUNC per Table 5.1. -------------------
   ds.constraints.SetRule(user_domain,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "common/str_util.h"
@@ -58,6 +59,19 @@ Result<int64_t> IntField(const JsonValue& value, const std::string& field) {
                                    "' must be an integer");
   }
   return value.int_value();
+}
+
+/// An integer field stored in an `int`: values outside its range are
+/// rejected rather than narrowed (a narrowed value would alias another
+/// request, cache key included).
+Result<int> Int32Field(const JsonValue& value, const std::string& field) {
+  PROX_ASSIGN_OR_RETURN(int64_t v, IntField(value, field));
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("field '" + field +
+                                   "' is outside the 32-bit integer range");
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -132,8 +146,7 @@ Result<SelectionCriteria> SelectionCriteriaFromJson(const JsonValue& value,
     } else if (key == "genres") {
       PROX_ASSIGN_OR_RETURN(criteria.genres, StringList(member, key));
     } else if (key == "year") {
-      PROX_ASSIGN_OR_RETURN(int64_t year, IntField(member, key));
-      criteria.year = static_cast<int>(year);
+      PROX_ASSIGN_OR_RETURN(criteria.year, Int32Field(member, key));
     } else {
       return Status::InvalidArgument("unknown selection field '" + key + "'");
     }
@@ -159,11 +172,9 @@ Result<SummarizationRequest> SummarizationRequestFromJson(
     } else if (key == "target_size") {
       PROX_ASSIGN_OR_RETURN(request.target_size, IntField(member, key));
     } else if (key == "max_steps") {
-      PROX_ASSIGN_OR_RETURN(int64_t steps, IntField(member, key));
-      request.max_steps = static_cast<int>(steps);
+      PROX_ASSIGN_OR_RETURN(request.max_steps, Int32Field(member, key));
     } else if (key == "threads") {
-      PROX_ASSIGN_OR_RETURN(int64_t threads, IntField(member, key));
-      request.threads = static_cast<int>(threads);
+      PROX_ASSIGN_OR_RETURN(request.threads, Int32Field(member, key));
     } else if (key == "valuation_class") {
       if (!member.is_string()) {
         return Status::InvalidArgument(

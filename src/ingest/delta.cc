@@ -11,9 +11,6 @@
 #include "ir/ddp_expr.h"
 #include "ir/term_pool.h"
 #include "obs/trace.h"
-#include "provenance/aggregate_expr.h"
-#include "provenance/ddp_expr.h"
-#include "provenance/monomial.h"
 #include "semantics/entity_table.h"
 
 namespace prox {
@@ -515,12 +512,9 @@ Result<ApplyReceipt> ApplyBatch(Dataset* dataset, const DeltaBatch& batch,
 
   AnnotationRegistry* registry = dataset->registry.get();
   ProvenanceExpression* provenance = dataset->provenance.get();
-  auto* legacy_agg = dynamic_cast<AggregateExpression*>(provenance);
   auto* ir_agg = dynamic_cast<ir::IrAggregateExpression*>(provenance);
-  auto* legacy_ddp = dynamic_cast<DdpExpression*>(provenance);
   auto* ir_ddp = dynamic_cast<ir::IrDdpExpression*>(provenance);
-  if (legacy_agg == nullptr && ir_agg == nullptr && legacy_ddp == nullptr &&
-      ir_ddp == nullptr) {
+  if (ir_agg == nullptr && ir_ddp == nullptr) {
     IngestRejected()->Increment();
     return DeltaError(DeltaErrorKind::kUnsupported,
                       "dataset has no appendable provenance expression");
@@ -543,9 +537,6 @@ Result<ApplyReceipt> ApplyBatch(Dataset* dataset, const DeltaBatch& batch,
   }
   registry->Reserve(registry->num_domains(),
                     registry->size() + static_cast<size_t>(new_annotations));
-  if (legacy_agg != nullptr) {
-    legacy_agg->ReserveAdditionalTerms(static_cast<size_t>(new_terms));
-  }
   if (ir_agg != nullptr) {
     ir_agg->ReserveAdditionalTerms(static_cast<size_t>(new_terms));
   }
@@ -566,10 +557,7 @@ Result<ApplyReceipt> ApplyBatch(Dataset* dataset, const DeltaBatch& batch,
         }
         PROX_ASSIGN_OR_RETURN(AnnotationId id,
                               registry->Add(domain, op.name, row));
-        if (op.has_cost) {
-          if (legacy_ddp != nullptr) legacy_ddp->SetCost(id, op.cost);
-          if (ir_ddp != nullptr) ir_ddp->SetCost(id, op.cost);
-        }
+        if (op.has_cost && ir_ddp != nullptr) ir_ddp->SetCost(id, op.cost);
         break;
       }
       case DeltaOpKind::kAddTerm: {
@@ -579,53 +567,27 @@ Result<ApplyReceipt> ApplyBatch(Dataset* dataset, const DeltaBatch& batch,
         if (!op.group.empty()) {
           PROX_ASSIGN_OR_RETURN(group, ResolveId(*registry, op.group));
         }
-        AggValue agg_value{op.value, op.count};
-        if (legacy_agg != nullptr) {
-          TensorTerm term;
-          term.monomial = Monomial(std::move(ids));
-          term.group = group;
-          term.value = agg_value;
-          legacy_agg->AddTerm(std::move(term));
-        } else {
-          std::sort(ids.begin(), ids.end());
-          ir::MonomialId mono =
-              ir_agg->pool()->InternMonomial(ids.data(), ids.size());
-          ir_agg->AddTermIds(mono, ir::kNoGuard, group, agg_value);
-        }
+        std::sort(ids.begin(), ids.end());
+        ir::MonomialId mono =
+            ir_agg->pool()->InternMonomial(ids.data(), ids.size());
+        ir_agg->AddTermIds(mono, ir::kNoGuard, group,
+                           AggValue{op.value, op.count});
         break;
       }
       case DeltaOpKind::kAddExecution: {
-        if (legacy_ddp != nullptr) {
-          DdpExecution exec;
-          exec.transitions.reserve(op.transitions.size());
-          for (const DeltaTransition& t : op.transitions) {
-            if (t.user) {
-              PROX_ASSIGN_OR_RETURN(AnnotationId cost_var,
-                                    ResolveId(*registry, t.cost_var));
-              exec.transitions.push_back(DdpTransition::User(cost_var));
-            } else {
-              PROX_ASSIGN_OR_RETURN(std::vector<AnnotationId> ids,
-                                    ResolveIds(*registry, t.db_factors));
-              exec.transitions.push_back(
-                  DdpTransition::Db(Monomial(std::move(ids)), t.nonzero));
-            }
-          }
-          legacy_ddp->AddExecution(std::move(exec));
-        } else {
-          ir_ddp->BeginExecution();
-          for (const DeltaTransition& t : op.transitions) {
-            if (t.user) {
-              PROX_ASSIGN_OR_RETURN(AnnotationId cost_var,
-                                    ResolveId(*registry, t.cost_var));
-              ir_ddp->AddUserTransition(cost_var);
-            } else {
-              PROX_ASSIGN_OR_RETURN(std::vector<AnnotationId> ids,
-                                    ResolveIds(*registry, t.db_factors));
-              std::sort(ids.begin(), ids.end());
-              ir::MonomialId mono =
-                  ir_ddp->pool()->InternMonomial(ids.data(), ids.size());
-              ir_ddp->AddDbTransition(mono, t.nonzero);
-            }
+        ir_ddp->BeginExecution();
+        for (const DeltaTransition& t : op.transitions) {
+          if (t.user) {
+            PROX_ASSIGN_OR_RETURN(AnnotationId cost_var,
+                                  ResolveId(*registry, t.cost_var));
+            ir_ddp->AddUserTransition(cost_var);
+          } else {
+            PROX_ASSIGN_OR_RETURN(std::vector<AnnotationId> ids,
+                                  ResolveIds(*registry, t.db_factors));
+            std::sort(ids.begin(), ids.end());
+            ir::MonomialId mono =
+                ir_ddp->pool()->InternMonomial(ids.data(), ids.size());
+            ir_ddp->AddDbTransition(mono, t.nonzero);
           }
         }
         break;
@@ -634,9 +596,7 @@ Result<ApplyReceipt> ApplyBatch(Dataset* dataset, const DeltaBatch& batch,
   }
 
   // One canonicalization pass per batch, not per op.
-  if (legacy_agg != nullptr) legacy_agg->Simplify();
   if (ir_agg != nullptr) ir_agg->Canonicalize();
-  if (legacy_ddp != nullptr) legacy_ddp->Simplify();
   if (ir_ddp != nullptr) ir_ddp->Canonicalize();
 
   ApplyReceipt receipt;

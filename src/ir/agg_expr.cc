@@ -1,13 +1,13 @@
 #include "ir/agg_expr.h"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <utility>
 
 #include "common/str_util.h"
 #include "exec/thread_pool.h"
 #include "ir/metrics.h"
-#include "provenance/aggregate_expr.h"
 #include "provenance/guard.h"
 #include "provenance/monomial.h"
 
@@ -61,7 +61,7 @@ void IrAggregateExpression::Canonicalize() {
   const size_t n = mono_.size();
   const PoolView pv = view();
 
-  // Index sort with the exact decision order of the legacy TermLess
+  // Index sort with the exact decision order of the builder's TermLess
   // comparator (group, monomial content, guard-less first, guard content):
   // same input order + equivalent comparator => the same introsort
   // permutation, so equal-keyed merges fold in the same float order.
@@ -283,10 +283,9 @@ std::unique_ptr<ProvenanceExpression> IrAggregateExpression::Apply(
 EvalResult IrAggregateExpression::Evaluate(
     const MaterializedValuation& v) const {
   const PoolView pv = view();
-  // Same accumulation as the legacy tree: one slot per distinct group
-  // (groups with no surviving tensor evaluate to 0), folded in row order —
-  // rows are group-sorted exactly like the legacy term order, so the float
-  // fold sequence per slot is identical.
+  // One accumulation slot per distinct group (groups with no surviving
+  // tensor evaluate to 0), folded in canonical row order, so the float
+  // fold sequence per slot is fixed.
   struct Slot {
     double value = 0.0;
     double count = 0.0;
@@ -328,7 +327,39 @@ EvalResult IrAggregateExpression::Evaluate(
 
 EvalResult IrAggregateExpression::ProjectEvalResult(
     const EvalResult& base, const Homomorphism& h) const {
-  return ProjectAggregateEvalResult(agg_, base, h);
+  if (base.kind() != EvalResult::Kind::kVector) return base;
+  struct Slot {
+    double value = 0.0;
+    double count = 0.0;
+    bool seen = false;
+  };
+  std::map<AnnotationId, Slot> acc;
+  for (const auto& c : base.coords()) {
+    auto& slot = acc[h.Map(c.group)];
+    if (agg_ == AggKind::kAvg) {
+      // Coordinates carry averages; merge as count-weighted sums.
+      slot.value += c.value * c.count;
+      slot.count += c.count;
+    } else {
+      AggValue v{c.value, 0.0};
+      if (agg_ == AggKind::kCount) v.count = c.value;
+      slot.value = FoldAggregate(agg_, slot.value, v, !slot.seen);
+    }
+    slot.seen = true;
+  }
+  std::vector<EvalResult::Coord> coords;
+  coords.reserve(acc.size());
+  for (const auto& [group, slot] : acc) {
+    double value = slot.value;
+    if (agg_ == AggKind::kAvg) {
+      value = slot.count > 0 ? slot.value / slot.count : 0.0;
+    }
+    coords.push_back(EvalResult::Coord{group, value, slot.count});
+  }
+  if (coords.size() == 1 && coords[0].group == kNoAnnotation) {
+    return EvalResult::Scalar(coords[0].value);
+  }
+  return EvalResult::Vector(std::move(coords));
 }
 
 kernels::BatchProgram IrAggregateExpression::LowerBatch() const {

@@ -14,16 +14,15 @@
 namespace prox {
 namespace ir {
 
-/// \brief Flat structure-of-arrays aggregate expression — the prox::ir
-/// replacement for the pointer-tree AggregateExpression on the
-/// summarization hot path (docs/IR.md).
+/// \brief Flat structure-of-arrays aggregate expression — the runtime
+/// form of the aggregate provenance structure (docs/IR.md).
 ///
 /// One term is a row across four parallel columns (monomial id, guard id,
 /// group key, aggregate value); factor spans live in the shared TermPool
-/// arena. Canonical form is the exact term order legacy Simplify()
+/// arena. Canonical form is the term order the builder's Simplify()
 /// produces — (group, monomial, guard) with equal-keyed rows merged — so
-/// ToString(), Evaluate() and the facade view are byte-identical to the
-/// legacy representation.
+/// ToString(), Evaluate() and the facade view match the frozen goldens in
+/// tests/ir/golden/ byte for byte.
 ///
 /// Apply() is copy-on-write: rows whose factors the homomorphism fixes
 /// keep their interned monomial id (no allocation, no hashing); only
@@ -60,7 +59,7 @@ class IrAggregateExpression : public ProvenanceExpression,
     value_.reserve(value_.size() + extra);
   }
 
-  /// Sorts rows into the legacy canonical order, merges equal-keyed rows
+  /// Sorts rows into the canonical order, merges equal-keyed rows
   /// under the aggregation monoid, and rebuilds the group index and the
   /// cached size.
   void Canonicalize();

@@ -52,9 +52,9 @@ double IrDdpExpression::CostOf(AnnotationId cost_var) const {
 
 int IrDdpExpression::CompareRows(const PoolView& pv, const TrRow& a,
                                  const TrRow& b) const {
-  // Legacy order: std::tie(kind, cost_var, db_factors, nonzero) with
+  // Builder order: std::tie(kind, cost_var, db_factors, nonzero) with
   // kUser < kDb. A user row carries an empty db monomial and nonzero=true
-  // in the legacy struct, so db/nonzero only discriminate between db rows.
+  // in the builder struct, so db/nonzero only discriminate between db rows.
   if (a.user != b.user) return a.user ? -1 : 1;
   if (a.cost_var != b.cost_var) return a.cost_var < b.cost_var ? -1 : 1;
   if (!a.user) {
@@ -69,8 +69,8 @@ void IrDdpExpression::Canonicalize() {
   const PoolView pv = view();
   const size_t num_exec = num_executions();
 
-  // Materialize executions, sort transitions within each (legacy sorts
-  // the transition vectors in place with DdpTransition::operator<).
+  // Materialize executions, sort transitions within each (the builder
+  // sorts its transition vectors in place with DdpTransition::operator<).
   std::vector<std::vector<TrRow>> execs(num_exec);
   for (size_t e = 0; e < num_exec; ++e) {
     execs[e].assign(rows_.begin() + exec_off_[e],
@@ -81,7 +81,7 @@ void IrDdpExpression::Canonicalize() {
               });
   }
   // Sort executions lexicographically over their transitions, then dedupe
-  // content-equal neighbours — the legacy sort + unique over executions.
+  // content-equal neighbours — the builder's sort + unique over executions.
   auto exec_cmp = [&](const std::vector<TrRow>& a,
                       const std::vector<TrRow>& b) {
     const size_t n = std::min(a.size(), b.size());
@@ -202,8 +202,7 @@ std::unique_ptr<ProvenanceExpression> IrDdpExpression::Apply(
     }
   }
   // Merged cost variables take the max member cost (MAX φ combiner) —
-  // same insert-or-max walk, in the same sorted-by-source-var order, as
-  // the legacy std::map merge.
+  // an insert-or-max walk in sorted-by-source-var order.
   std::map<AnnotationId, double> merged;
   for (const auto& [var, cost] : costs_) {
     const AnnotationId image = h.Map(var);

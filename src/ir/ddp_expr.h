@@ -14,14 +14,14 @@
 namespace prox {
 namespace ir {
 
-/// \brief Flat DDP provenance — prox::ir counterpart of DdpExpression.
+/// \brief Flat DDP provenance — the runtime form of the DDP structure.
 ///
 /// Executions are flattened into one transition-row vector addressed by
 /// per-execution offsets; DB-guard monomials are spans in the shared
 /// TermPool. Canonical form (transitions sorted within executions,
 /// executions sorted and deduped) and evaluation order replicate the
-/// legacy class decision for decision, so costs, ToString() and the
-/// facade view are byte-identical.
+/// builder's Simplify() decision for decision, so costs, ToString() and
+/// the facade view are byte-identical to the frozen goldens.
 class IrDdpExpression : public ProvenanceExpression,
                         public DdpFacade,
                         public kernels::BatchEvalFacade {
@@ -41,7 +41,7 @@ class IrDdpExpression : public ProvenanceExpression,
   void SetCost(AnnotationId cost_var, double cost);
 
   /// Sorts transitions within executions, sorts/dedupes executions, and
-  /// recomputes the cached size — the legacy Simplify(), flat.
+  /// recomputes the cached size — the builder's Simplify(), flat.
   void Canonicalize();
 
   double CostOf(AnnotationId cost_var) const;
@@ -77,9 +77,9 @@ class IrDdpExpression : public ProvenanceExpression,
 
  private:
   /// One transition row. For user transitions `db` is the empty monomial
-  /// and `nonzero` is true (the defaults of the legacy DdpTransition), so
-  /// content comparison over (user, cost_var, db, nonzero) reproduces the
-  /// legacy std::tie order exactly.
+  /// and `nonzero` is true (the defaults of the builder's DdpTransition),
+  /// so content comparison over (user, cost_var, db, nonzero) reproduces
+  /// the builder's std::tie order exactly.
   struct TrRow {
     bool user = true;
     AnnotationId cost_var = kNoAnnotation;

@@ -28,5 +28,13 @@ void CountApplyTermRewritten(uint64_t n) {
   c->Increment(n);
 }
 
+void CountSizeCacheHit() {
+  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
+      "prox_ir_size_cache_hits_total",
+      "Size() calls served from the expression's cached size header "
+      "instead of a full term traversal.");
+  c->Increment();
+}
+
 }  // namespace ir
 }  // namespace prox

@@ -23,6 +23,9 @@ void CountApplyTermShared(uint64_t n = 1);
 /// source lived in an overlay that the result does not carry).
 void CountApplyTermRewritten(uint64_t n = 1);
 
+/// Size() was answered from the expression's cached size header.
+void CountSizeCacheHit();
+
 }  // namespace ir
 }  // namespace prox
 

@@ -50,8 +50,8 @@ int64_t IrPolynomialExpression::Size() const {
 void IrPolynomialExpression::CollectAnnotations(
     std::vector<AnnotationId>* out) const {
   const PoolView pv = view();
-  // The legacy class appends its sorted distinct variable list to `out`
-  // without re-sorting the destination; replicate that contract.
+  // Appends the sorted distinct variable list to `out` without re-sorting
+  // the destination (Polynomial::Variables order).
   std::vector<AnnotationId> vars;
   for (MonomialId m : mono_) {
     const AnnotationId* f = pv.mono_data(m);

@@ -13,13 +13,13 @@
 namespace prox {
 namespace ir {
 
-/// \brief Flat ℕ[Ann] provenance — prox::ir counterpart of
-/// PolynomialExpression.
+/// \brief Flat ℕ[Ann] provenance — the summarizable form of a semiring
+/// Polynomial (ir::Adopt builds it).
 ///
-/// Rows are (monomial id, coefficient) pairs kept in the legacy
-/// canonical order: monomial content ascending (the std::map<Mono,...>
-/// iteration order of the tree Polynomial), with content-equal rows
-/// merged by summing coefficients.
+/// Rows are (monomial id, coefficient) pairs kept in the canonical
+/// order of the tree Polynomial: monomial content ascending (its
+/// std::map<Mono,...> iteration order), with content-equal rows merged by
+/// summing coefficients.
 class IrPolynomialExpression : public ProvenanceExpression,
                                public kernels::BatchEvalFacade {
  public:
@@ -28,6 +28,13 @@ class IrPolynomialExpression : public ProvenanceExpression,
 
   size_t num_terms() const { return mono_.size(); }
   const std::shared_ptr<TermPool>& pool() const { return pool_; }
+
+  /// Row `i`'s factor span and coefficient, in canonical order.
+  const AnnotationId* term_data(size_t i) const {
+    return view().mono_data(mono_[i]);
+  }
+  uint32_t term_len(size_t i) const { return view().mono_len(mono_[i]); }
+  uint64_t coeff(size_t i) const { return coeff_[i]; }
 
   /// Builder (main thread): `mono` must be interned in the shared pool.
   void AddTermIds(MonomialId mono, uint64_t coeff);

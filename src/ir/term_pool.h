@@ -172,12 +172,12 @@ class TermPool {
 };
 
 /// \brief Resolves possibly overlay-tagged ids against a (shared, overlay)
-/// pool pair, and compares content the way the legacy tree classes do.
+/// pool pair, and compares content the way the builder classes do.
 ///
 /// CompareMonomials replicates Monomial's defaulted `<=>` (lexicographic
 /// factor order); CompareGuards replicates Guard's defaulted `<=>`
 /// (factors, then scalar, then op, then threshold). The IR canonical sort
-/// uses these so it produces the byte-identical term order the legacy
+/// uses these so it produces the byte-identical term order the builders'
 /// Simplify() produces.
 class PoolView {
  public:

@@ -1,9 +1,6 @@
 #include "provenance/aggregate_expr.h"
 
 #include <algorithm>
-#include <map>
-
-#include "common/str_util.h"
 
 namespace prox {
 
@@ -26,13 +23,7 @@ bool TermKeyEqual(const TensorTerm& a, const TensorTerm& b) {
 
 }  // namespace
 
-void AggregateExpression::AddTerm(TensorTerm term) {
-  size_cache_.Invalidate();
-  terms_.push_back(std::move(term));
-}
-
 void AggregateExpression::Simplify() {
-  size_cache_.Invalidate();
   std::sort(terms_.begin(), terms_.end(), TermLess);
   std::vector<TensorTerm> merged;
   merged.reserve(terms_.size());
@@ -45,137 +36,6 @@ void AggregateExpression::Simplify() {
     }
   }
   terms_ = std::move(merged);
-}
-
-std::vector<AnnotationId> AggregateExpression::Groups() const {
-  std::vector<AnnotationId> groups;
-  for (const auto& t : terms_) groups.push_back(t.group);
-  std::sort(groups.begin(), groups.end());
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-  return groups;
-}
-
-int64_t AggregateExpression::Size() const {
-  int64_t cached = size_cache_.Lookup();
-  if (cached >= 0) return cached;
-  int64_t total = 0;
-  for (const auto& t : terms_) {
-    total += t.monomial.Size();
-    if (t.guard) total += t.guard->Size();
-  }
-  size_cache_.Store(total);
-  return total;
-}
-
-void AggregateExpression::CollectAnnotations(
-    std::vector<AnnotationId>* out) const {
-  for (const auto& t : terms_) {
-    for (AnnotationId a : t.monomial.factors()) out->push_back(a);
-    if (t.guard) {
-      for (AnnotationId a : t.guard->factors().factors()) out->push_back(a);
-    }
-    if (t.group != kNoAnnotation) out->push_back(t.group);
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-}
-
-std::unique_ptr<ProvenanceExpression> AggregateExpression::Apply(
-    const Homomorphism& h) const {
-  auto mapped = std::make_unique<AggregateExpression>(agg_);
-  auto map_fn = [&h](AnnotationId a) { return h.Map(a); };
-  mapped->terms_.reserve(terms_.size());
-  for (const auto& t : terms_) {
-    TensorTerm nt;
-    nt.monomial = t.monomial.Map(map_fn);
-    if (t.guard) nt.guard = t.guard->Map(map_fn);
-    nt.group = h.Map(t.group);
-    nt.value = t.value;
-    mapped->terms_.push_back(std::move(nt));
-  }
-  mapped->Simplify();
-  return mapped;
-}
-
-EvalResult AggregateExpression::Evaluate(
-    const MaterializedValuation& v) const {
-  // Accumulate per group; groups with no surviving tensor evaluate to 0
-  // (cf. the zeroed coordinates in Example 5.2.1).
-  struct Slot {
-    double value = 0.0;
-    double count = 0.0;
-    bool seen = false;
-  };
-  std::map<AnnotationId, Slot> acc;
-  for (const auto& t : terms_) acc.emplace(t.group, Slot{});
-  for (const auto& t : terms_) {
-    const bool alive =
-        t.monomial.EvaluateBool([&v](AnnotationId a) { return v.truth(a); }) &&
-        (!t.guard || t.guard->Evaluate(v));
-    if (!alive) continue;
-    auto& slot = acc[t.group];
-    slot.value = FoldAggregate(agg_, slot.value, t.value, !slot.seen);
-    slot.count += t.value.count;
-    slot.seen = true;
-  }
-  // AVG: the folded value is the contribution sum; divide by the counts.
-  auto finalize = [this](const Slot& slot) {
-    if (agg_ != AggKind::kAvg) return slot.value;
-    return slot.count > 0 ? slot.value / slot.count : 0.0;
-  };
-  if (acc.size() == 1 && acc.begin()->first == kNoAnnotation) {
-    return EvalResult::Scalar(finalize(acc.begin()->second));
-  }
-  std::vector<EvalResult::Coord> coords;
-  coords.reserve(acc.size());
-  for (const auto& [group, slot] : acc) {
-    coords.push_back(
-        EvalResult::Coord{group, finalize(slot), slot.count});
-  }
-  return EvalResult::Vector(std::move(coords));
-}
-
-EvalResult ProjectAggregateEvalResult(AggKind agg, const EvalResult& base,
-                                      const Homomorphism& h) {
-  if (base.kind() != EvalResult::Kind::kVector) return base;
-  struct Slot {
-    double value = 0.0;
-    double count = 0.0;
-    bool seen = false;
-  };
-  std::map<AnnotationId, Slot> acc;
-  for (const auto& c : base.coords()) {
-    AnnotationId key = h.Map(c.group);
-    auto& slot = acc[key];
-    if (agg == AggKind::kAvg) {
-      // Coordinates carry averages; merge as count-weighted sums.
-      slot.value += c.value * c.count;
-      slot.count += c.count;
-    } else {
-      AggValue v{c.value, 0.0};
-      if (agg == AggKind::kCount) v.count = c.value;
-      slot.value = FoldAggregate(agg, slot.value, v, !slot.seen);
-    }
-    slot.seen = true;
-  }
-  std::vector<EvalResult::Coord> coords;
-  coords.reserve(acc.size());
-  for (const auto& [group, slot] : acc) {
-    double value = slot.value;
-    if (agg == AggKind::kAvg) {
-      value = slot.count > 0 ? slot.value / slot.count : 0.0;
-    }
-    coords.push_back(EvalResult::Coord{group, value, slot.count});
-  }
-  if (coords.size() == 1 && coords[0].group == kNoAnnotation) {
-    return EvalResult::Scalar(coords[0].value);
-  }
-  return EvalResult::Vector(std::move(coords));
-}
-
-EvalResult AggregateExpression::ProjectEvalResult(
-    const EvalResult& base, const Homomorphism& h) const {
-  return ProjectAggregateEvalResult(agg_, base, h);
 }
 
 AggTermView AggregateExpression::agg_term(size_t i) const {
@@ -194,31 +54,6 @@ AggTermView AggregateExpression::agg_term(size_t i) const {
     view.guard_threshold = t.guard->threshold();
   }
   return view;
-}
-
-std::unique_ptr<ProvenanceExpression> AggregateExpression::Clone() const {
-  return std::make_unique<AggregateExpression>(*this);
-}
-
-std::string AggregateExpression::ToString(
-    const AnnotationRegistry& registry) const {
-  if (terms_.empty()) return "0";
-  std::string out;
-  for (size_t i = 0; i < terms_.size(); ++i) {
-    if (i > 0) out += " ⊕ ";
-    const auto& t = terms_[i];
-    out += t.monomial.ToString(registry);
-    if (t.guard) {
-      out += "·";
-      out += t.guard->ToString(registry);
-    }
-    out += " ⊗ (";
-    out += FormatDouble(t.value.value, 1);
-    out += ", ";
-    out += FormatDouble(t.value.count, 0);
-    out += ")";
-  }
-  return out;
 }
 
 }  // namespace prox

@@ -1,13 +1,11 @@
 #ifndef PROX_PROVENANCE_AGGREGATE_EXPR_H_
 #define PROX_PROVENANCE_AGGREGATE_EXPR_H_
 
-#include <memory>
 #include <optional>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "provenance/agg_value.h"
-#include "provenance/expression.h"
 #include "provenance/facade.h"
 #include "provenance/guard.h"
 #include "provenance/monomial.h"
@@ -28,24 +26,17 @@ struct TensorTerm {
   AggValue value;
 };
 
-/// Projects an evaluation result of the original expression into the
-/// summarized coordinate space through the cumulative homomorphism `h`
-/// (Example 5.2.1: merged group keys merge coordinates under `agg`).
-/// Shared by the legacy and IR aggregate representations so both project
-/// bit-identically.
-EvalResult ProjectAggregateEvalResult(AggKind agg, const EvalResult& base,
-                                      const Homomorphism& h);
-
-/// \brief The ⊕-sum of guarded tensors over a values monoid — the
-/// aggregate provenance structure of Section 2.2 ([7, 6]) shared by the
+/// \brief Builder for the ⊕-sum of guarded tensors over a values monoid —
+/// the aggregate provenance structure of Section 2.2 ([7, 6]) shared by the
 /// MovieLens and Wikipedia datasets.
 ///
-/// The expression is kept in canonical simplified form: terms sorted by
+/// Producers assemble terms here and hand the result to ir::Adopt, which
+/// builds the flat IrAggregateExpression that summarization evaluates
+/// (docs/IR.md). Simplify() brings the terms into canonical form: sorted by
 /// (group, monomial, guard) with equal-keyed tensors merged under the
 /// congruence `k⊗v₁ ⊕ k⊗v₂ ≡ k⊗(v₁ agg v₂)` (Example 3.1.1's step from
 /// `U₁⊗(3,1) ⊕ U₂⊗(5,1)` to `Female⊗(5,2)`).
-class AggregateExpression : public ProvenanceExpression,
-                            public AggregateFacade {
+class AggregateExpression : public AggregateFacade {
  public:
   explicit AggregateExpression(AggKind agg) : agg_(agg) {}
 
@@ -55,33 +46,12 @@ class AggregateExpression : public ProvenanceExpression,
 
   /// Appends a term; call Simplify() after the last AddTerm (builders may
   /// batch additions).
-  void AddTerm(TensorTerm term);
-
-  /// Pre-reserves capacity for `extra` upcoming AddTerm calls (batched
-  /// ingest appends grow once instead of reallocating per term).
-  void ReserveAdditionalTerms(size_t extra) {
-    terms_.reserve(terms_.size() + extra);
-  }
+  void AddTerm(TensorTerm term) { terms_.push_back(std::move(term)); }
 
   /// Re-canonicalizes: sorts terms and merges equal-keyed tensors.
   void Simplify();
 
-  /// Distinct group keys, sorted (the coordinates of evaluation vectors).
-  std::vector<AnnotationId> Groups() const;
-
-  // ProvenanceExpression interface -----------------------------------------
-  int64_t Size() const override;
-  void CollectAnnotations(std::vector<AnnotationId>* out) const override;
-  std::unique_ptr<ProvenanceExpression> Apply(
-      const Homomorphism& h) const override;
-  EvalResult Evaluate(const MaterializedValuation& v) const override;
-  EvalResult ProjectEvalResult(const EvalResult& base,
-                               const Homomorphism& h) const override;
-  std::unique_ptr<ProvenanceExpression> Clone() const override;
-  std::string ToString(const AnnotationRegistry& registry) const override;
-  const AggregateFacade* AsAggregate() const override { return this; }
-
-  // AggregateFacade interface ----------------------------------------------
+  // AggregateFacade interface (what ir::Adopt reads) ------------------------
   AggKind agg_kind() const override { return agg_; }
   size_t agg_num_terms() const override { return terms_.size(); }
   AggTermView agg_term(size_t i) const override;
@@ -89,7 +59,6 @@ class AggregateExpression : public ProvenanceExpression,
  private:
   AggKind agg_;
   std::vector<TensorTerm> terms_;
-  SizeCache size_cache_;
 };
 
 }  // namespace prox

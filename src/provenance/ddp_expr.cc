@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <tuple>
 
-#include "common/str_util.h"
-
 namespace prox {
 
 bool DdpTransition::operator==(const DdpTransition& other) const {
@@ -17,122 +15,13 @@ bool DdpTransition::operator<(const DdpTransition& other) const {
          std::tie(other.kind, other.cost_var, other.db_factors, other.nonzero);
 }
 
-void DdpExpression::AddExecution(DdpExecution exec) {
-  size_cache_.Invalidate();
-  executions_.push_back(std::move(exec));
-}
-
-void DdpExpression::SetCost(AnnotationId cost_var, double cost) {
-  costs_[cost_var] = cost;
-}
-
-double DdpExpression::CostOf(AnnotationId cost_var) const {
-  auto it = costs_.find(cost_var);
-  return it == costs_.end() ? 0.0 : it->second;
-}
-
 void DdpExpression::Simplify() {
-  size_cache_.Invalidate();
   for (auto& exec : executions_) {
     std::sort(exec.transitions.begin(), exec.transitions.end());
   }
   std::sort(executions_.begin(), executions_.end());
   executions_.erase(std::unique(executions_.begin(), executions_.end()),
                     executions_.end());
-}
-
-int64_t DdpExpression::Size() const {
-  int64_t cached = size_cache_.Lookup();
-  if (cached >= 0) return cached;
-  int64_t total = 0;
-  for (const auto& exec : executions_) {
-    for (const auto& t : exec.transitions) {
-      total += (t.kind == DdpTransition::Kind::kUser) ? 1 : t.db_factors.Size();
-    }
-  }
-  size_cache_.Store(total);
-  return total;
-}
-
-void DdpExpression::CollectAnnotations(std::vector<AnnotationId>* out) const {
-  for (const auto& exec : executions_) {
-    for (const auto& t : exec.transitions) {
-      if (t.kind == DdpTransition::Kind::kUser) {
-        out->push_back(t.cost_var);
-      } else {
-        for (AnnotationId a : t.db_factors.factors()) out->push_back(a);
-      }
-    }
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-}
-
-std::unique_ptr<ProvenanceExpression> DdpExpression::Apply(
-    const Homomorphism& h) const {
-  auto mapped = std::make_unique<DdpExpression>();
-  auto map_fn = [&h](AnnotationId a) { return h.Map(a); };
-  for (const auto& exec : executions_) {
-    DdpExecution ne;
-    ne.transitions.reserve(exec.transitions.size());
-    for (const auto& t : exec.transitions) {
-      if (t.kind == DdpTransition::Kind::kUser) {
-        ne.transitions.push_back(DdpTransition::User(h.Map(t.cost_var)));
-      } else {
-        ne.transitions.push_back(
-            DdpTransition::Db(t.db_factors.Map(map_fn), t.nonzero));
-      }
-    }
-    mapped->executions_.push_back(std::move(ne));
-  }
-  // Merged cost variables take the max member cost (MAX φ combiner).
-  for (const auto& [var, cost] : costs_) {
-    AnnotationId image = h.Map(var);
-    auto it = mapped->costs_.find(image);
-    if (it == mapped->costs_.end()) {
-      mapped->costs_.emplace(image, cost);
-    } else {
-      it->second = std::max(it->second, cost);
-    }
-  }
-  mapped->Simplify();
-  return mapped;
-}
-
-EvalResult DdpExpression::Evaluate(const MaterializedValuation& v) const {
-  bool any_feasible = false;
-  double best_cost = 0.0;
-  for (const auto& exec : executions_) {
-    bool feasible = true;
-    double cost = 0.0;
-    for (const auto& t : exec.transitions) {
-      if (t.kind == DdpTransition::Kind::kUser) {
-        // A cancelled cost variable contributes 0 effort (Example 5.2.2).
-        if (v.truth(t.cost_var)) cost += CostOf(t.cost_var);
-      } else {
-        const bool product_nonzero = t.db_factors.EvaluateBool(
-            [&v](AnnotationId a) { return v.truth(a); });
-        if (product_nonzero != t.nonzero) {
-          feasible = false;
-          break;
-        }
-      }
-    }
-    if (!feasible) continue;
-    if (!any_feasible || cost < best_cost) best_cost = cost;
-    any_feasible = true;
-  }
-  return EvalResult::CostBool(any_feasible ? best_cost : 0.0, any_feasible);
-}
-
-EvalResult DdpExpression::ProjectEvalResult(const EvalResult& base,
-                                            const Homomorphism& h) const {
-  (void)h;
-  return base;
-}
-
-std::unique_ptr<ProvenanceExpression> DdpExpression::Clone() const {
-  return std::make_unique<DdpExpression>(*this);
 }
 
 DdpTransitionView DdpExpression::ddp_transition(size_t exec, size_t t) const {
@@ -148,31 +37,6 @@ DdpTransitionView DdpExpression::ddp_transition(size_t exec, size_t t) const {
 
 std::vector<std::pair<AnnotationId, double>> DdpExpression::ddp_costs() const {
   return {costs_.begin(), costs_.end()};
-}
-
-std::string DdpExpression::ToString(const AnnotationRegistry& registry) const {
-  if (executions_.empty()) return "0";
-  std::string out;
-  for (size_t i = 0; i < executions_.size(); ++i) {
-    if (i > 0) out += " + ";
-    const auto& exec = executions_[i];
-    for (size_t j = 0; j < exec.transitions.size(); ++j) {
-      if (j > 0) out += "·";
-      const auto& t = exec.transitions[j];
-      if (t.kind == DdpTransition::Kind::kUser) {
-        out += "⟨";
-        out += registry.name(t.cost_var);
-        out += ",1⟩";
-      } else {
-        out += "⟨0,[";
-        out += t.db_factors.ToString(registry);
-        out += "]";
-        out += t.nonzero ? "≠0" : "=0";
-        out += "⟩";
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace prox

@@ -2,11 +2,9 @@
 #define PROX_PROVENANCE_DDP_EXPR_H_
 
 #include <map>
-#include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "provenance/expression.h"
 #include "provenance/facade.h"
 #include "provenance/monomial.h"
 
@@ -57,28 +55,34 @@ struct DdpExecution {
   }
 };
 
-/// \brief DDP provenance: a +-sum of executions over the tropical × boolean
-/// semiring pair of [17].
+/// \brief Builder for DDP provenance: a +-sum of executions over the
+/// tropical × boolean semiring pair of [17].
 ///
-/// Evaluation under a valuation (which assigns booleans to DB variables and
-/// keep/cancel bits to cost variables) yields `⟨C, true⟩` where C is the
-/// minimum total user effort over executions whose DB guards hold, or
-/// `⟨0, false⟩` when no execution is feasible.
-///
-/// Simplification dedupes executions that become identical after a
-/// homomorphism (Example 5.2.2's collapse to a single execution) — sound
-/// because the tropical/existential interpretation is additively idempotent.
-class DdpExpression : public ProvenanceExpression, public DdpFacade {
+/// Producers assemble executions and costs here and hand the result to
+/// ir::Adopt, which builds the flat IrDdpExpression that summarization
+/// evaluates (docs/IR.md). Evaluation under a valuation (which assigns
+/// booleans to DB variables and keep/cancel bits to cost variables)
+/// yields `⟨C, true⟩` where C is the minimum total user effort over
+/// executions whose DB guards hold, or `⟨0, false⟩` when no execution is
+/// feasible. Simplify() dedupes executions that became identical —
+/// sound because the tropical/existential interpretation is additively
+/// idempotent.
+class DdpExpression : public DdpFacade {
  public:
   DdpExpression() = default;
 
-  void AddExecution(DdpExecution exec);
+  void AddExecution(DdpExecution exec) {
+    executions_.push_back(std::move(exec));
+  }
 
   /// Associates a cost with a cost variable. When a homomorphism merges
   /// cost variables, the summary variable's cost is the max of its members'
   /// costs (consistent with the MAX φ combiner of Table 5.1).
-  void SetCost(AnnotationId cost_var, double cost);
-  double CostOf(AnnotationId cost_var) const;
+  void SetCost(AnnotationId cost_var, double cost) { costs_[cost_var] = cost; }
+  double CostOf(AnnotationId cost_var) const {
+    auto it = costs_.find(cost_var);
+    return it == costs_.end() ? 0.0 : it->second;
+  }
 
   const std::vector<DdpExecution>& executions() const { return executions_; }
   const std::map<AnnotationId, double>& costs() const { return costs_; }
@@ -86,19 +90,7 @@ class DdpExpression : public ProvenanceExpression, public DdpFacade {
   /// Sorts transitions within executions, sorts and dedupes executions.
   void Simplify();
 
-  // ProvenanceExpression interface -----------------------------------------
-  int64_t Size() const override;
-  void CollectAnnotations(std::vector<AnnotationId>* out) const override;
-  std::unique_ptr<ProvenanceExpression> Apply(
-      const Homomorphism& h) const override;
-  EvalResult Evaluate(const MaterializedValuation& v) const override;
-  EvalResult ProjectEvalResult(const EvalResult& base,
-                               const Homomorphism& h) const override;
-  std::unique_ptr<ProvenanceExpression> Clone() const override;
-  std::string ToString(const AnnotationRegistry& registry) const override;
-  const DdpFacade* AsDdp() const override { return this; }
-
-  // DdpFacade interface ----------------------------------------------------
+  // DdpFacade interface (what ir::Adopt reads) ------------------------------
   size_t ddp_num_executions() const override { return executions_.size(); }
   size_t ddp_num_transitions(size_t exec) const override {
     return executions_[exec].transitions.size();
@@ -109,7 +101,6 @@ class DdpExpression : public ProvenanceExpression, public DdpFacade {
  private:
   std::vector<DdpExecution> executions_;
   std::map<AnnotationId, double> costs_;
-  SizeCache size_cache_;
 };
 
 }  // namespace prox

@@ -1,7 +1,6 @@
 #ifndef PROX_PROVENANCE_EXPRESSION_H_
 #define PROX_PROVENANCE_EXPRESSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,53 +20,16 @@ namespace kernels {
 class BatchEvalFacade;
 }
 
-/// Bumps the prox_ir_size_cache_hits_total counter: a Size() call served
-/// from a cached value (the IR header field, or the legacy memo) instead of
-/// a full traversal. Implemented in expression.cc so the metric literal has
-/// one home; both the legacy classes and prox::ir call it.
-void CountSizeCacheHit();
-
-/// \brief A copyable, thread-safe memo for ProvenanceExpression::Size().
-///
-/// Size() is const and is called concurrently on the shared `current`
-/// expression while candidate scoring fans out over the exec pool, so the
-/// memo must be an atomic; -1 means "not computed". Copying an expression
-/// copies the cached value (sizes are content-derived, so a copy's size is
-/// the original's).
-class SizeCache {
- public:
-  SizeCache() = default;
-  SizeCache(const SizeCache& other)
-      : value_(other.value_.load(std::memory_order_relaxed)) {}
-  SizeCache& operator=(const SizeCache& other) {
-    value_.store(other.value_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    return *this;
-  }
-
-  /// Cached value, or -1. Counts a cache hit when present.
-  int64_t Lookup() const {
-    int64_t v = value_.load(std::memory_order_relaxed);
-    if (v >= 0) CountSizeCacheHit();
-    return v;
-  }
-  void Store(int64_t v) const {
-    value_.store(v, std::memory_order_relaxed);
-  }
-  void Invalidate() { value_.store(-1, std::memory_order_relaxed); }
-
- private:
-  mutable std::atomic<int64_t> value_{-1};
-};
-
 /// \brief Abstract provenance expression — the object summarization acts on.
 ///
 /// The summarizer (Algorithm 1), the baselines and the PROX services are
 /// written against this interface so the aggregate (movie / Wikipedia)
-/// structure and the DDP structure plug in interchangeably. Implementations
-/// must keep themselves *simplified* (canonical under the semiring axioms
-/// and tensor congruences) after Apply, since Size() feeds the candidate
-/// score directly.
+/// structure and the DDP structure plug in interchangeably. The flat
+/// prox::ir classes are its implementations (docs/IR.md); the pointer-tree
+/// classes of this directory are builders that ir::Adopt turns into one.
+/// Implementations keep themselves *simplified* (canonical under the
+/// semiring axioms and tensor congruences) after Apply, since Size() feeds
+/// the candidate score directly.
 class ProvenanceExpression {
  public:
   virtual ~ProvenanceExpression() = default;
@@ -100,16 +62,15 @@ class ProvenanceExpression {
   virtual std::string ToString(const AnnotationRegistry& registry) const = 0;
 
   /// Structural facades (provenance/facade.h): non-null when the expression
-  /// is an aggregate / DDP structure, regardless of representation (legacy
-  /// tree or prox::ir). Replaces dynamic_cast to concrete classes in
-  /// consumers, which would miss the IR representations.
+  /// is an aggregate / DDP structure. Consumers read structure through
+  /// these views instead of casting to a concrete class.
   virtual const AggregateFacade* AsAggregate() const { return nullptr; }
   virtual const DdpFacade* AsDdp() const { return nullptr; }
 
   /// Batch-evaluation capability (kernels/batch_eval.h): non-null when the
   /// expression can lower itself into a flat BatchProgram for the SIMD
-  /// batch kernels. The prox::ir classes implement it; the oracles gate
-  /// their batched paths on it and fall back to per-valuation Evaluate().
+  /// batch kernels. The oracles gate their batched paths on it and fall
+  /// back to per-valuation Evaluate().
   virtual const kernels::BatchEvalFacade* AsBatchEval() const {
     return nullptr;
   }

@@ -14,16 +14,16 @@ namespace prox {
 /// \brief Structural read access to aggregate / DDP expressions without
 /// committing to a storage layout.
 ///
-/// Two representations implement these facades: the legacy pointer-tree
-/// classes (AggregateExpression, DdpExpression) and the flat arena-backed
-/// prox::ir classes (docs/IR.md). Consumers that used to dynamic_cast to a
-/// concrete class — the incremental scorer, the group reporter, the
-/// selection service, the io writer — go through `AsAggregate()` /
-/// `AsDdp()` instead, so they work identically on both representations.
+/// The flat arena-backed prox::ir classes (docs/IR.md) implement these
+/// facades for their consumers — the incremental scorer, the group
+/// reporter, the selection service, the io writer — which read through
+/// `AsAggregate()` / `AsDdp()` instead of casting to a concrete class. The
+/// builder classes (AggregateExpression, DdpExpression) implement them too:
+/// that is what ir::Adopt reads.
 ///
 /// Views are *non-owning and transient*: the spans point into the
-/// expression's storage (a term's factor vector, or the IR factor arena)
-/// and are invalidated by any mutation of the expression or, for IR
+/// expression's storage (a builder term's factor vector, or the IR factor
+/// arena) and are invalidated by any mutation of the expression or, for IR
 /// expressions, by interning new monomials into the shared TermPool.
 /// Consume a view before the next mutation; do not store it.
 

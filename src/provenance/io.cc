@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/str_util.h"
+#include "ir/adopt.h"
 #include "provenance/aggregate_expr.h"
 #include "provenance/ddp_expr.h"
 
@@ -348,7 +349,7 @@ Result<std::unique_ptr<ProvenanceExpression>> ParseAggregate(
     expr->AddTerm(std::move(term));
   }
   expr->Simplify();
-  return std::unique_ptr<ProvenanceExpression>(std::move(expr));
+  return ir::Adopt(*expr, std::make_shared<ir::TermPool>());
 }
 
 Result<std::unique_ptr<ProvenanceExpression>> ParseDdp(
@@ -412,7 +413,7 @@ Result<std::unique_ptr<ProvenanceExpression>> ParseDdp(
     }
   }
   expr->Simplify();
-  return std::unique_ptr<ProvenanceExpression>(std::move(expr));
+  return ir::Adopt(*expr, std::make_shared<ir::TermPool>());
 }
 
 }  // namespace

@@ -29,9 +29,10 @@ namespace prox {
 std::string SerializeExpression(const ProvenanceExpression& expr,
                                 const AnnotationRegistry& registry);
 
-/// Parses a serialized expression, interning annotations into `registry`.
-/// Existing annotations are reused by name; a name registered under a
-/// different domain is an error.
+/// Parses a serialized expression, interning annotations into `registry`,
+/// and returns its flat prox::ir form on a fresh TermPool. Existing
+/// annotations are reused by name; a name registered under a different
+/// domain is an error.
 Result<std::unique_ptr<ProvenanceExpression>> ParseExpression(
     const std::string& text, AnnotationRegistry* registry);
 

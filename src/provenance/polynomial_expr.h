@@ -1,10 +1,8 @@
 #ifndef PROX_PROVENANCE_POLYNOMIAL_EXPR_H_
 #define PROX_PROVENANCE_POLYNOMIAL_EXPR_H_
 
-#include <memory>
-#include <string>
+#include <utility>
 
-#include "provenance/expression.h"
 #include "semiring/polynomial.h"
 
 namespace prox {
@@ -13,32 +11,18 @@ namespace prox {
 /// semiring model of [21] for positive relational queries, without
 /// aggregates or tensors.
 ///
-/// Evaluation under a truth valuation yields the natural number the
-/// polynomial takes when each annotation maps to 0/1 (its derivation
-/// count; truth is `value > 0`). This is the carrier of the #P-hardness
-/// reduction of Proposition 4.1.1, and lets the summarizer run on
-/// Boolean/UCQ lineage the way [26]'s approximate-lineage setting does.
-class PolynomialExpression : public ProvenanceExpression {
+/// A builder: ir::Adopt(expr.polynomial(), pool) produces the flat
+/// IrPolynomialExpression the summarizer works on. Evaluation under a
+/// truth valuation yields the natural number the polynomial takes when
+/// each annotation maps to 0/1 (its derivation count; truth is
+/// `value > 0`). This is the carrier of the #P-hardness reduction of
+/// Proposition 4.1.1, and lets the summarizer run on Boolean/UCQ lineage
+/// the way [26]'s approximate-lineage setting does.
+class PolynomialExpression {
  public:
   explicit PolynomialExpression(Polynomial poly) : poly_(std::move(poly)) {}
 
   const Polynomial& polynomial() const { return poly_; }
-
-  // ProvenanceExpression interface -----------------------------------------
-  int64_t Size() const override { return poly_.Size(); }
-  void CollectAnnotations(std::vector<AnnotationId>* out) const override;
-  std::unique_ptr<ProvenanceExpression> Apply(
-      const Homomorphism& h) const override;
-  EvalResult Evaluate(const MaterializedValuation& v) const override;
-  EvalResult ProjectEvalResult(const EvalResult& base,
-                               const Homomorphism& h) const override {
-    (void)h;
-    return base;
-  }
-  std::unique_ptr<ProvenanceExpression> Clone() const override {
-    return std::make_unique<PolynomialExpression>(poly_);
-  }
-  std::string ToString(const AnnotationRegistry& registry) const override;
 
  private:
   Polynomial poly_;

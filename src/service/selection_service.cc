@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "common/str_util.h"
+#include "ir/agg_expr.h"
 #include "obs/trace.h"
-#include "provenance/aggregate_expr.h"
 #include "service/service_metrics.h"
 
 namespace prox {
@@ -95,8 +95,6 @@ Result<std::unique_ptr<ProvenanceExpression>> SelectionService::Select(
 
 Result<std::unique_ptr<ProvenanceExpression>> SelectionService::SelectImpl(
     const SelectionCriteria& criteria) const {
-  // Read through the facade so the dataset's provenance can be either the
-  // legacy tree or a prox::ir expression (docs/IR.md).
   const AggregateFacade* agg = dataset_->provenance->AsAggregate();
   if (agg == nullptr) {
     return Status::FailedPrecondition(
@@ -106,19 +104,26 @@ Result<std::unique_ptr<ProvenanceExpression>> SelectionService::SelectImpl(
     auto found = dataset_->registry->Find(title);
     if (!found.ok()) return found.status();
   }
-  auto selected = std::make_unique<AggregateExpression>(agg->agg_kind());
+  // The selection gets its own pool: only ingest interns into the
+  // dataset's pool. Matching rows keep their canonical order, so the
+  // sorted fast path applies.
+  auto pool = std::make_shared<ir::TermPool>();
+  auto selected =
+      std::make_unique<ir::IrAggregateExpression>(agg->agg_kind(), pool);
   const size_t num_terms = agg->agg_num_terms();
   for (size_t i = 0; i < num_terms; ++i) {
     const AggTermView view = agg->agg_term(i);
     if (!GroupMatches(view.group, criteria)) continue;
-    TensorTerm term;
-    term.monomial = MonomialFromSpan(view.mono, view.mono_len);
-    term.group = view.group;
-    term.value = view.value;
-    if (view.has_guard) term.guard = GuardFromView(view);
-    selected->AddTerm(std::move(term));
+    const ir::MonomialId mono = pool->InternMonomial(view.mono, view.mono_len);
+    ir::GuardId guard = ir::kNoGuard;
+    if (view.has_guard) {
+      guard = pool->InternGuard(
+          pool->InternMonomial(view.guard_mono, view.guard_len),
+          view.guard_scalar, view.guard_op, view.guard_threshold);
+    }
+    selected->AddTermIds(mono, guard, view.group, view.value);
   }
-  selected->Simplify();
+  selected->CanonicalizeSorted();
   if (selected->num_terms() == 0) {
     return Status::NotFound("no provenance matches the selection criteria");
   }

@@ -26,8 +26,8 @@ struct SelectionCriteria {
 /// the expression the summarization view displays as input (Figure 7.4).
 class SelectionService {
  public:
-  /// `dataset` must hold an AggregateExpression and a "movie"-like group
-  /// domain named by `group_domain`.
+  /// `dataset` must hold an aggregate provenance expression and a
+  /// "movie"-like group domain named by `group_domain`.
   SelectionService(const Dataset* dataset,
                    std::string group_domain = "movie");
 

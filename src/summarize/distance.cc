@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "exec/thread_pool.h"
-#include "ir/adopt.h"
 #include "kernels/metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -220,15 +219,9 @@ SampledDistance::SampledDistance(const ProvenanceExpression* p0,
   all_true_eval_ = p0_->Evaluate(MaterializedValuation(registry_->size()));
   max_error_ = val_func_->MaxError(all_true_eval_);
   if (max_error_ <= 0.0) max_error_ = 1.0;
-  // Base-side batch program: adopt p₀ into prox::ir (evaluates
-  // byte-identically to the source representation) and lower it once for
-  // the oracle's lifetime. Constructor runs on the main thread, which is
-  // what interning into the fresh pool requires.
-  batch_pool_ = std::make_shared<ir::TermPool>();
-  p0_ir_ = ir::Adopt(*p0_, batch_pool_);
-  const kernels::BatchEvalFacade* base_facade =
-      p0_ir_ == nullptr ? nullptr : p0_ir_->AsBatchEval();
-  if (base_facade != nullptr) {
+  // Whether p₀'s batch lowering fits the all-true coordinate layout; its
+  // structure is fixed for the oracle's lifetime.
+  if (const kernels::BatchEvalFacade* base_facade = p0_->AsBatchEval()) {
     base_kind_ = all_true_eval_.kind();
     if (base_kind_ == EvalResult::Kind::kVector) {
       base_groups_.reserve(all_true_eval_.coords().size());
@@ -236,9 +229,9 @@ SampledDistance::SampledDistance(const ProvenanceExpression* p0,
         base_groups_.push_back(c.group);
       }
     }
-    base_program_ = base_facade->LowerBatch();
     base_program_ok_ = kernels::ProgramMatchesLayout(
-        base_program_, base_kind_, base_groups_.data(), base_groups_.size());
+        base_facade->LowerBatch(), base_kind_, base_groups_.data(),
+        base_groups_.size());
   }
 }
 
@@ -259,8 +252,7 @@ double SampledDistance::Distance(const ProvenanceExpression& cand,
     metrics.base_eval_reuse->Increment(num_samples_);
   }
   // Batch path: both sides of each grain-16 sample chunk are evaluated by
-  // the SIMD kernels — the base through the pre-lowered p₀ program, the
-  // candidate through its own lowering. Sample s's Rng stream is
+  // the SIMD kernels, each through its own lowering. Sample s's Rng stream is
   // regenerated identically, so the drawn valuations — and the resulting
   // estimate — are bit-identical to the scalar path at any tier and any
   // thread count.
@@ -272,6 +264,8 @@ double SampledDistance::Distance(const ProvenanceExpression& cand,
     if (kernels::ProgramMatchesLayout(program, base_kind_,
                                       base_groups_.data(),
                                       base_groups_.size())) {
+      const kernels::BatchProgram base_program =
+          p0_->AsBatchEval()->LowerBatch();
       const double penalty = val_func_->batch_mismatch_penalty();
       const double total = exec::DeterministicChunkSum(
           pool_.pool(), num_samples_, kSampleGrain,
@@ -293,7 +287,7 @@ double SampledDistance::Distance(const ProvenanceExpression& cand,
               base_block.FillLaneSparse(l, v);
               state.TransformLane(v, l, &trans_block);
             }
-            kernels::EvaluateBlock(base_program_, base_block, &base_eval);
+            kernels::EvaluateBlock(base_program, base_block, &base_eval);
             kernels::EvaluateBlock(program, trans_block, &cand_eval);
             double err[kernels::kMaxLanes];
             kernels::ValFuncBlockErrors(vf_kind, penalty, base_eval,

@@ -2,13 +2,11 @@
 #define PROX_SUMMARIZE_DISTANCE_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/rng.h"
 #include "exec/thread_pool.h"
-#include "ir/term_pool.h"
 #include "kernels/batch_eval.h"
 #include "provenance/expression.h"
 #include "summarize/mapping_state.h"
@@ -145,12 +143,11 @@ class SampledDistance : public DistanceOracle {
   exec::PoolRef pool_;
 
   // Batch-kernel state. The base side has no cached per-valuation
-  // evaluations (samples are drawn fresh), so the constructor adopts p₀
-  // into prox::ir once and lowers it into base_program_; each chunk then
-  // batch-evaluates base and candidate over the same valuation block.
-  std::shared_ptr<ir::TermPool> batch_pool_;
-  std::unique_ptr<ProvenanceExpression> p0_ir_;
-  kernels::BatchProgram base_program_;
+  // evaluations (samples are drawn fresh), so each batched Distance call
+  // lowers p₀ next to the candidate and evaluates both over the same
+  // valuation blocks. p₀ is lowered per call, not cached: a lowered
+  // program borrows spans of p₀'s TermPool, which interning may move.
+  // base_program_ok_ records once whether p₀'s lowering fits the layout.
   bool base_program_ok_ = false;
   EvalResult::Kind base_kind_ = EvalResult::Kind::kScalar;
   std::vector<AnnotationId> base_groups_;

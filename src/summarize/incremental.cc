@@ -69,8 +69,7 @@ IncrementalScorer::IncrementalScorer(const ProvenanceExpression* current,
 
 bool IncrementalScorer::Initialize() {
   // Read the aggregate structure through the facade and snapshot it into
-  // owning terms (facade views are transient), so both the legacy tree and
-  // the prox::ir flat representation are scoreable.
+  // owning terms (facade views are transient).
   const AggregateFacade* facade = current_->AsAggregate();
   if (facade == nullptr) return false;
   agg_ = facade->agg_kind();

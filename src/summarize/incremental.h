@@ -44,8 +44,7 @@ class IncrementalScorer {
   /// scoreable incrementally (see class comment) — in particular when
   /// `current` is not an aggregate structure (AsAggregate() == nullptr).
   ///
-  /// \param current the current expression p' — either representation,
-  ///   legacy tree or prox::ir flat (must outlive the scorer)
+  /// \param current the current expression p' (must outlive the scorer)
   /// \param oracle the exact oracle whose valuations/base evaluations and
   ///   normalization this scorer reproduces (must outlive the scorer)
   /// \param state the cumulative mapping state (must outlive the scorer)

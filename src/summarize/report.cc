@@ -3,7 +3,8 @@
 #include <algorithm>
 
 #include "common/str_util.h"
-#include "provenance/aggregate_expr.h"
+#include "ir/adopt.h"
+#include "provenance/facade.h"
 
 namespace prox {
 
@@ -15,8 +16,8 @@ std::vector<GroupReport> SummaryReporter::Groups(
   std::vector<AnnotationId> present;
   outcome.summary->CollectAnnotations(&present);
 
-  // Group aggregates under the all-true valuation, when available. Read
-  // through the facade so both the legacy tree and prox::ir work.
+  // Group aggregates under the all-true valuation, when available, read
+  // through the aggregate facade.
   std::map<AnnotationId, double> group_agg;
   if (const AggregateFacade* agg = outcome.summary->AsAggregate()) {
     const size_t num_terms = agg->agg_num_terms();
@@ -94,7 +95,8 @@ Result<std::unique_ptr<ProvenanceExpression>> ExpressionAtStep(
     for (AnnotationId member : members) h.Set(member, summary);
     ++applied;
   }
-  return p0.Apply(h);
+  // Apply on a per-call copy: interning must not grow p0's pool.
+  return ir::Adopt(p0, std::make_shared<ir::TermPool>())->Apply(h);
 }
 
 std::vector<std::string> SummaryReporter::Trace(

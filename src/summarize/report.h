@@ -50,7 +50,8 @@ class SummaryReporter {
 /// Reconstructs the intermediate expression after `step` greedy steps of a
 /// finished run — the summary view's left/right-arrow navigation. Step 0
 /// is the state after the equivalence grouping; `outcome.steps.size()` is
-/// the final expression. Out-of-range steps are an error.
+/// the final expression. Out-of-range steps are an error. Works on a
+/// per-call pool, so `p0`'s TermPool is left unchanged.
 Result<std::unique_ptr<ProvenanceExpression>> ExpressionAtStep(
     const ProvenanceExpression& p0, const SummaryOutcome& outcome, int step);
 

@@ -238,15 +238,11 @@ Result<SummaryOutcome> Summarizer::Run() {
   obs::TraceSpan run_span("summarize.run");
   SummaryOutcome outcome{nullptr, MappingState(registry_, options_.phi), {},
                          0.0, 0, false, 0, 0.0, 0, 0, 0};
-  // Adopt the input into the flat interned representation for the hot
-  // loop (docs/IR.md). The pool lives as long as the run's expressions via
-  // the shared_ptr each IR expression holds.
-  std::unique_ptr<ProvenanceExpression> current;
-  if (options_.use_ir) {
-    current = ir::Adopt(*p0_, std::make_shared<ir::TermPool>());
-  } else {
-    current = p0_->Clone();
-  }
+  // Copy the input into a run-local pool (docs/IR.md): main-thread Apply
+  // interns here, never into the caller's pool. The pool lives as long as
+  // the run's expressions via the shared_ptr each IR expression holds.
+  std::unique_ptr<ProvenanceExpression> current =
+      ir::Adopt(*p0_, std::make_shared<ir::TermPool>());
   MappingState& state = outcome.state;
 
   const bool warm =
@@ -313,8 +309,7 @@ Result<SummaryOutcome> Summarizer::Run() {
       }
     }
 
-    // Optional incremental scorer for this step's expression. The facade
-    // check covers both representations (legacy tree and prox::ir).
+    // Optional incremental scorer for this step's expression.
     std::unique_ptr<IncrementalScorer> incremental;
     if (want_incremental) {
       auto* enumerated = dynamic_cast<EnumeratedDistance*>(oracle_);

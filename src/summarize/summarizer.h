@@ -100,14 +100,6 @@ struct SummarizerOptions {
   /// concurrency), `1` = the exact serial path, `N` = N workers. Results
   /// are bit-identical at every setting; see docs/PARALLELISM.md.
   int threads = 1;
-
-  /// Run the greedy loop on the flat prox::ir representation (docs/IR.md):
-  /// the input expression is adopted into an arena-backed interned form
-  /// whose Apply is copy-on-write and whose Size is a cached header field.
-  /// Summaries are byte-identical either way (group names, distances,
-  /// ToString); `false` keeps the legacy pointer-tree hot path, retained
-  /// for golden comparison and benchmarks.
-  bool use_ir = true;
 };
 
 /// One committed iteration of the greedy loop.

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/str_util.h"
+#include "ir/adopt.h"
 
 namespace prox {
 
@@ -96,7 +97,7 @@ Status SanitizingModule::Run(WorkflowContext* ctx) {
 }
 
 Status AggregatorModule::Run(WorkflowContext* ctx) {
-  provenance_ = std::make_unique<AggregateExpression>(agg_);
+  AggregateExpression builder(agg_);
   AnnotatedTable* movies;
   PROX_ASSIGN_OR_RETURN(movies, ctx->db->Table("Movies"));
 
@@ -114,10 +115,11 @@ Status AggregatorModule::Run(WorkflowContext* ctx) {
       term.guard = record.guard;
       term.group = movie_ann;
       term.value = AggValue{score, 1.0};
-      provenance_->AddTerm(std::move(term));
+      builder.AddTerm(std::move(term));
     }
   }
-  provenance_->Simplify();
+  builder.Simplify();
+  provenance_ = ir::Adopt(builder, std::make_shared<ir::TermPool>());
 
   // Materialize the aggregated Movies table (all-true semantics).
   MaterializedValuation all_true(ctx->registry->size());

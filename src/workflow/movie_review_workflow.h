@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "provenance/expression.h"
 #include "semantics/entity_table.h"
 #include "workflow/module.h"
 
@@ -75,16 +76,17 @@ class AggregatorModule : public Module {
 
   Status Run(WorkflowContext* ctx) override;
 
-  /// The provenance of the aggregated result (valid after Run).
-  const AggregateExpression* provenance() const { return provenance_.get(); }
-  std::unique_ptr<AggregateExpression> TakeProvenance() {
+  /// The provenance of the aggregated result, in prox::ir form (valid
+  /// after Run).
+  const ProvenanceExpression* provenance() const { return provenance_.get(); }
+  std::unique_ptr<ProvenanceExpression> TakeProvenance() {
     return std::move(provenance_);
   }
 
  private:
   std::vector<std::string> input_edges_;
   AggKind agg_;
-  std::unique_ptr<AggregateExpression> provenance_;
+  std::unique_ptr<ProvenanceExpression> provenance_;
 };
 
 /// \brief Convenience assembly of the Figure 2.1 workflow: a Users table,
@@ -97,7 +99,7 @@ class AggregatorModule : public Module {
 ///   auto run = builder.Run(AggKind::kMax);   // provenance + tables
 struct MovieReviewRun {
   WorkflowDatabase db;
-  std::unique_ptr<AggregateExpression> provenance;
+  std::unique_ptr<ProvenanceExpression> provenance;
   /// The users' attribute tuples for the semantics layer (Gender, Role),
   /// with user annotations registered against its rows — plug it into a
   /// SemanticContext to drive constraints and attribute valuations.

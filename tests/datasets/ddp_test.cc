@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "provenance/ddp_expr.h"
+#include "ir/ddp_expr.h"
 
 namespace prox {
 namespace {
@@ -16,26 +16,27 @@ TEST(DdpGeneratorTest, DeterministicForFixedSeed) {
 
 TEST(DdpGeneratorTest, StructureFollowsExample522) {
   Dataset ds = DdpGenerator::Generate(DdpConfig{});
-  const auto* ddp = dynamic_cast<const DdpExpression*>(ds.provenance.get());
+  const auto* ddp =
+      dynamic_cast<const ir::IrDdpExpression*>(ds.provenance.get());
   ASSERT_NE(ddp, nullptr);
-  EXPECT_GT(ddp->executions().size(), 0u);
+  EXPECT_GT(ddp->num_executions(), 0u);
   DdpConfig config;
-  for (const DdpExecution& exec : ddp->executions()) {
-    EXPECT_GE(exec.transitions.size(),
-              static_cast<size_t>(config.min_transitions));
-    EXPECT_LE(exec.transitions.size(),
-              static_cast<size_t>(config.max_transitions));
-    for (const DdpTransition& t : exec.transitions) {
-      if (t.kind == DdpTransition::Kind::kUser) {
+  for (size_t e = 0; e < ddp->num_executions(); ++e) {
+    const size_t num_transitions = ddp->ddp_num_transitions(e);
+    EXPECT_GE(num_transitions, static_cast<size_t>(config.min_transitions));
+    EXPECT_LE(num_transitions, static_cast<size_t>(config.max_transitions));
+    for (size_t i = 0; i < num_transitions; ++i) {
+      const DdpTransitionView t = ddp->ddp_transition(e, i);
+      if (t.user) {
         EXPECT_EQ(ds.registry->domain(t.cost_var), ds.domain("cost_var"));
         double cost = ddp->CostOf(t.cost_var);
         EXPECT_GE(cost, 1.0);
         EXPECT_LE(cost, config.max_cost);
       } else {
-        EXPECT_GE(t.db_factors.Size(), 1);
-        EXPECT_LE(t.db_factors.Size(), 2);
-        for (AnnotationId a : t.db_factors.factors()) {
-          EXPECT_EQ(ds.registry->domain(a), ds.domain("db_var"));
+        EXPECT_GE(t.db_len, 1u);
+        EXPECT_LE(t.db_len, 2u);
+        for (size_t k = 0; k < t.db_len; ++k) {
+          EXPECT_EQ(ds.registry->domain(t.db[k]), ds.domain("db_var"));
         }
       }
     }
@@ -94,8 +95,9 @@ TEST(DdpGeneratorTest, ScalesWithConfig) {
   EXPECT_EQ(ds.registry->AnnotationsInDomain(ds.domain("db_var")).size(), 4u);
   EXPECT_EQ(ds.registry->AnnotationsInDomain(ds.domain("cost_var")).size(),
             3u);
-  const auto* ddp = dynamic_cast<const DdpExpression*>(ds.provenance.get());
-  EXPECT_LE(ddp->executions().size(), 3u);  // dedup may shrink
+  const DdpFacade* ddp = ds.provenance->AsDdp();
+  ASSERT_NE(ddp, nullptr);
+  EXPECT_LE(ddp->ddp_num_executions(), 3u);  // dedup may shrink
 }
 
 }  // namespace

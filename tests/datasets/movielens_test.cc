@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "provenance/aggregate_expr.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
+#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
@@ -32,14 +32,13 @@ TEST(MovieLensGeneratorTest, Table51StructureHolds) {
   // movie title.
   MovieLensConfig config;
   Dataset ds = MovieLensGenerator::Generate(config);
-  const auto* agg = dynamic_cast<const AggregateExpression*>(
-      ds.provenance.get());
+  const AggregateFacade* agg = ds.provenance->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->agg(), AggKind::kMax);
+  EXPECT_EQ(agg->agg_kind(), AggKind::kMax);
   DomainId user = ds.domain("user");
   DomainId movie = ds.domain("movie");
   DomainId year = ds.domain("year");
-  for (const TensorTerm& t : agg->terms()) {
+  for (const TensorTerm& t : testing_fixtures::TermsOf(*ds.provenance)) {
     ASSERT_EQ(t.monomial.factors().size(), 3u);
     int users = 0, movies = 0, years = 0;
     for (AnnotationId a : t.monomial.factors()) {
@@ -114,11 +113,9 @@ TEST(MovieLensGeneratorTest, GuardedStructureOption) {
   config.ratings_per_user = 4;
   config.with_guards = true;
   Dataset ds = MovieLensGenerator::Generate(config);
-  const auto* agg = dynamic_cast<const AggregateExpression*>(
-      ds.provenance.get());
-  ASSERT_NE(agg, nullptr);
+  ASSERT_NE(ds.provenance->AsAggregate(), nullptr);
   DomainId stats = ds.domain("stats");
-  for (const TensorTerm& t : agg->terms()) {
+  for (const TensorTerm& t : testing_fixtures::TermsOf(*ds.provenance)) {
     ASSERT_TRUE(t.guard.has_value());
     EXPECT_EQ(t.guard->op(), CompareOp::kGt);
     EXPECT_EQ(t.guard->threshold(), 2.0);
@@ -174,10 +171,9 @@ TEST(MovieLensGeneratorTest, SumAggregationOption) {
   MovieLensConfig config;
   config.agg = AggKind::kSum;
   Dataset ds = MovieLensGenerator::Generate(config);
-  const auto* agg = dynamic_cast<const AggregateExpression*>(
-      ds.provenance.get());
+  const AggregateFacade* agg = ds.provenance->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->agg(), AggKind::kSum);
+  EXPECT_EQ(agg->agg_kind(), AggKind::kSum);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "provenance/aggregate_expr.h"
+#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
@@ -18,13 +18,12 @@ TEST(WikipediaGeneratorTest, Table51StructureHolds) {
   // Every term is (Username·PageTitle) ⊗ (EditType, 1) with SUM
   // aggregation and page grouping.
   Dataset ds = WikipediaGenerator::Generate(WikipediaConfig{});
-  const auto* agg = dynamic_cast<const AggregateExpression*>(
-      ds.provenance.get());
+  const AggregateFacade* agg = ds.provenance->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->agg(), AggKind::kSum);
+  EXPECT_EQ(agg->agg_kind(), AggKind::kSum);
   DomainId user = ds.domain("wiki_user");
   DomainId page = ds.domain("page");
-  for (const TensorTerm& t : agg->terms()) {
+  for (const TensorTerm& t : testing_fixtures::TermsOf(*ds.provenance)) {
     ASSERT_EQ(t.monomial.factors().size(), 2u);
     EXPECT_EQ(ds.registry->domain(t.monomial.factors()[0]), user);
     EXPECT_EQ(ds.registry->domain(t.monomial.factors()[1]), page);

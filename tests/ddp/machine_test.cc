@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "datasets/ddp.h"
+#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
+
+using testing_fixtures::Flat;
 
 /// A hand-built machine realizing Example 5.2.2's two executions:
 ///   0 --⟨c1,1⟩--> 1 --⟨0,[d1·d2]≠0⟩--> 2 (accepting)
@@ -40,19 +43,20 @@ TEST(DdpMachineTest, CompilesExample522Provenance) {
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   const DdpExpression& expr = *compiled.value();
   EXPECT_EQ(expr.executions().size(), 2u);
-  EXPECT_EQ(expr.Size(), 6);
   EXPECT_EQ(expr.CostOf(fx.c1), 4.0);
   EXPECT_EQ(expr.CostOf(fx.c2), 6.0);
+  auto flat = Flat(expr);
+  EXPECT_EQ(flat->Size(), 6);
 
   // Evaluation semantics match the hand-built expression of the
   // provenance tests: all DB vars present -> first execution feasible at
   // cost 4.
-  EvalResult r = expr.Evaluate(MaterializedValuation(fx.registry.size()));
+  EvalResult r = flat->Evaluate(MaterializedValuation(fx.registry.size()));
   EXPECT_TRUE(r.feasible());
   EXPECT_EQ(r.cost(), 4.0);
 
   // Cancel d1 only: neither guard holds.
-  r = expr.Evaluate(
+  r = flat->Evaluate(
       MaterializedValuation(Valuation({fx.d1}), fx.registry.size()));
   EXPECT_FALSE(r.feasible());
 }
@@ -137,8 +141,7 @@ TEST(RandomDdpMachineTest, DeterministicForFixedSeed) {
     Rng rng(42);
     auto output = RandomDdpMachine::Generate(RandomMachineConfig{},
                                              &registry, &costs, &db, &rng);
-    return output.machine.CompileProvenance(5)
-        .MoveValue()
+    return Flat(*output.machine.CompileProvenance(5).MoveValue())
         ->ToString(registry);
   };
   EXPECT_EQ(build(), build());

@@ -99,6 +99,14 @@ TEST(WireTest, SelectionCriteriaFromJsonVariants) {
   auto wrong_type = SelectionCriteriaFromJson(MustParse("{\"titles\":1}"),
                                               &select_all);
   EXPECT_FALSE(wrong_type.ok());
+  // A year outside int range is rejected, not narrowed onto another year.
+  for (const char* body :
+       {"{\"year\":4294969291}", "{\"year\":-2147483649}"}) {
+    auto out_of_range =
+        SelectionCriteriaFromJson(MustParse(body), &select_all);
+    EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument)
+        << body;
+  }
 }
 
 TEST(WireTest, SummarizationRequestFromJsonDefaultsAndEnums) {
@@ -126,6 +134,15 @@ TEST(WireTest, SummarizationRequestFromJsonDefaultsAndEnums) {
           .ok());
   EXPECT_FALSE(
       SummarizationRequestFromJson(MustParse("{\"bogus\":1}")).ok());
+  // int knobs reject values outside int range instead of narrowing them
+  // (4294967297 would otherwise alias max_steps=1, cache key included).
+  for (const char* body :
+       {"{\"max_steps\":4294967297}", "{\"max_steps\":-2147483649}",
+        "{\"threads\":4294967297}", "{\"threads\":9223372036854775807}"}) {
+    auto out_of_range = SummarizationRequestFromJson(MustParse(body));
+    EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument)
+        << body;
+  }
 }
 
 TEST(WireTest, AssignmentFromJson) {

@@ -107,10 +107,12 @@ TEST(MovieLensPopularityTest, ZipfSkewsRatingsTowardTopMovies) {
   config.ratings_per_user = 4;
   config.zipf_skew = 1.0;
   Dataset ds = MovieLensGenerator::Generate(config);
-  const auto* agg =
-      dynamic_cast<const AggregateExpression*>(ds.provenance.get());
+  const AggregateFacade* agg = ds.provenance->AsAggregate();
+  ASSERT_NE(agg, nullptr);
   std::map<AnnotationId, int> per_movie;
-  for (const TensorTerm& t : agg->terms()) per_movie[t.group]++;
+  for (size_t i = 0; i < agg->agg_num_terms(); ++i) {
+    per_movie[agg->agg_term(i).group]++;
+  }
   // Movie 0 (rank 0 in the Zipf order, first registered) collects more
   // ratings than the last movie.
   auto movies = ds.registry->AnnotationsInDomain(ds.domain("movie"));

@@ -1,8 +1,10 @@
-// Representation-equivalence tests for the prox::ir flat expressions:
-// adopting a legacy tree must preserve ToString/Size/Evaluate byte for
-// byte, Apply must match the legacy result on both the main thread and
-// exec workers (copy-on-write + overlay paths), and the Size cache must
-// actually serve hits.
+// Unit tests for the prox::ir flat expressions: adopting a builder must
+// preserve its terms, ToString, Size and Evaluate; Apply must produce the
+// expected summaries on both the main thread and exec workers
+// (copy-on-write + overlay paths); Adopt must copy into the pool it is
+// given; and the Size header must actually serve hits. The expected texts
+// and evaluations are literals recorded from the pointer-tree reference
+// path before it was retired.
 
 #include <gtest/gtest.h>
 
@@ -30,27 +32,32 @@ std::shared_ptr<ir::TermPool> NewPool() {
   return std::make_shared<ir::TermPool>();
 }
 
+constexpr char kFixtureText[] =
+    "U1·MatchPoint ⊗ (3.0, 1) ⊕ U2·MatchPoint ⊗ (5.0, 1) ⊕ "
+    "U3·MatchPoint ⊗ (3.0, 1) ⊕ U2·BlueJasmine ⊗ (4.0, 1)";
+
 TEST(IrAdoptTest, AggregateMatchesLegacyByteForByte) {
   MovieFixture f;
-  auto adopted = ir::Adopt(*f.p0, NewPool());
-  ASSERT_TRUE(ir::IsIr(*adopted));
+  auto adopted = ir::Adopt(f.builder, NewPool());
+  ASSERT_NE(dynamic_cast<const ir::IrAggregateExpression*>(adopted.get()),
+            nullptr);
 
-  EXPECT_EQ(adopted->ToString(f.registry), f.p0->ToString(f.registry));
-  EXPECT_EQ(adopted->Size(), f.p0->Size());
+  EXPECT_EQ(adopted->ToString(f.registry), kFixtureText);
+  EXPECT_EQ(adopted->Size(), 8);
 
-  std::vector<AnnotationId> legacy_anns, ir_anns;
-  f.p0->CollectAnnotations(&legacy_anns);
-  adopted->CollectAnnotations(&ir_anns);
-  EXPECT_EQ(ir_anns, legacy_anns);
+  std::vector<AnnotationId> anns;
+  adopted->CollectAnnotations(&anns);
+  EXPECT_EQ(anns, (std::vector<AnnotationId>{f.u1, f.u2, f.u3, f.match_point,
+                                             f.blue_jasmine}));
 
-  // Facade parity, term by term.
-  const AggregateFacade* legacy = f.p0->AsAggregate();
+  // Facade parity with the builder, term by term.
+  const AggregateFacade& built = f.builder;
   const AggregateFacade* flat = adopted->AsAggregate();
   ASSERT_NE(flat, nullptr);
-  ASSERT_EQ(flat->agg_num_terms(), legacy->agg_num_terms());
-  EXPECT_EQ(flat->agg_kind(), legacy->agg_kind());
-  for (size_t i = 0; i < legacy->agg_num_terms(); ++i) {
-    const AggTermView a = legacy->agg_term(i);
+  ASSERT_EQ(flat->agg_num_terms(), built.agg_num_terms());
+  EXPECT_EQ(flat->agg_kind(), built.agg_kind());
+  for (size_t i = 0; i < built.agg_num_terms(); ++i) {
+    const AggTermView a = built.agg_term(i);
     const AggTermView b = flat->agg_term(i);
     EXPECT_EQ(MonomialFromSpan(b.mono, b.mono_len),
               MonomialFromSpan(a.mono, a.mono_len));
@@ -60,31 +67,51 @@ TEST(IrAdoptTest, AggregateMatchesLegacyByteForByte) {
     EXPECT_EQ(b.has_guard, a.has_guard);
   }
 
-  // Evaluation parity under all-true and under cancellations.
+  // Evaluation under all-true and under cancellations.
   const size_t n = f.registry.size();
-  std::vector<Valuation> valuations = {Valuation({}, "all true"),
-                                       Valuation({f.u2}, "cancel U2"),
-                                       Valuation({f.u1, f.u3}, "cancel F")};
-  for (const Valuation& v : valuations) {
+  const std::pair<Valuation, const char*> cases[] = {
+      {Valuation({}, "all true"), "(MatchPoint: 5.00, BlueJasmine: 4.00)"},
+      {Valuation({f.u2}, "cancel U2"),
+       "(MatchPoint: 3.00, BlueJasmine: 0.00)"},
+      {Valuation({f.u1, f.u3}, "cancel F"),
+       "(MatchPoint: 5.00, BlueJasmine: 4.00)"}};
+  for (const auto& [v, expected] : cases) {
     MaterializedValuation mat(v, n);
-    EXPECT_EQ(adopted->Evaluate(mat).ToString(f.registry),
-              f.p0->Evaluate(mat).ToString(f.registry))
+    EXPECT_EQ(adopted->Evaluate(mat).ToString(f.registry), expected)
         << v.label();
   }
 }
 
 TEST(IrAdoptTest, AdoptingAnIrExpressionClones) {
+  // Adopting an IR expression copies it into the given pool: the copy
+  // prints the same, and interning on the copy leaves the source's pool
+  // untouched.
   MovieFixture f;
-  auto adopted = ir::Adopt(*f.p0, NewPool());
-  auto again = ir::Adopt(*adopted, NewPool());
-  ASSERT_TRUE(ir::IsIr(*again));
-  EXPECT_EQ(again->ToString(f.registry), f.p0->ToString(f.registry));
+  auto source_pool = NewPool();
+  auto adopted = ir::Adopt(f.builder, source_pool);
+  auto copy_pool = NewPool();
+  auto again = ir::Adopt(*adopted, copy_pool);
+  const auto* flat =
+      dynamic_cast<const ir::IrAggregateExpression*>(again.get());
+  ASSERT_NE(flat, nullptr);
+  EXPECT_EQ(flat->pool(), copy_pool);
+  EXPECT_EQ(again->ToString(f.registry), kFixtureText);
+
+  const size_t source_monomials = source_pool->num_monomials();
+  AnnotationId all = f.registry.AddSummary(f.user_domain, "All");
+  Homomorphism h;
+  h.Set(f.u1, all);
+  h.Set(f.u2, all);
+  h.Set(f.u3, all);
+  (void)again->Apply(h);
+  EXPECT_EQ(source_pool->num_monomials(), source_monomials);
+  EXPECT_GT(copy_pool->num_monomials(), source_monomials);
 }
 
 TEST(IrApplyTest, MainThreadApplyMatchesLegacyAndSharesUntouchedRows) {
   MovieFixture f;
   auto pool = NewPool();
-  auto adopted = ir::Adopt(*f.p0, pool);
+  auto adopted = ir::Adopt(f.builder, pool);
 
   AnnotationId audience =
       f.registry.AddSummary(f.user_domain, "Audience");
@@ -92,11 +119,11 @@ TEST(IrApplyTest, MainThreadApplyMatchesLegacyAndSharesUntouchedRows) {
   h.Set(f.u1, audience);
   h.Set(f.u3, audience);
 
-  auto legacy_applied = f.p0->Apply(h);
   auto ir_applied = adopted->Apply(h);
   EXPECT_EQ(ir_applied->ToString(f.registry),
-            legacy_applied->ToString(f.registry));
-  EXPECT_EQ(ir_applied->Size(), legacy_applied->Size());
+            "U2·MatchPoint ⊗ (5.0, 1) ⊕ MatchPoint·Audience ⊗ (3.0, 2) ⊕ "
+            "U2·BlueJasmine ⊗ (4.0, 1)");
+  EXPECT_EQ(ir_applied->Size(), 6);
 
   // Main-thread Apply interns into the shared pool: no overlay.
   const auto* flat =
@@ -115,17 +142,16 @@ TEST(IrApplyTest, MainThreadApplyMatchesLegacyAndSharesUntouchedRows) {
 
 TEST(IrApplyTest, WorkerApplyUsesOverlayAndMatchesLegacy) {
   MovieFixture f;
-  auto adopted = ir::Adopt(*f.p0, NewPool());
+  auto adopted = ir::Adopt(f.builder, NewPool());
 
   AnnotationId fem = f.registry.AddSummary(f.user_domain, "F");
   Homomorphism h;
   h.Set(f.u1, fem);
   h.Set(f.u2, fem);
-  auto legacy_applied = f.p0->Apply(h);
 
-  // Run the same Apply on an exec worker; the result must resolve its
+  // Run the Apply on an exec worker; the result must resolve its
   // rewritten monomials through an expression-local overlay (workers never
-  // intern into the shared pool) yet print/evaluate identically.
+  // intern into the shared pool) yet print/evaluate as expected.
   std::unique_ptr<ProvenanceExpression> worker_result;
   bool ran_on_worker = false;
   exec::PoolRef pool_ref(2);
@@ -135,7 +161,8 @@ TEST(IrApplyTest, WorkerApplyUsesOverlayAndMatchesLegacy) {
   });
   ASSERT_NE(worker_result, nullptr);
   EXPECT_EQ(worker_result->ToString(f.registry),
-            legacy_applied->ToString(f.registry));
+            "U3·MatchPoint ⊗ (3.0, 1) ⊕ MatchPoint·F ⊗ (5.0, 2) ⊕ "
+            "BlueJasmine·F ⊗ (4.0, 1)");
 
   const auto* flat =
       dynamic_cast<const ir::IrAggregateExpression*>(worker_result.get());
@@ -145,17 +172,17 @@ TEST(IrApplyTest, WorkerApplyUsesOverlayAndMatchesLegacy) {
   }
 
   // The overlay result keeps evaluating correctly after further merges on
-  // the main thread, and a re-Apply of it matches the legacy re-Apply.
+  // the main thread, and a re-Apply of it gives the expected summary.
   AnnotationId crowd = f.registry.AddSummary(f.user_domain, "Crowd");
   Homomorphism h2;
   h2.Set(fem, crowd);
   h2.Set(f.u3, crowd);
   EXPECT_EQ(worker_result->Apply(h2)->ToString(f.registry),
-            legacy_applied->Apply(h2)->ToString(f.registry));
+            "MatchPoint·Crowd ⊗ (5.0, 3) ⊕ BlueJasmine·Crowd ⊗ (4.0, 1)");
 
   MaterializedValuation all_true(f.registry.size());
   EXPECT_EQ(worker_result->Evaluate(all_true).ToString(f.registry),
-            legacy_applied->Evaluate(all_true).ToString(f.registry));
+            "(MatchPoint: 5.00, BlueJasmine: 4.00)");
 }
 
 TEST(IrDdpTest, AdoptApplyEvaluateMatchLegacy) {
@@ -167,38 +194,40 @@ TEST(IrDdpTest, AdoptApplyEvaluateMatchLegacy) {
   AnnotationId d1 = registry.Add(db_domain, "d1").MoveValue();
   AnnotationId d2 = registry.Add(db_domain, "d2").MoveValue();
 
-  DdpExpression legacy;
-  legacy.SetCost(c1, 2.0);
-  legacy.SetCost(c2, 5.0);
+  DdpExpression builder;
+  builder.SetCost(c1, 2.0);
+  builder.SetCost(c2, 5.0);
   {
     DdpExecution e;
     e.transitions.push_back(DdpTransition::User(c1));
     e.transitions.push_back(DdpTransition::Db(Monomial({d1}), true));
-    legacy.AddExecution(std::move(e));
+    builder.AddExecution(std::move(e));
   }
   {
     DdpExecution e;
     e.transitions.push_back(DdpTransition::User(c2));
     e.transitions.push_back(DdpTransition::Db(Monomial({d2}), false));
-    legacy.AddExecution(std::move(e));
+    builder.AddExecution(std::move(e));
   }
-  legacy.Simplify();
+  builder.Simplify();
 
-  auto adopted = ir::Adopt(legacy, NewPool());
-  ASSERT_TRUE(ir::IsIr(*adopted));
-  EXPECT_EQ(adopted->ToString(registry), legacy.ToString(registry));
-  EXPECT_EQ(adopted->Size(), legacy.Size());
+  auto adopted = ir::Adopt(builder, NewPool());
+  ASSERT_NE(dynamic_cast<const ir::IrDdpExpression*>(adopted.get()), nullptr);
+  EXPECT_EQ(adopted->ToString(registry),
+            "⟨c1,1⟩·⟨0,[d1]≠0⟩ + ⟨c2,1⟩·⟨0,[d2]=0⟩");
+  EXPECT_EQ(adopted->Size(), 4);
   ASSERT_NE(adopted->AsDdp(), nullptr);
-  EXPECT_EQ(adopted->AsDdp()->ddp_costs(), legacy.ddp_costs());
+  EXPECT_EQ(adopted->AsDdp()->ddp_costs(), builder.ddp_costs());
 
   const size_t n = registry.size();
-  std::vector<Valuation> valuations = {
-      Valuation({}, "all"), Valuation({d1}, "drop d1"),
-      Valuation({d1, d2}, "drop both"), Valuation({c1}, "waive c1")};
-  for (const Valuation& v : valuations) {
+  const std::pair<Valuation, const char*> cases[] = {
+      {Valuation({}, "all"), "<2.00, true>"},
+      {Valuation({d1}, "drop d1"), "<0.00, false>"},
+      {Valuation({d1, d2}, "drop both"), "<5.00, true>"},
+      {Valuation({c1}, "waive c1"), "<0.00, true>"}};
+  for (const auto& [v, expected] : cases) {
     MaterializedValuation mat(v, n);
-    EXPECT_EQ(adopted->Evaluate(mat).ToString(registry),
-              legacy.Evaluate(mat).ToString(registry))
+    EXPECT_EQ(adopted->Evaluate(mat).ToString(registry), expected)
         << v.label();
   }
 
@@ -207,18 +236,17 @@ TEST(IrDdpTest, AdoptApplyEvaluateMatchLegacy) {
   Homomorphism h;
   h.Set(d1, db_all);
   h.Set(d2, db_all);
-  auto legacy_applied = legacy.Apply(h);
   auto ir_applied = adopted->Apply(h);
   EXPECT_EQ(ir_applied->ToString(registry),
-            legacy_applied->ToString(registry));
-  EXPECT_EQ(ir_applied->Size(), legacy_applied->Size());
+            "⟨c1,1⟩·⟨0,[db]≠0⟩ + ⟨c2,1⟩·⟨0,[db]=0⟩");
+  EXPECT_EQ(ir_applied->Size(), 4);
 
   AnnotationId cost_all = registry.AddSummary(cost_domain, "c");
   Homomorphism hc;
   hc.Set(c1, cost_all);
   hc.Set(c2, cost_all);
   EXPECT_EQ(adopted->Apply(hc)->ToString(registry),
-            legacy.Apply(hc)->ToString(registry));
+            "⟨c,1⟩·⟨0,[d1]≠0⟩ + ⟨c,1⟩·⟨0,[d2]=0⟩");
 }
 
 TEST(IrPolynomialTest, AdoptAndApplyMatchLegacy) {
@@ -232,26 +260,27 @@ TEST(IrPolynomialTest, AdoptAndApplyMatchLegacy) {
   poly.AddTerm({x, y}, 2);
   poly.AddTerm({z}, 1);
   poly.AddTerm({x, y}, 1);  // merges: coefficient 3
-  PolynomialExpression legacy(std::move(poly));
+  PolynomialExpression builder(std::move(poly));
 
-  auto adopted = ir::Adopt(legacy, NewPool());
-  ASSERT_TRUE(ir::IsIr(*adopted));
-  EXPECT_EQ(adopted->ToString(registry), legacy.ToString(registry));
-  EXPECT_EQ(adopted->Size(), legacy.Size());
+  auto adopted = ir::Adopt(builder.polynomial(), NewPool());
+  ASSERT_NE(dynamic_cast<const ir::IrPolynomialExpression*>(adopted.get()),
+            nullptr);
+  EXPECT_EQ(adopted->ToString(registry), "3·x·y + z");
+  EXPECT_EQ(adopted->Size(), 3);
 
   MaterializedValuation all_true(registry.size());
-  EXPECT_EQ(adopted->Evaluate(all_true).ToString(registry),
-            legacy.Evaluate(all_true).ToString(registry));
+  EXPECT_EQ(adopted->Evaluate(all_true).ToString(registry), "4.00");
   MaterializedValuation no_y(Valuation({y}), registry.size());
-  EXPECT_EQ(adopted->Evaluate(no_y).ToString(registry),
-            legacy.Evaluate(no_y).ToString(registry));
+  EXPECT_EQ(adopted->Evaluate(no_y).ToString(registry), "1.00");
+
+  // Re-adopting an IR polynomial copies it row for row.
+  EXPECT_EQ(ir::Adopt(*adopted, NewPool())->ToString(registry), "3·x·y + z");
 
   AnnotationId s = registry.AddSummary(d, "s");
   Homomorphism h;
   h.Set(x, s);
   h.Set(z, s);
-  EXPECT_EQ(adopted->Apply(h)->ToString(registry),
-            legacy.Apply(h)->ToString(registry));
+  EXPECT_EQ(adopted->Apply(h)->ToString(registry), "3·y·s + s");
 }
 
 TEST(SizeCacheTest, RepeatedSizeCallsCountCacheHits) {
@@ -259,32 +288,22 @@ TEST(SizeCacheTest, RepeatedSizeCallsCountCacheHits) {
   obs::Counter* hits = obs::MetricsRegistry::Default().GetCounter(
       "prox_ir_size_cache_hits_total", "");
 
-  // Legacy memo: the first Size() after Simplify computes, later calls hit.
-  (void)f.p0->Size();
+  // IR expressions serve Size() from the canonical header field — every
+  // call counts as a hit.
   const uint64_t before = hits->value();
   (void)f.p0->Size();
   (void)f.p0->Size();
   EXPECT_EQ(hits->value(), before + 2);
 
-  // Mutation invalidates the memo; the next call recomputes (no new hit)
-  // but still returns the right size.
+  // A rebuilt expression carries its new size in the header.
   TensorTerm t;
   t.monomial = Monomial({f.u1, f.blue_jasmine});
   t.group = f.blue_jasmine;
   t.value = AggValue{2.0, 1.0};
   const int64_t old_size = f.p0->Size();
-  f.p0->AddTerm(std::move(t));
-  f.p0->Simplify();
-  EXPECT_GT(f.p0->Size(), old_size);
-
-  // IR expressions serve Size() from the canonical header field — every
-  // call counts as a hit.
-  auto adopted = ir::Adopt(*f.p0, NewPool());
-  const uint64_t before_ir = hits->value();
-  (void)adopted->Size();
-  (void)adopted->Size();
-  EXPECT_EQ(hits->value(), before_ir + 2);
-  EXPECT_EQ(adopted->Size(), f.p0->Size());
+  f.builder.AddTerm(std::move(t));
+  f.Rebuild();
+  EXPECT_EQ(f.p0->Size(), old_size + 2);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Golden bit-identity for the batch kernels: the batched distance path
-// must produce the exact bytes the legacy per-valuation path produces —
-// summary expression text, bit-exact distances, and the /v1/summarize
-// JSON body — at every SIMD tier (scalar, SSE4.2, AVX2 via the tier
-// cap), at thread counts 1 and 8, on all three dataset families. The
-// same binary runs a second time under PROX_SIMD=0 (CTest target
-// prox_kernels_golden_simd_off), proving the kill switch forces the
-// scalar tier without changing a byte.
+// Golden bit-identity for the batch kernels: every SIMD tier (scalar,
+// SSE4.2, AVX2 via the tier cap), at thread counts 1 and 8, must reproduce
+// the frozen outcomes in tests/ir/golden/ — summary expression text,
+// bit-exact distances and the /v1/summarize JSON body — on all three
+// dataset families. The same binary runs a second time under PROX_SIMD=0
+// (CTest target prox_kernels_golden_simd_off), proving the kill switch
+// forces the scalar tier without changing a byte.
 
 #include <gtest/gtest.h>
 
@@ -14,26 +13,21 @@
 #include <vector>
 
 #include "common/cpu_features.h"
-#include "common/json.h"
 #include "datasets/ddp.h"
 #include "datasets/movielens.h"
 #include "datasets/wikipedia.h"
 #include "ir/adopt.h"
+#include "ir/golden_run.h"
 #include "ir/term_pool.h"
 #include "kernels/metrics.h"
-#include "engine/codec.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
 
 namespace prox {
 namespace {
 
-struct GoldenRun {
-  std::string expression;  // summary->ToString
-  std::string json;        // /v1/summarize body (groups, steps, distances)
-  double final_distance = 0.0;
-  int64_t final_size = 0;
-};
+using golden::ExpectMatchesGolden;
+using golden::RunFamily;
 
 /// Scoped SIMD-tier cap; lifts back to the env/hardware decision on exit
 /// (under the PROX_SIMD=0 CTest variant every "tier" below therefore
@@ -44,63 +38,16 @@ struct TierCap {
 };
 
 template <typename Generator, typename Config>
-GoldenRun RunFamily(const Config& config, bool use_ir, int threads) {
-  Dataset ds = Generator::Generate(config);
-  std::vector<Valuation> valuations =
-      ds.valuation_class->Generate(*ds.provenance, ds.ctx);
-  EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
-                            ds.val_func.get(), valuations, threads);
-  SummarizerOptions options;
-  options.w_dist = 0.5;
-  options.w_size = 0.5;
-  options.max_steps = 6;
-  options.phi = ds.phi;
-  options.threads = threads;
-  options.use_ir = use_ir;
-  Summarizer summarizer(ds.provenance.get(), ds.registry.get(), &ds.ctx,
-                        &ds.constraints, &oracle, &valuations, options);
-  SummaryOutcome outcome = summarizer.Run().MoveValue();
-
-  GoldenRun run;
-  run.expression = outcome.summary->ToString(*ds.registry);
-  run.json = WriteJson(engine::SummaryOutcomeToJson(outcome, *ds.registry));
-  run.final_distance = outcome.final_distance;
-  run.final_size = outcome.final_size;
-  return run;
-}
-
-template <typename Generator, typename Config>
-void ExpectByteIdenticalAcrossTiers(const Config& config) {
-  // Reference: the legacy pointer-tree path, serial. Legacy candidates
-  // have no batch lowering, so this run never touches the kernels.
-  const GoldenRun reference = RunFamily<Generator>(config, /*use_ir=*/false,
-                                                   /*threads=*/1);
-  EXPECT_FALSE(reference.expression.empty());
-  EXPECT_FALSE(reference.json.empty());
-
-  struct Variant {
-    common::SimdTier tier;
-    bool use_ir;
-    int threads;
-  };
-  const Variant variants[] = {
-      {common::SimdTier::kScalar, true, 1},
-      {common::SimdTier::kSse42, true, 1},
-      {common::SimdTier::kAvx2, true, 1},
-      {common::SimdTier::kScalar, true, 8},
-      {common::SimdTier::kAvx2, true, 8},
-      {common::SimdTier::kAvx2, false, 8},  // legacy, parallel
-  };
-  for (const Variant& v : variants) {
-    SCOPED_TRACE(std::string(v.use_ir ? "batch" : "legacy") + " tier=" +
-                 common::SimdTierName(v.tier) + " threads=" +
-                 std::to_string(v.threads));
-    TierCap cap(v.tier);
-    const GoldenRun run = RunFamily<Generator>(config, v.use_ir, v.threads);
-    EXPECT_EQ(run.expression, reference.expression);
-    EXPECT_EQ(run.json, reference.json);
-    EXPECT_EQ(run.final_distance, reference.final_distance);  // bit-exact
-    EXPECT_EQ(run.final_size, reference.final_size);
+void ExpectMatchesAcrossTiers(const Config& config, const std::string& name) {
+  for (common::SimdTier tier :
+       {common::SimdTier::kScalar, common::SimdTier::kSse42,
+        common::SimdTier::kAvx2}) {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::string("tier=") + common::SimdTierName(tier) +
+                   " threads=" + std::to_string(threads));
+      TierCap cap(tier);
+      ExpectMatchesGolden(RunFamily<Generator>(config, threads), name);
+    }
   }
 }
 
@@ -109,40 +56,57 @@ TEST(GoldenKernelsTest, MovieLens) {
   config.num_users = 20;
   config.num_movies = 6;
   config.ratings_per_user = 3;
-  ExpectByteIdenticalAcrossTiers<MovieLensGenerator>(config);
+  ExpectMatchesAcrossTiers<MovieLensGenerator>(config, "movielens");
 }
 
 TEST(GoldenKernelsTest, Wikipedia) {
   WikipediaConfig config;
   config.num_users = 10;
   config.num_pages = 8;
-  ExpectByteIdenticalAcrossTiers<WikipediaGenerator>(config);
+  ExpectMatchesAcrossTiers<WikipediaGenerator>(config, "wikipedia");
 }
 
 TEST(GoldenKernelsTest, Ddp) {
   DdpConfig config;
   config.num_executions = 8;
-  ExpectByteIdenticalAcrossTiers<DdpGenerator>(config);
+  ExpectMatchesAcrossTiers<DdpGenerator>(config, "ddp");
 }
 
 TEST(GoldenKernelsTest, BatchPathActuallyEngages) {
-  // Identity is vacuous if the batch path silently never runs. An IR run
-  // must advance the batched-valuation counter; a legacy run (candidates
-  // without a batch lowering) must advance the fallback counter instead.
+  // Identity is vacuous if the batch path silently never runs. A
+  // summarizer run must advance the batched-valuation counter; a distance
+  // call whose cumulative homomorphism merges two movie keys (the
+  // projection case, which has no batch lowering) must advance the
+  // fallback counter instead.
   MovieLensConfig config;
   config.num_users = 12;
   config.num_movies = 4;
   config.ratings_per_user = 3;
 
   const uint64_t batch_before = kernels::BatchEvalsForTesting();
-  RunFamily<MovieLensGenerator>(config, /*use_ir=*/true, /*threads=*/1);
-  const uint64_t batch_after = kernels::BatchEvalsForTesting();
-  EXPECT_GT(batch_after, batch_before);
+  RunFamily<MovieLensGenerator>(config, /*threads=*/1);
+  EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
 
+  Dataset ds = MovieLensGenerator::Generate(config);
+  std::vector<Valuation> valuations =
+      ds.valuation_class->Generate(*ds.provenance, ds.ctx);
+  EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
+                            ds.val_func.get(), valuations, 1);
+  const DomainId movie = ds.domain("movie");
+  const std::vector<AnnotationId> movies =
+      ds.registry->AnnotationsInDomain(movie);
+  ASSERT_GE(movies.size(), 2u);
+  MappingState state(ds.registry.get(), ds.phi);
+  state.Merge({movies[0], movies[1]},
+              ds.registry->AddSummary(movie, "merged-movies"));
+  auto cand = ir::Adopt(*ds.provenance, std::make_shared<ir::TermPool>())
+                  ->Apply(state.cumulative());
+
+  const uint64_t batch_after = kernels::BatchEvalsForTesting();
   const uint64_t fallback_before = kernels::ScalarFallbacksForTesting();
-  RunFamily<MovieLensGenerator>(config, /*use_ir=*/false, /*threads=*/1);
+  oracle.Distance(*cand, state);
   EXPECT_GT(kernels::ScalarFallbacksForTesting(), fallback_before);
-  // The legacy run itself must not have gone through the kernels.
+  // The projection-case call itself must not have gone through the kernels.
   EXPECT_EQ(kernels::BatchEvalsForTesting(), batch_after);
 }
 
@@ -154,8 +118,8 @@ TEST(GoldenKernelsTest, SampledOracleBitIdenticalAcrossTiers) {
   config.num_users = 14;
   config.num_movies = 5;
   Dataset ds = MovieLensGenerator::Generate(config);
-  // An IR candidate, so the candidate side has a batch lowering and the
-  // batched path genuinely engages (a legacy candidate would fall back).
+  // A per-test copy of p₀ as the candidate: it has a batch lowering, so
+  // the batched path genuinely engages.
   auto pool = std::make_shared<ir::TermPool>();
   auto cand = ir::Adopt(*ds.provenance, pool);
 

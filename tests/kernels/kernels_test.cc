@@ -233,7 +233,7 @@ TEST(BatchEvalTest, PolynomialMatchesScalarEvaluateAtEveryTier) {
   PolynomialExpression expr(std::move(poly));
 
   auto pool = std::make_shared<ir::TermPool>();
-  auto ir_expr = ir::Adopt(expr, pool);
+  auto ir_expr = ir::Adopt(expr.polynomial(), pool);
   const kernels::BatchEvalFacade* facade = ir_expr->AsBatchEval();
   ASSERT_NE(facade, nullptr);
   kernels::BatchProgram program = facade->LowerBatch();

@@ -2,18 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/agg_expr.h"
 #include "testing/fixtures.h"
 
 namespace prox {
 namespace {
 
+using testing_fixtures::Flat;
 using testing_fixtures::MovieFixture;
 
 TEST(AggregateExprTest, SizeCountsAnnotationOccurrences) {
   MovieFixture fx;
   // 4 terms × (user, movie) = 8 annotation occurrences.
   EXPECT_EQ(fx.p0->Size(), 8);
-  EXPECT_EQ(fx.p0->num_terms(), 4u);
+  EXPECT_EQ(fx.builder.num_terms(), 4u);
 }
 
 TEST(AggregateExprTest, CollectAnnotationsIsSortedUnique) {
@@ -27,7 +29,7 @@ TEST(AggregateExprTest, CollectAnnotationsIsSortedUnique) {
 
 TEST(AggregateExprTest, GroupsListsDistinctGroupKeys) {
   MovieFixture fx;
-  auto* agg = dynamic_cast<AggregateExpression*>(fx.p0.get());
+  auto* agg = dynamic_cast<const ir::IrAggregateExpression*>(fx.p0.get());
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(agg->Groups(), (std::vector<AnnotationId>{fx.match_point,
                                                       fx.blue_jasmine}));
@@ -62,18 +64,20 @@ TEST(AggregateExprTest, EvaluateCancellingMovieZeroesItsCoordinate) {
 TEST(AggregateExprTest, SumAggregationAddsContributions) {
   MovieFixture fx;
   AggregateExpression sum(AggKind::kSum);
-  for (const TensorTerm& t : fx.p0->terms()) sum.AddTerm(t);
+  for (const TensorTerm& t : fx.builder.terms()) sum.AddTerm(t);
   sum.Simplify();
-  EvalResult r = sum.Evaluate(MaterializedValuation(fx.registry.size()));
+  EvalResult r =
+      Flat(sum)->Evaluate(MaterializedValuation(fx.registry.size()));
   EXPECT_EQ(r.CoordValue(fx.match_point), 11.0);  // 3 + 5 + 3
 }
 
 TEST(AggregateExprTest, CountAggregationCountsContributors) {
   MovieFixture fx;
   AggregateExpression count(AggKind::kCount);
-  for (const TensorTerm& t : fx.p0->terms()) count.AddTerm(t);
+  for (const TensorTerm& t : fx.builder.terms()) count.AddTerm(t);
   count.Simplify();
-  EvalResult r = count.Evaluate(MaterializedValuation(fx.registry.size()));
+  EvalResult r =
+      Flat(count)->Evaluate(MaterializedValuation(fx.registry.size()));
   EXPECT_EQ(r.CoordValue(fx.match_point), 3.0);
   EXPECT_EQ(r.CoordValue(fx.blue_jasmine), 1.0);
 }
@@ -113,25 +117,28 @@ TEST(AggregateExprTest, ApplyThesisExample311FemaleMapping) {
     ps.AddTerm(std::move(t));
   }
   ps.Simplify();
-  EXPECT_EQ(ps.Size(), 3);
+  auto flat = Flat(ps);
+  EXPECT_EQ(flat->Size(), 3);
 
   Homomorphism h;
   h.Set(u1, female);
   h.Set(u2, female);
-  auto mapped = ps.Apply(h);
+  auto mapped = flat->Apply(h);
   EXPECT_EQ(mapped->Size(), 2);
-  auto* agg = dynamic_cast<AggregateExpression*>(mapped.get());
+  const AggregateFacade* agg = mapped->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  ASSERT_EQ(agg->num_terms(), 2u);
+  ASSERT_EQ(agg->agg_num_terms(), 2u);
   // Female⊗(5,2) and U3⊗(3,1), in some canonical order.
   bool found_female = false, found_u3 = false;
-  for (const TensorTerm& t : agg->terms()) {
-    if (t.monomial.Contains(female)) {
+  for (size_t i = 0; i < agg->agg_num_terms(); ++i) {
+    const AggTermView t = agg->agg_term(i);
+    const Monomial mono = MonomialFromSpan(t.mono, t.mono_len);
+    if (mono.Contains(female)) {
       EXPECT_EQ(t.value.value, 5);
       EXPECT_EQ(t.value.count, 2);
       found_female = true;
     }
-    if (t.monomial.Contains(u3)) {
+    if (mono.Contains(u3)) {
       EXPECT_EQ(t.value.value, 3);
       EXPECT_EQ(t.value.count, 1);
       found_u3 = true;
@@ -149,7 +156,7 @@ TEST(AggregateExprTest, ApplyRemapsGroupKeys) {
   h.Set(fx.match_point, merged_movie);
   h.Set(fx.blue_jasmine, merged_movie);
   auto mapped = fx.p0->Apply(h);
-  auto* agg = dynamic_cast<AggregateExpression*>(mapped.get());
+  auto* agg = dynamic_cast<const ir::IrAggregateExpression*>(mapped.get());
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(agg->Groups(), (std::vector<AnnotationId>{merged_movie}));
   EvalResult r = mapped->Evaluate(MaterializedValuation(fx.registry.size()));
@@ -180,7 +187,7 @@ TEST(AggregateExprTest, ProjectEvalResultSumAddsCoordinates) {
   h.Set(1, 10);
   h.Set(2, 10);
   EvalResult base = EvalResult::Vector({{1, 1.0}, {2, 1.0}, {3, 0.5}});
-  EvalResult projected = e.ProjectEvalResult(base, h);
+  EvalResult projected = Flat(e)->ProjectEvalResult(base, h);
   EXPECT_EQ(projected.CoordValue(10), 2.0);
   EXPECT_EQ(projected.CoordValue(3), 0.5);
 }
@@ -193,7 +200,7 @@ TEST(AggregateExprTest, ScalarExpressionEvaluatesToScalar) {
   t.value = {4, 1};
   e.AddTerm(std::move(t));
   e.Simplify();
-  EvalResult r = e.Evaluate(MaterializedValuation(1));
+  EvalResult r = Flat(e)->Evaluate(MaterializedValuation(1));
   EXPECT_EQ(r.kind(), EvalResult::Kind::kScalar);
   EXPECT_EQ(r.scalar(), 4.0);
 }
@@ -213,12 +220,13 @@ TEST(AggregateExprTest, GuardedTermRespectsGuard) {
   t.value = {3, 1};
   e.AddTerm(std::move(t));
   e.Simplify();
-  EXPECT_EQ(e.Size(), 3);  // U1 + guard body S1·U1
+  auto flat = Flat(e);
+  EXPECT_EQ(flat->Size(), 3);  // U1 + guard body S1·U1
 
-  EvalResult all_true = e.Evaluate(MaterializedValuation(reg.size()));
+  EvalResult all_true = flat->Evaluate(MaterializedValuation(reg.size()));
   EXPECT_EQ(all_true.scalar(), 3.0);
   EvalResult s1_cancelled =
-      e.Evaluate(MaterializedValuation(Valuation({s1}), reg.size()));
+      flat->Evaluate(MaterializedValuation(Valuation({s1}), reg.size()));
   EXPECT_EQ(s1_cancelled.scalar(), 0.0);
 }
 
@@ -235,7 +243,7 @@ TEST(AggregateExprTest, ToStringShowsTensors) {
   EXPECT_NE(text.find("U2·MatchPoint ⊗ (5.0, 1)"), std::string::npos);
   EXPECT_NE(text.find("⊕"), std::string::npos);
   AggregateExpression empty(AggKind::kMax);
-  EXPECT_EQ(empty.ToString(fx.registry), "0");
+  EXPECT_EQ(Flat(empty)->ToString(fx.registry), "0");
 }
 
 }  // namespace

@@ -14,13 +14,14 @@
 namespace prox {
 namespace {
 
+using testing_fixtures::Flat;
 using testing_fixtures::MovieFixture;
 
-AggregateExpression AvgCopy(const MovieFixture& fx) {
+std::unique_ptr<ProvenanceExpression> AvgCopy(const MovieFixture& fx) {
   AggregateExpression avg(AggKind::kAvg);
-  for (const TensorTerm& t : fx.p0->terms()) avg.AddTerm(t);
+  for (const TensorTerm& t : fx.builder.terms()) avg.AddTerm(t);
   avg.Simplify();
-  return avg;
+  return Flat(avg);
 }
 
 TEST(AvgAggregationTest, MergeSumsValuesAndCounts) {
@@ -32,8 +33,8 @@ TEST(AvgAggregationTest, MergeSumsValuesAndCounts) {
 
 TEST(AvgAggregationTest, EvaluateDividesByContributorCount) {
   MovieFixture fx;
-  AggregateExpression avg = AvgCopy(fx);
-  EvalResult r = avg.Evaluate(MaterializedValuation(fx.registry.size()));
+  auto avg = AvgCopy(fx);
+  EvalResult r = avg->Evaluate(MaterializedValuation(fx.registry.size()));
   // MatchPoint: (3 + 5 + 3) / 3; BlueJasmine: 4 / 1.
   EXPECT_DOUBLE_EQ(r.CoordValue(fx.match_point), 11.0 / 3.0);
   EXPECT_DOUBLE_EQ(r.CoordValue(fx.blue_jasmine), 4.0);
@@ -41,9 +42,9 @@ TEST(AvgAggregationTest, EvaluateDividesByContributorCount) {
 
 TEST(AvgAggregationTest, EmptyCoordinateIsZeroNotNan) {
   MovieFixture fx;
-  AggregateExpression avg = AvgCopy(fx);
+  auto avg = AvgCopy(fx);
   // Cancel every MatchPoint rater.
-  EvalResult r = avg.Evaluate(MaterializedValuation(
+  EvalResult r = avg->Evaluate(MaterializedValuation(
       Valuation({fx.u1, fx.u2, fx.u3}), fx.registry.size()));
   EXPECT_EQ(r.CoordValue(fx.match_point), 0.0);
 }
@@ -52,12 +53,12 @@ TEST(AvgAggregationTest, HomomorphismPreservesAverages) {
   // Merging U1, U2 merges their MatchPoint tensors into (8, 2): the
   // all-true average is unchanged.
   MovieFixture fx;
-  AggregateExpression avg = AvgCopy(fx);
+  auto avg = AvgCopy(fx);
   AnnotationId female = fx.registry.AddSummary(fx.user_domain, "Female");
   Homomorphism h;
   h.Set(fx.u1, female);
   h.Set(fx.u2, female);
-  auto mapped = avg.Apply(h);
+  auto mapped = avg->Apply(h);
   EvalResult r = mapped->Evaluate(MaterializedValuation(fx.registry.size()));
   EXPECT_DOUBLE_EQ(r.CoordValue(fx.match_point), 11.0 / 3.0);
 }
@@ -71,28 +72,25 @@ TEST(AvgAggregationTest, ProjectionIsCountWeighted) {
   h.Set(2, 10);
   EvalResult base = EvalResult::Vector(
       {EvalResult::Coord{1, 4.0, 2.0}, EvalResult::Coord{2, 1.0, 1.0}});
-  EvalResult projected = avg.ProjectEvalResult(base, h);
+  EvalResult projected = Flat(avg)->ProjectEvalResult(base, h);
   EXPECT_DOUBLE_EQ(projected.CoordValue(10), 3.0);
 }
 
 TEST(AvgAggregationTest, SerializationRoundTrips) {
   MovieFixture fx;
-  AggregateExpression avg = AvgCopy(fx);
+  auto avg = AvgCopy(fx);
   AnnotationRegistry fresh;
   auto parsed =
-      ParseExpression(SerializeExpression(avg, fx.registry), &fresh);
+      ParseExpression(SerializeExpression(*avg, fx.registry), &fresh);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const auto* agg =
-      dynamic_cast<const AggregateExpression*>(parsed.value().get());
+  const AggregateFacade* agg = parsed.value()->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->agg(), AggKind::kAvg);
+  EXPECT_EQ(agg->agg_kind(), AggKind::kAvg);
 }
 
 TEST(AvgAggregationTest, IncrementalScorerMatchesNaive) {
   MovieFixture fx;
-  auto avg = std::make_unique<AggregateExpression>(AggKind::kAvg);
-  for (const TensorTerm& t : fx.p0->terms()) avg->AddTerm(t);
-  avg->Simplify();
+  auto avg = AvgCopy(fx);
 
   CancelSingleAnnotation cls;
   auto valuations = cls.Generate(*avg, fx.ctx);
@@ -120,8 +118,8 @@ TEST(AvgAggregationTest, IncrementalScorerMatchesNaive) {
 
 TEST(AvgAggregationTest, SpammerProvisioningChangesAverage) {
   MovieFixture fx;
-  AggregateExpression avg = AvgCopy(fx);
-  EvalResult without_u2 = avg.Evaluate(
+  auto avg = AvgCopy(fx);
+  EvalResult without_u2 = avg->Evaluate(
       MaterializedValuation(Valuation({fx.u2}), fx.registry.size()));
   // MatchPoint average drops to (3 + 3)/2 = 3 without the 5-star review.
   EXPECT_DOUBLE_EQ(without_u2.CoordValue(fx.match_point), 3.0);

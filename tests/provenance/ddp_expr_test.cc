@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/ddp_expr.h"
+#include "testing/fixtures.h"
+
 namespace prox {
 namespace {
+
+using testing_fixtures::Flat;
 
 /// Builds Example 5.2.2's expression:
 ///   ⟨c1,1⟩·⟨0,[d1·d2]≠0⟩ + ⟨0,[d2·d3]=0⟩·⟨c2,1⟩
@@ -11,7 +16,8 @@ struct DdpFixture {
   AnnotationRegistry registry;
   DomainId cost_domain, db_domain;
   AnnotationId c1, c2, d1, d2, d3;
-  DdpExpression expr;
+  DdpExpression builder;
+  std::unique_ptr<ProvenanceExpression> expr;
 
   DdpFixture() {
     cost_domain = registry.AddDomain("cost_var");
@@ -21,32 +27,33 @@ struct DdpFixture {
     d1 = registry.Add(db_domain, "d1").MoveValue();
     d2 = registry.Add(db_domain, "d2").MoveValue();
     d3 = registry.Add(db_domain, "d3").MoveValue();
-    expr.SetCost(c1, 4.0);
-    expr.SetCost(c2, 6.0);
+    builder.SetCost(c1, 4.0);
+    builder.SetCost(c2, 6.0);
 
     DdpExecution e1;
     e1.transitions.push_back(DdpTransition::User(c1));
     e1.transitions.push_back(DdpTransition::Db(Monomial({d1, d2}), true));
-    expr.AddExecution(std::move(e1));
+    builder.AddExecution(std::move(e1));
 
     DdpExecution e2;
     e2.transitions.push_back(DdpTransition::Db(Monomial({d2, d3}), false));
     e2.transitions.push_back(DdpTransition::User(c2));
-    expr.AddExecution(std::move(e2));
-    expr.Simplify();
+    builder.AddExecution(std::move(e2));
+    builder.Simplify();
+    expr = Flat(builder);
   }
 };
 
 TEST(DdpExprTest, SizeCountsVariableOccurrences) {
   DdpFixture fx;
   // e1: c1 + d1·d2 = 3; e2: d2·d3 + c2 = 3.
-  EXPECT_EQ(fx.expr.Size(), 6);
+  EXPECT_EQ(fx.expr->Size(), 6);
 }
 
 TEST(DdpExprTest, CollectAnnotationsIsSortedUnique) {
   DdpFixture fx;
   std::vector<AnnotationId> anns;
-  fx.expr.CollectAnnotations(&anns);
+  fx.expr->CollectAnnotations(&anns);
   EXPECT_EQ(anns, (std::vector<AnnotationId>{fx.c1, fx.c2, fx.d1, fx.d2,
                                              fx.d3}));
 }
@@ -55,7 +62,7 @@ TEST(DdpExprTest, AllTrueEvaluation) {
   DdpFixture fx;
   // All DB vars true: e1's guard [d1·d2]≠0 holds (cost 4); e2's [d2·d3]=0
   // fails. Min feasible cost = 4.
-  EvalResult r = fx.expr.Evaluate(MaterializedValuation(fx.registry.size()));
+  EvalResult r = fx.expr->Evaluate(MaterializedValuation(fx.registry.size()));
   EXPECT_TRUE(r.feasible());
   EXPECT_EQ(r.cost(), 4.0);
 }
@@ -63,13 +70,13 @@ TEST(DdpExprTest, AllTrueEvaluation) {
 TEST(DdpExprTest, EqualityGuardNeedsZeroProduct) {
   DdpFixture fx;
   // Cancel d3: e2's [d2·d3]=0 now holds (cost 6); e1 still feasible (4).
-  EvalResult r = fx.expr.Evaluate(
+  EvalResult r = fx.expr->Evaluate(
       MaterializedValuation(Valuation({fx.d3}), fx.registry.size()));
   EXPECT_TRUE(r.feasible());
   EXPECT_EQ(r.cost(), 4.0);
 
   // Cancel d1 and d3: e1 infeasible, e2 feasible at cost 6.
-  r = fx.expr.Evaluate(
+  r = fx.expr->Evaluate(
       MaterializedValuation(Valuation({fx.d1, fx.d3}), fx.registry.size()));
   EXPECT_TRUE(r.feasible());
   EXPECT_EQ(r.cost(), 6.0);
@@ -78,7 +85,7 @@ TEST(DdpExprTest, EqualityGuardNeedsZeroProduct) {
 TEST(DdpExprTest, InfeasibleWhenNoGuardHolds) {
   DdpFixture fx;
   // Cancel d1 only: e1's ≠0 fails, e2's =0 fails (d2·d3 nonzero).
-  EvalResult r = fx.expr.Evaluate(
+  EvalResult r = fx.expr->Evaluate(
       MaterializedValuation(Valuation({fx.d1}), fx.registry.size()));
   EXPECT_FALSE(r.feasible());
   EXPECT_EQ(r.cost(), 0.0);
@@ -87,7 +94,7 @@ TEST(DdpExprTest, InfeasibleWhenNoGuardHolds) {
 TEST(DdpExprTest, CancelledCostVariableContributesZero) {
   DdpFixture fx;
   // Example 5.2.2's valuation: cancel c1, c2; all DB vars true.
-  EvalResult r = fx.expr.Evaluate(
+  EvalResult r = fx.expr->Evaluate(
       MaterializedValuation(Valuation({fx.c1, fx.c2}), fx.registry.size()));
   EXPECT_TRUE(r.feasible());
   EXPECT_EQ(r.cost(), 0.0);
@@ -127,10 +134,10 @@ TEST(DdpExprTest, ApplyExample522CollapsesToSingleExecution) {
   h.Set(d3, big_d);
   h.Set(c1, big_c);
   h.Set(c2, big_c);
-  auto mapped = expr.Apply(h);
-  auto* ddp = dynamic_cast<DdpExpression*>(mapped.get());
+  auto mapped = Flat(expr)->Apply(h);
+  auto* ddp = dynamic_cast<const ir::IrDdpExpression*>(mapped.get());
   ASSERT_NE(ddp, nullptr);
-  EXPECT_EQ(ddp->executions().size(), 1u);
+  EXPECT_EQ(ddp->num_executions(), 1u);
   EXPECT_EQ(mapped->Size(), 3);  // C1 + D1·d2
   // Merged cost variable takes the max member cost (MAX φ).
   EXPECT_EQ(ddp->CostOf(big_c), 6.0);
@@ -139,8 +146,8 @@ TEST(DdpExprTest, ApplyExample522CollapsesToSingleExecution) {
 TEST(DdpExprTest, ApplyPreservesEvaluationOnUnmergedVars) {
   DdpFixture fx;
   Homomorphism identity;
-  auto mapped = fx.expr.Apply(identity);
-  EvalResult a = fx.expr.Evaluate(MaterializedValuation(fx.registry.size()));
+  auto mapped = fx.expr->Apply(identity);
+  EvalResult a = fx.expr->Evaluate(MaterializedValuation(fx.registry.size()));
   EvalResult b = mapped->Evaluate(MaterializedValuation(fx.registry.size()));
   EXPECT_EQ(a, b);
 }
@@ -150,12 +157,12 @@ TEST(DdpExprTest, ProjectEvalResultIsIdentity) {
   Homomorphism h;
   h.Set(fx.d1, fx.d2);
   EvalResult base = EvalResult::CostBool(4.0, true);
-  EXPECT_EQ(fx.expr.ProjectEvalResult(base, h), base);
+  EXPECT_EQ(fx.expr->ProjectEvalResult(base, h), base);
 }
 
 TEST(DdpExprTest, ToStringRendersTransitions) {
   DdpFixture fx;
-  std::string text = fx.expr.ToString(fx.registry);
+  std::string text = fx.expr->ToString(fx.registry);
   EXPECT_NE(text.find("⟨c1,1⟩"), std::string::npos);
   EXPECT_NE(text.find("≠0"), std::string::npos);
   EXPECT_NE(text.find("=0"), std::string::npos);
@@ -164,9 +171,9 @@ TEST(DdpExprTest, ToStringRendersTransitions) {
 
 TEST(DdpExprTest, CloneIsDeep) {
   DdpFixture fx;
-  auto clone = fx.expr.Clone();
-  EXPECT_EQ(clone->Size(), fx.expr.Size());
-  EXPECT_EQ(clone->ToString(fx.registry), fx.expr.ToString(fx.registry));
+  auto clone = fx.expr->Clone();
+  EXPECT_EQ(clone->Size(), fx.expr->Size());
+  EXPECT_EQ(clone->ToString(fx.registry), fx.expr->ToString(fx.registry));
 }
 
 TEST(DdpExprTest, CostOfUnknownVariableIsZero) {
@@ -175,10 +182,10 @@ TEST(DdpExprTest, CostOfUnknownVariableIsZero) {
 }
 
 TEST(DdpExprTest, EmptyExpressionIsInfeasible) {
-  DdpExpression expr;
-  EvalResult r = expr.Evaluate(MaterializedValuation(0));
+  auto expr = Flat(DdpExpression());
+  EvalResult r = expr->Evaluate(MaterializedValuation(0));
   EXPECT_FALSE(r.feasible());
-  EXPECT_EQ(expr.ToString(AnnotationRegistry()), "0");
+  EXPECT_EQ(expr->ToString(AnnotationRegistry()), "0");
 }
 
 }  // namespace

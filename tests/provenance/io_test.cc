@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/ddp_expr.h"
 #include "provenance/aggregate_expr.h"
 #include "provenance/ddp_expr.h"
 #include "testing/fixtures.h"
@@ -9,6 +10,7 @@
 namespace prox {
 namespace {
 
+using testing_fixtures::Flat;
 using testing_fixtures::MovieFixture;
 
 TEST(IoTest, AggregateRoundTripPreservesEverything) {
@@ -65,16 +67,17 @@ TEST(IoTest, GuardedTermsRoundTrip) {
   expr.Simplify();
 
   AnnotationRegistry fresh;
-  auto parsed = ParseExpression(SerializeExpression(expr, reg), &fresh);
+  auto parsed =
+      ParseExpression(SerializeExpression(*Flat(expr), reg), &fresh);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const auto* agg = dynamic_cast<const AggregateExpression*>(
-      parsed.value().get());
+  const AggregateFacade* agg = parsed.value()->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  ASSERT_EQ(agg->num_terms(), 1u);
-  ASSERT_TRUE(agg->terms()[0].guard.has_value());
-  EXPECT_EQ(agg->terms()[0].guard->scalar(), 5.0);
-  EXPECT_EQ(agg->terms()[0].guard->op(), CompareOp::kGt);
-  EXPECT_EQ(agg->terms()[0].guard->threshold(), 2.0);
+  ASSERT_EQ(agg->agg_num_terms(), 1u);
+  const AggTermView term = agg->agg_term(0);
+  ASSERT_TRUE(term.has_guard);
+  EXPECT_EQ(term.guard_scalar, 5.0);
+  EXPECT_EQ(term.guard_op, CompareOp::kGt);
+  EXPECT_EQ(term.guard_threshold, 2.0);
 }
 
 TEST(IoTest, QuotedNamesWithSpaces) {
@@ -89,7 +92,7 @@ TEST(IoTest, QuotedNamesWithSpaces) {
   expr.AddTerm(std::move(t));
   expr.Simplify();
 
-  std::string text = SerializeExpression(expr, reg);
+  std::string text = SerializeExpression(*Flat(expr), reg);
   EXPECT_NE(text.find("\"Match Point (2005)\""), std::string::npos);
   AnnotationRegistry fresh;
   auto parsed = ParseExpression(text, &fresh);
@@ -116,17 +119,19 @@ TEST(IoTest, DdpRoundTrip) {
   expr.Simplify();
 
   AnnotationRegistry fresh;
-  auto parsed = ParseExpression(SerializeExpression(expr, reg), &fresh);
+  auto flat = Flat(expr);
+  auto parsed = ParseExpression(SerializeExpression(*flat, reg), &fresh);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const auto* ddp = dynamic_cast<const DdpExpression*>(parsed.value().get());
+  const auto* ddp =
+      dynamic_cast<const ir::IrDdpExpression*>(parsed.value().get());
   ASSERT_NE(ddp, nullptr);
-  EXPECT_EQ(ddp->executions().size(), 2u);
+  EXPECT_EQ(ddp->num_executions(), 2u);
   EXPECT_EQ(ddp->CostOf(fresh.Find("c1").MoveValue()), 4.0);
-  EXPECT_EQ(parsed.value()->Size(), expr.Size());
+  EXPECT_EQ(parsed.value()->Size(), flat->Size());
 
   // Evaluation agrees under the all-true valuation.
   EXPECT_EQ(parsed.value()->Evaluate(MaterializedValuation(fresh.size())),
-            expr.Evaluate(MaterializedValuation(reg.size())));
+            flat->Evaluate(MaterializedValuation(reg.size())));
 }
 
 TEST(IoTest, ParsingIntoPopulatedRegistryReusesAnnotations) {

@@ -6,15 +6,19 @@
 #include "summarize/mapping_state.h"
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
+#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
+
+using testing_fixtures::Flat;
 
 struct PolyFixture {
   AnnotationRegistry registry;
   DomainId domain;
   AnnotationId x, y, z;
-  PolynomialExpression expr;
+  PolynomialExpression builder;
+  std::unique_ptr<ProvenanceExpression> expr;
 
   // x·y + z — the lineage of a UCQ result with two derivations.
   PolyFixture()
@@ -22,29 +26,29 @@ struct PolyFixture {
         x(registry.Add(domain, "x").MoveValue()),
         y(registry.Add(domain, "y").MoveValue()),
         z(registry.Add(domain, "z").MoveValue()),
-        expr(Polynomial::FromVar(x) * Polynomial::FromVar(y) +
-             Polynomial::FromVar(z)) {}
+        builder(Polynomial::FromVar(x) * Polynomial::FromVar(y) +
+                Polynomial::FromVar(z)),
+        expr(Flat(builder.polynomial())) {}
 };
 
 TEST(PolynomialExprTest, SizeAndAnnotations) {
   PolyFixture fx;
-  EXPECT_EQ(fx.expr.Size(), 3);  // x, y, z occurrences
+  EXPECT_EQ(fx.expr->Size(), 3);  // x, y, z occurrences
   std::vector<AnnotationId> anns;
-  fx.expr.CollectAnnotations(&anns);
+  fx.expr->CollectAnnotations(&anns);
   EXPECT_EQ(anns, (std::vector<AnnotationId>{fx.x, fx.y, fx.z}));
 }
 
 TEST(PolynomialExprTest, EvaluateCountsDerivations) {
   PolyFixture fx;
-  EXPECT_EQ(fx.expr.Evaluate(MaterializedValuation(3)).scalar(), 2.0);
-  EXPECT_EQ(fx.expr
-                .Evaluate(MaterializedValuation(Valuation({fx.z}), 3))
+  EXPECT_EQ(fx.expr->Evaluate(MaterializedValuation(3)).scalar(), 2.0);
+  EXPECT_EQ(fx.expr->Evaluate(MaterializedValuation(Valuation({fx.z}), 3))
                 .scalar(),
             1.0);
-  EXPECT_EQ(fx.expr
-                .Evaluate(MaterializedValuation(Valuation({fx.x, fx.z}), 3))
-                .scalar(),
-            0.0);
+  EXPECT_EQ(
+      fx.expr->Evaluate(MaterializedValuation(Valuation({fx.x, fx.z}), 3))
+          .scalar(),
+      0.0);
 }
 
 TEST(PolynomialExprTest, ApplyMergesVariables) {
@@ -53,7 +57,7 @@ TEST(PolynomialExprTest, ApplyMergesVariables) {
   Homomorphism h;
   h.Set(fx.x, merged);
   h.Set(fx.y, merged);
-  auto mapped = fx.expr.Apply(h);
+  auto mapped = fx.expr->Apply(h);
   // x·y -> xy² ; size stays 3 (multiplicity preserved in ℕ[Ann]).
   EXPECT_EQ(mapped->Size(), 3);
   EXPECT_EQ(mapped->Evaluate(MaterializedValuation(fx.registry.size()))
@@ -69,14 +73,14 @@ TEST(PolynomialExprTest, ApplyMergesVariables) {
 
 TEST(PolynomialExprTest, ToStringUsesNames) {
   PolyFixture fx;
-  EXPECT_EQ(fx.expr.ToString(fx.registry), "x·y + z");
+  EXPECT_EQ(fx.expr->ToString(fx.registry), "x·y + z");
 }
 
 TEST(PolynomialExprTest, CloneIsDeep) {
   PolyFixture fx;
-  auto clone = fx.expr.Clone();
+  auto clone = fx.expr->Clone();
   EXPECT_EQ(clone->Size(), 3);
-  EXPECT_EQ(clone->ToString(fx.registry), fx.expr.ToString(fx.registry));
+  EXPECT_EQ(clone->ToString(fx.registry), fx.expr->ToString(fx.registry));
 }
 
 TEST(PolynomialExprTest, SummarizationMachineryApplies) {
@@ -87,13 +91,13 @@ TEST(PolynomialExprTest, SummarizationMachineryApplies) {
   SemanticContext ctx;
   ctx.registry = &fx.registry;
   CancelSingleAnnotation cls;
-  auto valuations = cls.Generate(fx.expr, ctx);
+  auto valuations = cls.Generate(*fx.expr, ctx);
   ASSERT_EQ(valuations.size(), 3u);
   DisagreementValFunc vf;
-  EnumeratedDistance oracle(&fx.expr, &fx.registry, &vf, valuations);
+  EnumeratedDistance oracle(fx.expr.get(), &fx.registry, &vf, valuations);
 
   MappingState identity(&fx.registry, PhiConfig{});
-  EXPECT_EQ(oracle.Distance(fx.expr, identity), 0.0);
+  EXPECT_EQ(oracle.Distance(*fx.expr, identity), 0.0);
 
   AnnotationId merged = fx.registry.AddSummary(fx.domain, "xz");
   MappingState state(&fx.registry, PhiConfig{});
@@ -101,7 +105,7 @@ TEST(PolynomialExprTest, SummarizationMachineryApplies) {
   Homomorphism h;
   h.Set(fx.x, merged);
   h.Set(fx.z, merged);
-  auto cand = fx.expr.Apply(h);
+  auto cand = fx.expr->Apply(h);
   EXPECT_GT(oracle.Distance(*cand, state), 0.0);
 }
 

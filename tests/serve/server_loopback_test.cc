@@ -204,6 +204,17 @@ TEST(ServerLoopbackTest, ValidationAndParseErrorsAre400) {
   EXPECT_EQ(invalid.value().status, 400);
   EXPECT_NE(invalid.value().body.find("error"), std::string::npos);
 
+  // An int knob beyond int range is a 400, not a cache hit on the value
+  // it would narrow to (4294967297 -> 1).
+  auto one_step = fixture.Post("/v1/summarize", "{\"max_steps\":1}");
+  ASSERT_TRUE(one_step.ok());
+  ASSERT_EQ(one_step.value().status, 200);
+  auto wrapped = fixture.Post("/v1/summarize", "{\"max_steps\":4294967297}");
+  ASSERT_TRUE(wrapped.ok());
+  EXPECT_EQ(wrapped.value().status, 400);
+  EXPECT_NE(wrapped.value().Header("x-prox-cache"), "hit");
+  EXPECT_NE(wrapped.value().body.find("error"), std::string::npos);
+
   // Malformed JSON body.
   auto garbage = fixture.Post("/v1/summarize", "{nope");
   ASSERT_TRUE(garbage.ok());

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datasets/movielens.h"
-#include "provenance/aggregate_expr.h"
+#include "ir/agg_expr.h"
 
 namespace prox {
 namespace {
@@ -45,7 +45,7 @@ TEST(SelectionServiceTest, SelectByTitleKeepsOnlyThatMovie) {
   auto selected = svc.Select(criteria);
   ASSERT_TRUE(selected.ok());
   const auto* agg =
-      dynamic_cast<const AggregateExpression*>(selected.value().get());
+      dynamic_cast<const ir::IrAggregateExpression*>(selected.value().get());
   ASSERT_NE(agg, nullptr);
   ASSERT_EQ(agg->Groups().size(), 1u);
   EXPECT_EQ(ds.registry->name(agg->Groups()[0]), titles[0]);
@@ -67,7 +67,7 @@ TEST(SelectionServiceTest, SelectByGenre) {
   auto selected = svc.Select(criteria);
   ASSERT_TRUE(selected.ok());
   const auto* agg =
-      dynamic_cast<const AggregateExpression*>(selected.value().get());
+      dynamic_cast<const ir::IrAggregateExpression*>(selected.value().get());
   for (AnnotationId g : agg->Groups()) {
     EXPECT_EQ(movies->ValueNameOf(ds.registry->entity_row(g), genre_attr),
               genre);
@@ -88,7 +88,7 @@ TEST(SelectionServiceTest, SelectByYear) {
   auto selected = svc.Select(criteria);
   ASSERT_TRUE(selected.ok());
   const auto* agg =
-      dynamic_cast<const AggregateExpression*>(selected.value().get());
+      dynamic_cast<const ir::IrAggregateExpression*>(selected.value().get());
   for (AnnotationId g : agg->Groups()) {
     EXPECT_EQ(movies->ValueNameOf(ds.registry->entity_row(g), year_attr),
               std::to_string(year));

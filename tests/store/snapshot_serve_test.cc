@@ -17,6 +17,7 @@
 
 #include "datasets/movielens.h"
 #include "engine/engine.h"
+#include "ir/agg_expr.h"
 #include "serve/router.h"
 #include "store/codec.h"
 #include "store/snapshot.h"
@@ -102,6 +103,39 @@ TEST(SnapshotServeTest, SummarizeBytesMatchGeneratorBoot) {
     EXPECT_EQ(HeaderValue(from_loaded, "X-Prox-Cache"), "miss");
     EXPECT_EQ(from_loaded.body, from_generated.body);
   }
+}
+
+TEST(SnapshotServeTest, SummarizeLeavesDatasetPoolUnchanged) {
+  // Only ingest interns into a dataset's TermPool: a cold summarize and a
+  // step replay on a snapshot-loaded dataset run on per-call pools, so the
+  // dataset's pool (here borrowed from the snapshot) must not grow.
+  const std::string path = TempPath("pool");
+  {
+    Dataset dataset = MovieLensGenerator::Generate(SmallConfig());
+    Status s = SaveDataset(dataset, SaveOptions{}, path);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  std::shared_ptr<Snapshot> snapshot;
+  ASSERT_TRUE(Snapshot::Open(path, &snapshot).ok());
+  Dataset loaded;
+  ASSERT_TRUE(LoadDataset(snapshot, LoadOptions{}, &loaded).ok());
+  const auto* agg =
+      dynamic_cast<const ir::IrAggregateExpression*>(loaded.provenance.get());
+  ASSERT_NE(agg, nullptr);
+  const std::shared_ptr<ir::TermPool> pool = agg->pool();
+  const size_t monomials = pool->num_monomials();
+  const size_t arena = pool->arena_size();
+
+  std::unique_ptr<engine::Engine> engine =
+      engine::Engine::FromDataset(std::move(loaded));
+  engine::Engine::Response response =
+      engine->HandleSummarize(SummarizeBody(1));
+  ASSERT_TRUE(response.ok()) << response.body;
+  Result<engine::Engine::StepSnapshot> step = engine->SummaryAtStep(1);
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+
+  EXPECT_EQ(pool->num_monomials(), monomials);
+  EXPECT_EQ(pool->arena_size(), arena);
 }
 
 TEST(SnapshotServeTest, PersistedCacheServesFirstRequestWarm) {

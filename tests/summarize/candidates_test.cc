@@ -84,7 +84,7 @@ TEST(CandidateGeneratorTest, ThreeWayArityEnumeratesTriples) {
   AnnotationId u4 =
       fx.registry.Add(fx.user_domain, "U4", row).MoveValue();
   fx.AddRating(u4, fx.match_point, 4);
-  fx.p0->Simplify();
+  fx.Rebuild();
 
   CandidateGenerator gen(&fx.constraints, &fx.ctx);
   MappingState state(&fx.registry, PhiConfig{});

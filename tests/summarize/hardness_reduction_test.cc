@@ -15,6 +15,7 @@
 #include "summarize/distance.h"
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
+#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
@@ -86,7 +87,7 @@ TEST_P(HardnessReductionTest, DistanceRevealsModelCount) {
     vars.push_back(
         registry.Add(domain, "x" + std::to_string(v)).MoveValue());
   }
-  AggregateExpression expr(AggKind::kMax);
+  AggregateExpression builder(AggKind::kMax);
   for (const auto& mono : f.monomials) {
     std::vector<AnnotationId> factors;
     for (int v : mono) factors.push_back(vars[v]);
@@ -94,26 +95,27 @@ TEST_P(HardnessReductionTest, DistanceRevealsModelCount) {
     t.monomial = Monomial(std::move(factors));
     t.group = kNoAnnotation;
     t.value = {1, 1};
-    expr.AddTerm(std::move(t));
+    builder.AddTerm(std::move(t));
   }
-  expr.Simplify();
+  builder.Simplify();
+  auto expr = testing_fixtures::Flat(builder);
 
   // h: every variable -> A, with φ = OR.
   SemanticContext ctx;
   ctx.registry = &registry;
   ExhaustiveValuations all_cls;
-  auto valuations = all_cls.Generate(expr, ctx);
+  auto valuations = all_cls.Generate(*expr, ctx);
   ASSERT_EQ(valuations.size(), uint64_t{1} << num_vars);
 
   DisagreementValFunc vf;
-  EnumeratedDistance oracle(&expr, &registry, &vf, valuations);
+  EnumeratedDistance oracle(expr.get(), &registry, &vf, valuations);
 
   AnnotationId a = registry.AddSummary(domain, "A");
   MappingState state(&registry, PhiConfig{});
   state.Merge(vars, a);
   Homomorphism h;
   for (AnnotationId v : vars) h.Set(v, a);
-  auto hf = expr.Apply(h);
+  auto hf = expr->Apply(h);
 
   const double dist = oracle.Distance(*hf, state);
   const uint64_t total = uint64_t{1} << num_vars;

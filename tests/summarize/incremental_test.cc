@@ -17,6 +17,7 @@
 namespace prox {
 namespace {
 
+using testing_fixtures::Flat;
 using testing_fixtures::MovieFixture;
 
 TEST(IncrementalScorerTest, MatchesNaiveOnMovieFixture) {
@@ -74,7 +75,7 @@ TEST(IncrementalScorerTest, GuardedTermsHandled) {
   AnnotationId s1 = reg.Add(stats, "S1").MoveValue();
   AnnotationId s2 = reg.Add(stats, "S2").MoveValue();
   AnnotationId m = reg.Add(movies, "M").MoveValue();
-  AggregateExpression p0(AggKind::kMax);
+  AggregateExpression builder(AggKind::kMax);
   for (auto [u, s, score] :
        {std::tuple{u1, s1, 3.0}, std::tuple{u2, s2, 5.0}}) {
     TensorTerm t;
@@ -82,19 +83,20 @@ TEST(IncrementalScorerTest, GuardedTermsHandled) {
     t.guard = Guard(Monomial({s, u}), 5.0, CompareOp::kGt, 2.0);
     t.group = m;
     t.value = {score, 1};
-    p0.AddTerm(std::move(t));
+    builder.AddTerm(std::move(t));
   }
-  p0.Simplify();
+  builder.Simplify();
+  auto p0 = Flat(builder);
 
   SemanticContext ctx;
   ctx.registry = &reg;
   CancelSingleAnnotation cls;
-  auto valuations = cls.Generate(p0, ctx);
+  auto valuations = cls.Generate(*p0, ctx);
   EuclideanValFunc vf;
-  EnumeratedDistance oracle(&p0, &reg, &vf, valuations);
+  EnumeratedDistance oracle(p0.get(), &reg, &vf, valuations);
   MappingState state(&reg, PhiConfig{});
   auto scorer = IncrementalScorer::Create(
-      &p0, &oracle, &state, IncrementalScorer::Metric::kEuclidean);
+      p0.get(), &oracle, &state, IncrementalScorer::Metric::kEuclidean);
   ASSERT_NE(scorer, nullptr);
 
   IncrementalScorer::Score fast = scorer->ScoreMerge({u1, u2});
@@ -104,7 +106,7 @@ TEST(IncrementalScorerTest, GuardedTermsHandled) {
   Homomorphism h;
   h.Set(u1, tmp);
   h.Set(u2, tmp);
-  auto cand = p0.Apply(h);
+  auto cand = p0->Apply(h);
   EXPECT_NEAR(fast.distance, oracle.Distance(*cand, tentative), 1e-12);
   EXPECT_EQ(fast.size, cand->Size());
 }
@@ -122,10 +124,9 @@ TEST_P(IncrementalDatasetTest, AllCandidatesMatchNaiveOnMovieLens) {
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
                             ds.val_func.get(), valuations);
   MappingState state(ds.registry.get(), ds.phi);
-  const auto* agg =
-      dynamic_cast<const AggregateExpression*>(ds.provenance.get());
-  auto scorer = IncrementalScorer::Create(
-      agg, &oracle, &state, IncrementalScorer::Metric::kEuclidean);
+  auto scorer =
+      IncrementalScorer::Create(ds.provenance.get(), &oracle, &state,
+                                IncrementalScorer::Metric::kEuclidean);
   ASSERT_NE(scorer, nullptr);
 
   CandidateGenerator gen(&ds.constraints, &ds.ctx);
@@ -193,10 +194,9 @@ TEST(IncrementalScorerTest, WikipediaSumAggregationMatches) {
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
                             ds.val_func.get(), valuations);
   MappingState state(ds.registry.get(), ds.phi);
-  const auto* agg =
-      dynamic_cast<const AggregateExpression*>(ds.provenance.get());
-  auto scorer = IncrementalScorer::Create(
-      agg, &oracle, &state, IncrementalScorer::Metric::kEuclidean);
+  auto scorer =
+      IncrementalScorer::Create(ds.provenance.get(), &oracle, &state,
+                                IncrementalScorer::Metric::kEuclidean);
   ASSERT_NE(scorer, nullptr);
 
   auto users = ds.registry->AnnotationsInDomain(ds.domain("wiki_user"));

@@ -14,6 +14,7 @@
 #include "summarize/mapping_state.h"
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
+#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
@@ -54,7 +55,7 @@ TEST_P(MonotonicityTest, DistanceGrowsSizeShrinksAlongMergeChains) {
     movies.push_back(
         registry.Add(movie_domain, "M" + std::to_string(v)).MoveValue());
   }
-  AggregateExpression p0(agg);
+  AggregateExpression builder(agg);
   for (int u = 0; u < n; ++u) {
     int count = 1 + static_cast<int>(rng.PickIndex(m));
     for (int r = 0; r < count; ++r) {
@@ -63,22 +64,23 @@ TEST_P(MonotonicityTest, DistanceGrowsSizeShrinksAlongMergeChains) {
       t.monomial = Monomial({users[u], movie});
       t.group = movie;
       t.value = {1.0 + static_cast<double>(rng.PickIndex(5)), 1.0};
-      p0.AddTerm(std::move(t));
+      builder.AddTerm(std::move(t));
     }
   }
-  p0.Simplify();
+  builder.Simplify();
+  auto p0 = testing_fixtures::Flat(builder);
 
   SemanticContext ctx;
   ctx.registry = &registry;
   CancelSingleAnnotation cls(std::vector<DomainId>{user_domain});
-  auto valuations = cls.Generate(p0, ctx);
+  auto valuations = cls.Generate(*p0, ctx);
   auto vf = MakeFunc(func_kind);
-  EnumeratedDistance oracle(&p0, &registry, vf.get(), valuations);
+  EnumeratedDistance oracle(p0.get(), &registry, vf.get(), valuations);
 
   PhiConfig phi;
   phi.fallback = phi_kind;
   MappingState state(&registry, phi);
-  std::unique_ptr<ProvenanceExpression> current = p0.Clone();
+  std::unique_ptr<ProvenanceExpression> current = p0->Clone();
 
   double prev_dist = oracle.Distance(*current, state);
   int64_t prev_size = current->Size();
@@ -153,25 +155,26 @@ TEST(MonotonicityCounterexampleTest, MinWithAndIsNotMonotone) {
   AnnotationId m1 = registry.Add(movie_domain, "M1").MoveValue();
   AnnotationId m2 = registry.Add(movie_domain, "M2").MoveValue();
 
-  AggregateExpression p0(AggKind::kMin);
+  AggregateExpression builder(AggKind::kMin);
   auto add = [&](AnnotationId user, AnnotationId movie, double score) {
     TensorTerm t;
     t.monomial = Monomial({user, movie});
     t.group = movie;
     t.value = {score, 1};
-    p0.AddTerm(std::move(t));
+    builder.AddTerm(std::move(t));
   };
   add(d, m1, 10);
   add(e, m1, 3);
   add(b, m2, 1);
   add(c, m2, 1);
-  p0.Simplify();
+  builder.Simplify();
+  auto p0 = testing_fixtures::Flat(builder);
 
   SemanticContext ctx;
   ctx.registry = &registry;
   std::vector<Valuation> valuations = {Valuation({b, c}, "cancel b,c")};
   AbsoluteDifferenceValFunc vf;
-  EnumeratedDistance oracle(&p0, &registry, &vf, valuations);
+  EnumeratedDistance oracle(p0.get(), &registry, &vf, valuations);
 
   PhiConfig phi;
   phi.fallback = PhiKind::kAnd;
@@ -182,7 +185,7 @@ TEST(MonotonicityCounterexampleTest, MinWithAndIsNotMonotone) {
   Homomorphism h1;
   h1.Set(e, g1);
   h1.Set(b, g1);
-  auto p1 = p0.Apply(h1);
+  auto p1 = p0->Apply(h1);
   double d1 = oracle.Distance(*p1, state);
 
   AnnotationId g2 = registry.AddSummary(user_domain, "G2");

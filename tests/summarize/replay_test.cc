@@ -30,7 +30,7 @@ struct ReplayHarness {
                        .MoveValue();
     AnnotationId u4 = fx.registry.Add(fx.user_domain, "U4", row).MoveValue();
     fx.AddRating(u4, fx.blue_jasmine, 2);
-    fx.p0->Simplify();
+    fx.Rebuild();
 
     CancelSingleAnnotation cls(std::vector<DomainId>{fx.user_domain});
     valuations = cls.Generate(*fx.p0, fx.ctx);

@@ -24,7 +24,7 @@ struct TaxonomyScoreFixture {
   AnnotationId adele, celine, lori;
   SemanticContext ctx;
   ConstraintSet constraints;
-  std::unique_ptr<AggregateExpression> p0;
+  std::unique_ptr<ProvenanceExpression> p0;
 
   TaxonomyScoreFixture() {
     page_domain = registry.AddDomain("page");
@@ -46,15 +46,16 @@ struct TaxonomyScoreFixture {
                         std::make_unique<TaxonomyAncestorRule>());
 
     // Symmetric tensors so every pair merge has identical distance/size.
-    p0 = std::make_unique<AggregateExpression>(AggKind::kSum);
+    AggregateExpression builder(AggKind::kSum);
     for (AnnotationId page : {adele, celine, lori}) {
       TensorTerm t;
       t.monomial = Monomial({page});
       t.group = kNoAnnotation;  // single aggregate: fully symmetric
       t.value = {1, 1};
-      p0->AddTerm(std::move(t));
+      builder.AddTerm(std::move(t));
     }
-    p0->Simplify();
+    builder.Simplify();
+    p0 = testing_fixtures::Flat(builder);
   }
 };
 

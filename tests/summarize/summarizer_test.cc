@@ -127,7 +127,7 @@ TEST(SummarizerTest, GroupEquivalentMergesIdenticalProfiles) {
       fx.ctx.tables.at(fx.user_domain).AddRow({"F", "Audience"}).MoveValue();
   AnnotationId u4 = fx.registry.Add(fx.user_domain, "U4", row).MoveValue();
   fx.AddRating(u4, fx.blue_jasmine, 2);
-  fx.p0->Simplify();
+  fx.Rebuild();
 
   CancelSingleAttribute cls;
   auto valuations = cls.Generate(*fx.p0, fx.ctx);
@@ -172,7 +172,7 @@ TEST(SummarizerTest, KWayMergeReducesMoreAtOnce) {
       fx.ctx.tables.at(fx.user_domain).AddRow({"F", "Audience"}).MoveValue();
   AnnotationId u4 = fx.registry.Add(fx.user_domain, "U4", row).MoveValue();
   fx.AddRating(u4, fx.match_point, 4);
-  fx.p0->Simplify();
+  fx.Rebuild();
 
   CancelSingleAnnotation cls(std::vector<DomainId>{fx.user_domain});
   auto valuations = cls.Generate(*fx.p0, fx.ctx);

@@ -103,7 +103,8 @@ struct TaxonomyValuationFixture {
   DomainId page_domain;
   AnnotationId adele, lori, lisbon;
   SemanticContext ctx;
-  std::unique_ptr<AggregateExpression> p0;
+  AggregateExpression builder{AggKind::kSum};
+  std::unique_ptr<ProvenanceExpression> p0;
 
   TaxonomyValuationFixture() {
     page_domain = registry.AddDomain("page");
@@ -124,15 +125,19 @@ struct TaxonomyValuationFixture {
     ctx.concept_of[lisbon] = place;
     ctx.taxonomy = std::move(tax);
 
-    p0 = std::make_unique<AggregateExpression>(AggKind::kSum);
     for (AnnotationId page : {adele, lori, lisbon}) {
       TensorTerm t;
       t.monomial = Monomial({page});
       t.group = page;
       t.value = {1, 1};
-      p0->AddTerm(std::move(t));
+      builder.AddTerm(std::move(t));
     }
-    p0->Simplify();
+    Rebuild();
+  }
+
+  void Rebuild() {
+    builder.Simplify();
+    p0 = testing_fixtures::Flat(builder);
   }
 };
 
@@ -161,8 +166,8 @@ TEST(CancelSingleAnnotationTest, TaxonomyClosureCancelsDescendants) {
   t.monomial = Monomial({artists_page});
   t.group = artists_page;
   t.value = {1, 1};
-  fx.p0->AddTerm(std::move(t));
-  fx.p0->Simplify();
+  fx.builder.AddTerm(std::move(t));
+  fx.Rebuild();
 
   CancelSingleAnnotation cls({}, /*taxonomy_consistent=*/true);
   auto valuations = cls.Generate(*fx.p0, fx.ctx);

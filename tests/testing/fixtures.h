@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "ir/adopt.h"
 #include "provenance/aggregate_expr.h"
 #include "provenance/annotation.h"
 #include "semantics/constraints.h"
@@ -12,10 +13,36 @@
 namespace prox {
 namespace testing_fixtures {
 
+/// The prox::ir form of a provenance builder (AggregateExpression,
+/// DdpExpression or a Polynomial), on a fresh pool.
+template <typename Builder>
+std::unique_ptr<ProvenanceExpression> Flat(const Builder& builder) {
+  return ir::Adopt(builder, std::make_shared<ir::TermPool>());
+}
+
+/// Owning copies of an aggregate expression's terms, read through its
+/// facade (empty when the expression is not an aggregate).
+inline std::vector<TensorTerm> TermsOf(const ProvenanceExpression& e) {
+  std::vector<TensorTerm> terms;
+  const AggregateFacade* agg = e.AsAggregate();
+  if (agg == nullptr) return terms;
+  for (size_t i = 0; i < agg->agg_num_terms(); ++i) {
+    const AggTermView v = agg->agg_term(i);
+    TensorTerm t;
+    t.monomial = MonomialFromSpan(v.mono, v.mono_len);
+    if (v.has_guard) t.guard = GuardFromView(v);
+    t.group = v.group;
+    t.value = v.value;
+    terms.push_back(std::move(t));
+  }
+  return terms;
+}
+
 /// The running example of Chapters 3-4: users U1 (F, Audience),
 /// U2 (F, Critic), U3 (M, Audience) rating "Match Point" (3, 5, 3) and U2
 /// rating "Blue Jasmine" (4), MAX aggregation, users groupable when they
-/// share Gender or Role.
+/// share Gender or Role. `builder` holds the terms; `p0` is its prox::ir
+/// form, rebuilt by Rebuild() after further AddRating / AddTerm calls.
 struct MovieFixture {
   AnnotationRegistry registry;
   DomainId user_domain;
@@ -24,7 +51,8 @@ struct MovieFixture {
   AnnotationId match_point, blue_jasmine;
   SemanticContext ctx;
   ConstraintSet constraints;
-  std::unique_ptr<AggregateExpression> p0;
+  AggregateExpression builder{AggKind::kMax};
+  std::unique_ptr<ProvenanceExpression> p0;
 
   MovieFixture() {
     user_domain = registry.AddDomain("user");
@@ -47,12 +75,11 @@ struct MovieFixture {
     blue_jasmine = registry.Add(movie_domain, "BlueJasmine", kNoEntity)
                        .MoveValue();
 
-    p0 = std::make_unique<AggregateExpression>(AggKind::kMax);
     AddRating(u1, match_point, 3);
     AddRating(u2, match_point, 5);
     AddRating(u3, match_point, 3);
     AddRating(u2, blue_jasmine, 4);
-    p0->Simplify();
+    Rebuild();
 
     ctx.registry = &registry;
     ctx.tables.emplace(user_domain, std::move(users));
@@ -65,7 +92,13 @@ struct MovieFixture {
     t.monomial = Monomial({user, movie});
     t.group = movie;
     t.value = AggValue{score, 1.0};
-    p0->AddTerm(std::move(t));
+    builder.AddTerm(std::move(t));
+  }
+
+  /// Re-canonicalizes the builder and re-adopts it into `p0`.
+  void Rebuild() {
+    builder.Simplify();
+    p0 = Flat(builder);
   }
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace prox {
 namespace {
 
@@ -30,15 +32,17 @@ TEST(MovieReviewWorkflowTest, ProducesGuardedProvenance) {
   fx.builder.AddPlatform("imdb", "audience", reviews);
   auto run = fx.builder.Run(AggKind::kMax);
   ASSERT_TRUE(run.ok()) << run.status();
-  const AggregateExpression& p = *run.value().provenance;
+  const AggregateFacade* p = run.value().provenance->AsAggregate();
+  ASSERT_NE(p, nullptr);
 
   // One tensor per review, each guarded.
-  EXPECT_EQ(p.num_terms(), reviews.size());
-  for (const TensorTerm& term : p.terms()) {
-    ASSERT_TRUE(term.guard.has_value());
-    EXPECT_EQ(term.guard->op(), CompareOp::kGt);
-    EXPECT_EQ(term.guard->threshold(), 2.0);
-    EXPECT_EQ(term.monomial.Size(), 2);  // U_uid · Movie
+  EXPECT_EQ(p->agg_num_terms(), reviews.size());
+  for (size_t i = 0; i < p->agg_num_terms(); ++i) {
+    const AggTermView term = p->agg_term(i);
+    ASSERT_TRUE(term.has_guard);
+    EXPECT_EQ(term.guard_op, CompareOp::kGt);
+    EXPECT_EQ(term.guard_threshold, 2.0);
+    EXPECT_EQ(term.mono_len, 2u);  // U_uid · Movie
   }
 }
 
@@ -69,7 +73,7 @@ TEST(MovieReviewWorkflowTest, GuardEnforcesActivityThreshold) {
                           {"2", "Zelig", 1}});
   auto run = fx.builder.Run(AggKind::kMax);
   ASSERT_TRUE(run.ok());
-  const AggregateExpression& p = *run.value().provenance;
+  const ProvenanceExpression& p = *run.value().provenance;
   MaterializedValuation all_true(fx.registry.size());
   EvalResult r = p.Evaluate(all_true);
   AnnotationId match_point = fx.registry.Find("MatchPoint").MoveValue();
@@ -87,7 +91,7 @@ TEST(MovieReviewWorkflowTest, CancellingStatsTupleKillsReview) {
                           {"1", "Zelig", 5}});
   auto run = fx.builder.Run(AggKind::kMax);
   ASSERT_TRUE(run.ok());
-  const AggregateExpression& p = *run.value().provenance;
+  const ProvenanceExpression& p = *run.value().provenance;
   AnnotationId s1 = fx.registry.Find("S_1").MoveValue();
   AnnotationId match_point = fx.registry.Find("MatchPoint").MoveValue();
 
@@ -111,10 +115,10 @@ TEST(MovieReviewWorkflowTest, RoleFilterDropsOtherRoles) {
   auto run = fx.builder.Run(AggKind::kMax);
   ASSERT_TRUE(run.ok());
   // The critic's review is filtered by the audience sanitizer.
-  for (const TensorTerm& term : run.value().provenance->terms()) {
-    AnnotationId u9 = fx.registry.Find("U_9").MoveValue();
-    EXPECT_FALSE(term.monomial.Contains(u9));
-  }
+  std::vector<AnnotationId> anns;
+  run.value().provenance->CollectAnnotations(&anns);
+  AnnotationId u9 = fx.registry.Find("U_9").MoveValue();
+  EXPECT_TRUE(std::find(anns.begin(), anns.end(), u9) == anns.end());
 }
 
 TEST(MovieReviewWorkflowTest, MultiplePlatformsFeedOneAggregator) {
@@ -145,7 +149,7 @@ TEST(MovieReviewWorkflowTest, UnknownUsersAreDropped) {
   fx.builder.AddPlatform("imdb", "audience", {{"404", "MatchPoint", 5}});
   auto run = fx.builder.Run(AggKind::kMax);
   ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run.value().provenance->num_terms(), 0u);
+  EXPECT_EQ(run.value().provenance->AsAggregate()->agg_num_terms(), 0u);
 }
 
 TEST(MovieReviewWorkflowTest, WorkflowProvenanceIsSummarizable) {
