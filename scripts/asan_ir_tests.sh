@@ -4,7 +4,9 @@
 # TermPool/expression unit tests (`ir` label), the batch-kernel units
 # (`ir` label too — the kernels walk borrowed monomial spans into the
 # TermPool arena), the IR and batch-kernel golden byte-identity suites
-# (frozen outcomes in tests/ir/golden/), the snapshot container/corruption suites
+# (frozen outcomes in tests/ir/golden/) and the projected-batch suite (the
+# group-slot remap folds base blocks through a per-call slot table), the
+# snapshot container/corruption suites
 # (`store` label), and the streaming ingest suites (`ingest` label —
 # ApplyBatch appends into the interned TermPool arena and the warm-start
 # maintainer replays borrowed mapping state, docs/INGEST.md), plus the
@@ -37,5 +39,6 @@ ctest --test-dir "$build_dir" -L ir --output-on-failure
 ctest --test-dir "$build_dir" -L store --output-on-failure
 ctest --test-dir "$build_dir" -L ingest --output-on-failure
 ctest --test-dir "$build_dir" -L engine --output-on-failure
-ctest --test-dir "$build_dir" -R 'GoldenIdentityTest|GoldenKernelsTest' \
+ctest --test-dir "$build_dir" \
+  -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest' \
   --output-on-failure

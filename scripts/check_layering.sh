@@ -15,6 +15,10 @@
 #      under src/, tests/, bench/ or examples/, and only the producers
 #      (datasets/, workflow/, ddp/, provenance/) and ir/adopt.cc name the
 #      pointer-tree builder classes.
+#   5. One candidate-pricing path (docs/KERNELS.md): the batch kernels
+#      price every candidate, so no `IncrementalScorer`,
+#      `summarize/incremental.h` or `SummarizerOptions::Incremental`
+#      under src/, tests/, bench/ or examples/.
 #
 # Usage: scripts/check_layering.sh [build-dir]
 # The symbol check is skipped (with a note) when no build dir is given or
@@ -130,6 +134,20 @@ if [[ -n "$offenders" ]]; then
   printf '%s\n' "$offenders" >&2
 fi
 note "representation lint: OK (no use_ir; builders stay with their producers)"
+
+# --- 5. one candidate-pricing path ---------------------------------------
+# Both oracles have one batch branch (group-key merges go through the
+# kernels' group-slot remap); the per-valuation loop is only the scalar
+# reference. A second pricer must not come back beside them.
+offenders=$(grep -rnE \
+    'IncrementalScorer|summarize/incremental\.h|SummarizerOptions::Incremental' \
+    src tests bench examples || true)
+if [[ -n "$offenders" ]]; then
+  fail "a second candidate pricer is back (the batch kernels price every candidate):"
+  printf '%s\n' "$offenders" >&2
+else
+  note "pricing-path lint: OK (no incremental scorer)"
+fi
 
 if [[ "$failures" -gt 0 ]]; then
   note "$failures check(s) failed"

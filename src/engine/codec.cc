@@ -260,9 +260,9 @@ JsonValue SummaryOutcomeToJson(const SummaryOutcome& outcome,
   doc.Set("final_distance", JsonValue::Double(outcome.final_distance));
   doc.Set("rolled_back", JsonValue::Bool(outcome.rolled_back));
   doc.Set("equivalence_merges", JsonValue::Int(outcome.equivalence_merges));
-  doc.Set("incremental_hits", JsonValue::Int(outcome.incremental_hits));
-  doc.Set("incremental_fallbacks",
-          JsonValue::Int(outcome.incremental_fallbacks));
+  // Retained for wire compatibility only; always 0 (see codec.h).
+  doc.Set("incremental_hits", JsonValue::Int(0));
+  doc.Set("incremental_fallbacks", JsonValue::Int(0));
 
   JsonValue steps = JsonValue::Array();
   for (const StepRecord& step : outcome.steps) {

@@ -81,6 +81,9 @@ Result<Assignment> AssignmentFromJson(const JsonValue& value);
 /// incremental_hits, incremental_fallbacks, steps[] (step, summary,
 /// merged[], distance, size, score, num_candidates), groups[] (name,
 /// members[]), expression. No timings, no ids (see file comment).
+/// incremental_hits and incremental_fallbacks are retained only for
+/// compatibility and are always 0; dropping them would change the wire
+/// format.
 JsonValue SummaryOutcomeToJson(const SummaryOutcome& outcome,
                                const AnnotationRegistry& registry);
 

@@ -1,5 +1,6 @@
 #include "kernels/batch_eval.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/cpu_features.h"
@@ -129,6 +130,95 @@ bool PackEvalBlock(const EvalResult* evals, size_t count,
     }
   }
   return true;
+}
+
+bool BuildGroupRemap(EvalResult::Kind kind, const AnnotationId* groups,
+                     size_t num_groups, const BatchProgram& program,
+                     const Homomorphism& h, GroupRemap* out) {
+  out->slot.clear();
+  bool identity = true;
+  if (kind == EvalResult::Kind::kVector) {
+    for (size_t g = 0; g < num_groups && identity; ++g) {
+      identity = h.Map(groups[g]) == groups[g];
+    }
+  }
+  if (identity) return ProgramMatchesLayout(program, kind, groups, num_groups);
+  if (program.kind != EvalResult::Kind::kVector) return false;
+  const AnnotationId* first = program.groups;
+  const AnnotationId* last = program.groups + program.num_groups;
+  std::vector<uint8_t> covered(program.num_groups, 0);
+  size_t num_covered = 0;
+  out->slot.resize(num_groups);
+  for (size_t g = 0; g < num_groups; ++g) {
+    const AnnotationId image = h.Map(groups[g]);
+    const AnnotationId* it = std::lower_bound(first, last, image);
+    if (it == last || *it != image) {
+      out->slot.clear();
+      return false;
+    }
+    const size_t s = static_cast<size_t>(it - first);
+    out->slot[g] = static_cast<uint32_t>(s);
+    if (!covered[s]) {
+      covered[s] = 1;
+      ++num_covered;
+    }
+  }
+  if (num_covered != program.num_groups) {
+    out->slot.clear();
+    return false;
+  }
+  return true;
+}
+
+const BlockEval& ProjectBlock(const GroupRemap& remap,
+                              const BatchProgram& program,
+                              const BlockEval& base, BlockEval* scratch) {
+  if (remap.identity()) return base;
+  const size_t stride = base.stride;
+  const size_t num_slots = program.num_groups;
+  scratch->kind = EvalResult::Kind::kVector;
+  scratch->width = base.width;
+  scratch->stride = stride;
+  scratch->groups = program.groups;
+  scratch->num_groups = num_slots;
+  scratch->values.assign(num_slots * stride, 0.0);
+  scratch->counts.assign(num_slots * stride, 0.0);
+  scratch->costs.clear();
+
+  // Which base slot reaches a program slot first is structural, so one
+  // FoldAggregate `first` flag per slot serves every lane.
+  static thread_local std::vector<uint8_t> seen;
+  seen.assign(num_slots, 0);
+  const AggKind agg = program.agg;
+  for (size_t g = 0; g < remap.slot.size(); ++g) {
+    const size_t t = remap.slot[g];
+    const double* bv = base.values.data() + g * stride;
+    const double* bc = base.counts.data() + g * stride;
+    double* v = scratch->values.data() + t * stride;
+    double* c = scratch->counts.data() + t * stride;
+    if (agg == AggKind::kAvg) {
+      // Coordinates carry averages; merge as count-weighted sums.
+      for (size_t l = 0; l < stride; ++l) {
+        v[l] += bv[l] * bc[l];
+        c[l] += bc[l];
+      }
+    } else {
+      const bool first = !seen[t];
+      for (size_t l = 0; l < stride; ++l) {
+        const AggValue x{bv[l], agg == AggKind::kCount ? bv[l] : 0.0};
+        v[l] = FoldAggregate(agg, v[l], x, first);
+      }
+    }
+    seen[t] = 1;
+  }
+  if (agg == AggKind::kAvg) {
+    double* v = scratch->values.data();
+    const double* c = scratch->counts.data();
+    for (size_t i = 0; i < num_slots * stride; ++i) {
+      v[i] = c[i] > 0 ? v[i] / c[i] : 0.0;
+    }
+  }
+  return *scratch;
 }
 
 }  // namespace kernels

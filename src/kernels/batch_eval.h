@@ -11,6 +11,7 @@
 #include "provenance/annotation.h"
 #include "provenance/eval_result.h"
 #include "provenance/guard.h"
+#include "provenance/homomorphism.h"
 
 namespace prox {
 namespace kernels {
@@ -198,6 +199,36 @@ bool ProgramMatchesLayout(const BatchProgram& p, EvalResult::Kind kind,
 bool PackEvalBlock(const EvalResult* evals, size_t count,
                    EvalResult::Kind kind, const AnnotationId* groups,
                    size_t num_groups, BlockEval* out);
+
+/// \brief Where each group slot of the base layout lands in a candidate
+/// program's layout once the cumulative homomorphism h is applied — the
+/// projection of v(p₀) into the summary's coordinate space (Example
+/// 5.2.1) as a table. `slot` is empty when the map is the identity (no
+/// group key merged), which leaves the base blocks untouched.
+struct GroupRemap {
+  std::vector<uint32_t> slot;  ///< base slot -> program slot
+
+  bool identity() const { return slot.empty(); }
+};
+
+/// Builds the remap from the base layout (`kind`, sorted `groups`) into
+/// `program`'s output layout under `h`. Returns false when no remap
+/// reconciles the two: a kind mismatch, a base group whose image is not a
+/// program group, or a program group no base group maps to. Callers then
+/// keep the per-valuation scalar path.
+bool BuildGroupRemap(EvalResult::Kind kind, const AnnotationId* groups,
+                     size_t num_groups, const BatchProgram& program,
+                     const Homomorphism& h, GroupRemap* out);
+
+/// The base side of a candidate's VAL-FUNC: `base` itself when `remap` is
+/// the identity, otherwise `base` folded into the program's group slots
+/// in `scratch` — per lane, the exact operation sequence of
+/// IrAggregateExpression::ProjectEvalResult (base slots in ascending
+/// order, FoldAggregate per slot, count-weighted sums for AVG). `program`
+/// is the candidate's lowering the remap was built for.
+const BlockEval& ProjectBlock(const GroupRemap& remap,
+                              const BatchProgram& program,
+                              const BlockEval& base, BlockEval* scratch);
 
 }  // namespace kernels
 }  // namespace prox

@@ -15,8 +15,8 @@ namespace prox {
 /// committing to a storage layout.
 ///
 /// The flat arena-backed prox::ir classes (docs/IR.md) implement these
-/// facades for their consumers — the incremental scorer, the group
-/// reporter, the selection service, the io writer — which read through
+/// facades for their consumers — the group reporter, the selection
+/// service, the io writer, the store codec — which read through
 /// `AsAggregate()` / `AsDdp()` instead of casting to a concrete class. The
 /// builder classes (AggregateExpression, DdpExpression) implement them too:
 /// that is what ir::Adopt reads.

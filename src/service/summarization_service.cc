@@ -129,15 +129,6 @@ Result<SummaryOutcome> SummarizationService::SummarizeImpl(
   options.threads = request.threads;
   if (warm_from != nullptr) {
     options.warm_seed = &warm_from->state.summaries();
-    // The incremental scorer is bit-identical where supported; the warm
-    // path opts in whenever the resolved VAL-FUNC is one of the
-    // coordinate-decomposable metrics it implements.
-    if (dynamic_cast<const EuclideanValFunc*>(val_func) != nullptr) {
-      options.incremental = SummarizerOptions::Incremental::kEuclidean;
-    } else if (dynamic_cast<const AbsoluteDifferenceValFunc*>(val_func) !=
-               nullptr) {
-      options.incremental = SummarizerOptions::Incremental::kL1;
-    }
   }
 
   Summarizer summarizer(&selected, dataset_->registry.get(), &dataset_->ctx,

@@ -65,10 +65,9 @@ class SummarizationService {
 
   /// Like Summarize, but warm-starts from `previous` (docs/INGEST.md):
   /// the previous outcome's merges are replayed into the new run's
-  /// mapping state instead of re-searched, and incremental candidate
-  /// scoring is enabled when the resolved VAL-FUNC supports it.
-  /// `previous` must be an outcome computed against this dataset and must
-  /// outlive the call.
+  /// mapping state instead of re-searched, and the greedy continuation
+  /// prices its candidates exactly as a cold run does. `previous` must be
+  /// an outcome computed against this dataset and must outlive the call.
   Result<SummaryOutcome> Resummarize(const ProvenanceExpression& selected,
                                      const SummarizationRequest& request,
                                      const SummaryOutcome& previous) const;

@@ -83,7 +83,7 @@ EnumeratedDistance::EnumeratedDistance(const ProvenanceExpression* p0,
   if (max_error_ <= 0.0) max_error_ = 1.0;
 }
 
-void EnumeratedDistance::EnsureBaseBlocks() {
+bool EnumeratedDistance::EnsureBaseBlocks() {
   std::call_once(base_blocks_once_, [&] {
     base_kind_ = base_evals_[0].kind();
     if (base_kind_ == EvalResult::Kind::kVector) {
@@ -111,6 +111,7 @@ void EnumeratedDistance::EnsureBaseBlocks() {
       }
     }
   });
+  return base_blocks_ok_;
 }
 
 double EnumeratedDistance::Distance(const ProvenanceExpression& cand,
@@ -125,62 +126,71 @@ double EnumeratedDistance::Distance(const ProvenanceExpression& cand,
   std::optional<obs::TraceSpan> oracle_span;
   if (!exec::InParallelWorker()) oracle_span.emplace("distance.oracle");
   const size_t n = registry_->size();
-  // Fast path: when the cumulative homomorphism leaves every group key of
-  // the cached base evaluations untouched (the common case — most merges
-  // group non-key annotations like users), the projection is the identity
-  // and the cached results can be fed to VAL-FUNC directly.
-  const bool identity_on_groups =
-      base_evals_.empty() || IdentityOnGroups(base_evals_[0], state);
   metrics.enumerated_evals->Increment(valuations_.size());
-  if (identity_on_groups) {
-    metrics.base_eval_reuse->Increment(valuations_.size());
-  }
+  // When the cumulative homomorphism leaves every group key of the cached
+  // base evaluations untouched (the common case — most merges group
+  // non-key annotations like users), the projection is the identity and
+  // the cached results feed VAL-FUNC directly, on either path. Each path
+  // decides that once: the batch path through its remap, the scalar loop
+  // through IdentityOnGroups.
+  //
   // Batch path: the candidate lowers once into a flat program and each
   // grain-8 chunk is evaluated in one pass over the program rows by the
-  // SIMD kernels. Chunk boundaries, per-lane arithmetic and the weighted
-  // fold order all replicate the scalar path, so the distance is
-  // bit-identical (docs/KERNELS.md); everything that does not fit —
-  // projection path, exotic VAL-FUNC, layout mismatch — falls back.
+  // SIMD kernels. When a merge touched a group key, the cached base
+  // blocks are projected into the candidate's group slots through a remap
+  // table (kernels::ProjectBlock) instead of per valuation. Chunk
+  // boundaries, per-lane arithmetic and the weighted fold order all
+  // replicate the scalar path, so the distance is bit-identical
+  // (docs/KERNELS.md); only a VAL-FUNC without a batch counterpart or an
+  // irreconcilable layout keeps the scalar loop below.
   const kernels::ValFuncBatchKind vf_kind = val_func_->batch_kind();
   const kernels::BatchEvalFacade* facade = cand.AsBatchEval();
-  if (identity_on_groups && facade != nullptr &&
-      vf_kind != kernels::ValFuncBatchKind::kNone) {
-    EnsureBaseBlocks();
-    if (base_blocks_ok_) {
-      const kernels::BatchProgram program = facade->LowerBatch();
-      if (kernels::ProgramMatchesLayout(program, base_kind_,
-                                        base_groups_.data(),
-                                        base_groups_.size())) {
-        const double penalty = val_func_->batch_mismatch_penalty();
-        const double total = exec::DeterministicChunkSum(
-            pool_.pool(), static_cast<int64_t>(valuations_.size()),
-            kReductionGrain, [&](int64_t lo, int64_t hi) {
-              thread_local kernels::ValuationBlock block;
-              thread_local kernels::BlockEval cand_eval;
-              const size_t w = static_cast<size_t>(hi - lo);
-              block.Reset(n, w);
-              for (size_t l = 0; l < w; ++l) {
-                state.TransformLane(valuations_[static_cast<size_t>(lo) + l],
-                                    l, &block);
-              }
-              kernels::EvaluateBlock(program, block, &cand_eval);
-              double err[kernels::kMaxLanes];
-              kernels::ValFuncBlockErrors(
-                  vf_kind, penalty,
-                  base_blocks_[static_cast<size_t>(lo / kReductionGrain)],
-                  cand_eval, err);
-              double partial = 0.0;
-              for (size_t l = 0; l < w; ++l) {
-                partial +=
-                    valuations_[static_cast<size_t>(lo) + l].weight() * err[l];
-              }
-              return partial;
-            });
-        return (total / total_weight_) / max_error_;
+  if (facade != nullptr && vf_kind != kernels::ValFuncBatchKind::kNone &&
+      EnsureBaseBlocks()) {
+    const kernels::BatchProgram program = facade->LowerBatch();
+    kernels::GroupRemap remap;
+    if (kernels::BuildGroupRemap(base_kind_, base_groups_.data(),
+                                 base_groups_.size(), program,
+                                 state.cumulative(), &remap)) {
+      if (remap.identity()) {
+        metrics.base_eval_reuse->Increment(valuations_.size());
       }
+      const double penalty = val_func_->batch_mismatch_penalty();
+      const double total = exec::DeterministicChunkSum(
+          pool_.pool(), static_cast<int64_t>(valuations_.size()),
+          kReductionGrain, [&](int64_t lo, int64_t hi) {
+            thread_local kernels::ValuationBlock block;
+            thread_local kernels::BlockEval cand_eval;
+            thread_local kernels::BlockEval projected;
+            const size_t w = static_cast<size_t>(hi - lo);
+            block.Reset(n, w);
+            for (size_t l = 0; l < w; ++l) {
+              state.TransformLane(valuations_[static_cast<size_t>(lo) + l],
+                                  l, &block);
+            }
+            kernels::EvaluateBlock(program, block, &cand_eval);
+            const kernels::BlockEval& orig = kernels::ProjectBlock(
+                remap, program,
+                base_blocks_[static_cast<size_t>(lo / kReductionGrain)],
+                &projected);
+            double err[kernels::kMaxLanes];
+            kernels::ValFuncBlockErrors(vf_kind, penalty, orig, cand_eval,
+                                        err);
+            double partial = 0.0;
+            for (size_t l = 0; l < w; ++l) {
+              partial +=
+                  valuations_[static_cast<size_t>(lo) + l].weight() * err[l];
+            }
+            return partial;
+          });
+      return (total / total_weight_) / max_error_;
     }
   }
   kernels::CountScalarFallback();
+  const bool identity_on_groups = IdentityOnGroups(base_evals_[0], state);
+  if (identity_on_groups) {
+    metrics.base_eval_reuse->Increment(valuations_.size());
+  }
   const double total = exec::DeterministicSum(
       pool_.pool(), static_cast<int64_t>(valuations_.size()), kReductionGrain,
       [&](int64_t i) {
@@ -243,27 +253,24 @@ double SampledDistance::Distance(const ProvenanceExpression& cand,
   std::optional<obs::TraceSpan> oracle_span;
   if (!exec::InParallelWorker()) oracle_span.emplace("distance.oracle");
   const size_t n = registry_->size();
-  // Same identity-on-groups fast path as the enumerated oracle: the group
-  // keys of an evaluation are structural (they do not depend on which
-  // annotations a valuation cancels), so the all-true evaluation decides
-  // for every sample whether ProjectEvalResult is the identity.
-  const bool identity_on_groups = IdentityOnGroups(all_true_eval_, state);
-  if (identity_on_groups) {
-    metrics.base_eval_reuse->Increment(num_samples_);
-  }
   // Batch path: both sides of each grain-16 sample chunk are evaluated by
-  // the SIMD kernels, each through its own lowering. Sample s's Rng stream is
-  // regenerated identically, so the drawn valuations — and the resulting
-  // estimate — are bit-identical to the scalar path at any tier and any
-  // thread count.
+  // the SIMD kernels, each through its own lowering, and the base side is
+  // projected into the candidate's group slots as in the enumerated
+  // oracle. Sample s's Rng stream is regenerated identically, so the
+  // drawn valuations — and the resulting estimate — are bit-identical to
+  // the scalar path at any tier and any thread count.
   const kernels::ValFuncBatchKind vf_kind = val_func_->batch_kind();
   const kernels::BatchEvalFacade* facade = cand.AsBatchEval();
-  if (identity_on_groups && base_program_ok_ && facade != nullptr &&
+  if (base_program_ok_ && facade != nullptr &&
       vf_kind != kernels::ValFuncBatchKind::kNone) {
     const kernels::BatchProgram program = facade->LowerBatch();
-    if (kernels::ProgramMatchesLayout(program, base_kind_,
-                                      base_groups_.data(),
-                                      base_groups_.size())) {
+    kernels::GroupRemap remap;
+    if (kernels::BuildGroupRemap(base_kind_, base_groups_.data(),
+                                 base_groups_.size(), program,
+                                 state.cumulative(), &remap)) {
+      if (remap.identity()) {
+        metrics.base_eval_reuse->Increment(num_samples_);
+      }
       const kernels::BatchProgram base_program =
           p0_->AsBatchEval()->LowerBatch();
       const double penalty = val_func_->batch_mismatch_penalty();
@@ -274,6 +281,7 @@ double SampledDistance::Distance(const ProvenanceExpression& cand,
             thread_local kernels::ValuationBlock trans_block;
             thread_local kernels::BlockEval base_eval;
             thread_local kernels::BlockEval cand_eval;
+            thread_local kernels::BlockEval projected;
             const size_t w = static_cast<size_t>(hi - lo);
             base_block.Reset(n, w);
             trans_block.Reset(n, w);
@@ -289,9 +297,11 @@ double SampledDistance::Distance(const ProvenanceExpression& cand,
             }
             kernels::EvaluateBlock(base_program, base_block, &base_eval);
             kernels::EvaluateBlock(program, trans_block, &cand_eval);
+            const kernels::BlockEval& orig =
+                kernels::ProjectBlock(remap, program, base_eval, &projected);
             double err[kernels::kMaxLanes];
-            kernels::ValFuncBlockErrors(vf_kind, penalty, base_eval,
-                                        cand_eval, err);
+            kernels::ValFuncBlockErrors(vf_kind, penalty, orig, cand_eval,
+                                        err);
             double partial = 0.0;
             for (size_t l = 0; l < w; ++l) partial += err[l];
             return partial;
@@ -300,6 +310,14 @@ double SampledDistance::Distance(const ProvenanceExpression& cand,
     }
   }
   kernels::CountScalarFallback();
+  // Same identity-on-groups shortcut as the enumerated oracle: the group
+  // keys of an evaluation are structural (they do not depend on which
+  // annotations a valuation cancels), so the all-true evaluation decides
+  // for every sample whether ProjectEvalResult is the identity.
+  const bool identity_on_groups = IdentityOnGroups(all_true_eval_, state);
+  if (identity_on_groups) {
+    metrics.base_eval_reuse->Increment(num_samples_);
+  }
   // Stream s of the seed drives sample s alone, so the estimate depends
   // only on (seed, num_samples) — not on thread count or sample order.
   const double total = exec::DeterministicSum(

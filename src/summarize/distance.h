@@ -60,7 +60,9 @@ class EnumeratedDistance : public DistanceOracle {
 
   size_t num_valuations() const { return valuations_.size(); }
   const std::vector<Valuation>& valuations() const { return valuations_; }
-  /// Cached v(p₀) per valuation (used by the incremental scorer).
+  /// Cached v(p₀) per valuation, aligned with valuations(): the base side
+  /// of every Distance call (packed once into the batch kernels' blocks;
+  /// read per valuation by the scalar reference path).
   const std::vector<EvalResult>& base_evals() const { return base_evals_; }
   /// Pre-materialized base valuations, aligned with base_evals(). Distance
   /// extends a copy per call (MappingState::TransformFrom) instead of
@@ -73,8 +75,8 @@ class EnumeratedDistance : public DistanceOracle {
  private:
   /// Packs base_evals_ into per-chunk BlockEvals for the batch kernels
   /// (kernels/batch_eval.h), lazily and once — Distance runs concurrently
-  /// on exec workers during candidate scoring. Sets base_blocks_ok_.
-  void EnsureBaseBlocks();
+  /// on exec workers during candidate scoring. Returns base_blocks_ok_.
+  bool EnsureBaseBlocks();
 
   const ProvenanceExpression* p0_;
   const AnnotationRegistry* registry_;
@@ -88,8 +90,8 @@ class EnumeratedDistance : public DistanceOracle {
 
   // Batch-kernel state (makes the oracle non-copyable; it is always used
   // in place). base_groups_ is the shared coordinate layout of every
-  // base evaluation — candidates on the identity-on-groups path must
-  // produce exactly this layout, which ProgramMatchesLayout checks.
+  // base evaluation; kernels::BuildGroupRemap maps it into each
+  // candidate's layout through the cumulative homomorphism.
   std::once_flag base_blocks_once_;
   bool base_blocks_ok_ = false;
   EvalResult::Kind base_kind_ = EvalResult::Kind::kScalar;

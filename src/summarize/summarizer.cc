@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <map>
-#include <mutex>
 
 #include "common/timer.h"
 #include "exec/thread_pool.h"
@@ -14,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "summarize/equivalence.h"
-#include "summarize/incremental.h"
 
 namespace prox {
 
@@ -29,8 +26,6 @@ struct SummarizeMetrics {
   obs::Counter* equivalence_merges;
   obs::Counter* candidates_scored;
   obs::Counter* candidate_eval_nanos_total;
-  obs::Counter* incremental_hits;
-  obs::Counter* incremental_fallbacks;
   obs::Counter* warmstart_runs;
   obs::Counter* warmstart_replayed_merges;
   obs::Histogram* step_nanos;
@@ -59,13 +54,6 @@ struct SummarizeMetrics {
       m.candidate_eval_nanos_total = r.GetCounter(
           "prox_summarize_candidate_eval_nanos_total",
           "Total wall time spent pricing candidates, nanoseconds.");
-      m.incremental_hits = r.GetCounter(
-          "prox_summarize_incremental_hits_total",
-          "Candidates priced by the incremental scorer fast path.");
-      m.incremental_fallbacks = r.GetCounter(
-          "prox_summarize_incremental_fallbacks_total",
-          "Candidates that fell back to the general oracle path while "
-          "incremental scoring was requested.");
       m.warmstart_runs = r.GetCounter(
           "prox_warmstart_runs_total",
           "Summarization runs warm-started from a previous mapping state "
@@ -96,17 +84,6 @@ struct SummarizeMetrics {
     return m;
   }
 };
-
-void WarnOnFirstIncrementalFallback() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    std::fprintf(stderr,
-                 "prox: incremental scorer fell back to the general path "
-                 "(group-key merge or unsupported configuration); further "
-                 "fallbacks are counted in "
-                 "prox_summarize_incremental_fallbacks_total\n");
-  });
-}
 
 }  // namespace
 
@@ -236,8 +213,7 @@ Result<SummaryOutcome> Summarizer::Run() {
   const SummarizeMetrics& metrics = SummarizeMetrics::Get();
   metrics.runs->Increment();
   obs::TraceSpan run_span("summarize.run");
-  SummaryOutcome outcome{nullptr, MappingState(registry_, options_.phi), {},
-                         0.0, 0, false, 0, 0.0, 0, 0, 0};
+  SummaryOutcome outcome{.state = MappingState(registry_, options_.phi)};
   // Copy the input into a run-local pool (docs/IR.md): main-thread Apply
   // interns here, never into the caller's pool. The pool lives as long as
   // the run's expressions via the shared_ptr each IR expression holds.
@@ -275,9 +251,6 @@ Result<SummaryOutcome> Summarizer::Run() {
   MappingState prev_state = state;
   double prev_dist = dist;
 
-  const bool want_incremental =
-      options_.incremental != SummarizerOptions::Incremental::kOff;
-
   // One pool resolution per run. threads = 1 keeps pool() null, which makes
   // every ParallelFor below the plain serial loop.
   exec::PoolRef pool(options_.threads);
@@ -309,32 +282,17 @@ Result<SummaryOutcome> Summarizer::Run() {
       }
     }
 
-    // Optional incremental scorer for this step's expression.
-    std::unique_ptr<IncrementalScorer> incremental;
-    if (want_incremental) {
-      auto* enumerated = dynamic_cast<EnumeratedDistance*>(oracle_);
-      if (current->AsAggregate() != nullptr && enumerated != nullptr) {
-        incremental = IncrementalScorer::Create(
-            current.get(), enumerated, &state,
-            options_.incremental == SummarizerOptions::Incremental::kL1
-                ? IncrementalScorer::Metric::kL1
-                : IncrementalScorer::Metric::kEuclidean);
-      }
-    }
-
     // Candidate pricing fans out over the pool. Every worker shares only
     // read-only state (current expression, mapping state, registry,
-    // scratch map, incremental scorer — all const from here); per-candidate
-    // mutable state (tentative MappingState, step Homomorphism, the
-    // candidate expression) is built inside the loop body, and results land
-    // in the pre-sized `scored` vector by index, so PickBest sees exactly
+    // scratch map — all const from here); per-candidate mutable state
+    // (tentative MappingState, step Homomorphism, the candidate
+    // expression) is built inside the loop body, and results land in the
+    // pre-sized `scored` vector by index, so PickBest sees exactly
     // the ordering and tie-breaks of the serial loop. On the parallel path
     // this aggregate span stands in for the suppressed per-candidate
     // distance.oracle spans (see distance.cc).
     obs::TraceSpan eval_span("summarize.candidate_eval");
     std::vector<ScoredCandidate> scored(candidates.size());
-    std::atomic<int> step_incremental_hits{0};
-    std::atomic<int> step_incremental_fallbacks{0};
     std::atomic<int64_t> serial_estimate_nanos{0};
     exec::ParallelFor(
         pool.pool(), 0, static_cast<int64_t>(candidates.size()), 1,
@@ -344,28 +302,14 @@ Result<SummaryOutcome> Summarizer::Run() {
           Timer candidate_timer;
           ScoredCandidate sc;
           sc.index = i;
-          if (incremental != nullptr && incremental->CanScore(c.roots)) {
-            IncrementalScorer::Score fast = incremental->ScoreMerge(c.roots);
-            sc.distance = fast.distance;
-            sc.size = fast.size;
-            step_incremental_hits.fetch_add(1, std::memory_order_relaxed);
-            metrics.incremental_hits->Increment();
-          } else {
-            if (want_incremental) {
-              step_incremental_fallbacks.fetch_add(1,
-                                                   std::memory_order_relaxed);
-              metrics.incremental_fallbacks->Increment();
-              WarnOnFirstIncrementalFallback();
-            }
-            AnnotationId tmp = scratch.at(c.domain);
-            MappingState tentative = state;
-            tentative.Merge(c.roots, tmp);
-            Homomorphism step_hom;
-            for (AnnotationId root : c.roots) step_hom.Set(root, tmp);
-            auto cand_expr = current->Apply(step_hom);
-            sc.distance = oracle_->Distance(*cand_expr, tentative);
-            sc.size = cand_expr->Size();
-          }
+          AnnotationId tmp = scratch.at(c.domain);
+          MappingState tentative = state;
+          tentative.Merge(c.roots, tmp);
+          Homomorphism step_hom;
+          for (AnnotationId root : c.roots) step_hom.Set(root, tmp);
+          auto cand_expr = current->Apply(step_hom);
+          sc.distance = oracle_->Distance(*cand_expr, tentative);
+          sc.size = cand_expr->Size();
           sc.score = options_.w_dist * sc.distance +
                      options_.w_size *
                          (static_cast<double>(sc.size) / original_size) +
@@ -374,10 +318,6 @@ Result<SummaryOutcome> Summarizer::Run() {
           serial_estimate_nanos.fetch_add(candidate_timer.ElapsedNanos(),
                                           std::memory_order_relaxed);
         });
-    outcome.incremental_hits +=
-        step_incremental_hits.load(std::memory_order_relaxed);
-    outcome.incremental_fallbacks +=
-        step_incremental_fallbacks.load(std::memory_order_relaxed);
     const int64_t eval_total_nanos = eval_span.Close();
     metrics.candidates_scored->Increment(candidates.size());
     metrics.candidate_eval_nanos_total->Increment(eval_total_nanos);

@@ -64,19 +64,6 @@ struct SummarizerOptions {
 
   TieBreak tie_break = TieBreak::kTaxonomyMax;
 
-  /// Incremental candidate scoring (summarize/incremental.h): recompute
-  /// only the coordinates a merge touches instead of re-evaluating the
-  /// whole candidate expression. Produces bit-identical scores; requires
-  /// an aggregate expression, an EnumeratedDistance oracle, and a
-  /// coordinate-decomposable VAL-FUNC — the value names which one the
-  /// oracle uses. Candidates the scorer cannot handle (group-key merges)
-  /// fall back to the general path; fallbacks are counted in
-  /// SummaryOutcome::incremental_fallbacks and in the
-  /// prox_summarize_incremental_fallbacks_total metric, and the first
-  /// fallback of the process logs a one-line warning to stderr.
-  enum class Incremental { kOff, kEuclidean, kL1 };
-  Incremental incremental = Incremental::kOff;
-
   CandidateOptions candidates;
 
   /// Warm start (docs/INGEST.md): replay a previous run's
@@ -124,9 +111,9 @@ struct StepRecord {
 
 /// The outcome of a summarization run.
 struct SummaryOutcome {
-  std::unique_ptr<ProvenanceExpression> summary;
+  std::unique_ptr<ProvenanceExpression> summary = nullptr;
   MappingState state;
-  std::vector<StepRecord> steps;
+  std::vector<StepRecord> steps = {};
   double final_distance = 0.0;
   int64_t final_size = 0;
   /// True when the TARGET-DIST overshoot rollback of Algorithm 1 line 11
@@ -136,11 +123,6 @@ struct SummaryOutcome {
   /// Total wall time of the run, ns — the duration of the run's
   /// "summarize.run" trace span.
   double total_nanos = 0.0;
-  /// Candidates priced by the incremental scorer vs. by the general
-  /// oracle path while incremental scoring was requested (fallbacks were
-  /// previously silent).
-  int incremental_hits = 0;
-  int incremental_fallbacks = 0;
   /// Merges replayed from SummarizerOptions::warm_seed before the greedy
   /// loop (0 on cold runs). Not part of the serialized summary JSON.
   int warm_replayed_merges = 0;

@@ -158,7 +158,6 @@ TEST(MovieLensGeneratorTest, GuardedExpressionSummarizes) {
   options.w_dist = 0.5;
   options.w_size = 0.5;
   options.max_steps = 4;
-  options.incremental = SummarizerOptions::Incremental::kEuclidean;
   options.phi = ds.phi;
   Summarizer s(ds.provenance.get(), ds.registry.get(), &ds.ctx,
                &ds.constraints, &oracle, &valuations, options);

@@ -6,14 +6,20 @@
 
 #include "engine/engine.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "datasets/ddp.h"
 #include "datasets/movielens.h"
+#include "datasets/wikipedia.h"
 #include "engine/codec.h"
+#include "ingest/delta.h"
+#include "ingest/synthetic.h"
+#include "kernels/metrics.h"
 
 namespace prox {
 namespace engine {
@@ -189,6 +195,99 @@ TEST(EngineTest, OptionsFromJsonParsesAndRejects) {
   ASSERT_TRUE(missing.ok());
   EXPECT_FALSE(Engine::Create(missing.value()).ok());
 }
+
+/// The dataset a default Engine::Create generates for `family` (the
+/// shapes prox_server boots with), rebuilt here to derive delta batches
+/// against it.
+Dataset DefaultFamilyDataset(DatasetSpec::Family family) {
+  switch (family) {
+    case DatasetSpec::Family::kWikipedia: {
+      WikipediaConfig config;
+      config.num_users = 10;
+      config.num_pages = 8;
+      return WikipediaGenerator::Generate(config);
+    }
+    case DatasetSpec::Family::kDdp:
+      return DdpGenerator::Generate(DdpConfig{});
+    case DatasetSpec::Family::kMovieLens:
+      break;
+  }
+  MovieLensConfig config;
+  config.num_users = 25;
+  config.num_movies = 8;
+  config.seed = 99;
+  return MovieLensGenerator::Generate(config);
+}
+
+Result<ingest::DeltaBatch> SyntheticDelta(DatasetSpec::Family family,
+                                          const Dataset& dataset) {
+  switch (family) {
+    case DatasetSpec::Family::kWikipedia:
+      return ingest::SyntheticWikipediaDelta(dataset, 1, 3, 1);
+    case DatasetSpec::Family::kDdp:
+      return ingest::SyntheticDdpDelta(dataset, 1, 1, 1);
+    case DatasetSpec::Family::kMovieLens:
+      break;
+  }
+  return ingest::SyntheticMovieLensDelta(dataset, 1, 2, 1);
+}
+
+/// One pricing path: with the group-slot remap in the batch kernels, no
+/// default run of any family reaches the per-valuation scalar loop —
+/// neither a cold /v1/summarize nor the warm re-summarize an ingest with
+/// the "resummarize" directive runs (docs/KERNELS.md).
+class NoScalarFallbackTest
+    : public ::testing::TestWithParam<DatasetSpec::Family> {};
+
+TEST_P(NoScalarFallbackTest, ColdSummarizeAndIngestResummarizeStayBatched) {
+  Engine::Options options;
+  options.dataset.family = GetParam();
+  Result<std::unique_ptr<Engine>> created = Engine::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Engine> engine = created.MoveValue();
+
+  const uint64_t fallbacks_before = kernels::ScalarFallbacksForTesting();
+  uint64_t batch_before = kernels::BatchEvalsForTesting();
+  Engine::Response cold = engine->HandleSummarize("{}");
+  ASSERT_TRUE(cold.ok()) << cold.body;
+  EXPECT_EQ(cold.cache, Engine::Response::CacheOutcome::kMiss);
+  EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallbacks_before);
+  EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
+
+  Result<ingest::DeltaBatch> delta =
+      SyntheticDelta(GetParam(), DefaultFamilyDataset(GetParam()));
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  JsonValue body = ingest::DeltaBatchToJson(delta.value());
+  body.Set("resummarize", JsonValue::Bool(true));
+  batch_before = kernels::BatchEvalsForTesting();
+  Engine::Response ingested = engine->HandleIngest(WriteJson(body));
+  ASSERT_TRUE(ingested.ok()) << ingested.body;
+  JsonValue receipt = MustParse(ingested.body);
+  const JsonValue* resummarize = receipt.Find("resummarize");
+  ASSERT_NE(resummarize, nullptr);
+  const JsonValue* warm = resummarize->Find("warm");
+  ASSERT_NE(warm, nullptr);
+  EXPECT_TRUE(warm->bool_value());
+  EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallbacks_before);
+  EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, NoScalarFallbackTest,
+    ::testing::Values(DatasetSpec::Family::kMovieLens,
+                      DatasetSpec::Family::kWikipedia,
+                      DatasetSpec::Family::kDdp),
+    [](const ::testing::TestParamInfo<DatasetSpec::Family>& info) {
+      switch (info.param) {
+        case DatasetSpec::Family::kWikipedia:
+          return std::string("Wikipedia");
+        case DatasetSpec::Family::kDdp:
+          return std::string("Ddp");
+        case DatasetSpec::Family::kMovieLens:
+          break;
+      }
+      return std::string("MovieLens");
+    });
 
 }  // namespace
 }  // namespace engine

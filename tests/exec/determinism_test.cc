@@ -70,9 +70,6 @@ std::string Fingerprint(const SummaryOutcome& o,
   fp += "final_size=" + std::to_string(o.final_size) + "\n";
   fp += "rolled_back=" + std::to_string(o.rolled_back) + "\n";
   fp += "equivalence_merges=" + std::to_string(o.equivalence_merges) + "\n";
-  fp += "incremental_hits=" + std::to_string(o.incremental_hits) + "\n";
-  fp +=
-      "incremental_fallbacks=" + std::to_string(o.incremental_fallbacks) + "\n";
   for (const StepRecord& s : o.steps) {
     fp += "step " + std::to_string(s.step) + ": roots=[";
     for (AnnotationId root : s.merged_roots) {

@@ -8,14 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "datasets/ddp.h"
 #include "datasets/movielens.h"
 #include "datasets/wikipedia.h"
 #include "ir/golden_run.h"
-#include "summarize/distance.h"
-#include "summarize/summarizer.h"
 
 namespace prox {
 namespace {
@@ -59,30 +56,6 @@ TEST(GoldenIdentityTest, DdpFromMachine) {
   config.num_executions = 10;
   config.seed = 21;
   ExpectMatchesAtAllThreadCounts<DdpGenerator>(config, "ddp_from_machine");
-}
-
-TEST(GoldenIdentityTest, MovieLensWithIncrementalScoring) {
-  // The incremental scorer snapshots the current expression through the
-  // facade; its run must reproduce the frozen outcome too.
-  MovieLensConfig config;
-  config.num_users = 16;
-  config.num_movies = 5;
-  config.ratings_per_user = 3;
-
-  Dataset ds = MovieLensGenerator::Generate(config);
-  std::vector<Valuation> valuations =
-      ds.valuation_class->Generate(*ds.provenance, ds.ctx);
-  EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
-                            ds.val_func.get(), valuations, 1);
-  SummarizerOptions options;
-  options.max_steps = 5;
-  options.phi = ds.phi;
-  options.incremental = SummarizerOptions::Incremental::kEuclidean;
-  Summarizer summarizer(ds.provenance.get(), ds.registry.get(), &ds.ctx,
-                        &ds.constraints, &oracle, &valuations, options);
-  ExpectMatchesGolden(golden::Capture(summarizer.Run().MoveValue(),
-                                      *ds.registry),
-                      "movielens_incremental");
 }
 
 }  // namespace

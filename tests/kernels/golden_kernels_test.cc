@@ -22,12 +22,14 @@
 #include "kernels/metrics.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
+#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
 
 using golden::ExpectMatchesGolden;
 using golden::RunFamily;
+using testing_fixtures::ScalarReferenceValFunc;
 
 /// Scoped SIMD-tier cap; lifts back to the env/hardware decision on exit
 /// (under the PROX_SIMD=0 CTest variant every "tier" below therefore
@@ -74,10 +76,12 @@ TEST(GoldenKernelsTest, Ddp) {
 
 TEST(GoldenKernelsTest, BatchPathActuallyEngages) {
   // Identity is vacuous if the batch path silently never runs. A
-  // summarizer run must advance the batched-valuation counter; a distance
+  // summarizer run must advance the batched-valuation counter. A distance
   // call whose cumulative homomorphism merges two movie keys (the
-  // projection case, which has no batch lowering) must advance the
-  // fallback counter instead.
+  // projection case) is batched as well: it advances the batch counter by
+  // one per valuation and leaves the fallback counter alone. Only a
+  // VAL-FUNC without a batch counterpart still reaches the scalar loop,
+  // and it must agree bit for bit.
   MovieLensConfig config;
   config.num_users = 12;
   config.num_movies = 4;
@@ -92,6 +96,9 @@ TEST(GoldenKernelsTest, BatchPathActuallyEngages) {
       ds.valuation_class->Generate(*ds.provenance, ds.ctx);
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
                             ds.val_func.get(), valuations, 1);
+  ScalarReferenceValFunc scalar_vf(ds.val_func.get());
+  EnumeratedDistance scalar_oracle(ds.provenance.get(), ds.registry.get(),
+                                   &scalar_vf, valuations, 1);
   const DomainId movie = ds.domain("movie");
   const std::vector<AnnotationId> movies =
       ds.registry->AnnotationsInDomain(movie);
@@ -104,10 +111,14 @@ TEST(GoldenKernelsTest, BatchPathActuallyEngages) {
 
   const uint64_t batch_after = kernels::BatchEvalsForTesting();
   const uint64_t fallback_before = kernels::ScalarFallbacksForTesting();
-  oracle.Distance(*cand, state);
-  EXPECT_GT(kernels::ScalarFallbacksForTesting(), fallback_before);
-  // The projection-case call itself must not have gone through the kernels.
-  EXPECT_EQ(kernels::BatchEvalsForTesting(), batch_after);
+  const double batched = oracle.Distance(*cand, state);
+  EXPECT_EQ(kernels::BatchEvalsForTesting(), batch_after + valuations.size());
+  EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallback_before);
+
+  const double reference = scalar_oracle.Distance(*cand, state);
+  EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallback_before + 1);
+  EXPECT_EQ(kernels::BatchEvalsForTesting(), batch_after + valuations.size());
+  EXPECT_EQ(golden::DoubleBits(batched), golden::DoubleBits(reference));
 }
 
 TEST(GoldenKernelsTest, SampledOracleBitIdenticalAcrossTiers) {

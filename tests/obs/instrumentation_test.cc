@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -130,42 +131,41 @@ TEST(InstrumentationTest, SpanDurationsAreTheStepRecordTimings) {
   }
 }
 
-TEST(InstrumentationTest, IncrementalHitsAndFallbacksAreCounted) {
+TEST(InstrumentationTest, GroupKeyMergeCandidatesAreBatched) {
   if (!obs::Enabled()) GTEST_SKIP() << "prox::obs compiled out";
   Harness h;
-  // A movie-domain rule makes group-key merge candidates appear; the
-  // incremental scorer cannot price those (CanScore), so they fall back
-  // to the general oracle path and must be counted.
+  // A movie-domain rule makes group-key merge candidates appear. The
+  // batch kernels project the base side into such a candidate's group
+  // slots, so every valuation of every candidate is priced in a batch and
+  // none falls back to the per-valuation scalar loop.
   h.fx.constraints.SetRule(h.fx.movie_domain,
                            std::make_unique<AnyMergeRule>("movies"));
+  CandidateGenerator generator(&h.fx.constraints, &h.fx.ctx);
+  const std::vector<Candidate> candidates = generator.Generate(
+      *h.fx.p0, MappingState(&h.fx.registry, PhiConfig{}),
+      CandidateOptions{});
+  ASSERT_TRUE(std::any_of(candidates.begin(), candidates.end(),
+                          [&](const Candidate& c) {
+                            return c.domain == h.fx.movie_domain;
+                          }));
+
   SummarizerOptions options;
   options.max_steps = 1;
   options.group_equivalent_first = false;
-  options.incremental = SummarizerOptions::Incremental::kEuclidean;
   const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
   auto outcome = h.Run(options);
   const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
   ASSERT_TRUE(outcome.ok());
-  const SummaryOutcome& o = outcome.value();
-  EXPECT_GT(o.incremental_hits, 0);       // user merges price incrementally
-  EXPECT_GT(o.incremental_fallbacks, 0);  // movie merges cannot
-  EXPECT_EQ(after.CounterValue("prox_summarize_incremental_hits_total") -
-                before.CounterValue("prox_summarize_incremental_hits_total"),
-            static_cast<double>(o.incremental_hits));
-  EXPECT_EQ(
-      after.CounterValue("prox_summarize_incremental_fallbacks_total") -
-          before.CounterValue("prox_summarize_incremental_fallbacks_total"),
-      static_cast<double>(o.incremental_fallbacks));
-}
-
-TEST(InstrumentationTest, OutcomeCountsAreZeroWithoutIncremental) {
-  Harness h;
-  SummarizerOptions options;
-  options.max_steps = 2;
-  auto outcome = h.Run(options);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome.value().incremental_hits, 0);
-  EXPECT_EQ(outcome.value().incremental_fallbacks, 0);
+  ASSERT_EQ(outcome.value().steps.size(), 1u);
+  EXPECT_EQ(outcome.value().steps[0].num_candidates,
+            static_cast<int>(candidates.size()));
+  auto delta = [&](const char* name) {
+    return after.CounterValue(name) - before.CounterValue(name);
+  };
+  EXPECT_EQ(delta("prox_kernel_scalar_fallback_total"), 0.0);
+  EXPECT_GT(delta("prox_kernel_batch_evals_total"), 0.0);
+  EXPECT_EQ(delta("prox_kernel_batch_evals_total"),
+            delta("prox_distance_enumerated_evals_total"));
 }
 
 TEST(InstrumentationTest, TimingsSurviveDisabledObservability) {

@@ -1,14 +1,10 @@
 // AVG aggregation: the (sum, count) pair monoid of Section 2.2, with
-// count-weighted projection and incremental-scorer support.
+// count-weighted projection.
 
 #include <gtest/gtest.h>
 
 #include "provenance/aggregate_expr.h"
 #include "provenance/io.h"
-#include "summarize/distance.h"
-#include "summarize/incremental.h"
-#include "summarize/val_func.h"
-#include "summarize/valuation_class.h"
 #include "testing/fixtures.h"
 
 namespace prox {
@@ -86,34 +82,6 @@ TEST(AvgAggregationTest, SerializationRoundTrips) {
   const AggregateFacade* agg = parsed.value()->AsAggregate();
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(agg->agg_kind(), AggKind::kAvg);
-}
-
-TEST(AvgAggregationTest, IncrementalScorerMatchesNaive) {
-  MovieFixture fx;
-  auto avg = AvgCopy(fx);
-
-  CancelSingleAnnotation cls;
-  auto valuations = cls.Generate(*avg, fx.ctx);
-  EuclideanValFunc vf;
-  EnumeratedDistance oracle(avg.get(), &fx.registry, &vf, valuations);
-  MappingState state(&fx.registry, PhiConfig{});
-  auto scorer = IncrementalScorer::Create(
-      avg.get(), &oracle, &state, IncrementalScorer::Metric::kEuclidean);
-  ASSERT_NE(scorer, nullptr);
-
-  for (auto roots : {std::vector<AnnotationId>{fx.u1, fx.u2},
-                     std::vector<AnnotationId>{fx.u1, fx.u3},
-                     std::vector<AnnotationId>{fx.u2, fx.u3}}) {
-    IncrementalScorer::Score fast = scorer->ScoreMerge(roots);
-    AnnotationId tmp = fx.registry.AddSummary(fx.user_domain, "~tmp");
-    MappingState tentative = state;
-    tentative.Merge(roots, tmp);
-    Homomorphism h;
-    for (AnnotationId r : roots) h.Set(r, tmp);
-    auto cand = avg->Apply(h);
-    EXPECT_NEAR(fast.distance, oracle.Distance(*cand, tentative), 1e-12);
-    EXPECT_EQ(fast.size, cand->Size());
-  }
 }
 
 TEST(AvgAggregationTest, SpammerProvisioningChangesAverage) {

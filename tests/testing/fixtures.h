@@ -2,6 +2,7 @@
 #define PROX_TESTS_TESTING_FIXTURES_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ir/adopt.h"
@@ -9,6 +10,7 @@
 #include "provenance/annotation.h"
 #include "semantics/constraints.h"
 #include "semantics/context.h"
+#include "summarize/val_func.h"
 
 namespace prox {
 namespace testing_fixtures {
@@ -37,6 +39,27 @@ inline std::vector<TensorTerm> TermsOf(const ProvenanceExpression& e) {
   }
   return terms;
 }
+
+/// A VAL-FUNC that forwards to `inner` but has no batch counterpart
+/// (batch_kind() stays kNone), so the distance oracles price every call
+/// through their per-valuation scalar loop: the reference the batch
+/// kernels are checked against bit for bit.
+class ScalarReferenceValFunc : public ValFunc {
+ public:
+  explicit ScalarReferenceValFunc(const ValFunc* inner) : inner_(inner) {}
+
+  double Compute(const EvalResult& orig,
+                 const EvalResult& summ) const override {
+    return inner_->Compute(orig, summ);
+  }
+  double MaxError(const EvalResult& all_true_orig) const override {
+    return inner_->MaxError(all_true_orig);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  const ValFunc* inner_;
+};
 
 /// The running example of Chapters 3-4: users U1 (F, Audience),
 /// U2 (F, Critic), U3 (M, Audience) rating "Match Point" (3, 5, 3) and U2
