@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "datasets/ddp.h"
-#include "provenance/facade.h"
+#include "ir/ddp_expr.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
 
@@ -23,11 +23,11 @@ int main() {
   config.seed = 21;
   Dataset ds = DdpGenerator::Generate(config);
 
-  // Datasets and summaries are flat prox::ir expressions; read their
-  // structure through the DdpFacade.
-  const DdpFacade* ddp = ds.provenance->AsDdp();
+  // Datasets and summaries are flat prox::ir expressions; AsDdp() reads
+  // their DDP structure.
+  const ir::IrDdpExpression* ddp = ds.provenance->AsDdp();
   std::printf("DDP provenance: %zu executions, size %lld:\n  %s\n\n",
-              ddp->ddp_num_executions(),
+              ddp->num_executions(),
               static_cast<long long>(ds.provenance->Size()),
               ds.provenance->ToString(*ds.registry).c_str());
 
@@ -50,9 +50,9 @@ int main() {
                 outcome.status().ToString().c_str());
     return 1;
   }
-  const DdpFacade* summary_ddp = outcome.value().summary->AsDdp();
+  const ir::IrDdpExpression* summary_ddp = outcome.value().summary->AsDdp();
   std::printf("summary: %zu executions, size %lld, distance %.4f:\n  %s\n\n",
-              summary_ddp->ddp_num_executions(),
+              summary_ddp->num_executions(),
               static_cast<long long>(outcome.value().final_size),
               outcome.value().final_distance,
               outcome.value().summary->ToString(*ds.registry).c_str());

@@ -6,8 +6,7 @@
 
 #include <cstdio>
 
-#include "ir/adopt.h"
-#include "provenance/aggregate_expr.h"
+#include "ir/agg_expr.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
 #include "summarize/val_func.h"
@@ -46,23 +45,20 @@ int main() {
   // --- 2. Provenance: P0 from Example 4.2.3. -----------------------------
   //   U1⊗(3,1) ⊕ U2⊗(5,1) ⊕ U3⊗(3,1)  for "Match Point"
   //   U2⊗(4,1)                         for "Blue Jasmine"
-  // The builder collects the terms; ir::Adopt turns them into the flat
-  // expression every summarization API works on.
-  AggregateExpression builder(AggKind::kMax);
+  // Terms are appended straight into the flat expression every
+  // summarization API works on (its monomials are interned into a
+  // TermPool); one Canonicalize() sorts and merges them.
+  auto p0 = std::make_unique<ir::IrAggregateExpression>(
+      AggKind::kMax, std::make_shared<ir::TermPool>());
   auto rate = [&](AnnotationId user, AnnotationId movie, double score) {
-    TensorTerm t;
-    t.monomial = Monomial({user, movie});
-    t.group = movie;
-    t.value = AggValue{score, 1.0};
-    builder.AddTerm(std::move(t));
+    p0->AddTerm(Monomial({user, movie}), /*group=*/movie,
+                AggValue{score, 1.0});
   };
   rate(u1, match_point, 3);
   rate(u2, match_point, 5);
   rate(u3, match_point, 3);
   rate(u2, blue_jasmine, 4);
-  builder.Simplify();
-  std::unique_ptr<ProvenanceExpression> p0 =
-      ir::Adopt(builder, std::make_shared<ir::TermPool>());
+  p0->Canonicalize();
   std::printf("original provenance (size %lld):\n  %s\n\n",
               static_cast<long long>(p0->Size()),
               p0->ToString(registry).c_str());

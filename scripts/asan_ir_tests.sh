@@ -12,7 +12,10 @@
 # maintainer replays borrowed mapping state, docs/INGEST.md), plus the
 # engine facade and C-ABI suites (`engine` label — the flat boundary
 # hands malloc'd strings across an allocator seam and must reject
-# use-after-close without touching freed memory, docs/EMBEDDING.md).
+# use-after-close without touching freed memory, docs/EMBEDDING.md),
+# and the s-expression reader's suites (`IoTest`, `ParserFuzzTest` in
+# prox_provenance_test — the reader parses untrusted text and appends
+# rows straight into a fresh TermPool).
 # The IR core hands out raw spans into a shared arena
 # and resolves overlay-tagged 32-bit ids against two pools; the store
 # layer parses attacker-shaped bytes out of an mmap — exactly the kind of
@@ -34,11 +37,13 @@ cmake -B "$build_dir" -S . \
 cmake --build "$build_dir" \
   --target prox_ir_test prox_ir_golden_test prox_kernels_test \
   prox_kernels_golden_test prox_store_test prox_ingest_test \
-  prox_engine_test prox_capi_test -j
+  prox_engine_test prox_capi_test prox_provenance_test -j "$(nproc)"
 ctest --test-dir "$build_dir" -L ir --output-on-failure
 ctest --test-dir "$build_dir" -L store --output-on-failure
 ctest --test-dir "$build_dir" -L ingest --output-on-failure
 ctest --test-dir "$build_dir" -L engine --output-on-failure
 ctest --test-dir "$build_dir" \
   -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest' \
+  --output-on-failure
+ctest --test-dir "$build_dir" -R '^(IoTest|(Seeds/)?ParserFuzzTest)[.]' \
   --output-on-failure

@@ -11,10 +11,11 @@
 #   3. libprox_c.so exports only prox_* symbols: the version script and
 #      --exclude-libs must keep the statically linked C++ engine out of
 #      the dynamic symbol table.
-#   4. One provenance representation (docs/IR.md): no `use_ir` switch
-#      under src/, tests/, bench/ or examples/, and only the producers
-#      (datasets/, workflow/, ddp/, provenance/) and ir/adopt.cc name the
-#      pointer-tree builder classes.
+#   4. One provenance representation (docs/IR.md): no `use_ir` switch,
+#      and none of the retired pointer-tree builders or their facades
+#      (`AggregateExpression`, `DdpExpression`, `PolynomialExpression`,
+#      `AggregateFacade`, `DdpFacade`, `TensorTerm`) under src/, tests/,
+#      bench/ or examples/: producers append straight into prox::ir.
 #   5. One candidate-pricing path (docs/KERNELS.md): the batch kernels
 #      price every candidate, so no `IncrementalScorer`,
 #      `summarize/incremental.h` or `SummarizerOptions::Incremental`
@@ -117,23 +118,27 @@ else
 fi
 
 # --- 4. one provenance representation ------------------------------------
-# Datasets are born prox::ir; the pointer-tree classes are builders that
-# only their producers and ir::Adopt may name. -w matches whole words, so
-# IrAggregateExpression and its siblings pass.
+# Every producer appends rows straight into the prox::ir builders; the
+# pointer-tree builders and their virtual facades must not come back.
+# -w matches whole words, so IrAggregateExpression and its siblings pass.
+representation_ok=1
 offenders=$(grep -rnw 'use_ir' src tests bench examples || true)
 if [[ -n "$offenders" ]]; then
   fail "use_ir is back (the summarizer runs one representation):"
   printf '%s\n' "$offenders" >&2
+  representation_ok=0
 fi
-offenders=$(grep -rnwE 'AggregateExpression|DdpExpression|PolynomialExpression' \
-    src --exclude-dir=datasets --exclude-dir=workflow --exclude-dir=ddp \
-    --exclude-dir=provenance \
-  | grep -v '^src/ir/adopt\.cc:' || true)
+offenders=$(grep -rnwE \
+    'AggregateExpression|DdpExpression|PolynomialExpression|AggregateFacade|DdpFacade|TensorTerm' \
+    src tests bench examples || true)
 if [[ -n "$offenders" ]]; then
-  fail "pointer-tree builders named outside their producers and ir/adopt.cc:"
+  fail "a pointer-tree builder or facade is back (producers append into prox::ir):"
   printf '%s\n' "$offenders" >&2
+  representation_ok=0
 fi
-note "representation lint: OK (no use_ir; builders stay with their producers)"
+if [[ "$representation_ok" -eq 1 ]]; then
+  note "representation lint: OK (no use_ir; no pointer-tree builders)"
+fi
 
 # --- 5. one candidate-pricing path ---------------------------------------
 # Both oracles have one batch branch (group-key merges go through the

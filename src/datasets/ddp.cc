@@ -6,8 +6,7 @@
 
 #include "common/rng.h"
 #include "ddp/machine.h"
-#include "ir/adopt.h"
-#include "provenance/ddp_expr.h"
+#include "ir/ddp_expr.h"
 
 namespace prox {
 
@@ -15,11 +14,9 @@ namespace {
 
 /// Machine-backed generation: build a random DDP machine and compile its
 /// execution provenance (the [17]-faithful path).
-std::unique_ptr<DdpExpression> GenerateFromMachine(const DdpConfig& config,
-                                                   AnnotationRegistry* reg,
-                                                   EntityTable* costs,
-                                                   EntityTable* db_table,
-                                                   Rng* rng) {
+std::unique_ptr<ir::IrDdpExpression> GenerateFromMachine(
+    const DdpConfig& config, AnnotationRegistry* reg, EntityTable* costs,
+    EntityTable* db_table, Rng* rng) {
   RandomMachineConfig machine_config;
   machine_config.num_states = config.machine_states;
   machine_config.num_cost_vars = config.num_cost_vars;
@@ -32,26 +29,19 @@ std::unique_ptr<DdpExpression> GenerateFromMachine(const DdpConfig& config,
   auto compiled = output.machine.CompileProvenance(
       config.max_transitions, /*max_executions=*/100000);
   if (compiled.ok()) {
-    std::unique_ptr<DdpExpression> expr = std::move(compiled).value();
-    // Keep the input reviewable: cap at num_executions executions.
-    if (expr->executions().size() >
-        static_cast<size_t>(config.num_executions)) {
-      auto capped = std::make_unique<DdpExpression>();
-      for (const auto& [var, cost] : expr->costs()) {
-        capped->SetCost(var, cost);
-      }
-      for (int i = 0; i < config.num_executions; ++i) {
-        capped->AddExecution(expr->executions()[i]);
-      }
-      capped->Simplify();
-      return capped;
-    }
+    std::unique_ptr<ir::IrDdpExpression> expr = std::move(compiled).value();
+    // Keep the input reviewable: the first num_executions executions in
+    // canonical order.
+    expr->TruncateExecutions(static_cast<size_t>(config.num_executions));
     return expr;
   }
   // Path explosion: fall back to an empty expression (callers treat this
   // as a degenerate input); with the default acyclic generator this does
   // not happen.
-  return std::make_unique<DdpExpression>();
+  auto empty =
+      std::make_unique<ir::IrDdpExpression>(std::make_shared<ir::TermPool>());
+  empty->Canonicalize();
+  return empty;
 }
 
 }  // namespace
@@ -78,12 +68,9 @@ Dataset DdpGenerator::Generate(const DdpConfig& config) {
   AttrId table_attr = db_table.AddAttribute("Table");
   (void)table_attr;
 
-  auto expr = std::make_unique<DdpExpression>();
-
   if (config.from_machine) {
-    expr = GenerateFromMachine(config, ds.registry.get(), &cost_table,
-                               &db_table, &rng);
-    ds.provenance = ir::Adopt(*expr, std::make_shared<ir::TermPool>());
+    ds.provenance = GenerateFromMachine(config, ds.registry.get(),
+                                        &cost_table, &db_table, &rng);
     ds.constraints.SetRule(cost_domain, std::make_unique<NumericToleranceRule>(
                                             cost_attr, config.cost_tolerance));
     ds.constraints.SetRule(db_domain, std::make_unique<AnyMergeRule>("D"));
@@ -96,6 +83,8 @@ Dataset DdpGenerator::Generate(const DdpConfig& config) {
     return ds;
   }
 
+  auto expr =
+      std::make_unique<ir::IrDdpExpression>(std::make_shared<ir::TermPool>());
   std::vector<AnnotationId> cost_anns;
   for (int c = 0; c < config.num_cost_vars; ++c) {
     int cost = 1 + static_cast<int>(rng.PickIndex(config.max_cost));
@@ -124,16 +113,20 @@ Dataset DdpGenerator::Generate(const DdpConfig& config) {
   // collapses two executions into one). This gives summarization actual
   // size-reduction opportunities — DDP expressions shrink only when whole
   // executions become identical.
+  auto add_execution = [&expr](const std::vector<DdpTransition>& exec) {
+    expr->BeginExecution();
+    for (const DdpTransition& t : exec) t.AppendTo(expr.get());
+  };
   const int num_templates = std::max(1, config.num_executions / 2);
   int emitted = 0;
   for (int f = 0; f < num_templates && emitted < config.num_executions;
        ++f) {
-    DdpExecution base;
+    std::vector<DdpTransition> base;
     int len = static_cast<int>(
         rng.UniformRange(config.min_transitions, config.max_transitions));
     for (int t = 0; t < len; ++t) {
       if (rng.Bernoulli(0.5)) {
-        base.transitions.push_back(
+        base.push_back(
             DdpTransition::User(cost_anns[rng.PickIndex(cost_anns.size())]));
       } else {
         int arity = rng.Bernoulli(0.6) ? 2 : 1;
@@ -141,19 +134,18 @@ Dataset DdpGenerator::Generate(const DdpConfig& config) {
         for (int a = 0; a < arity; ++a) {
           factors.push_back(db_anns[rng.PickIndex(db_anns.size())]);
         }
-        base.transitions.push_back(DdpTransition::Db(
-            Monomial(std::move(factors)), /*nonzero=*/rng.Bernoulli(0.7)));
+        base.push_back(DdpTransition::Db(Monomial(std::move(factors)),
+                                         /*nonzero=*/rng.Bernoulli(0.7)));
       }
     }
-    expr->AddExecution(base);
+    add_execution(base);
     ++emitted;
 
     // 1-2 variants, each swapping one variable of the base skeleton.
     int variants = 1 + static_cast<int>(rng.PickIndex(2));
     for (int v = 0; v < variants && emitted < config.num_executions; ++v) {
-      DdpExecution variant = base;
-      DdpTransition& t =
-          variant.transitions[rng.PickIndex(variant.transitions.size())];
+      std::vector<DdpTransition> variant = base;
+      DdpTransition& t = variant[rng.PickIndex(variant.size())];
       if (t.kind == DdpTransition::Kind::kUser) {
         t.cost_var = cost_anns[rng.PickIndex(cost_anns.size())];
       } else {
@@ -162,12 +154,12 @@ Dataset DdpGenerator::Generate(const DdpConfig& config) {
             db_anns[rng.PickIndex(db_anns.size())];
         t.db_factors = Monomial(std::move(factors));
       }
-      expr->AddExecution(std::move(variant));
+      add_execution(variant);
       ++emitted;
     }
   }
-  expr->Simplify();
-  ds.provenance = ir::Adopt(*expr, std::make_shared<ir::TermPool>());
+  expr->Canonicalize();
+  ds.provenance = std::move(expr);
 
   // --- Constraints, valuations, VAL-FUNC per Table 5.1 / Example 5.2.2. --
   ds.constraints.SetRule(cost_domain, std::make_unique<NumericToleranceRule>(

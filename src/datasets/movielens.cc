@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "common/rng.h"
-#include "ir/adopt.h"
-#include "provenance/aggregate_expr.h"
+#include "ir/agg_expr.h"
 
 namespace prox {
 
@@ -121,42 +121,45 @@ Dataset MovieLensGenerator::Generate(const MovieLensConfig& config) {
   // --- Ratings → provenance expression (Table 5.1 movie structure). ------
   ZipfSampler movie_pop(static_cast<size_t>(config.num_movies),
                         config.zipf_skew);
-  auto expr = std::make_unique<AggregateExpression>(config.agg);
+  auto expr = std::make_unique<ir::IrAggregateExpression>(
+      config.agg, std::make_shared<ir::TermPool>());
+  struct Rating {
+    size_t movie;
+    double score;
+  };
   for (int u = 0; u < config.num_users; ++u) {
     int count = std::max<int64_t>(
         1, config.ratings_per_user + rng.UniformRange(-1, 1));
     std::set<size_t> rated;
-    std::vector<TensorTerm> user_terms;
+    std::vector<Rating> user_ratings;
     for (int r = 0; r < count; ++r) {
       size_t m = movie_pop.Sample(&rng);
       if (!rated.insert(m).second) continue;  // no duplicate ratings
       double raw = movie_quality[m] + user_bias[u] + 0.8 * rng.Normal();
       double rating = std::clamp(std::round(raw), 1.0, 5.0);
-      TensorTerm term;
-      term.monomial =
-          Monomial({user_anns[u], movie_anns[m], movie_year_ann[m]});
-      term.group = movie_anns[m];
-      term.value = AggValue{rating, 1.0};
-      user_terms.push_back(std::move(term));
+      user_ratings.push_back(Rating{m, rating});
 
       ds.features[user_domain][user_anns[u]][movie_anns[m]] = rating;
     }
+    std::optional<Guard> guard;
     if (config.with_guards) {
       // Example 2.2.1's activity guard: [S_u·U_u ⊗ NumRate > min_reviews].
       AnnotationId stats_ann =
           ds.registry
               ->Add(stats_domain, "S_" + ds.registry->name(user_anns[u]))
               .MoveValue();
-      const double num_rate = static_cast<double>(user_terms.size());
-      for (TensorTerm& term : user_terms) {
-        term.guard = Guard(Monomial({stats_ann, user_anns[u]}), num_rate,
-                           CompareOp::kGt, config.min_reviews);
-      }
+      const double num_rate = static_cast<double>(user_ratings.size());
+      guard = Guard(Monomial({stats_ann, user_anns[u]}), num_rate,
+                    CompareOp::kGt, config.min_reviews);
     }
-    for (TensorTerm& term : user_terms) expr->AddTerm(std::move(term));
+    for (const Rating& r : user_ratings) {
+      const AnnotationId movie = movie_anns[r.movie];
+      expr->AddTerm(Monomial({user_anns[u], movie, movie_year_ann[r.movie]}),
+                    movie, AggValue{r.score, 1.0}, guard);
+    }
   }
-  expr->Simplify();
-  ds.provenance = ir::Adopt(*expr, std::make_shared<ir::TermPool>());
+  expr->Canonicalize();
+  ds.provenance = std::move(expr);
 
   // --- Constraints, valuation class and VAL-FUNC per Table 5.1. ----------
   ds.constraints.SetRule(user_domain,

@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ir/adopt.h"
-#include "provenance/aggregate_expr.h"
+#include "ir/agg_expr.h"
 
 namespace prox {
 
@@ -126,7 +125,8 @@ Dataset WikipediaGenerator::Generate(const WikipediaConfig& config) {
   // --- Edits → provenance (SUM of edit types per page). -------------------
   ZipfSampler page_pop(static_cast<size_t>(config.num_pages),
                        config.zipf_skew);
-  auto expr = std::make_unique<AggregateExpression>(AggKind::kSum);
+  auto expr = std::make_unique<ir::IrAggregateExpression>(
+      AggKind::kSum, std::make_shared<ir::TermPool>());
   for (int u = 0; u < config.num_users; ++u) {
     int count = std::max<int64_t>(
         1, config.edits_per_user + rng.UniformRange(-1, 1));
@@ -137,18 +137,15 @@ Dataset WikipediaGenerator::Generate(const WikipediaConfig& config) {
       // Top contributors make major edits more often.
       double major_prob = 0.3 + 0.25 * user_level[u];
       double edit_type = rng.Bernoulli(major_prob) ? 1.0 : 0.0;
-      TensorTerm term;
-      term.monomial = Monomial({user_anns[u], page_anns[p]});
-      term.group = page_anns[p];
-      term.value = AggValue{edit_type, 1.0};
-      expr->AddTerm(std::move(term));
+      expr->AddTerm(Monomial({user_anns[u], page_anns[p]}), page_anns[p],
+                    AggValue{edit_type, 1.0});
 
       ds.features[user_domain][user_anns[u]][page_anns[p]] = edit_type;
       ds.features[page_domain][page_anns[p]][user_anns[u]] = edit_type;
     }
   }
-  expr->Simplify();
-  ds.provenance = ir::Adopt(*expr, std::make_shared<ir::TermPool>());
+  expr->Canonicalize();
+  ds.provenance = std::move(expr);
 
   // --- Constraints, valuations, VAL-FUNC per Table 5.1. -------------------
   ds.constraints.SetRule(user_domain,

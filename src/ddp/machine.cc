@@ -5,9 +5,10 @@
 
 namespace prox {
 
-Result<std::unique_ptr<DdpExpression>> DdpMachine::CompileProvenance(
+Result<std::unique_ptr<ir::IrDdpExpression>> DdpMachine::CompileProvenance(
     int max_transitions, size_t max_executions) const {
-  auto expr = std::make_unique<DdpExpression>();
+  auto expr =
+      std::make_unique<ir::IrDdpExpression>(std::make_shared<ir::TermPool>());
   for (const auto& [var, cost] : costs_) expr->SetCost(var, cost);
 
   // Adjacency index.
@@ -32,9 +33,8 @@ Result<std::unique_ptr<DdpExpression>> DdpMachine::CompileProvenance(
         overflow = true;
         return;
       }
-      DdpExecution exec;
-      for (const Edge* e : path) exec.transitions.push_back(e->transition);
-      expr->AddExecution(std::move(exec));
+      expr->BeginExecution();
+      for (const Edge* e : path) e->transition.AppendTo(expr.get());
     }
     if (static_cast<int>(path.size()) >= max_transitions) return;
     for (const Edge* e : out_edges[state]) {
@@ -49,7 +49,7 @@ Result<std::unique_ptr<DdpExpression>> DdpMachine::CompileProvenance(
         "machine admits more than " + std::to_string(max_executions) +
         " executions of length <= " + std::to_string(max_transitions));
   }
-  expr->Simplify();
+  expr->Canonicalize();
   return expr;
 }
 

@@ -4,14 +4,54 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "provenance/ddp_expr.h"
+#include "ir/ddp_expr.h"
+#include "provenance/monomial.h"
 #include "semantics/entity_table.h"
 
 namespace prox {
+
+/// \brief One edge label of a DdpMachine (Example 5.2.2, after [17]).
+///
+/// Either a user-dependent transition `⟨c_k, 1⟩` carrying the cost variable
+/// `c_k` (the user's effort), or a database-dependent transition
+/// `⟨0, [d_i·d_j] ≠ 0⟩` / `⟨0, [d_i·d_j] = 0⟩` guarded by a product of DB
+/// tuple variables.
+struct DdpTransition {
+  enum class Kind { kUser, kDb };
+
+  Kind kind = Kind::kUser;
+  AnnotationId cost_var = kNoAnnotation;  // kUser only
+  Monomial db_factors;                    // kDb only
+  bool nonzero = true;                    // kDb: true = "≠ 0", false = "= 0"
+
+  static DdpTransition User(AnnotationId cost_var) {
+    DdpTransition t;
+    t.kind = Kind::kUser;
+    t.cost_var = cost_var;
+    return t;
+  }
+  static DdpTransition Db(Monomial factors, bool nonzero) {
+    DdpTransition t;
+    t.kind = Kind::kDb;
+    t.db_factors = std::move(factors);
+    t.nonzero = nonzero;
+    return t;
+  }
+
+  /// Appends this transition to `expr`'s current execution.
+  void AppendTo(ir::IrDdpExpression* expr) const {
+    if (kind == Kind::kUser) {
+      expr->AddUserTransition(cost_var);
+    } else {
+      expr->AddDbTransition(db_factors, nonzero);
+    }
+  }
+};
 
 /// \brief A data-dependent process (Deutch-Milo [17], as used by the
 /// thesis's DDP dataset, Example 5.2.2): an application "whose control
@@ -24,7 +64,7 @@ namespace prox {
 /// (`[d_i·d_j] ≠ 0` — the tuples exist — or `= 0`).
 ///
 /// The provenance of the process is the sum over accepting executions of
-/// the product of their transition tokens — exactly the DdpExpression the
+/// the product of their transition tokens — exactly the DDP expression the
 /// summarizer consumes; CompileProvenance materializes it.
 class DdpMachine {
  public:
@@ -58,13 +98,14 @@ class DdpMachine {
   }
 
   /// Enumerates every execution (path from state 0 to an accepting state)
-  /// of at most `max_transitions` transitions and compiles the DDP
-  /// provenance expression: Σ over executions of Π of transition tokens,
-  /// with the tropical/boolean evaluation semantics of Example 5.2.2.
+  /// of at most `max_transitions` transitions and compiles the canonical
+  /// DDP provenance expression on a fresh TermPool: Σ over executions of
+  /// Π of transition tokens, with the tropical/boolean evaluation
+  /// semantics of Example 5.2.2.
   ///
   /// Fails when the enumeration would exceed `max_executions` paths (the
   /// summarization input must stay finite and reviewable).
-  Result<std::unique_ptr<DdpExpression>> CompileProvenance(
+  Result<std::unique_ptr<ir::IrDdpExpression>> CompileProvenance(
       int max_transitions, size_t max_executions = 4096) const;
 
  private:

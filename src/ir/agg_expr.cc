@@ -57,14 +57,46 @@ void IrAggregateExpression::AddTermIds(MonomialId mono, GuardId guard,
   value_.push_back(value);
 }
 
+void IrAggregateExpression::AddTerm(const Monomial& mono, AnnotationId group,
+                                    AggValue value,
+                                    const std::optional<Guard>& guard) {
+  const auto& f = mono.factors();
+  const MonomialId mono_id = pool_->InternMonomial(f.data(), f.size());
+  GuardId guard_id = kNoGuard;
+  if (guard) {
+    const auto& gf = guard->factors().factors();
+    guard_id = pool_->InternGuard(pool_->InternMonomial(gf.data(), gf.size()),
+                                  guard->scalar(), guard->op(),
+                                  guard->threshold());
+  }
+  AddTermIds(mono_id, guard_id, group, value);
+}
+
+IrAggregateExpression::InternedRow IrAggregateExpression::InternRow(
+    size_t i, TermPool* pool) const {
+  const PoolView pv = view();
+  InternedRow row;
+  row.mono = pool->InternMonomial(pv.mono_data(mono_[i]),
+                                  pv.mono_len(mono_[i]));
+  if (guard_[i] != kNoGuard) {
+    const GuardRow& g = pv.guard(guard_[i]);
+    row.guard = pool->InternGuard(
+        pool->InternMonomial(pv.mono_data(g.mono), pv.mono_len(g.mono)),
+        g.scalar, g.op, g.threshold);
+  }
+  row.group = group_[i];
+  row.value = value_[i];
+  return row;
+}
+
 void IrAggregateExpression::Canonicalize() {
   const size_t n = mono_.size();
   const PoolView pv = view();
 
-  // Index sort with the exact decision order of the builder's TermLess
-  // comparator (group, monomial content, guard-less first, guard content):
-  // same input order + equivalent comparator => the same introsort
-  // permutation, so equal-keyed merges fold in the same float order.
+  // Index sort on (group, monomial content, guard-less first, guard
+  // content). The goldens pin the resulting introsort permutation: rows
+  // appended in the same order fold equal-keyed merges in the same float
+  // order, so this comparator's decision sequence must not change.
   std::vector<uint32_t> idx(n);
   std::iota(idx.begin(), idx.end(), 0u);
   std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
@@ -437,7 +469,7 @@ std::string IrAggregateExpression::ToString(
   return out;
 }
 
-AggTermView IrAggregateExpression::agg_term(size_t i) const {
+AggTermView IrAggregateExpression::term(size_t i) const {
   const PoolView pv = view();
   AggTermView view;
   view.mono = pv.mono_data(mono_[i]);

@@ -2,6 +2,7 @@
 #define PROX_IR_AGG_EXPR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,20 +10,42 @@
 #include "kernels/batch_eval.h"
 #include "provenance/agg_value.h"
 #include "provenance/expression.h"
-#include "provenance/facade.h"
+#include "provenance/guard.h"
+#include "provenance/monomial.h"
 
 namespace prox {
 namespace ir {
 
-/// \brief Flat structure-of-arrays aggregate expression — the runtime
-/// form of the aggregate provenance structure (docs/IR.md).
+/// One aggregate tensor term `monomial · [guard] ⊗ (value, count)` as read
+/// through IrAggregateExpression::term(). The spans point into the pool
+/// arena: consume a view before the next mutation or intern, never store
+/// it.
+struct AggTermView {
+  const AnnotationId* mono = nullptr;
+  size_t mono_len = 0;
+  AnnotationId group = kNoAnnotation;
+  AggValue value;
+  bool has_guard = false;
+  const AnnotationId* guard_mono = nullptr;
+  size_t guard_len = 0;
+  double guard_scalar = 0.0;
+  CompareOp guard_op = CompareOp::kGt;
+  double guard_threshold = 0.0;
+};
+
+/// \brief Flat structure-of-arrays aggregate expression — the one form of
+/// the aggregate provenance structure of Section 2.2 ([7, 6]) shared by the
+/// MovieLens and Wikipedia datasets (docs/IR.md).
 ///
 /// One term is a row across four parallel columns (monomial id, guard id,
 /// group key, aggregate value); factor spans live in the shared TermPool
-/// arena. Canonical form is the term order the builder's Simplify()
-/// produces — (group, monomial, guard) with equal-keyed rows merged — so
-/// ToString(), Evaluate() and the facade view match the frozen goldens in
-/// tests/ir/golden/ byte for byte.
+/// arena. Producers append rows (AddTerm / AddTermIds) and finish with one
+/// Canonicalize(). Canonical form sorts rows by (group, monomial content,
+/// guard-less first, guard content) and merges equal-keyed rows under the
+/// congruence `k⊗v₁ ⊕ k⊗v₂ ≡ k⊗(v₁ agg v₂)` (Example 3.1.1's step from
+/// `U₁⊗(3,1) ⊕ U₂⊗(5,1)` to `Female⊗(5,2)`). The sort permutation and
+/// merge order are pinned by the frozen goldens in tests/ir/golden/:
+/// ToString(), Evaluate() and term() must match them byte for byte.
 ///
 /// Apply() is copy-on-write: rows whose factors the homomorphism fixes
 /// keep their interned monomial id (no allocation, no hashing); only
@@ -31,7 +54,6 @@ namespace ir {
 /// fresh expression-local overlay pool (ids tagged kOverlayBit), so
 /// workers never mutate shared state.
 class IrAggregateExpression : public ProvenanceExpression,
-                              public AggregateFacade,
                               public kernels::BatchEvalFacade {
  public:
   IrAggregateExpression(AggKind agg, std::shared_ptr<TermPool> pool)
@@ -45,10 +67,30 @@ class IrAggregateExpression : public ProvenanceExpression,
   /// Distinct group keys, sorted (the coordinates of evaluation vectors).
   const std::vector<AnnotationId>& Groups() const { return groups_; }
 
+  /// Term `i` in canonical order.
+  AggTermView term(size_t i) const;
+  AnnotationId group(size_t i) const { return group_[i]; }
+
   /// Builder (main thread): append a row, then Canonicalize() once.
   /// `mono` / `guard` must be ids in the shared pool (untagged).
   void AddTermIds(MonomialId mono, GuardId guard, AnnotationId group,
                   AggValue value);
+
+  /// Builder (main thread): interns `mono` (and `guard`, when set) into
+  /// the shared pool and appends the row.
+  void AddTerm(const Monomial& mono, AnnotationId group, AggValue value,
+               const std::optional<Guard>& guard = std::nullopt);
+
+  /// Row `i` with its monomial and guard re-interned into `pool` — the
+  /// one way a row moves between pools (ir::Adopt, selections, snapshot
+  /// encoding). Main thread only.
+  struct InternedRow {
+    MonomialId mono = kInvalidMonomial;
+    GuardId guard = kNoGuard;
+    AnnotationId group = kNoAnnotation;
+    AggValue value;
+  };
+  InternedRow InternRow(size_t i, TermPool* pool) const;
 
   /// Pre-reserves the four term columns for `extra` upcoming AddTermIds
   /// calls (batched ingest appends grow once instead of per row).
@@ -81,13 +123,8 @@ class IrAggregateExpression : public ProvenanceExpression,
                                const Homomorphism& h) const override;
   std::unique_ptr<ProvenanceExpression> Clone() const override;
   std::string ToString(const AnnotationRegistry& registry) const override;
-  const AggregateFacade* AsAggregate() const override { return this; }
+  const IrAggregateExpression* AsAggregate() const override { return this; }
   const kernels::BatchEvalFacade* AsBatchEval() const override { return this; }
-
-  // AggregateFacade interface ----------------------------------------------
-  AggKind agg_kind() const override { return agg_; }
-  size_t agg_num_terms() const override { return mono_.size(); }
-  AggTermView agg_term(size_t i) const override;
 
   // BatchEvalFacade interface ----------------------------------------------
   kernels::BatchProgram LowerBatch() const override;

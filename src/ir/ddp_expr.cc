@@ -32,6 +32,11 @@ void IrDdpExpression::AddDbTransition(MonomialId db, bool nonzero) {
   exec_off_.back() = static_cast<uint32_t>(rows_.size());
 }
 
+void IrDdpExpression::AddDbTransition(const Monomial& db, bool nonzero) {
+  const auto& f = db.factors();
+  AddDbTransition(pool_->InternMonomial(f.data(), f.size()), nonzero);
+}
+
 void IrDdpExpression::SetCost(AnnotationId cost_var, double cost) {
   auto it = std::lower_bound(
       costs_.begin(), costs_.end(), cost_var,
@@ -52,9 +57,8 @@ double IrDdpExpression::CostOf(AnnotationId cost_var) const {
 
 int IrDdpExpression::CompareRows(const PoolView& pv, const TrRow& a,
                                  const TrRow& b) const {
-  // Builder order: std::tie(kind, cost_var, db_factors, nonzero) with
-  // kUser < kDb. A user row carries an empty db monomial and nonzero=true
-  // in the builder struct, so db/nonzero only discriminate between db rows.
+  // User rows first, then cost variable; db monomial content and then
+  // `= 0` before `≠ 0` only discriminate between two db rows.
   if (a.user != b.user) return a.user ? -1 : 1;
   if (a.cost_var != b.cost_var) return a.cost_var < b.cost_var ? -1 : 1;
   if (!a.user) {
@@ -69,8 +73,9 @@ void IrDdpExpression::Canonicalize() {
   const PoolView pv = view();
   const size_t num_exec = num_executions();
 
-  // Materialize executions, sort transitions within each (the builder
-  // sorts its transition vectors in place with DdpTransition::operator<).
+  // Materialize executions and sort transitions within each. The goldens
+  // pin both introsort permutations below, so the comparator's decision
+  // sequence must not change.
   std::vector<std::vector<TrRow>> execs(num_exec);
   for (size_t e = 0; e < num_exec; ++e) {
     execs[e].assign(rows_.begin() + exec_off_[e],
@@ -81,7 +86,7 @@ void IrDdpExpression::Canonicalize() {
               });
   }
   // Sort executions lexicographically over their transitions, then dedupe
-  // content-equal neighbours — the builder's sort + unique over executions.
+  // content-equal neighbours.
   auto exec_cmp = [&](const std::vector<TrRow>& a,
                       const std::vector<TrRow>& b) {
     const size_t n = std::min(a.size(), b.size());
@@ -109,6 +114,17 @@ void IrDdpExpression::Canonicalize() {
       size_ += r.user ? 1 : static_cast<int64_t>(pv.mono_len(r.db));
     }
     exec_off_.push_back(static_cast<uint32_t>(rows_.size()));
+  }
+}
+
+void IrDdpExpression::TruncateExecutions(size_t n) {
+  if (n >= num_executions()) return;
+  const PoolView pv = view();
+  exec_off_.resize(n + 1);
+  rows_.resize(exec_off_.back());
+  size_ = 0;
+  for (const TrRow& r : rows_) {
+    size_ += r.user ? 1 : static_cast<int64_t>(pv.mono_len(r.db));
   }
 }
 
@@ -311,8 +327,7 @@ std::string IrDdpExpression::ToString(const AnnotationRegistry& registry) const 
   return out;
 }
 
-DdpTransitionView IrDdpExpression::ddp_transition(size_t exec,
-                                                  size_t t) const {
+DdpTransitionView IrDdpExpression::transition(size_t exec, size_t t) const {
   const TrRow& r = rows_[exec_off_[exec] + t];
   DdpTransitionView view;
   view.user = r.user;

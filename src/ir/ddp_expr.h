@@ -9,27 +9,55 @@
 #include "ir/term_pool.h"
 #include "kernels/batch_eval.h"
 #include "provenance/expression.h"
-#include "provenance/facade.h"
+#include "provenance/monomial.h"
 
 namespace prox {
 namespace ir {
 
-/// \brief Flat DDP provenance — the runtime form of the DDP structure.
+/// One DDP transition as read through IrDdpExpression::transition(): a
+/// user effort ⟨c,1⟩ or a DB guard ⟨0,[m]≠0⟩ / ⟨0,[m]=0⟩. `db` points
+/// into the pool arena: consume the view before the next mutation or
+/// intern, never store it.
+struct DdpTransitionView {
+  bool user = true;
+  AnnotationId cost_var = kNoAnnotation;  // user transitions
+  const AnnotationId* db = nullptr;       // db transitions
+  size_t db_len = 0;
+  bool nonzero = true;
+};
+
+/// \brief Flat DDP provenance — the one form of the DDP structure: a
+/// +-sum of executions over the tropical × boolean semiring pair of [17]
+/// (Example 5.2.2).
 ///
 /// Executions are flattened into one transition-row vector addressed by
 /// per-execution offsets; DB-guard monomials are spans in the shared
-/// TermPool. Canonical form (transitions sorted within executions,
-/// executions sorted and deduped) and evaluation order replicate the
-/// builder's Simplify() decision for decision, so costs, ToString() and
-/// the facade view are byte-identical to the frozen goldens.
+/// TermPool. Producers append executions (BeginExecution, then
+/// Add*Transition) and costs, and finish with one Canonicalize():
+/// transitions sorted within executions (user before db, then cost
+/// variable, db monomial content, `= 0` before `≠ 0`), executions sorted
+/// lexicographically and deduped — sound because the tropical/existential
+/// interpretation is additively idempotent. Evaluation under a valuation
+/// yields `⟨C, true⟩` where C is the minimum total user effort over
+/// executions whose DB guards hold, or `⟨0, false⟩` when none is
+/// feasible. The frozen goldens in tests/ir/golden/ pin the canonical
+/// order, costs and ToString() byte for byte.
 class IrDdpExpression : public ProvenanceExpression,
-                        public DdpFacade,
                         public kernels::BatchEvalFacade {
  public:
   explicit IrDdpExpression(std::shared_ptr<TermPool> pool)
       : pool_(std::move(pool)) {}
 
   size_t num_executions() const { return exec_off_.empty() ? 0 : exec_off_.size() - 1; }
+  size_t num_transitions(size_t exec) const {
+    return exec_off_[exec + 1] - exec_off_[exec];
+  }
+  /// Transition `t` of execution `exec`, in canonical order.
+  DdpTransitionView transition(size_t exec, size_t t) const;
+  /// The cost table, sorted by cost variable.
+  const std::vector<std::pair<AnnotationId, double>>& costs() const {
+    return costs_;
+  }
   const std::shared_ptr<TermPool>& pool() const { return pool_; }
 
   /// Builder (main thread): start a new execution, then append its
@@ -38,11 +66,20 @@ class IrDdpExpression : public ProvenanceExpression,
   void BeginExecution();
   void AddUserTransition(AnnotationId cost_var);
   void AddDbTransition(MonomialId db, bool nonzero);
+  /// Interns `db` into the shared pool, then appends it.
+  void AddDbTransition(const Monomial& db, bool nonzero);
+  /// Associates a cost with a cost variable. When a homomorphism merges
+  /// cost variables, the summary variable's cost is the max of its
+  /// members' costs (consistent with the MAX φ combiner of Table 5.1).
   void SetCost(AnnotationId cost_var, double cost);
 
   /// Sorts transitions within executions, sorts/dedupes executions, and
-  /// recomputes the cached size — the builder's Simplify(), flat.
+  /// recomputes the cached size.
   void Canonicalize();
+
+  /// Keeps the first `n` executions (in the current order) and drops the
+  /// rest; a no-op when there are at most `n`.
+  void TruncateExecutions(size_t n);
 
   double CostOf(AnnotationId cost_var) const;
 
@@ -59,27 +96,15 @@ class IrDdpExpression : public ProvenanceExpression,
   }
   std::unique_ptr<ProvenanceExpression> Clone() const override;
   std::string ToString(const AnnotationRegistry& registry) const override;
-  const DdpFacade* AsDdp() const override { return this; }
+  const IrDdpExpression* AsDdp() const override { return this; }
   const kernels::BatchEvalFacade* AsBatchEval() const override { return this; }
 
   // BatchEvalFacade interface ----------------------------------------------
   kernels::BatchProgram LowerBatch() const override;
 
-  // DdpFacade interface ----------------------------------------------------
-  size_t ddp_num_executions() const override { return num_executions(); }
-  size_t ddp_num_transitions(size_t exec) const override {
-    return exec_off_[exec + 1] - exec_off_[exec];
-  }
-  DdpTransitionView ddp_transition(size_t exec, size_t t) const override;
-  std::vector<std::pair<AnnotationId, double>> ddp_costs() const override {
-    return costs_;
-  }
-
  private:
-  /// One transition row. For user transitions `db` is the empty monomial
-  /// and `nonzero` is true (the defaults of the builder's DdpTransition),
-  /// so content comparison over (user, cost_var, db, nonzero) reproduces
-  /// the builder's std::tie order exactly.
+  /// One transition row. User rows keep `db` invalid and `nonzero` true,
+  /// so CompareRows only looks at db/nonzero between two db rows.
   struct TrRow {
     bool user = true;
     AnnotationId cost_var = kNoAnnotation;

@@ -172,13 +172,12 @@ class TermPool {
 };
 
 /// \brief Resolves possibly overlay-tagged ids against a (shared, overlay)
-/// pool pair, and compares content the way the builder classes do.
+/// pool pair, and compares content.
 ///
-/// CompareMonomials replicates Monomial's defaulted `<=>` (lexicographic
-/// factor order); CompareGuards replicates Guard's defaulted `<=>`
-/// (factors, then scalar, then op, then threshold). The IR canonical sort
-/// uses these so it produces the byte-identical term order the builders'
-/// Simplify() produces.
+/// CompareMonomials is Monomial's defaulted `<=>` (lexicographic factor
+/// order); CompareGuards is Guard's defaulted `<=>` (factors, then scalar,
+/// then op, then threshold). The IR canonical sorts use these, so content
+/// order — never numeric id order — decides the canonical term order.
 class PoolView {
  public:
   PoolView(const TermPool* shared, const TermPool* overlay)

@@ -13,8 +13,10 @@
 
 namespace prox {
 
-class AggregateFacade;
-class DdpFacade;
+namespace ir {
+class IrAggregateExpression;
+class IrDdpExpression;
+}  // namespace ir
 
 namespace kernels {
 class BatchEvalFacade;
@@ -25,8 +27,8 @@ class BatchEvalFacade;
 /// The summarizer (Algorithm 1), the baselines and the PROX services are
 /// written against this interface so the aggregate (movie / Wikipedia)
 /// structure and the DDP structure plug in interchangeably. The flat
-/// prox::ir classes are its implementations (docs/IR.md); the pointer-tree
-/// classes of this directory are builders that ir::Adopt turns into one.
+/// prox::ir classes are its implementations (docs/IR.md); producers append
+/// rows into them directly.
 /// Implementations keep themselves *simplified* (canonical under the
 /// semiring axioms and tensor congruences) after Apply, since Size() feeds
 /// the candidate score directly.
@@ -61,11 +63,13 @@ class ProvenanceExpression {
   /// Human-readable polynomial form as printed by the PROX expression view.
   virtual std::string ToString(const AnnotationRegistry& registry) const = 0;
 
-  /// Structural facades (provenance/facade.h): non-null when the expression
-  /// is an aggregate / DDP structure. Consumers read structure through
-  /// these views instead of casting to a concrete class.
-  virtual const AggregateFacade* AsAggregate() const { return nullptr; }
-  virtual const DdpFacade* AsDdp() const { return nullptr; }
+  /// Structural access: non-null when the expression is an aggregate
+  /// (ir/agg_expr.h) / DDP (ir/ddp_expr.h) structure. Consumers read rows
+  /// through the returned class's views instead of casting.
+  virtual const ir::IrAggregateExpression* AsAggregate() const {
+    return nullptr;
+  }
+  virtual const ir::IrDdpExpression* AsDdp() const { return nullptr; }
 
   /// Batch-evaluation capability (kernels/batch_eval.h): non-null when the
   /// expression can lower itself into a flat BatchProgram for the SIMD

@@ -2,12 +2,12 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "common/str_util.h"
-#include "ir/adopt.h"
-#include "provenance/aggregate_expr.h"
-#include "provenance/ddp_expr.h"
+#include "ir/agg_expr.h"
+#include "ir/ddp_expr.h"
 
 namespace prox {
 
@@ -52,13 +52,13 @@ std::string WriteMonomial(const AnnotationRegistry& registry,
   return out;
 }
 
-std::string WriteAggregate(const AggregateFacade& expr,
+std::string WriteAggregate(const ir::IrAggregateExpression& expr,
                            const AnnotationRegistry& registry) {
   std::string out = "(aggregate ";
-  out += AggKindToString(expr.agg_kind());
-  const size_t num_terms = expr.agg_num_terms();
+  out += AggKindToString(expr.agg());
+  const size_t num_terms = expr.num_terms();
   for (size_t i = 0; i < num_terms; ++i) {
-    const AggTermView t = expr.agg_term(i);
+    const ir::AggTermView t = expr.term(i);
     out += "\n  (term ";
     out += WriteMonomial(registry, t.mono, t.mono_len);
     if (t.group != kNoAnnotation) {
@@ -78,19 +78,19 @@ std::string WriteAggregate(const AggregateFacade& expr,
   return out;
 }
 
-std::string WriteDdp(const DdpFacade& expr,
+std::string WriteDdp(const ir::IrDdpExpression& expr,
                      const AnnotationRegistry& registry) {
   std::string out = "(ddp";
-  for (const auto& [var, cost] : expr.ddp_costs()) {
+  for (const auto& [var, cost] : expr.costs()) {
     out += "\n  (cost " + WriteAnnotation(registry, var) + " " +
            FormatDouble(cost, 6) + ")";
   }
-  const size_t num_execs = expr.ddp_num_executions();
+  const size_t num_execs = expr.num_executions();
   for (size_t e = 0; e < num_execs; ++e) {
     out += "\n  (exec";
-    const size_t num_transitions = expr.ddp_num_transitions(e);
+    const size_t num_transitions = expr.num_transitions(e);
     for (size_t i = 0; i < num_transitions; ++i) {
-      const DdpTransitionView t = expr.ddp_transition(e, i);
+      const ir::DdpTransitionView t = expr.transition(e, i);
       if (t.user) {
         out += " (user " + WriteAnnotation(registry, t.cost_var) + ")";
       } else {
@@ -297,33 +297,35 @@ Result<std::unique_ptr<ProvenanceExpression>> ParseAggregate(
   }
   AggKind agg;
   PROX_ASSIGN_OR_RETURN(agg, ParseAggKind(root.children[1].atom));
-  auto expr = std::make_unique<AggregateExpression>(agg);
+  auto expr = std::make_unique<ir::IrAggregateExpression>(
+      agg, std::make_shared<ir::TermPool>());
   for (size_t i = 2; i < root.children.size(); ++i) {
     const Node& term_node = root.children[i];
     if (!IsList(term_node, "term")) {
       return Status::InvalidArgument("expected (term ...)");
     }
-    TensorTerm term;
+    Monomial mono;
+    std::optional<Guard> guard;
+    AnnotationId group = kNoAnnotation;
+    AggValue value;
     bool have_mono = false, have_value = false;
     for (size_t j = 1; j < term_node.children.size(); ++j) {
       const Node& part = term_node.children[j];
       if (IsList(part, "mono")) {
-        PROX_ASSIGN_OR_RETURN(term.monomial, ParseMonomial(part, registry));
+        PROX_ASSIGN_OR_RETURN(mono, ParseMonomial(part, registry));
         have_mono = true;
       } else if (IsList(part, "group")) {
         if (part.children.size() != 2 || !part.children[1].is_atom) {
           return Status::InvalidArgument("(group domain/name) expected");
         }
         PROX_ASSIGN_OR_RETURN(
-            term.group, InternAnnotation(part.children[1].atom, registry));
+            group, InternAnnotation(part.children[1].atom, registry));
       } else if (IsList(part, "value")) {
         if (part.children.size() != 3) {
           return Status::InvalidArgument("(value v count) expected");
         }
-        PROX_ASSIGN_OR_RETURN(term.value.value,
-                              ParseNumber(part.children[1]));
-        PROX_ASSIGN_OR_RETURN(term.value.count,
-                              ParseNumber(part.children[2]));
+        PROX_ASSIGN_OR_RETURN(value.value, ParseNumber(part.children[1]));
+        PROX_ASSIGN_OR_RETURN(value.count, ParseNumber(part.children[2]));
         have_value = true;
       } else if (IsList(part, "guard")) {
         if (part.children.size() != 5 || !part.children[3].is_atom) {
@@ -338,7 +340,7 @@ Result<std::unique_ptr<ProvenanceExpression>> ParseAggregate(
         CompareOp op;
         PROX_ASSIGN_OR_RETURN(op, ParseCompareOp(part.children[3].atom));
         PROX_ASSIGN_OR_RETURN(threshold, ParseNumber(part.children[4]));
-        term.guard = Guard(std::move(body), scalar, op, threshold);
+        guard = Guard(std::move(body), scalar, op, threshold);
       } else {
         return Status::InvalidArgument("unknown term part");
       }
@@ -346,15 +348,16 @@ Result<std::unique_ptr<ProvenanceExpression>> ParseAggregate(
     if (!have_mono || !have_value) {
       return Status::InvalidArgument("term requires (mono ...) and (value)");
     }
-    expr->AddTerm(std::move(term));
+    expr->AddTerm(mono, group, value, guard);
   }
-  expr->Simplify();
-  return ir::Adopt(*expr, std::make_shared<ir::TermPool>());
+  expr->Canonicalize();
+  return std::unique_ptr<ProvenanceExpression>(std::move(expr));
 }
 
 Result<std::unique_ptr<ProvenanceExpression>> ParseDdp(
     const Node& root, AnnotationRegistry* registry) {
-  auto expr = std::make_unique<DdpExpression>();
+  auto expr =
+      std::make_unique<ir::IrDdpExpression>(std::make_shared<ir::TermPool>());
   for (size_t i = 1; i < root.children.size(); ++i) {
     const Node& part = root.children[i];
     if (IsList(part, "cost")) {
@@ -368,7 +371,7 @@ Result<std::unique_ptr<ProvenanceExpression>> ParseDdp(
       PROX_ASSIGN_OR_RETURN(cost, ParseNumber(part.children[2]));
       expr->SetCost(var, cost);
     } else if (IsList(part, "exec")) {
-      DdpExecution exec;
+      expr->BeginExecution();
       for (size_t j = 1; j < part.children.size(); ++j) {
         const Node& t = part.children[j];
         if (IsList(t, "user")) {
@@ -378,7 +381,7 @@ Result<std::unique_ptr<ProvenanceExpression>> ParseDdp(
           AnnotationId var;
           PROX_ASSIGN_OR_RETURN(
               var, InternAnnotation(t.children[1].atom, registry));
-          exec.transitions.push_back(DdpTransition::User(var));
+          expr->AddUserTransition(var);
         } else if (IsList(t, "db")) {
           if (t.children.size() < 3 || !t.children[1].is_atom) {
             return Status::InvalidArgument("(db !=|== vars...) expected");
@@ -401,29 +404,27 @@ Result<std::unique_ptr<ProvenanceExpression>> ParseDdp(
                 a, InternAnnotation(t.children[k].atom, registry));
             factors.push_back(a);
           }
-          exec.transitions.push_back(
-              DdpTransition::Db(Monomial(std::move(factors)), nonzero));
+          expr->AddDbTransition(Monomial(std::move(factors)), nonzero);
         } else {
           return Status::InvalidArgument("unknown transition kind");
         }
       }
-      expr->AddExecution(std::move(exec));
     } else {
       return Status::InvalidArgument("unknown ddp part");
     }
   }
-  expr->Simplify();
-  return ir::Adopt(*expr, std::make_shared<ir::TermPool>());
+  expr->Canonicalize();
+  return std::unique_ptr<ProvenanceExpression>(std::move(expr));
 }
 
 }  // namespace
 
 std::string SerializeExpression(const ProvenanceExpression& expr,
                                 const AnnotationRegistry& registry) {
-  if (const AggregateFacade* agg = expr.AsAggregate()) {
+  if (const ir::IrAggregateExpression* agg = expr.AsAggregate()) {
     return WriteAggregate(*agg, registry);
   }
-  if (const DdpFacade* ddp = expr.AsDdp()) {
+  if (const ir::IrDdpExpression* ddp = expr.AsDdp()) {
     return WriteDdp(*ddp, registry);
   }
   return "(unknown)\n";

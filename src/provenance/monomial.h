@@ -55,6 +55,12 @@ class Monomial {
   std::vector<AnnotationId> factors_;  // sorted
 };
 
+/// Rebuilds an owning Monomial from a factor span that is already in the
+/// canonical sorted order (an interned prox::ir span), so this is a copy.
+inline Monomial MonomialFromSpan(const AnnotationId* data, size_t len) {
+  return Monomial(std::vector<AnnotationId>(data, data + len));
+}
+
 }  // namespace prox
 
 #endif  // PROX_PROVENANCE_MONOMIAL_H_

@@ -95,7 +95,7 @@ Result<std::unique_ptr<ProvenanceExpression>> SelectionService::Select(
 
 Result<std::unique_ptr<ProvenanceExpression>> SelectionService::SelectImpl(
     const SelectionCriteria& criteria) const {
-  const AggregateFacade* agg = dataset_->provenance->AsAggregate();
+  const ir::IrAggregateExpression* agg = dataset_->provenance->AsAggregate();
   if (agg == nullptr) {
     return Status::FailedPrecondition(
         "selection requires an aggregate provenance expression");
@@ -108,20 +108,13 @@ Result<std::unique_ptr<ProvenanceExpression>> SelectionService::SelectImpl(
   // dataset's pool. Matching rows keep their canonical order, so the
   // sorted fast path applies.
   auto pool = std::make_shared<ir::TermPool>();
-  auto selected =
-      std::make_unique<ir::IrAggregateExpression>(agg->agg_kind(), pool);
-  const size_t num_terms = agg->agg_num_terms();
+  auto selected = std::make_unique<ir::IrAggregateExpression>(agg->agg(), pool);
+  const size_t num_terms = agg->num_terms();
   for (size_t i = 0; i < num_terms; ++i) {
-    const AggTermView view = agg->agg_term(i);
-    if (!GroupMatches(view.group, criteria)) continue;
-    const ir::MonomialId mono = pool->InternMonomial(view.mono, view.mono_len);
-    ir::GuardId guard = ir::kNoGuard;
-    if (view.has_guard) {
-      guard = pool->InternGuard(
-          pool->InternMonomial(view.guard_mono, view.guard_len),
-          view.guard_scalar, view.guard_op, view.guard_threshold);
-    }
-    selected->AddTermIds(mono, guard, view.group, view.value);
+    if (!GroupMatches(agg->group(i), criteria)) continue;
+    const ir::IrAggregateExpression::InternedRow r =
+        agg->InternRow(i, pool.get());
+    selected->AddTermIds(r.mono, r.guard, r.group, r.value);
   }
   selected->CanonicalizeSorted();
   if (selected->num_terms() == 0) {

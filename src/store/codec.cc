@@ -8,7 +8,6 @@
 #include "ir/agg_expr.h"
 #include "ir/ddp_expr.h"
 #include "ir/term_pool.h"
-#include "provenance/facade.h"
 #include "service/fingerprint.h"
 #include "store/store_metrics.h"
 #include "store/writer.h"
@@ -311,34 +310,30 @@ void EncodeFeatures(const Dataset& dataset, std::string* out) {
 enum : uint32_t { kExprNone = 0, kExprAggregate = 1, kExprDdp = 2 };
 
 /// Re-interns the provenance into `pool` (fresh, so its owned tier is the
-/// whole content) and encodes the SoA columns. Mirrors ir::Adopt — the
-/// loaded expression is exactly what Adopt would have produced.
+/// whole content) and encodes the SoA columns. Rows move through
+/// IrAggregateExpression::InternRow, as in ir::Adopt — the loaded
+/// expression is exactly what Adopt would have produced.
 Status EncodeExpression(const Dataset& dataset, ir::TermPool* pool,
                         std::string* guards_out, std::string* expr_out) {
   ByteWriter expr;
   if (dataset.provenance == nullptr) {
     expr.PutU32(kExprNone);
-  } else if (const AggregateFacade* agg = dataset.provenance->AsAggregate()) {
+  } else if (const ir::IrAggregateExpression* agg =
+                 dataset.provenance->AsAggregate()) {
     expr.PutU32(kExprAggregate);
-    expr.PutU32(static_cast<uint32_t>(agg->agg_kind()));
-    const uint64_t n = agg->agg_num_terms();
+    expr.PutU32(static_cast<uint32_t>(agg->agg()));
+    const uint64_t n = agg->num_terms();
     expr.PutU64(n);
     std::vector<ir::MonomialId> mono(n);
     std::vector<ir::GuardId> guard(n);
     std::vector<AnnotationId> group(n);
     std::vector<AggValue> value(n);
     for (uint64_t i = 0; i < n; ++i) {
-      const AggTermView t = agg->agg_term(i);
-      mono[i] = pool->InternMonomial(t.mono, t.mono_len);
-      guard[i] = ir::kNoGuard;
-      if (t.has_guard) {
-        const ir::MonomialId gm =
-            pool->InternMonomial(t.guard_mono, t.guard_len);
-        guard[i] = pool->InternGuard(gm, t.guard_scalar, t.guard_op,
-                                     t.guard_threshold);
-      }
-      group[i] = t.group;
-      value[i] = t.value;
+      const ir::IrAggregateExpression::InternedRow r = agg->InternRow(i, pool);
+      mono[i] = r.mono;
+      guard[i] = r.guard;
+      group[i] = r.group;
+      value[i] = r.value;
     }
     expr.PutRaw(mono.data(), n * sizeof(ir::MonomialId));
     expr.PutRaw(guard.data(), n * sizeof(ir::GuardId));
@@ -347,17 +342,17 @@ Status EncodeExpression(const Dataset& dataset, ir::TermPool* pool,
       expr.PutF64(value[i].value);
       expr.PutF64(value[i].count);
     }
-  } else if (const DdpFacade* ddp = dataset.provenance->AsDdp()) {
+  } else if (const ir::IrDdpExpression* ddp = dataset.provenance->AsDdp()) {
     expr.PutU32(kExprDdp);
-    const uint64_t num_exec = ddp->ddp_num_executions();
+    const uint64_t num_exec = ddp->num_executions();
     expr.PutU64(num_exec);
     for (uint64_t ex = 0; ex < num_exec; ++ex) {
-      expr.PutU32(static_cast<uint32_t>(ddp->ddp_num_transitions(ex)));
+      expr.PutU32(static_cast<uint32_t>(ddp->num_transitions(ex)));
     }
     for (uint64_t ex = 0; ex < num_exec; ++ex) {
-      const size_t num_tr = ddp->ddp_num_transitions(ex);
+      const size_t num_tr = ddp->num_transitions(ex);
       for (size_t t = 0; t < num_tr; ++t) {
-        const DdpTransitionView tr = ddp->ddp_transition(ex, t);
+        const ir::DdpTransitionView tr = ddp->transition(ex, t);
         expr.PutU8(tr.user ? 1 : 0);
         if (tr.user) {
           expr.PutU32(tr.cost_var);
@@ -367,7 +362,7 @@ Status EncodeExpression(const Dataset& dataset, ir::TermPool* pool,
         }
       }
     }
-    const auto costs = ddp->ddp_costs();
+    const auto& costs = ddp->costs();
     expr.PutU64(costs.size());
     for (const auto& [var, cost] : costs) {
       expr.PutU32(var);

@@ -4,7 +4,7 @@
 
 #include "common/str_util.h"
 #include "ir/adopt.h"
-#include "provenance/facade.h"
+#include "ir/agg_expr.h"
 
 namespace prox {
 
@@ -16,20 +16,19 @@ std::vector<GroupReport> SummaryReporter::Groups(
   std::vector<AnnotationId> present;
   outcome.summary->CollectAnnotations(&present);
 
-  // Group aggregates under the all-true valuation, when available, read
-  // through the aggregate facade.
+  // Group aggregates under the all-true valuation, when available.
   std::map<AnnotationId, double> group_agg;
-  if (const AggregateFacade* agg = outcome.summary->AsAggregate()) {
-    const size_t num_terms = agg->agg_num_terms();
+  if (const ir::IrAggregateExpression* agg = outcome.summary->AsAggregate()) {
+    const size_t num_terms = agg->num_terms();
     for (size_t t = 0; t < num_terms; ++t) {
-      const AggTermView term = agg->agg_term(t);
+      const ir::AggTermView term = agg->term(t);
       for (size_t k = 0; k < term.mono_len; ++k) {
         const AnnotationId a = term.mono[k];
         if (registry.is_summary(a)) {
           // Contribution of tensors carrying this summary annotation.
           auto [it, inserted] = group_agg.emplace(a, term.value.value);
           if (!inserted) {
-            it->second = FoldAggregate(agg->agg_kind(), it->second,
+            it->second = FoldAggregate(agg->agg(), it->second,
                                        term.value, /*first=*/false);
           }
         }

@@ -1,12 +1,15 @@
 #ifndef PROX_WORKFLOW_MODULE_H_
 #define PROX_WORKFLOW_MODULE_H_
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "provenance/aggregate_expr.h"
+#include "provenance/guard.h"
+#include "provenance/monomial.h"
 #include "workflow/database.h"
 
 namespace prox {

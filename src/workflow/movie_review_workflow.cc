@@ -3,7 +3,7 @@
 #include <cstdlib>
 
 #include "common/str_util.h"
-#include "ir/adopt.h"
+#include "ir/agg_expr.h"
 
 namespace prox {
 
@@ -97,7 +97,8 @@ Status SanitizingModule::Run(WorkflowContext* ctx) {
 }
 
 Status AggregatorModule::Run(WorkflowContext* ctx) {
-  AggregateExpression builder(agg_);
+  auto expr = std::make_unique<ir::IrAggregateExpression>(
+      agg_, std::make_shared<ir::TermPool>());
   AnnotatedTable* movies;
   PROX_ASSIGN_OR_RETURN(movies, ctx->db->Table("Movies"));
 
@@ -110,16 +111,12 @@ Status AggregatorModule::Run(WorkflowContext* ctx) {
       AnnotationId movie_ann =
           InternAnnotation(ctx->registry, "movie", movie);
 
-      TensorTerm term;
-      term.monomial = record.provenance * Monomial({movie_ann});
-      term.guard = record.guard;
-      term.group = movie_ann;
-      term.value = AggValue{score, 1.0};
-      builder.AddTerm(std::move(term));
+      expr->AddTerm(record.provenance * Monomial({movie_ann}), movie_ann,
+                    AggValue{score, 1.0}, record.guard);
     }
   }
-  builder.Simplify();
-  provenance_ = ir::Adopt(builder, std::make_shared<ir::TermPool>());
+  expr->Canonicalize();
+  provenance_ = std::move(expr);
 
   // Materialize the aggregated Movies table (all-true semantics).
   MaterializedValuation all_true(ctx->registry->size());

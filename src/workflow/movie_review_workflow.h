@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "provenance/agg_value.h"
 #include "provenance/expression.h"
 #include "semantics/entity_table.h"
 #include "workflow/module.h"

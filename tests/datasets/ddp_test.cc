@@ -16,17 +16,16 @@ TEST(DdpGeneratorTest, DeterministicForFixedSeed) {
 
 TEST(DdpGeneratorTest, StructureFollowsExample522) {
   Dataset ds = DdpGenerator::Generate(DdpConfig{});
-  const auto* ddp =
-      dynamic_cast<const ir::IrDdpExpression*>(ds.provenance.get());
+  const ir::IrDdpExpression* ddp = ds.provenance->AsDdp();
   ASSERT_NE(ddp, nullptr);
   EXPECT_GT(ddp->num_executions(), 0u);
   DdpConfig config;
   for (size_t e = 0; e < ddp->num_executions(); ++e) {
-    const size_t num_transitions = ddp->ddp_num_transitions(e);
+    const size_t num_transitions = ddp->num_transitions(e);
     EXPECT_GE(num_transitions, static_cast<size_t>(config.min_transitions));
     EXPECT_LE(num_transitions, static_cast<size_t>(config.max_transitions));
     for (size_t i = 0; i < num_transitions; ++i) {
-      const DdpTransitionView t = ddp->ddp_transition(e, i);
+      const ir::DdpTransitionView t = ddp->transition(e, i);
       if (t.user) {
         EXPECT_EQ(ds.registry->domain(t.cost_var), ds.domain("cost_var"));
         double cost = ddp->CostOf(t.cost_var);
@@ -95,9 +94,9 @@ TEST(DdpGeneratorTest, ScalesWithConfig) {
   EXPECT_EQ(ds.registry->AnnotationsInDomain(ds.domain("db_var")).size(), 4u);
   EXPECT_EQ(ds.registry->AnnotationsInDomain(ds.domain("cost_var")).size(),
             3u);
-  const DdpFacade* ddp = ds.provenance->AsDdp();
+  const ir::IrDdpExpression* ddp = ds.provenance->AsDdp();
   ASSERT_NE(ddp, nullptr);
-  EXPECT_LE(ddp->ddp_num_executions(), 3u);  // dedup may shrink
+  EXPECT_LE(ddp->num_executions(), 3u);  // dedup may shrink
 }
 
 }  // namespace

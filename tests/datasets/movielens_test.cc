@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/agg_expr.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
-#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
@@ -32,16 +32,18 @@ TEST(MovieLensGeneratorTest, Table51StructureHolds) {
   // movie title.
   MovieLensConfig config;
   Dataset ds = MovieLensGenerator::Generate(config);
-  const AggregateFacade* agg = ds.provenance->AsAggregate();
+  const ir::IrAggregateExpression* agg = ds.provenance->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->agg_kind(), AggKind::kMax);
+  EXPECT_EQ(agg->agg(), AggKind::kMax);
   DomainId user = ds.domain("user");
   DomainId movie = ds.domain("movie");
   DomainId year = ds.domain("year");
-  for (const TensorTerm& t : testing_fixtures::TermsOf(*ds.provenance)) {
-    ASSERT_EQ(t.monomial.factors().size(), 3u);
+  for (size_t i = 0; i < agg->num_terms(); ++i) {
+    const ir::AggTermView t = agg->term(i);
+    const Monomial monomial = MonomialFromSpan(t.mono, t.mono_len);
+    ASSERT_EQ(monomial.factors().size(), 3u);
     int users = 0, movies = 0, years = 0;
-    for (AnnotationId a : t.monomial.factors()) {
+    for (AnnotationId a : monomial.factors()) {
       DomainId d = ds.registry->domain(a);
       users += d == user;
       movies += d == movie;
@@ -51,11 +53,11 @@ TEST(MovieLensGeneratorTest, Table51StructureHolds) {
     EXPECT_EQ(movies, 1);
     EXPECT_EQ(years, 1);
     EXPECT_EQ(ds.registry->domain(t.group), movie);
-    EXPECT_TRUE(t.monomial.Contains(t.group));
+    EXPECT_TRUE(monomial.Contains(t.group));
     EXPECT_GE(t.value.value, 1.0);
     EXPECT_LE(t.value.value, 5.0);
     EXPECT_EQ(t.value.count, 1.0);
-    EXPECT_FALSE(t.guard.has_value());
+    EXPECT_FALSE(t.has_guard);
   }
 }
 
@@ -113,16 +115,19 @@ TEST(MovieLensGeneratorTest, GuardedStructureOption) {
   config.ratings_per_user = 4;
   config.with_guards = true;
   Dataset ds = MovieLensGenerator::Generate(config);
-  ASSERT_NE(ds.provenance->AsAggregate(), nullptr);
+  const ir::IrAggregateExpression* agg = ds.provenance->AsAggregate();
+  ASSERT_NE(agg, nullptr);
   DomainId stats = ds.domain("stats");
-  for (const TensorTerm& t : testing_fixtures::TermsOf(*ds.provenance)) {
-    ASSERT_TRUE(t.guard.has_value());
-    EXPECT_EQ(t.guard->op(), CompareOp::kGt);
-    EXPECT_EQ(t.guard->threshold(), 2.0);
+  for (size_t i = 0; i < agg->num_terms(); ++i) {
+    const ir::AggTermView t = agg->term(i);
+    ASSERT_TRUE(t.has_guard);
+    EXPECT_EQ(t.guard_op, CompareOp::kGt);
+    EXPECT_EQ(t.guard_threshold, 2.0);
     // Guard body is S_u·U_u.
-    ASSERT_EQ(t.guard->factors().factors().size(), 2u);
+    ASSERT_EQ(t.guard_len, 2u);
     bool has_stats = false, has_user = false;
-    for (AnnotationId a : t.guard->factors().factors()) {
+    for (size_t k = 0; k < t.guard_len; ++k) {
+      const AnnotationId a = t.guard_mono[k];
       has_stats |= ds.registry->domain(a) == stats;
       has_user |= ds.registry->domain(a) == ds.domain("user");
     }
@@ -170,9 +175,9 @@ TEST(MovieLensGeneratorTest, SumAggregationOption) {
   MovieLensConfig config;
   config.agg = AggKind::kSum;
   Dataset ds = MovieLensGenerator::Generate(config);
-  const AggregateFacade* agg = ds.provenance->AsAggregate();
+  const ir::IrAggregateExpression* agg = ds.provenance->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->agg_kind(), AggKind::kSum);
+  EXPECT_EQ(agg->agg(), AggKind::kSum);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "testing/fixtures.h"
+#include "ir/agg_expr.h"
 
 namespace prox {
 namespace {
@@ -18,15 +18,16 @@ TEST(WikipediaGeneratorTest, Table51StructureHolds) {
   // Every term is (Username·PageTitle) ⊗ (EditType, 1) with SUM
   // aggregation and page grouping.
   Dataset ds = WikipediaGenerator::Generate(WikipediaConfig{});
-  const AggregateFacade* agg = ds.provenance->AsAggregate();
+  const ir::IrAggregateExpression* agg = ds.provenance->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->agg_kind(), AggKind::kSum);
+  EXPECT_EQ(agg->agg(), AggKind::kSum);
   DomainId user = ds.domain("wiki_user");
   DomainId page = ds.domain("page");
-  for (const TensorTerm& t : testing_fixtures::TermsOf(*ds.provenance)) {
-    ASSERT_EQ(t.monomial.factors().size(), 2u);
-    EXPECT_EQ(ds.registry->domain(t.monomial.factors()[0]), user);
-    EXPECT_EQ(ds.registry->domain(t.monomial.factors()[1]), page);
+  for (size_t i = 0; i < agg->num_terms(); ++i) {
+    const ir::AggTermView t = agg->term(i);
+    ASSERT_EQ(t.mono_len, 2u);
+    EXPECT_EQ(ds.registry->domain(t.mono[0]), user);
+    EXPECT_EQ(ds.registry->domain(t.mono[1]), page);
     EXPECT_EQ(ds.registry->domain(t.group), page);
     EXPECT_TRUE(t.value.value == 0.0 || t.value.value == 1.0);
   }

@@ -3,12 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "datasets/ddp.h"
-#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
-
-using testing_fixtures::Flat;
 
 /// A hand-built machine realizing Example 5.2.2's two executions:
 ///   0 --⟨c1,1⟩--> 1 --⟨0,[d1·d2]≠0⟩--> 2 (accepting)
@@ -41,22 +38,21 @@ TEST(DdpMachineTest, CompilesExample522Provenance) {
   MachineFixture fx;
   auto compiled = fx.machine.CompileProvenance(/*max_transitions=*/5);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  const DdpExpression& expr = *compiled.value();
-  EXPECT_EQ(expr.executions().size(), 2u);
-  EXPECT_EQ(expr.CostOf(fx.c1), 4.0);
-  EXPECT_EQ(expr.CostOf(fx.c2), 6.0);
-  auto flat = Flat(expr);
-  EXPECT_EQ(flat->Size(), 6);
+  const ir::IrDdpExpression& flat = *compiled.value();
+  EXPECT_EQ(flat.num_executions(), 2u);
+  EXPECT_EQ(flat.CostOf(fx.c1), 4.0);
+  EXPECT_EQ(flat.CostOf(fx.c2), 6.0);
+  EXPECT_EQ(flat.Size(), 6);
 
   // Evaluation semantics match the hand-built expression of the
   // provenance tests: all DB vars present -> first execution feasible at
   // cost 4.
-  EvalResult r = flat->Evaluate(MaterializedValuation(fx.registry.size()));
+  EvalResult r = flat.Evaluate(MaterializedValuation(fx.registry.size()));
   EXPECT_TRUE(r.feasible());
   EXPECT_EQ(r.cost(), 4.0);
 
   // Cancel d1 only: neither guard holds.
-  r = flat->Evaluate(
+  r = flat.Evaluate(
       MaterializedValuation(Valuation({fx.d1}), fx.registry.size()));
   EXPECT_FALSE(r.feasible());
 }
@@ -65,7 +61,7 @@ TEST(DdpMachineTest, TransitionBoundTruncatesLongPaths) {
   MachineFixture fx;
   auto compiled = fx.machine.CompileProvenance(/*max_transitions=*/1);
   ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(compiled.value()->executions().empty());  // both paths are 2
+  EXPECT_EQ(compiled.value()->num_executions(), 0u);  // both paths are 2
 }
 
 TEST(DdpMachineTest, CyclicMachinesEnumerateBoundedPaths) {
@@ -80,7 +76,7 @@ TEST(DdpMachineTest, CyclicMachinesEnumerateBoundedPaths) {
   auto compiled = machine.CompileProvenance(/*max_transitions=*/5);
   ASSERT_TRUE(compiled.ok());
   // Paths of length 1, 3 and 5 reach the accepting state.
-  EXPECT_EQ(compiled.value()->executions().size(), 3u);
+  EXPECT_EQ(compiled.value()->num_executions(), 3u);
 }
 
 TEST(DdpMachineTest, ExplosionGuardFails) {
@@ -128,7 +124,7 @@ TEST(RandomDdpMachineTest, GeneratesCompilableMachines) {
   EXPECT_EQ(output.db_vars.size(), 10u);
   auto compiled = output.machine.CompileProvenance(5);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_GE(compiled.value()->executions().size(), 1u);
+  EXPECT_GE(compiled.value()->num_executions(), 1u);
 }
 
 TEST(RandomDdpMachineTest, DeterministicForFixedSeed) {
@@ -141,8 +137,7 @@ TEST(RandomDdpMachineTest, DeterministicForFixedSeed) {
     Rng rng(42);
     auto output = RandomDdpMachine::Generate(RandomMachineConfig{},
                                              &registry, &costs, &db, &rng);
-    return Flat(*output.machine.CompileProvenance(5).MoveValue())
-        ->ToString(registry);
+    return output.machine.CompileProvenance(5).MoveValue()->ToString(registry);
   };
   EXPECT_EQ(build(), build());
 }

@@ -114,6 +114,58 @@ TEST(EngineTest, SelectNarrowsTheCacheKeyAndReportsTheSelection) {
   EXPECT_EQ(warm_all.body, cold_all.body);
 }
 
+/// Ingest resets the selection: the grown provenance replaces a narrower
+/// /v1/select wholesale (docs/SERVING.md, docs/INGEST.md), so the next
+/// summarize keys and answers exactly as select-all does.
+TEST(EngineTest, IngestResetsTheSelectionToSelectAll) {
+  const Dataset reference = SmallDataset();
+  const std::string title = reference.registry->name(
+      reference.registry->AnnotationsInDomain(reference.domain("movie"))
+          .front());
+  Result<ingest::DeltaBatch> delta =
+      ingest::SyntheticMovieLensDelta(reference, 1, 2, 1);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  const std::string ingest_body =
+      WriteJson(ingest::DeltaBatchToJson(delta.value()));
+
+  std::unique_ptr<Engine> whole = Engine::FromDataset(SmallDataset());
+  Engine::Response all = whole->HandleSelect("{\"all\":true}");
+  ASSERT_TRUE(all.ok()) << all.body;
+
+  // Narrow to one title, then ingest.
+  std::unique_ptr<Engine> narrowed = Engine::FromDataset(SmallDataset());
+  JsonValue titles = JsonValue::Array();
+  titles.Append(JsonValue::Str(title));
+  JsonValue select = JsonValue::Object();
+  select.Set("titles", std::move(titles));
+  Engine::Response selected = narrowed->HandleSelect(WriteJson(select));
+  ASSERT_TRUE(selected.ok()) << selected.body;
+  JsonValue selected_doc = MustParse(selected.body);
+  EXPECT_NE(selected_doc.Find("selection_key")->string_value(),
+            SelectAllKey());
+  EXPECT_LT(selected_doc.Find("selected_size")->int_value(),
+            MustParse(all.body).Find("selected_size")->int_value());
+  Engine::Response ingested = narrowed->HandleIngest(ingest_body);
+  ASSERT_TRUE(ingested.ok()) << ingested.body;
+  Engine::Response after = narrowed->HandleSummarize(kSummarizeBody);
+  ASSERT_TRUE(after.ok()) << after.body;
+  EXPECT_EQ(after.cache, Engine::Response::CacheOutcome::kMiss);
+
+  // Keyed as select-all: re-selecting all hits those exact bytes.
+  ASSERT_TRUE(narrowed->HandleSelect("{\"all\":true}").ok());
+  Engine::Response reselected = narrowed->HandleSummarize(kSummarizeBody);
+  ASSERT_TRUE(reselected.ok());
+  EXPECT_EQ(reselected.cache, Engine::Response::CacheOutcome::kHit);
+  EXPECT_EQ(reselected.body, after.body);
+
+  // Answered as select-all: an engine that never narrowed agrees byte for
+  // byte.
+  ASSERT_TRUE(whole->HandleIngest(ingest_body).ok());
+  Engine::Response expected = whole->HandleSummarize(kSummarizeBody);
+  ASSERT_TRUE(expected.ok()) << expected.body;
+  EXPECT_EQ(after.body, expected.body);
+}
+
 TEST(EngineTest, TypedFacadeMatchesTheJsonApiBytes) {
   std::unique_ptr<Engine> json_engine = Engine::FromDataset(SmallDataset());
   std::unique_ptr<Engine> typed_engine = Engine::FromDataset(SmallDataset());

@@ -254,7 +254,7 @@ TEST(ApplyBatchTest, RegistryAndInternedIdsAreStableAcrossAppend) {
   ir::MonomialId existing_id = 0;
   std::vector<AnnotationId> existing_factors;
   if (ir_expr != nullptr) {
-    AggTermView first = ir_expr->agg_term(0);
+    ir::AggTermView first = ir_expr->term(0);
     existing_factors.assign(first.mono, first.mono + first.mono_len);
     existing_id = ir_expr->pool()->InternMonomial(existing_factors.data(),
                                                   existing_factors.size());

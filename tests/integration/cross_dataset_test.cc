@@ -8,7 +8,7 @@
 #include "datasets/ddp.h"
 #include "datasets/movielens.h"
 #include "datasets/wikipedia.h"
-#include "provenance/aggregate_expr.h"
+#include "ir/agg_expr.h"
 #include "summarize/candidates.h"
 #include "summarize/summarizer.h"
 
@@ -107,11 +107,11 @@ TEST(MovieLensPopularityTest, ZipfSkewsRatingsTowardTopMovies) {
   config.ratings_per_user = 4;
   config.zipf_skew = 1.0;
   Dataset ds = MovieLensGenerator::Generate(config);
-  const AggregateFacade* agg = ds.provenance->AsAggregate();
+  const ir::IrAggregateExpression* agg = ds.provenance->AsAggregate();
   ASSERT_NE(agg, nullptr);
   std::map<AnnotationId, int> per_movie;
-  for (size_t i = 0; i < agg->agg_num_terms(); ++i) {
-    per_movie[agg->agg_term(i).group]++;
+  for (size_t i = 0; i < agg->num_terms(); ++i) {
+    per_movie[agg->group(i)]++;
   }
   // Movie 0 (rank 0 in the Zipf order, first registered) collects more
   // ratings than the last movie.

@@ -1,5 +1,6 @@
-// Unit tests for the prox::ir flat expressions: adopting a builder must
-// preserve its terms, ToString, Size and Evaluate; Apply must produce the
+// Unit tests for the prox::ir flat expressions: adopting an expression
+// into another pool must preserve its terms, ToString, Size and Evaluate;
+// Apply must produce the
 // expected summaries on both the main thread and exec workers
 // (copy-on-write + overlay paths); Adopt must copy into the pool it is
 // given; and the Size header must actually serve hits. The expected texts
@@ -18,9 +19,7 @@
 #include "ir/poly_expr.h"
 #include "ir/term_pool.h"
 #include "obs/metrics.h"
-#include "provenance/aggregate_expr.h"
-#include "provenance/ddp_expr.h"
-#include "provenance/polynomial_expr.h"
+#include "semiring/polynomial.h"
 #include "testing/fixtures.h"
 
 namespace prox {
@@ -38,7 +37,7 @@ constexpr char kFixtureText[] =
 
 TEST(IrAdoptTest, AggregateMatchesLegacyByteForByte) {
   MovieFixture f;
-  auto adopted = ir::Adopt(f.builder, NewPool());
+  auto adopted = ir::Adopt(*f.p0, NewPool());
   ASSERT_NE(dynamic_cast<const ir::IrAggregateExpression*>(adopted.get()),
             nullptr);
 
@@ -50,15 +49,15 @@ TEST(IrAdoptTest, AggregateMatchesLegacyByteForByte) {
   EXPECT_EQ(anns, (std::vector<AnnotationId>{f.u1, f.u2, f.u3, f.match_point,
                                              f.blue_jasmine}));
 
-  // Facade parity with the builder, term by term.
-  const AggregateFacade& built = f.builder;
-  const AggregateFacade* flat = adopted->AsAggregate();
+  // Row parity with the source, term by term.
+  const ir::IrAggregateExpression& built = *f.p0;
+  const ir::IrAggregateExpression* flat = adopted->AsAggregate();
   ASSERT_NE(flat, nullptr);
-  ASSERT_EQ(flat->agg_num_terms(), built.agg_num_terms());
-  EXPECT_EQ(flat->agg_kind(), built.agg_kind());
-  for (size_t i = 0; i < built.agg_num_terms(); ++i) {
-    const AggTermView a = built.agg_term(i);
-    const AggTermView b = flat->agg_term(i);
+  ASSERT_EQ(flat->num_terms(), built.num_terms());
+  EXPECT_EQ(flat->agg(), built.agg());
+  for (size_t i = 0; i < built.num_terms(); ++i) {
+    const ir::AggTermView a = built.term(i);
+    const ir::AggTermView b = flat->term(i);
     EXPECT_EQ(MonomialFromSpan(b.mono, b.mono_len),
               MonomialFromSpan(a.mono, a.mono_len));
     EXPECT_EQ(b.group, a.group);
@@ -88,7 +87,7 @@ TEST(IrAdoptTest, AdoptingAnIrExpressionClones) {
   // untouched.
   MovieFixture f;
   auto source_pool = NewPool();
-  auto adopted = ir::Adopt(f.builder, source_pool);
+  auto adopted = ir::Adopt(*f.p0, source_pool);
   auto copy_pool = NewPool();
   auto again = ir::Adopt(*adopted, copy_pool);
   const auto* flat =
@@ -111,7 +110,7 @@ TEST(IrAdoptTest, AdoptingAnIrExpressionClones) {
 TEST(IrApplyTest, MainThreadApplyMatchesLegacyAndSharesUntouchedRows) {
   MovieFixture f;
   auto pool = NewPool();
-  auto adopted = ir::Adopt(f.builder, pool);
+  auto adopted = ir::Adopt(*f.p0, pool);
 
   AnnotationId audience =
       f.registry.AddSummary(f.user_domain, "Audience");
@@ -142,7 +141,7 @@ TEST(IrApplyTest, MainThreadApplyMatchesLegacyAndSharesUntouchedRows) {
 
 TEST(IrApplyTest, WorkerApplyUsesOverlayAndMatchesLegacy) {
   MovieFixture f;
-  auto adopted = ir::Adopt(f.builder, NewPool());
+  auto adopted = ir::Adopt(*f.p0, NewPool());
 
   AnnotationId fem = f.registry.AddSummary(f.user_domain, "F");
   Homomorphism h;
@@ -194,30 +193,26 @@ TEST(IrDdpTest, AdoptApplyEvaluateMatchLegacy) {
   AnnotationId d1 = registry.Add(db_domain, "d1").MoveValue();
   AnnotationId d2 = registry.Add(db_domain, "d2").MoveValue();
 
-  DdpExpression builder;
-  builder.SetCost(c1, 2.0);
-  builder.SetCost(c2, 5.0);
-  {
-    DdpExecution e;
-    e.transitions.push_back(DdpTransition::User(c1));
-    e.transitions.push_back(DdpTransition::Db(Monomial({d1}), true));
-    builder.AddExecution(std::move(e));
-  }
-  {
-    DdpExecution e;
-    e.transitions.push_back(DdpTransition::User(c2));
-    e.transitions.push_back(DdpTransition::Db(Monomial({d2}), false));
-    builder.AddExecution(std::move(e));
-  }
-  builder.Simplify();
+  auto built = testing_fixtures::NewDdp();
+  built->SetCost(c1, 2.0);
+  built->SetCost(c2, 5.0);
+  built->BeginExecution();
+  built->AddUserTransition(c1);
+  built->AddDbTransition(Monomial({d1}), true);
+  built->BeginExecution();
+  built->AddUserTransition(c2);
+  built->AddDbTransition(Monomial({d2}), false);
+  built->Canonicalize();
 
-  auto adopted = ir::Adopt(builder, NewPool());
+  auto adopted = ir::Adopt(*built, NewPool());
   ASSERT_NE(dynamic_cast<const ir::IrDdpExpression*>(adopted.get()), nullptr);
   EXPECT_EQ(adopted->ToString(registry),
             "⟨c1,1⟩·⟨0,[d1]≠0⟩ + ⟨c2,1⟩·⟨0,[d2]=0⟩");
   EXPECT_EQ(adopted->Size(), 4);
   ASSERT_NE(adopted->AsDdp(), nullptr);
-  EXPECT_EQ(adopted->AsDdp()->ddp_costs(), builder.ddp_costs());
+  EXPECT_EQ(adopted->AsDdp()->costs(),
+            (std::vector<std::pair<AnnotationId, double>>{{c1, 2.0},
+                                                          {c2, 5.0}}));
 
   const size_t n = registry.size();
   const std::pair<Valuation, const char*> cases[] = {
@@ -260,9 +255,8 @@ TEST(IrPolynomialTest, AdoptAndApplyMatchLegacy) {
   poly.AddTerm({x, y}, 2);
   poly.AddTerm({z}, 1);
   poly.AddTerm({x, y}, 1);  // merges: coefficient 3
-  PolynomialExpression builder(std::move(poly));
 
-  auto adopted = ir::Adopt(builder.polynomial(), NewPool());
+  auto adopted = ir::Adopt(poly, NewPool());
   ASSERT_NE(dynamic_cast<const ir::IrPolynomialExpression*>(adopted.get()),
             nullptr);
   EXPECT_EQ(adopted->ToString(registry), "3·x·y + z");
@@ -296,12 +290,9 @@ TEST(SizeCacheTest, RepeatedSizeCallsCountCacheHits) {
   EXPECT_EQ(hits->value(), before + 2);
 
   // A rebuilt expression carries its new size in the header.
-  TensorTerm t;
-  t.monomial = Monomial({f.u1, f.blue_jasmine});
-  t.group = f.blue_jasmine;
-  t.value = AggValue{2.0, 1.0};
   const int64_t old_size = f.p0->Size();
-  f.builder.AddTerm(std::move(t));
+  f.p0->AddTerm(Monomial({f.u1, f.blue_jasmine}), f.blue_jasmine,
+                AggValue{2.0, 1.0});
   f.Rebuild();
   EXPECT_EQ(f.p0->Size(), old_size + 2);
 }

@@ -21,7 +21,6 @@
 #include "ir/adopt.h"
 #include "ir/term_pool.h"
 #include "kernels/valuation_block.h"
-#include "provenance/polynomial_expr.h"
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
 #include "testing/fixtures.h"
@@ -230,10 +229,9 @@ TEST(BatchEvalTest, PolynomialMatchesScalarEvaluateAtEveryTier) {
   poly.AddTerm({a, b}, 2);
   poly.AddTerm({b, c}, 3);
   poly.AddTerm({a}, 1);
-  PolynomialExpression expr(std::move(poly));
 
   auto pool = std::make_shared<ir::TermPool>();
-  auto ir_expr = ir::Adopt(expr.polynomial(), pool);
+  auto ir_expr = ir::Adopt(poly, pool);
   const kernels::BatchEvalFacade* facade = ir_expr->AsBatchEval();
   ASSERT_NE(facade, nullptr);
   kernels::BatchProgram program = facade->LowerBatch();

@@ -1,21 +1,24 @@
-#include "provenance/aggregate_expr.h"
+// The aggregate provenance structure, built straight into
+// ir::IrAggregateExpression.
+
+#include "ir/agg_expr.h"
 
 #include <gtest/gtest.h>
 
-#include "ir/agg_expr.h"
 #include "testing/fixtures.h"
 
 namespace prox {
 namespace {
 
-using testing_fixtures::Flat;
 using testing_fixtures::MovieFixture;
+using testing_fixtures::NewAggregate;
+using testing_fixtures::WithAgg;
 
 TEST(AggregateExprTest, SizeCountsAnnotationOccurrences) {
   MovieFixture fx;
   // 4 terms × (user, movie) = 8 annotation occurrences.
   EXPECT_EQ(fx.p0->Size(), 8);
-  EXPECT_EQ(fx.builder.num_terms(), 4u);
+  EXPECT_EQ(fx.p0->num_terms(), 4u);
 }
 
 TEST(AggregateExprTest, CollectAnnotationsIsSortedUnique) {
@@ -29,10 +32,8 @@ TEST(AggregateExprTest, CollectAnnotationsIsSortedUnique) {
 
 TEST(AggregateExprTest, GroupsListsDistinctGroupKeys) {
   MovieFixture fx;
-  auto* agg = dynamic_cast<const ir::IrAggregateExpression*>(fx.p0.get());
-  ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->Groups(), (std::vector<AnnotationId>{fx.match_point,
-                                                      fx.blue_jasmine}));
+  EXPECT_EQ(fx.p0->Groups(), (std::vector<AnnotationId>{fx.match_point,
+                                                        fx.blue_jasmine}));
 }
 
 TEST(AggregateExprTest, EvaluateAllTrueYieldsPerMovieAggregates) {
@@ -63,39 +64,27 @@ TEST(AggregateExprTest, EvaluateCancellingMovieZeroesItsCoordinate) {
 
 TEST(AggregateExprTest, SumAggregationAddsContributions) {
   MovieFixture fx;
-  AggregateExpression sum(AggKind::kSum);
-  for (const TensorTerm& t : fx.builder.terms()) sum.AddTerm(t);
-  sum.Simplify();
-  EvalResult r =
-      Flat(sum)->Evaluate(MaterializedValuation(fx.registry.size()));
+  EvalResult r = WithAgg(*fx.p0, AggKind::kSum)
+                     ->Evaluate(MaterializedValuation(fx.registry.size()));
   EXPECT_EQ(r.CoordValue(fx.match_point), 11.0);  // 3 + 5 + 3
 }
 
 TEST(AggregateExprTest, CountAggregationCountsContributors) {
   MovieFixture fx;
-  AggregateExpression count(AggKind::kCount);
-  for (const TensorTerm& t : fx.builder.terms()) count.AddTerm(t);
-  count.Simplify();
-  EvalResult r =
-      Flat(count)->Evaluate(MaterializedValuation(fx.registry.size()));
+  EvalResult r = WithAgg(*fx.p0, AggKind::kCount)
+                     ->Evaluate(MaterializedValuation(fx.registry.size()));
   EXPECT_EQ(r.CoordValue(fx.match_point), 3.0);
   EXPECT_EQ(r.CoordValue(fx.blue_jasmine), 1.0);
 }
 
 TEST(AggregateExprTest, SimplifyMergesEqualKeyTensors) {
-  AggregateExpression e(AggKind::kMax);
-  TensorTerm a;
-  a.monomial = Monomial({1});
-  a.group = 9;
-  a.value = {3, 1};
-  TensorTerm b = a;
-  b.value = {5, 1};
-  e.AddTerm(a);
-  e.AddTerm(b);
-  e.Simplify();
-  ASSERT_EQ(e.num_terms(), 1u);
-  EXPECT_EQ(e.terms()[0].value.value, 5);
-  EXPECT_EQ(e.terms()[0].value.count, 2);
+  auto e = NewAggregate(AggKind::kMax);
+  e->AddTerm(Monomial({1}), /*group=*/9, {3, 1});
+  e->AddTerm(Monomial({1}), /*group=*/9, {5, 1});
+  e->Canonicalize();
+  ASSERT_EQ(e->num_terms(), 1u);
+  EXPECT_EQ(e->term(0).value.value, 5);
+  EXPECT_EQ(e->term(0).value.count, 2);
 }
 
 TEST(AggregateExprTest, ApplyThesisExample311FemaleMapping) {
@@ -108,16 +97,11 @@ TEST(AggregateExprTest, ApplyThesisExample311FemaleMapping) {
   AnnotationId u3 = reg.Add(d, "U3").MoveValue();
   AnnotationId female = reg.AddSummary(d, "Female");
 
-  AggregateExpression ps(AggKind::kMax);
+  auto flat = NewAggregate(AggKind::kMax);
   for (auto [u, score] : {std::pair{u1, 3.0}, {u2, 5.0}, {u3, 3.0}}) {
-    TensorTerm t;
-    t.monomial = Monomial({u});
-    t.group = kNoAnnotation;
-    t.value = {score, 1};
-    ps.AddTerm(std::move(t));
+    flat->AddTerm(Monomial({u}), kNoAnnotation, {score, 1});
   }
-  ps.Simplify();
-  auto flat = Flat(ps);
+  flat->Canonicalize();
   EXPECT_EQ(flat->Size(), 3);
 
   Homomorphism h;
@@ -125,13 +109,13 @@ TEST(AggregateExprTest, ApplyThesisExample311FemaleMapping) {
   h.Set(u2, female);
   auto mapped = flat->Apply(h);
   EXPECT_EQ(mapped->Size(), 2);
-  const AggregateFacade* agg = mapped->AsAggregate();
+  const ir::IrAggregateExpression* agg = mapped->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  ASSERT_EQ(agg->agg_num_terms(), 2u);
+  ASSERT_EQ(agg->num_terms(), 2u);
   // Female⊗(5,2) and U3⊗(3,1), in some canonical order.
   bool found_female = false, found_u3 = false;
-  for (size_t i = 0; i < agg->agg_num_terms(); ++i) {
-    const AggTermView t = agg->agg_term(i);
+  for (size_t i = 0; i < agg->num_terms(); ++i) {
+    const ir::AggTermView t = agg->term(i);
     const Monomial mono = MonomialFromSpan(t.mono, t.mono_len);
     if (mono.Contains(female)) {
       EXPECT_EQ(t.value.value, 5);
@@ -156,7 +140,7 @@ TEST(AggregateExprTest, ApplyRemapsGroupKeys) {
   h.Set(fx.match_point, merged_movie);
   h.Set(fx.blue_jasmine, merged_movie);
   auto mapped = fx.p0->Apply(h);
-  auto* agg = dynamic_cast<const ir::IrAggregateExpression*>(mapped.get());
+  const ir::IrAggregateExpression* agg = mapped->AsAggregate();
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(agg->Groups(), (std::vector<AnnotationId>{merged_movie}));
   EvalResult r = mapped->Evaluate(MaterializedValuation(fx.registry.size()));
@@ -182,25 +166,22 @@ TEST(AggregateExprTest, ProjectEvalResultMergesCoordinates) {
 TEST(AggregateExprTest, ProjectEvalResultSumAddsCoordinates) {
   // The vector transformation of Example 5.2.1: SUM-aggregating merged
   // coordinates.
-  AggregateExpression e(AggKind::kSum);
+  auto e = NewAggregate(AggKind::kSum);
+  e->Canonicalize();
   Homomorphism h;
   h.Set(1, 10);
   h.Set(2, 10);
   EvalResult base = EvalResult::Vector({{1, 1.0}, {2, 1.0}, {3, 0.5}});
-  EvalResult projected = Flat(e)->ProjectEvalResult(base, h);
+  EvalResult projected = e->ProjectEvalResult(base, h);
   EXPECT_EQ(projected.CoordValue(10), 2.0);
   EXPECT_EQ(projected.CoordValue(3), 0.5);
 }
 
 TEST(AggregateExprTest, ScalarExpressionEvaluatesToScalar) {
-  AggregateExpression e(AggKind::kMax);
-  TensorTerm t;
-  t.monomial = Monomial({0});
-  t.group = kNoAnnotation;
-  t.value = {4, 1};
-  e.AddTerm(std::move(t));
-  e.Simplify();
-  EvalResult r = Flat(e)->Evaluate(MaterializedValuation(1));
+  auto e = NewAggregate(AggKind::kMax);
+  e->AddTerm(Monomial({0}), kNoAnnotation, {4, 1});
+  e->Canonicalize();
+  EvalResult r = e->Evaluate(MaterializedValuation(1));
   EXPECT_EQ(r.kind(), EvalResult::Kind::kScalar);
   EXPECT_EQ(r.scalar(), 4.0);
 }
@@ -212,15 +193,10 @@ TEST(AggregateExprTest, GuardedTermRespectsGuard) {
   DomainId d = reg.AddDomain("x");
   AnnotationId u1 = reg.Add(d, "U1").MoveValue();
   AnnotationId s1 = reg.Add(d, "S1").MoveValue();
-  AggregateExpression e(AggKind::kMax);
-  TensorTerm t;
-  t.monomial = Monomial({u1});
-  t.guard = Guard(Monomial({s1, u1}), 5.0, CompareOp::kGt, 2.0);
-  t.group = kNoAnnotation;
-  t.value = {3, 1};
-  e.AddTerm(std::move(t));
-  e.Simplify();
-  auto flat = Flat(e);
+  auto flat = NewAggregate(AggKind::kMax);
+  flat->AddTerm(Monomial({u1}), kNoAnnotation, {3, 1},
+                Guard(Monomial({s1, u1}), 5.0, CompareOp::kGt, 2.0));
+  flat->Canonicalize();
   EXPECT_EQ(flat->Size(), 3);  // U1 + guard body S1·U1
 
   EvalResult all_true = flat->Evaluate(MaterializedValuation(reg.size()));
@@ -242,8 +218,9 @@ TEST(AggregateExprTest, ToStringShowsTensors) {
   std::string text = fx.p0->ToString(fx.registry);
   EXPECT_NE(text.find("U2·MatchPoint ⊗ (5.0, 1)"), std::string::npos);
   EXPECT_NE(text.find("⊕"), std::string::npos);
-  AggregateExpression empty(AggKind::kMax);
-  EXPECT_EQ(Flat(empty)->ToString(fx.registry), "0");
+  auto empty = NewAggregate(AggKind::kMax);
+  empty->Canonicalize();
+  EXPECT_EQ(empty->ToString(fx.registry), "0");
 }
 
 }  // namespace

@@ -3,21 +3,18 @@
 
 #include <gtest/gtest.h>
 
-#include "provenance/aggregate_expr.h"
+#include "ir/agg_expr.h"
 #include "provenance/io.h"
 #include "testing/fixtures.h"
 
 namespace prox {
 namespace {
 
-using testing_fixtures::Flat;
 using testing_fixtures::MovieFixture;
+using testing_fixtures::NewAggregate;
 
 std::unique_ptr<ProvenanceExpression> AvgCopy(const MovieFixture& fx) {
-  AggregateExpression avg(AggKind::kAvg);
-  for (const TensorTerm& t : fx.builder.terms()) avg.AddTerm(t);
-  avg.Simplify();
-  return Flat(avg);
+  return testing_fixtures::WithAgg(*fx.p0, AggKind::kAvg);
 }
 
 TEST(AvgAggregationTest, MergeSumsValuesAndCounts) {
@@ -62,13 +59,14 @@ TEST(AvgAggregationTest, HomomorphismPreservesAverages) {
 TEST(AvgAggregationTest, ProjectionIsCountWeighted) {
   // Coordinates (avg 4 over 2 raters) and (avg 1 over 1 rater) merge to
   // avg (4·2 + 1·1)/3 = 3 — not the naive (4+1)/2.
-  AggregateExpression avg(AggKind::kAvg);
+  auto avg = NewAggregate(AggKind::kAvg);
+  avg->Canonicalize();
   Homomorphism h;
   h.Set(1, 10);
   h.Set(2, 10);
   EvalResult base = EvalResult::Vector(
       {EvalResult::Coord{1, 4.0, 2.0}, EvalResult::Coord{2, 1.0, 1.0}});
-  EvalResult projected = Flat(avg)->ProjectEvalResult(base, h);
+  EvalResult projected = avg->ProjectEvalResult(base, h);
   EXPECT_DOUBLE_EQ(projected.CoordValue(10), 3.0);
 }
 
@@ -79,9 +77,9 @@ TEST(AvgAggregationTest, SerializationRoundTrips) {
   auto parsed =
       ParseExpression(SerializeExpression(*avg, fx.registry), &fresh);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const AggregateFacade* agg = parsed.value()->AsAggregate();
+  const ir::IrAggregateExpression* agg = parsed.value()->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->agg_kind(), AggKind::kAvg);
+  EXPECT_EQ(agg->agg(), AggKind::kAvg);
 }
 
 TEST(AvgAggregationTest, SpammerProvisioningChangesAverage) {

@@ -1,14 +1,15 @@
-#include "provenance/ddp_expr.h"
+// The DDP provenance structure, built straight into ir::IrDdpExpression.
+
+#include "ir/ddp_expr.h"
 
 #include <gtest/gtest.h>
 
-#include "ir/ddp_expr.h"
 #include "testing/fixtures.h"
 
 namespace prox {
 namespace {
 
-using testing_fixtures::Flat;
+using testing_fixtures::NewDdp;
 
 /// Builds Example 5.2.2's expression:
 ///   ⟨c1,1⟩·⟨0,[d1·d2]≠0⟩ + ⟨0,[d2·d3]=0⟩·⟨c2,1⟩
@@ -16,8 +17,7 @@ struct DdpFixture {
   AnnotationRegistry registry;
   DomainId cost_domain, db_domain;
   AnnotationId c1, c2, d1, d2, d3;
-  DdpExpression builder;
-  std::unique_ptr<ProvenanceExpression> expr;
+  std::unique_ptr<ir::IrDdpExpression> expr = NewDdp();
 
   DdpFixture() {
     cost_domain = registry.AddDomain("cost_var");
@@ -27,20 +27,17 @@ struct DdpFixture {
     d1 = registry.Add(db_domain, "d1").MoveValue();
     d2 = registry.Add(db_domain, "d2").MoveValue();
     d3 = registry.Add(db_domain, "d3").MoveValue();
-    builder.SetCost(c1, 4.0);
-    builder.SetCost(c2, 6.0);
+    expr->SetCost(c1, 4.0);
+    expr->SetCost(c2, 6.0);
 
-    DdpExecution e1;
-    e1.transitions.push_back(DdpTransition::User(c1));
-    e1.transitions.push_back(DdpTransition::Db(Monomial({d1, d2}), true));
-    builder.AddExecution(std::move(e1));
+    expr->BeginExecution();
+    expr->AddUserTransition(c1);
+    expr->AddDbTransition(Monomial({d1, d2}), true);
 
-    DdpExecution e2;
-    e2.transitions.push_back(DdpTransition::Db(Monomial({d2, d3}), false));
-    e2.transitions.push_back(DdpTransition::User(c2));
-    builder.AddExecution(std::move(e2));
-    builder.Simplify();
-    expr = Flat(builder);
+    expr->BeginExecution();
+    expr->AddDbTransition(Monomial({d2, d3}), false);
+    expr->AddUserTransition(c2);
+    expr->Canonicalize();
   }
 };
 
@@ -113,19 +110,17 @@ TEST(DdpExprTest, ApplyExample522CollapsesToSingleExecution) {
   AnnotationId d1 = reg.Add(db_d, "d1").MoveValue();
   AnnotationId d2 = reg.Add(db_d, "d2").MoveValue();
   AnnotationId d3 = reg.Add(db_d, "d3").MoveValue();
-  DdpExpression expr;
-  expr.SetCost(c1, 4.0);
-  expr.SetCost(c2, 6.0);
-  DdpExecution e1;
-  e1.transitions.push_back(DdpTransition::User(c1));
-  e1.transitions.push_back(DdpTransition::Db(Monomial({d1, d2}), true));
-  expr.AddExecution(std::move(e1));
-  DdpExecution e2;
-  e2.transitions.push_back(DdpTransition::Db(Monomial({d2, d3}), true));
-  e2.transitions.push_back(DdpTransition::User(c2));
-  expr.AddExecution(std::move(e2));
-  expr.Simplify();
-  EXPECT_EQ(expr.executions().size(), 2u);
+  auto expr = NewDdp();
+  expr->SetCost(c1, 4.0);
+  expr->SetCost(c2, 6.0);
+  expr->BeginExecution();
+  expr->AddUserTransition(c1);
+  expr->AddDbTransition(Monomial({d1, d2}), true);
+  expr->BeginExecution();
+  expr->AddDbTransition(Monomial({d2, d3}), true);
+  expr->AddUserTransition(c2);
+  expr->Canonicalize();
+  EXPECT_EQ(expr->num_executions(), 2u);
 
   AnnotationId big_d = reg.AddSummary(db_d, "D1");
   AnnotationId big_c = reg.AddSummary(cost_d, "C1");
@@ -134,8 +129,8 @@ TEST(DdpExprTest, ApplyExample522CollapsesToSingleExecution) {
   h.Set(d3, big_d);
   h.Set(c1, big_c);
   h.Set(c2, big_c);
-  auto mapped = Flat(expr)->Apply(h);
-  auto* ddp = dynamic_cast<const ir::IrDdpExpression*>(mapped.get());
+  auto mapped = expr->Apply(h);
+  const ir::IrDdpExpression* ddp = mapped->AsDdp();
   ASSERT_NE(ddp, nullptr);
   EXPECT_EQ(ddp->num_executions(), 1u);
   EXPECT_EQ(mapped->Size(), 3);  // C1 + D1·d2
@@ -177,12 +172,12 @@ TEST(DdpExprTest, CloneIsDeep) {
 }
 
 TEST(DdpExprTest, CostOfUnknownVariableIsZero) {
-  DdpExpression expr;
-  EXPECT_EQ(expr.CostOf(42), 0.0);
+  EXPECT_EQ(NewDdp()->CostOf(42), 0.0);
 }
 
 TEST(DdpExprTest, EmptyExpressionIsInfeasible) {
-  auto expr = Flat(DdpExpression());
+  auto expr = NewDdp();
+  expr->Canonicalize();
   EvalResult r = expr->Evaluate(MaterializedValuation(0));
   EXPECT_FALSE(r.feasible());
   EXPECT_EQ(expr->ToString(AnnotationRegistry()), "0");

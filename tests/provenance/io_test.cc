@@ -2,16 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/agg_expr.h"
 #include "ir/ddp_expr.h"
-#include "provenance/aggregate_expr.h"
-#include "provenance/ddp_expr.h"
 #include "testing/fixtures.h"
 
 namespace prox {
 namespace {
 
-using testing_fixtures::Flat;
 using testing_fixtures::MovieFixture;
+using testing_fixtures::NewAggregate;
+using testing_fixtures::NewDdp;
 
 TEST(IoTest, AggregateRoundTripPreservesEverything) {
   MovieFixture fx;
@@ -57,23 +57,18 @@ TEST(IoTest, GuardedTermsRoundTrip) {
   DomainId stats = reg.AddDomain("stats");
   AnnotationId u1 = reg.Add(users, "U1").MoveValue();
   AnnotationId s1 = reg.Add(stats, "S1").MoveValue();
-  AggregateExpression expr(AggKind::kMax);
-  TensorTerm t;
-  t.monomial = Monomial({u1});
-  t.guard = Guard(Monomial({s1, u1}), 5.0, CompareOp::kGt, 2.0);
-  t.group = kNoAnnotation;
-  t.value = {3, 1};
-  expr.AddTerm(std::move(t));
-  expr.Simplify();
+  auto expr = NewAggregate(AggKind::kMax);
+  expr->AddTerm(Monomial({u1}), kNoAnnotation, {3, 1},
+                Guard(Monomial({s1, u1}), 5.0, CompareOp::kGt, 2.0));
+  expr->Canonicalize();
 
   AnnotationRegistry fresh;
-  auto parsed =
-      ParseExpression(SerializeExpression(*Flat(expr), reg), &fresh);
+  auto parsed = ParseExpression(SerializeExpression(*expr, reg), &fresh);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const AggregateFacade* agg = parsed.value()->AsAggregate();
+  const ir::IrAggregateExpression* agg = parsed.value()->AsAggregate();
   ASSERT_NE(agg, nullptr);
-  ASSERT_EQ(agg->agg_num_terms(), 1u);
-  const AggTermView term = agg->agg_term(0);
+  ASSERT_EQ(agg->num_terms(), 1u);
+  const ir::AggTermView term = agg->term(0);
   ASSERT_TRUE(term.has_guard);
   EXPECT_EQ(term.guard_scalar, 5.0);
   EXPECT_EQ(term.guard_op, CompareOp::kGt);
@@ -84,15 +79,11 @@ TEST(IoTest, QuotedNamesWithSpaces) {
   AnnotationRegistry reg;
   DomainId movies = reg.AddDomain("movie");
   AnnotationId mp = reg.Add(movies, "Match Point (2005)").MoveValue();
-  AggregateExpression expr(AggKind::kSum);
-  TensorTerm t;
-  t.monomial = Monomial({mp});
-  t.group = mp;
-  t.value = {1, 1};
-  expr.AddTerm(std::move(t));
-  expr.Simplify();
+  auto expr = NewAggregate(AggKind::kSum);
+  expr->AddTerm(Monomial({mp}), mp, {1, 1});
+  expr->Canonicalize();
 
-  std::string text = SerializeExpression(*Flat(expr), reg);
+  std::string text = SerializeExpression(*expr, reg);
   EXPECT_NE(text.find("\"Match Point (2005)\""), std::string::npos);
   AnnotationRegistry fresh;
   auto parsed = ParseExpression(text, &fresh);
@@ -107,23 +98,19 @@ TEST(IoTest, DdpRoundTrip) {
   AnnotationId c1 = reg.Add(cost, "c1").MoveValue();
   AnnotationId d1 = reg.Add(db, "d1").MoveValue();
   AnnotationId d2 = reg.Add(db, "d2").MoveValue();
-  DdpExpression expr;
-  expr.SetCost(c1, 4.0);
-  DdpExecution e;
-  e.transitions.push_back(DdpTransition::User(c1));
-  e.transitions.push_back(DdpTransition::Db(Monomial({d1, d2}), true));
-  expr.AddExecution(std::move(e));
-  DdpExecution e2;
-  e2.transitions.push_back(DdpTransition::Db(Monomial({d2}), false));
-  expr.AddExecution(std::move(e2));
-  expr.Simplify();
+  auto flat = NewDdp();
+  flat->SetCost(c1, 4.0);
+  flat->BeginExecution();
+  flat->AddUserTransition(c1);
+  flat->AddDbTransition(Monomial({d1, d2}), true);
+  flat->BeginExecution();
+  flat->AddDbTransition(Monomial({d2}), false);
+  flat->Canonicalize();
 
   AnnotationRegistry fresh;
-  auto flat = Flat(expr);
   auto parsed = ParseExpression(SerializeExpression(*flat, reg), &fresh);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const auto* ddp =
-      dynamic_cast<const ir::IrDdpExpression*>(parsed.value().get());
+  const ir::IrDdpExpression* ddp = parsed.value()->AsDdp();
   ASSERT_NE(ddp, nullptr);
   EXPECT_EQ(ddp->num_executions(), 2u);
   EXPECT_EQ(ddp->CostOf(fresh.Find("c1").MoveValue()), 4.0);

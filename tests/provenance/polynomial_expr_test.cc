@@ -1,23 +1,22 @@
-#include "provenance/polynomial_expr.h"
+// Plain ℕ[Ann] provenance (the base semiring model of [21]): a semiring
+// Polynomial adopted into ir::IrPolynomialExpression.
 
 #include <gtest/gtest.h>
 
+#include "ir/adopt.h"
+#include "semiring/polynomial.h"
 #include "summarize/distance.h"
 #include "summarize/mapping_state.h"
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
-#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
-
-using testing_fixtures::Flat;
 
 struct PolyFixture {
   AnnotationRegistry registry;
   DomainId domain;
   AnnotationId x, y, z;
-  PolynomialExpression builder;
   std::unique_ptr<ProvenanceExpression> expr;
 
   // x·y + z — the lineage of a UCQ result with two derivations.
@@ -26,9 +25,9 @@ struct PolyFixture {
         x(registry.Add(domain, "x").MoveValue()),
         y(registry.Add(domain, "y").MoveValue()),
         z(registry.Add(domain, "z").MoveValue()),
-        builder(Polynomial::FromVar(x) * Polynomial::FromVar(y) +
-                Polynomial::FromVar(z)),
-        expr(Flat(builder.polynomial())) {}
+        expr(ir::Adopt(Polynomial::FromVar(x) * Polynomial::FromVar(y) +
+                           Polynomial::FromVar(z),
+                       std::make_shared<ir::TermPool>())) {}
 };
 
 TEST(PolynomialExprTest, SizeAndAnnotations) {

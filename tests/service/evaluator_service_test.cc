@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "datasets/movielens.h"
-#include "provenance/aggregate_expr.h"
 #include "service/summarization_service.h"
 
 namespace prox {

@@ -11,7 +11,7 @@
 #include <map>
 
 #include "common/rng.h"
-#include "provenance/aggregate_expr.h"
+#include "ir/agg_expr.h"
 #include "summarize/distance.h"
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
@@ -87,18 +87,13 @@ TEST_P(HardnessReductionTest, DistanceRevealsModelCount) {
     vars.push_back(
         registry.Add(domain, "x" + std::to_string(v)).MoveValue());
   }
-  AggregateExpression builder(AggKind::kMax);
+  auto expr = testing_fixtures::NewAggregate(AggKind::kMax);
   for (const auto& mono : f.monomials) {
     std::vector<AnnotationId> factors;
     for (int v : mono) factors.push_back(vars[v]);
-    TensorTerm t;
-    t.monomial = Monomial(std::move(factors));
-    t.group = kNoAnnotation;
-    t.value = {1, 1};
-    builder.AddTerm(std::move(t));
+    expr->AddTerm(Monomial(std::move(factors)), kNoAnnotation, {1, 1});
   }
-  builder.Simplify();
-  auto expr = testing_fixtures::Flat(builder);
+  expr->Canonicalize();
 
   // h: every variable -> A, with φ = OR.
   SemanticContext ctx;

@@ -9,7 +9,7 @@
 #include <tuple>
 
 #include "common/rng.h"
-#include "provenance/aggregate_expr.h"
+#include "ir/agg_expr.h"
 #include "summarize/distance.h"
 #include "summarize/mapping_state.h"
 #include "summarize/val_func.h"
@@ -55,20 +55,16 @@ TEST_P(MonotonicityTest, DistanceGrowsSizeShrinksAlongMergeChains) {
     movies.push_back(
         registry.Add(movie_domain, "M" + std::to_string(v)).MoveValue());
   }
-  AggregateExpression builder(agg);
+  auto p0 = testing_fixtures::NewAggregate(agg);
   for (int u = 0; u < n; ++u) {
     int count = 1 + static_cast<int>(rng.PickIndex(m));
     for (int r = 0; r < count; ++r) {
-      TensorTerm t;
       AnnotationId movie = movies[rng.PickIndex(m)];
-      t.monomial = Monomial({users[u], movie});
-      t.group = movie;
-      t.value = {1.0 + static_cast<double>(rng.PickIndex(5)), 1.0};
-      builder.AddTerm(std::move(t));
+      const double score = 1.0 + static_cast<double>(rng.PickIndex(5));
+      p0->AddTerm(Monomial({users[u], movie}), movie, {score, 1.0});
     }
   }
-  builder.Simplify();
-  auto p0 = testing_fixtures::Flat(builder);
+  p0->Canonicalize();
 
   SemanticContext ctx;
   ctx.registry = &registry;
@@ -155,20 +151,15 @@ TEST(MonotonicityCounterexampleTest, MinWithAndIsNotMonotone) {
   AnnotationId m1 = registry.Add(movie_domain, "M1").MoveValue();
   AnnotationId m2 = registry.Add(movie_domain, "M2").MoveValue();
 
-  AggregateExpression builder(AggKind::kMin);
+  auto p0 = testing_fixtures::NewAggregate(AggKind::kMin);
   auto add = [&](AnnotationId user, AnnotationId movie, double score) {
-    TensorTerm t;
-    t.monomial = Monomial({user, movie});
-    t.group = movie;
-    t.value = {score, 1};
-    builder.AddTerm(std::move(t));
+    p0->AddTerm(Monomial({user, movie}), movie, {score, 1});
   };
   add(d, m1, 10);
   add(e, m1, 3);
   add(b, m2, 1);
   add(c, m2, 1);
-  builder.Simplify();
-  auto p0 = testing_fixtures::Flat(builder);
+  p0->Canonicalize();
 
   SemanticContext ctx;
   ctx.registry = &registry;

@@ -46,16 +46,13 @@ struct TaxonomyScoreFixture {
                         std::make_unique<TaxonomyAncestorRule>());
 
     // Symmetric tensors so every pair merge has identical distance/size.
-    AggregateExpression builder(AggKind::kSum);
+    auto expr = testing_fixtures::NewAggregate(AggKind::kSum);
     for (AnnotationId page : {adele, celine, lori}) {
-      TensorTerm t;
-      t.monomial = Monomial({page});
-      t.group = kNoAnnotation;  // single aggregate: fully symmetric
-      t.value = {1, 1};
-      builder.AddTerm(std::move(t));
+      // Single aggregate (no group key): fully symmetric.
+      expr->AddTerm(Monomial({page}), kNoAnnotation, {1, 1});
     }
-    builder.Simplify();
-    p0 = testing_fixtures::Flat(builder);
+    expr->Canonicalize();
+    p0 = std::move(expr);
   }
 };
 

@@ -103,8 +103,8 @@ struct TaxonomyValuationFixture {
   DomainId page_domain;
   AnnotationId adele, lori, lisbon;
   SemanticContext ctx;
-  AggregateExpression builder{AggKind::kSum};
-  std::unique_ptr<ProvenanceExpression> p0;
+  std::unique_ptr<ir::IrAggregateExpression> p0 =
+      testing_fixtures::NewAggregate(AggKind::kSum);
 
   TaxonomyValuationFixture() {
     page_domain = registry.AddDomain("page");
@@ -126,19 +126,12 @@ struct TaxonomyValuationFixture {
     ctx.taxonomy = std::move(tax);
 
     for (AnnotationId page : {adele, lori, lisbon}) {
-      TensorTerm t;
-      t.monomial = Monomial({page});
-      t.group = page;
-      t.value = {1, 1};
-      builder.AddTerm(std::move(t));
+      p0->AddTerm(Monomial({page}), page, {1, 1});
     }
     Rebuild();
   }
 
-  void Rebuild() {
-    builder.Simplify();
-    p0 = testing_fixtures::Flat(builder);
-  }
+  void Rebuild() { p0->Canonicalize(); }
 };
 
 TEST(CancelSingleAnnotationTest, TaxonomyConsistentWithLeafConcepts) {
@@ -162,11 +155,7 @@ TEST(CancelSingleAnnotationTest, TaxonomyClosureCancelsDescendants) {
       fx.registry.Add(fx.page_domain, "ArtistsPortal").MoveValue();
   fx.ctx.concept_of[artists_page] =
       fx.ctx.taxonomy->Find("artist").MoveValue();
-  TensorTerm t;
-  t.monomial = Monomial({artists_page});
-  t.group = artists_page;
-  t.value = {1, 1};
-  fx.builder.AddTerm(std::move(t));
+  fx.p0->AddTerm(Monomial({artists_page}), artists_page, {1, 1});
   fx.Rebuild();
 
   CancelSingleAnnotation cls({}, /*taxonomy_consistent=*/true);

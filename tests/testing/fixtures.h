@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "ir/adopt.h"
-#include "provenance/aggregate_expr.h"
+#include "ir/agg_expr.h"
+#include "ir/ddp_expr.h"
 #include "provenance/annotation.h"
 #include "semantics/constraints.h"
 #include "semantics/context.h"
@@ -15,29 +15,30 @@
 namespace prox {
 namespace testing_fixtures {
 
-/// The prox::ir form of a provenance builder (AggregateExpression,
-/// DdpExpression or a Polynomial), on a fresh pool.
-template <typename Builder>
-std::unique_ptr<ProvenanceExpression> Flat(const Builder& builder) {
-  return ir::Adopt(builder, std::make_shared<ir::TermPool>());
+/// A fresh, empty aggregate expression on its own pool: AddTerm rows,
+/// then Canonicalize().
+inline std::unique_ptr<ir::IrAggregateExpression> NewAggregate(AggKind agg) {
+  return std::make_unique<ir::IrAggregateExpression>(
+      agg, std::make_shared<ir::TermPool>());
 }
 
-/// Owning copies of an aggregate expression's terms, read through its
-/// facade (empty when the expression is not an aggregate).
-inline std::vector<TensorTerm> TermsOf(const ProvenanceExpression& e) {
-  std::vector<TensorTerm> terms;
-  const AggregateFacade* agg = e.AsAggregate();
-  if (agg == nullptr) return terms;
-  for (size_t i = 0; i < agg->agg_num_terms(); ++i) {
-    const AggTermView v = agg->agg_term(i);
-    TensorTerm t;
-    t.monomial = MonomialFromSpan(v.mono, v.mono_len);
-    if (v.has_guard) t.guard = GuardFromView(v);
-    t.group = v.group;
-    t.value = v.value;
-    terms.push_back(std::move(t));
+/// A fresh, empty DDP expression on its own pool: BeginExecution and
+/// Add*Transition, SetCost, then Canonicalize().
+inline std::unique_ptr<ir::IrDdpExpression> NewDdp() {
+  return std::make_unique<ir::IrDdpExpression>(
+      std::make_shared<ir::TermPool>());
+}
+
+/// `src`'s rows under another aggregation, canonical, on a fresh pool.
+inline std::unique_ptr<ir::IrAggregateExpression> WithAgg(
+    const ir::IrAggregateExpression& src, AggKind agg) {
+  auto out = NewAggregate(agg);
+  for (size_t i = 0; i < src.num_terms(); ++i) {
+    const auto r = src.InternRow(i, out->pool().get());
+    out->AddTermIds(r.mono, r.guard, r.group, r.value);
   }
-  return terms;
+  out->Canonicalize();
+  return out;
 }
 
 /// A VAL-FUNC that forwards to `inner` but has no batch counterpart
@@ -64,8 +65,8 @@ class ScalarReferenceValFunc : public ValFunc {
 /// The running example of Chapters 3-4: users U1 (F, Audience),
 /// U2 (F, Critic), U3 (M, Audience) rating "Match Point" (3, 5, 3) and U2
 /// rating "Blue Jasmine" (4), MAX aggregation, users groupable when they
-/// share Gender or Role. `builder` holds the terms; `p0` is its prox::ir
-/// form, rebuilt by Rebuild() after further AddRating / AddTerm calls.
+/// share Gender or Role. `p0` holds the terms; Rebuild() re-canonicalizes
+/// it after further AddRating / AddTerm calls.
 struct MovieFixture {
   AnnotationRegistry registry;
   DomainId user_domain;
@@ -74,8 +75,7 @@ struct MovieFixture {
   AnnotationId match_point, blue_jasmine;
   SemanticContext ctx;
   ConstraintSet constraints;
-  AggregateExpression builder{AggKind::kMax};
-  std::unique_ptr<ProvenanceExpression> p0;
+  std::unique_ptr<ir::IrAggregateExpression> p0 = NewAggregate(AggKind::kMax);
 
   MovieFixture() {
     user_domain = registry.AddDomain("user");
@@ -111,18 +111,11 @@ struct MovieFixture {
   }
 
   void AddRating(AnnotationId user, AnnotationId movie, double score) {
-    TensorTerm t;
-    t.monomial = Monomial({user, movie});
-    t.group = movie;
-    t.value = AggValue{score, 1.0};
-    builder.AddTerm(std::move(t));
+    p0->AddTerm(Monomial({user, movie}), movie, AggValue{score, 1.0});
   }
 
-  /// Re-canonicalizes the builder and re-adopts it into `p0`.
-  void Rebuild() {
-    builder.Simplify();
-    p0 = Flat(builder);
-  }
+  /// Re-canonicalizes `p0` after further AddRating / AddTerm calls.
+  void Rebuild() { p0->Canonicalize(); }
 };
 
 }  // namespace testing_fixtures

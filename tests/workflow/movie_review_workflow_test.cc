@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "ir/agg_expr.h"
+
 namespace prox {
 namespace {
 
@@ -32,13 +34,13 @@ TEST(MovieReviewWorkflowTest, ProducesGuardedProvenance) {
   fx.builder.AddPlatform("imdb", "audience", reviews);
   auto run = fx.builder.Run(AggKind::kMax);
   ASSERT_TRUE(run.ok()) << run.status();
-  const AggregateFacade* p = run.value().provenance->AsAggregate();
+  const ir::IrAggregateExpression* p = run.value().provenance->AsAggregate();
   ASSERT_NE(p, nullptr);
 
   // One tensor per review, each guarded.
-  EXPECT_EQ(p->agg_num_terms(), reviews.size());
-  for (size_t i = 0; i < p->agg_num_terms(); ++i) {
-    const AggTermView term = p->agg_term(i);
+  EXPECT_EQ(p->num_terms(), reviews.size());
+  for (size_t i = 0; i < p->num_terms(); ++i) {
+    const ir::AggTermView term = p->term(i);
     ASSERT_TRUE(term.has_guard);
     EXPECT_EQ(term.guard_op, CompareOp::kGt);
     EXPECT_EQ(term.guard_threshold, 2.0);
@@ -149,7 +151,7 @@ TEST(MovieReviewWorkflowTest, UnknownUsersAreDropped) {
   fx.builder.AddPlatform("imdb", "audience", {{"404", "MatchPoint", 5}});
   auto run = fx.builder.Run(AggKind::kMax);
   ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run.value().provenance->AsAggregate()->agg_num_terms(), 0u);
+  EXPECT_EQ(run.value().provenance->AsAggregate()->num_terms(), 0u);
 }
 
 TEST(MovieReviewWorkflowTest, WorkflowProvenanceIsSummarizable) {
