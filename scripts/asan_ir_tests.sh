@@ -4,8 +4,10 @@
 # TermPool/expression unit tests (`ir` label), the batch-kernel units
 # (`ir` label too — the kernels walk borrowed monomial spans into the
 # TermPool arena), the IR and batch-kernel golden byte-identity suites
-# (frozen outcomes in tests/ir/golden/) and the projected-batch suite (the
-# group-slot remap folds base blocks through a per-call slot table), the
+# (frozen outcomes in tests/ir/golden/), the projected-batch suite (the
+# group-slot remap folds base blocks through a per-call slot table) and
+# the step-pricing suites (dirty-group rows are lowered into per-thread
+# arenas and compact blocks, cached terms copied between a run's steps), the
 # snapshot container/corruption suites
 # (`store` label), and the streaming ingest suites (`ingest` label —
 # ApplyBatch appends into the interned TermPool arena and the warm-start
@@ -43,7 +45,7 @@ ctest --test-dir "$build_dir" -L store --output-on-failure
 ctest --test-dir "$build_dir" -L ingest --output-on-failure
 ctest --test-dir "$build_dir" -L engine --output-on-failure
 ctest --test-dir "$build_dir" \
-  -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest' \
+  -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest|StepPricing' \
   --output-on-failure
 ctest --test-dir "$build_dir" -R '^(IoTest|(Seeds/)?ParserFuzzTest)[.]' \
   --output-on-failure

@@ -5,9 +5,11 @@
 # loopback suites, the ingest loopback suite (concurrent POST /v1/ingest
 # writers vs summarize readers over one session, docs/INGEST.md), the
 # IR golden byte-identity suite against tests/ir/golden/ (worker-overlay
-# Apply at threads {1,8}), the batch-kernel golden and projected-batch
-# suites (thread-local valuation blocks, projected base blocks and
-# call_once base packing on exec workers, docs/KERNELS.md), the
+# Apply at threads {1,8}), the batch-kernel golden, projected-batch and
+# step-pricing suites (thread-local valuation blocks, projected base
+# blocks and call_once base packing on exec workers; step-pricing workers
+# read the step's shared blocks, terms and cross-step cache,
+# docs/KERNELS.md), the
 # snapshot-serving suite (docs/STORE.md), and the epoll transport loopback
 # suite (event-loop shards + handler pool + frozen wire goldens,
 # docs/NET.md) — under TSan.

@@ -47,6 +47,125 @@ bool GuardTrue(const PoolView& pv, GuardId id, const MaterializedValuation& v) {
   return false;
 }
 
+/// A row's canonical sort key, read as spans: group, monomial content,
+/// guard-less first, guard content (Monomial's and Guard's defaulted
+/// `<=>`, the order PoolView::CompareMonomials/CompareGuards implement).
+struct RowKey {
+  AnnotationId group = kNoAnnotation;
+  const AnnotationId* mono = nullptr;
+  uint32_t mono_len = 0;
+  bool has_guard = false;
+  const AnnotationId* guard_mono = nullptr;
+  uint32_t guard_len = 0;
+  double scalar = 0.0;
+  CompareOp op = CompareOp::kGt;
+  double threshold = 0.0;
+};
+
+int CompareSpans(const AnnotationId* a, uint32_t la, const AnnotationId* b,
+                 uint32_t lb) {
+  const uint32_t n = la < lb ? la : lb;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  if (la != lb) return la < lb ? -1 : 1;
+  return 0;
+}
+
+/// <0, 0, >0 under the canonical key order; 0 means the rows merge.
+int CompareRowKeys(const RowKey& a, const RowKey& b) {
+  if (a.group != b.group) return a.group < b.group ? -1 : 1;
+  const int mc = CompareSpans(a.mono, a.mono_len, b.mono, b.mono_len);
+  if (mc != 0) return mc;
+  if (a.has_guard != b.has_guard) return a.has_guard ? 1 : -1;
+  if (!a.has_guard) return 0;
+  const int gc = CompareSpans(a.guard_mono, a.guard_len, b.guard_mono,
+                              b.guard_len);
+  if (gc != 0) return gc;
+  if (a.scalar != b.scalar) return a.scalar < b.scalar ? -1 : 1;
+  if (a.op != b.op) return a.op < b.op ? -1 : 1;
+  if (a.threshold != b.threshold) return a.threshold < b.threshold ? -1 : 1;
+  return 0;
+}
+
+RowKey KeyOfRow(const PoolView& pv, MonomialId mono, GuardId guard,
+               AnnotationId group) {
+  RowKey k;
+  k.group = group;
+  k.mono = pv.mono_data(mono);
+  k.mono_len = pv.mono_len(mono);
+  if (guard != kNoGuard) {
+    const GuardRow& g = pv.guard(guard);
+    k.has_guard = true;
+    k.guard_mono = pv.mono_data(g.mono);
+    k.guard_len = pv.mono_len(g.mono);
+    k.scalar = g.scalar;
+    k.op = g.op;
+    k.threshold = g.threshold;
+  }
+  return k;
+}
+
+/// The kernel row of a canonical row, without its group slot.
+kernels::AggBatchRow LoweredRow(AggKind agg, const RowKey& k, AggValue value) {
+  kernels::AggBatchRow r;
+  r.mono = kernels::MonoSpan{k.mono, k.mono_len};
+  if (k.has_guard) {
+    r.guard_mono = kernels::MonoSpan{k.guard_mono, k.guard_len};
+    r.has_guard = 1;
+    // GuardTrue's value is `scalar` when the body monomial holds and 0.0
+    // otherwise, so the comparison folds to these two booleans.
+    r.guard_if_true = kernels::EvalCompare(k.scalar, k.op, k.threshold);
+    r.guard_if_false = kernels::EvalCompare(0.0, k.op, k.threshold);
+  }
+  r.contribution = (agg == AggKind::kCount) ? value.count : value.value;
+  r.count_add = value.count;
+  return r;
+}
+
+/// Visits rows in the canonical order: `emit(i)` for the first row of each
+/// equal-keyed run, `merge(i)` for every later row of the run (the caller
+/// folds it into the last emitted row). Ties break on the row index, so
+/// the order is total: sorting any subset of rows yields the same relative
+/// sequence as sorting all of them, and equal-keyed rows always merge in
+/// source order. That is what lets step pricing re-canonicalize only the
+/// dirty groups of a merge (summarize/distance.h) and still fold every
+/// float in the order a full Apply would.
+///
+/// `moved` (optional) flags the rows whose key changed since the rows were
+/// last canonical; the others are still in strictly ascending order, so
+/// only the moved rows are sorted and then merged in.
+template <typename Emit, typename Merge>
+void ForEachCanonicalRow(const std::vector<RowKey>& keys, const uint8_t* moved,
+                         std::vector<uint32_t>* idx, Emit emit, Merge merge) {
+  auto less = [&](uint32_t a, uint32_t b) {
+    const int c = CompareRowKeys(keys[a], keys[b]);
+    return c != 0 ? c < 0 : a < b;
+  };
+  const uint32_t n = static_cast<uint32_t>(keys.size());
+  idx->clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    if (moved == nullptr || !moved[i]) idx->push_back(i);
+  }
+  const size_t mid = moved == nullptr ? 0 : idx->size();
+  for (uint32_t i = 0; i < n && moved != nullptr; ++i) {
+    if (moved[i]) idx->push_back(i);
+  }
+  std::sort(idx->begin() + mid, idx->end(), less);
+  std::inplace_merge(idx->begin(), idx->begin() + mid, idx->end(), less);
+  for (size_t k = 0; k < idx->size(); ++k) {
+    const uint32_t i = (*idx)[k];
+    const uint32_t prev = k > 0 ? (*idx)[k - 1] : 0;
+    // Two rows that kept their keys are distinct: they were canonical.
+    if (k > 0 && (moved == nullptr || moved[prev] || moved[i]) &&
+        CompareRowKeys(keys[prev], keys[i]) == 0) {
+      merge(i);
+    } else {
+      emit(i);
+    }
+  }
+}
+
 }  // namespace
 
 void IrAggregateExpression::AddTermIds(MonomialId mono, GuardId guard,
@@ -92,23 +211,10 @@ IrAggregateExpression::InternedRow IrAggregateExpression::InternRow(
 void IrAggregateExpression::Canonicalize() {
   const size_t n = mono_.size();
   const PoolView pv = view();
-
-  // Index sort on (group, monomial content, guard-less first, guard
-  // content). The goldens pin the resulting introsort permutation: rows
-  // appended in the same order fold equal-keyed merges in the same float
-  // order, so this comparator's decision sequence must not change.
-  std::vector<uint32_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0u);
-  std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-    if (group_[a] != group_[b]) return group_[a] < group_[b];
-    const int mc = pv.CompareMonomials(mono_[a], mono_[b]);
-    if (mc != 0) return mc < 0;
-    const bool ag = guard_[a] != kNoGuard;
-    const bool bg = guard_[b] != kNoGuard;
-    if (ag != bg) return bg;  // guard-less terms first
-    if (!ag) return false;
-    return pv.CompareGuards(guard_[a], guard_[b]) < 0;
-  });
+  std::vector<RowKey> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = KeyOfRow(pv, mono_[i], guard_[i], group_[i]);
+  }
 
   std::vector<MonomialId> nm;
   std::vector<GuardId> ng;
@@ -118,22 +224,16 @@ void IrAggregateExpression::Canonicalize() {
   ng.reserve(n);
   ngroup.reserve(n);
   nv.reserve(n);
-  for (uint32_t i : idx) {
-    const bool guard_equal =
-        !nm.empty() &&
-        ((ng.back() == kNoGuard && guard_[i] == kNoGuard) ||
-         (ng.back() != kNoGuard && guard_[i] != kNoGuard &&
-          pv.GuardsEqual(ng.back(), guard_[i])));
-    if (!nm.empty() && ngroup.back() == group_[i] &&
-        pv.MonomialsEqual(nm.back(), mono_[i]) && guard_equal) {
-      nv.back() = MergeAggValues(agg_, nv.back(), value_[i]);
-    } else {
-      nm.push_back(mono_[i]);
-      ng.push_back(guard_[i]);
-      ngroup.push_back(group_[i]);
-      nv.push_back(value_[i]);
-    }
-  }
+  std::vector<uint32_t> idx;
+  ForEachCanonicalRow(
+      keys, /*moved=*/nullptr, &idx,
+      [&](uint32_t i) {
+        nm.push_back(mono_[i]);
+        ng.push_back(guard_[i]);
+        ngroup.push_back(group_[i]);
+        nv.push_back(value_[i]);
+      },
+      [&](uint32_t i) { nv.back() = MergeAggValues(agg_, nv.back(), value_[i]); });
   mono_ = std::move(nm);
   guard_ = std::move(ng);
   group_ = std::move(ngroup);
@@ -144,31 +244,12 @@ void IrAggregateExpression::Canonicalize() {
 
 void IrAggregateExpression::CanonicalizeSorted() {
   const PoolView pv = view();
-  // Strictly ascending under the canonical comparator: already sorted and
-  // no equal-keyed pair to merge, so the sort+merge pass is a no-op.
+  // Strictly ascending keys: already sorted and no equal-keyed pair to
+  // merge, so the sort+merge pass is a no-op.
   for (size_t i = 0; i + 1 < mono_.size(); ++i) {
-    const size_t a = i;
-    const size_t b = i + 1;
-    bool strictly_less;
-    if (group_[a] != group_[b]) {
-      strictly_less = group_[a] < group_[b];
-    } else {
-      const int mc = pv.CompareMonomials(mono_[a], mono_[b]);
-      if (mc != 0) {
-        strictly_less = mc < 0;
-      } else {
-        const bool ag = guard_[a] != kNoGuard;
-        const bool bg = guard_[b] != kNoGuard;
-        if (ag != bg) {
-          strictly_less = bg;  // guard-less terms first
-        } else if (!ag) {
-          strictly_less = false;  // equal keys => must merge
-        } else {
-          strictly_less = pv.CompareGuards(guard_[a], guard_[b]) < 0;
-        }
-      }
-    }
-    if (!strictly_less) {
+    if (CompareRowKeys(KeyOfRow(pv, mono_[i], guard_[i], group_[i]),
+                       KeyOfRow(pv, mono_[i + 1], guard_[i + 1],
+                                group_[i + 1])) >= 0) {
       Canonicalize();
       return;
     }
@@ -419,24 +500,80 @@ kernels::BatchProgram IrAggregateExpression::LowerBatch() const {
   p.num_groups = groups_.size();
   p.agg_rows.reserve(mono_.size());
   for (size_t i = 0; i < mono_.size(); ++i) {
-    kernels::AggBatchRow r;
-    r.mono = kernels::MonoSpan{pv.mono_data(mono_[i]), pv.mono_len(mono_[i])};
-    if (guard_[i] != kNoGuard) {
-      const GuardRow& g = pv.guard(guard_[i]);
-      r.guard_mono = kernels::MonoSpan{pv.mono_data(g.mono), pv.mono_len(g.mono)};
-      r.has_guard = 1;
-      // GuardTrue's value is `scalar` when the body monomial holds and 0.0
-      // otherwise, so the comparison folds to these two booleans.
-      r.guard_if_true = kernels::EvalCompare(g.scalar, g.op, g.threshold);
-      r.guard_if_false = kernels::EvalCompare(0.0, g.op, g.threshold);
-    }
+    kernels::AggBatchRow r =
+        LoweredRow(agg_, KeyOfRow(pv, mono_[i], guard_[i], group_[i]),
+                   value_[i]);
     r.group = group_dense_[i];
-    r.contribution =
-        (agg_ == AggKind::kCount) ? value_[i].count : value_[i].value;
-    r.count_add = value_[i].count;
     p.agg_rows.push_back(r);
   }
   return p;
+}
+
+void IrAggregateExpression::LowerMapped(const uint32_t* rows, size_t num_rows,
+                                        const AnnotationId* roots,
+                                        size_t num_roots, AnnotationId target,
+                                        MappedRows* out) const {
+  const PoolView pv = view();
+  auto is_root = [&](AnnotationId a) {
+    return std::binary_search(roots, roots + num_roots, a);
+  };
+  auto touched = [&](const AnnotationId* f, uint32_t len) {
+    return std::any_of(f, f + len, is_root);
+  };
+  // A row the merge moves gets its mapped monomial and guard body in the
+  // arena, re-sorted as Apply's map_mono re-sorts them; the other rows
+  // keep their pool spans. Offsets only while the arena grows.
+  std::vector<AnnotationId>& arena = out->arena;
+  arena.clear();
+  auto append = [&](const AnnotationId* f, uint32_t len) {
+    const size_t off = arena.size();
+    for (uint32_t k = 0; k < len; ++k) {
+      arena.push_back(is_root(f[k]) ? target : f[k]);
+    }
+    std::sort(arena.begin() + off, arena.end());
+    return static_cast<uint32_t>(off);
+  };
+  thread_local std::vector<RowKey> keys;
+  thread_local std::vector<uint8_t> moved;
+  thread_local std::vector<uint32_t> offsets;
+  keys.resize(num_rows);
+  moved.resize(num_rows);
+  offsets.resize(2 * num_rows);
+  for (size_t j = 0; j < num_rows; ++j) {
+    const uint32_t i = rows[j];
+    RowKey& k = keys[j];
+    k = KeyOfRow(pv, mono_[i], guard_[i], group_[i]);
+    moved[j] = is_root(k.group) || touched(k.mono, k.mono_len) ||
+               (k.has_guard && touched(k.guard_mono, k.guard_len));
+    if (!moved[j]) continue;
+    offsets[2 * j] = append(k.mono, k.mono_len);
+    if (k.has_guard) offsets[2 * j + 1] = append(k.guard_mono, k.guard_len);
+  }
+  for (size_t j = 0; j < num_rows; ++j) {
+    if (!moved[j]) continue;
+    RowKey& k = keys[j];
+    if (is_root(k.group)) k.group = target;
+    k.mono = arena.data() + offsets[2 * j];
+    if (k.has_guard) k.guard_mono = arena.data() + offsets[2 * j + 1];
+  }
+  thread_local std::vector<std::pair<uint32_t, AggValue>> merged;
+  thread_local std::vector<uint32_t> idx;
+  merged.clear();
+  // Rows the merge left alone are still in canonical order (this
+  // expression is canonical and `rows` ascending).
+  ForEachCanonicalRow(
+      keys, moved.data(), &idx,
+      [&](uint32_t j) { merged.emplace_back(j, value_[rows[j]]); },
+      [&](uint32_t j) {
+        merged.back().second =
+            MergeAggValues(agg_, merged.back().second, value_[rows[j]]);
+      });
+  out->rows.clear();
+  out->keys.clear();
+  for (const auto& [j, value] : merged) {
+    out->rows.push_back(LoweredRow(agg_, keys[j], value));
+    out->keys.push_back(keys[j].group);
+  }
 }
 
 std::unique_ptr<ProvenanceExpression> IrAggregateExpression::Clone() const {

@@ -33,6 +33,19 @@ struct AggTermView {
   double guard_threshold = 0.0;
 };
 
+/// Rows of an expression under a merge homomorphism, lowered for the batch
+/// kernels (IrAggregateExpression::LowerMapped). `rows[i]` is in the
+/// canonical order with equal-keyed rows merged; its `group` field is left
+/// for the caller to set, and `keys[i]` is its mapped group key. Factor
+/// spans of rows the merge rewrote point into `arena`, the others into the
+/// expression's pool: valid until the next call, and while the pool is
+/// not interned into.
+struct MappedRows {
+  std::vector<kernels::AggBatchRow> rows;
+  std::vector<AnnotationId> keys;
+  std::vector<AnnotationId> arena;
+};
+
 /// \brief Flat structure-of-arrays aggregate expression — the one form of
 /// the aggregate provenance structure of Section 2.2 ([7, 6]) shared by the
 /// MovieLens and Wikipedia datasets (docs/IR.md).
@@ -43,9 +56,12 @@ struct AggTermView {
 /// Canonicalize(). Canonical form sorts rows by (group, monomial content,
 /// guard-less first, guard content) and merges equal-keyed rows under the
 /// congruence `k⊗v₁ ⊕ k⊗v₂ ≡ k⊗(v₁ agg v₂)` (Example 3.1.1's step from
-/// `U₁⊗(3,1) ⊕ U₂⊗(5,1)` to `Female⊗(5,2)`). The sort permutation and
-/// merge order are pinned by the frozen goldens in tests/ir/golden/:
-/// ToString(), Evaluate() and term() must match them byte for byte.
+/// `U₁⊗(3,1) ⊕ U₂⊗(5,1)` to `Female⊗(5,2)`). Ties break on the source row
+/// index, so the order is total and equal-keyed rows merge in source
+/// order; re-sorting one group's rows alone gives the sequence a full
+/// Canonicalize gives. The frozen goldens in tests/ir/golden/ pin the
+/// result: ToString(), Evaluate() and term() must match them byte for
+/// byte.
 ///
 /// Apply() is copy-on-write: rows whose factors the homomorphism fixes
 /// keep their interned monomial id (no allocation, no hashing); only
@@ -128,6 +144,16 @@ class IrAggregateExpression : public ProvenanceExpression,
 
   // BatchEvalFacade interface ----------------------------------------------
   kernels::BatchProgram LowerBatch() const override;
+
+  /// The rows Apply(h) would emit for the source rows `rows` (ascending
+  /// indexes covering whole groups), where h maps every annotation of
+  /// `roots` (sorted) to `target` and fixes the rest: factors and group
+  /// keys mapped, re-sorted into the canonical order and merged — the same
+  /// float folds a full Apply performs for those groups. Lowered like
+  /// LowerBatch into `out`; reads only, so safe on exec workers.
+  void LowerMapped(const uint32_t* rows, size_t num_rows,
+                   const AnnotationId* roots, size_t num_roots,
+                   AnnotationId target, MappedRows* out) const;
 
  private:
   PoolView view() const { return PoolView(pool_.get(), overlay_.get()); }

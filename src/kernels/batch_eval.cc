@@ -44,7 +44,6 @@ void EvaluateBlock(const BatchProgram& program, const ValuationBlock& block,
       internal::EvalBatchScalar(program, block, out);
       break;
   }
-  CountBatchEvals(block.width());
 }
 
 void ValFuncBlockErrors(ValFuncBatchKind kind, double ddp_max_error,
@@ -135,39 +134,65 @@ bool PackEvalBlock(const EvalResult* evals, size_t count,
 bool BuildGroupRemap(EvalResult::Kind kind, const AnnotationId* groups,
                      size_t num_groups, const BatchProgram& program,
                      const Homomorphism& h, GroupRemap* out) {
+  out->is_identity = true;
   out->slot.clear();
-  bool identity = true;
-  if (kind == EvalResult::Kind::kVector) {
-    for (size_t g = 0; g < num_groups && identity; ++g) {
-      identity = h.Map(groups[g]) == groups[g];
-    }
-  }
-  if (identity) return ProgramMatchesLayout(program, kind, groups, num_groups);
-  if (program.kind != EvalResult::Kind::kVector) return false;
+  out->src_off.clear();
+  out->src.clear();
+  if (program.kind != kind) return false;
+  if (kind != EvalResult::Kind::kVector) return true;
   const AnnotationId* first = program.groups;
   const AnnotationId* last = program.groups + program.num_groups;
-  std::vector<uint8_t> covered(program.num_groups, 0);
-  size_t num_covered = 0;
   out->slot.resize(num_groups);
+  out->src_off.assign(program.num_groups + 1, 0);
   for (size_t g = 0; g < num_groups; ++g) {
     const AnnotationId image = h.Map(groups[g]);
+    out->is_identity = out->is_identity && image == groups[g];
     const AnnotationId* it = std::lower_bound(first, last, image);
-    if (it == last || *it != image) {
-      out->slot.clear();
-      return false;
-    }
-    const size_t s = static_cast<size_t>(it - first);
-    out->slot[g] = static_cast<uint32_t>(s);
-    if (!covered[s]) {
-      covered[s] = 1;
-      ++num_covered;
-    }
+    if (it == last || *it != image) return false;
+    out->slot[g] = static_cast<uint32_t>(it - first);
+    ++out->src_off[out->slot[g] + 1];
   }
-  if (num_covered != program.num_groups) {
-    out->slot.clear();
-    return false;
+  // Each program slot's preimage, ascending (a counting sort of `slot`).
+  for (size_t t = 0; t < program.num_groups; ++t) {
+    if (out->src_off[t + 1] == 0) return false;  // no base group maps here
+    out->src_off[t + 1] += out->src_off[t];
+  }
+  out->src.resize(num_groups);
+  std::vector<uint32_t> fill(out->src_off.begin(), out->src_off.end() - 1);
+  for (size_t g = 0; g < num_groups; ++g) {
+    out->src[fill[out->slot[g]]++] = static_cast<uint32_t>(g);
   }
   return true;
+}
+
+void FoldBaseSlots(AggKind agg, const BlockEval& base, const uint32_t* slots,
+                   size_t num_slots, double* value, double* count) {
+  const size_t stride = base.stride;
+  for (size_t l = 0; l < stride; ++l) {
+    value[l] = 0.0;
+    count[l] = 0.0;
+  }
+  for (size_t k = 0; k < num_slots; ++k) {
+    const double* bv = base.values.data() + slots[k] * stride;
+    const double* bc = base.counts.data() + slots[k] * stride;
+    if (agg == AggKind::kAvg) {
+      // Coordinates carry averages; merge as count-weighted sums.
+      for (size_t l = 0; l < stride; ++l) {
+        value[l] += bv[l] * bc[l];
+        count[l] += bc[l];
+      }
+    } else {
+      for (size_t l = 0; l < stride; ++l) {
+        const AggValue x{bv[l], agg == AggKind::kCount ? bv[l] : 0.0};
+        value[l] = FoldAggregate(agg, value[l], x, k == 0);
+      }
+    }
+  }
+  if (agg == AggKind::kAvg) {
+    for (size_t l = 0; l < stride; ++l) {
+      value[l] = count[l] > 0 ? value[l] / count[l] : 0.0;
+    }
+  }
 }
 
 const BlockEval& ProjectBlock(const GroupRemap& remap,
@@ -181,42 +206,15 @@ const BlockEval& ProjectBlock(const GroupRemap& remap,
   scratch->stride = stride;
   scratch->groups = program.groups;
   scratch->num_groups = num_slots;
-  scratch->values.assign(num_slots * stride, 0.0);
-  scratch->counts.assign(num_slots * stride, 0.0);
+  scratch->values.resize(num_slots * stride);
+  scratch->counts.resize(num_slots * stride);
   scratch->costs.clear();
 
-  // Which base slot reaches a program slot first is structural, so one
-  // FoldAggregate `first` flag per slot serves every lane.
-  static thread_local std::vector<uint8_t> seen;
-  seen.assign(num_slots, 0);
-  const AggKind agg = program.agg;
-  for (size_t g = 0; g < remap.slot.size(); ++g) {
-    const size_t t = remap.slot[g];
-    const double* bv = base.values.data() + g * stride;
-    const double* bc = base.counts.data() + g * stride;
-    double* v = scratch->values.data() + t * stride;
-    double* c = scratch->counts.data() + t * stride;
-    if (agg == AggKind::kAvg) {
-      // Coordinates carry averages; merge as count-weighted sums.
-      for (size_t l = 0; l < stride; ++l) {
-        v[l] += bv[l] * bc[l];
-        c[l] += bc[l];
-      }
-    } else {
-      const bool first = !seen[t];
-      for (size_t l = 0; l < stride; ++l) {
-        const AggValue x{bv[l], agg == AggKind::kCount ? bv[l] : 0.0};
-        v[l] = FoldAggregate(agg, v[l], x, first);
-      }
-    }
-    seen[t] = 1;
-  }
-  if (agg == AggKind::kAvg) {
-    double* v = scratch->values.data();
-    const double* c = scratch->counts.data();
-    for (size_t i = 0; i < num_slots * stride; ++i) {
-      v[i] = c[i] > 0 ? v[i] / c[i] : 0.0;
-    }
+  for (size_t t = 0; t < num_slots; ++t) {
+    FoldBaseSlots(program.agg, base, remap.src.data() + remap.src_off[t],
+                  remap.src_off[t + 1] - remap.src_off[t],
+                  scratch->values.data() + t * stride,
+                  scratch->counts.data() + t * stride);
   }
   return *scratch;
 }

@@ -170,6 +170,8 @@ class BatchEvalFacade {
 
 /// Evaluates `program` under every lane of `block`, dispatching to the
 /// active SIMD tier (common/cpu_features.h). Bit-identical across tiers.
+/// Counts nothing: the oracles count priced valuations
+/// (`prox_kernel_batch_evals_total`) once per priced candidate.
 void EvaluateBlock(const BatchProgram& program, const ValuationBlock& block,
                    BlockEval* out);
 
@@ -203,16 +205,20 @@ bool PackEvalBlock(const EvalResult* evals, size_t count,
 /// \brief Where each group slot of the base layout lands in a candidate
 /// program's layout once the cumulative homomorphism h is applied — the
 /// projection of v(p₀) into the summary's coordinate space (Example
-/// 5.2.1) as a table. `slot` is empty when the map is the identity (no
-/// group key merged), which leaves the base blocks untouched.
+/// 5.2.1) as a table. When no group key is merged the map is the
+/// identity, which leaves the base blocks untouched.
 struct GroupRemap {
-  std::vector<uint32_t> slot;  ///< base slot -> program slot
+  bool is_identity = true;
+  std::vector<uint32_t> slot;     ///< base slot -> program slot
+  std::vector<uint32_t> src_off;  ///< program slot -> its range of `src`
+  std::vector<uint32_t> src;      ///< each program slot's base slots, ascending
 
-  bool identity() const { return slot.empty(); }
+  bool identity() const { return is_identity; }
 };
 
 /// Builds the remap from the base layout (`kind`, sorted `groups`) into
-/// `program`'s output layout under `h`. Returns false when no remap
+/// `program`'s output layout under `h`; for vector layouts the tables are
+/// filled even when the map is the identity. Returns false when no remap
 /// reconciles the two: a kind mismatch, a base group whose image is not a
 /// program group, or a program group no base group maps to. Callers then
 /// keep the per-valuation scalar path.
@@ -220,11 +226,18 @@ bool BuildGroupRemap(EvalResult::Kind kind, const AnnotationId* groups,
                      size_t num_groups, const BatchProgram& program,
                      const Homomorphism& h, GroupRemap* out);
 
+/// Folds base slots `slots` (ascending) of the vector block `base` into one
+/// coordinate, per lane: `value`/`count` receive `base.stride` lanes. The
+/// per-lane operation sequence of
+/// IrAggregateExpression::ProjectEvalResult for one projected coordinate
+/// (FoldAggregate per slot, count-weighted sums for AVG; counts stay 0
+/// otherwise).
+void FoldBaseSlots(AggKind agg, const BlockEval& base, const uint32_t* slots,
+                   size_t num_slots, double* value, double* count);
+
 /// The base side of a candidate's VAL-FUNC: `base` itself when `remap` is
 /// the identity, otherwise `base` folded into the program's group slots
-/// in `scratch` — per lane, the exact operation sequence of
-/// IrAggregateExpression::ProjectEvalResult (base slots in ascending
-/// order, FoldAggregate per slot, count-weighted sums for AVG). `program`
+/// in `scratch` — each slot's preimage through FoldBaseSlots. `program`
 /// is the candidate's lowering the remap was built for.
 const BlockEval& ProjectBlock(const GroupRemap& remap,
                               const BatchProgram& program,

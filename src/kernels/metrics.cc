@@ -16,7 +16,8 @@ void PublishSimdTier(int tier) {
 void CountBatchEvals(uint64_t n) {
   static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
       "prox_kernel_batch_evals_total",
-      "Valuations evaluated through the batched VAL-FUNC kernels.");
+      "Valuations priced through the batched VAL-FUNC kernels (one per "
+      "valuation per priced candidate).");
   c->Increment(n);
 }
 

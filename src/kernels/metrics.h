@@ -15,7 +15,8 @@ namespace kernels {
 /// cap changes (PROX_SIMD, --simd) show up.
 void PublishSimdTier(int tier);
 
-/// `n` valuations were evaluated through the batch kernels.
+/// `n` valuations were priced through the batch kernels (the oracles count
+/// once per valuation per priced candidate).
 void CountBatchEvals(uint64_t n);
 
 /// An oracle fell back to the per-valuation scalar path for one Distance

@@ -75,6 +75,9 @@ class ValuationBlock {
   const uint8_t* Row(AnnotationId a) const {
     return truth_.data() + static_cast<size_t>(a) * stride_;
   }
+  uint8_t* MutableRow(AnnotationId a) {
+    return truth_.data() + static_cast<size_t>(a) * stride_;
+  }
 
  private:
   std::vector<uint8_t> truth_;

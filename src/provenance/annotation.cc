@@ -36,10 +36,15 @@ Result<AnnotationId> AnnotationRegistry::Add(DomainId domain,
 
 AnnotationId AnnotationRegistry::AddSummary(DomainId domain,
                                             const std::string& name) {
+  // Names are never removed, so every "name#k" below the remembered next
+  // suffix is still taken: probing on from it yields the name a probe from
+  // 2 would, without re-walking the taken ones on every call.
   std::string unique = name;
-  int suffix = 2;
-  while (by_name_.count(unique) > 0) {
-    unique = name + "#" + std::to_string(suffix++);
+  if (by_name_.count(unique) > 0) {
+    int& suffix = next_suffix_.try_emplace(name, 2).first->second;
+    do {
+      unique = name + "#" + std::to_string(suffix++);
+    } while (by_name_.count(unique) > 0);
   }
   AnnotationId id = static_cast<AnnotationId>(entries_.size());
   entries_.push_back(Entry{unique, domain, kNoEntity, /*is_summary=*/true});

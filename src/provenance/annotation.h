@@ -110,6 +110,8 @@ class AnnotationRegistry {
   std::vector<std::string> domain_names_;
   std::unordered_map<std::string, AnnotationId> by_name_;
   std::unordered_map<std::string, DomainId> domain_by_name_;
+  /// AddSummary: requested name -> the next "#k" suffix to probe.
+  std::unordered_map<std::string, int> next_suffix_;
 };
 
 }  // namespace prox

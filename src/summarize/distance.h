@@ -1,8 +1,10 @@
 #ifndef PROX_SUMMARIZE_DISTANCE_H_
 #define PROX_SUMMARIZE_DISTANCE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,6 +15,88 @@
 #include "summarize/val_func.h"
 
 namespace prox {
+
+/// One candidate merge of a greedy step: the current annotations `roots`
+/// (sorted) merged into the step's scratch summary annotation `scratch`.
+struct MergeQuery {
+  const std::vector<AnnotationId>* roots = nullptr;
+  AnnotationId scratch = kNoAnnotation;
+};
+
+/// A priced merge: the normalized distance and the size of the candidate
+/// expression, plus the wall time spent pricing it.
+struct MergePrice {
+  double distance = 0.0;
+  int64_t size = 0;
+  int64_t nanos = 0;
+};
+
+/// \brief Run-local state of step pricing (DistanceOracle::PriceMerges):
+/// each candidate's dirty-group VAL-FUNC terms, kept across the steps of
+/// one Summarizer::Run under the candidate's sorted roots.
+///
+/// A group's cached terms stay valid while the group's rows are unchanged
+/// — while no winning merge dirtied it (Minoux's lazy greedy at group
+/// granularity). Every step compares each group's rows with the previous
+/// step's and bumps the group's version when they differ; a cached term
+/// is reused only under the versions it was computed at. The cache holds
+/// at most kMaxBytes of terms; a candidate whose entry does not fit is
+/// evicted (counted in `prox_summarize_pricing_cache_evictions_total`)
+/// and prices all of its dirty groups afresh at its next step.
+class PricingCache {
+ public:
+  /// Byte cap on cached entries: 2.7x the 6 MiB peak of a 100-user,
+  /// 12-movie MovieLens run at 32 steps (docs/KERNELS.md).
+  static constexpr size_t kMaxBytes = size_t{16} << 20;
+
+  size_t peak_bytes() const { return peak_bytes_; }
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  friend class DistanceOracle;
+  friend class StepPricer;
+
+  /// The terms of one dirty group of a candidate: a group the merge left
+  /// in place, or (`merged`) the group the merge's group-key roots fold
+  /// into. `sources` are the current group keys it was computed from,
+  /// with their versions.
+  struct Unit {
+    bool merged = false;
+    uint32_t src_begin = 0;
+    uint32_t src_end = 0;
+    int64_t size = 0;        ///< size of the group's rows after the merge
+    uint32_t terms_off = 0;  ///< chunk-major, `stride` lanes per chunk
+  };
+  struct Entry {
+    std::vector<Unit> units;
+    std::vector<std::pair<AnnotationId, uint64_t>> sources;
+    std::vector<double> terms;
+
+    size_t bytes() const;
+  };
+  struct RootsHash {
+    size_t operator()(const std::vector<AnnotationId>& roots) const;
+  };
+  /// A group of the last priced step: its version and row content.
+  struct GroupState {
+    uint64_t version = 0;
+    std::vector<uint64_t> content;
+  };
+
+  /// Replaces the entries with this step's, in candidate order, until
+  /// the byte cap; returns the number evicted.
+  uint64_t Commit(const std::vector<MergeQuery>& merges,
+                  std::vector<Entry>* entries);
+  void Clear();
+
+  std::unordered_map<std::vector<AnnotationId>, Entry, RootsHash> entries_;
+  std::unordered_map<AnnotationId, GroupState> groups_;
+  uint64_t next_version_ = 0;
+  bool identity_on_groups_ = true;
+  size_t bytes_ = 0;
+  size_t peak_bytes_ = 0;
+  uint64_t evictions_ = 0;
+};
 
 /// \brief Computes dist^{h,φ}(p₀, p') (Definition 3.2.2) for candidate
 /// summaries against a fixed original expression and valuation set.
@@ -32,6 +116,58 @@ class DistanceOracle {
 
   /// The normalization constant (maximum possible error).
   virtual double max_error() const = 0;
+
+  /// \brief Step pricing: prices every merge of one greedy step against
+  /// `current` (= h(p₀) for `state`'s cumulative h) without building the
+  /// candidate expressions (docs/KERNELS.md). `(*out)[i]` gets the
+  /// distance and size that `Distance(*current.Apply(h_i), state_i)` and
+  /// `Size()` would return for merge i, bit for bit.
+  ///
+  /// A merge of roots R can only change the groups in which an annotation
+  /// of R occurs (its *dirty* groups). Once per step this evaluates the
+  /// current expression under `state` and keeps every group's VAL-FUNC
+  /// terms; each merge then re-canonicalizes and evaluates only its dirty
+  /// groups' rows, and folds the per-group terms in ascending group order.
+  /// `cache` carries dirty-group terms across the steps of one run.
+  /// Expressions and VAL-FUNCs without a batch lowering (DDP, polynomial,
+  /// group-less aggregates, kNone) have every group dirty: they build
+  /// each candidate and call Distance. Merges fan out over `pool`.
+  void PriceMerges(const ProvenanceExpression& current,
+                   const MappingState& state,
+                   const std::vector<MergeQuery>& merges,
+                   exec::ThreadPool* pool, PricingCache* cache,
+                   std::vector<MergePrice>* out);
+
+ protected:
+  /// Batch inputs of one reduction chunk for step pricing.
+  struct PricingChunk {
+    kernels::ValuationBlock block;  ///< v^{h,φ} under the step's state
+    const kernels::BlockEval* base = nullptr;  ///< v(p₀), base layout
+    kernels::BlockEval owned_base;  ///< storage when `base` is per step
+    double weights[kernels::kMaxLanes] = {};
+  };
+  struct PricingInputs {
+    const AnnotationRegistry* registry = nullptr;
+    kernels::ValFuncBatchKind vf_kind = kernels::ValFuncBatchKind::kNone;
+    EvalResult::Kind base_kind = EvalResult::Kind::kScalar;
+    const std::vector<AnnotationId>* base_groups = nullptr;
+    std::vector<PricingChunk> chunks;
+    /// distance = (Σ chunk partials / norm) / max_error().
+    double norm = 1.0;
+  };
+
+  /// Fills `in` with this oracle's chunks for pricing merges against
+  /// `state`; false when the oracle has no batch path (a kNone VAL-FUNC,
+  /// base evaluations no layout packs), so every merge materializes.
+  virtual bool PreparePricing(const MappingState& state,
+                              PricingInputs* in) = 0;
+
+  /// Counts one merge priced by step pricing the way one batched Distance
+  /// call counts it; `identity` when its group remap is the identity.
+  virtual void CountPricedMerge(bool identity) = 0;
+
+ private:
+  friend class StepPricer;
 };
 
 /// Exact distance over an explicitly enumerated valuation class — the
@@ -71,6 +207,10 @@ class EnumeratedDistance : public DistanceOracle {
     return base_mats_;
   }
   const AnnotationRegistry* registry() const { return registry_; }
+
+ protected:
+  bool PreparePricing(const MappingState& state, PricingInputs* in) override;
+  void CountPricedMerge(bool identity) override;
 
  private:
   /// Packs base_evals_ into per-chunk BlockEvals for the batch kernels
@@ -133,7 +273,14 @@ class SampledDistance : public DistanceOracle {
 
   int num_samples() const { return num_samples_; }
 
+ protected:
+  bool PreparePricing(const MappingState& state, PricingInputs* in) override;
+  void CountPricedMerge(bool identity) override;
+
  private:
+  /// Draws sample `s`'s valuation from its own Rng stream.
+  Valuation Sample(int64_t s) const;
+
   const ProvenanceExpression* p0_;
   const AnnotationRegistry* registry_;
   const ValFunc* val_func_;

@@ -36,9 +36,10 @@ struct PhiConfig {
 /// annotation, and the machinery to transform base valuations into v^{h,φ}
 /// (Section 3.2).
 ///
-/// Copyable by design — the summarizer clones the state to evaluate each
-/// candidate merge of a step before committing the best one, and keeps the
-/// previous step's state for the TARGET-DIST rollback (Algorithm 1 line 11).
+/// Copyable: the summarizer keeps the previous step's state for the
+/// TARGET-DIST rollback (Algorithm 1 line 11), and candidates that step
+/// pricing cannot price by their dirty groups are priced on a tentative
+/// copy (DistanceOracle::PriceMerges).
 class MappingState {
  public:
   MappingState(const AnnotationRegistry* registry, PhiConfig phi)

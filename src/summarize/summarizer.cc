@@ -1,11 +1,9 @@
 #include "summarize/summarizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 
-#include "common/timer.h"
 #include "exec/thread_pool.h"
 #include "ir/adopt.h"
 #include "ir/term_pool.h"
@@ -33,6 +31,7 @@ struct SummarizeMetrics {
   obs::Histogram* candidates_per_step;
   obs::Gauge* expression_size;
   obs::Gauge* parallel_efficiency;
+  obs::Gauge* pricing_cache_peak_bytes;
 
   static const SummarizeMetrics& Get() {
     static const SummarizeMetrics m = [] {
@@ -79,6 +78,10 @@ struct SummarizeMetrics {
           "Per-step candidate-scoring speedup estimate: sum of individual "
           "candidate pricing times divided by the phase's wall time "
           "(~1 serial, approaches the worker count under ideal scaling).");
+      m.pricing_cache_peak_bytes = r.GetGauge(
+          "prox_summarize_pricing_cache_peak_bytes",
+          "Peak bytes of the cross-step pricing cache in the most recent "
+          "run (capped at 16 MiB).");
       return m;
     }();
     return m;
@@ -254,6 +257,8 @@ Result<SummaryOutcome> Summarizer::Run() {
   // One pool resolution per run. threads = 1 keeps pool() null, which makes
   // every ParallelFor below the plain serial loop.
   exec::PoolRef pool(options_.threads);
+  // Dirty-group terms carried across this run's steps.
+  PricingCache pricing_cache;
 
   int step = 0;
   while (step < options_.max_steps && current->Size() > options_.target_size &&
@@ -269,9 +274,8 @@ Result<SummaryOutcome> Summarizer::Run() {
     metrics.candidates_per_step->Observe(
         static_cast<double>(candidates.size()));
 
-    // One scratch summary annotation per domain per step is enough: the
-    // tentative states of different candidates never coexist, and no two
-    // candidates of one domain are scored against each other's state.
+    // One scratch summary annotation per domain per step is enough: no two
+    // candidates of one domain are priced against each other's merge.
     // Registering them all *before* scoring keeps the registry read-only
     // while workers price candidates (annotation.h documents that
     // contract); the map itself is only read (.at) from here on.
@@ -282,49 +286,40 @@ Result<SummaryOutcome> Summarizer::Run() {
       }
     }
 
-    // Candidate pricing fans out over the pool. Every worker shares only
-    // read-only state (current expression, mapping state, registry,
-    // scratch map — all const from here); per-candidate mutable state
-    // (tentative MappingState, step Homomorphism, the candidate
-    // expression) is built inside the loop body, and results land in the
-    // pre-sized `scored` vector by index, so PickBest sees exactly
-    // the ordering and tie-breaks of the serial loop. On the parallel path
-    // this aggregate span stands in for the suppressed per-candidate
-    // distance.oracle spans (see distance.cc).
+    // Step pricing (docs/KERNELS.md): the oracle prices every merge
+    // against the current expression without building the candidates,
+    // fanning out over the pool. Workers share only read-only state, and
+    // results land by index, so PickBest sees exactly the ordering and
+    // tie-breaks of the serial loop. This aggregate span stands in for
+    // per-candidate spans.
     obs::TraceSpan eval_span("summarize.candidate_eval");
+    std::vector<MergeQuery> merges(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      merges[i] = {&candidates[i].roots, scratch.at(candidates[i].domain)};
+    }
+    std::vector<MergePrice> prices;
+    oracle_->PriceMerges(*current, state, merges, pool.pool(), &pricing_cache,
+                         &prices);
     std::vector<ScoredCandidate> scored(candidates.size());
-    std::atomic<int64_t> serial_estimate_nanos{0};
-    exec::ParallelFor(
-        pool.pool(), 0, static_cast<int64_t>(candidates.size()), 1,
-        [&](int64_t idx) {
-          const size_t i = static_cast<size_t>(idx);
-          const Candidate& c = candidates[i];
-          Timer candidate_timer;
-          ScoredCandidate sc;
-          sc.index = i;
-          AnnotationId tmp = scratch.at(c.domain);
-          MappingState tentative = state;
-          tentative.Merge(c.roots, tmp);
-          Homomorphism step_hom;
-          for (AnnotationId root : c.roots) step_hom.Set(root, tmp);
-          auto cand_expr = current->Apply(step_hom);
-          sc.distance = oracle_->Distance(*cand_expr, tentative);
-          sc.size = cand_expr->Size();
-          sc.score = options_.w_dist * sc.distance +
-                     options_.w_size *
-                         (static_cast<double>(sc.size) / original_size) +
-                     options_.w_taxonomy * c.decision.taxonomy_distance_max;
-          scored[i] = sc;
-          serial_estimate_nanos.fetch_add(candidate_timer.ElapsedNanos(),
-                                          std::memory_order_relaxed);
-        });
+    int64_t serial_estimate_nanos = 0;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      ScoredCandidate& sc = scored[i];
+      sc.index = i;
+      sc.distance = prices[i].distance;
+      sc.size = prices[i].size;
+      sc.score = options_.w_dist * sc.distance +
+                 options_.w_size *
+                     (static_cast<double>(sc.size) / original_size) +
+                 options_.w_taxonomy *
+                     candidates[i].decision.taxonomy_distance_max;
+      serial_estimate_nanos += prices[i].nanos;
+    }
     const int64_t eval_total_nanos = eval_span.Close();
     metrics.candidates_scored->Increment(candidates.size());
     metrics.candidate_eval_nanos_total->Increment(eval_total_nanos);
     if (eval_total_nanos > 0) {
       metrics.parallel_efficiency->Set(
-          static_cast<double>(
-              serial_estimate_nanos.load(std::memory_order_relaxed)) /
+          static_cast<double>(serial_estimate_nanos) /
           static_cast<double>(eval_total_nanos));
     }
     const double eval_nanos =
@@ -376,6 +371,8 @@ Result<SummaryOutcome> Summarizer::Run() {
     metrics.rollbacks->Increment();
   }
 
+  metrics.pricing_cache_peak_bytes->Set(
+      static_cast<double>(pricing_cache.peak_bytes()));
   outcome.summary = std::move(current);
   outcome.final_distance = dist;
   outcome.final_size = outcome.summary->Size();

@@ -4,6 +4,10 @@
 #include <memory>
 #include <vector>
 
+#include "datasets/movielens.h"
+#include "ir/adopt.h"
+#include "ir/agg_expr.h"
+#include "ir/term_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "summarize/summarizer.h"
@@ -166,6 +170,84 @@ TEST(InstrumentationTest, GroupKeyMergeCandidatesAreBatched) {
   EXPECT_GT(delta("prox_kernel_batch_evals_total"), 0.0);
   EXPECT_EQ(delta("prox_kernel_batch_evals_total"),
             delta("prox_distance_enumerated_evals_total"));
+}
+
+/// Terms that the Applies of `outcome`'s run itself should have counted:
+/// the equivalence pass or warm replay (one Apply of p0) and one Apply of
+/// the current expression per committed step — replayed here.
+double ExpectedApplyTerms(const ProvenanceExpression& p0,
+                          const AnnotationRegistry& registry,
+                          const PhiConfig& phi, const SummaryOutcome& outcome,
+                          int leading_merges) {
+  auto terms = [](const ProvenanceExpression& e) {
+    return static_cast<double>(e.AsAggregate()->num_terms());
+  };
+  std::unique_ptr<ProvenanceExpression> current =
+      ir::Adopt(p0, std::make_shared<ir::TermPool>());
+  double expected = 0.0;
+  if (leading_merges > 0) {
+    MappingState leading(&registry, phi);
+    leading.Replay({outcome.state.summaries().begin(),
+                    outcome.state.summaries().begin() + leading_merges});
+    expected += terms(*current);
+    current = current->Apply(leading.cumulative());
+  }
+  for (const StepRecord& step : outcome.steps) {
+    expected += terms(*current);
+    Homomorphism h;
+    for (AnnotationId root : step.merged_roots) h.Set(root, step.summary);
+    current = current->Apply(h);
+  }
+  return expected;
+}
+
+TEST(InstrumentationTest, PricingAppliesOnlyTheWinners) {
+  // Step pricing prices candidates without building them: over a run, the
+  // Apply counters move only for the equivalence pass or the warm replay
+  // and for the one Apply that commits each step's winner.
+  if (!obs::Enabled()) GTEST_SKIP() << "prox::obs compiled out";
+  MovieLensConfig config;
+  config.num_users = 12;
+  config.num_movies = 4;
+  config.ratings_per_user = 3;
+  Dataset ds = MovieLensGenerator::Generate(config);
+  const std::vector<Valuation> valuations =
+      ds.valuation_class->Generate(*ds.provenance, ds.ctx);
+  EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
+                            ds.val_func.get(), valuations);
+  auto applied = [] {
+    const MetricsSnapshot m = MetricsRegistry::Default().Snapshot();
+    return m.CounterValue("prox_ir_apply_terms_shared_total") +
+           m.CounterValue("prox_ir_apply_terms_rewritten_total");
+  };
+
+  SummarizerOptions options;
+  options.max_steps = 6;
+  options.phi = ds.phi;
+  Summarizer cold(ds.provenance.get(), ds.registry.get(), &ds.ctx,
+                  &ds.constraints, &oracle, &valuations, options);
+  double before = applied();
+  auto cold_outcome = cold.Run();
+  double delta = applied() - before;
+  ASSERT_TRUE(cold_outcome.ok());
+  const SummaryOutcome& c = cold_outcome.value();
+  ASSERT_GT(c.steps.size(), 1u);
+  EXPECT_EQ(delta, ExpectedApplyTerms(*ds.provenance, *ds.registry, ds.phi, c,
+                                      c.equivalence_merges));
+
+  // A warm run over the cold run's merges replays them with one Apply.
+  const auto seed = c.state.summaries();
+  options.warm_seed = &seed;
+  Summarizer warm(ds.provenance.get(), ds.registry.get(), &ds.ctx,
+                  &ds.constraints, &oracle, &valuations, options);
+  before = applied();
+  auto warm_outcome = warm.Run();
+  delta = applied() - before;
+  ASSERT_TRUE(warm_outcome.ok());
+  const SummaryOutcome& w = warm_outcome.value();
+  EXPECT_EQ(w.warm_replayed_merges, static_cast<int>(seed.size()));
+  EXPECT_EQ(delta, ExpectedApplyTerms(*ds.provenance, *ds.registry, ds.phi, w,
+                                      w.warm_replayed_merges));
 }
 
 TEST(InstrumentationTest, TimingsSurviveDisabledObservability) {

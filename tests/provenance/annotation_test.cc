@@ -70,6 +70,25 @@ TEST(AnnotationRegistryTest, SummaryNameCollisionsGetSuffix) {
   EXPECT_EQ(reg.name(s2), "Female#3");
 }
 
+TEST(AnnotationRegistryTest, SummarySuffixesProbeOnPastTakenNames) {
+  // The probe resumes from the last suffix it handed out for a name, and
+  // still skips a "#k" that was registered by other means in between.
+  AnnotationRegistry reg;
+  DomainId d = reg.AddDomain("d");
+  ASSERT_TRUE(reg.Add(d, "x").ok());
+  ASSERT_TRUE(reg.Add(d, "x#3").ok());
+  EXPECT_EQ(reg.name(reg.AddSummary(d, "x")), "x#2");
+  EXPECT_EQ(reg.name(reg.AddSummary(d, "x")), "x#4");
+  ASSERT_TRUE(reg.Add(d, "x#6").ok());
+  EXPECT_EQ(reg.name(reg.AddSummary(d, "x")), "x#5");
+  EXPECT_EQ(reg.name(reg.AddSummary(d, "x")), "x#7");
+  // A suffixed name is a name of its own.
+  EXPECT_EQ(reg.name(reg.AddSummary(d, "x#3")), "x#3#2");
+  EXPECT_EQ(reg.name(reg.AddSummary(d, "y")), "y");
+  EXPECT_EQ(reg.name(reg.AddSummary(d, "y")), "y#2");
+  EXPECT_EQ(reg.size(), 10u);
+}
+
 TEST(AnnotationRegistryTest, AnnotationsInDomainFilters) {
   AnnotationRegistry reg;
   DomainId users = reg.AddDomain("user");
