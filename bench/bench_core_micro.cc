@@ -29,6 +29,7 @@
 #include "summarize/candidates.h"
 #include "summarize/distance.h"
 #include "summarize/equivalence.h"
+#include "summarize/valuation_class.h"
 
 using namespace prox;
 
@@ -89,12 +90,16 @@ void BM_EnumeratedDistanceOneCandidate(benchmark::State& state) {
 BENCHMARK(BM_EnumeratedDistanceOneCandidate)->Arg(20)->Arg(40);
 
 void BM_SampledDistanceOneCandidate(benchmark::State& state) {
+  // The one oracle over a drawn Monte-Carlo set (SampledValuations).
   Dataset ds = MakeMovies(20);
-  SampledDistance::Options options;
+  SampledValuations::Options options;
   options.num_samples = static_cast<int>(state.range(0));
-  options.threads = 0;  // process default; PROX_THREADS selects parallelism
-  SampledDistance oracle(ds.provenance.get(), ds.registry.get(),
-                         ds.val_func.get(), options);
+  // Process-default threads; PROX_THREADS selects parallelism.
+  EnumeratedDistance oracle(
+      ds.provenance.get(), ds.registry.get(), ds.val_func.get(),
+      SampledValuations::Create(options).MoveValue().Generate(*ds.provenance,
+                                                              ds.ctx),
+      /*threads=*/0);
   auto users = ds.registry->AnnotationsInDomain(ds.domain("user"));
   AnnotationId summary =
       ds.registry->AddSummary(ds.domain("user"), "Merged");
@@ -147,7 +152,7 @@ BENCHMARK(BM_DdpEvaluate)->Arg(8)->Arg(32);
 
 // Batch kernels (docs/KERNELS.md): one EvaluateBlock pass over a grain-8
 // valuation block vs eight per-valuation Evaluate() walks of the same
-// flat expression — the raw speedup the oracles' batch path buys before
+// flat expression — the raw speedup the oracle's batch path buys before
 // any VAL-FUNC reduction. PROX_SIMD / --simd caps apply, so
 // `PROX_SIMD=0 bench_core_micro` measures the scalar kernels.
 

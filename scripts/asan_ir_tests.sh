@@ -7,7 +7,10 @@
 # (frozen outcomes in tests/ir/golden/), the projected-batch suite (the
 # group-slot remap folds base blocks through a per-call slot table) and
 # the step-pricing suites (dirty-group rows are lowered into per-thread
-# arenas and compact blocks, cached terms copied between a run's steps), the
+# arenas and compact blocks, cached terms copied between a run's steps),
+# the drawn Monte-Carlo set's suites (`SampledValuations*`,
+# `SamplingEpsilonTest`: thousands of drawn valuations packed into the
+# oracle's 8-lane blocks), the
 # snapshot container/corruption suites
 # (`store` label), and the streaming ingest suites (`ingest` label —
 # ApplyBatch appends into the interned TermPool arena and the warm-start
@@ -38,6 +41,7 @@ cmake -B "$build_dir" -S . \
   -DPROX_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" \
   --target prox_ir_test prox_ir_golden_test prox_kernels_test \
+  prox_summarize_test \
   prox_kernels_golden_test prox_store_test prox_ingest_test \
   prox_engine_test prox_capi_test prox_provenance_test -j "$(nproc)"
 ctest --test-dir "$build_dir" -L ir --output-on-failure
@@ -45,7 +49,7 @@ ctest --test-dir "$build_dir" -L store --output-on-failure
 ctest --test-dir "$build_dir" -L ingest --output-on-failure
 ctest --test-dir "$build_dir" -L engine --output-on-failure
 ctest --test-dir "$build_dir" \
-  -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest|StepPricing' \
+  -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest|StepPricing|SampledValuations|SamplingEpsilon' \
   --output-on-failure
 ctest --test-dir "$build_dir" -R '^(IoTest|(Seeds/)?ParserFuzzTest)[.]' \
   --output-on-failure

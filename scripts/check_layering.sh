@@ -20,6 +20,9 @@
 #      price every candidate, so no `IncrementalScorer`,
 #      `summarize/incremental.h` or `SummarizerOptions::Incremental`
 #      under src/, tests/, bench/ or examples/.
+#   6. One distance oracle (docs/KERNELS.md): Monte-Carlo sampling is a
+#      valuation class (SampledValuations), so src/summarize/distance.h
+#      declares no `SampledDistance` and no `virtual` member.
 #
 # Usage: scripts/check_layering.sh [build-dir]
 # The symbol check is skipped (with a note) when no build dir is given or
@@ -141,9 +144,9 @@ if [[ "$representation_ok" -eq 1 ]]; then
 fi
 
 # --- 5. one candidate-pricing path ---------------------------------------
-# Both oracles have one batch branch (group-key merges go through the
+# The oracle has one batch branch (group-key merges go through the
 # kernels' group-slot remap); the per-valuation loop is only the scalar
-# reference. A second pricer must not come back beside them.
+# reference. A second pricer must not come back beside it.
 offenders=$(grep -rnE \
     'IncrementalScorer|summarize/incremental\.h|SummarizerOptions::Incremental' \
     src tests bench examples || true)
@@ -152,6 +155,17 @@ if [[ -n "$offenders" ]]; then
   printf '%s\n' "$offenders" >&2
 else
   note "pricing-path lint: OK (no incremental scorer)"
+fi
+
+# --- 6. one distance oracle ----------------------------------------------
+# The sampling estimator is the oracle over a drawn valuation set; a
+# second oracle or a virtual oracle base must not come back.
+offenders=$(grep -nwE 'SampledDistance|virtual' src/summarize/distance.h || true)
+if [[ -n "$offenders" ]]; then
+  fail "a second distance oracle or a virtual oracle member is back (sampling is a valuation class):"
+  printf '%s\n' "$offenders" >&2
+else
+  note "distance-oracle lint: OK (one oracle, no virtual members)"
 fi
 
 if [[ "$failures" -gt 0 ]]; then

@@ -13,7 +13,7 @@ ClusteringSummarizer::ClusteringSummarizer(const ProvenanceExpression* p0,
                                            AnnotationRegistry* registry,
                                            const SemanticContext* ctx,
                                            const ConstraintSet* constraints,
-                                           DistanceOracle* oracle,
+                                           EnumeratedDistance* oracle,
                                            ClusteringOptions options)
     : p0_(p0),
       registry_(registry),

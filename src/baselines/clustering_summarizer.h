@@ -47,7 +47,7 @@ class ClusteringSummarizer {
                        AnnotationRegistry* registry,
                        const SemanticContext* ctx,
                        const ConstraintSet* constraints,
-                       DistanceOracle* oracle, ClusteringOptions options);
+                       EnumeratedDistance* oracle, ClusteringOptions options);
 
   /// Declares the items of one clusterable domain with their feature
   /// vectors (e.g. each user with their movie→rating map). Must be called
@@ -71,7 +71,7 @@ class ClusteringSummarizer {
   AnnotationRegistry* registry_;
   const SemanticContext* ctx_;
   const ConstraintSet* constraints_;
-  DistanceOracle* oracle_;
+  EnumeratedDistance* oracle_;
   ClusteringOptions options_;
   std::map<DomainId, std::map<AnnotationId, RatingVector>> features_;
 };

@@ -10,7 +10,7 @@ RandomSummarizer::RandomSummarizer(const ProvenanceExpression* p0,
                                    AnnotationRegistry* registry,
                                    const SemanticContext* ctx,
                                    const ConstraintSet* constraints,
-                                   DistanceOracle* oracle,
+                                   EnumeratedDistance* oracle,
                                    RandomSummarizerOptions options)
     : p0_(p0),
       registry_(registry),

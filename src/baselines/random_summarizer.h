@@ -32,7 +32,8 @@ class RandomSummarizer {
  public:
   RandomSummarizer(const ProvenanceExpression* p0,
                    AnnotationRegistry* registry, const SemanticContext* ctx,
-                   const ConstraintSet* constraints, DistanceOracle* oracle,
+                   const ConstraintSet* constraints,
+                   EnumeratedDistance* oracle,
                    RandomSummarizerOptions options);
 
   Result<SummaryOutcome> Run();
@@ -42,7 +43,7 @@ class RandomSummarizer {
   AnnotationRegistry* registry_;
   const SemanticContext* ctx_;
   const ConstraintSet* constraints_;
-  DistanceOracle* oracle_;
+  EnumeratedDistance* oracle_;
   RandomSummarizerOptions options_;
 };
 

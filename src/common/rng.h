@@ -22,9 +22,9 @@ class Rng {
 
   /// Counter-based stream constructor: `Rng(seed, k)` yields an
   /// independent generator for stream `k` of the logical sequence `seed`.
-  /// Parallel consumers (e.g. SampledDistance giving each Monte-Carlo
-  /// sample its own stream) get draws that depend only on (seed, stream),
-  /// never on which thread runs them or in what order.
+  /// Consumers (e.g. SampledValuations giving each Monte-Carlo sample its
+  /// own stream) get draws that depend only on (seed, stream), never on
+  /// which thread runs them or in what order.
   Rng(uint64_t seed, uint64_t stream);
 
   /// Returns the next raw 64-bit output.

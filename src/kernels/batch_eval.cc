@@ -18,8 +18,8 @@ EvalResult BlockEval::Extract(size_t lane) const {
       std::vector<EvalResult::Coord> coords;
       coords.reserve(num_groups);
       for (size_t g = 0; g < num_groups; ++g) {
-        coords.push_back(EvalResult::Coord{groups[g], values[g * stride + lane],
-                                           counts[g * stride + lane]});
+        const size_t i = g * kMaxLanes + lane;
+        coords.push_back(EvalResult::Coord{groups[g], values[i], counts[i]});
       }
       return EvalResult::Vector(std::move(coords));
     }
@@ -89,23 +89,21 @@ bool PackEvalBlock(const EvalResult* evals, size_t count,
                    EvalResult::Kind kind, const AnnotationId* groups,
                    size_t num_groups, BlockEval* out) {
   if (count > kMaxLanes) return false;
-  const size_t stride = count <= 8 ? 8 : 16;
   out->kind = kind;
   out->width = count;
-  out->stride = stride;
   out->feasible.fill(0);
   if (kind == EvalResult::Kind::kVector) {
     out->groups = groups;
     out->num_groups = num_groups;
-    out->values.assign(num_groups * stride, 0.0);
-    out->counts.assign(num_groups * stride, 0.0);
+    out->values.assign(num_groups * kMaxLanes, 0.0);
+    out->counts.assign(num_groups * kMaxLanes, 0.0);
     out->costs.clear();
   } else {
     out->groups = nullptr;
     out->num_groups = 0;
-    out->values.assign(kind == EvalResult::Kind::kScalar ? stride : 0, 0.0);
+    out->values.assign(kind == EvalResult::Kind::kScalar ? kMaxLanes : 0, 0.0);
     out->counts.clear();
-    out->costs.assign(kind == EvalResult::Kind::kCostBool ? stride : 0, 0.0);
+    out->costs.assign(kind == EvalResult::Kind::kCostBool ? kMaxLanes : 0, 0.0);
   }
   for (size_t i = 0; i < count; ++i) {
     const EvalResult& e = evals[i];
@@ -117,8 +115,8 @@ bool PackEvalBlock(const EvalResult* evals, size_t count,
       case EvalResult::Kind::kVector: {
         const std::vector<EvalResult::Coord>& coords = e.coords();
         for (size_t g = 0; g < num_groups; ++g) {
-          out->values[g * stride + i] = coords[g].value;
-          out->counts[g * stride + i] = coords[g].count;
+          out->values[g * kMaxLanes + i] = coords[g].value;
+          out->counts[g * kMaxLanes + i] = coords[g].count;
         }
         break;
       }
@@ -167,29 +165,28 @@ bool BuildGroupRemap(EvalResult::Kind kind, const AnnotationId* groups,
 
 void FoldBaseSlots(AggKind agg, const BlockEval& base, const uint32_t* slots,
                    size_t num_slots, double* value, double* count) {
-  const size_t stride = base.stride;
-  for (size_t l = 0; l < stride; ++l) {
+  for (size_t l = 0; l < kMaxLanes; ++l) {
     value[l] = 0.0;
     count[l] = 0.0;
   }
   for (size_t k = 0; k < num_slots; ++k) {
-    const double* bv = base.values.data() + slots[k] * stride;
-    const double* bc = base.counts.data() + slots[k] * stride;
+    const double* bv = base.values.data() + slots[k] * kMaxLanes;
+    const double* bc = base.counts.data() + slots[k] * kMaxLanes;
     if (agg == AggKind::kAvg) {
       // Coordinates carry averages; merge as count-weighted sums.
-      for (size_t l = 0; l < stride; ++l) {
+      for (size_t l = 0; l < kMaxLanes; ++l) {
         value[l] += bv[l] * bc[l];
         count[l] += bc[l];
       }
     } else {
-      for (size_t l = 0; l < stride; ++l) {
+      for (size_t l = 0; l < kMaxLanes; ++l) {
         const AggValue x{bv[l], agg == AggKind::kCount ? bv[l] : 0.0};
         value[l] = FoldAggregate(agg, value[l], x, k == 0);
       }
     }
   }
   if (agg == AggKind::kAvg) {
-    for (size_t l = 0; l < stride; ++l) {
+    for (size_t l = 0; l < kMaxLanes; ++l) {
       value[l] = count[l] > 0 ? value[l] / count[l] : 0.0;
     }
   }
@@ -199,22 +196,20 @@ const BlockEval& ProjectBlock(const GroupRemap& remap,
                               const BatchProgram& program,
                               const BlockEval& base, BlockEval* scratch) {
   if (remap.identity()) return base;
-  const size_t stride = base.stride;
   const size_t num_slots = program.num_groups;
   scratch->kind = EvalResult::Kind::kVector;
   scratch->width = base.width;
-  scratch->stride = stride;
   scratch->groups = program.groups;
   scratch->num_groups = num_slots;
-  scratch->values.resize(num_slots * stride);
-  scratch->counts.resize(num_slots * stride);
+  scratch->values.resize(num_slots * kMaxLanes);
+  scratch->counts.resize(num_slots * kMaxLanes);
   scratch->costs.clear();
 
   for (size_t t = 0; t < num_slots; ++t) {
     FoldBaseSlots(program.agg, base, remap.src.data() + remap.src_off[t],
                   remap.src_off[t + 1] - remap.src_off[t],
-                  scratch->values.data() + t * stride,
-                  scratch->counts.data() + t * stride);
+                  scratch->values.data() + t * kMaxLanes,
+                  scratch->counts.data() + t * kMaxLanes);
   }
   return *scratch;
 }

@@ -19,11 +19,11 @@ namespace kernels {
 /// \brief prox::kernels — batched VAL-FUNC evaluation for the distance
 /// hot path (docs/KERNELS.md).
 ///
-/// The oracles spend their time evaluating one candidate expression under
+/// The oracle spends its time evaluating one candidate expression under
 /// many valuations. Instead of walking the expression once per valuation,
 /// a candidate is *lowered* once per Distance call into a flat
 /// BatchProgram (plain arrays of factor spans and per-row constants), and
-/// each reduction chunk of 8/16 valuations is then evaluated in one pass
+/// each reduction chunk of 8 valuations is then evaluated in one pass
 /// over the program rows — the term walk hoisted to the outer loop, the
 /// per-valuation work vectorized across lanes.
 ///
@@ -106,14 +106,13 @@ struct BatchProgram {
 /// \brief The SoA result of evaluating a BatchProgram over a
 /// ValuationBlock: lane `l`'s EvalResult, in columns.
 ///
-/// Vector results store `values[g * stride + lane]` over the program's
+/// Vector results store `values[g * kMaxLanes + lane]` over the program's
 /// group array; scalar results use `values[lane]`; cost/bool results use
 /// `costs[lane]` and the `feasible` byte mask. Counts mirror EvalResult's
 /// auxiliary coordinate counts (populated for vector results).
 struct BlockEval {
   EvalResult::Kind kind = EvalResult::Kind::kScalar;
   size_t width = 0;
-  size_t stride = 8;
   const AnnotationId* groups = nullptr;  ///< borrowed from the program
   size_t num_groups = 0;
   std::vector<double> values;
@@ -126,7 +125,7 @@ struct BlockEval {
 };
 
 /// The batched VAL-FUNC reductions; kNone marks a ValFunc with no
-/// bit-identical batch counterpart (oracles then keep the scalar path).
+/// bit-identical batch counterpart (the oracle then keeps the scalar path).
 enum class ValFuncBatchKind : uint8_t {
   kNone,
   kL1,            ///< AbsoluteDifference
@@ -157,7 +156,7 @@ inline bool EvalCompare(double value, CompareOp op, double threshold) {
 
 /// \brief Implemented by expressions that can lower themselves into a
 /// BatchProgram — the prox::ir flat classes. Exposed through
-/// ProvenanceExpression::AsBatchEval() so the oracles gate on capability,
+/// ProvenanceExpression::AsBatchEval() so the oracle gates on capability,
 /// not on concrete types.
 class BatchEvalFacade {
  public:
@@ -170,15 +169,15 @@ class BatchEvalFacade {
 
 /// Evaluates `program` under every lane of `block`, dispatching to the
 /// active SIMD tier (common/cpu_features.h). Bit-identical across tiers.
-/// Counts nothing: the oracles count priced valuations
+/// Counts nothing: the oracle counts priced valuations
 /// (`prox_kernel_batch_evals_total`) once per priced candidate.
 void EvaluateBlock(const BatchProgram& program, const ValuationBlock& block,
                    BlockEval* out);
 
 /// Computes the per-lane VAL-FUNC error `err[l] = valfunc(base lane l,
 /// cand lane l)` for lanes [0, cand.width). `base` and `cand` must have
-/// the same kind, stride and (for vector results) group layout — the
-/// oracles validate this once per call via MatchesLayout. `ddp_max_error`
+/// the same kind and (for vector results) group layout — the
+/// oracle validates this once per call via MatchesLayout. `ddp_max_error`
 /// is DdpDifferenceValFunc's feasibility-mismatch penalty (ignored for
 /// other kinds).
 void ValFuncBlockErrors(ValFuncBatchKind kind, double ddp_max_error,
@@ -227,7 +226,7 @@ bool BuildGroupRemap(EvalResult::Kind kind, const AnnotationId* groups,
                      const Homomorphism& h, GroupRemap* out);
 
 /// Folds base slots `slots` (ascending) of the vector block `base` into one
-/// coordinate, per lane: `value`/`count` receive `base.stride` lanes. The
+/// coordinate, per lane: `value`/`count` receive kMaxLanes lanes. The
 /// per-lane operation sequence of
 /// IrAggregateExpression::ProjectEvalResult for one projected coordinate
 /// (FoldAggregate per slot, count-weighted sums for AVG; counts stay 0

@@ -43,26 +43,24 @@ inline uint64_t LoadU64(const uint8_t* p) {
 
 inline void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, 8); }
 
-/// alive[0, stride) = AND over the monomial's factor rows (0xFF/0x00
-/// bytes). Factors at or beyond the block's annotation count are
-/// default-true and skipped. Early-outs once every lane is dead — the
-/// batch analogue of the scalar evaluators' `break` on a false factor.
+static_assert(kMaxLanes == 8, "one uint64 holds a block row's lane bytes");
+
+/// alive[0, kMaxLanes) = AND over the monomial's factor rows (0xFF/0x00
+/// bytes, one uint64 per row). Factors at or beyond the block's annotation
+/// count are default-true and skipped. Early-outs once every lane is dead
+/// — the batch analogue of the scalar evaluators' `break` on a false
+/// factor.
 inline void MonoAliveBytes(const ValuationBlock& block, const MonoSpan& mono,
                            uint8_t* alive) {
   const size_t n = block.num_annotations();
-  const bool wide = block.stride() == 16;
-  uint64_t lo = ~0ull;
-  uint64_t hi = ~0ull;
+  uint64_t live = ~0ull;
   for (uint32_t k = 0; k < mono.len; ++k) {
     const AnnotationId f = mono.data[k];
     if (f >= n) continue;
-    const uint8_t* row = block.Row(f);
-    lo &= LoadU64(row);
-    if (wide) hi &= LoadU64(row + 8);
-    if (lo == 0 && (!wide || hi == 0)) break;
+    live &= LoadU64(block.Row(f));
+    if (live == 0) break;
   }
-  StoreU64(alive, lo);
-  if (wide) StoreU64(alive + 8, hi);
+  StoreU64(alive, live);
 }
 
 /// Applies an AggBatchRow's guard to its liveness bytes. The guard value
@@ -75,49 +73,39 @@ inline void ApplyGuardBytes(const ValuationBlock& block, const AggBatchRow& r,
   MonoAliveBytes(block, r.guard_mono, body);
   const uint64_t t = r.guard_if_true ? ~0ull : 0ull;
   const uint64_t f = r.guard_if_false ? ~0ull : 0ull;
-  const uint64_t b0 = LoadU64(body);
-  StoreU64(alive, LoadU64(alive) & ((b0 & t) | (~b0 & f)));
-  if (block.stride() == 16) {
-    const uint64_t b1 = LoadU64(body + 8);
-    StoreU64(alive + 8, LoadU64(alive + 8) & ((b1 & t) | (~b1 & f)));
-  }
-}
-
-inline bool AnyAlive(const uint8_t* alive, size_t stride) {
-  if (LoadU64(alive) != 0) return true;
-  return stride == 16 && LoadU64(alive + 8) != 0;
+  const uint64_t b = LoadU64(body);
+  StoreU64(alive, LoadU64(alive) & ((b & t) | (~b & f)));
 }
 
 template <typename Ops>
 void EvalAggImpl(const BatchProgram& p, const ValuationBlock& block,
                  BlockEval* out) {
-  const size_t stride = block.stride();
   out->kind = p.kind;
   out->width = block.width();
-  out->stride = stride;
   out->groups = p.groups;
   out->num_groups = p.num_groups;
-  out->values.assign(p.num_groups * stride, 0.0);
-  out->counts.assign(p.num_groups * stride, 0.0);
+  out->values.assign(p.num_groups * kMaxLanes, 0.0);
+  out->counts.assign(p.num_groups * kMaxLanes, 0.0);
   out->costs.clear();
 
-  // seen[g * stride + lane]: group g has folded a contribution on lane
+  // seen[g * kMaxLanes + lane]: group g has folded a contribution on lane
   // yet. FoldAggregate's `first` flag, as a byte mask.
   static thread_local std::vector<uint8_t> seen;
-  seen.assign(p.num_groups * stride, 0);
+  seen.assign(p.num_groups * kMaxLanes, 0);
 
   alignas(16) uint8_t alive[kMaxLanes];
   for (const AggBatchRow& r : p.agg_rows) {
     MonoAliveBytes(block, r.mono, alive);
     if (r.has_guard) ApplyGuardBytes(block, r, alive);
-    if (!AnyAlive(alive, stride)) continue;
+    if (LoadU64(alive) == 0) continue;
 
-    double* val = out->values.data() + static_cast<size_t>(r.group) * stride;
-    double* cnt = out->counts.data() + static_cast<size_t>(r.group) * stride;
-    uint8_t* sn = seen.data() + static_cast<size_t>(r.group) * stride;
+    const size_t off = static_cast<size_t>(r.group) * kMaxLanes;
+    double* val = out->values.data() + off;
+    double* cnt = out->counts.data() + off;
+    uint8_t* sn = seen.data() + off;
     const typename Ops::VecD contrib = Ops::Broadcast(r.contribution);
     const typename Ops::VecD count_add = Ops::Broadcast(r.count_add);
-    for (size_t l = 0; l < stride; l += Ops::kLanes) {
+    for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
       const typename Ops::MaskD m = Ops::MaskFromBytes(alive + l);
       const typename Ops::MaskD s = Ops::MaskFromBytes(sn + l);
       const typename Ops::VecD acc = Ops::Load(val + l);
@@ -141,13 +129,12 @@ void EvalAggImpl(const BatchProgram& p, const ValuationBlock& block,
       Ops::Store(cnt + l, Ops::Select(m, Ops::Add(cv, count_add), cv));
     }
     StoreU64(sn, LoadU64(sn) | LoadU64(alive));
-    if (stride == 16) StoreU64(sn + 8, LoadU64(sn + 8) | LoadU64(alive + 8));
   }
 
   if (p.agg == AggKind::kAvg) {
     // MergeAggValues' finalize: count > 0 ? value / count : 0.0.
     const typename Ops::VecD zero = Ops::Broadcast(0.0);
-    const size_t total = p.num_groups * stride;
+    const size_t total = p.num_groups * kMaxLanes;
     for (size_t i = 0; i < total; i += Ops::kLanes) {
       const typename Ops::VecD v = Ops::Load(out->values.data() + i);
       const typename Ops::VecD c = Ops::Load(out->counts.data() + i);
@@ -162,18 +149,15 @@ template <typename Ops>
 void EvalDdpImpl(const BatchProgram& p, const ValuationBlock& block,
                  BlockEval* out) {
   static constexpr uint8_t kAllTrue[kMaxLanes] = {
-      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
       0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
-  const size_t stride = block.stride();
   const size_t n = block.num_annotations();
   out->kind = EvalResult::Kind::kCostBool;
   out->width = block.width();
-  out->stride = stride;
   out->groups = nullptr;
   out->num_groups = 0;
   out->values.clear();
   out->counts.clear();
-  out->costs.assign(stride, 0.0);
+  out->costs.assign(kMaxLanes, 0.0);
   out->feasible.fill(0);
 
   alignas(16) uint8_t any[kMaxLanes] = {0};
@@ -184,9 +168,8 @@ void EvalDdpImpl(const BatchProgram& p, const ValuationBlock& block,
 
   const size_t num_exec = p.ddp_exec_off.empty() ? 0 : p.ddp_exec_off.size() - 1;
   for (size_t e = 0; e < num_exec; ++e) {
-    for (size_t l = 0; l < stride; ++l) cost[l] = 0.0;
+    for (size_t l = 0; l < kMaxLanes; ++l) cost[l] = 0.0;
     StoreU64(feas, ~0ull);
-    if (stride == 16) StoreU64(feas + 8, ~0ull);
 
     for (uint32_t i = p.ddp_exec_off[e]; i < p.ddp_exec_off[e + 1]; ++i) {
       const DdpBatchRow& r = p.ddp_rows[i];
@@ -195,7 +178,7 @@ void EvalDdpImpl(const BatchProgram& p, const ValuationBlock& block,
         // scalar walk performs, skipped (old bits kept) on false lanes.
         const uint8_t* row = r.cost_var < n ? block.Row(r.cost_var) : kAllTrue;
         const typename Ops::VecD c = Ops::Broadcast(r.cost);
-        for (size_t l = 0; l < stride; l += Ops::kLanes) {
+        for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
           const typename Ops::MaskD m = Ops::MaskFromBytes(row + l);
           const typename Ops::VecD cv = Ops::Load(cost + l);
           Ops::Store(cost + l, Ops::Select(m, Ops::Add(cv, c), cv));
@@ -206,19 +189,14 @@ void EvalDdpImpl(const BatchProgram& p, const ValuationBlock& block,
         // scalar walk breaks on the first mismatch; the lanes that
         // mismatch keep accumulating cost here, but their cost is never
         // selected, so results agree bit for bit.
-        const uint64_t p0 = LoadU64(prod);
-        const uint64_t want = r.nonzero ? p0 : ~p0;
-        StoreU64(feas, LoadU64(feas) & want);
-        if (stride == 16) {
-          const uint64_t p1 = LoadU64(prod + 8);
-          StoreU64(feas + 8, LoadU64(feas + 8) & (r.nonzero ? p1 : ~p1));
-        }
+        const uint64_t live = LoadU64(prod);
+        StoreU64(feas, LoadU64(feas) & (r.nonzero ? live : ~live));
       }
     }
 
     // best = first feasible execution's cost, then min-by-< in execution
     // order — exactly the scalar `!any || cost < best` update.
-    for (size_t l = 0; l < stride; l += Ops::kLanes) {
+    for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
       const typename Ops::MaskD fm = Ops::MaskFromBytes(feas + l);
       const typename Ops::MaskD am = Ops::MaskFromBytes(any + l);
       const typename Ops::VecD cv = Ops::Load(cost + l);
@@ -228,10 +206,9 @@ void EvalDdpImpl(const BatchProgram& p, const ValuationBlock& block,
       Ops::Store(best + l, Ops::Select(take, cv, bv));
     }
     StoreU64(any, LoadU64(any) | LoadU64(feas));
-    if (stride == 16) StoreU64(any + 8, LoadU64(any + 8) | LoadU64(feas + 8));
   }
 
-  for (size_t l = 0; l < stride; ++l) {
+  for (size_t l = 0; l < kMaxLanes; ++l) {
     out->costs[l] = any[l] ? best[l] : 0.0;
     out->feasible[l] = any[l];
   }
@@ -241,10 +218,8 @@ void EvalDdpImpl(const BatchProgram& p, const ValuationBlock& block,
 /// tier, so a single portable body serves all three entry points.
 inline void EvalPolyPortable(const BatchProgram& p, const ValuationBlock& block,
                              BlockEval* out) {
-  const size_t stride = block.stride();
   out->kind = EvalResult::Kind::kScalar;
   out->width = block.width();
-  out->stride = stride;
   out->groups = nullptr;
   out->num_groups = 0;
   out->counts.clear();
@@ -254,12 +229,12 @@ inline void EvalPolyPortable(const BatchProgram& p, const ValuationBlock& block,
   alignas(16) uint8_t alive[kMaxLanes];
   for (const PolyBatchRow& r : p.poly_rows) {
     MonoAliveBytes(block, r.mono, alive);
-    for (size_t l = 0; l < stride; ++l) {
+    for (size_t l = 0; l < kMaxLanes; ++l) {
       if (alive[l]) sums[l] += r.coeff;
     }
   }
-  out->values.assign(stride, 0.0);
-  for (size_t l = 0; l < stride; ++l) {
+  out->values.assign(kMaxLanes, 0.0);
+  for (size_t l = 0; l < kMaxLanes; ++l) {
     out->values[l] = static_cast<double>(sums[l]);
   }
 }
@@ -284,7 +259,6 @@ template <typename Ops>
 void ValFuncErrorsImpl(ValFuncBatchKind kind, double ddp_max_error,
                        const BlockEval& base, const BlockEval& cand,
                        double* err) {
-  const size_t stride = cand.stride;
   const typename Ops::VecD zero = Ops::Broadcast(0.0);
   const typename Ops::VecD one = Ops::Broadcast(1.0);
 
@@ -296,7 +270,7 @@ void ValFuncErrorsImpl(ValFuncBatchKind kind, double ddp_max_error,
       if (cand.kind == EvalResult::Kind::kScalar) {
         // Both VAL-FUNCs degenerate to |a - b| on scalars (Euclidean's
         // scalar branch is the plain absolute difference, not sqrt(d²)).
-        for (size_t l = 0; l < stride; l += Ops::kLanes) {
+        for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
           const typename Ops::VecD d = Ops::Sub(Ops::Load(base.values.data() + l),
                                                 Ops::Load(cand.values.data() + l));
           Ops::Store(err + l, Ops::Abs(d));
@@ -305,13 +279,13 @@ void ValFuncErrorsImpl(ValFuncBatchKind kind, double ddp_max_error,
       }
       // Vector: fold groups in ascending order, per lane — the exact
       // ForEachCoordPair order (both sides share the sorted group array).
-      for (size_t l = 0; l < stride; l += Ops::kLanes) {
+      for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
         Ops::Store(err + l, zero);
       }
       for (size_t g = 0; g < cand.num_groups; ++g) {
-        const double* b = base.values.data() + g * stride;
-        const double* c = cand.values.data() + g * stride;
-        for (size_t l = 0; l < stride; l += Ops::kLanes) {
+        const double* b = base.values.data() + g * kMaxLanes;
+        const double* c = cand.values.data() + g * kMaxLanes;
+        for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
           const typename Ops::VecD d = Ops::Sub(Ops::Load(b + l), Ops::Load(c + l));
           const typename Ops::VecD e = Ops::Load(err + l);
           Ops::Store(err + l,
@@ -321,7 +295,7 @@ void ValFuncErrorsImpl(ValFuncBatchKind kind, double ddp_max_error,
         }
       }
       if (kind == ValFuncBatchKind::kL2) {
-        for (size_t l = 0; l < stride; l += Ops::kLanes) {
+        for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
           Ops::Store(err + l, Ops::Sqrt(Ops::Load(err + l)));
         }
       }
@@ -329,31 +303,27 @@ void ValFuncErrorsImpl(ValFuncBatchKind kind, double ddp_max_error,
     }
     case ValFuncBatchKind::kDisagreement: {
       if (cand.kind == EvalResult::Kind::kScalar) {
-        for (size_t l = 0; l < stride; l += Ops::kLanes) {
+        for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
           const typename Ops::MaskD eq = Ops::CmpEQ(
               Ops::Load(base.values.data() + l), Ops::Load(cand.values.data() + l));
           Ops::Store(err + l, Ops::Select(eq, zero, one));
         }
       } else if (cand.kind == EvalResult::Kind::kVector) {
-        for (size_t l = 0; l < stride; l += Ops::kLanes) {
+        for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
           typename Ops::MaskD eq = Ops::MaskTrue();
           for (size_t g = 0; g < cand.num_groups; ++g) {
-            eq = Ops::MaskAnd(
-                eq, Ops::CmpEQ(Ops::Load(base.values.data() + g * stride + l),
-                               Ops::Load(cand.values.data() + g * stride + l)));
+            const size_t i = g * kMaxLanes + l;
+            eq = Ops::MaskAnd(eq,
+                              Ops::CmpEQ(Ops::Load(base.values.data() + i),
+                                         Ops::Load(cand.values.data() + i)));
           }
           Ops::Store(err + l, Ops::Select(eq, zero, one));
         }
       } else {  // kCostBool: equal iff same scalar cost and same feasibility.
         alignas(16) uint8_t feq[kMaxLanes];
-        const uint64_t x0 = LoadU64(base.feasible.data()) ^ LoadU64(cand.feasible.data());
-        StoreU64(feq, ~x0);
-        if (stride == 16) {
-          const uint64_t x1 =
-              LoadU64(base.feasible.data() + 8) ^ LoadU64(cand.feasible.data() + 8);
-          StoreU64(feq + 8, ~x1);
-        }
-        for (size_t l = 0; l < stride; l += Ops::kLanes) {
+        StoreU64(feq, ~(LoadU64(base.feasible.data()) ^
+                        LoadU64(cand.feasible.data())));
+        for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
           const typename Ops::MaskD eq = Ops::MaskAnd(
               Ops::CmpEQ(Ops::Load(base.costs.data() + l),
                          Ops::Load(cand.costs.data() + l)),
@@ -365,7 +335,7 @@ void ValFuncErrorsImpl(ValFuncBatchKind kind, double ddp_max_error,
     }
     case ValFuncBatchKind::kDdp: {
       const typename Ops::VecD maxe = Ops::Broadcast(ddp_max_error);
-      for (size_t l = 0; l < stride; l += Ops::kLanes) {
+      for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
         const typename Ops::MaskD bf = Ops::MaskFromBytes(base.feasible.data() + l);
         const typename Ops::MaskD cf = Ops::MaskFromBytes(cand.feasible.data() + l);
         const typename Ops::VecD diff =

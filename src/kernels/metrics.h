@@ -15,7 +15,7 @@ namespace kernels {
 /// cap changes (PROX_SIMD, --simd) show up.
 void PublishSimdTier(int tier);
 
-/// `n` valuations were priced through the batch kernels (the oracles count
+/// `n` valuations were priced through the batch kernels (the oracle counts
 /// once per valuation per priced candidate).
 void CountBatchEvals(uint64_t n);
 

@@ -73,7 +73,7 @@ class ProvenanceExpression {
 
   /// Batch-evaluation capability (kernels/batch_eval.h): non-null when the
   /// expression can lower itself into a flat BatchProgram for the SIMD
-  /// batch kernels. The oracles gate their batched paths on it and fall
+  /// batch kernels. The oracle gates its batched paths on it and falls
   /// back to per-valuation Evaluate().
   virtual const kernels::BatchEvalFacade* AsBatchEval() const {
     return nullptr;

@@ -18,13 +18,11 @@ namespace prox {
 
 namespace {
 
-/// Metric handles for the distance oracles (docs/OBSERVABILITY.md).
+/// Metric handles for the distance oracle (docs/OBSERVABILITY.md).
 struct DistanceMetrics {
   obs::Counter* enumerated_calls;
   obs::Counter* enumerated_evals;
   obs::Counter* base_eval_reuse;
-  obs::Counter* sampled_calls;
-  obs::Counter* samples;
   obs::Counter* groups_priced;
   obs::Counter* groups_reused;
   obs::Counter* cache_evictions;
@@ -35,23 +33,16 @@ struct DistanceMetrics {
       DistanceMetrics m;
       m.enumerated_calls = r.GetCounter(
           "prox_distance_enumerated_calls_total",
-          "Candidates priced by the enumerated oracle (Distance calls and "
+          "Candidates priced by the distance oracle (Distance calls and "
           "step-priced merges).");
       m.enumerated_evals = r.GetCounter(
           "prox_distance_enumerated_evals_total",
-          "Candidate-expression evaluations performed by the enumerated "
+          "Candidate-expression evaluations performed by the distance "
           "oracle (one per valuation per call).");
       m.base_eval_reuse = r.GetCounter(
           "prox_distance_base_eval_reuse_total",
           "Cached base evaluations fed to VAL-FUNC directly via the "
           "identity-on-groups fast path (no re-projection).");
-      m.sampled_calls = r.GetCounter(
-          "prox_distance_sampled_calls_total",
-          "Candidates priced by the sampled oracle (Distance calls and "
-          "step-priced merges).");
-      m.samples = r.GetCounter(
-          "prox_distance_samples_total",
-          "Monte-Carlo valuations drawn by the sampled oracle.");
       m.groups_priced = r.GetCounter(
           "prox_summarize_groups_priced_total",
           "Dirty groups of candidate merges re-canonicalized and evaluated "
@@ -68,6 +59,12 @@ struct DistanceMetrics {
     return m;
   }
 };
+
+/// Lanes of every valuation block and of every chunk's term arrays: one
+/// reduction chunk fills one block.
+constexpr size_t kLanes = kernels::kMaxLanes;
+static_assert(static_cast<size_t>(EnumeratedDistance::kReductionGrain) ==
+              kLanes);
 
 /// True when the cumulative homomorphism fixes every group key of the
 /// reference evaluation, making ProjectEvalResult the identity (scalar and
@@ -169,22 +166,25 @@ void PricingCache::Clear() {
 }
 
 /// \brief One step of dirty-group pricing over an aggregate expression
-/// (DistanceOracle::PriceMerges). Prepare() runs once per step on the
+/// (EnumeratedDistance::PriceMerges). Prepare() runs once per step on the
 /// calling thread; Price() is const and runs on exec workers.
 class StepPricer {
  public:
   StepPricer(const ir::IrAggregateExpression& current,
-             const MappingState& state, double max_error,
-             DistanceOracle::PricingInputs* in, PricingCache* cache)
+             const MappingState& state, const EnumeratedDistance& oracle,
+             PricingCache* cache)
       : current_(current),
         state_(state),
-        max_error_(max_error),
-        in_(*in),
+        oracle_(oracle),
+        vf_(oracle.val_func_->batch_kind()),
         cache_(cache) {}
 
   /// Lowers and evaluates the current expression under the step's chunks
-  /// and derives every group's terms. False when no group remap reconciles
-  /// the base layout with the current one (every merge then materializes).
+  /// and derives every group's terms. False when a side is not a vector
+  /// result, the VAL-FUNC has no per-group term, or no group remap
+  /// reconciles the base layout with the current one; every merge then
+  /// materializes. The oracle's base blocks must be packed
+  /// (EnsureBaseBlocks).
   bool Prepare(kernels::BatchProgram program);
 
   /// Prices one merge; returns true when its group remap is the identity.
@@ -210,14 +210,14 @@ class StepPricer {
     std::vector<kernels::ValuationBlock> blocks;
     kernels::BlockEval eval;
     std::vector<const double*> terms;
-    double base_value[kernels::kMaxLanes] = {};
-    double base_count[kernels::kMaxLanes] = {};
+    double base_value[kLanes] = {};
+    double base_count[kLanes] = {};
   };
 
   const ir::IrAggregateExpression& current_;
   const MappingState& state_;
-  const double max_error_;
-  const DistanceOracle::PricingInputs& in_;
+  const EnumeratedDistance& oracle_;
+  const kernels::ValFuncBatchKind vf_;
   PricingCache* cache_;
 
   const uint64_t step_ = NextStepId();
@@ -229,10 +229,10 @@ class StepPricer {
   std::vector<int64_t> group_size_;
   std::vector<std::pair<AnnotationId, uint32_t>> occurs_;  // (ann, slot)
   std::vector<uint64_t> versions_;
-  // Per chunk: lane offset into the chunk-major term arrays (chunk c's
-  // lanes start at lane_off_[c] · G for the step arrays below and at
-  // lane_off_[c] within a cached unit).
-  std::vector<size_t> lane_off_;
+  // v^{h,φ} under the step's state, one block per grain-8 chunk.
+  std::vector<kernels::ValuationBlock> blocks_;
+  // Chunk-major term arrays: chunk c's lanes start at c · kLanes · G in
+  // the step arrays below and at c · kLanes within a cached unit.
   size_t total_lanes_ = 0;
   std::vector<double> proj_;      // base projected into current slots
   std::vector<double> terms_;     // terms against proj_
@@ -241,11 +241,11 @@ class StepPricer {
 
 bool StepPricer::Prepare(kernels::BatchProgram program) {
   program_ = std::move(program);
-  const kernels::ValFuncBatchKind vf = in_.vf_kind;
-  if (in_.chunks.empty() || in_.base_kind != EvalResult::Kind::kVector ||
-      (vf != kernels::ValFuncBatchKind::kL1 &&
-       vf != kernels::ValFuncBatchKind::kL2 &&
-       vf != kernels::ValFuncBatchKind::kDisagreement)) {
+  if (program_.kind != EvalResult::Kind::kVector ||
+      oracle_.base_kind_ != EvalResult::Kind::kVector ||
+      (vf_ != kernels::ValFuncBatchKind::kL1 &&
+       vf_ != kernels::ValFuncBatchKind::kL2 &&
+       vf_ != kernels::ValFuncBatchKind::kDisagreement)) {
     return false;
   }
   const size_t G = program_.num_groups;
@@ -254,8 +254,8 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
 
   // Base slot -> current slot through the cumulative h, and each current
   // slot's ascending preimage.
-  if (!kernels::BuildGroupRemap(in_.base_kind, in_.base_groups->data(),
-                                in_.base_groups->size(), program_,
+  if (!kernels::BuildGroupRemap(oracle_.base_kind_, oracle_.base_groups_.data(),
+                                oracle_.base_groups_.size(), program_,
                                 state_.cumulative(), &remap_)) {
     return false;
   }
@@ -306,35 +306,31 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
   cache_->groups_ = std::move(next);
 
   // The current state's values and terms, per chunk.
-  lane_off_.resize(in_.chunks.size());
-  total_lanes_ = 0;
-  for (size_t c = 0; c < in_.chunks.size(); ++c) {
-    lane_off_[c] = total_lanes_;
-    total_lanes_ += in_.chunks[c].block.stride();
-  }
+  const std::vector<kernels::BlockEval>& base = oracle_.base_blocks_;
+  blocks_.resize(base.size());
+  total_lanes_ = base.size() * kLanes;
   proj_.resize(total_lanes_ * G);
   terms_.resize(total_lanes_ * G);
   terms_id_.resize(remap_.identity() ? total_lanes_ * G : 0);
-  double counts[kernels::kMaxLanes] = {};
+  double counts[kLanes] = {};
   kernels::BlockEval cur;
-  for (size_t c = 0; c < in_.chunks.size(); ++c) {
-    const DistanceOracle::PricingChunk& chunk = in_.chunks[c];
-    const size_t stride = chunk.block.stride();
-    kernels::EvaluateBlock(program_, chunk.block, &cur);
+  for (size_t c = 0; c < base.size(); ++c) {
+    oracle_.TransformChunk(state_, c, &blocks_[c]);
+    kernels::EvaluateBlock(program_, blocks_[c], &cur);
     for (size_t g = 0; g < G; ++g) {
-      const size_t off = lane_off_[c] * G + g * stride;
-      kernels::FoldBaseSlots(program_.agg, *chunk.base,
+      const size_t off = (c * G + g) * kLanes;
+      kernels::FoldBaseSlots(program_.agg, base[c],
                              remap_.src.data() + remap_.src_off[g],
                              remap_.src_off[g + 1] - remap_.src_off[g],
                              proj_.data() + off, counts);
-      const double* cv = cur.values.data() + g * stride;
-      for (size_t l = 0; l < stride; ++l) {
-        terms_[off + l] = GroupTerm(vf, proj_[off + l], cv[l]);
+      const double* cv = cur.values.data() + g * kLanes;
+      for (size_t l = 0; l < kLanes; ++l) {
+        terms_[off + l] = GroupTerm(vf_, proj_[off + l], cv[l]);
       }
       if (remap_.identity()) {
-        const double* bv = chunk.base->values.data() + g * stride;
-        for (size_t l = 0; l < stride; ++l) {
-          terms_id_[off + l] = GroupTerm(vf, bv[l], cv[l]);
+        const double* bv = base[c].values.data() + g * kLanes;
+        for (size_t l = 0; l < kLanes; ++l) {
+          terms_id_[off + l] = GroupTerm(vf_, bv[l], cv[l]);
         }
       }
     }
@@ -350,7 +346,7 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
   const AnnotationId t = m.scratch;
   const size_t G = num_groups_;
   const AnnotationId* groups = program_.groups;
-  const kernels::ValFuncBatchKind vf = in_.vf_kind;
+  const std::vector<kernels::BlockEval>& base = oracle_.base_blocks_;
 
   // Dirty slots: every group with a root in a monomial, guard body or
   // group key. Roots that are group keys fold their groups into t's.
@@ -488,21 +484,16 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
     // Evaluate under this thread's copy of the step's blocks, whose row t
     // is φ of the roots' rows (t's members are the union of theirs).
     if (sc.step != step_) {
-      sc.blocks.resize(in_.chunks.size());
-      for (size_t c = 0; c < in_.chunks.size(); ++c) {
-        sc.blocks[c] = in_.chunks[c].block;
-      }
+      sc.blocks = blocks_;
       sc.step = step_;
     }
-    const PhiKind phi = state_.PhiFor(in_.registry->domain(t));
-    for (size_t c = 0; c < in_.chunks.size(); ++c) {
-      const DistanceOracle::PricingChunk& chunk = in_.chunks[c];
-      const size_t stride = chunk.block.stride();
+    const PhiKind phi = state_.PhiFor(oracle_.registry_->domain(t));
+    for (size_t c = 0; c < base.size(); ++c) {
       uint8_t* row = sc.blocks[c].MutableRow(t);
-      std::memset(row, phi == PhiKind::kOr ? 0x00 : 0xFF, stride);
+      std::memset(row, phi == PhiKind::kOr ? 0x00 : 0xFF, kLanes);
       for (AnnotationId r : roots) {
-        const uint8_t* rr = chunk.block.Row(r);
-        for (size_t l = 0; l < stride; ++l) {
+        const uint8_t* rr = blocks_[c].Row(r);
+        for (size_t l = 0; l < kLanes; ++l) {
           row[l] = phi == PhiKind::kOr ? (row[l] | rr[l]) : (row[l] & rr[l]);
         }
       }
@@ -511,20 +502,22 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
         const size_t u = static_cast<size_t>(unit_of_run[s]);
         const double* bv;
         if (static_cast<int32_t>(u) == merged_unit) {
-          kernels::FoldBaseSlots(program_.agg, *chunk.base,
+          kernels::FoldBaseSlots(program_.agg, base[c],
                                  sc.merged_sources.data(),
                                  sc.merged_sources.size(), sc.base_value,
                                  sc.base_count);
           bv = sc.base_value;
         } else {
           const uint32_t g = sc.slot_of_unit[u];
-          bv = identity ? chunk.base->values.data() + g * stride
-                        : proj_.data() + lane_off_[c] * G + g * stride;
+          bv = identity ? base[c].values.data() + g * kLanes
+                        : proj_.data() + (c * G + g) * kLanes;
         }
-        const double* cv = sc.eval.values.data() + s * stride;
+        const double* cv = sc.eval.values.data() + s * kLanes;
         double* out = entry->terms.data() + entry->units[u].terms_off +
-                      lane_off_[c];
-        for (size_t l = 0; l < stride; ++l) out[l] = GroupTerm(vf, bv[l], cv[l]);
+                      c * kLanes;
+        for (size_t l = 0; l < kLanes; ++l) {
+          out[l] = GroupTerm(vf_, bv[l], cv[l]);
+        }
       }
     }
     std::swap(sc.program.agg_rows, sc.mapped.rows);
@@ -539,17 +532,16 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
   // Fold the per-group terms in the candidate's ascending group order:
   // the current keys the merge keeps, with t's merged group in place.
   double total = 0.0;
-  for (size_t c = 0; c < in_.chunks.size(); ++c) {
-    const DistanceOracle::PricingChunk& chunk = in_.chunks[c];
-    const size_t stride = chunk.block.stride();
+  for (size_t c = 0; c < base.size(); ++c) {
+    const size_t lane_off = c * kLanes;
     const double* step_terms =
-        (identity ? terms_id_.data() : terms_.data()) + lane_off_[c] * G;
+        (identity ? terms_id_.data() : terms_.data()) + lane_off * G;
     sc.terms.clear();
     bool merged_placed = merged_unit < 0;
     for (size_t g = 0; g < G; ++g) {
       if (!merged_placed && t < groups[g]) {
         sc.terms.push_back(entry->terms.data() +
-                           entry->units[merged_unit].terms_off + lane_off_[c]);
+                           entry->units[merged_unit].terms_off + lane_off);
         merged_placed = true;
       }
       if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(),
@@ -557,47 +549,45 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
         continue;
       }
       const int32_t u = sc.unit_of_slot[g];
-      sc.terms.push_back(u < 0 ? step_terms + g * stride
+      sc.terms.push_back(u < 0 ? step_terms + g * kLanes
                                : entry->terms.data() +
-                                     entry->units[u].terms_off + lane_off_[c]);
+                                     entry->units[u].terms_off + lane_off);
     }
     if (!merged_placed) {
       sc.terms.push_back(entry->terms.data() +
-                         entry->units[merged_unit].terms_off + lane_off_[c]);
+                         entry->units[merged_unit].terms_off + lane_off);
     }
     double partial = 0.0;
-    for (size_t l = 0; l < chunk.block.width(); ++l) {
+    for (size_t l = 0; l < blocks_[c].width(); ++l) {
       double err = 0.0;
-      if (vf == kernels::ValFuncBatchKind::kDisagreement) {
+      if (vf_ == kernels::ValFuncBatchKind::kDisagreement) {
         bool mismatch = false;
         for (const double* tj : sc.terms) mismatch |= tj[l] != 0.0;
         err = mismatch ? 1.0 : 0.0;
       } else {
         for (const double* tj : sc.terms) err += tj[l];
-        if (vf == kernels::ValFuncBatchKind::kL2) err = std::sqrt(err);
+        if (vf_ == kernels::ValFuncBatchKind::kL2) err = std::sqrt(err);
       }
-      partial += chunk.weights[l] * err;
+      partial += oracle_.valuations_[lane_off + l].weight() * err;
     }
     total += partial;
   }
-  price->distance = (total / in_.norm) / max_error_;
+  price->distance = (total / oracle_.total_weight_) / oracle_.max_error_;
   price->size = size;
   return identity;
 }
 
-void DistanceOracle::PriceMerges(const ProvenanceExpression& current,
-                                 const MappingState& state,
-                                 const std::vector<MergeQuery>& merges,
-                                 exec::ThreadPool* pool, PricingCache* cache,
-                                 std::vector<MergePrice>* out) {
+void EnumeratedDistance::PriceMerges(const ProvenanceExpression& current,
+                                     const MappingState& state,
+                                     const std::vector<MergeQuery>& merges,
+                                     exec::ThreadPool* pool,
+                                     PricingCache* cache,
+                                     std::vector<MergePrice>* out) {
   out->assign(merges.size(), MergePrice{});
   const ir::IrAggregateExpression* agg = current.AsAggregate();
-  PricingInputs in;
-  if (agg != nullptr) {
-    kernels::BatchProgram program = agg->LowerBatch();
-    StepPricer pricer(*agg, state, max_error(), &in, cache);
-    if (program.kind == EvalResult::Kind::kVector &&
-        PreparePricing(state, &in) && pricer.Prepare(std::move(program))) {
+  if (agg != nullptr && !valuations_.empty() && EnsureBaseBlocks()) {
+    StepPricer pricer(*agg, state, *this, cache);
+    if (pricer.Prepare(agg->LowerBatch())) {
       const DistanceMetrics& metrics = DistanceMetrics::Get();
       std::vector<PricingCache::Entry> entries(merges.size());
       std::atomic<uint64_t> priced{0};
@@ -737,26 +727,20 @@ double EnumeratedDistance::Distance(const ProvenanceExpression& cand,
       const double penalty = val_func_->batch_mismatch_penalty();
       const double total = exec::DeterministicChunkSum(
           pool_.pool(), static_cast<int64_t>(valuations_.size()),
-          kReductionGrain, [&](int64_t lo, int64_t hi) {
+          kReductionGrain, [&](int64_t lo, int64_t /*hi*/) {
             thread_local kernels::ValuationBlock block;
             thread_local kernels::BlockEval cand_eval;
             thread_local kernels::BlockEval projected;
-            const size_t w = static_cast<size_t>(hi - lo);
-            block.Reset(n, w);
-            for (size_t l = 0; l < w; ++l) {
-              state.TransformLane(valuations_[static_cast<size_t>(lo) + l],
-                                  l, &block);
-            }
+            const size_t c = static_cast<size_t>(lo / kReductionGrain);
+            TransformChunk(state, c, &block);
             kernels::EvaluateBlock(program, block, &cand_eval);
             const kernels::BlockEval& orig = kernels::ProjectBlock(
-                remap, program,
-                base_blocks_[static_cast<size_t>(lo / kReductionGrain)],
-                &projected);
-            double err[kernels::kMaxLanes];
+                remap, program, base_blocks_[c], &projected);
+            double err[kLanes];
             kernels::ValFuncBlockErrors(vf_kind, penalty, orig, cand_eval,
                                         err);
             double partial = 0.0;
-            for (size_t l = 0; l < w; ++l) {
+            for (size_t l = 0; l < block.width(); ++l) {
               partial +=
                   valuations_[static_cast<size_t>(lo) + l].weight() * err[l];
             }
@@ -788,215 +772,23 @@ double EnumeratedDistance::Distance(const ProvenanceExpression& cand,
   return (total / total_weight_) / max_error_;
 }
 
-bool EnumeratedDistance::PreparePricing(const MappingState& state,
-                                        PricingInputs* in) {
-  in->vf_kind = val_func_->batch_kind();
-  if (valuations_.empty() || in->vf_kind == kernels::ValFuncBatchKind::kNone ||
-      !EnsureBaseBlocks()) {
-    return false;
+void EnumeratedDistance::TransformChunk(
+    const MappingState& state, size_t c,
+    kernels::ValuationBlock* block) const {
+  const size_t lo = c * kReductionGrain;
+  const size_t w = std::min(valuations_.size() - lo, size_t{kReductionGrain});
+  block->Reset(registry_->size(), w);
+  for (size_t l = 0; l < w; ++l) {
+    state.TransformLane(valuations_[lo + l], l, block);
   }
-  in->registry = registry_;
-  in->base_kind = base_kind_;
-  in->base_groups = &base_groups_;
-  in->norm = total_weight_;
-  const size_t n = registry_->size();
-  const size_t count = valuations_.size();
-  in->chunks.resize(base_blocks_.size());
-  for (size_t c = 0; c < in->chunks.size(); ++c) {
-    PricingChunk& chunk = in->chunks[c];
-    const size_t lo = c * kReductionGrain;
-    const size_t w = std::min(count - lo, size_t{kReductionGrain});
-    chunk.block.Reset(n, w);
-    for (size_t l = 0; l < w; ++l) {
-      state.TransformLane(valuations_[lo + l], l, &chunk.block);
-      chunk.weights[l] = valuations_[lo + l].weight();
-    }
-    chunk.base = &base_blocks_[c];
-  }
-  return true;
 }
 
-void EnumeratedDistance::CountPricedMerge(bool identity) {
+void EnumeratedDistance::CountPricedMerge(bool identity) const {
   const DistanceMetrics& metrics = DistanceMetrics::Get();
   metrics.enumerated_calls->Increment();
   metrics.enumerated_evals->Increment(valuations_.size());
   kernels::CountBatchEvals(valuations_.size());
   if (identity) metrics.base_eval_reuse->Increment(valuations_.size());
-}
-
-int SampledDistance::RequiredSamples(double epsilon, double delta) {
-  return static_cast<int>(
-      std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
-}
-
-SampledDistance::SampledDistance(const ProvenanceExpression* p0,
-                                 const AnnotationRegistry* registry,
-                                 const ValFunc* val_func, Options options)
-    : p0_(p0),
-      registry_(registry),
-      val_func_(val_func),
-      options_(options),
-      pool_(options.threads) {
-  num_samples_ = options_.num_samples > 0
-                     ? options_.num_samples
-                     : RequiredSamples(options_.epsilon, options_.delta);
-  p0_->CollectAnnotations(&annotations_);
-  all_true_eval_ = p0_->Evaluate(MaterializedValuation(registry_->size()));
-  max_error_ = val_func_->MaxError(all_true_eval_);
-  if (max_error_ <= 0.0) max_error_ = 1.0;
-  // Whether p₀'s batch lowering fits the all-true coordinate layout; its
-  // structure is fixed for the oracle's lifetime.
-  if (const kernels::BatchEvalFacade* base_facade = p0_->AsBatchEval()) {
-    base_kind_ = all_true_eval_.kind();
-    if (base_kind_ == EvalResult::Kind::kVector) {
-      base_groups_.reserve(all_true_eval_.coords().size());
-      for (const auto& c : all_true_eval_.coords()) {
-        base_groups_.push_back(c.group);
-      }
-    }
-    base_program_ok_ = kernels::ProgramMatchesLayout(
-        base_facade->LowerBatch(), base_kind_, base_groups_.data(),
-        base_groups_.size());
-  }
-}
-
-double SampledDistance::Distance(const ProvenanceExpression& cand,
-                                 const MappingState& state) {
-  const DistanceMetrics& metrics = DistanceMetrics::Get();
-  metrics.sampled_calls->Increment();
-  metrics.samples->Increment(num_samples_);
-  std::optional<obs::TraceSpan> oracle_span;
-  if (!exec::InParallelWorker()) oracle_span.emplace("distance.oracle");
-  const size_t n = registry_->size();
-  // Batch path: both sides of each grain-16 sample chunk are evaluated by
-  // the SIMD kernels, each through its own lowering, and the base side is
-  // projected into the candidate's group slots as in the enumerated
-  // oracle. Sample s's Rng stream is regenerated identically, so the
-  // drawn valuations — and the resulting estimate — are bit-identical to
-  // the scalar path at any tier and any thread count.
-  const kernels::ValFuncBatchKind vf_kind = val_func_->batch_kind();
-  const kernels::BatchEvalFacade* facade = cand.AsBatchEval();
-  if (base_program_ok_ && facade != nullptr &&
-      vf_kind != kernels::ValFuncBatchKind::kNone) {
-    const kernels::BatchProgram program = facade->LowerBatch();
-    kernels::GroupRemap remap;
-    if (kernels::BuildGroupRemap(base_kind_, base_groups_.data(),
-                                 base_groups_.size(), program,
-                                 state.cumulative(), &remap)) {
-      if (remap.identity()) {
-        metrics.base_eval_reuse->Increment(num_samples_);
-      }
-      // Both sides are evaluated in batches: two per sample.
-      kernels::CountBatchEvals(2 * static_cast<uint64_t>(num_samples_));
-      const kernels::BatchProgram base_program =
-          p0_->AsBatchEval()->LowerBatch();
-      const double penalty = val_func_->batch_mismatch_penalty();
-      const double total = exec::DeterministicChunkSum(
-          pool_.pool(), num_samples_, kSampleGrain,
-          [&](int64_t lo, int64_t hi) {
-            thread_local kernels::ValuationBlock base_block;
-            thread_local kernels::ValuationBlock trans_block;
-            thread_local kernels::BlockEval base_eval;
-            thread_local kernels::BlockEval cand_eval;
-            thread_local kernels::BlockEval projected;
-            const size_t w = static_cast<size_t>(hi - lo);
-            base_block.Reset(n, w);
-            trans_block.Reset(n, w);
-            for (size_t l = 0; l < w; ++l) {
-              const Valuation v = Sample(lo + static_cast<int64_t>(l));
-              base_block.FillLaneSparse(l, v);
-              state.TransformLane(v, l, &trans_block);
-            }
-            kernels::EvaluateBlock(base_program, base_block, &base_eval);
-            kernels::EvaluateBlock(program, trans_block, &cand_eval);
-            const kernels::BlockEval& orig =
-                kernels::ProjectBlock(remap, program, base_eval, &projected);
-            double err[kernels::kMaxLanes];
-            kernels::ValFuncBlockErrors(vf_kind, penalty, orig, cand_eval,
-                                        err);
-            double partial = 0.0;
-            for (size_t l = 0; l < w; ++l) partial += err[l];
-            return partial;
-          });
-      return (total / num_samples_) / max_error_;
-    }
-  }
-  kernels::CountScalarFallback();
-  // Same identity-on-groups shortcut as the enumerated oracle: the group
-  // keys of an evaluation are structural (they do not depend on which
-  // annotations a valuation cancels), so the all-true evaluation decides
-  // for every sample whether ProjectEvalResult is the identity.
-  const bool identity_on_groups = IdentityOnGroups(all_true_eval_, state);
-  if (identity_on_groups) {
-    metrics.base_eval_reuse->Increment(num_samples_);
-  }
-  // Stream s of the seed drives sample s alone, so the estimate depends
-  // only on (seed, num_samples) — not on thread count or sample order.
-  const double total = exec::DeterministicSum(
-      pool_.pool(), num_samples_, kSampleGrain, [&](int64_t s) {
-        const Valuation v = Sample(s);
-        EvalResult base = p0_->Evaluate(MaterializedValuation(v, n));
-        MaterializedValuation transformed = state.Transform(v, n);
-        EvalResult summ = cand.Evaluate(transformed);
-        if (identity_on_groups) {
-          return val_func_->Compute(base, summ);
-        }
-        EvalResult orig = cand.ProjectEvalResult(base, state.cumulative());
-        return val_func_->Compute(orig, summ);
-      });
-  return (total / num_samples_) / max_error_;
-}
-
-Valuation SampledDistance::Sample(int64_t s) const {
-  Rng rng(options_.seed, static_cast<uint64_t>(s));
-  std::vector<AnnotationId> cancelled;
-  for (AnnotationId a : annotations_) {
-    if (rng.Bernoulli(0.5)) cancelled.push_back(a);
-  }
-  return Valuation(std::move(cancelled));
-}
-
-bool SampledDistance::PreparePricing(const MappingState& state,
-                                     PricingInputs* in) {
-  in->vf_kind = val_func_->batch_kind();
-  if (!base_program_ok_ || num_samples_ <= 0 ||
-      in->vf_kind == kernels::ValFuncBatchKind::kNone) {
-    return false;
-  }
-  in->registry = registry_;
-  in->base_kind = base_kind_;
-  in->base_groups = &base_groups_;
-  in->norm = num_samples_;
-  const size_t n = registry_->size();
-  const kernels::BatchProgram base_program = p0_->AsBatchEval()->LowerBatch();
-  kernels::ValuationBlock base_block;
-  in->chunks.resize(static_cast<size_t>(
-      (num_samples_ + kSampleGrain - 1) / kSampleGrain));
-  for (size_t c = 0; c < in->chunks.size(); ++c) {
-    PricingChunk& chunk = in->chunks[c];
-    const int64_t lo = static_cast<int64_t>(c) * kSampleGrain;
-    const size_t w = static_cast<size_t>(
-        std::min<int64_t>(num_samples_ - lo, kSampleGrain));
-    base_block.Reset(n, w);
-    chunk.block.Reset(n, w);
-    for (size_t l = 0; l < w; ++l) {
-      const Valuation v = Sample(lo + static_cast<int64_t>(l));
-      base_block.FillLaneSparse(l, v);
-      state.TransformLane(v, l, &chunk.block);
-      chunk.weights[l] = 1.0;
-    }
-    kernels::EvaluateBlock(base_program, base_block, &chunk.owned_base);
-    chunk.base = &chunk.owned_base;
-  }
-  return true;
-}
-
-void SampledDistance::CountPricedMerge(bool identity) {
-  const DistanceMetrics& metrics = DistanceMetrics::Get();
-  metrics.sampled_calls->Increment();
-  metrics.samples->Increment(num_samples_);
-  kernels::CountBatchEvals(2 * static_cast<uint64_t>(num_samples_));
-  if (identity) metrics.base_eval_reuse->Increment(num_samples_);
 }
 
 }  // namespace prox

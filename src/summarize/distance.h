@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "kernels/batch_eval.h"
 #include "provenance/expression.h"
@@ -31,7 +30,7 @@ struct MergePrice {
   int64_t nanos = 0;
 };
 
-/// \brief Run-local state of step pricing (DistanceOracle::PriceMerges):
+/// \brief Run-local state of step pricing (EnumeratedDistance::PriceMerges):
 /// each candidate's dirty-group VAL-FUNC terms, kept across the steps of
 /// one Summarizer::Run under the candidate's sorted roots.
 ///
@@ -53,7 +52,7 @@ class PricingCache {
   uint64_t evictions() const { return evictions_; }
 
  private:
-  friend class DistanceOracle;
+  friend class EnumeratedDistance;
   friend class StepPricer;
 
   /// The terms of one dirty group of a candidate: a group the merge left
@@ -65,7 +64,7 @@ class PricingCache {
     uint32_t src_begin = 0;
     uint32_t src_end = 0;
     int64_t size = 0;        ///< size of the group's rows after the merge
-    uint32_t terms_off = 0;  ///< chunk-major, `stride` lanes per chunk
+    uint32_t terms_off = 0;  ///< chunk-major, kMaxLanes lanes per chunk
   };
   struct Entry {
     std::vector<Unit> units;
@@ -98,24 +97,41 @@ class PricingCache {
   uint64_t evictions_ = 0;
 };
 
-/// \brief Computes dist^{h,φ}(p₀, p') (Definition 3.2.2) for candidate
-/// summaries against a fixed original expression and valuation set.
+/// \brief The distance oracle: computes dist^{h,φ}(p₀, p') (Definition
+/// 3.2.2) for candidate summaries against a fixed original expression over
+/// an explicitly enumerated valuation set. The set is either a generated
+/// class — the thesis's evaluation setting, where V_Ann ("Cancel Single
+/// Annotation", "Cancel Single Attribute") is polynomial in the input — or
+/// valuations drawn by SampledValuations, which makes the same average the
+/// Monte-Carlo estimate of Proposition 4.1.2.
 ///
-/// Oracles pre-evaluate p₀ under every base valuation once; each candidate
+/// The oracle pre-evaluates p₀ under every valuation once; each candidate
 /// then costs |V| evaluations of the (smaller) candidate expression. The
 /// returned distances are normalized into [0,1] by VAL-FUNC's MaxError
 /// bound, matching the normalized distances reported in §6.3.
-class DistanceOracle {
+class EnumeratedDistance {
  public:
-  virtual ~DistanceOracle() = default;
+  /// Valuations per reduction chunk. Fixed (never derived from the thread
+  /// count) so the floating-point summation tree — and therefore the
+  /// reported distance — is bit-identical at any parallelism level.
+  static constexpr int64_t kReductionGrain = 8;
 
-  /// Average normalized VAL-FUNC of `cand` (= h(p₀) for the cumulative h in
-  /// `state`) against the original expression.
-  virtual double Distance(const ProvenanceExpression& cand,
-                          const MappingState& state) = 0;
+  /// \param p0 the original expression (must outlive the oracle)
+  /// \param registry annotation registry (may grow while the oracle lives)
+  /// \param val_func VAL-FUNC (must outlive the oracle)
+  /// \param valuations the enumerated or drawn valuation set
+  /// \param threads exec thread count (0 = process default, 1 = serial)
+  EnumeratedDistance(const ProvenanceExpression* p0,
+                     const AnnotationRegistry* registry,
+                     const ValFunc* val_func,
+                     std::vector<Valuation> valuations, int threads = 1);
+
+  /// Weighted average normalized VAL-FUNC of `cand` (= h(p₀) for the
+  /// cumulative h in `state`) against the original expression.
+  double Distance(const ProvenanceExpression& cand, const MappingState& state);
 
   /// The normalization constant (maximum possible error).
-  virtual double max_error() const = 0;
+  double max_error() const { return max_error_; }
 
   /// \brief Step pricing: prices every merge of one greedy step against
   /// `current` (= h(p₀) for `state`'s cumulative h) without building the
@@ -138,62 +154,6 @@ class DistanceOracle {
                    exec::ThreadPool* pool, PricingCache* cache,
                    std::vector<MergePrice>* out);
 
- protected:
-  /// Batch inputs of one reduction chunk for step pricing.
-  struct PricingChunk {
-    kernels::ValuationBlock block;  ///< v^{h,φ} under the step's state
-    const kernels::BlockEval* base = nullptr;  ///< v(p₀), base layout
-    kernels::BlockEval owned_base;  ///< storage when `base` is per step
-    double weights[kernels::kMaxLanes] = {};
-  };
-  struct PricingInputs {
-    const AnnotationRegistry* registry = nullptr;
-    kernels::ValFuncBatchKind vf_kind = kernels::ValFuncBatchKind::kNone;
-    EvalResult::Kind base_kind = EvalResult::Kind::kScalar;
-    const std::vector<AnnotationId>* base_groups = nullptr;
-    std::vector<PricingChunk> chunks;
-    /// distance = (Σ chunk partials / norm) / max_error().
-    double norm = 1.0;
-  };
-
-  /// Fills `in` with this oracle's chunks for pricing merges against
-  /// `state`; false when the oracle has no batch path (a kNone VAL-FUNC,
-  /// base evaluations no layout packs), so every merge materializes.
-  virtual bool PreparePricing(const MappingState& state,
-                              PricingInputs* in) = 0;
-
-  /// Counts one merge priced by step pricing the way one batched Distance
-  /// call counts it; `identity` when its group remap is the identity.
-  virtual void CountPricedMerge(bool identity) = 0;
-
- private:
-  friend class StepPricer;
-};
-
-/// Exact distance over an explicitly enumerated valuation class — the
-/// thesis's evaluation setting, where V_Ann ("Cancel Single Annotation",
-/// "Cancel Single Attribute") is polynomial in the input.
-class EnumeratedDistance : public DistanceOracle {
- public:
-  /// Valuations per reduction chunk. Fixed (never derived from the thread
-  /// count) so the floating-point summation tree — and therefore the
-  /// reported distance — is bit-identical at any parallelism level.
-  static constexpr int64_t kReductionGrain = 8;
-
-  /// \param p0 the original expression (must outlive the oracle)
-  /// \param registry annotation registry (may grow while the oracle lives)
-  /// \param val_func VAL-FUNC (must outlive the oracle)
-  /// \param valuations the enumerated class V_Ann
-  /// \param threads exec thread count (0 = process default, 1 = serial)
-  EnumeratedDistance(const ProvenanceExpression* p0,
-                     const AnnotationRegistry* registry,
-                     const ValFunc* val_func,
-                     std::vector<Valuation> valuations, int threads = 1);
-
-  double Distance(const ProvenanceExpression& cand,
-                  const MappingState& state) override;
-  double max_error() const override { return max_error_; }
-
   size_t num_valuations() const { return valuations_.size(); }
   const std::vector<Valuation>& valuations() const { return valuations_; }
   /// Cached v(p₀) per valuation, aligned with valuations(): the base side
@@ -208,15 +168,22 @@ class EnumeratedDistance : public DistanceOracle {
   }
   const AnnotationRegistry* registry() const { return registry_; }
 
- protected:
-  bool PreparePricing(const MappingState& state, PricingInputs* in) override;
-  void CountPricedMerge(bool identity) override;
-
  private:
+  friend class StepPricer;
+
   /// Packs base_evals_ into per-chunk BlockEvals for the batch kernels
   /// (kernels/batch_eval.h), lazily and once — Distance runs concurrently
   /// on exec workers during candidate scoring. Returns base_blocks_ok_.
   bool EnsureBaseBlocks();
+
+  /// Fills `block` with chunk `c`'s valuations transformed by `state`
+  /// (v^{h,φ}, one lane per valuation).
+  void TransformChunk(const MappingState& state, size_t c,
+                      kernels::ValuationBlock* block) const;
+
+  /// Counts one merge priced by step pricing the way one batched Distance
+  /// call counts it; `identity` when its group remap is the identity.
+  void CountPricedMerge(bool identity) const;
 
   const ProvenanceExpression* p0_;
   const AnnotationRegistry* registry_;
@@ -237,69 +204,6 @@ class EnumeratedDistance : public DistanceOracle {
   EvalResult::Kind base_kind_ = EvalResult::Kind::kScalar;
   std::vector<AnnotationId> base_groups_;
   std::vector<kernels::BlockEval> base_blocks_;  // one per grain-8 chunk
-};
-
-/// Monte-Carlo distance over *all* 2^n valuations — the sampling
-/// approximation of Proposition 4.1.2. Each sample draws a uniform truth
-/// valuation over p₀'s annotations, evaluates both expressions and
-/// averages VAL-FUNC; Hoeffding's inequality bounds the sample count
-/// needed for an (ε, δ) absolute-error guarantee on the normalized
-/// distance.
-class SampledDistance : public DistanceOracle {
- public:
-  struct Options {
-    double epsilon = 0.05;  ///< absolute error bound on normalized distance
-    double delta = 0.05;    ///< failure probability
-    int num_samples = 0;    ///< overrides the (ε, δ)-derived count when > 0
-    uint64_t seed = 0x5EEDBA5E;
-    int threads = 1;  ///< exec thread count (0 = process default)
-  };
-
-  /// Samples per reduction chunk; fixed for the same bit-identical-at-any-
-  /// thread-count reason as EnumeratedDistance::kReductionGrain.
-  static constexpr int64_t kSampleGrain = 16;
-
-  /// Samples needed so that P(|d' − dist| > ε) < δ for a [0,1]-bounded
-  /// estimator: ⌈ln(2/δ) / (2ε²)⌉.
-  static int RequiredSamples(double epsilon, double delta);
-
-  SampledDistance(const ProvenanceExpression* p0,
-                  const AnnotationRegistry* registry, const ValFunc* val_func,
-                  Options options);
-
-  double Distance(const ProvenanceExpression& cand,
-                  const MappingState& state) override;
-  double max_error() const override { return max_error_; }
-
-  int num_samples() const { return num_samples_; }
-
- protected:
-  bool PreparePricing(const MappingState& state, PricingInputs* in) override;
-  void CountPricedMerge(bool identity) override;
-
- private:
-  /// Draws sample `s`'s valuation from its own Rng stream.
-  Valuation Sample(int64_t s) const;
-
-  const ProvenanceExpression* p0_;
-  const AnnotationRegistry* registry_;
-  const ValFunc* val_func_;
-  Options options_;
-  int num_samples_;
-  std::vector<AnnotationId> annotations_;  // of p0
-  EvalResult all_true_eval_;  // group-key structure for the identity check
-  double max_error_ = 1.0;
-  exec::PoolRef pool_;
-
-  // Batch-kernel state. The base side has no cached per-valuation
-  // evaluations (samples are drawn fresh), so each batched Distance call
-  // lowers p₀ next to the candidate and evaluates both over the same
-  // valuation blocks. p₀ is lowered per call, not cached: a lowered
-  // program borrows spans of p₀'s TermPool, which interning may move.
-  // base_program_ok_ records once whether p₀'s lowering fits the layout.
-  bool base_program_ok_ = false;
-  EvalResult::Kind base_kind_ = EvalResult::Kind::kScalar;
-  std::vector<AnnotationId> base_groups_;
 };
 
 }  // namespace prox

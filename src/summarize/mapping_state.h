@@ -39,7 +39,7 @@ struct PhiConfig {
 /// Copyable: the summarizer keeps the previous step's state for the
 /// TARGET-DIST rollback (Algorithm 1 line 11), and candidates that step
 /// pricing cannot price by their dirty groups are priced on a tentative
-/// copy (DistanceOracle::PriceMerges).
+/// copy (EnumeratedDistance::PriceMerges).
 class MappingState {
  public:
   MappingState(const AnnotationRegistry* registry, PhiConfig phi)
@@ -80,7 +80,7 @@ class MappingState {
   /// Same result as `Transform(base, num_annotations)`, but starts from
   /// `base_mat` — a MaterializedValuation of `base` built earlier (possibly
   /// at a smaller registry size) — so only the φ overrides are recomputed,
-  /// not the whole bitmap. Lets oracles pre-materialize their fixed
+  /// not the whole bitmap. Lets the oracle pre-materialize its fixed
   /// valuation set once and pay per Distance call only for the summaries.
   MaterializedValuation TransformFrom(const Valuation& base,
                                       const MaterializedValuation& base_mat,

@@ -94,7 +94,7 @@ Summarizer::Summarizer(const ProvenanceExpression* p0,
                        AnnotationRegistry* registry,
                        const SemanticContext* ctx,
                        const ConstraintSet* constraints,
-                       DistanceOracle* oracle,
+                       EnumeratedDistance* oracle,
                        const std::vector<Valuation>* valuations,
                        SummarizerOptions options)
     : p0_(p0),
@@ -339,7 +339,11 @@ Result<SummaryOutcome> Summarizer::Run() {
     Homomorphism commit_hom;
     for (AnnotationId root : winner.roots) commit_hom.Set(root, summary);
     current = prev_expr->Apply(commit_hom);
-    dist = oracle_->Distance(*current, state);
+    // The winner's priced distance is Distance on the committed expression,
+    // bit for bit: the scratch and the summary id both sort after every
+    // annotation of the current expression, so rows, monomials and groups
+    // land in the same order under either.
+    dist = prices[scored[best].index].distance;
     ++step;
 
     StepRecord record;

@@ -144,7 +144,8 @@ class Summarizer {
   /// used to score candidates).
   Summarizer(const ProvenanceExpression* p0, AnnotationRegistry* registry,
              const SemanticContext* ctx, const ConstraintSet* constraints,
-             DistanceOracle* oracle, const std::vector<Valuation>* valuations,
+             EnumeratedDistance* oracle,
+             const std::vector<Valuation>* valuations,
              SummarizerOptions options);
 
   /// Runs the algorithm to completion.
@@ -171,7 +172,7 @@ class Summarizer {
   AnnotationRegistry* registry_;
   const SemanticContext* ctx_;
   const ConstraintSet* constraints_;
-  DistanceOracle* oracle_;
+  EnumeratedDistance* oracle_;
   const std::vector<Valuation>* valuations_;
   SummarizerOptions options_;
 };

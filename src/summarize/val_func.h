@@ -30,7 +30,7 @@ class ValFunc {
   virtual std::string name() const = 0;
 
   /// The batched counterpart of Compute (kernels/batch_eval.h), when one
-  /// exists. kNone (the default) makes the distance oracles keep their
+  /// exists. kNone (the default) makes the distance oracle keep its
   /// per-valuation scalar path for this VAL-FUNC.
   virtual kernels::ValFuncBatchKind batch_kind() const {
     return kernels::ValFuncBatchKind::kNone;

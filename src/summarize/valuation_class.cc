@@ -1,7 +1,11 @@
 #include "summarize/valuation_class.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <map>
+
+#include "common/rng.h"
 
 namespace prox {
 
@@ -91,6 +95,51 @@ std::vector<Valuation> ExhaustiveValuations::Generate(
       if (mask & (uint64_t{1} << i)) cancelled.push_back(anns[i]);
     }
     out.emplace_back(std::move(cancelled), "mask " + std::to_string(mask));
+  }
+  return out;
+}
+
+Result<int> SampledValuations::RequiredSamples(double epsilon, double delta) {
+  if (!(epsilon > 0.0 && epsilon <= 1.0)) {
+    return Status::InvalidArgument("sampling epsilon must be in (0, 1]");
+  }
+  if (!(delta > 0.0 && delta < 1.0)) {
+    return Status::InvalidArgument("sampling delta must be in (0, 1)");
+  }
+  const double n = std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon));
+  if (!(n <= static_cast<double>(INT_MAX))) {
+    return Status::InvalidArgument(
+        "sampling (epsilon, delta) needs more than INT_MAX samples");
+  }
+  return static_cast<int>(n);
+}
+
+Result<SampledValuations> SampledValuations::Create(Options options) {
+  if (options.num_samples < 0) {
+    return Status::InvalidArgument("num_samples must be non-negative");
+  }
+  if (options.num_samples > 0) {
+    return SampledValuations(options.seed, options.num_samples);
+  }
+  PROX_ASSIGN_OR_RETURN(const int n,
+                        RequiredSamples(options.epsilon, options.delta));
+  return SampledValuations(options.seed, n);
+}
+
+std::vector<Valuation> SampledValuations::Generate(
+    const ProvenanceExpression& p0, const SemanticContext& ctx) const {
+  (void)ctx;
+  std::vector<AnnotationId> anns;
+  p0.CollectAnnotations(&anns);
+  std::vector<Valuation> out;
+  out.reserve(static_cast<size_t>(num_samples_));
+  for (int s = 0; s < num_samples_; ++s) {
+    Rng rng(seed_, static_cast<uint64_t>(s));
+    std::vector<AnnotationId> cancelled;
+    for (AnnotationId a : anns) {
+      if (rng.Bernoulli(0.5)) cancelled.push_back(a);
+    }
+    out.emplace_back(std::move(cancelled));
   }
   return out;
 }

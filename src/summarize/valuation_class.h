@@ -1,10 +1,12 @@
 #ifndef PROX_SUMMARIZE_VALUATION_CLASS_H_
 #define PROX_SUMMARIZE_VALUATION_CLASS_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "provenance/expression.h"
 #include "provenance/valuation.h"
 #include "semantics/context.h"
@@ -86,8 +88,8 @@ class CancelSingleAttribute : public ValuationClass {
 
 /// All 2^n valuations over `p0`'s annotations — the variant "where the
 /// distance is computed with respect to all possible valuations"
-/// (Section 3.2). Guarded to small n; pair with the sampling estimator
-/// beyond that.
+/// (Section 3.2). Guarded to small n; SampledValuations estimates the
+/// same average beyond that.
 class ExhaustiveValuations : public ValuationClass {
  public:
   /// \param max_annotations refuse (return empty) beyond this many
@@ -104,6 +106,48 @@ class ExhaustiveValuations : public ValuationClass {
 
  private:
   size_t max_annotations_;
+};
+
+/// \brief N valuations drawn uniformly from all 2^n over `p0`'s
+/// annotations, each with weight 1 — the sampling estimator of
+/// Proposition 4.1.2. The distance over this set is Definition 3.2.2's
+/// average over a drawn class, so the one oracle (EnumeratedDistance)
+/// prices it; Hoeffding's inequality bounds the N needed for an (ε, δ)
+/// absolute-error guarantee on the normalized distance.
+///
+/// Sample s cancels each annotation with probability ½ from its own Rng
+/// stream `Rng(seed, s)`, so the drawn set depends only on (seed, N).
+class SampledValuations : public ValuationClass {
+ public:
+  struct Options {
+    double epsilon = 0.05;  ///< absolute error bound on normalized distance
+    double delta = 0.05;    ///< failure probability
+    int num_samples = 0;    ///< overrides the (ε, δ)-derived count when > 0
+    uint64_t seed = 0x5EEDBA5E;
+  };
+
+  /// Samples needed so that P(|d' − dist| > ε) < δ for a [0,1]-bounded
+  /// estimator: ⌈ln(2/δ) / (2ε²)⌉. InvalidArgument unless ε ∈ (0, 1],
+  /// δ ∈ (0, 1) and the count fits an int.
+  static Result<int> RequiredSamples(double epsilon, double delta);
+
+  /// Fixes the sample count: `num_samples` when positive, else
+  /// RequiredSamples(ε, δ). InvalidArgument for a negative count or, when
+  /// the count is derived, for ε or δ out of range.
+  static Result<SampledValuations> Create(Options options);
+
+  std::vector<Valuation> Generate(const ProvenanceExpression& p0,
+                                  const SemanticContext& ctx) const override;
+  std::string name() const override { return "Sampled"; }
+
+  int num_samples() const { return num_samples_; }
+
+ private:
+  SampledValuations(uint64_t seed, int num_samples)
+      : seed_(seed), num_samples_(num_samples) {}
+
+  uint64_t seed_;
+  int num_samples_;
 };
 
 /// Concatenation of several classes (e.g. cancel-single-annotation ∪

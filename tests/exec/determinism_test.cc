@@ -11,12 +11,14 @@
 #include "datasets/wikipedia.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
+#include "testing/fixtures.h"
 
 namespace prox {
 namespace {
 
 /// The determinism contract of the parallel engine: for any thread count,
-/// Summarizer::Run, both distance oracles and the HAC baseline produce
+/// Summarizer::Run over both valuation sets (the dataset's class and a
+/// drawn Monte-Carlo set) and the HAC baseline produce
 /// *byte-identical* outcomes — same merges, same distances to the last
 /// bit, same summary expression. Each run builds a fresh dataset from the
 /// same seed so registries evolve identically; fingerprints render every
@@ -89,18 +91,14 @@ std::string RunProvApprox(Kind kind, Oracle oracle_kind, int threads) {
   std::vector<Valuation> valuations =
       ds.valuation_class->Generate(*ds.provenance, ds.ctx);
 
-  std::unique_ptr<DistanceOracle> oracle;
-  if (oracle_kind == Oracle::kEnumerated) {
-    oracle = std::make_unique<EnumeratedDistance>(
-        ds.provenance.get(), ds.registry.get(), ds.val_func.get(), valuations,
-        threads);
-  } else {
-    SampledDistance::Options options;
-    options.num_samples = 200;
-    options.threads = threads;
-    oracle = std::make_unique<SampledDistance>(
-        ds.provenance.get(), ds.registry.get(), ds.val_func.get(), options);
-  }
+  // The oracle prices either the dataset's class or a drawn Monte-Carlo
+  // set; the summarizer's equivalence pass always uses the class.
+  EnumeratedDistance oracle(
+      ds.provenance.get(), ds.registry.get(), ds.val_func.get(),
+      oracle_kind == Oracle::kEnumerated
+          ? valuations
+          : testing_fixtures::DrawSamples(*ds.provenance, ds.ctx, 200),
+      threads);
 
   SummarizerOptions options;
   options.w_dist = 0.6;
@@ -109,7 +107,7 @@ std::string RunProvApprox(Kind kind, Oracle oracle_kind, int threads) {
   options.phi = ds.phi;
   options.threads = threads;
   Summarizer summarizer(ds.provenance.get(), ds.registry.get(), &ds.ctx,
-                        &ds.constraints, oracle.get(), &valuations, options);
+                        &ds.constraints, &oracle, &valuations, options);
   Result<SummaryOutcome> outcome = summarizer.Run();
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   if (!outcome.ok()) return "<failed>";

@@ -48,20 +48,20 @@ std::string TierTrace(common::SimdTier tier) {
 // ---------------------------------------------------------------------------
 // ValuationBlock
 
-TEST(ValuationBlockTest, ResetDefaultsTrueAndPicksStride) {
+TEST(ValuationBlockTest, ResetDefaultsEveryLaneTrue) {
   kernels::ValuationBlock block;
   block.Reset(5, 3);
   EXPECT_EQ(block.num_annotations(), 5u);
   EXPECT_EQ(block.width(), 3u);
-  EXPECT_EQ(block.stride(), 8u);
+  // Rows are kMaxLanes wide whatever the width; unused lanes are true.
+  EXPECT_EQ(block.Row(1) - block.Row(0),
+            static_cast<ptrdiff_t>(kernels::kMaxLanes));
   for (AnnotationId a = 0; a < 5; ++a) {
     const uint8_t* row = block.Row(a);
-    for (size_t lane = 0; lane < block.stride(); ++lane) {
+    for (size_t lane = 0; lane < kernels::kMaxLanes; ++lane) {
       EXPECT_EQ(row[lane], 0xFF);
     }
   }
-  block.Reset(4, 12);  // > 8 lanes switches to the wide stride
-  EXPECT_EQ(block.stride(), 16u);
 }
 
 TEST(ValuationBlockTest, FillLaneMatchesMaterializedValuation) {
@@ -104,7 +104,6 @@ TEST(PackEvalBlockTest, ScalarRoundTrip) {
                                      EvalResult::Kind::kScalar, nullptr, 0,
                                      &block));
   EXPECT_EQ(block.width, 3u);
-  EXPECT_EQ(block.stride, 8u);
   for (size_t l = 0; l < evals.size(); ++l) {
     EXPECT_EQ(block.Extract(l), evals[l]);
   }

@@ -5,7 +5,8 @@
 // through the batch path and through the scalar reference (the same
 // VAL-FUNC wrapped to report kNone), must have the same double bits: for
 // every aggregation, every VAL-FUNC with a batch kind that accepts vectors
-// and both oracles, at threads {1, 8}.
+// and both valuation sets (the dataset's class and a drawn Monte-Carlo
+// set), at threads {1, 8}.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@ namespace prox {
 namespace {
 
 using golden::DoubleBits;
+using testing_fixtures::DrawSamples;
 using testing_fixtures::ScalarReferenceValFunc;
 
 enum class VfKind { kEuclidean, kAbsoluteDifference, kDisagreement };
@@ -36,7 +38,7 @@ enum class VfKind { kEuclidean, kAbsoluteDifference, kDisagreement };
 struct ProjectedCase {
   AggKind agg;
   VfKind vf;
-  bool sampled;  ///< SampledDistance, else EnumeratedDistance
+  bool sampled;  ///< drawn valuations (SampledValuations), else the class
 };
 
 const char* VfName(VfKind vf) {
@@ -71,20 +73,6 @@ std::vector<ProjectedCase> AllCases() {
   return cases;
 }
 
-std::unique_ptr<DistanceOracle> MakeOracle(
-    const ProjectedCase& c, const Dataset& ds, const ValFunc* vf,
-    const std::vector<Valuation>& valuations, int threads) {
-  if (c.sampled) {
-    SampledDistance::Options options;
-    options.num_samples = 40;  // two full grain-16 chunks and a short one
-    options.threads = threads;
-    return std::make_unique<SampledDistance>(
-        ds.provenance.get(), ds.registry.get(), vf, options);
-  }
-  return std::make_unique<EnumeratedDistance>(
-      ds.provenance.get(), ds.registry.get(), vf, valuations, threads);
-}
-
 /// One candidate of the step: its tentative state and expression.
 struct Priced {
   MappingState state;
@@ -102,7 +90,9 @@ TEST_P(ProjectedBatchTest, EveryCandidateMatchesTheScalarReferenceBitForBit) {
   config.agg = c.agg;
   Dataset ds = MovieLensGenerator::Generate(config);
   const std::vector<Valuation> valuations =
-      ds.valuation_class->Generate(*ds.provenance, ds.ctx);
+      c.sampled
+          ? DrawSamples(*ds.provenance, ds.ctx, 44)  // 5 full chunks + 4
+          : ds.valuation_class->Generate(*ds.provenance, ds.ctx);
   EuclideanValFunc euclidean;
   AbsoluteDifferenceValFunc absolute;
   DisagreementValFunc disagreement;
@@ -151,22 +141,22 @@ TEST_P(ProjectedBatchTest, EveryCandidateMatchesTheScalarReferenceBitForBit) {
 
   for (int threads : {1, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::unique_ptr<DistanceOracle> batched =
-        MakeOracle(c, ds, vf, valuations, threads);
-    std::unique_ptr<DistanceOracle> reference =
-        MakeOracle(c, ds, &reference_vf, valuations, threads);
+    EnumeratedDistance batched(ds.provenance.get(), ds.registry.get(), vf,
+                               valuations, threads);
+    EnumeratedDistance reference(ds.provenance.get(), ds.registry.get(),
+                                 &reference_vf, valuations, threads);
 
     const uint64_t fallbacks_before = kernels::ScalarFallbacksForTesting();
     const uint64_t batch_before = kernels::BatchEvalsForTesting();
     std::vector<double> batched_distances;
     for (const Priced& p : step) {
-      batched_distances.push_back(batched->Distance(*p.expr, p.state));
+      batched_distances.push_back(batched.Distance(*p.expr, p.state));
     }
     EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallbacks_before);
     EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
 
     for (size_t i = 0; i < step.size(); ++i) {
-      const double expected = reference->Distance(*step[i].expr, step[i].state);
+      const double expected = reference.Distance(*step[i].expr, step[i].state);
       EXPECT_EQ(DoubleBits(batched_distances[i]), DoubleBits(expected))
           << "candidate " << i << ": batched " << batched_distances[i]
           << " vs scalar " << expected;

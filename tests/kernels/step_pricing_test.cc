@@ -1,12 +1,13 @@
-// Bit-identity of step pricing (DistanceOracle::PriceMerges). A greedy run
+// Bit-identity of step pricing (EnumeratedDistance::PriceMerges). A greedy run
 // is walked by hand: at every step each candidate merge is priced once
 // through the step pricer — dirty groups only, terms carried across steps
 // by the run's PricingCache — and once the old way, by building the
 // candidate with Apply and calling Distance (the scalar reference, a
 // kNone VAL-FUNC) and Size. Distance and size must have the same bits.
-// The winner is then committed as Summarizer::Run commits it, so later
-// steps exercise the cross-step cache and the projected (group-key
-// merged) layouts.
+// The winner is then committed as Summarizer::Run commits it — at its
+// priced distance, which must equal Distance on the committed expression —
+// so later steps exercise the cross-step cache and the projected
+// (group-key merged) layouts.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,7 @@ namespace prox {
 namespace {
 
 using golden::DoubleBits;
+using testing_fixtures::DrawSamples;
 using testing_fixtures::ScalarReferenceValFunc;
 
 enum class VfKind { kEuclidean, kAbsoluteDifference, kDisagreement };
@@ -39,7 +41,7 @@ enum class VfKind { kEuclidean, kAbsoluteDifference, kDisagreement };
 struct StepCase {
   AggKind agg;
   VfKind vf;
-  bool sampled;  ///< SampledDistance, else EnumeratedDistance
+  bool sampled;  ///< drawn valuations (SampledValuations), else the class
 };
 
 const char* VfName(VfKind vf) {
@@ -61,7 +63,7 @@ struct Walk {
   int arity = 2;
   bool movie_merges = true;  ///< movies (group keys) may merge
   bool any_user_merge = false;
-  int num_samples = 40;  ///< sampled oracle: two full chunks + a short one
+  int num_samples = 44;  ///< drawn set: five full chunks + a short one
   bool scalar_reference = true;  ///< else the batched Distance
 };
 
@@ -76,27 +78,14 @@ double CounterValue(const char* name) {
   return obs::MetricsRegistry::Default().Snapshot().CounterValue(name);
 }
 
-std::unique_ptr<DistanceOracle> MakeOracle(
-    bool sampled, const Dataset& ds, const ValFunc* vf,
-    const std::vector<Valuation>& valuations, int num_samples, int threads) {
-  if (sampled) {
-    SampledDistance::Options options;
-    options.num_samples = num_samples;
-    options.threads = threads;
-    return std::make_unique<SampledDistance>(
-        ds.provenance.get(), ds.registry.get(), vf, options);
-  }
-  return std::make_unique<EnumeratedDistance>(
-      ds.provenance.get(), ds.registry.get(), vf, valuations, threads);
-}
-
 WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
   WalkResult result;
   MovieLensConfig config = walk.config;
   config.agg = c.agg;
   Dataset ds = MovieLensGenerator::Generate(config);
   const std::vector<Valuation> valuations =
-      ds.valuation_class->Generate(*ds.provenance, ds.ctx);
+      c.sampled ? DrawSamples(*ds.provenance, ds.ctx, walk.num_samples)
+                : ds.valuation_class->Generate(*ds.provenance, ds.ctx);
   EuclideanValFunc euclidean;
   AbsoluteDifferenceValFunc absolute;
   DisagreementValFunc disagreement;
@@ -105,11 +94,11 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
                           ? static_cast<const ValFunc*>(&absolute)
                           : &disagreement;
   ScalarReferenceValFunc reference_vf(vf);
-  std::unique_ptr<DistanceOracle> oracle = MakeOracle(
-      c.sampled, ds, vf, valuations, walk.num_samples, threads);
-  std::unique_ptr<DistanceOracle> reference = MakeOracle(
-      c.sampled, ds, walk.scalar_reference ? &reference_vf : vf, valuations,
-      walk.num_samples, threads);
+  EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(), vf,
+                            valuations, threads);
+  EnumeratedDistance reference(ds.provenance.get(), ds.registry.get(),
+                               walk.scalar_reference ? &reference_vf : vf,
+                               valuations, threads);
 
   const DomainId movie = ds.domain("movie");
   if (walk.movie_merges) {
@@ -147,8 +136,7 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
     const uint64_t fallbacks_before = kernels::ScalarFallbacksForTesting();
     const uint64_t batch_before = kernels::BatchEvalsForTesting();
     std::vector<MergePrice> prices;
-    oracle->PriceMerges(*current, state, merges, pool.pool(), &cache,
-                        &prices);
+    oracle.PriceMerges(*current, state, merges, pool.pool(), &cache, &prices);
     if (prices.size() != candidates.size()) {
       ADD_FAILURE() << "one price per merge expected";
       return result;
@@ -156,11 +144,8 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
     // Priced through the dirty-group path, never materialized, and counted
     // once per valuation per candidate like a batched Distance call.
     EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallbacks_before);
-    const uint64_t per_candidate =
-        c.sampled ? 2 * static_cast<uint64_t>(walk.num_samples)
-                  : valuations.size();
     EXPECT_EQ(kernels::BatchEvalsForTesting() - batch_before,
-              per_candidate * candidates.size());
+              valuations.size() * candidates.size());
 
     size_t best = 0;
     for (size_t i = 0; i < candidates.size(); ++i) {
@@ -171,7 +156,7 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
         h.Set(root, merges[i].scratch);
       }
       const std::unique_ptr<ProvenanceExpression> expr = current->Apply(h);
-      const double expected = reference->Distance(*expr, tentative);
+      const double expected = reference.Distance(*expr, tentative);
       EXPECT_EQ(DoubleBits(prices[i].distance), DoubleBits(expected))
           << "candidate " << i << ": step pricing " << prices[i].distance
           << " vs reference " << expected;
@@ -193,6 +178,9 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
     Homomorphism commit;
     for (AnnotationId root : winner.roots) commit.Set(root, summary);
     current = current->Apply(commit);
+    // Summarizer::Run records the step at the winner's priced distance.
+    EXPECT_EQ(DoubleBits(oracle.Distance(*current, state)),
+              DoubleBits(prices[best].distance));
   }
   result.evictions = cache.evictions();
   result.groups_reused =

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "summarize/valuation_class.h"
 #include "summarize/val_func.h"
@@ -130,27 +133,68 @@ TEST(EnumeratedDistanceTest, NormalizedDistanceStaysInUnitInterval) {
   EXPECT_LE(d, 1.0);
 }
 
-TEST(SampledDistanceTest, RequiredSamplesMatchesHoeffding) {
-  EXPECT_EQ(SampledDistance::RequiredSamples(0.05, 0.05),
-            static_cast<int>(
-                std::ceil(std::log(2.0 / 0.05) / (2 * 0.05 * 0.05))));
-  EXPECT_GT(SampledDistance::RequiredSamples(0.01, 0.05),
-            SampledDistance::RequiredSamples(0.1, 0.05));
-  EXPECT_GT(SampledDistance::RequiredSamples(0.05, 0.01),
-            SampledDistance::RequiredSamples(0.05, 0.1));
+/// The drawn class of the sampling estimator (Proposition 4.1.2).
+std::vector<Valuation> Draw(const MovieFixture& fx,
+                            SampledValuations::Options opts) {
+  Result<SampledValuations> cls = SampledValuations::Create(opts);
+  EXPECT_TRUE(cls.ok()) << cls.status().ToString();
+  return cls.value().Generate(*fx.p0, fx.ctx);
 }
 
-TEST(SampledDistanceTest, ZeroDistanceForIdentity) {
+TEST(SampledValuationsTest, RequiredSamplesMatchesHoeffding) {
+  EXPECT_EQ(SampledValuations::RequiredSamples(0.05, 0.05).value(),
+            static_cast<int>(
+                std::ceil(std::log(2.0 / 0.05) / (2 * 0.05 * 0.05))));
+  EXPECT_GT(SampledValuations::RequiredSamples(0.01, 0.05).value(),
+            SampledValuations::RequiredSamples(0.1, 0.05).value());
+  EXPECT_GT(SampledValuations::RequiredSamples(0.05, 0.01).value(),
+            SampledValuations::RequiredSamples(0.05, 0.1).value());
+}
+
+TEST(SampledValuationsTest, RejectsInputsOutsideTheirRanges) {
+  // ε = 0 would cast +inf to int; ε = 1e-5 needs ~1.8e10 samples, past
+  // INT_MAX. Both are refused, not undefined behaviour.
+  for (const auto& [epsilon, delta] :
+       std::vector<std::pair<double, double>>{{0.0, 0.05},
+                                              {0.05, 1.0},
+                                              {1e-5, 0.05},
+                                              {-0.1, 0.05},
+                                              {1.5, 0.05},
+                                              {0.05, 0.0},
+                                              {std::nan(""), 0.05}}) {
+    SCOPED_TRACE("epsilon=" + std::to_string(epsilon) +
+                 " delta=" + std::to_string(delta));
+    const Result<int> n = SampledValuations::RequiredSamples(epsilon, delta);
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(n.status().code(), StatusCode::kInvalidArgument);
+    SampledValuations::Options opts;
+    opts.epsilon = epsilon;
+    opts.delta = delta;
+    EXPECT_FALSE(SampledValuations::Create(opts).ok());
+  }
+  EXPECT_TRUE(SampledValuations::RequiredSamples(1.0, 0.5).ok());
+  SampledValuations::Options negative;
+  negative.num_samples = -1;
+  EXPECT_FALSE(SampledValuations::Create(negative).ok());
+  // An explicit count does not consult (ε, δ).
+  SampledValuations::Options counted;
+  counted.epsilon = 0.0;
+  counted.num_samples = 10;
+  ASSERT_TRUE(SampledValuations::Create(counted).ok());
+  EXPECT_EQ(SampledValuations::Create(counted).value().num_samples(), 10);
+}
+
+TEST(SampledValuationsTest, ZeroDistanceForIdentity) {
   MovieFixture fx;
   EuclideanValFunc vf;
-  SampledDistance::Options opts;
+  SampledValuations::Options opts;
   opts.num_samples = 200;
-  SampledDistance oracle(fx.p0.get(), &fx.registry, &vf, opts);
+  EnumeratedDistance oracle(fx.p0.get(), &fx.registry, &vf, Draw(fx, opts));
   MappingState state(&fx.registry, PhiConfig{});
   EXPECT_EQ(oracle.Distance(*fx.p0, state), 0.0);
 }
 
-TEST(SampledDistanceTest, ConvergesToExhaustiveAverage) {
+TEST(SampledValuationsTest, ConvergesToExhaustiveAverage) {
   // Proposition 4.1.2: the Monte-Carlo estimate over all 2^n valuations
   // approaches the exhaustive enumeration's value.
   MovieFixture fx;
@@ -160,10 +204,10 @@ TEST(SampledDistanceTest, ConvergesToExhaustiveAverage) {
   auto all = exhaustive_cls.Generate(*fx.p0, fx.ctx);
   EnumeratedDistance exact(fx.p0.get(), &fx.registry, &vf, all);
 
-  SampledDistance::Options opts;
+  SampledValuations::Options opts;
   opts.num_samples = 20000;
   opts.seed = 99;
-  SampledDistance sampled(fx.p0.get(), &fx.registry, &vf, opts);
+  EnumeratedDistance sampled(fx.p0.get(), &fx.registry, &vf, Draw(fx, opts));
 
   AnnotationId female = fx.registry.AddSummary(fx.user_domain, "Female");
   MappingState state(&fx.registry, PhiConfig{});
@@ -178,14 +222,16 @@ TEST(SampledDistanceTest, ConvergesToExhaustiveAverage) {
   EXPECT_NEAR(approx_d, exact_d, 0.01);
 }
 
-TEST(SampledDistanceTest, DeterministicForFixedSeed) {
+TEST(SampledValuationsTest, DeterministicForFixedSeed) {
   MovieFixture fx;
   EuclideanValFunc vf;
-  SampledDistance::Options opts;
+  SampledValuations::Options opts;
   opts.num_samples = 500;
   opts.seed = 7;
-  SampledDistance a(fx.p0.get(), &fx.registry, &vf, opts);
-  SampledDistance b(fx.p0.get(), &fx.registry, &vf, opts);
+  const std::vector<Valuation> drawn = Draw(fx, opts);
+  EXPECT_EQ(drawn, Draw(fx, opts));
+  EnumeratedDistance a(fx.p0.get(), &fx.registry, &vf, drawn);
+  EnumeratedDistance b(fx.p0.get(), &fx.registry, &vf, Draw(fx, opts));
 
   AnnotationId female = fx.registry.AddSummary(fx.user_domain, "Female");
   MappingState state(&fx.registry, PhiConfig{});
@@ -211,13 +257,13 @@ TEST_P(SamplingEpsilonTest, EstimateWithinEpsilonOfTruth) {
   auto all = exhaustive_cls.Generate(*fx.p0, fx.ctx);
   EnumeratedDistance exact(fx.p0.get(), &fx.registry, &vf, all);
 
-  SampledDistance::Options opts;
+  SampledValuations::Options opts;
   opts.epsilon = epsilon;
   opts.delta = 0.01;
   opts.seed = 1234;
-  SampledDistance sampled(fx.p0.get(), &fx.registry, &vf, opts);
-  EXPECT_EQ(sampled.num_samples(),
-            SampledDistance::RequiredSamples(epsilon, 0.01));
+  EnumeratedDistance sampled(fx.p0.get(), &fx.registry, &vf, Draw(fx, opts));
+  EXPECT_EQ(static_cast<int>(sampled.num_valuations()),
+            SampledValuations::RequiredSamples(epsilon, 0.01).value());
 
   AnnotationId female = fx.registry.AddSummary(fx.user_domain, "Female");
   MappingState state(&fx.registry, PhiConfig{});

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
 #include "testing/fixtures.h"
 
 namespace prox {
@@ -86,6 +87,32 @@ TEST(ExhaustiveValuationsTest, RefusesBeyondGuardSize) {
   MovieFixture fx;
   ExhaustiveValuations cls(/*max_annotations=*/3);
   EXPECT_TRUE(cls.Generate(*fx.p0, fx.ctx).empty());
+}
+
+TEST(SampledValuationsTest, DrawsUnitWeightSamplesFromPerSampleStreams) {
+  MovieFixture fx;
+  SampledValuations::Options options;
+  options.num_samples = 64;
+  options.seed = 11;
+  const SampledValuations cls = SampledValuations::Create(options).MoveValue();
+  const std::vector<Valuation> valuations = cls.Generate(*fx.p0, fx.ctx);
+  ASSERT_EQ(valuations.size(), 64u);
+  std::vector<AnnotationId> anns;
+  fx.p0->CollectAnnotations(&anns);
+  size_t cancelled = 0;
+  for (size_t s = 0; s < valuations.size(); ++s) {
+    // Sample s is a fair coin per annotation from stream s alone.
+    Rng rng(options.seed, s);
+    std::vector<AnnotationId> expected;
+    for (AnnotationId a : anns) {
+      if (rng.Bernoulli(0.5)) expected.push_back(a);
+    }
+    EXPECT_EQ(valuations[s].false_set(), expected) << "sample " << s;
+    EXPECT_EQ(valuations[s].weight(), 1.0);
+    cancelled += expected.size();
+  }
+  EXPECT_GT(cancelled, 0u);
+  EXPECT_LT(cancelled, valuations.size() * anns.size());
 }
 
 TEST(CompositeValuationClassTest, ConcatenatesClasses) {

@@ -11,6 +11,7 @@
 #include "semantics/constraints.h"
 #include "semantics/context.h"
 #include "summarize/val_func.h"
+#include "summarize/valuation_class.h"
 
 namespace prox {
 namespace testing_fixtures {
@@ -61,6 +62,16 @@ class ScalarReferenceValFunc : public ValFunc {
  private:
   const ValFunc* inner_;
 };
+
+/// `num_samples` valuations drawn by SampledValuations (default seed) over
+/// `p0`'s annotations: the Monte-Carlo set of the sampled test cases.
+inline std::vector<Valuation> DrawSamples(const ProvenanceExpression& p0,
+                                          const SemanticContext& ctx,
+                                          int num_samples) {
+  SampledValuations::Options options;
+  options.num_samples = num_samples;
+  return SampledValuations::Create(options).MoveValue().Generate(p0, ctx);
+}
 
 /// The running example of Chapters 3-4: users U1 (F, Audience),
 /// U2 (F, Critic), U3 (M, Audience) rating "Match Point" (3, 5, 3) and U2
