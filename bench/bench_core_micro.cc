@@ -260,6 +260,13 @@ int RunKernelsJsonBaseline() {
         ds.valuation_class->Generate(*ds.provenance, ds.ctx);
     EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
                               ds.val_func.get(), valuations, /*threads=*/1);
+    // The scalar reference's base valuations, materialized once at the
+    // oracle's registry size and outside every timed loop.
+    std::vector<MaterializedValuation> base_mats;
+    base_mats.reserve(valuations.size());
+    for (const Valuation& v : valuations) {
+      base_mats.emplace_back(v, ds.registry->size());
+    }
     auto user_anns = ds.registry->AnnotationsInDomain(ds.domain("user"));
     AnnotationId summary =
         ds.registry->AddSummary(ds.domain("user"), "Merged");
@@ -283,10 +290,10 @@ int RunKernelsJsonBaseline() {
     const double batched_ns = MinNsPerOp([&] {
       benchmark::DoNotOptimize(oracle.Distance(*cand, mapping));
     });
-    // The per-valuation loop the batch path replaced, verbatim from the
-    // oracle's fallback (identity-on-groups branch, serial).
+    // The per-valuation loop the batch path replaced (identity-on-groups
+    // branch, serial), extending the pre-materialized bases above rather
+    // than materializing each sparse valuation inside the timed loop.
     const std::vector<EvalResult>& base_evals = oracle.base_evals();
-    const std::vector<MaterializedValuation>& base_mats = oracle.base_mats();
     const double scalar_ns = MinNsPerOp([&] {
       const size_t n = ds.registry->size();
       double total = 0.0;

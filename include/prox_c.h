@@ -23,7 +23,9 @@
  * library and the host may use different allocators).
  *
  * Threading: one engine handle may be shared across threads — the engine
- * serializes domain work internally. Opening and closing handles is not
+ * serializes domain work internally, except that summarize cache hits
+ * and the fingerprint read a published key and never wait for a
+ * summarize run in flight. Opening and closing handles is not
  * synchronized against concurrent use of the *same* handle: close a
  * handle only after every call on it has returned. A closed handle is
  * remembered and further calls on it fail with

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Configure a dedicated ThreadSanitizer build (-DPROX_SANITIZE=thread) and
 # run every CTest carrying the `tsan` label — the exec pool suite, the
-# end-to-end determinism suite, the serving-contract and request-tracing
-# loopback suites, the ingest loopback suite (concurrent POST /v1/ingest
-# writers vs summarize readers over one session, docs/INGEST.md), the
+# end-to-end determinism suite, the serving-contract loopback suite
+# (including ReadsAreAnsweredWhileAColdRunIsInFlight: /healthz and cached
+# summarize hits read the published serving key while a cold run holds
+# the engine mutex, and a returned select is visible to the next read),
+# the request-tracing loopback suite, the ingest loopback suite
+# (concurrent POST /v1/ingest writers vs summarize readers over one
+# session, docs/INGEST.md), the
 # IR golden byte-identity suite against tests/ir/golden/ (worker-overlay
 # Apply at threads {1,8}), the batch-kernel golden, projected-batch and
 # step-pricing suites (thread-local valuation blocks, projected base

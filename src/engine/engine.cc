@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <chrono>
 #include <memory>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "datasets/movielens.h"
 #include "datasets/wikipedia.h"
 #include "engine/codec.h"
+#include "engine/engine_metrics.h"
 #include "ingest/delta.h"
 #include "provenance/io.h"
 #include "store/codec.h"
@@ -139,8 +141,8 @@ Result<DatasetSpec> DatasetSpecFromJson(const JsonValue& doc) {
 Engine::Engine(Dataset dataset, const Options& options)
     : session_(std::move(dataset)),
       cache_(options.cache),
-      fingerprint_(session_.fingerprint()),
-      selection_key_(SelectAllKey()),
+      serving_key_(std::make_shared<const ServingKey>(
+          ServingKey{session_.fingerprint(), SelectAllKey()})),
       maintainer_(&session_) {
   // The session starts with the whole provenance selected, so a summarize
   // with no prior select is well-defined (and cacheable under "all").
@@ -220,20 +222,22 @@ Engine::Response Engine::HandleSelect(const std::string& request_body) {
       SelectionCriteriaFromJson(body.value(), &select_all);
   if (!criteria.ok()) return ErrorResponse(criteria.status());
 
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   int64_t selected_size = 0;
+  std::string selection_key;
   if (select_all) {
     selected_size = session_.SelectAll();
-    selection_key_ = SelectAllKey();
+    selection_key = SelectAllKey();
   } else {
     Result<int64_t> size = session_.Select(criteria.value());
     if (!size.ok()) return ErrorResponse(size.status());
     selected_size = size.value();
-    selection_key_ = CanonicalSelectionKey(criteria.value());
+    selection_key = CanonicalSelectionKey(criteria.value());
   }
+  Publish(serving_key()->fingerprint, selection_key);
   JsonValue doc = JsonValue::Object();
   doc.Set("selected_size", JsonValue::Int(selected_size));
-  doc.Set("selection_key", JsonValue::Str(selection_key_));
+  doc.Set("selection_key", JsonValue::Str(selection_key));
   return OkResponse(doc);
 }
 
@@ -248,14 +252,14 @@ Engine::Response Engine::HandleSummarize(const std::string& request_body) {
     return ErrorResponse(valid);
   }
 
-  // Fast path: a racy snapshot of the selection key is fine — the cache
-  // key embeds it, so a stale snapshot can only yield a miss or a hit on
-  // the stale selection's (still correct) bytes.
-  std::string key;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    key = SummaryCacheKey(fingerprint_, selection_key_, summarize_request);
-  }
+  // Fast path, without mu_: one copy of the published ServingKey. A key
+  // published by a writer that has not returned yet is fine — the cache
+  // key embeds both values, so the read can only yield a miss or a hit
+  // on bytes that are correct for that (dataset version, selection).
+  std::shared_ptr<const ServingKey> published = serving_key();
+  std::string key = SummaryCacheKey(published->fingerprint,
+                                    published->selection_key,
+                                    summarize_request);
   if (std::shared_ptr<const std::string> cached = cache_.Get(key)) {
     Response response;
     response.body = *cached;
@@ -263,13 +267,16 @@ Engine::Response Engine::HandleSummarize(const std::string& request_body) {
     return response;
   }
 
-  // Cold path: compute under the engine mutex so (a) the key matches the
-  // selection the run uses even if a select raced in, and (b) concurrent
-  // identical requests run Algorithm 1 once — the double-check below
-  // turns the rest into hits, which keeps their bodies byte-identical
-  // (reruns on the same registry would mint "#k"-suffixed summary names).
-  std::lock_guard<std::mutex> lock(mu_);
-  key = SummaryCacheKey(fingerprint_, selection_key_, summarize_request);
+  // Cold path: compute under the engine mutex so (a) the key, re-read
+  // here, matches the selection the run uses even if a select raced in
+  // (writers publish under mu_), and (b) concurrent identical requests
+  // run Algorithm 1 once — the double-check below turns the rest into
+  // hits, which keeps their bodies byte-identical (reruns on the same
+  // registry would mint "#k"-suffixed summary names).
+  std::unique_lock<std::mutex> lock = LockEngine();
+  published = serving_key();
+  key = SummaryCacheKey(published->fingerprint, published->selection_key,
+                        summarize_request);
   if (std::shared_ptr<const std::string> cached = cache_.Get(key)) {
     Response response;
     response.body = *cached;
@@ -316,20 +323,22 @@ Engine::Response Engine::HandleIngest(const std::string& request_body) {
     }
   }
 
-  // Single-flight with summarize: the whole apply (and the optional
-  // re-summarize) runs under the engine mutex, so a concurrent summarize
-  // either keys against the pre-ingest fingerprint (its cached bytes stay
-  // correct for that dataset version) or waits and sees the new one.
-  std::lock_guard<std::mutex> lock(mu_);
+  // Single-flight with cold summarizes: the whole apply (and the optional
+  // re-summarize) runs under the engine mutex. A concurrent cached read
+  // keys against whichever ServingKey it copies — the pre-ingest one (its
+  // cached bytes stay correct for that dataset version) or the new one.
+  std::unique_lock<std::mutex> lock = LockEngine();
   Result<ingest::ApplyReceipt> receipt = maintainer_.Ingest(batch.value());
   if (!receipt.ok()) return ErrorResponse(receipt.status());
   // Chaining the fingerprint retires every cache entry keyed under the
-  // old dataset version without touching the cache itself.
-  fingerprint_ = session_.fingerprint();
-  selection_key_ = SelectAllKey();
+  // old dataset version without touching the cache itself. Published
+  // now, before the re-summarize: its error path returns early, after
+  // the batch has already been applied.
+  std::shared_ptr<const ServingKey> published =
+      Publish(session_.fingerprint(), SelectAllKey());
 
   JsonValue doc = ingest::ApplyReceiptToJson(receipt.value());
-  doc.Set("fingerprint", JsonValue::Str(fingerprint_));
+  doc.Set("fingerprint", JsonValue::Str(published->fingerprint));
 
   if (resummarize) {
     Result<ingest::MaintainReport> maintained =
@@ -340,9 +349,9 @@ Engine::Response Engine::HandleIngest(const std::string& request_body) {
     // Publish the fresh summary under the post-ingest key so the next
     // summarize with the same knobs is a hit on these exact bytes.
     auto rendered = std::make_shared<std::string>(RenderOutcomeBody());
-    cache_.Put(
-        SummaryCacheKey(fingerprint_, selection_key_, summarize_request),
-        rendered);
+    cache_.Put(SummaryCacheKey(published->fingerprint,
+                               published->selection_key, summarize_request),
+               rendered);
 
     JsonValue summary = JsonValue::Object();
     summary.Set("warm", JsonValue::Bool(report.warm));
@@ -358,7 +367,7 @@ Engine::Response Engine::HandleIngest(const std::string& request_body) {
 }
 
 Engine::Response Engine::HandleGroups() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   JsonValue outcome_doc;
   {
     ProxSession::LockedView view = session_.Lock();
@@ -403,7 +412,7 @@ Engine::Response Engine::HandleEvaluate(const std::string& request_body) {
   Result<Assignment> assignment = AssignmentFromJson(*assignment_doc);
   if (!assignment.ok()) return ErrorResponse(assignment.status());
 
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   Result<EvaluationReport> report =
       on_summary ? session_.EvaluateOnSummary(assignment.value())
                  : session_.EvaluateOnSelection(assignment.value());
@@ -414,7 +423,7 @@ Engine::Response Engine::HandleEvaluate(const std::string& request_body) {
 // --- typed facade ----------------------------------------------------------
 
 std::vector<std::string> Engine::ListTitles() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   ProxSession::LockedView view = session_.Lock();
   SelectionService service(&view.dataset(), GroupDomainName(view.dataset()));
   return service.ListTitles();
@@ -422,28 +431,29 @@ std::vector<std::string> Engine::ListTitles() const {
 
 std::vector<std::string> Engine::SearchTitles(
     const std::string& substring) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   ProxSession::LockedView view = session_.Lock();
   SelectionService service(&view.dataset(), GroupDomainName(view.dataset()));
   return service.SearchTitles(substring);
 }
 
 Result<int64_t> Engine::Select(const SelectionCriteria& criteria) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   PROX_ASSIGN_OR_RETURN(int64_t size, session_.Select(criteria));
-  selection_key_ = CanonicalSelectionKey(criteria);
+  Publish(serving_key()->fingerprint, CanonicalSelectionKey(criteria));
   return size;
 }
 
 int64_t Engine::SelectAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  selection_key_ = SelectAllKey();
-  return session_.SelectAll();
+  std::unique_lock<std::mutex> lock = LockEngine();
+  const int64_t size = session_.SelectAll();
+  Publish(serving_key()->fingerprint, SelectAllKey());
+  return size;
 }
 
 Result<Engine::SummarizeOutcome> Engine::Summarize(
     const SummarizationRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   PROX_ASSIGN_OR_RETURN(int64_t size, session_.Summarize(request));
   SummarizeOutcome outcome;
   outcome.final_size = size;
@@ -457,32 +467,31 @@ Result<Engine::SummarizeOutcome> Engine::Summarize(
 
 Result<ingest::ApplyReceipt> Engine::IngestDelta(
     const ingest::DeltaBatch& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   PROX_ASSIGN_OR_RETURN(ingest::ApplyReceipt receipt,
                         maintainer_.Ingest(batch));
-  fingerprint_ = session_.fingerprint();
-  selection_key_ = SelectAllKey();
+  Publish(session_.fingerprint(), SelectAllKey());
   return receipt;
 }
 
 Result<ingest::MaintainReport> Engine::Resummarize(
     const SummarizationRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   return maintainer_.Resummarize(request);
 }
 
 std::vector<std::string> Engine::DescribeGroups() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   return session_.DescribeGroups();
 }
 
 Result<std::string> Engine::SummaryExpression() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   return session_.SummaryExpression();
 }
 
 Result<Engine::StepSnapshot> Engine::SummaryAtStep(int step) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   ProxSession::LockedView view = session_.Lock();
   if (view.outcome() == nullptr || view.selection() == nullptr) {
     return Status::FailedPrecondition("no summary computed yet");
@@ -497,7 +506,7 @@ Result<Engine::StepSnapshot> Engine::SummaryAtStep(int step) const {
 }
 
 Result<std::string> Engine::SerializedSummary() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   ProxSession::LockedView view = session_.Lock();
   if (view.outcome() == nullptr) {
     return Status::FailedPrecondition("no summary computed yet");
@@ -508,37 +517,36 @@ Result<std::string> Engine::SerializedSummary() const {
 
 Result<EvaluationReport> Engine::EvaluateOnSummary(
     const Assignment& assignment) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   return session_.EvaluateOnSummary(assignment);
 }
 
 Result<EvaluationReport> Engine::EvaluateOnSelection(
     const Assignment& assignment) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   return session_.EvaluateOnSelection(assignment);
 }
 
 // --- identity / persistence -------------------------------------------------
 
 std::string Engine::fingerprint() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fingerprint_;
+  return serving_key()->fingerprint;
 }
 
 int64_t Engine::provenance_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   return session_.provenance_size();
 }
 
 uint64_t Engine::next_ingest_sequence() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   return session_.next_ingest_sequence();
 }
 
 Status Engine::PersistSnapshot(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = LockEngine();
   store::SaveOptions save_options;
-  save_options.fingerprint = fingerprint_;
+  save_options.fingerprint = serving_key()->fingerprint;
   save_options.cache = &cache_;
   ProxSession::LockedView view = session_.Lock();
   if (store::Status s = store::SaveDataset(view.dataset(), save_options, path);
@@ -546,6 +554,31 @@ Status Engine::PersistSnapshot(const std::string& path) const {
     return Status::Internal(s.ToString());
   }
   return Status::OK();
+}
+
+std::unique_lock<std::mutex> Engine::LockEngine() const {
+  static obs::Histogram* wait = EngineLockWait();
+  const auto start = std::chrono::steady_clock::now();
+  std::unique_lock<std::mutex> lock(mu_);
+  wait->Observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  return lock;
+}
+
+std::shared_ptr<const Engine::ServingKey> Engine::Publish(
+    std::string fingerprint, std::string selection_key) {
+  auto published = std::make_shared<const ServingKey>(
+      ServingKey{std::move(fingerprint), std::move(selection_key)});
+  std::lock_guard<std::mutex> lock(serving_key_mu_);
+  serving_key_ = published;
+  return published;
+}
+
+std::shared_ptr<const Engine::ServingKey> Engine::serving_key() const {
+  std::lock_guard<std::mutex> lock(serving_key_mu_);
+  return serving_key_;
 }
 
 std::string Engine::RenderOutcomeBody() const {

@@ -60,11 +60,18 @@ struct DatasetSpec {
 /// HTTP mapping of the typed Status, and `Response::cache` reports the
 /// SummaryCache outcome the transport surfaces as `X-Prox-Cache`.
 ///
-/// Thread-safety: every member function serializes behind the engine
-/// mutex, which also keeps the cache key consistent with the selection
-/// (and dataset contents) a computation actually ran on — the single-
-/// flight discipline the serve router used to implement. Accessors return
-/// snapshot values, never pointers into guarded state.
+/// Thread-safety: a cached read never takes the engine mutex. The two
+/// values a summarize cache key needs — the dataset fingerprint and the
+/// selection key — are published together as one immutable ServingKey;
+/// HandleSummarize's hit path and fingerprint() (all /healthz reads) copy
+/// that pointer under a mutex held only for the copy, and never wait on a
+/// run. Everything that touches the
+/// session still serializes behind the engine mutex: selects, ingests,
+/// cold summarize misses (single-flight — a run mints "#k" names into the
+/// shared registry), groups, evaluate and the typed facade. Each writer
+/// publishes its new ServingKey before it releases the mutex and returns,
+/// so a client's next request sees its own select or ingest. Accessors
+/// return snapshot values, never pointers into guarded state.
 class Engine {
  public:
   struct Options {
@@ -125,8 +132,9 @@ class Engine {
   Response HandleEvaluate(const std::string& body);
 
   // --- typed facade (CLI / in-process embedders) --------------------------
-  // Every accessor returns a snapshot value computed under the engine
-  // mutex; nothing hands out pointers into session state.
+  // Every accessor returns a snapshot value (computed under the engine
+  // mutex, except fingerprint(), which reads the published ServingKey);
+  // nothing hands out pointers into session state.
 
   /// All group titles, sorted (selection view).
   std::vector<std::string> ListTitles() const;
@@ -178,9 +186,10 @@ class Engine {
 
   // --- identity / persistence ---------------------------------------------
 
-  /// The current dataset fingerprint. By value: ingest advances it by
-  /// digest chaining, so the string the caller saw may be replaced while
-  /// they hold it.
+  /// The current dataset fingerprint, read from the published ServingKey
+  /// without the engine mutex, so it never waits on a run. By value:
+  /// ingest advances it by digest chaining, so the string the caller saw
+  /// may be replaced while they hold it.
   std::string fingerprint() const;
   int64_t provenance_size() const;
   uint64_t next_ingest_sequence() const;
@@ -194,7 +203,25 @@ class Engine {
   const SummaryCache& cache() const { return cache_; }
 
  private:
+  /// What a cached read keys on: the dataset version and the selection,
+  /// published as one immutable pair so a reader never sees the
+  /// fingerprint of one write with the selection of another.
+  struct ServingKey {
+    std::string fingerprint;
+    std::string selection_key;
+  };
+
   Engine(Dataset dataset, const Options& options);
+
+  /// Takes mu_, recording the wait in prox_serve_engine_lock_wait_nanos.
+  std::unique_lock<std::mutex> LockEngine() const;
+
+  /// Replaces the published ServingKey and returns it. Callers hold mu_
+  /// and publish before they release it.
+  std::shared_ptr<const ServingKey> Publish(std::string fingerprint,
+                                            std::string selection_key);
+  /// The published ServingKey; never waits on mu_.
+  std::shared_ptr<const ServingKey> serving_key() const;
 
   /// Renders the session's current outcome under the session lock
   /// (requires outcome != nullptr; callers hold mu_).
@@ -203,12 +230,20 @@ class Engine {
   ProxSession session_;
   SummaryCache cache_;
 
-  /// Guards fingerprint_, selection_key_, maintainer_, and all session_
-  /// calls, keeping the cache key consistent with the selection (and the
-  /// dataset contents) a computation actually ran on.
+  /// Guards maintainer_ and all session_ calls, and orders the writers of
+  /// serving_key_: a cold run keys its result under the ServingKey it
+  /// read while holding mu_, so the key matches the selection (and the
+  /// dataset contents) the computation actually ran on. Cache hits and
+  /// fingerprint() never take it.
   mutable std::mutex mu_;
-  std::string fingerprint_;
-  std::string selection_key_;
+  /// Held only while serving_key_ is copied or replaced. Not
+  /// std::atomic<std::shared_ptr>: libstdc++ 12's load drops its lock bit
+  /// with a relaxed fetch_sub, so its read of the pointer is not ordered
+  /// before the next store's write, and ThreadSanitizer reports the race.
+  mutable std::mutex serving_key_mu_;
+  /// The one source of truth for the fingerprint and the selection key.
+  /// Replaced only under mu_.
+  std::shared_ptr<const ServingKey> serving_key_;
   ingest::SummaryMaintainer maintainer_;
 };
 

@@ -48,6 +48,17 @@ inline obs::Gauge* CacheBytes() {
       "prox_serve_cache_bytes", "Bytes held by the SummaryCache.");
 }
 
+/// `prox_serve_engine_lock_wait_nanos` — time spent waiting to take the
+/// engine mutex: cold summarize misses, select, ingest, groups, evaluate
+/// and the typed facade. Cache hits and fingerprint() (/healthz) read the
+/// published ServingKey instead and never record here.
+inline obs::Histogram* EngineLockWait() {
+  return obs::MetricsRegistry::Default().GetHistogram(
+      "prox_serve_engine_lock_wait_nanos",
+      "Wait to acquire the engine mutex, nanoseconds.",
+      obs::LatencyBucketsNanos());
+}
+
 }  // namespace engine
 }  // namespace prox
 

@@ -640,10 +640,8 @@ EnumeratedDistance::EnumeratedDistance(const ProvenanceExpression* p0,
       pool_(threads) {
   const size_t n = registry_->size();
   base_evals_.reserve(valuations_.size());
-  base_mats_.reserve(valuations_.size());
   for (const auto& v : valuations_) {
-    base_mats_.emplace_back(v, n);
-    base_evals_.push_back(p0_->Evaluate(base_mats_.back()));
+    base_evals_.push_back(p0_->Evaluate(MaterializedValuation(v, n)));
     total_weight_ += v.weight();
   }
   EvalResult all_true = p0_->Evaluate(MaterializedValuation(n));
@@ -758,9 +756,7 @@ double EnumeratedDistance::Distance(const ProvenanceExpression& cand,
       pool_.pool(), static_cast<int64_t>(valuations_.size()), kReductionGrain,
       [&](int64_t i) {
         const Valuation& v = valuations_[static_cast<size_t>(i)];
-        MaterializedValuation transformed =
-            state.TransformFrom(v, base_mats_[static_cast<size_t>(i)], n);
-        EvalResult summ = cand.Evaluate(transformed);
+        EvalResult summ = cand.Evaluate(state.Transform(v, n));
         if (identity_on_groups) {
           return v.weight() *
                  val_func_->Compute(base_evals_[static_cast<size_t>(i)], summ);

@@ -160,12 +160,6 @@ class EnumeratedDistance {
   /// of every Distance call (packed once into the batch kernels' blocks;
   /// read per valuation by the scalar reference path).
   const std::vector<EvalResult>& base_evals() const { return base_evals_; }
-  /// Pre-materialized base valuations, aligned with base_evals(). Distance
-  /// extends a copy per call (MappingState::TransformFrom) instead of
-  /// re-materializing each sparse valuation per call per step.
-  const std::vector<MaterializedValuation>& base_mats() const {
-    return base_mats_;
-  }
   const AnnotationRegistry* registry() const { return registry_; }
 
  private:
@@ -190,7 +184,6 @@ class EnumeratedDistance {
   const ValFunc* val_func_;
   std::vector<Valuation> valuations_;
   std::vector<EvalResult> base_evals_;  // v(p₀) per valuation, cached
-  std::vector<MaterializedValuation> base_mats_;  // materialized once
   double total_weight_ = 0.0;
   double max_error_ = 1.0;
   exec::PoolRef pool_;

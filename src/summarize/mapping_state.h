@@ -80,8 +80,8 @@ class MappingState {
   /// Same result as `Transform(base, num_annotations)`, but starts from
   /// `base_mat` — a MaterializedValuation of `base` built earlier (possibly
   /// at a smaller registry size) — so only the φ overrides are recomputed,
-  /// not the whole bitmap. Lets the oracle pre-materialize its fixed
-  /// valuation set once and pay per Distance call only for the summaries.
+  /// not the whole bitmap. bench_core_micro's scalar reference uses it to
+  /// keep materialization out of its timed loop.
   MaterializedValuation TransformFrom(const Valuation& base,
                                       const MaterializedValuation& base_mat,
                                       size_t num_annotations) const;

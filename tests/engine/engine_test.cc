@@ -6,9 +6,11 @@
 
 #include "engine/engine.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -17,9 +19,11 @@
 #include "datasets/movielens.h"
 #include "datasets/wikipedia.h"
 #include "engine/codec.h"
+#include "engine/engine_metrics.h"
 #include "ingest/delta.h"
 #include "ingest/synthetic.h"
 #include "kernels/metrics.h"
+#include "obs/metrics.h"
 
 namespace prox {
 namespace engine {
@@ -192,6 +196,69 @@ TEST(EngineTest, TypedFacadeMatchesTheJsonApiBytes) {
   Result<Engine::StepSnapshot> step = typed_engine->SummaryAtStep(0);
   ASSERT_TRUE(step.ok()) << step.status().ToString();
   EXPECT_GT(step.value().size, 0);
+}
+
+/// Cached reads copy the published serving key instead of taking the
+/// engine mutex, so neither a summarize hit nor fingerprint() (all that
+/// /healthz reads) waits for a cold Algorithm 1 run in flight.
+TEST(EngineTest, CachedReadsDoNotWaitForAColdRun) {
+  // Large enough that a Release cold run takes well over 200 ms.
+  MovieLensConfig config;
+  config.num_users = 100;
+  config.num_movies = 12;
+  config.seed = 7;
+  std::unique_ptr<Engine> engine =
+      Engine::FromDataset(MovieLensGenerator::Generate(config));
+
+  constexpr char kPrimedBody[] = "{\"w_dist\":0.5,\"max_steps\":1}";
+  constexpr char kColdBody[] = "{\"w_dist\":0.5,\"max_steps\":32}";
+  Engine::Response primed = engine->HandleSummarize(kPrimedBody);
+  ASSERT_TRUE(primed.ok()) << primed.body;
+  ASSERT_EQ(primed.cache, Engine::Response::CacheOutcome::kMiss);
+  Engine::Response uncontended = engine->HandleSummarize(kPrimedBody);
+  ASSERT_EQ(uncontended.cache, Engine::Response::CacheOutcome::kHit);
+  const std::string fingerprint = engine->fingerprint();
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const obs::Counter* steps = registry.GetCounter(
+      "prox_summarize_steps_total", "Greedy steps committed across all runs.");
+  const obs::Histogram* lock_wait = EngineLockWait();
+  const uint64_t steps_before = steps->value();
+
+  std::atomic<bool> done{false};
+  Engine::Response cold;
+  std::jthread writer([&] {
+    cold = engine->HandleSummarize(kColdBody);
+    done.store(true);
+  });
+  // The run is in flight (and holds the engine mutex) once it commits a
+  // step.
+  while (steps->value() == steps_before && !done.load()) {
+    std::this_thread::yield();
+  }
+  ASSERT_FALSE(done.load()) << "the cold run ended before a step was seen";
+
+  const uint64_t lock_waits_before = lock_wait->count();
+  for (int i = 0; i < 20; ++i) {
+    Engine::Response hit = engine->HandleSummarize(kPrimedBody);
+    EXPECT_EQ(hit.cache, Engine::Response::CacheOutcome::kHit);
+    EXPECT_EQ(hit.body, uncontended.body);
+  }
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(engine->fingerprint(), fingerprint);
+  }
+  // Reads that waited for the engine mutex would return only once the run
+  // had committed its last step.
+  const uint64_t steps_at_reads = steps->value();
+  EXPECT_FALSE(done.load()) << "cached reads waited for the cold run";
+  // Neither read path takes the engine mutex.
+  EXPECT_EQ(lock_wait->count(), lock_waits_before);
+
+  writer.join();
+  ASSERT_TRUE(cold.ok()) << cold.body;
+  EXPECT_EQ(cold.cache, Engine::Response::CacheOutcome::kMiss);
+  EXPECT_LT(steps_at_reads, steps->value())
+      << "the cold run committed no step after the cached reads returned";
 }
 
 TEST(EngineTest, StepAndSerializeBeforeSummarizeFailClosed) {

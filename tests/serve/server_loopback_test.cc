@@ -10,6 +10,7 @@
 /// carries the `tsan` CTest label (tests/CMakeLists.txt) — run it under
 /// ThreadSanitizer via scripts/tsan_exec_tests.sh builds.
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@
 #include "datasets/movielens.h"
 #include "engine/engine.h"
 #include "net/epoll_server.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/router.h"
 #include "serve/serve_metrics.h"
@@ -38,8 +40,9 @@ constexpr char kSummarizeBody[] = "{\"w_dist\":0.7,\"max_steps\":5}";
 class LoopbackServer {
  public:
   explicit LoopbackServer(int max_inflight = 32, int threads = 4,
-                          int idle_timeout_ms = 15000)
-      : engine_(engine::Engine::FromDataset(MakeDataset(), EngineOptions())),
+                          int idle_timeout_ms = 15000, int num_users = 12)
+      : engine_(engine::Engine::FromDataset(MakeDataset(num_users),
+                                            EngineOptions())),
         router_(engine_.get()) {
     net::EpollServer::Options options;
     options.port = 0;
@@ -57,6 +60,7 @@ class LoopbackServer {
 
   int port() const { return server_->port(); }
   SummaryCache& cache() { return engine_->cache(); }
+  engine::Engine& engine() { return *engine_; }
   net::EpollServer& server() { return *server_; }
 
   Result<ClientResponse> Post(const std::string& target,
@@ -68,9 +72,9 @@ class LoopbackServer {
   }
 
  private:
-  static Dataset MakeDataset() {
+  static Dataset MakeDataset(int num_users) {
     MovieLensConfig config;
-    config.num_users = 12;
+    config.num_users = num_users;
     config.num_movies = 5;
     config.seed = 7;
     return MovieLensGenerator::Generate(config);
@@ -194,6 +198,98 @@ TEST(ServerLoopbackTest, SelectChangesCacheKeyAndGroupsServe) {
   ASSERT_TRUE(evaluate.ok());
   EXPECT_EQ(evaluate.value().status, 200) << evaluate.value().body;
   EXPECT_NE(evaluate.value().body.find("rows"), std::string::npos);
+}
+
+/// Reads never queue behind a cold run: while connection A's cold
+/// summarize holds the engine, B's /healthz and C's cached summarize are
+/// answered first, with their uncontended bytes. A select that has
+/// returned is visible to the next read on any connection.
+TEST(ServerLoopbackTest, ReadsAreAnsweredWhileAColdRunIsInFlight) {
+  // 100 users: a cold 32-step run lasts long enough to overlap. C idles
+  // while B's select waits out the run (tens of seconds under TSan), so
+  // the idle budget must outlast it.
+  constexpr int kTimeoutMs = 300000;
+  LoopbackServer fixture(/*max_inflight=*/32, /*threads=*/4,
+                         /*idle_timeout_ms=*/kTimeoutMs, /*num_users=*/100);
+  constexpr char kPrimedBody[] = "{\"w_dist\":0.5,\"max_steps\":1}";
+  constexpr char kColdBody[] = "{\"w_dist\":0.5,\"max_steps\":32}";
+  const std::string narrow_select =
+      "{\"titles\":[\"" + fixture.engine().ListTitles().front() + "\"]}";
+
+  // Prime the same knobs under a one-title selection and under all.
+  ASSERT_EQ(fixture.Post("/v1/select", narrow_select).value().status, 200);
+  auto narrowed = fixture.Post("/v1/summarize", kPrimedBody);
+  ASSERT_TRUE(narrowed.ok());
+  ASSERT_EQ(narrowed.value().status, 200) << narrowed.value().body;
+  ASSERT_EQ(fixture.Post("/v1/select", "{\"all\":true}").value().status, 200);
+  ASSERT_EQ(fixture.Post("/v1/summarize", kPrimedBody).value().status, 200);
+  auto uncontended = fixture.Post("/v1/summarize", kPrimedBody);
+  ASSERT_TRUE(uncontended.ok());
+  ASSERT_EQ(uncontended.value().Header("x-prox-cache"), "hit");
+  ASSERT_NE(uncontended.value().body, narrowed.value().body);
+  auto health = fixture.Get("/healthz");
+  ASSERT_TRUE(health.ok());
+  ASSERT_EQ(health.value().status, 200);
+
+  auto a_conn = ClientConnection::Connect("127.0.0.1", fixture.port(),
+                                          kTimeoutMs);
+  auto b_conn = ClientConnection::Connect("127.0.0.1", fixture.port(),
+                                          kTimeoutMs);
+  auto c_conn = ClientConnection::Connect("127.0.0.1", fixture.port(),
+                                          kTimeoutMs);
+  ASSERT_TRUE(a_conn.ok() && b_conn.ok() && c_conn.ok());
+  ClientConnection& a = a_conn.value();
+  ClientConnection& b = b_conn.value();
+  ClientConnection& c = c_conn.value();
+
+  const obs::Counter* steps = obs::MetricsRegistry::Default().GetCounter(
+      "prox_summarize_steps_total", "Greedy steps committed across all runs.");
+  const uint64_t steps_before = steps->value();
+  std::atomic<bool> a_done{false};
+  Result<ClientResponse> cold = Status::Internal("no response");
+  std::jthread a_thread([&] {
+    if (a.SendRequest("POST", "/v1/summarize", kColdBody).ok()) {
+      cold = a.ReadResponse();
+    }
+    a_done.store(true);
+  });
+  // A's run holds the engine once it commits a step.
+  while (steps->value() == steps_before && !a_done.load()) {
+    std::this_thread::yield();
+  }
+  ASSERT_FALSE(a_done.load()) << "the cold run ended before a step was seen";
+
+  ASSERT_TRUE(b.SendRequest("GET", "/healthz").ok());
+  auto b_health = b.ReadResponse();
+  ASSERT_TRUE(c.SendRequest("POST", "/v1/summarize", kPrimedBody).ok());
+  auto c_hit = c.ReadResponse();
+  // Reads that waited for the engine would return only once the run had
+  // committed its last step.
+  const uint64_t steps_at_reads = steps->value();
+  EXPECT_FALSE(a_done.load()) << "reads waited for the cold run";
+  ASSERT_TRUE(b_health.ok()) << b_health.status().ToString();
+  EXPECT_EQ(b_health.value().body, health.value().body);
+  ASSERT_TRUE(c_hit.ok()) << c_hit.status().ToString();
+  EXPECT_EQ(c_hit.value().Header("x-prox-cache"), "hit");
+  EXPECT_EQ(c_hit.value().body, uncontended.value().body);
+
+  // A write that has returned is what the next read keys on.
+  ASSERT_TRUE(b.SendRequest("POST", "/v1/select", narrow_select).ok());
+  auto b_select = b.ReadResponse();
+  ASSERT_TRUE(b_select.ok()) << b_select.status().ToString();
+  ASSERT_EQ(b_select.value().status, 200) << b_select.value().body;
+  ASSERT_TRUE(c.SendRequest("POST", "/v1/summarize", kPrimedBody).ok());
+  auto c_after = c.ReadResponse();
+  ASSERT_TRUE(c_after.ok()) << c_after.status().ToString();
+  EXPECT_EQ(c_after.value().Header("x-prox-cache"), "hit");
+  EXPECT_EQ(c_after.value().body, narrowed.value().body);
+
+  a_thread.join();
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold.value().status, 200) << cold.value().body;
+  EXPECT_EQ(cold.value().Header("x-prox-cache"), "miss");
+  EXPECT_LT(steps_at_reads, steps->value())
+      << "the cold run committed no step after the reads were answered";
 }
 
 TEST(ServerLoopbackTest, ValidationAndParseErrorsAre400) {
