@@ -6,8 +6,9 @@
 # TermPool arena), the IR and batch-kernel golden byte-identity suites
 # (frozen outcomes in tests/ir/golden/), the projected-batch suite (the
 # group-slot remap folds base blocks through a per-call slot table) and
-# the step-pricing suites (dirty-group rows are lowered into per-thread
-# arenas and compact blocks, cached terms copied between a run's steps),
+# the step-pricing suites (the rows a merge moves are lowered into
+# per-thread arenas and spliced among the kept rows, folds resume from the
+# step's checkpoints, cached terms copied between a run's steps),
 # the drawn Monte-Carlo set's suites (`SampledValuations*`,
 # `SamplingEpsilonTest`: thousands of drawn valuations packed into the
 # oracle's 8-lane blocks), the

@@ -12,7 +12,8 @@
 # Apply at threads {1,8}), the batch-kernel golden, projected-batch and
 # step-pricing suites (thread-local valuation blocks, projected base
 # blocks and call_once base packing on exec workers; step-pricing workers
-# read the step's shared blocks, terms and cross-step cache,
+# read the step's shared blocks, row masks, fold checkpoints, terms and
+# cross-step cache,
 # docs/KERNELS.md), the
 # snapshot-serving suite (docs/STORE.md), and the epoll transport loopback
 # suite (event-loop shards + handler pool + frozen wire goldens,

@@ -129,36 +129,20 @@ kernels::AggBatchRow LoweredRow(AggKind agg, const RowKey& k, AggValue value) {
 /// the order is total: sorting any subset of rows yields the same relative
 /// sequence as sorting all of them, and equal-keyed rows always merge in
 /// source order. That is what lets step pricing re-canonicalize only the
-/// dirty groups of a merge (summarize/distance.h) and still fold every
-/// float in the order a full Apply would.
-///
-/// `moved` (optional) flags the rows whose key changed since the rows were
-/// last canonical; the others are still in strictly ascending order, so
-/// only the moved rows are sorted and then merged in.
+/// rows a merge moves (summarize/distance.h) and still fold every float in
+/// the order a full Apply would.
 template <typename Emit, typename Merge>
-void ForEachCanonicalRow(const std::vector<RowKey>& keys, const uint8_t* moved,
+void ForEachCanonicalRow(const std::vector<RowKey>& keys,
                          std::vector<uint32_t>* idx, Emit emit, Merge merge) {
-  auto less = [&](uint32_t a, uint32_t b) {
+  idx->resize(keys.size());
+  std::iota(idx->begin(), idx->end(), 0u);
+  std::sort(idx->begin(), idx->end(), [&](uint32_t a, uint32_t b) {
     const int c = CompareRowKeys(keys[a], keys[b]);
     return c != 0 ? c < 0 : a < b;
-  };
-  const uint32_t n = static_cast<uint32_t>(keys.size());
-  idx->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    if (moved == nullptr || !moved[i]) idx->push_back(i);
-  }
-  const size_t mid = moved == nullptr ? 0 : idx->size();
-  for (uint32_t i = 0; i < n && moved != nullptr; ++i) {
-    if (moved[i]) idx->push_back(i);
-  }
-  std::sort(idx->begin() + mid, idx->end(), less);
-  std::inplace_merge(idx->begin(), idx->begin() + mid, idx->end(), less);
+  });
   for (size_t k = 0; k < idx->size(); ++k) {
     const uint32_t i = (*idx)[k];
-    const uint32_t prev = k > 0 ? (*idx)[k - 1] : 0;
-    // Two rows that kept their keys are distinct: they were canonical.
-    if (k > 0 && (moved == nullptr || moved[prev] || moved[i]) &&
-        CompareRowKeys(keys[prev], keys[i]) == 0) {
+    if (k > 0 && CompareRowKeys(keys[(*idx)[k - 1]], keys[i]) == 0) {
       merge(i);
     } else {
       emit(i);
@@ -226,7 +210,7 @@ void IrAggregateExpression::Canonicalize() {
   nv.reserve(n);
   std::vector<uint32_t> idx;
   ForEachCanonicalRow(
-      keys, /*moved=*/nullptr, &idx,
+      keys, &idx,
       [&](uint32_t i) {
         nm.push_back(mono_[i]);
         ng.push_back(guard_[i]);
@@ -509,70 +493,74 @@ kernels::BatchProgram IrAggregateExpression::LowerBatch() const {
   return p;
 }
 
-void IrAggregateExpression::LowerMapped(const uint32_t* rows, size_t num_rows,
-                                        const AnnotationId* roots,
-                                        size_t num_roots, AnnotationId target,
-                                        MappedRows* out) const {
+void IrAggregateExpression::LowerMoved(const uint32_t* rows, size_t num_rows,
+                                       const AnnotationId* roots,
+                                       size_t num_roots, AnnotationId target,
+                                       uint32_t begin, uint32_t end,
+                                       MovedRows* out) const {
   const PoolView pv = view();
   auto is_root = [&](AnnotationId a) {
     return std::binary_search(roots, roots + num_roots, a);
   };
-  auto touched = [&](const AnnotationId* f, uint32_t len) {
-    return std::any_of(f, f + len, is_root);
-  };
-  // A row the merge moves gets its mapped monomial and guard body in the
-  // arena, re-sorted as Apply's map_mono re-sorts them; the other rows
-  // keep their pool spans. Offsets only while the arena grows.
+  // A monomial or guard body with a root is mapped into the arena and
+  // re-sorted, as Apply's map_mono does; the others keep their pool spans.
+  // Offsets only while the arena grows.
   std::vector<AnnotationId>& arena = out->arena;
   arena.clear();
-  auto append = [&](const AnnotationId* f, uint32_t len) {
+  auto map_span = [&](const AnnotationId* f, uint32_t len) -> int64_t {
+    if (std::none_of(f, f + len, is_root)) return -1;
     const size_t off = arena.size();
     for (uint32_t k = 0; k < len; ++k) {
       arena.push_back(is_root(f[k]) ? target : f[k]);
     }
     std::sort(arena.begin() + off, arena.end());
-    return static_cast<uint32_t>(off);
+    return static_cast<int64_t>(off);
   };
   thread_local std::vector<RowKey> keys;
-  thread_local std::vector<uint8_t> moved;
-  thread_local std::vector<uint32_t> offsets;
+  thread_local std::vector<int64_t> offsets;
   keys.resize(num_rows);
-  moved.resize(num_rows);
   offsets.resize(2 * num_rows);
   for (size_t j = 0; j < num_rows; ++j) {
-    const uint32_t i = rows[j];
     RowKey& k = keys[j];
-    k = KeyOfRow(pv, mono_[i], guard_[i], group_[i]);
-    moved[j] = is_root(k.group) || touched(k.mono, k.mono_len) ||
-               (k.has_guard && touched(k.guard_mono, k.guard_len));
-    if (!moved[j]) continue;
-    offsets[2 * j] = append(k.mono, k.mono_len);
-    if (k.has_guard) offsets[2 * j + 1] = append(k.guard_mono, k.guard_len);
+    k = KeyOfRow(pv, mono_[rows[j]], guard_[rows[j]], group_[rows[j]]);
+    offsets[2 * j] = map_span(k.mono, k.mono_len);
+    offsets[2 * j + 1] = k.has_guard ? map_span(k.guard_mono, k.guard_len) : -1;
   }
   for (size_t j = 0; j < num_rows; ++j) {
-    if (!moved[j]) continue;
     RowKey& k = keys[j];
     if (is_root(k.group)) k.group = target;
-    k.mono = arena.data() + offsets[2 * j];
-    if (k.has_guard) k.guard_mono = arena.data() + offsets[2 * j + 1];
+    if (offsets[2 * j] >= 0) k.mono = arena.data() + offsets[2 * j];
+    if (offsets[2 * j + 1] >= 0) {
+      k.guard_mono = arena.data() + offsets[2 * j + 1];
+    }
   }
   thread_local std::vector<std::pair<uint32_t, AggValue>> merged;
   thread_local std::vector<uint32_t> idx;
   merged.clear();
-  // Rows the merge left alone are still in canonical order (this
-  // expression is canonical and `rows` ascending).
   ForEachCanonicalRow(
-      keys, moved.data(), &idx,
+      keys, &idx,
       [&](uint32_t j) { merged.emplace_back(j, value_[rows[j]]); },
       [&](uint32_t j) {
         merged.back().second =
             MergeAggValues(agg_, merged.back().second, value_[rows[j]]);
       });
   out->rows.clear();
-  out->keys.clear();
+  out->before.clear();
+  // Rows come out ascending, so each search starts where the last ended.
+  uint32_t lo = begin;
   for (const auto& [j, value] : merged) {
     out->rows.push_back(LoweredRow(agg_, keys[j], value));
-    out->keys.push_back(keys[j].group);
+    uint32_t hi = end;
+    while (lo < hi) {
+      const uint32_t mid = lo + (hi - lo) / 2;
+      if (CompareRowKeys(KeyOfRow(pv, mono_[mid], guard_[mid], group_[mid]),
+                         keys[j]) <= 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    out->before.push_back(lo);
   }
 }
 

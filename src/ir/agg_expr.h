@@ -33,16 +33,16 @@ struct AggTermView {
   double guard_threshold = 0.0;
 };
 
-/// Rows of an expression under a merge homomorphism, lowered for the batch
-/// kernels (IrAggregateExpression::LowerMapped). `rows[i]` is in the
-/// canonical order with equal-keyed rows merged; its `group` field is left
-/// for the caller to set, and `keys[i]` is its mapped group key. Factor
-/// spans of rows the merge rewrote point into `arena`, the others into the
-/// expression's pool: valid until the next call, and while the pool is
-/// not interned into.
-struct MappedRows {
+/// The rows of an expression that a merge homomorphism moves, lowered for
+/// the batch kernels (IrAggregateExpression::LowerMoved). `rows[i]` is in
+/// the canonical order with equal-keyed rows merged and its `group` field
+/// 0; it folds right before source row `before[i]` among the rows the
+/// merge left in place. Mapped factor spans point into `arena`, the others
+/// into the expression's pool: valid until the next call, and while the
+/// pool is not interned into.
+struct MovedRows {
   std::vector<kernels::AggBatchRow> rows;
-  std::vector<AnnotationId> keys;
+  std::vector<uint32_t> before;
   std::vector<AnnotationId> arena;
 };
 
@@ -145,15 +145,21 @@ class IrAggregateExpression : public ProvenanceExpression,
   // BatchEvalFacade interface ----------------------------------------------
   kernels::BatchProgram LowerBatch() const override;
 
-  /// The rows Apply(h) would emit for the source rows `rows` (ascending
-  /// indexes covering whole groups), where h maps every annotation of
-  /// `roots` (sorted) to `target` and fixes the rest: factors and group
-  /// keys mapped, re-sorted into the canonical order and merged — the same
-  /// float folds a full Apply performs for those groups. Lowered like
-  /// LowerBatch into `out`; reads only, so safe on exec workers.
-  void LowerMapped(const uint32_t* rows, size_t num_rows,
-                   const AnnotationId* roots, size_t num_roots,
-                   AnnotationId target, MappedRows* out) const;
+  /// The rows Apply(h) would emit for the source rows `rows` (ascending),
+  /// where h maps every annotation of `roots` (sorted) to `target` and
+  /// fixes the rest: factors and group keys mapped, re-sorted into the
+  /// canonical order and merged — the float folds a full Apply performs
+  /// for them. `rows` must hold every row that h moves in the groups they
+  /// end up in; the rows h leaves in place keep their order and never
+  /// merge with a moved row (`target` occurs in no row). Each lowered row
+  /// is placed among the source rows [begin, end), which must be sorted,
+  /// by a binary search of the canonical order: `before` is the first of
+  /// them that sorts after it, or `end`. Reads only, so safe on exec
+  /// workers.
+  void LowerMoved(const uint32_t* rows, size_t num_rows,
+                  const AnnotationId* roots, size_t num_roots,
+                  AnnotationId target, uint32_t begin, uint32_t end,
+                  MovedRows* out) const;
 
  private:
   PoolView view() const { return PoolView(pool_.get(), overlay_.get()); }

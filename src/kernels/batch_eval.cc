@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/cpu_features.h"
+#include "kernels/kernels_impl.h"
 #include "kernels/metrics.h"
 #include "kernels/tier_entry.h"
 
@@ -29,11 +30,20 @@ EvalResult BlockEval::Extract(size_t lane) const {
   return EvalResult::Scalar(0.0);
 }
 
-void EvaluateBlock(const BatchProgram& program, const ValuationBlock& block,
-                   BlockEval* out) {
+namespace {
+
+/// The tier a kernel call dispatches to, published as `prox_simd_tier`.
+common::SimdTier DispatchTier() {
   const common::SimdTier tier = common::ActiveSimdTier();
   PublishSimdTier(static_cast<int>(tier));
-  switch (tier) {
+  return tier;
+}
+
+}  // namespace
+
+void EvaluateBlock(const BatchProgram& program, const ValuationBlock& block,
+                   BlockEval* out) {
+  switch (DispatchTier()) {
     case common::SimdTier::kAvx2:
       internal::EvalBatchAvx2(program, block, out);
       break;
@@ -42,6 +52,26 @@ void EvaluateBlock(const BatchProgram& program, const ValuationBlock& block,
       break;
     case common::SimdTier::kScalar:
       internal::EvalBatchScalar(program, block, out);
+      break;
+  }
+}
+
+uint64_t AggRowMask(const ValuationBlock& block, const AggBatchRow& r,
+                    AnnotationId sub, uint64_t sub_mask) {
+  return internal::RowMask(block, r, sub, sub_mask);
+}
+
+void FoldAggRows(AggFold fold, const AggBatchRow* rows, const uint64_t* masks,
+                 size_t n, AggAccumulator* acc) {
+  switch (DispatchTier()) {
+    case common::SimdTier::kAvx2:
+      internal::FoldAggRowsAvx2(fold, rows, masks, n, acc);
+      break;
+    case common::SimdTier::kSse42:
+      internal::FoldAggRowsSse42(fold, rows, masks, n, acc);
+      break;
+    case common::SimdTier::kScalar:
+      internal::FoldAggRowsScalar(fold, rows, masks, n, acc);
       break;
   }
 }

@@ -174,6 +174,43 @@ class BatchEvalFacade {
 void EvaluateBlock(const BatchProgram& program, const ValuationBlock& block,
                    BlockEval* out);
 
+/// \brief One aggregate group's fold state on every lane of a chunk:
+/// FoldAggregate's accumulator, the count sum, and which lanes have folded
+/// a row yet (FoldAggregate's `first` flag, negated) as 0xFF/0x00 lane
+/// bytes. A zeroed accumulator is the state before a group's first row.
+struct AggAccumulator {
+  double value[kMaxLanes] = {};
+  double count[kMaxLanes] = {};
+  uint64_t seen = 0;
+};
+
+/// Lane-liveness of aggregate row `r` under `block`, one 0xFF/0x00 byte
+/// per lane: the AND of its monomial's factor rows, then its guard. Factor
+/// `sub` reads `sub_mask` instead of its block row — a merge's scratch
+/// annotation, whose truth is φ of the merged rows; pass kNoAnnotation to
+/// read every factor from the block.
+uint64_t AggRowMask(const ValuationBlock& block, const AggBatchRow& r,
+                    AnnotationId sub = kNoAnnotation, uint64_t sub_mask = 0);
+
+/// The aggregate fold: folds rows `rows[0, n)` in order into
+/// `acc[rows[i].group]`, row i on the lanes of `masks[i]` (AggRowMask).
+/// EvaluateBlock folds a whole program through it from zeroed
+/// accumulators; step pricing resumes a group's fold from a saved
+/// accumulator. Dispatches to the active SIMD tier; bit-identical across
+/// tiers.
+void FoldAggRows(AggFold fold, const AggBatchRow* rows, const uint64_t* masks,
+                 size_t n, AggAccumulator* acc);
+
+/// A folded group's value per lane: the accumulator, or for AVG
+/// MergeAggValues' finalize `count > 0 ? value / count : 0.0`.
+inline void FinishAgg(AggKind agg, const AggAccumulator& acc, double* value) {
+  for (size_t l = 0; l < kMaxLanes; ++l) {
+    value[l] = agg != AggKind::kAvg ? acc.value[l]
+               : acc.count[l] > 0   ? acc.value[l] / acc.count[l]
+                                    : 0.0;
+  }
+}
+
 /// Computes the per-lane VAL-FUNC error `err[l] = valfunc(base lane l,
 /// cand lane l)` for lanes [0, cand.width). `base` and `cand` must have
 /// the same kind and (for vector results) group layout — the

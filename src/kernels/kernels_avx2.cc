@@ -69,6 +69,11 @@ void EvalBatchAvx2(const BatchProgram& p, const ValuationBlock& b,
   EvalBatchImpl<AvxOps>(p, b, out);
 }
 
+void FoldAggRowsAvx2(AggFold fold, const AggBatchRow* rows,
+                     const uint64_t* masks, size_t n, AggAccumulator* acc) {
+  FoldAggRowsImpl<AvxOps>(fold, rows, masks, n, acc);
+}
+
 void ValFuncErrorsAvx2(ValFuncBatchKind kind, double ddp_max_error,
                        const BlockEval& base, const BlockEval& cand,
                        double* err) {
@@ -88,6 +93,11 @@ namespace internal {
 void EvalBatchAvx2(const BatchProgram& p, const ValuationBlock& b,
                    BlockEval* out) {
   EvalBatchScalar(p, b, out);
+}
+
+void FoldAggRowsAvx2(AggFold fold, const AggBatchRow* rows,
+                     const uint64_t* masks, size_t n, AggAccumulator* acc) {
+  FoldAggRowsScalar(fold, rows, masks, n, acc);
 }
 
 void ValFuncErrorsAvx2(ValFuncBatchKind kind, double ddp_max_error,

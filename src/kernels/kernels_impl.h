@@ -45,36 +45,82 @@ inline void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, 8); }
 
 static_assert(kMaxLanes == 8, "one uint64 holds a block row's lane bytes");
 
-/// alive[0, kMaxLanes) = AND over the monomial's factor rows (0xFF/0x00
+/// Lane-liveness of a monomial: the AND over its factor rows (0xFF/0x00
 /// bytes, one uint64 per row). Factors at or beyond the block's annotation
-/// count are default-true and skipped. Early-outs once every lane is dead
-/// — the batch analogue of the scalar evaluators' `break` on a false
-/// factor.
-inline void MonoAliveBytes(const ValuationBlock& block, const MonoSpan& mono,
-                           uint8_t* alive) {
+/// count are default-true and skipped; factor `sub` reads `sub_mask`
+/// instead of its row. Early-outs once every lane is dead — the batch
+/// analogue of the scalar evaluators' `break` on a false factor.
+inline uint64_t MonoMask(const ValuationBlock& block, const MonoSpan& mono,
+                         AnnotationId sub = kNoAnnotation,
+                         uint64_t sub_mask = 0) {
   const size_t n = block.num_annotations();
   uint64_t live = ~0ull;
   for (uint32_t k = 0; k < mono.len; ++k) {
     const AnnotationId f = mono.data[k];
-    if (f >= n) continue;
-    live &= LoadU64(block.Row(f));
+    if (f == sub) {
+      live &= sub_mask;
+    } else if (f < n) {
+      live &= LoadU64(block.Row(f));
+    }
     if (live == 0) break;
   }
-  StoreU64(alive, live);
+  return live;
 }
 
-/// Applies an AggBatchRow's guard to its liveness bytes. The guard value
-/// is `scalar` when the guard monomial holds and 0.0 otherwise, so the
-/// comparison collapses to two precomputed booleans and the mask update
-/// is pure byte arithmetic.
-inline void ApplyGuardBytes(const ValuationBlock& block, const AggBatchRow& r,
-                            uint8_t* alive) {
-  alignas(16) uint8_t body[kMaxLanes];
-  MonoAliveBytes(block, r.guard_mono, body);
-  const uint64_t t = r.guard_if_true ? ~0ull : 0ull;
-  const uint64_t f = r.guard_if_false ? ~0ull : 0ull;
-  const uint64_t b = LoadU64(body);
-  StoreU64(alive, LoadU64(alive) & ((b & t) | (~b & f)));
+/// An AggBatchRow's liveness: its monomial's, then its guard. The guard
+/// value is `scalar` when the guard monomial holds and 0.0 otherwise, so
+/// the comparison collapses to two precomputed booleans and the mask
+/// update is pure byte arithmetic.
+inline uint64_t RowMask(const ValuationBlock& block, const AggBatchRow& r,
+                        AnnotationId sub, uint64_t sub_mask) {
+  uint64_t live = MonoMask(block, r.mono, sub, sub_mask);
+  if (r.has_guard && live != 0) {
+    const uint64_t b = MonoMask(block, r.guard_mono, sub, sub_mask);
+    const uint64_t t = r.guard_if_true ? ~0ull : 0ull;
+    const uint64_t f = r.guard_if_false ? ~0ull : 0ull;
+    live &= (b & t) | (~b & f);
+  }
+  return live;
+}
+
+/// FoldAggRows: row i folds into acc[rows[i].group] on the lanes of
+/// masks[i].
+template <typename Ops>
+void FoldAggRowsImpl(AggFold fold, const AggBatchRow* rows,
+                     const uint64_t* masks, size_t n, AggAccumulator* acc) {
+  for (size_t i = 0; i < n; ++i) {
+    if (masks[i] == 0) continue;
+    const AggBatchRow& r = rows[i];
+    AggAccumulator& a = acc[r.group];
+    const uint8_t* alive = reinterpret_cast<const uint8_t*>(masks + i);
+    const uint8_t* sn = reinterpret_cast<const uint8_t*>(&a.seen);
+    const typename Ops::VecD contrib = Ops::Broadcast(r.contribution);
+    const typename Ops::VecD count_add = Ops::Broadcast(r.count_add);
+    for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
+      const typename Ops::MaskD m = Ops::MaskFromBytes(alive + l);
+      const typename Ops::MaskD s = Ops::MaskFromBytes(sn + l);
+      const typename Ops::VecD acc_v = Ops::Load(a.value + l);
+      typename Ops::VecD folded = contrib;
+      switch (fold) {
+        case AggFold::kAdd:
+          folded = Ops::Add(acc_v, contrib);
+          break;
+        case AggFold::kMax:
+          // std::max(acc, c) == (acc < c) ? c : acc, bit for bit.
+          folded = Ops::Select(Ops::CmpLT(acc_v, contrib), contrib, acc_v);
+          break;
+        case AggFold::kMin:
+          folded = Ops::Select(Ops::CmpLT(contrib, acc_v), contrib, acc_v);
+          break;
+      }
+      // First live contribution replaces the accumulator; later ones fold.
+      const typename Ops::VecD next = Ops::Select(s, folded, contrib);
+      Ops::Store(a.value + l, Ops::Select(m, next, acc_v));
+      const typename Ops::VecD cv = Ops::Load(a.count + l);
+      Ops::Store(a.count + l, Ops::Select(m, Ops::Add(cv, count_add), cv));
+    }
+    a.seen |= masks[i];
+  }
 }
 
 template <typename Ops>
@@ -84,64 +130,23 @@ void EvalAggImpl(const BatchProgram& p, const ValuationBlock& block,
   out->width = block.width();
   out->groups = p.groups;
   out->num_groups = p.num_groups;
-  out->values.assign(p.num_groups * kMaxLanes, 0.0);
-  out->counts.assign(p.num_groups * kMaxLanes, 0.0);
+  out->values.resize(p.num_groups * kMaxLanes);
+  out->counts.resize(p.num_groups * kMaxLanes);
   out->costs.clear();
 
-  // seen[g * kMaxLanes + lane]: group g has folded a contribution on lane
-  // yet. FoldAggregate's `first` flag, as a byte mask.
-  static thread_local std::vector<uint8_t> seen;
-  seen.assign(p.num_groups * kMaxLanes, 0);
-
-  alignas(16) uint8_t alive[kMaxLanes];
-  for (const AggBatchRow& r : p.agg_rows) {
-    MonoAliveBytes(block, r.mono, alive);
-    if (r.has_guard) ApplyGuardBytes(block, r, alive);
-    if (LoadU64(alive) == 0) continue;
-
-    const size_t off = static_cast<size_t>(r.group) * kMaxLanes;
-    double* val = out->values.data() + off;
-    double* cnt = out->counts.data() + off;
-    uint8_t* sn = seen.data() + off;
-    const typename Ops::VecD contrib = Ops::Broadcast(r.contribution);
-    const typename Ops::VecD count_add = Ops::Broadcast(r.count_add);
-    for (size_t l = 0; l < kMaxLanes; l += Ops::kLanes) {
-      const typename Ops::MaskD m = Ops::MaskFromBytes(alive + l);
-      const typename Ops::MaskD s = Ops::MaskFromBytes(sn + l);
-      const typename Ops::VecD acc = Ops::Load(val + l);
-      typename Ops::VecD folded = contrib;
-      switch (p.fold) {
-        case AggFold::kAdd:
-          folded = Ops::Add(acc, contrib);
-          break;
-        case AggFold::kMax:
-          // std::max(acc, c) == (acc < c) ? c : acc, bit for bit.
-          folded = Ops::Select(Ops::CmpLT(acc, contrib), contrib, acc);
-          break;
-        case AggFold::kMin:
-          folded = Ops::Select(Ops::CmpLT(contrib, acc), contrib, acc);
-          break;
-      }
-      // First live contribution replaces the accumulator; later ones fold.
-      const typename Ops::VecD next = Ops::Select(s, folded, contrib);
-      Ops::Store(val + l, Ops::Select(m, next, acc));
-      const typename Ops::VecD cv = Ops::Load(cnt + l);
-      Ops::Store(cnt + l, Ops::Select(m, Ops::Add(cv, count_add), cv));
-    }
-    StoreU64(sn, LoadU64(sn) | LoadU64(alive));
+  static thread_local std::vector<uint64_t> masks;
+  static thread_local std::vector<AggAccumulator> acc;
+  masks.resize(p.agg_rows.size());
+  for (size_t i = 0; i < p.agg_rows.size(); ++i) {
+    masks[i] = RowMask(block, p.agg_rows[i], kNoAnnotation, 0);
   }
-
-  if (p.agg == AggKind::kAvg) {
-    // MergeAggValues' finalize: count > 0 ? value / count : 0.0.
-    const typename Ops::VecD zero = Ops::Broadcast(0.0);
-    const size_t total = p.num_groups * kMaxLanes;
-    for (size_t i = 0; i < total; i += Ops::kLanes) {
-      const typename Ops::VecD v = Ops::Load(out->values.data() + i);
-      const typename Ops::VecD c = Ops::Load(out->counts.data() + i);
-      const typename Ops::MaskD pos = Ops::CmpLT(zero, c);
-      Ops::Store(out->values.data() + i,
-                 Ops::Select(pos, Ops::Div(v, c), zero));
-    }
+  acc.assign(p.num_groups, AggAccumulator{});
+  FoldAggRowsImpl<Ops>(p.fold, p.agg_rows.data(), masks.data(),
+                       p.agg_rows.size(), acc.data());
+  for (size_t g = 0; g < p.num_groups; ++g) {
+    FinishAgg(p.agg, acc[g], out->values.data() + g * kMaxLanes);
+    std::memcpy(out->counts.data() + g * kMaxLanes, acc[g].count,
+                sizeof(acc[g].count));
   }
 }
 
@@ -184,7 +189,7 @@ void EvalDdpImpl(const BatchProgram& p, const ValuationBlock& block,
           Ops::Store(cost + l, Ops::Select(m, Ops::Add(cv, c), cv));
         }
       } else {
-        MonoAliveBytes(block, r.db, prod);
+        StoreU64(prod, MonoMask(block, r.db));
         // Feasible iff the db monomial matches its required sign. The
         // scalar walk breaks on the first mismatch; the lanes that
         // mismatch keep accumulating cost here, but their cost is never
@@ -228,7 +233,7 @@ inline void EvalPolyPortable(const BatchProgram& p, const ValuationBlock& block,
   uint64_t sums[kMaxLanes] = {0};
   alignas(16) uint8_t alive[kMaxLanes];
   for (const PolyBatchRow& r : p.poly_rows) {
-    MonoAliveBytes(block, r.mono, alive);
+    StoreU64(alive, MonoMask(block, r.mono));
     for (size_t l = 0; l < kMaxLanes; ++l) {
       if (alive[l]) sums[l] += r.coeff;
     }

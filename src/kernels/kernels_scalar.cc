@@ -43,6 +43,11 @@ void EvalBatchScalar(const BatchProgram& p, const ValuationBlock& b,
   EvalBatchImpl<ScalarOps>(p, b, out);
 }
 
+void FoldAggRowsScalar(AggFold fold, const AggBatchRow* rows,
+                       const uint64_t* masks, size_t n, AggAccumulator* acc) {
+  FoldAggRowsImpl<ScalarOps>(fold, rows, masks, n, acc);
+}
+
 void ValFuncErrorsScalar(ValFuncBatchKind kind, double ddp_max_error,
                          const BlockEval& base, const BlockEval& cand,
                          double* err) {

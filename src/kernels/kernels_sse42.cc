@@ -65,6 +65,11 @@ void EvalBatchSse42(const BatchProgram& p, const ValuationBlock& b,
   EvalBatchImpl<SseOps>(p, b, out);
 }
 
+void FoldAggRowsSse42(AggFold fold, const AggBatchRow* rows,
+                      const uint64_t* masks, size_t n, AggAccumulator* acc) {
+  FoldAggRowsImpl<SseOps>(fold, rows, masks, n, acc);
+}
+
 void ValFuncErrorsSse42(ValFuncBatchKind kind, double ddp_max_error,
                         const BlockEval& base, const BlockEval& cand,
                         double* err) {
@@ -84,6 +89,11 @@ namespace internal {
 void EvalBatchSse42(const BatchProgram& p, const ValuationBlock& b,
                     BlockEval* out) {
   EvalBatchScalar(p, b, out);
+}
+
+void FoldAggRowsSse42(AggFold fold, const AggBatchRow* rows,
+                      const uint64_t* masks, size_t n, AggAccumulator* acc) {
+  FoldAggRowsScalar(fold, rows, masks, n, acc);
 }
 
 void ValFuncErrorsSse42(ValFuncBatchKind kind, double ddp_max_error,

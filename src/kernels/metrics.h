@@ -11,8 +11,9 @@ namespace kernels {
 /// static, so the hot-path cost is one relaxed atomic op.
 
 /// Publishes `prox_simd_tier` — the numeric tier the dispatcher resolved
-/// (0 scalar, 1 sse4.2, 2 avx2). Re-published on every batch so runtime
-/// cap changes (PROX_SIMD, --simd) show up.
+/// (0 scalar, 1 sse4.2, 2 avx2). Called on every kernel dispatch; writes
+/// the gauge only when the tier differs from the last one published, so
+/// runtime cap changes (--simd, SetSimdTierCap) show up.
 void PublishSimdTier(int tier);
 
 /// `n` valuations were priced through the batch kernels (the oracle counts

@@ -25,6 +25,7 @@ struct DistanceMetrics {
   obs::Counter* base_eval_reuse;
   obs::Counter* groups_priced;
   obs::Counter* groups_reused;
+  obs::Counter* rows_refolded;
   obs::Counter* cache_evictions;
 
   static const DistanceMetrics& Get() {
@@ -51,6 +52,10 @@ struct DistanceMetrics {
           "prox_summarize_groups_reused_total",
           "Dirty groups of candidate merges whose VAL-FUNC terms came from "
           "the cross-step pricing cache.");
+      m.rows_refolded = r.GetCounter(
+          "prox_summarize_rows_refolded_total",
+          "Rows step pricing folded for dirty groups of candidate merges, "
+          "from each group's resumed fold state on.");
       m.cache_evictions = r.GetCounter(
           "prox_summarize_pricing_cache_evictions_total",
           "Candidate entries dropped by the pricing cache's byte cap.");
@@ -88,15 +93,8 @@ double GroupTerm(kernels::ValFuncBatchKind kind, double b, double c) {
   return kind == kernels::ValFuncBatchKind::kL1 ? std::abs(d) : d * d;
 }
 
-/// A process-unique id per pricing step, so exec workers can tell when
-/// their copies of the step's blocks are stale.
-uint64_t NextStepId() {
-  static std::atomic<uint64_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 /// Row content of one group, for the cross-step version check: everything
-/// LowerMapped and evaluation read from a row.
+/// lowering and evaluation read from a row.
 void GroupContent(const ir::IrAggregateExpression& expr, size_t begin,
                   size_t end, std::vector<uint64_t>* out) {
   auto bits = [](double x) {
@@ -165,6 +163,13 @@ void PricingCache::Clear() {
   bytes_ = 0;
 }
 
+/// Work counts of one priced merge, summed into the step-pricing counters.
+struct PriceCounts {
+  uint64_t priced = 0;    ///< dirty groups evaluated
+  uint64_t reused = 0;    ///< dirty groups taken from the cache
+  uint64_t refolded = 0;  ///< rows folded from the resumed fold states
+};
+
 /// \brief One step of dirty-group pricing over an aggregate expression
 /// (EnumeratedDistance::PriceMerges). Prepare() runs once per step on the
 /// calling thread; Price() is const and runs on exec workers.
@@ -179,40 +184,41 @@ class StepPricer {
         vf_(oracle.val_func_->batch_kind()),
         cache_(cache) {}
 
-  /// Lowers and evaluates the current expression under the step's chunks
-  /// and derives every group's terms. False when a side is not a vector
-  /// result, the VAL-FUNC has no per-group term, or no group remap
-  /// reconciles the base layout with the current one; every merge then
-  /// materializes. The oracle's base blocks must be packed
-  /// (EnsureBaseBlocks).
+  /// Lowers and evaluates the current expression under the step's chunks,
+  /// keeping every row's lane mask, the fold checkpoints and every group's
+  /// terms. False when a side is not a vector result, the VAL-FUNC has no
+  /// per-group term, or no group remap reconciles the base layout with the
+  /// current one; every merge then materializes. The oracle's base blocks
+  /// must be packed (EnsureBaseBlocks).
   bool Prepare(kernels::BatchProgram program);
 
   /// Prices one merge; returns true when its group remap is the identity.
   bool Price(const MergeQuery& m, MergePrice* price,
-             PricingCache::Entry* entry, uint64_t* priced,
-             uint64_t* reused) const;
+             PricingCache::Entry* entry, PriceCounts* counts) const;
 
  private:
   /// Per-thread scratch of Price().
   struct Scratch {
+    std::vector<uint32_t> moved;      // rows with a root in a factor
     std::vector<uint32_t> dirty;      // dirty current slots, ascending
     std::vector<uint32_t> key_slots;  // slots whose key is a root
-    std::vector<int32_t> unit_of_slot;  // current slot -> unit, or -1
+    std::vector<int32_t> unit_of_slot;   // current slot -> unit, or -1
     std::vector<uint32_t> slot_of_unit;  // kept slot of a non-merged unit
     std::vector<uint8_t> fresh;          // unit needs evaluation
-    std::vector<int32_t> unit_of_run;    // dirty-program slot -> unit
-    std::vector<uint32_t> fresh_slots;
-    std::vector<uint32_t> rows;
+    std::vector<uint32_t> merged_rows;   // rows of the root-keyed groups
     std::vector<uint32_t> merged_sources;  // base slots of the merged group
-    ir::MappedRows mapped;
-    kernels::BatchProgram program;
-    uint64_t step = 0;  // the step `blocks` were copied from
-    std::vector<kernels::ValuationBlock> blocks;
-    kernels::BlockEval eval;
-    std::vector<const double*> terms;
+    std::vector<uint64_t> t_masks;         // t's lane bytes per chunk
+    ir::MovedRows lowered;
+    // A unit's rows from its resumed fold state on: kept rows (source row
+    // in `fold_src`) and lowered moved rows (kLowered), group slot 0.
+    std::vector<kernels::AggBatchRow> fold_rows;
+    std::vector<uint32_t> fold_src;
+    std::vector<uint64_t> fold_masks;
+    std::vector<int32_t> order;  // the candidate's groups, ascending
     double base_value[kLanes] = {};
     double base_count[kLanes] = {};
   };
+  static constexpr uint32_t kLowered = UINT32_MAX;
 
   const ir::IrAggregateExpression& current_;
   const MappingState& state_;
@@ -220,17 +226,23 @@ class StepPricer {
   const kernels::ValFuncBatchKind vf_;
   PricingCache* cache_;
 
-  const uint64_t step_ = NextStepId();
   kernels::BatchProgram program_;
   size_t num_groups_ = 0;
   int64_t size_ = 0;
   kernels::GroupRemap remap_;  // base slots -> current slots
   std::vector<uint32_t> row_begin_;    // current slot -> first row
   std::vector<int64_t> group_size_;
-  std::vector<std::pair<AnnotationId, uint32_t>> occurs_;  // (ann, slot)
+  std::vector<std::pair<AnnotationId, uint32_t>> occurs_;  // (ann, row)
   std::vector<uint64_t> versions_;
   // v^{h,φ} under the step's state, one block per grain-8 chunk.
   std::vector<kernels::ValuationBlock> blocks_;
+  // Per chunk c: row i's lane mask at masks_[c · R + i], and the fold
+  // state of row k · stride_'s group in front of that row at
+  // checkpoints_[c · num_checkpoints_ + k].
+  std::vector<uint64_t> masks_;
+  size_t stride_ = 1;
+  size_t num_checkpoints_ = 0;
+  std::vector<kernels::AggAccumulator> checkpoints_;
   // Chunk-major term arrays: chunk c's lanes start at c · kLanes · G in
   // the step arrays below and at c · kLanes within a cached unit.
   size_t total_lanes_ = 0;
@@ -250,6 +262,8 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
   }
   const size_t G = program_.num_groups;
   const AnnotationId* groups = program_.groups;
+  const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
+  const size_t R = rows.size();
   num_groups_ = G;
 
   // Base slot -> current slot through the cumulative h, and each current
@@ -260,24 +274,23 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
     return false;
   }
 
-  // Rows are group-sorted: per-slot row ranges, sizes and occurrences.
+  // Rows are group-sorted: per-slot row ranges, sizes and the rows each
+  // annotation occurs in.
   row_begin_.assign(G + 1, 0);
   group_size_.assign(G, 0);
   occurs_.clear();
-  for (const kernels::AggBatchRow& r : program_.agg_rows) {
+  for (uint32_t i = 0; i < R; ++i) {
+    const kernels::AggBatchRow& r = rows[i];
     ++row_begin_[r.group + 1];
     group_size_[r.group] += r.mono.len + r.guard_mono.len;
     for (uint32_t k = 0; k < r.mono.len; ++k) {
-      occurs_.emplace_back(r.mono.data[k], r.group);
+      occurs_.emplace_back(r.mono.data[k], i);
     }
     for (uint32_t k = 0; k < r.guard_mono.len; ++k) {
-      occurs_.emplace_back(r.guard_mono.data[k], r.group);
+      occurs_.emplace_back(r.guard_mono.data[k], i);
     }
   }
-  for (size_t g = 0; g < G; ++g) {
-    row_begin_[g + 1] += row_begin_[g];
-    occurs_.emplace_back(groups[g], static_cast<uint32_t>(g));
-  }
+  for (size_t g = 0; g < G; ++g) row_begin_[g + 1] += row_begin_[g];
   std::sort(occurs_.begin(), occurs_.end());
   occurs_.erase(std::unique(occurs_.begin(), occurs_.end()), occurs_.end());
   size_ = current_.Size();
@@ -305,25 +318,45 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
   }
   cache_->groups_ = std::move(next);
 
-  // The current state's values and terms, per chunk.
+  // The current state's masks, fold checkpoints, values and terms, per
+  // chunk: the fold EvaluateBlock performs, paused at every checkpoint.
   const std::vector<kernels::BlockEval>& base = oracle_.base_blocks_;
-  blocks_.resize(base.size());
-  total_lanes_ = base.size() * kLanes;
+  const size_t C = base.size();
+  const size_t state_bytes = R * C * sizeof(kernels::AggAccumulator);
+  stride_ = std::max<size_t>(
+      1, (state_bytes + EnumeratedDistance::kMaxCheckpointBytes - 1) /
+             EnumeratedDistance::kMaxCheckpointBytes);
+  num_checkpoints_ = (R + stride_ - 1) / stride_;
+  blocks_.resize(C);
+  masks_.resize(C * R);
+  checkpoints_.resize(C * num_checkpoints_);
+  total_lanes_ = C * kLanes;
   proj_.resize(total_lanes_ * G);
   terms_.resize(total_lanes_ * G);
   terms_id_.resize(remap_.identity() ? total_lanes_ * G : 0);
   double counts[kLanes] = {};
-  kernels::BlockEval cur;
-  for (size_t c = 0; c < base.size(); ++c) {
+  double cv[kLanes];
+  std::vector<kernels::AggAccumulator> acc;
+  for (size_t c = 0; c < C; ++c) {
     oracle_.TransformChunk(state_, c, &blocks_[c]);
-    kernels::EvaluateBlock(program_, blocks_[c], &cur);
+    uint64_t* masks = masks_.data() + c * R;
+    for (size_t i = 0; i < R; ++i) {
+      masks[i] = kernels::AggRowMask(blocks_[c], rows[i]);
+    }
+    acc.assign(G, kernels::AggAccumulator{});
+    for (size_t k = 0; k < num_checkpoints_; ++k) {
+      const size_t i = k * stride_;
+      checkpoints_[c * num_checkpoints_ + k] = acc[rows[i].group];
+      kernels::FoldAggRows(program_.fold, rows.data() + i, masks + i,
+                           std::min(stride_, R - i), acc.data());
+    }
     for (size_t g = 0; g < G; ++g) {
       const size_t off = (c * G + g) * kLanes;
       kernels::FoldBaseSlots(program_.agg, base[c],
                              remap_.src.data() + remap_.src_off[g],
                              remap_.src_off[g + 1] - remap_.src_off[g],
                              proj_.data() + off, counts);
-      const double* cv = cur.values.data() + g * kLanes;
+      kernels::FinishAgg(program_.agg, acc[g], cv);
       for (size_t l = 0; l < kLanes; ++l) {
         terms_[off + l] = GroupTerm(vf_, proj_[off + l], cv[l]);
       }
@@ -339,39 +372,49 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
 }
 
 bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
-                       PricingCache::Entry* entry, uint64_t* priced,
-                       uint64_t* reused) const {
+                       PricingCache::Entry* entry,
+                       PriceCounts* counts) const {
   thread_local Scratch sc;
   const std::vector<AnnotationId>& roots = *m.roots;
   const AnnotationId t = m.scratch;
   const size_t G = num_groups_;
   const AnnotationId* groups = program_.groups;
+  const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
+  const size_t R = rows.size();
   const std::vector<kernels::BlockEval>& base = oracle_.base_blocks_;
 
-  // Dirty slots: every group with a root in a monomial, guard body or
-  // group key. Roots that are group keys fold their groups into t's.
-  sc.dirty.clear();
+  // The rows the merge moves: every row with a root in its monomial or
+  // guard body. Their groups and the groups keyed by a root are the dirty
+  // slots; roots that are group keys fold their groups into t's.
+  sc.moved.clear();
   sc.key_slots.clear();
   for (AnnotationId r : roots) {
     auto it = std::lower_bound(occurs_.begin(), occurs_.end(),
                                std::make_pair(r, uint32_t{0}));
     for (; it != occurs_.end() && it->first == r; ++it) {
-      sc.dirty.push_back(it->second);
+      sc.moved.push_back(it->second);
     }
     const AnnotationId* k = std::lower_bound(groups, groups + G, r);
     if (k != groups + G && *k == r) {
       sc.key_slots.push_back(static_cast<uint32_t>(k - groups));
     }
   }
+  std::sort(sc.moved.begin(), sc.moved.end());
+  sc.moved.erase(std::unique(sc.moved.begin(), sc.moved.end()),
+                 sc.moved.end());
+  std::sort(sc.key_slots.begin(), sc.key_slots.end());
+  sc.dirty.assign(sc.key_slots.begin(), sc.key_slots.end());
+  for (uint32_t i : sc.moved) sc.dirty.push_back(rows[i].group);
   std::sort(sc.dirty.begin(), sc.dirty.end());
   sc.dirty.erase(std::unique(sc.dirty.begin(), sc.dirty.end()),
                  sc.dirty.end());
-  std::sort(sc.key_slots.begin(), sc.key_slots.end());
   const bool identity = remap_.identity() && sc.key_slots.empty();
 
   // Units: one per dirty slot the merge keeps, then the merged group.
   entry->units.clear();
+  entry->units.reserve(sc.dirty.size() + 1);
   entry->sources.clear();
+  entry->sources.reserve(sc.dirty.size());
   sc.unit_of_slot.assign(G, -1);
   sc.slot_of_unit.clear();
   auto add_unit = [&](bool merged) {
@@ -421,107 +464,157 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
                       entry->terms.begin() + unit.terms_off);
           unit.size = o.size;
           sc.fresh[u] = 0;
-          ++*reused;
+          ++counts->reused;
           break;
         }
       }
     }
   }
 
-  // Re-canonicalize and evaluate the fresh units' rows.
-  sc.fresh_slots.clear();
-  for (uint32_t g : sc.dirty) {
-    const int32_t u = sc.unit_of_slot[g] >= 0 ? sc.unit_of_slot[g]
-                                              : merged_unit;
-    if (sc.fresh[static_cast<size_t>(u)]) sc.fresh_slots.push_back(g);
-  }
-  if (!sc.fresh_slots.empty()) {
-    sc.rows.clear();
-    for (uint32_t g : sc.fresh_slots) {
-      for (uint32_t i = row_begin_[g]; i < row_begin_[g + 1]; ++i) {
-        sc.rows.push_back(i);
+  // Fresh units: lower the rows the merge moves, splice them among the
+  // rows it keeps, and resume the group's fold at the last checkpoint in
+  // front of the first changed row.
+  sc.t_masks.clear();
+  for (size_t u = 0; u < entry->units.size(); ++u) {
+    if (!sc.fresh[u]) continue;
+    if (sc.t_masks.empty()) {
+      // t's truth on each lane is φ of the roots' (its members are the
+      // union of theirs).
+      const PhiKind phi = state_.PhiFor(oracle_.registry_->domain(t));
+      for (size_t c = 0; c < base.size(); ++c) {
+        uint64_t mask = phi == PhiKind::kOr ? 0 : ~uint64_t{0};
+        for (AnnotationId r : roots) {
+          uint64_t row;
+          std::memcpy(&row, blocks_[c].Row(r), sizeof(row));
+          mask = phi == PhiKind::kOr ? (mask | row) : (mask & row);
+        }
+        sc.t_masks.push_back(mask);
       }
     }
-    current_.LowerMapped(sc.rows.data(), sc.rows.size(), roots.data(),
-                         roots.size(), t, &sc.mapped);
-    // Rows come out group-sorted: one run per fresh unit, which becomes
-    // the unit's slot in the dirty program.
-    std::vector<int32_t>& unit_of_run = sc.unit_of_run;
-    unit_of_run.clear();
-    for (size_t i = 0; i < sc.mapped.rows.size(); ++i) {
-      const AnnotationId key = sc.mapped.keys[i];
-      if (i == 0 || key != sc.mapped.keys[i - 1]) {
-        const int32_t u =
-            key == t ? merged_unit
-                     : sc.unit_of_slot[std::lower_bound(groups, groups + G,
-                                                        key) -
-                                       groups];
-        unit_of_run.push_back(u);
-        entry->units[static_cast<size_t>(u)].size = 0;
+    PricingCache::Unit& unit = entry->units[u];
+    const bool merged = static_cast<int32_t>(u) == merged_unit;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    const uint32_t* moved_begin;
+    const uint32_t* moved_end;
+    if (merged) {
+      // Every row of the root-keyed groups moves into t's group.
+      sc.merged_rows.clear();
+      for (uint32_t g : sc.key_slots) {
+        for (uint32_t i = row_begin_[g]; i < row_begin_[g + 1]; ++i) {
+          sc.merged_rows.push_back(i);
+        }
       }
-      kernels::AggBatchRow& r = sc.mapped.rows[i];
-      r.group = static_cast<uint32_t>(unit_of_run.size() - 1);
-      entry->units[static_cast<size_t>(unit_of_run.back())].size +=
-          r.mono.len + r.guard_mono.len;
+      moved_begin = sc.merged_rows.data();
+      moved_end = moved_begin + sc.merged_rows.size();
+    } else {
+      const uint32_t g = sc.slot_of_unit[u];
+      begin = row_begin_[g];
+      end = row_begin_[g + 1];
+      const uint32_t* moved_last = sc.moved.data() + sc.moved.size();
+      moved_begin = std::lower_bound(
+          static_cast<const uint32_t*>(sc.moved.data()), moved_last, begin);
+      moved_end = std::lower_bound(moved_begin, moved_last, end);
     }
-    sc.program.shape = kernels::BatchProgram::Shape::kAggregate;
-    sc.program.kind = EvalResult::Kind::kVector;
-    sc.program.agg = program_.agg;
-    sc.program.fold = program_.fold;
-    sc.program.groups = nullptr;
-    sc.program.num_groups = unit_of_run.size();
-    std::swap(sc.program.agg_rows, sc.mapped.rows);
+    current_.LowerMoved(moved_begin, static_cast<size_t>(moved_end - moved_begin),
+                        roots.data(), roots.size(), t, begin, end, &sc.lowered);
+    const std::vector<kernels::AggBatchRow>& lowered = sc.lowered.rows;
+
+    // The fold resumes at checkpoint k (row k · stride_) when that row is
+    // in this group, else at the group's first row from a zero state.
+    size_t k = 0;
+    bool from_checkpoint = false;
+    uint32_t start = begin;
+    if (!merged) {
+      const uint32_t first = std::min(*moved_begin, sc.lowered.before[0]);
+      k = first / stride_;
+      if (k * stride_ >= begin) {
+        from_checkpoint = true;
+        start = static_cast<uint32_t>(k * stride_);
+      }
+    }
+    sc.fold_rows.clear();
+    sc.fold_src.clear();
+    int64_t size = 0;
+    for (const kernels::AggBatchRow& r : lowered) {
+      size += r.mono.len + r.guard_mono.len;
+    }
+    if (!merged) {
+      size += group_size_[sc.slot_of_unit[u]];
+      for (const uint32_t* i = moved_begin; i != moved_end; ++i) {
+        size -= rows[*i].mono.len + rows[*i].guard_mono.len;
+      }
+    }
+    size_t j = 0;
+    auto push_lowered_until = [&](uint32_t i) {
+      for (; j < lowered.size() && sc.lowered.before[j] <= i; ++j) {
+        sc.fold_rows.push_back(lowered[j]);
+        sc.fold_src.push_back(kLowered);
+      }
+    };
+    const uint32_t* mv = moved_begin;
+    for (uint32_t i = start; i < end; ++i) {
+      push_lowered_until(i);
+      if (mv != moved_end && *mv == i) {
+        ++mv;
+        continue;
+      }
+      sc.fold_rows.push_back(rows[i]);
+      sc.fold_rows.back().group = 0;
+      sc.fold_src.push_back(i);
+    }
+    push_lowered_until(UINT32_MAX);
+    unit.size = size;
 
     // The merged group's base preimage: base slots whose current image is
     // a root key, ascending.
-    sc.merged_sources.clear();
-    for (size_t b = 0; b < remap_.slot.size() && merged_unit >= 0; ++b) {
-      if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(),
-                             remap_.slot[b])) {
-        sc.merged_sources.push_back(static_cast<uint32_t>(b));
+    if (merged) {
+      sc.merged_sources.clear();
+      for (size_t b = 0; b < remap_.slot.size(); ++b) {
+        if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(),
+                               remap_.slot[b])) {
+          sc.merged_sources.push_back(static_cast<uint32_t>(b));
+        }
       }
     }
-    // Evaluate under this thread's copy of the step's blocks, whose row t
-    // is φ of the roots' rows (t's members are the union of theirs).
-    if (sc.step != step_) {
-      sc.blocks = blocks_;
-      sc.step = step_;
-    }
-    const PhiKind phi = state_.PhiFor(oracle_.registry_->domain(t));
+    const size_t n = sc.fold_rows.size();
+    sc.fold_masks.resize(n);
     for (size_t c = 0; c < base.size(); ++c) {
-      uint8_t* row = sc.blocks[c].MutableRow(t);
-      std::memset(row, phi == PhiKind::kOr ? 0x00 : 0xFF, kLanes);
-      for (AnnotationId r : roots) {
-        const uint8_t* rr = blocks_[c].Row(r);
-        for (size_t l = 0; l < kLanes; ++l) {
-          row[l] = phi == PhiKind::kOr ? (row[l] | rr[l]) : (row[l] & rr[l]);
-        }
+      // Kept rows keep the step's liveness; lowered rows read t's φ bytes.
+      const uint64_t* step_masks = masks_.data() + c * R;
+      for (size_t f = 0; f < n; ++f) {
+        sc.fold_masks[f] = sc.fold_src[f] != kLowered
+                               ? step_masks[sc.fold_src[f]]
+                               : kernels::AggRowMask(blocks_[c],
+                                                     sc.fold_rows[f], t,
+                                                     sc.t_masks[c]);
       }
-      kernels::EvaluateBlock(sc.program, sc.blocks[c], &sc.eval);
-      for (size_t s = 0; s < unit_of_run.size(); ++s) {
-        const size_t u = static_cast<size_t>(unit_of_run[s]);
-        const double* bv;
-        if (static_cast<int32_t>(u) == merged_unit) {
-          kernels::FoldBaseSlots(program_.agg, base[c],
-                                 sc.merged_sources.data(),
-                                 sc.merged_sources.size(), sc.base_value,
-                                 sc.base_count);
-          bv = sc.base_value;
-        } else {
-          const uint32_t g = sc.slot_of_unit[u];
-          bv = identity ? base[c].values.data() + g * kLanes
-                        : proj_.data() + (c * G + g) * kLanes;
-        }
-        const double* cv = sc.eval.values.data() + s * kLanes;
-        double* out = entry->terms.data() + entry->units[u].terms_off +
-                      c * kLanes;
-        for (size_t l = 0; l < kLanes; ++l) {
-          out[l] = GroupTerm(vf_, bv[l], cv[l]);
-        }
+      kernels::AggAccumulator acc =
+          from_checkpoint ? checkpoints_[c * num_checkpoints_ + k]
+                          : kernels::AggAccumulator{};
+      kernels::FoldAggRows(program_.fold, sc.fold_rows.data(),
+                           sc.fold_masks.data(), n, &acc);
+      double cv[kLanes];
+      kernels::FinishAgg(program_.agg, acc, cv);
+      const double* bv;
+      if (merged) {
+        kernels::FoldBaseSlots(program_.agg, base[c],
+                               sc.merged_sources.data(),
+                               sc.merged_sources.size(), sc.base_value,
+                               sc.base_count);
+        bv = sc.base_value;
+      } else {
+        const uint32_t g = sc.slot_of_unit[u];
+        bv = identity ? base[c].values.data() + g * kLanes
+                      : proj_.data() + (c * G + g) * kLanes;
+      }
+      double* out = entry->terms.data() + unit.terms_off + c * kLanes;
+      for (size_t l = 0; l < kLanes; ++l) {
+        out[l] = GroupTerm(vf_, bv[l], cv[l]);
       }
     }
-    std::swap(sc.program.agg_rows, sc.mapped.rows);
-    *priced += unit_of_run.size();
+    ++counts->priced;
+    counts->refolded += n;
   }
 
   // Size: the dirty groups' rows are replaced by the units' rows.
@@ -529,46 +622,49 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
   for (uint32_t g : sc.dirty) size -= group_size_[g];
   for (const PricingCache::Unit& u : entry->units) size += u.size;
 
-  // Fold the per-group terms in the candidate's ascending group order:
-  // the current keys the merge keeps, with t's merged group in place.
+  // The candidate's groups in ascending order: the current keys the merge
+  // keeps, with t's merged group in place. Each is a step group g (>= 0)
+  // or a unit u (~u).
+  sc.order.clear();
+  bool merged_placed = merged_unit < 0;
+  for (size_t g = 0; g < G; ++g) {
+    if (!merged_placed && t < groups[g]) {
+      sc.order.push_back(~merged_unit);
+      merged_placed = true;
+    }
+    if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(),
+                           static_cast<uint32_t>(g))) {
+      continue;
+    }
+    const int32_t u = sc.unit_of_slot[g];
+    sc.order.push_back(u < 0 ? static_cast<int32_t>(g) : ~u);
+  }
+  if (!merged_placed) sc.order.push_back(~merged_unit);
+
+  // Fold the per-group terms in that order, every lane at once.
   double total = 0.0;
   for (size_t c = 0; c < base.size(); ++c) {
     const size_t lane_off = c * kLanes;
     const double* step_terms =
         (identity ? terms_id_.data() : terms_.data()) + lane_off * G;
-    sc.terms.clear();
-    bool merged_placed = merged_unit < 0;
-    for (size_t g = 0; g < G; ++g) {
-      if (!merged_placed && t < groups[g]) {
-        sc.terms.push_back(entry->terms.data() +
-                           entry->units[merged_unit].terms_off + lane_off);
-        merged_placed = true;
+    const double* unit_terms = entry->terms.data() + lane_off;
+    double err[kLanes] = {};
+    for (int32_t o : sc.order) {
+      const double* tj = o >= 0 ? step_terms + o * kLanes
+                                : unit_terms + entry->units[~o].terms_off;
+      if (vf_ == kernels::ValFuncBatchKind::kDisagreement) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          err[l] = err[l] != 0.0 || tj[l] != 0.0 ? 1.0 : 0.0;
+        }
+      } else {
+        for (size_t l = 0; l < kLanes; ++l) err[l] += tj[l];
       }
-      if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(),
-                             static_cast<uint32_t>(g))) {
-        continue;
-      }
-      const int32_t u = sc.unit_of_slot[g];
-      sc.terms.push_back(u < 0 ? step_terms + g * kLanes
-                               : entry->terms.data() +
-                                     entry->units[u].terms_off + lane_off);
-    }
-    if (!merged_placed) {
-      sc.terms.push_back(entry->terms.data() +
-                         entry->units[merged_unit].terms_off + lane_off);
     }
     double partial = 0.0;
     for (size_t l = 0; l < blocks_[c].width(); ++l) {
-      double err = 0.0;
-      if (vf_ == kernels::ValFuncBatchKind::kDisagreement) {
-        bool mismatch = false;
-        for (const double* tj : sc.terms) mismatch |= tj[l] != 0.0;
-        err = mismatch ? 1.0 : 0.0;
-      } else {
-        for (const double* tj : sc.terms) err += tj[l];
-        if (vf_ == kernels::ValFuncBatchKind::kL2) err = std::sqrt(err);
-      }
-      partial += oracle_.valuations_[lane_off + l].weight() * err;
+      const double e =
+          vf_ == kernels::ValFuncBatchKind::kL2 ? std::sqrt(err[l]) : err[l];
+      partial += oracle_.valuations_[lane_off + l].weight() * e;
     }
     total += partial;
   }
@@ -592,20 +688,22 @@ void EnumeratedDistance::PriceMerges(const ProvenanceExpression& current,
       std::vector<PricingCache::Entry> entries(merges.size());
       std::atomic<uint64_t> priced{0};
       std::atomic<uint64_t> reused{0};
+      std::atomic<uint64_t> refolded{0};
       exec::ParallelFor(
           pool, 0, static_cast<int64_t>(merges.size()), 1, [&](int64_t idx) {
             const size_t i = static_cast<size_t>(idx);
             Timer timer;
-            uint64_t p = 0;
-            uint64_t r = 0;
+            PriceCounts counts;
             CountPricedMerge(
-                pricer.Price(merges[i], &(*out)[i], &entries[i], &p, &r));
-            priced.fetch_add(p, std::memory_order_relaxed);
-            reused.fetch_add(r, std::memory_order_relaxed);
+                pricer.Price(merges[i], &(*out)[i], &entries[i], &counts));
+            priced.fetch_add(counts.priced, std::memory_order_relaxed);
+            reused.fetch_add(counts.reused, std::memory_order_relaxed);
+            refolded.fetch_add(counts.refolded, std::memory_order_relaxed);
             (*out)[i].nanos = timer.ElapsedNanos();
           });
       metrics.groups_priced->Increment(priced.load());
       metrics.groups_reused->Increment(reused.load());
+      metrics.rows_refolded->Increment(refolded.load());
       metrics.cache_evictions->Increment(cache->Commit(merges, &entries));
       return;
     }

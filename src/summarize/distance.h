@@ -116,6 +116,13 @@ class EnumeratedDistance {
   /// reported distance — is bit-identical at any parallelism level.
   static constexpr int64_t kReductionGrain = 8;
 
+  /// Byte cap on one step's fold checkpoints (docs/KERNELS.md, *Step
+  /// pricing*): while rows × chunks × sizeof(kernels::AggAccumulator) fits,
+  /// the step keeps the fold state in front of every row; above it, in
+  /// front of every k-th row, with k the smallest stride that fits. A
+  /// 100-user, 12-movie MovieLens step needs 212 KB (260 rows, 6 chunks).
+  static constexpr size_t kMaxCheckpointBytes = size_t{1} << 20;
+
   /// \param p0 the original expression (must outlive the oracle)
   /// \param registry annotation registry (may grow while the oracle lives)
   /// \param val_func VAL-FUNC (must outlive the oracle)
@@ -142,8 +149,10 @@ class EnumeratedDistance {
   /// A merge of roots R can only change the groups in which an annotation
   /// of R occurs (its *dirty* groups). Once per step this evaluates the
   /// current expression under `state` and keeps every group's VAL-FUNC
-  /// terms; each merge then re-canonicalizes and evaluates only its dirty
-  /// groups' rows, and folds the per-group terms in ascending group order.
+  /// terms, every row's lane liveness and the fold state in front of the
+  /// rows; each merge then lowers only the rows it moves, splices them
+  /// among the rows it keeps, resumes each dirty group's fold at its first
+  /// changed row, and folds the per-group terms in ascending group order.
   /// `cache` carries dirty-group terms across the steps of one run.
   /// Expressions and VAL-FUNCs without a batch lowering (DDP, polynomial,
   /// group-less aggregates, kNone) have every group dirty: they build

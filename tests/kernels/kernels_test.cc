@@ -21,6 +21,7 @@
 #include "ir/adopt.h"
 #include "ir/term_pool.h"
 #include "kernels/valuation_block.h"
+#include "obs/metrics.h"
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
 #include "testing/fixtures.h"
@@ -415,6 +416,29 @@ TEST(TierDispatchTest, CapClampsActiveTier) {
   }
   // Lifting the cap never exceeds the hardware.
   EXPECT_LE(common::ActiveSimdTier(), common::DetectedSimdTier());
+}
+
+TEST(TierDispatchTest, GaugeFollowsTheDispatchedTier) {
+  // The gauge is written only when the dispatched tier changes; a cap
+  // change must still show after one evaluation, and so must lifting it.
+  MovieFixture fx;
+  const kernels::BatchProgram program = fx.p0->LowerBatch();
+  kernels::ValuationBlock block;
+  block.Reset(fx.registry.size(), 1);
+  kernels::BlockEval evals;
+  auto gauge = [] {
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::Default().Snapshot();
+    const obs::GaugeSample* g = snapshot.FindGauge("prox_simd_tier");
+    return g == nullptr ? -1.0 : g->value;
+  };
+  {
+    TierCap cap(common::SimdTier::kScalar);
+    kernels::EvaluateBlock(program, block, &evals);
+    EXPECT_EQ(gauge(), 0.0);
+  }
+  kernels::EvaluateBlock(program, block, &evals);
+  EXPECT_EQ(gauge(), static_cast<double>(common::ActiveSimdTier()));
 }
 
 TEST(TierDispatchTest, TierNamesAreStable) {

@@ -34,6 +34,7 @@ namespace {
 
 using golden::DoubleBits;
 using testing_fixtures::DrawSamples;
+using testing_fixtures::MovieFixture;
 using testing_fixtures::ScalarReferenceValFunc;
 
 enum class VfKind { kEuclidean, kAbsoluteDifference, kDisagreement };
@@ -65,6 +66,7 @@ struct Walk {
   bool any_user_merge = false;
   int num_samples = 44;  ///< drawn set: five full chunks + a short one
   bool scalar_reference = true;  ///< else the batched Distance
+  bool fold_order_visible = false;  ///< MakeFoldOrderVisible the values
 };
 
 struct WalkResult {
@@ -78,11 +80,35 @@ double CounterValue(const char* name) {
   return obs::MetricsRegistry::Default().Snapshot().CounterValue(name);
 }
 
+/// Replaces the dataset's row values with ones whose fold order shows in
+/// the bits. MovieLens ratings are small integers, which SUM and AVG add
+/// exactly in any order; these are non-integral, one row is large enough
+/// (2^53 + ...) that its neighbours' adds round against it, and every
+/// ninth row contributes -0.0 or +0.0, which MAX and MIN keep or replace
+/// by fold order.
+void MakeFoldOrderVisible(Dataset* ds) {
+  const ir::IrAggregateExpression& src = *ds->provenance->AsAggregate();
+  auto out = std::make_unique<ir::IrAggregateExpression>(src.agg(), src.pool());
+  for (size_t i = 0; i < src.num_terms(); ++i) {
+    const ir::IrAggregateExpression::InternedRow row =
+        src.InternRow(i, src.pool().get());
+    AggValue v = row.value;
+    v.value = v.value * 0.1 + 0.013 * static_cast<double>(i % 7);
+    if (i % 9 == 2) v.value = -0.0;
+    if (i % 9 == 5) v.value = 0.0;
+    if (i == src.num_terms() / 2) v.value = 9007199254740993.0 * 1.5;
+    out->AddTermIds(row.mono, row.guard, row.group, v);
+  }
+  out->Canonicalize();
+  ds->provenance = std::move(out);
+}
+
 WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
   WalkResult result;
   MovieLensConfig config = walk.config;
   config.agg = c.agg;
   Dataset ds = MovieLensGenerator::Generate(config);
+  if (walk.fold_order_visible) MakeFoldOrderVisible(&ds);
   const std::vector<Valuation> valuations =
       c.sampled ? DrawSamples(*ds.provenance, ds.ctx, walk.num_samples)
                 : ds.valuation_class->Generate(*ds.provenance, ds.ctx);
@@ -272,6 +298,64 @@ TEST(StepPricingWalkTest, ArityThreeMergesFoldCollidingRowsInSourceOrder) {
   }
 }
 
+Walk FoldOrderWalk() {
+  // Several user merges: a summary user sorts after the movie ids, so a
+  // merged row moves to the end of its group, and a later merge of that
+  // summary with a raw user collides rows from the middle and the end of
+  // a group while the kept rows between them fold in place.
+  Walk walk;
+  walk.config = SmallMovieLens();
+  walk.config.num_users = 16;
+  walk.config.num_movies = 3;
+  walk.movie_merges = false;
+  walk.any_user_merge = true;
+  walk.steps = 5;
+  walk.fold_order_visible = true;
+  return walk;
+}
+
+TEST(StepPricingWalkTest, FoldOrderShowsInTheBits) {
+  const Walk walk = FoldOrderWalk();
+  for (AggKind agg :
+       {AggKind::kSum, AggKind::kAvg, AggKind::kMax, AggKind::kMin}) {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(AggKindToString(agg)) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_GT(WalkAndCompare({agg, VfKind::kAbsoluteDifference, false}, walk,
+                               threads)
+                    .priced,
+                0u);
+    }
+  }
+}
+
+TEST(StepPricingWalkTest, FoldsResumeFromStridedCheckpoints) {
+  // Enough samples that one checkpoint per row and chunk overflows
+  // kMaxCheckpointBytes: the step keeps every k-th row's fold state, and
+  // a fold resumes up to k - 1 rows in front of its first changed row.
+  Walk walk = FoldOrderWalk();
+  walk.num_samples = 4096;
+  walk.steps = 3;
+  walk.scalar_reference = false;  // the batched Distance, for speed
+  MovieLensConfig config = walk.config;
+  const Dataset ds = MovieLensGenerator::Generate(config);
+  const size_t chunks = (static_cast<size_t>(walk.num_samples) +
+                         kernels::kMaxLanes - 1) /
+                        kernels::kMaxLanes;
+  ASSERT_GT(ds.provenance->AsAggregate()->num_terms() * chunks *
+                sizeof(kernels::AggAccumulator),
+            EnumeratedDistance::kMaxCheckpointBytes);
+  for (AggKind agg : {AggKind::kSum, AggKind::kMax}) {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(AggKindToString(agg)) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_GT(
+          WalkAndCompare({agg, VfKind::kEuclidean, true}, walk, threads).priced,
+          0u);
+    }
+  }
+}
+
 TEST(StepPricingWalkTest, EvictedCandidatesPriceTheirGroupsAfresh) {
   // Thousands of samples make every cached group term large, so this
   // run's entries overflow the cache's byte cap: the candidates past it
@@ -288,6 +372,47 @@ TEST(StepPricingWalkTest, EvictedCandidatesPriceTheirGroupsAfresh) {
       WalkAndCompare({AggKind::kSum, VfKind::kEuclidean, true}, walk, 1);
   EXPECT_GT(r.evictions, 0u);
   EXPECT_GT(r.priced, 800u);  // both steps, the second after evictions
+}
+
+TEST(StepPricingRowsTest, FoldResumesAtTheFirstChangedRow) {
+  // U3 rates Match Point last, and U4 (registered after the movies, so it
+  // sorts after them) rates Blue Jasmine last: merging them changes only
+  // the last row of each group. Each fold resumes in front of that row,
+  // so pricing the merge folds two rows, not the six of both groups.
+  MovieFixture fx;
+  const AnnotationId u4 =
+      fx.registry.Add(fx.user_domain, "U4", kNoEntity).MoveValue();
+  fx.AddRating(fx.u1, fx.blue_jasmine, 2);  // a second row in front of U4's
+  fx.AddRating(u4, fx.blue_jasmine, 1);
+  fx.Rebuild();
+  std::vector<Valuation> valuations;
+  for (AnnotationId a : {fx.u1, fx.u2, fx.u3, u4}) {
+    valuations.emplace_back(std::vector<AnnotationId>{a});
+  }
+  AbsoluteDifferenceValFunc vf;
+  EnumeratedDistance oracle(fx.p0.get(), &fx.registry, &vf, valuations, 1);
+  const std::vector<AnnotationId> roots = {fx.u3, u4};
+  const AnnotationId scratch = fx.registry.AddSummary(fx.user_domain, "~t");
+  MappingState state(&fx.registry, PhiConfig{});
+  PricingCache cache;
+  std::vector<MergePrice> prices;
+  const double refolded = CounterValue("prox_summarize_rows_refolded_total");
+  const double priced = CounterValue("prox_summarize_groups_priced_total");
+  oracle.PriceMerges(*fx.p0, state, {{&roots, scratch}}, nullptr, &cache,
+                     &prices);
+  EXPECT_EQ(CounterValue("prox_summarize_groups_priced_total") - priced, 2.0);
+  EXPECT_EQ(CounterValue("prox_summarize_rows_refolded_total") - refolded,
+            2.0);
+
+  MappingState tentative = state;
+  tentative.Merge(roots, scratch);
+  Homomorphism h;
+  for (AnnotationId r : roots) h.Set(r, scratch);
+  const std::unique_ptr<ProvenanceExpression> cand = fx.p0->Apply(h);
+  ASSERT_EQ(prices.size(), 1u);
+  EXPECT_EQ(DoubleBits(prices[0].distance),
+            DoubleBits(oracle.Distance(*cand, tentative)));
+  EXPECT_EQ(prices[0].size, cand->Size());
 }
 
 }  // namespace
