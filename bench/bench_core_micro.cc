@@ -133,8 +133,10 @@ void BM_CandidateGeneration(benchmark::State& state) {
   CandidateGenerator gen(&ds.constraints, &ds.ctx);
   MappingState mapping(ds.registry.get(), ds.phi);
   CandidateOptions options;
+  CandidateSet candidates;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gen.Generate(*ds.provenance, mapping, options));
+    gen.Generate(*ds.provenance, mapping, options, &candidates);
+    benchmark::DoNotOptimize(candidates.size());
   }
 }
 BENCHMARK(BM_CandidateGeneration)->Arg(20)->Arg(40);

@@ -11,7 +11,10 @@
 #   3. one replica is kill -9'd; a burst of idempotent GETs stays free
 #      of 5xx — the router retries the dead replica's keys once on the
 #      ring successor (prox_net_balancer_retry_total >= 1) and its
-#      /healthz reports the replica unhealthy;
+#      /healthz reports the replica unhealthy. The burst opens with GET
+#      targets that were answered by that replica before the kill, and
+#      the active prober runs only at router start, so the first of them
+#      always reaches the dead replica and is retried;
 #   4. SIGINT drains the router and the surviving replicas to exit 0.
 #
 # Usage: scripts/net_smoke.sh [build-dir]
@@ -49,6 +52,12 @@ fail() {
     echo "--- $log ---" >&2
     cat "$log" >&2
   done
+  if [[ -n "${base:-}" ]]; then
+    echo "--- router /metrics ---" >&2
+    curl -s --max-time 5 "$base/metrics" >&2 || true
+    echo "--- router /healthz ---" >&2
+    curl -s --max-time 5 "$base/healthz" >&2 || true
+  fi
   exit 1
 }
 
@@ -80,13 +89,13 @@ done
 echo "net_smoke: replicas up on ${replica_ports[*]}"
 
 # --- 2. router + consistent-hash fan-out -----------------------------------
-# Probe interval 5s: longer than the whole test, so every health
-# transition below is passive detection.
+# The prober runs once at start; its next round (10 min) is after the
+# whole test, so every health transition below is passive detection.
 "$router_bin" --port=0 \
   --replica=127.0.0.1:${replica_ports[0]} \
   --replica=127.0.0.1:${replica_ports[1]} \
   --replica=127.0.0.1:${replica_ports[2]} \
-  --health-interval-ms=5000 >"$tmpdir/router.log" 2>&1 &
+  --health-interval-ms=600000 >"$tmpdir/router.log" 2>&1 &
 router_pid=$!
 router_port=$(wait_port "$tmpdir/router.log" "$router_pid") \
   || fail "router never listened"
@@ -126,6 +135,30 @@ cmp -s "$tmpdir/b1" "$tmpdir/repeat.json" \
   || fail "cached repeat bytes differ from the cold body"
 
 # --- 3. kill one replica => graceful degradation ---------------------------
+# GET targets the replica about to die answers: the ring maps a target to
+# the same replica after the kill, so each of them reaches the dead
+# replica until the router marks it unhealthy.
+dead_targets=()
+for i in $(seq 1 200); do
+  target="/v1/summary/groups?owner=$i"
+  code=$(curl -s -D "$tmpdir/owner.h" -o /dev/null -w '%{http_code}' \
+           "$base$target")
+  [[ "$code" == 200 || "$code" == 404 ]] \
+    || fail "GET $target returned $code before the kill"
+  owner=$(grep -i '^x-prox-replica:' "$tmpdir/owner.h" | tr -d '\r' \
+          | awk '{print $2}')
+  [[ "$owner" == "$first_replica" ]] && dead_targets+=("$target")
+  [[ ${#dead_targets[@]} -ge 3 ]] && break
+done
+[[ ${#dead_targets[@]} -ge 1 ]] \
+  || fail "no GET target of 200 is answered by $first_replica"
+echo "net_smoke: ${#dead_targets[@]} GET targets answered by $first_replica"
+
+retries_before=$(curl -s "$base/metrics" \
+  | sed -n 's/^prox_net_balancer_retry_total \([0-9]*\)$/\1/p')
+[[ "$retries_before" == 0 ]] \
+  || fail "prox_net_balancer_retry_total=$retries_before before the kill"
+
 dead_port=${first_replica##*:}
 dead_index=
 for i in 0 1 2; do
@@ -137,13 +170,15 @@ wait "${replica_pids[$dead_index]}" 2>/dev/null || true
 replica_pids[$dead_index]=
 echo "net_smoke: killed replica $dead_index (127.0.0.1:$dead_port)"
 
-# Idempotent GET burst: distinct targets spread over the whole ring, so
-# some land on the dead replica's range. Every answer must be an HTTP
-# answer (200 for the real route, 404 for probe targets) — never a 5xx:
-# the router replays the dead replica's keys once on the ring successor.
-for i in $(seq 1 20); do
-  target="/v1/summary/groups"
-  [[ $i -gt 1 ]] && target="/v1/summary/groups?probe=$i"
+# Idempotent GET burst: the dead replica's targets first, then distinct
+# targets spread over the whole ring. Every answer must be an HTTP answer
+# (200 for the real route, 404 for probe targets) — never a 5xx: the
+# router replays the dead replica's keys once on the ring successor.
+burst=("${dead_targets[@]}" "/v1/summary/groups")
+for i in $(seq 2 20); do
+  burst+=("/v1/summary/groups?probe=$i")
+done
+for target in "${burst[@]}"; do
   code=$(curl -s -o /dev/null -w '%{http_code}' "$base$target")
   [[ "$code" == 200 || "$code" == 404 ]] \
     || fail "GET $target returned $code after replica kill"

@@ -33,6 +33,7 @@ Result<SummaryOutcome> RandomSummarizer::Run() {
   double dist = oracle_->Distance(*current, state);
 
   CandidateGenerator generator(constraints_, ctx_);
+  CandidateSet candidates;
   CandidateOptions copts;
   copts.arity = options_.merge_arity;
 
@@ -44,11 +45,11 @@ Result<SummaryOutcome> RandomSummarizer::Run() {
   while (step < options_.max_steps && current->Size() > options_.target_size &&
          dist < options_.target_dist) {
     Timer step_timer;
-    std::vector<Candidate> candidates =
-        generator.Generate(*current, state, copts);
+    generator.Generate(*current, state, copts, &candidates);
     if (candidates.empty()) break;
 
     const Candidate& pick = candidates[rng.PickIndex(candidates.size())];
+    const std::span<const AnnotationId> pick_roots = candidates.roots(pick);
     AnnotationId summary =
         registry_->AddSummary(pick.domain, pick.decision.name);
 
@@ -56,16 +57,16 @@ Result<SummaryOutcome> RandomSummarizer::Run() {
     prev_state = state;
     prev_dist = dist;
 
-    state.Merge(pick.roots, summary);
+    StepRecord record;
+    record.merged_roots.assign(pick_roots.begin(), pick_roots.end());
+    state.Merge(record.merged_roots, summary);
     Homomorphism h;
-    for (AnnotationId root : pick.roots) h.Set(root, summary);
+    for (AnnotationId root : pick_roots) h.Set(root, summary);
     current = prev_expr->Apply(h);
     dist = oracle_->Distance(*current, state);
     ++step;
 
-    StepRecord record;
     record.step = step;
-    record.merged_roots = pick.roots;
     record.summary = summary;
     record.summary_name = registry_->name(summary);
     record.distance = dist;

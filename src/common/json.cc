@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -36,14 +37,48 @@ size_t JsonValue::size() const {
 // Writer
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Significant digits of a `%g` rendering: its mantissa digits without
+/// leading or trailing zeros (1 for zero).
+int SignificantDigits(const char* text) {
+  int first = -1;
+  int last = -1;
+  int n = 0;
+  for (const char* c = text; *c != '\0' && *c != 'e'; ++c) {
+    if (*c < '0' || *c > '9') continue;
+    if (*c != '0') {
+      if (first < 0) first = n;
+      last = n;
+    }
+    ++n;
+  }
+  return first < 0 ? 1 : last - first + 1;
+}
+
+}  // namespace
+
 std::string ShortestDouble(double value) {
   if (!std::isfinite(value)) return "null";
   char buf[40];
+  auto round_trips = [&](int precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    return std::strtod(buf, nullptr) == value;
+  };
   // The shortest precision whose decimal rendering parses back to the
   // same bits; 17 significant digits always round-trip (IEEE 754 double).
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+  // The search skips the precisions that cannot round-trip. A normal
+  // double that some precision p <= 15 (DBL_DIG) round-trips is the double
+  // nearest a decimal of at most p digits, which `%.15g` renders back
+  // exactly: the shortest precision is that rendering's significant digit
+  // count. When `%.15g` does not round-trip, no precision below 16 does.
+  // Subnormals and zero search from 1.
+  int start = 1;
+  if (std::fabs(value) >= DBL_MIN) {
+    start = round_trips(15) ? SignificantDigits(buf) : 16;
+  }
+  for (int precision = start; precision <= 17; ++precision) {
+    if (round_trips(precision)) break;
   }
   return buf;
 }

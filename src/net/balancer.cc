@@ -80,6 +80,9 @@ Status Balancer::Start() {
     replicas_.push_back(std::move(replica));
   }
   ring_ = std::make_unique<HashRing>(options_.replicas, options_.vnodes);
+  // Registered up front, so /metrics reads 0 before the first retry rather
+  // than omitting the counter.
+  BalancerRetry();
   if (options_.health_interval_ms > 0 &&
       !probing_.exchange(true, std::memory_order_acq_rel)) {
     probe_thread_ = std::thread([this] { ProbeLoop(); });

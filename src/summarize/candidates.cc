@@ -1,7 +1,6 @@
 #include "summarize/candidates.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -36,74 +35,93 @@ struct CandidateMetrics {
   }
 };
 
-/// Calls `emit` for every size-k subset of `items` (in lexicographic index
-/// order). Aborts enumeration early once `emit` returns false.
+/// Calls `emit` with the indices of every size-k subset of [0, n), in
+/// lexicographic order, reusing `idx` as the subset.
 template <typename Emit>
-void ForEachSubset(const std::vector<AnnotationId>& items, int k, Emit emit) {
-  const int n = static_cast<int>(items.size());
+void ForEachSubset(int n, int k, std::vector<int>* idx, Emit emit) {
   if (k > n || k <= 0) return;
-  std::vector<int> idx(k);
-  for (int i = 0; i < k; ++i) idx[i] = i;
+  idx->resize(k);
+  int* const s = idx->data();
+  for (int i = 0; i < k; ++i) s[i] = i;
   for (;;) {
-    std::vector<AnnotationId> subset(k);
-    for (int i = 0; i < k; ++i) subset[i] = items[idx[i]];
-    if (!emit(std::move(subset))) return;
+    emit(s);
     int i = k - 1;
-    while (i >= 0 && idx[i] == n - k + i) --i;
+    while (i >= 0 && s[i] == n - k + i) --i;
     if (i < 0) return;
-    ++idx[i];
-    for (int j = i + 1; j < k; ++j) idx[j] = idx[j - 1] + 1;
+    ++s[i];
+    for (int j = i + 1; j < k; ++j) s[j] = s[j - 1] + 1;
   }
 }
 
 }  // namespace
 
-std::vector<Candidate> CandidateGenerator::Generate(
-    const ProvenanceExpression& current, const MappingState& state,
-    const CandidateOptions& options) const {
+void CandidateGenerator::Generate(const ProvenanceExpression& current,
+                                  const MappingState& state,
+                                  const CandidateOptions& options,
+                                  CandidateSet* out) const {
   const CandidateMetrics& metrics = CandidateMetrics::Get();
   obs::TraceSpan generate_span("summarize.candidate_gen");
-  std::vector<AnnotationId> anns;
-  current.CollectAnnotations(&anns);
+  out->candidates_.clear();
+  out->roots_.clear();
+  out->anns_.clear();
+  current.CollectAnnotations(&out->anns_);
 
   // Bucket current annotations by domain; only domains with a rule can
-  // yield candidates.
-  std::map<DomainId, std::vector<AnnotationId>> by_domain;
-  for (AnnotationId a : anns) {
+  // yield candidates. The annotations arrive sorted, so sorting the pairs
+  // keeps each bucket in that order.
+  std::vector<std::pair<DomainId, AnnotationId>>& buckets = out->buckets_;
+  buckets.clear();
+  for (AnnotationId a : out->anns_) {
     DomainId d = ctx_->registry->domain(a);
-    if (constraints_->HasRule(d)) by_domain[d].push_back(a);
+    if (constraints_->HasRule(d)) buckets.emplace_back(d, a);
   }
+  std::sort(buckets.begin(), buckets.end());
 
-  std::vector<Candidate> out;
-  for (const auto& [domain, roots] : by_domain) {
-    ForEachSubset(roots, options.arity, [&](std::vector<AnnotationId> subset) {
+  uint64_t rejected = 0;
+  std::vector<AnnotationId>& members = out->members_;
+  for (size_t lo = 0; lo < buckets.size();) {
+    const DomainId domain = buckets[lo].first;
+    size_t hi = lo;
+    while (hi < buckets.size() && buckets[hi].first == domain) ++hi;
+    const std::pair<DomainId, AnnotationId>* bucket = buckets.data() + lo;
+    const int k = options.arity;
+    ForEachSubset(static_cast<int>(hi - lo), k, &out->subset_,
+                  [&](const int* subset) {
       // Constraint check runs on the union of original members.
-      std::vector<AnnotationId> members;
-      for (AnnotationId root : subset) {
-        auto ms = state.Members(root);
+      members.clear();
+      for (int i = 0; i < k; ++i) {
+        const std::span<const AnnotationId> ms =
+            state.Members(bucket[subset[i]].second);
         members.insert(members.end(), ms.begin(), ms.end());
       }
       MergeDecision decision = constraints_->Evaluate(domain, members, *ctx_);
-      if (decision.allowed) {
-        Candidate c;
-        c.roots = std::move(subset);
-        c.domain = domain;
-        c.decision = std::move(decision);
-        out.push_back(std::move(c));
-      } else {
-        metrics.rejected->Increment();
+      if (!decision.allowed) {
+        ++rejected;
+        return;
       }
-      return true;
+      Candidate& c = out->candidates_.emplace_back();
+      c.offset = static_cast<uint32_t>(out->roots_.size());
+      c.arity = static_cast<uint32_t>(k);
+      c.domain = domain;
+      c.decision = std::move(decision);
+      for (int i = 0; i < k; ++i) {
+        out->roots_.push_back(bucket[subset[i]].second);
+      }
     });
+    lo = hi;
   }
 
-  metrics.generated->Increment(out.size());
-  if (options.max_candidates > 0 && out.size() > options.max_candidates) {
-    metrics.subsampled->Increment(out.size() - options.max_candidates);
+  std::vector<Candidate>& candidates = out->candidates_;
+  metrics.rejected->Increment(rejected);
+  metrics.generated->Increment(candidates.size());
+  if (options.max_candidates > 0 &&
+      candidates.size() > options.max_candidates) {
+    metrics.subsampled->Increment(candidates.size() - options.max_candidates);
     // Deterministic uniform subsample (partial Fisher-Yates), preserving
-    // the original order of the survivors for reproducibility.
+    // the original order of the survivors for reproducibility. Survivors
+    // keep their roots where they are in the buffer.
     Rng rng(options.sample_seed);
-    std::vector<size_t> indices(out.size());
+    std::vector<size_t> indices(candidates.size());
     for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
     for (size_t i = 0; i < options.max_candidates; ++i) {
       size_t j = i + rng.PickIndex(indices.size() - i);
@@ -111,12 +129,11 @@ std::vector<Candidate> CandidateGenerator::Generate(
     }
     indices.resize(options.max_candidates);
     std::sort(indices.begin(), indices.end());
-    std::vector<Candidate> sampled;
-    sampled.reserve(indices.size());
-    for (size_t i : indices) sampled.push_back(std::move(out[i]));
-    out = std::move(sampled);
+    for (size_t i = 0; i < indices.size(); ++i) {
+      if (indices[i] != i) candidates[i] = std::move(candidates[indices[i]]);
+    }
+    candidates.resize(indices.size());
   }
-  return out;
 }
 
 }  // namespace prox

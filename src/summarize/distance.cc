@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -120,45 +121,121 @@ void GroupContent(const ir::IrAggregateExpression& expr, size_t begin,
   }
 }
 
-}  // namespace
-
-size_t PricingCache::Entry::bytes() const {
-  return sizeof(Entry) + units.size() * sizeof(Unit) +
-         sources.size() * sizeof(sources[0]) + terms.size() * sizeof(double);
+/// Resizes `v` to `n` elements the caller overwrites: the old contents are
+/// dropped, and a buffer that must grow grows to exactly `n`, not
+/// geometrically, so a generation holds what its largest step needed.
+template <typename Vector>
+void ResizeExactly(Vector* v, size_t n) {
+  if (n > v->capacity()) {
+    Vector().swap(*v);
+    v->reserve(n);
+  }
+  v->resize(n);
 }
 
-size_t PricingCache::RootsHash::operator()(
-    const std::vector<AnnotationId>& roots) const {
+uint64_t RootsHash(std::span<const AnnotationId> roots) {
   uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
   for (AnnotationId a : roots) {
     h ^= a;
     h *= 0x100000001b3ull;
   }
-  return static_cast<size_t>(h);
+  return h;
 }
 
-uint64_t PricingCache::Commit(const std::vector<MergeQuery>& merges,
-                              std::vector<Entry>* entries) {
-  entries_.clear();
+}  // namespace
+
+size_t PricingCache::Generation::Slot(
+    std::span<const AnnotationId> key) const {
+  const size_t mask = table.size() - 1;
+  for (size_t p = RootsHash(key) & mask;; p = (p + 1) & mask) {
+    if (table[p] == 0) return p;
+    const std::span<const AnnotationId> roots = RootsOf(entries[table[p] - 1]);
+    if (std::equal(roots.begin(), roots.end(), key.begin(), key.end())) {
+      return p;
+    }
+  }
+}
+
+const PricingCache::Entry* PricingCache::Generation::Find(
+    std::span<const AnnotationId> key) const {
+  if (table.empty()) return nullptr;
+  const uint32_t e = table[Slot(key)];
+  return e == 0 ? nullptr : &entries[e - 1];
+}
+
+bool PricingCache::Generation::Insert(uint32_t i) {
+  uint32_t& e = table[Slot(RootsOf(entries[i]))];
+  if (e != 0) return false;
+  e = i + 1;
+  return true;
+}
+
+void PricingCache::Generation::Clear() {
+  entries.clear();
+  roots.clear();
+  units.clear();
+  sources.clear();
+  terms.clear();
+  table.clear();
+}
+
+void PricingCache::Layout(const std::vector<MergeQuery>& merges,
+                          size_t lanes) {
+  lanes_ = lanes;
+  size_t roots = 0;
+  size_t units = 0;
+  size_t sources = 0;
+  for (Entry& e : next_.entries) {
+    e.roots_off = static_cast<uint32_t>(roots);
+    e.units_off = static_cast<uint32_t>(units);
+    e.src_off = static_cast<uint32_t>(sources);
+    e.terms_off = units * lanes;
+    roots += e.num_roots;
+    units += e.num_units;
+    sources += e.num_sources;
+  }
+  ResizeExactly(&next_.roots, roots);
+  for (size_t i = 0; i < merges.size(); ++i) {
+    std::copy(merges[i].roots.begin(), merges[i].roots.end(),
+              next_.roots.begin() + next_.entries[i].roots_off);
+  }
+  ResizeExactly(&next_.units, units);
+  ResizeExactly(&next_.sources, sources);
+  ResizeExactly(&next_.terms, units * lanes);
+}
+
+uint64_t PricingCache::Commit() {
+  // A power of two at least twice the entry count keeps probes short.
+  size_t slots = 16;
+  while (slots < 2 * next_.entries.size()) slots *= 2;
+  next_.table.assign(slots, 0);
   bytes_ = 0;
   uint64_t evicted = 0;
-  for (size_t i = 0; i < merges.size(); ++i) {
-    Entry& e = (*entries)[i];
-    const size_t b =
-        e.bytes() + merges[i].roots->size() * sizeof(AnnotationId);
+  for (size_t i = 0; i < next_.entries.size(); ++i) {
+    const Entry& e = next_.entries[i];
+    const size_t b = kEntryHeaderBytes + e.num_units * sizeof(Unit) +
+                     e.num_sources * sizeof(Source) +
+                     e.num_units * lanes_ * sizeof(double) +
+                     e.num_roots * sizeof(AnnotationId);
     if (bytes_ + b > kMaxBytes) {
       ++evicted;
       continue;
     }
-    if (entries_.emplace(*merges[i].roots, std::move(e)).second) bytes_ += b;
+    // Duplicate roots keep the first entry.
+    if (next_.Insert(static_cast<uint32_t>(i))) bytes_ += b;
   }
   peak_bytes_ = std::max(peak_bytes_, bytes_);
   evictions_ += evicted;
+  std::swap(cached_, next_);
   return evicted;
 }
 
+PricingCache::PricingCache() = default;
+PricingCache::~PricingCache() = default;
+
 void PricingCache::Clear() {
-  entries_.clear();
+  cached_.Clear();
+  next_.Clear();
   groups_.clear();
   bytes_ = 0;
 }
@@ -172,32 +249,36 @@ struct PriceCounts {
 
 /// \brief One step of dirty-group pricing over an aggregate expression
 /// (EnumeratedDistance::PriceMerges). Prepare() runs once per step on the
-/// calling thread; Price() is const and runs on exec workers.
+/// calling thread; Size() and Price() are const and run on exec workers.
+/// A run's PricingCache keeps one pricer, so the step arrays below keep
+/// their capacity from step to step.
 class StepPricer {
  public:
-  StepPricer(const ir::IrAggregateExpression& current,
-             const MappingState& state, const EnumeratedDistance& oracle,
-             PricingCache* cache)
-      : current_(current),
-        state_(state),
-        oracle_(oracle),
-        vf_(oracle.val_func_->batch_kind()),
-        cache_(cache) {}
+  /// Lowers and evaluates `current` (= h(p₀) for `state`) under the step's
+  /// chunks, keeping every row's lane mask, the fold checkpoints and every
+  /// group's terms. False when a side is not a vector result, the VAL-FUNC
+  /// has no per-group term, or no group remap reconciles the base layout
+  /// with the current one; every merge then materializes. The oracle's
+  /// base blocks must be packed (EnsureBaseBlocks).
+  bool Prepare(const EnumeratedDistance& oracle, PricingCache* cache,
+               const ir::IrAggregateExpression& current,
+               const MappingState& state, kernels::BatchProgram program);
 
-  /// Lowers and evaluates the current expression under the step's chunks,
-  /// keeping every row's lane mask, the fold checkpoints and every group's
-  /// terms. False when a side is not a vector result, the VAL-FUNC has no
-  /// per-group term, or no group remap reconciles the base layout with the
-  /// current one; every merge then materializes. The oracle's base blocks
-  /// must be packed (EnsureBaseBlocks).
-  bool Prepare(kernels::BatchProgram program);
+  /// Sizing pre-pass: writes the numbers of roots, units and sources of
+  /// merge `m`'s entry into `entry`.
+  void Size(const MergeQuery& m, PricingCache::Entry* entry) const;
 
-  /// Prices one merge; returns true when its group remap is the identity.
-  bool Price(const MergeQuery& m, MergePrice* price,
-             PricingCache::Entry* entry, PriceCounts* counts) const;
+  /// Prices merge `i` into its entry of the cache's next generation, laid
+  /// out by PricingCache::Layout from the Size() pass; returns true when
+  /// its group remap is the identity.
+  bool Price(size_t i, const MergeQuery& m, MergePrice* price,
+             PriceCounts* counts) const;
+
+  /// Lanes of one term array: every chunk's kLanes.
+  size_t total_lanes() const { return total_lanes_; }
 
  private:
-  /// Per-thread scratch of Price().
+  /// Per-thread scratch of Size() and Price().
   struct Scratch {
     std::vector<uint32_t> moved;      // rows with a root in a factor
     std::vector<uint32_t> dirty;      // dirty current slots, ascending
@@ -220,11 +301,23 @@ class StepPricer {
   };
   static constexpr uint32_t kLowered = UINT32_MAX;
 
-  const ir::IrAggregateExpression& current_;
-  const MappingState& state_;
-  const EnumeratedDistance& oracle_;
-  const kernels::ValFuncBatchKind vf_;
-  PricingCache* cache_;
+  /// The calling thread's scratch.
+  static Scratch& LocalScratch() {
+    thread_local Scratch sc;
+    return sc;
+  }
+
+  /// Fills sc.moved (the rows the merge moves), sc.key_slots (the slots
+  /// keyed by a root) and sc.dirty (their union with the moved rows'
+  /// slots), each ascending.
+  void FindDirty(std::span<const AnnotationId> roots, Scratch* sc) const;
+
+  // The step's inputs, set by Prepare().
+  const EnumeratedDistance* oracle_ = nullptr;
+  PricingCache* cache_ = nullptr;
+  const ir::IrAggregateExpression* current_ = nullptr;
+  const MappingState* state_ = nullptr;
+  kernels::ValFuncBatchKind vf_ = kernels::ValFuncBatchKind::kNone;
 
   kernels::BatchProgram program_;
   size_t num_groups_ = 0;
@@ -243,6 +336,7 @@ class StepPricer {
   size_t stride_ = 1;
   size_t num_checkpoints_ = 0;
   std::vector<kernels::AggAccumulator> checkpoints_;
+  std::vector<kernels::AggAccumulator> acc_;  // one chunk's fold, per group
   // Chunk-major term arrays: chunk c's lanes start at c · kLanes · G in
   // the step arrays below and at c · kLanes within a cached unit.
   size_t total_lanes_ = 0;
@@ -251,10 +345,19 @@ class StepPricer {
   std::vector<double> terms_id_;  // against the raw base (identity remap)
 };
 
-bool StepPricer::Prepare(kernels::BatchProgram program) {
+bool StepPricer::Prepare(const EnumeratedDistance& oracle,
+                         PricingCache* cache,
+                         const ir::IrAggregateExpression& current,
+                         const MappingState& state,
+                         kernels::BatchProgram program) {
+  oracle_ = &oracle;
+  cache_ = cache;
+  current_ = &current;
+  state_ = &state;
+  vf_ = oracle.val_func_->batch_kind();
   program_ = std::move(program);
   if (program_.kind != EvalResult::Kind::kVector ||
-      oracle_.base_kind_ != EvalResult::Kind::kVector ||
+      oracle_->base_kind_ != EvalResult::Kind::kVector ||
       (vf_ != kernels::ValFuncBatchKind::kL1 &&
        vf_ != kernels::ValFuncBatchKind::kL2 &&
        vf_ != kernels::ValFuncBatchKind::kDisagreement)) {
@@ -268,9 +371,10 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
 
   // Base slot -> current slot through the cumulative h, and each current
   // slot's ascending preimage.
-  if (!kernels::BuildGroupRemap(oracle_.base_kind_, oracle_.base_groups_.data(),
-                                oracle_.base_groups_.size(), program_,
-                                state_.cumulative(), &remap_)) {
+  if (!kernels::BuildGroupRemap(oracle_->base_kind_,
+                                oracle_->base_groups_.data(),
+                                oracle_->base_groups_.size(), program_,
+                                state_->cumulative(), &remap_)) {
     return false;
   }
 
@@ -293,7 +397,7 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
   for (size_t g = 0; g < G; ++g) row_begin_[g + 1] += row_begin_[g];
   std::sort(occurs_.begin(), occurs_.end());
   occurs_.erase(std::unique(occurs_.begin(), occurs_.end()), occurs_.end());
-  size_ = current_.Size();
+  size_ = current_->Size();
 
   // Group versions against the previous step's rows.
   if (cache_->identity_on_groups_ != remap_.identity()) {
@@ -303,24 +407,25 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
     cache_->identity_on_groups_ = remap_.identity();
   }
   versions_.resize(G);
-  std::unordered_map<AnnotationId, PricingCache::GroupState> next;
-  next.reserve(G);
+  const uint64_t step = ++cache_->step_;
   for (size_t g = 0; g < G; ++g) {
-    PricingCache::GroupState state;
-    GroupContent(current_, row_begin_[g], row_begin_[g + 1], &state.content);
-    auto it = cache_->groups_.find(groups[g]);
-    state.version = it != cache_->groups_.end() &&
-                            it->second.content == state.content
-                        ? it->second.version
-                        : ++cache_->next_version_;
+    GroupContent(*current_, row_begin_[g], row_begin_[g + 1],
+                 &cache_->content_);
+    auto [it, added] = cache_->groups_.try_emplace(groups[g]);
+    PricingCache::GroupState& state = it->second;
+    if (added || state.content != cache_->content_) {
+      state.content.assign(cache_->content_.begin(), cache_->content_.end());
+      state.version = ++cache_->next_version_;
+    }
+    state.seen = step;
     versions_[g] = state.version;
-    next.emplace(groups[g], std::move(state));
   }
-  cache_->groups_ = std::move(next);
+  std::erase_if(cache_->groups_,
+                [&](const auto& kv) { return kv.second.seen != step; });
 
   // The current state's masks, fold checkpoints, values and terms, per
   // chunk: the fold EvaluateBlock performs, paused at every checkpoint.
-  const std::vector<kernels::BlockEval>& base = oracle_.base_blocks_;
+  const std::vector<kernels::BlockEval>& base = oracle_->base_blocks_;
   const size_t C = base.size();
   const size_t state_bytes = R * C * sizeof(kernels::AggAccumulator);
   stride_ = std::max<size_t>(
@@ -336,19 +441,18 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
   terms_id_.resize(remap_.identity() ? total_lanes_ * G : 0);
   double counts[kLanes] = {};
   double cv[kLanes];
-  std::vector<kernels::AggAccumulator> acc;
   for (size_t c = 0; c < C; ++c) {
-    oracle_.TransformChunk(state_, c, &blocks_[c]);
+    oracle_->TransformChunk(*state_, c, &blocks_[c]);
     uint64_t* masks = masks_.data() + c * R;
     for (size_t i = 0; i < R; ++i) {
       masks[i] = kernels::AggRowMask(blocks_[c], rows[i]);
     }
-    acc.assign(G, kernels::AggAccumulator{});
+    acc_.assign(G, kernels::AggAccumulator{});
     for (size_t k = 0; k < num_checkpoints_; ++k) {
       const size_t i = k * stride_;
-      checkpoints_[c * num_checkpoints_ + k] = acc[rows[i].group];
+      checkpoints_[c * num_checkpoints_ + k] = acc_[rows[i].group];
       kernels::FoldAggRows(program_.fold, rows.data() + i, masks + i,
-                           std::min(stride_, R - i), acc.data());
+                           std::min(stride_, R - i), acc_.data());
     }
     for (size_t g = 0; g < G; ++g) {
       const size_t off = (c * G + g) * kLanes;
@@ -356,7 +460,7 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
                              remap_.src.data() + remap_.src_off[g],
                              remap_.src_off[g + 1] - remap_.src_off[g],
                              proj_.data() + off, counts);
-      kernels::FinishAgg(program_.agg, acc[g], cv);
+      kernels::FinishAgg(program_.agg, acc_[g], cv);
       for (size_t l = 0; l < kLanes; ++l) {
         terms_[off + l] = GroupTerm(vf_, proj_[off + l], cv[l]);
       }
@@ -371,97 +475,124 @@ bool StepPricer::Prepare(kernels::BatchProgram program) {
   return true;
 }
 
-bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
-                       PricingCache::Entry* entry,
+void StepPricer::FindDirty(std::span<const AnnotationId> roots,
+                           Scratch* sc) const {
+  // The rows the merge moves: every row with a root in its monomial or
+  // guard body. Their groups and the groups keyed by a root are the dirty
+  // slots; roots that are group keys fold their groups into t's.
+  const AnnotationId* groups = program_.groups;
+  const size_t G = num_groups_;
+  sc->moved.clear();
+  sc->key_slots.clear();
+  for (AnnotationId r : roots) {
+    auto it = std::lower_bound(occurs_.begin(), occurs_.end(),
+                               std::make_pair(r, uint32_t{0}));
+    for (; it != occurs_.end() && it->first == r; ++it) {
+      sc->moved.push_back(it->second);
+    }
+    const AnnotationId* k = std::lower_bound(groups, groups + G, r);
+    if (k != groups + G && *k == r) {
+      sc->key_slots.push_back(static_cast<uint32_t>(k - groups));
+    }
+  }
+  std::sort(sc->moved.begin(), sc->moved.end());
+  sc->moved.erase(std::unique(sc->moved.begin(), sc->moved.end()),
+                  sc->moved.end());
+  std::sort(sc->key_slots.begin(), sc->key_slots.end());
+  sc->dirty.assign(sc->key_slots.begin(), sc->key_slots.end());
+  for (uint32_t i : sc->moved) sc->dirty.push_back(program_.agg_rows[i].group);
+  std::sort(sc->dirty.begin(), sc->dirty.end());
+  sc->dirty.erase(std::unique(sc->dirty.begin(), sc->dirty.end()),
+                  sc->dirty.end());
+}
+
+void StepPricer::Size(const MergeQuery& m, PricingCache::Entry* entry) const {
+  Scratch& sc = LocalScratch();
+  FindDirty(m.roots, &sc);
+  // One unit per dirty slot the merge keeps, plus the merged group; one
+  // source per dirty slot.
+  entry->num_roots = static_cast<uint32_t>(m.roots.size());
+  entry->num_units = static_cast<uint32_t>(sc.dirty.size() -
+                                           sc.key_slots.size() +
+                                           (sc.key_slots.empty() ? 0 : 1));
+  entry->num_sources = static_cast<uint32_t>(sc.dirty.size());
+}
+
+bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
                        PriceCounts* counts) const {
-  thread_local Scratch sc;
-  const std::vector<AnnotationId>& roots = *m.roots;
+  Scratch& sc = LocalScratch();
+  const std::span<const AnnotationId> roots = m.roots;
   const AnnotationId t = m.scratch;
   const size_t G = num_groups_;
   const AnnotationId* groups = program_.groups;
   const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
   const size_t R = rows.size();
-  const std::vector<kernels::BlockEval>& base = oracle_.base_blocks_;
-
-  // The rows the merge moves: every row with a root in its monomial or
-  // guard body. Their groups and the groups keyed by a root are the dirty
-  // slots; roots that are group keys fold their groups into t's.
-  sc.moved.clear();
-  sc.key_slots.clear();
-  for (AnnotationId r : roots) {
-    auto it = std::lower_bound(occurs_.begin(), occurs_.end(),
-                               std::make_pair(r, uint32_t{0}));
-    for (; it != occurs_.end() && it->first == r; ++it) {
-      sc.moved.push_back(it->second);
-    }
-    const AnnotationId* k = std::lower_bound(groups, groups + G, r);
-    if (k != groups + G && *k == r) {
-      sc.key_slots.push_back(static_cast<uint32_t>(k - groups));
-    }
-  }
-  std::sort(sc.moved.begin(), sc.moved.end());
-  sc.moved.erase(std::unique(sc.moved.begin(), sc.moved.end()),
-                 sc.moved.end());
-  std::sort(sc.key_slots.begin(), sc.key_slots.end());
-  sc.dirty.assign(sc.key_slots.begin(), sc.key_slots.end());
-  for (uint32_t i : sc.moved) sc.dirty.push_back(rows[i].group);
-  std::sort(sc.dirty.begin(), sc.dirty.end());
-  sc.dirty.erase(std::unique(sc.dirty.begin(), sc.dirty.end()),
-                 sc.dirty.end());
+  const std::vector<kernels::BlockEval>& base = oracle_->base_blocks_;
+  FindDirty(roots, &sc);
   const bool identity = remap_.identity() && sc.key_slots.empty();
 
+  // The entry's ranges of the next generation, sized by Size().
+  PricingCache::Generation& gen = cache_->next_;
+  const PricingCache::Entry& entry = gen.entries[i];
+  PricingCache::Unit* const units = gen.units.data() + entry.units_off;
+  PricingCache::Source* const sources = gen.sources.data() + entry.src_off;
+  double* const terms = gen.terms.data() + entry.terms_off;
+  const size_t num_units = entry.num_units;
+
   // Units: one per dirty slot the merge keeps, then the merged group.
-  entry->units.clear();
-  entry->units.reserve(sc.dirty.size() + 1);
-  entry->sources.clear();
-  entry->sources.reserve(sc.dirty.size());
   sc.unit_of_slot.assign(G, -1);
   sc.slot_of_unit.clear();
+  size_t u_next = 0;
+  uint32_t src_next = 0;
   auto add_unit = [&](bool merged) {
-    PricingCache::Unit u;
+    PricingCache::Unit& u = units[u_next];
+    u = PricingCache::Unit{};
     u.merged = merged;
-    u.src_end = u.src_begin = static_cast<uint32_t>(entry->sources.size());
-    u.terms_off = static_cast<uint32_t>(entry->units.size() * total_lanes_);
-    entry->units.push_back(u);
-    return &entry->units.back();
+    u.src_end = u.src_begin = src_next;
+    u.terms_off = static_cast<uint32_t>(u_next * total_lanes_);
+    ++u_next;
+    return &u;
   };
   for (uint32_t g : sc.dirty) {
     if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(), g)) {
       continue;
     }
-    sc.unit_of_slot[g] = static_cast<int32_t>(entry->units.size());
+    sc.unit_of_slot[g] = static_cast<int32_t>(u_next);
     sc.slot_of_unit.push_back(g);
     PricingCache::Unit* u = add_unit(false);
-    entry->sources.emplace_back(groups[g], versions_[g]);
+    sources[src_next++] = {groups[g], versions_[g]};
     ++u->src_end;
   }
   const int32_t merged_unit =
-      sc.key_slots.empty() ? -1 : static_cast<int32_t>(entry->units.size());
+      sc.key_slots.empty() ? -1 : static_cast<int32_t>(u_next);
   if (merged_unit >= 0) {
     PricingCache::Unit* u = add_unit(true);
     for (uint32_t g : sc.key_slots) {
-      entry->sources.emplace_back(groups[g], versions_[g]);
+      sources[src_next++] = {groups[g], versions_[g]};
     }
-    u->src_end = static_cast<uint32_t>(entry->sources.size());
+    u->src_end = src_next;
   }
-  entry->terms.resize(entry->units.size() * total_lanes_);
+  assert(u_next == num_units && src_next == entry.num_sources);
 
   // Reuse the terms of units whose source groups are unchanged since the
   // step that computed them.
-  sc.fresh.assign(entry->units.size(), 1);
-  auto found = cache_->entries_.find(roots);
-  if (found != cache_->entries_.end()) {
-    const PricingCache::Entry& old = found->second;
-    for (size_t u = 0; u < entry->units.size(); ++u) {
-      PricingCache::Unit& unit = entry->units[u];
-      for (const PricingCache::Unit& o : old.units) {
+  sc.fresh.assign(num_units, 1);
+  if (const PricingCache::Entry* old = cache_->cached_.Find(roots)) {
+    const PricingCache::Generation& prev = cache_->cached_;
+    const PricingCache::Unit* old_units = prev.units.data() + old->units_off;
+    const PricingCache::Source* old_sources =
+        prev.sources.data() + old->src_off;
+    const double* old_terms = prev.terms.data() + old->terms_off;
+    for (size_t u = 0; u < num_units; ++u) {
+      PricingCache::Unit& unit = units[u];
+      for (size_t k = 0; k < old->num_units; ++k) {
+        const PricingCache::Unit& o = old_units[k];
         if (o.merged == unit.merged &&
             o.src_end - o.src_begin == unit.src_end - unit.src_begin &&
-            std::equal(old.sources.begin() + o.src_begin,
-                       old.sources.begin() + o.src_end,
-                       entry->sources.begin() + unit.src_begin)) {
-          std::copy_n(old.terms.begin() + o.terms_off, total_lanes_,
-                      entry->terms.begin() + unit.terms_off);
+            std::equal(old_sources + o.src_begin, old_sources + o.src_end,
+                       sources + unit.src_begin)) {
+          std::copy_n(old_terms + o.terms_off, total_lanes_,
+                      terms + unit.terms_off);
           unit.size = o.size;
           sc.fresh[u] = 0;
           ++counts->reused;
@@ -475,12 +606,12 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
   // rows it keeps, and resume the group's fold at the last checkpoint in
   // front of the first changed row.
   sc.t_masks.clear();
-  for (size_t u = 0; u < entry->units.size(); ++u) {
+  for (size_t u = 0; u < num_units; ++u) {
     if (!sc.fresh[u]) continue;
     if (sc.t_masks.empty()) {
       // t's truth on each lane is φ of the roots' (its members are the
       // union of theirs).
-      const PhiKind phi = state_.PhiFor(oracle_.registry_->domain(t));
+      const PhiKind phi = state_->PhiFor(oracle_->registry_->domain(t));
       for (size_t c = 0; c < base.size(); ++c) {
         uint64_t mask = phi == PhiKind::kOr ? 0 : ~uint64_t{0};
         for (AnnotationId r : roots) {
@@ -491,7 +622,7 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
         sc.t_masks.push_back(mask);
       }
     }
-    PricingCache::Unit& unit = entry->units[u];
+    PricingCache::Unit& unit = units[u];
     const bool merged = static_cast<int32_t>(u) == merged_unit;
     uint32_t begin = 0;
     uint32_t end = 0;
@@ -516,8 +647,10 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
           static_cast<const uint32_t*>(sc.moved.data()), moved_last, begin);
       moved_end = std::lower_bound(moved_begin, moved_last, end);
     }
-    current_.LowerMoved(moved_begin, static_cast<size_t>(moved_end - moved_begin),
-                        roots.data(), roots.size(), t, begin, end, &sc.lowered);
+    current_->LowerMoved(moved_begin,
+                         static_cast<size_t>(moved_end - moved_begin),
+                         roots.data(), roots.size(), t, begin, end,
+                         &sc.lowered);
     const std::vector<kernels::AggBatchRow>& lowered = sc.lowered.rows;
 
     // The fold resumes at checkpoint k (row k · stride_) when that row is
@@ -608,7 +741,7 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
         bv = identity ? base[c].values.data() + g * kLanes
                       : proj_.data() + (c * G + g) * kLanes;
       }
-      double* out = entry->terms.data() + unit.terms_off + c * kLanes;
+      double* out = terms + unit.terms_off + c * kLanes;
       for (size_t l = 0; l < kLanes; ++l) {
         out[l] = GroupTerm(vf_, bv[l], cv[l]);
       }
@@ -620,7 +753,7 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
   // Size: the dirty groups' rows are replaced by the units' rows.
   int64_t size = size_;
   for (uint32_t g : sc.dirty) size -= group_size_[g];
-  for (const PricingCache::Unit& u : entry->units) size += u.size;
+  for (size_t u = 0; u < num_units; ++u) size += units[u].size;
 
   // The candidate's groups in ascending order: the current keys the merge
   // keeps, with t's merged group in place. Each is a step group g (>= 0)
@@ -647,11 +780,11 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
     const size_t lane_off = c * kLanes;
     const double* step_terms =
         (identity ? terms_id_.data() : terms_.data()) + lane_off * G;
-    const double* unit_terms = entry->terms.data() + lane_off;
+    const double* unit_terms = terms + lane_off;
     double err[kLanes] = {};
     for (int32_t o : sc.order) {
       const double* tj = o >= 0 ? step_terms + o * kLanes
-                                : unit_terms + entry->units[~o].terms_off;
+                                : unit_terms + units[~o].terms_off;
       if (vf_ == kernels::ValFuncBatchKind::kDisagreement) {
         for (size_t l = 0; l < kLanes; ++l) {
           err[l] = err[l] != 0.0 || tj[l] != 0.0 ? 1.0 : 0.0;
@@ -664,11 +797,11 @@ bool StepPricer::Price(const MergeQuery& m, MergePrice* price,
     for (size_t l = 0; l < blocks_[c].width(); ++l) {
       const double e =
           vf_ == kernels::ValFuncBatchKind::kL2 ? std::sqrt(err[l]) : err[l];
-      partial += oracle_.valuations_[lane_off + l].weight() * e;
+      partial += oracle_->valuations_[lane_off + l].weight() * e;
     }
     total += partial;
   }
-  price->distance = (total / oracle_.total_weight_) / oracle_.max_error_;
+  price->distance = (total / oracle_->total_weight_) / oracle_->max_error_;
   price->size = size;
   return identity;
 }
@@ -682,29 +815,37 @@ void EnumeratedDistance::PriceMerges(const ProvenanceExpression& current,
   out->assign(merges.size(), MergePrice{});
   const ir::IrAggregateExpression* agg = current.AsAggregate();
   if (agg != nullptr && !valuations_.empty() && EnsureBaseBlocks()) {
-    StepPricer pricer(*agg, state, *this, cache);
-    if (pricer.Prepare(agg->LowerBatch())) {
+    if (cache->pricer_ == nullptr) {
+      cache->pricer_ = std::make_unique<StepPricer>();
+    }
+    StepPricer& pricer = *cache->pricer_;
+    if (pricer.Prepare(*this, cache, *agg, state, agg->LowerBatch())) {
       const DistanceMetrics& metrics = DistanceMetrics::Get();
-      std::vector<PricingCache::Entry> entries(merges.size());
+      const int64_t n = static_cast<int64_t>(merges.size());
+      // Size every entry, lay the generation out, then price in place.
+      cache->next_.entries.assign(merges.size(), PricingCache::Entry{});
+      exec::ParallelFor(pool, 0, n, 16, [&](int64_t idx) {
+        const size_t i = static_cast<size_t>(idx);
+        pricer.Size(merges[i], &cache->next_.entries[i]);
+      });
+      cache->Layout(merges, pricer.total_lanes());
       std::atomic<uint64_t> priced{0};
       std::atomic<uint64_t> reused{0};
       std::atomic<uint64_t> refolded{0};
-      exec::ParallelFor(
-          pool, 0, static_cast<int64_t>(merges.size()), 1, [&](int64_t idx) {
-            const size_t i = static_cast<size_t>(idx);
-            Timer timer;
-            PriceCounts counts;
-            CountPricedMerge(
-                pricer.Price(merges[i], &(*out)[i], &entries[i], &counts));
-            priced.fetch_add(counts.priced, std::memory_order_relaxed);
-            reused.fetch_add(counts.reused, std::memory_order_relaxed);
-            refolded.fetch_add(counts.refolded, std::memory_order_relaxed);
-            (*out)[i].nanos = timer.ElapsedNanos();
-          });
+      exec::ParallelFor(pool, 0, n, 1, [&](int64_t idx) {
+        const size_t i = static_cast<size_t>(idx);
+        Timer timer;
+        PriceCounts counts;
+        CountPricedMerge(pricer.Price(i, merges[i], &(*out)[i], &counts));
+        priced.fetch_add(counts.priced, std::memory_order_relaxed);
+        reused.fetch_add(counts.reused, std::memory_order_relaxed);
+        refolded.fetch_add(counts.refolded, std::memory_order_relaxed);
+        (*out)[i].nanos = timer.ElapsedNanos();
+      });
       metrics.groups_priced->Increment(priced.load());
       metrics.groups_reused->Increment(reused.load());
       metrics.rows_refolded->Increment(refolded.load());
-      metrics.cache_evictions->Increment(cache->Commit(merges, &entries));
+      metrics.cache_evictions->Increment(cache->Commit());
       return;
     }
   }
@@ -716,9 +857,11 @@ void EnumeratedDistance::PriceMerges(const ProvenanceExpression& current,
         Timer timer;
         const MergeQuery& m = merges[i];
         MappingState tentative = state;
-        tentative.Merge(*m.roots, m.scratch);
+        tentative.Merge(
+            std::vector<AnnotationId>(m.roots.begin(), m.roots.end()),
+            m.scratch);
         Homomorphism h;
-        for (AnnotationId root : *m.roots) h.Set(root, m.scratch);
+        for (AnnotationId root : m.roots) h.Set(root, m.scratch);
         const std::unique_ptr<ProvenanceExpression> cand = current.Apply(h);
         (*out)[i].distance = Distance(*cand, tentative);
         (*out)[i].size = cand->Size();

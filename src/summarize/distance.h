@@ -3,10 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/mapped_allocator.h"
 #include "exec/thread_pool.h"
 #include "kernels/batch_eval.h"
 #include "provenance/expression.h"
@@ -18,7 +21,7 @@ namespace prox {
 /// One candidate merge of a greedy step: the current annotations `roots`
 /// (sorted) merged into the step's scratch summary annotation `scratch`.
 struct MergeQuery {
-  const std::vector<AnnotationId>* roots = nullptr;
+  std::span<const AnnotationId> roots;
   AnnotationId scratch = kNoAnnotation;
 };
 
@@ -29,6 +32,8 @@ struct MergePrice {
   int64_t size = 0;
   int64_t nanos = 0;
 };
+
+class StepPricer;
 
 /// \brief Run-local state of step pricing (EnumeratedDistance::PriceMerges):
 /// each candidate's dirty-group VAL-FUNC terms, kept across the steps of
@@ -42,8 +47,16 @@ struct MergePrice {
 /// at most kMaxBytes of terms; a candidate whose entry does not fit is
 /// evicted (counted in `prox_summarize_pricing_cache_evictions_total`)
 /// and prices all of its dirty groups afresh at its next step.
+///
+/// Entries live in two generations of flat buffers (docs/KERNELS.md,
+/// *Across steps*): the step reads last step's generation and writes its
+/// own in place at offsets a sizing pre-pass fixed, then Commit swaps the
+/// two. Buffers are cleared, never freed, while the run lasts.
 class PricingCache {
  public:
+  PricingCache();
+  ~PricingCache();
+
   /// Byte cap on cached entries: 2.7x the 6 MiB peak of a 100-user,
   /// 12-movie MovieLens run at 32 steps (docs/KERNELS.md).
   static constexpr size_t kMaxBytes = size_t{16} << 20;
@@ -58,7 +71,7 @@ class PricingCache {
   /// The terms of one dirty group of a candidate: a group the merge left
   /// in place, or (`merged`) the group the merge's group-key roots fold
   /// into. `sources` are the current group keys it was computed from,
-  /// with their versions.
+  /// with their versions. Offsets are relative to the entry's.
   struct Unit {
     bool merged = false;
     uint32_t src_begin = 0;
@@ -66,30 +79,80 @@ class PricingCache {
     int64_t size = 0;        ///< size of the group's rows after the merge
     uint32_t terms_off = 0;  ///< chunk-major, kMaxLanes lanes per chunk
   };
+  /// One candidate's entry: its ranges of the generation's flat buffers.
+  /// Its terms are num_units whole term arrays at terms_off.
   struct Entry {
-    std::vector<Unit> units;
-    std::vector<std::pair<AnnotationId, uint64_t>> sources;
-    std::vector<double> terms;
+    uint32_t roots_off = 0;
+    uint32_t num_roots = 0;
+    uint32_t units_off = 0;
+    uint32_t num_units = 0;
+    uint32_t src_off = 0;
+    uint32_t num_sources = 0;
+    size_t terms_off = 0;
+  };
+  using Source = std::pair<AnnotationId, uint64_t>;
+  /// What the byte cap charges an entry beyond its arrays: a fixed header
+  /// (three vector headers), so the cap and the peak gauge do not depend
+  /// on how entries are laid out.
+  static constexpr size_t kEntryHeaderBytes = 3 * sizeof(std::vector<double>);
 
-    size_t bytes() const;
+  /// A generation's array. A run frees its generations when it ends; their
+  /// largest arrays (the terms: 235 KB per generation on the perfbench
+  /// shape) are mapped directly, so freeing them leaves malloc's
+  /// thresholds, and a server's resident set, where they were
+  /// (common/mapped_allocator.h).
+  template <typename T>
+  using Buffer = std::vector<T, MappedAllocator<T>>;
+
+  /// One step's entries, one per merge in candidate order, and the index
+  /// of those the byte cap kept.
+  struct Generation {
+    Buffer<Entry> entries;
+    Buffer<AnnotationId> roots;
+    Buffer<Unit> units;
+    Buffer<Source> sources;
+    Buffer<double> terms;
+    /// Open addressing with linear probing over the kept entries, keyed
+    /// by the FNV-1a hash of their roots: entry index + 1, 0 when empty.
+    Buffer<uint32_t> table;
+
+    std::span<const AnnotationId> RootsOf(const Entry& e) const {
+      return {roots.data() + e.roots_off, e.num_roots};
+    }
+
+    /// The slot of the entry with roots `key`, or the empty slot where
+    /// it would go.
+    size_t Slot(std::span<const AnnotationId> key) const;
+    /// The kept entry with these roots, or null.
+    const Entry* Find(std::span<const AnnotationId> key) const;
+    /// Indexes entry `i`; false when an entry with its roots is indexed.
+    bool Insert(uint32_t i);
+    void Clear();
   };
-  struct RootsHash {
-    size_t operator()(const std::vector<AnnotationId>& roots) const;
-  };
-  /// A group of the last priced step: its version and row content.
+  /// A group of the last priced step: its version, its row content and
+  /// the step that last saw it.
   struct GroupState {
     uint64_t version = 0;
+    uint64_t seen = 0;
     std::vector<uint64_t> content;
   };
 
-  /// Replaces the entries with this step's, in candidate order, until
-  /// the byte cap; returns the number evicted.
-  uint64_t Commit(const std::vector<MergeQuery>& merges,
-                  std::vector<Entry>* entries);
+  /// Lays out `next_` for entries of the sizes the pre-pass wrote into
+  /// next_.entries (num_roots, num_units, num_sources), copying each
+  /// merge's roots in, with each term array `lanes` long.
+  void Layout(const std::vector<MergeQuery>& merges, size_t lanes);
+  /// Indexes this step's entries in candidate order until the byte cap,
+  /// makes them the cached generation and returns the number evicted.
+  uint64_t Commit();
   void Clear();
 
-  std::unordered_map<std::vector<AnnotationId>, Entry, RootsHash> entries_;
+  std::unique_ptr<StepPricer> pricer_;  // the run's step arrays
+  Generation cached_;  // last step's entries, read by this step
+  Generation next_;    // this step's entries, written in place
   std::unordered_map<AnnotationId, GroupState> groups_;
+  std::vector<uint64_t> content_;  // scratch row content of one group
+  size_t lanes_ = 0;               // length of one unit's term array
+  uint64_t step_ = 0;
   uint64_t next_version_ = 0;
   bool identity_on_groups_ = true;
   size_t bytes_ = 0;

@@ -50,10 +50,11 @@ void MappingState::Replay(
   }
 }
 
-std::vector<AnnotationId> MappingState::Members(AnnotationId root) const {
+std::span<const AnnotationId> MappingState::Members(
+    const AnnotationId& root) const {
   auto it = members_.find(root);
   if (it != members_.end()) return it->second;
-  return {root};
+  return {&root, 1};
 }
 
 namespace {

@@ -2,6 +2,7 @@
 #define PROX_SUMMARIZE_MAPPING_STATE_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,8 +65,10 @@ class MappingState {
   /// The cumulative h.
   const Homomorphism& cumulative() const { return hom_; }
 
-  /// Original annotations mapped to `root` (the root itself when unmapped).
-  std::vector<AnnotationId> Members(AnnotationId root) const;
+  /// Original annotations mapped to `root`, sorted: the stored members of
+  /// a summary annotation, else the one-element span over `root` itself
+  /// (so the span lives as long as the argument). No copy is made.
+  std::span<const AnnotationId> Members(const AnnotationId& root) const;
 
   /// Number of merges performed.
   int num_merges() const { return num_merges_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "exec/thread_pool.h"
 #include "ir/adopt.h"
@@ -135,7 +134,7 @@ int Summarizer::GroupEquivalent(
   return merges;
 }
 
-size_t Summarizer::PickBest(const std::vector<Candidate>& candidates,
+size_t Summarizer::PickBest(const CandidateSet& candidates,
                             std::vector<ScoredCandidate>* scored) const {
   if (options_.use_ordinal_ranks) {
     // Convert distance and size into ordinal ranks among the step's
@@ -257,15 +256,19 @@ Result<SummaryOutcome> Summarizer::Run() {
   // One pool resolution per run. threads = 1 keeps pool() null, which makes
   // every ParallelFor below the plain serial loop.
   exec::PoolRef pool(options_.threads);
-  // Dirty-group terms carried across this run's steps.
+  // Dirty-group terms carried across this run's steps, and the step's
+  // working vectors, reused from step to step.
   PricingCache pricing_cache;
+  CandidateSet candidates;
+  std::vector<MergeQuery> merges;
+  std::vector<MergePrice> prices;
+  std::vector<ScoredCandidate> scored;
 
   int step = 0;
   while (step < options_.max_steps && current->Size() > options_.target_size &&
          dist < options_.target_dist) {
     obs::TraceSpan step_span("summarize.step");
-    std::vector<Candidate> candidates =
-        generator.Generate(*current, state, options_.candidates);
+    generator.Generate(*current, state, options_.candidates, &candidates);
     if (candidates.empty()) {
       // Not a step: nothing merged, so no span is recorded either.
       step_span.Cancel();
@@ -278,12 +281,15 @@ Result<SummaryOutcome> Summarizer::Run() {
     // candidates of one domain are priced against each other's merge.
     // Registering them all *before* scoring keeps the registry read-only
     // while workers price candidates (annotation.h documents that
-    // contract); the map itself is only read (.at) from here on.
-    std::map<DomainId, AnnotationId> scratch;
-    for (const Candidate& c : candidates) {
-      if (scratch.count(c.domain) == 0) {
-        scratch[c.domain] = registry_->AddSummary(c.domain, "~scratch");
-      }
+    // contract). Candidates come in domain order, one run per domain.
+    merges.resize(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const DomainId domain = candidates[i].domain;
+      const AnnotationId scratch =
+          i > 0 && candidates[i - 1].domain == domain
+              ? merges[i - 1].scratch
+              : registry_->AddSummary(domain, "~scratch");
+      merges[i] = {candidates.roots(candidates[i]), scratch};
     }
 
     // Step pricing (docs/KERNELS.md): the oracle prices every merge
@@ -293,14 +299,9 @@ Result<SummaryOutcome> Summarizer::Run() {
     // tie-breaks of the serial loop. This aggregate span stands in for
     // per-candidate spans.
     obs::TraceSpan eval_span("summarize.candidate_eval");
-    std::vector<MergeQuery> merges(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      merges[i] = {&candidates[i].roots, scratch.at(candidates[i].domain)};
-    }
-    std::vector<MergePrice> prices;
     oracle_->PriceMerges(*current, state, merges, pool.pool(), &pricing_cache,
                          &prices);
-    std::vector<ScoredCandidate> scored(candidates.size());
+    scored.resize(candidates.size());
     int64_t serial_estimate_nanos = 0;
     for (size_t i = 0; i < candidates.size(); ++i) {
       ScoredCandidate& sc = scored[i];
@@ -327,6 +328,8 @@ Result<SummaryOutcome> Summarizer::Run() {
 
     size_t best = PickBest(candidates, &scored);
     const Candidate& winner = candidates[scored[best].index];
+    const std::span<const AnnotationId> winner_roots =
+        candidates.roots(winner);
 
     // Commit the winning merge under its real (semantically derived) name.
     AnnotationId summary =
@@ -335,9 +338,11 @@ Result<SummaryOutcome> Summarizer::Run() {
     prev_state = state;
     prev_dist = dist;
 
-    state.Merge(winner.roots, summary);
+    StepRecord record;
+    record.merged_roots.assign(winner_roots.begin(), winner_roots.end());
+    state.Merge(record.merged_roots, summary);
     Homomorphism commit_hom;
-    for (AnnotationId root : winner.roots) commit_hom.Set(root, summary);
+    for (AnnotationId root : winner_roots) commit_hom.Set(root, summary);
     current = prev_expr->Apply(commit_hom);
     // The winner's priced distance is Distance on the committed expression,
     // bit for bit: the scratch and the summary id both sort after every
@@ -346,9 +351,7 @@ Result<SummaryOutcome> Summarizer::Run() {
     dist = prices[scored[best].index].distance;
     ++step;
 
-    StepRecord record;
     record.step = step;
-    record.merged_roots = winner.roots;
     record.summary = summary;
     record.summary_name = registry_->name(summary);
     record.distance = dist;

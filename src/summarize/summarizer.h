@@ -165,7 +165,7 @@ class Summarizer {
 
   /// Picks the winning candidate of a step (normalized or ordinal scoring
   /// + tie-breaking). `scored` must be non-empty.
-  size_t PickBest(const std::vector<Candidate>& candidates,
+  size_t PickBest(const CandidateSet& candidates,
                   std::vector<ScoredCandidate>* scored) const;
 
   const ProvenanceExpression* p0_;

@@ -22,7 +22,8 @@ TEST(WikipediaCandidatesTest, PageCandidatesCarryLcaNamesAndDistances) {
   Dataset ds = WikipediaGenerator::Generate(config);
   CandidateGenerator gen(&ds.constraints, &ds.ctx);
   MappingState state(ds.registry.get(), ds.phi);
-  auto candidates = gen.Generate(*ds.provenance, state, CandidateOptions{});
+  CandidateSet candidates;
+  gen.Generate(*ds.provenance, state, CandidateOptions{}, &candidates);
   ASSERT_FALSE(candidates.empty());
 
   bool any_page_candidate = false;

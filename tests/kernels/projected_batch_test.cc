@@ -118,8 +118,8 @@ TEST_P(ProjectedBatchTest, EveryCandidateMatchesTheScalarReferenceBitForBit) {
           ->Apply(state.cumulative());
   ds.constraints.SetRule(movie, std::make_unique<AnyMergeRule>("movies"));
   CandidateGenerator generator(&ds.constraints, &ds.ctx);
-  const std::vector<Candidate> candidates =
-      generator.Generate(*current, state, CandidateOptions{});
+  CandidateSet candidates;
+  generator.Generate(*current, state, CandidateOptions{}, &candidates);
 
   std::map<DomainId, AnnotationId> scratch;
   std::vector<Priced> step;
@@ -129,10 +129,11 @@ TEST_P(ProjectedBatchTest, EveryCandidateMatchesTheScalarReferenceBitForBit) {
       scratch[cand.domain] = ds.registry->AddSummary(cand.domain, "~scratch");
     }
     const AnnotationId tmp = scratch.at(cand.domain);
+    const std::span<const AnnotationId> roots = candidates.roots(cand);
     MappingState tentative = state;
-    tentative.Merge(cand.roots, tmp);
+    tentative.Merge({roots.begin(), roots.end()}, tmp);
     Homomorphism h;
-    for (AnnotationId root : cand.roots) h.Set(root, tmp);
+    for (AnnotationId root : roots) h.Set(root, tmp);
     step.push_back({std::move(tentative), current->Apply(h)});
     if (cand.domain == movie) ++movie_merges;
   }

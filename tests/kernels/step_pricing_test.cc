@@ -142,13 +142,13 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
       ir::Adopt(*ds.provenance, std::make_shared<ir::TermPool>());
   exec::PoolRef pool(threads);
   PricingCache cache;
+  CandidateSet candidates;
   const double reused_before =
       CounterValue("prox_summarize_groups_reused_total");
 
   for (int step = 0; step < walk.steps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
-    const std::vector<Candidate> candidates =
-        generator.Generate(*current, state, candidate_options);
+    generator.Generate(*current, state, candidate_options, &candidates);
     if (candidates.empty()) break;
     std::map<DomainId, AnnotationId> scratch;
     std::vector<MergeQuery> merges;
@@ -156,7 +156,7 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
       if (scratch.count(cand.domain) == 0) {
         scratch[cand.domain] = ds.registry->AddSummary(cand.domain, "~scratch");
       }
-      merges.push_back({&cand.roots, scratch.at(cand.domain)});
+      merges.push_back({candidates.roots(cand), scratch.at(cand.domain)});
     }
 
     const uint64_t fallbacks_before = kernels::ScalarFallbacksForTesting();
@@ -175,10 +175,12 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
 
     size_t best = 0;
     for (size_t i = 0; i < candidates.size(); ++i) {
+      const std::vector<AnnotationId> roots(merges[i].roots.begin(),
+                                            merges[i].roots.end());
       MappingState tentative = state;
-      tentative.Merge(candidates[i].roots, merges[i].scratch);
+      tentative.Merge(roots, merges[i].scratch);
       Homomorphism h;
-      for (AnnotationId root : candidates[i].roots) {
+      for (AnnotationId root : roots) {
         h.Set(root, merges[i].scratch);
       }
       const std::unique_ptr<ProvenanceExpression> expr = current->Apply(h);
@@ -200,9 +202,11 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
     const Candidate& winner = candidates[best];
     const AnnotationId summary =
         ds.registry->AddSummary(winner.domain, "winner");
-    state.Merge(winner.roots, summary);
+    const std::vector<AnnotationId> winner_roots(merges[best].roots.begin(),
+                                                 merges[best].roots.end());
+    state.Merge(winner_roots, summary);
     Homomorphism commit;
-    for (AnnotationId root : winner.roots) commit.Set(root, summary);
+    for (AnnotationId root : winner_roots) commit.Set(root, summary);
     current = current->Apply(commit);
     // Summarizer::Run records the step at the winner's priced distance.
     EXPECT_EQ(DoubleBits(oracle.Distance(*current, state)),
@@ -398,7 +402,7 @@ TEST(StepPricingRowsTest, FoldResumesAtTheFirstChangedRow) {
   std::vector<MergePrice> prices;
   const double refolded = CounterValue("prox_summarize_rows_refolded_total");
   const double priced = CounterValue("prox_summarize_groups_priced_total");
-  oracle.PriceMerges(*fx.p0, state, {{&roots, scratch}}, nullptr, &cache,
+  oracle.PriceMerges(*fx.p0, state, {{roots, scratch}}, nullptr, &cache,
                      &prices);
   EXPECT_EQ(CounterValue("prox_summarize_groups_priced_total") - priced, 2.0);
   EXPECT_EQ(CounterValue("prox_summarize_rows_refolded_total") - refolded,

@@ -145,9 +145,9 @@ TEST(InstrumentationTest, GroupKeyMergeCandidatesAreBatched) {
   h.fx.constraints.SetRule(h.fx.movie_domain,
                            std::make_unique<AnyMergeRule>("movies"));
   CandidateGenerator generator(&h.fx.constraints, &h.fx.ctx);
-  const std::vector<Candidate> candidates = generator.Generate(
-      *h.fx.p0, MappingState(&h.fx.registry, PhiConfig{}),
-      CandidateOptions{});
+  CandidateSet candidates;
+  generator.Generate(*h.fx.p0, MappingState(&h.fx.registry, PhiConfig{}),
+                     CandidateOptions{}, &candidates);
   ASSERT_TRUE(std::any_of(candidates.begin(), candidates.end(),
                           [&](const Candidate& c) {
                             return c.domain == h.fx.movie_domain;

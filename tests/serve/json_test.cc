@@ -1,7 +1,14 @@
 #include "common/json.h"
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +84,69 @@ TEST(JsonTest, DoublesRoundTripShortest) {
     EXPECT_DOUBLE_EQ(parsed.double_value(), value) << text;
   }
   EXPECT_EQ(ShortestDouble(1.5), "1.5");
+}
+
+/// ShortestDouble's search from precision 1: the first `%.*g` rendering
+/// that parses back to the same bits.
+std::string ShortestDoubleFromPrecisionOne(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[40];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+TEST(JsonTest, ShortestDoubleMatchesTheSearchFromPrecisionOne) {
+  std::vector<double> corpus = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::epsilon(),
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  // Powers of two and their neighbours, over the whole exponent range.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    corpus.push_back(p);
+    corpus.push_back(std::nextafter(p, 0.0));
+    corpus.push_back(std::nextafter(p, INFINITY));
+  }
+  // Short decimals and their neighbours: 0.1, 0.25, 1.7e-5, ...
+  for (int mantissa = 1; mantissa <= 999; mantissa += 7) {
+    for (int e = -30; e <= 30; e += 3) {
+      const double d = mantissa * std::pow(10.0, e);
+      corpus.push_back(d);
+      corpus.push_back(-d);
+      corpus.push_back(std::nextafter(d, 0.0));
+      corpus.push_back(std::nextafter(d, INFINITY));
+    }
+  }
+  std::mt19937_64 rng(20161);
+  for (int i = 0; i < 20000; ++i) {
+    // Random bit patterns (all exponents, subnormals included) and random
+    // subnormals.
+    corpus.push_back(FromBits(rng()));
+    corpus.push_back(FromBits(rng() & ((uint64_t{1} << 52) - 1)));
+    // Distances in [0, 1], as the summarize bodies carry them.
+    corpus.push_back(std::uniform_real_distribution<double>(0.0, 1.0)(rng));
+  }
+  for (double value : corpus) {
+    EXPECT_EQ(ShortestDouble(value), ShortestDoubleFromPrecisionOne(value))
+        << std::hexfloat << value;
+  }
 }
 
 TEST(JsonTest, MalformedInputsReturnErrorsNotCrashes) {
