@@ -14,7 +14,9 @@
 # blocks and call_once base packing on exec workers; step-pricing workers
 # read the step's shared blocks, row masks, fold checkpoints, terms and
 # cross-step cache,
-# docs/KERNELS.md), the
+# docs/KERNELS.md), the bounded-step suite (round-2 folds on exec workers
+# read the shape pass's blocks and write their own entries, at threads
+# {1,8}), the
 # snapshot-serving suite (docs/STORE.md), and the epoll transport loopback
 # suite (event-loop shards + handler pool + frozen wire goldens,
 # docs/NET.md) — under TSan.

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <optional>
 #include <utility>
 
-#include "common/timer.h"
 #include "exec/thread_pool.h"
 #include "ir/agg_expr.h"
 #include "kernels/metrics.h"
@@ -121,15 +119,12 @@ void GroupContent(const ir::IrAggregateExpression& expr, size_t begin,
   }
 }
 
-/// Resizes `v` to `n` elements the caller overwrites: the old contents are
-/// dropped, and a buffer that must grow grows to exactly `n`, not
-/// geometrically, so a generation holds what its largest step needed.
+/// Grows `v` to `n` elements, keeping its contents: a buffer that must grow
+/// grows to exactly `n`, not geometrically, so a generation holds what its
+/// largest step needed.
 template <typename Vector>
-void ResizeExactly(Vector* v, size_t n) {
-  if (n > v->capacity()) {
-    Vector().swap(*v);
-    v->reserve(n);
-  }
+void GrowExactly(Vector* v, size_t n) {
+  if (n > v->capacity()) v->reserve(n);
   v->resize(n);
 }
 
@@ -179,31 +174,6 @@ void PricingCache::Generation::Clear() {
   table.clear();
 }
 
-void PricingCache::Layout(const std::vector<MergeQuery>& merges,
-                          size_t lanes) {
-  lanes_ = lanes;
-  size_t roots = 0;
-  size_t units = 0;
-  size_t sources = 0;
-  for (Entry& e : next_.entries) {
-    e.roots_off = static_cast<uint32_t>(roots);
-    e.units_off = static_cast<uint32_t>(units);
-    e.src_off = static_cast<uint32_t>(sources);
-    e.terms_off = units * lanes;
-    roots += e.num_roots;
-    units += e.num_units;
-    sources += e.num_sources;
-  }
-  ResizeExactly(&next_.roots, roots);
-  for (size_t i = 0; i < merges.size(); ++i) {
-    std::copy(merges[i].roots.begin(), merges[i].roots.end(),
-              next_.roots.begin() + next_.entries[i].roots_off);
-  }
-  ResizeExactly(&next_.units, units);
-  ResizeExactly(&next_.sources, sources);
-  ResizeExactly(&next_.terms, units * lanes);
-}
-
 uint64_t PricingCache::Commit() {
   // A power of two at least twice the entry count keeps probes short.
   size_t slots = 16;
@@ -248,12 +218,17 @@ struct PriceCounts {
 };
 
 /// \brief One step of dirty-group pricing over an aggregate expression
-/// (EnumeratedDistance::PriceMerges). Prepare() runs once per step on the
-/// calling thread; Size() and Price() are const and run on exec workers.
+/// (EnumeratedDistance::ShapeMerges and FoldMerges). Prepare() runs once
+/// per step on the calling thread; Shape() and Fold() run on exec workers.
 /// A run's PricingCache keeps one pricer, so the step arrays below keep
 /// their capacity from step to step.
 class StepPricer {
  public:
+  /// Merges per shape task when the step fans out: the shape pass gives
+  /// each exec task one block of merges, whose shapes go to that block's
+  /// flat buffers. A serial step shapes every merge into one block.
+  static constexpr size_t kShapeBlock = 8;
+
   /// Lowers and evaluates `current` (= h(p₀) for `state`) under the step's
   /// chunks, keeping every row's lane mask, the fold checkpoints and every
   /// group's terms. False when a side is not a vector result, the VAL-FUNC
@@ -264,29 +239,43 @@ class StepPricer {
                const ir::IrAggregateExpression& current,
                const MappingState& state, kernels::BatchProgram program);
 
-  /// Sizing pre-pass: writes the numbers of roots, units and sources of
-  /// merge `m`'s entry into `entry`.
-  void Size(const MergeQuery& m, PricingCache::Entry* entry) const;
+  /// Sizes the shape buffers for `merges`, which must outlive the step,
+  /// in blocks of `block_size` merges.
+  void BeginShapes(const std::vector<MergeQuery>& merges, size_t block_size);
+  size_t num_blocks() const {
+    return (merges_->size() + block_size_ - 1) / block_size_;
+  }
 
-  /// Prices merge `i` into its entry of the cache's next generation, laid
-  /// out by PricingCache::Layout from the Size() pass; returns true when
-  /// its group remap is the identity.
-  bool Price(size_t i, const MergeQuery& m, MergePrice* price,
-             PriceCounts* counts) const;
+  /// Shape pass over block `b`: fixes each of its merges' units, cache
+  /// reuse and candidate size, and lowers the rows its fresh units move.
+  void Shape(size_t b);
 
-  /// Lanes of one term array: every chunk's kLanes.
-  size_t total_lanes() const { return total_lanes_; }
+  /// Merge `i`'s candidate size.
+  int64_t size(size_t i) const { return shapes_[i].size; }
+
+  /// Appends entries for merges `which` to the cache's next generation,
+  /// sized from their shapes, copies their roots in and grows the
+  /// generation's buffers to hold them; returns the index of the first.
+  size_t LayOut(std::span<const uint32_t> which);
+
+  /// Fold pass for merge `i`: writes its units, sources and terms into
+  /// entry `e` of the cache's next generation, laid out by LayOut, and its
+  /// distance into `*distance`; returns true when its group remap is the
+  /// identity.
+  bool Fold(size_t i, size_t e, double* distance, PriceCounts* counts) const;
 
  private:
-  /// Per-thread scratch of Size() and Price().
+  template <typename T>
+  using Buffer = PricingCache::Buffer<T>;
+
+  /// Per-thread scratch of Shape() and Fold().
   struct Scratch {
     std::vector<uint32_t> moved;      // rows with a root in a factor
     std::vector<uint32_t> dirty;      // dirty current slots, ascending
     std::vector<uint32_t> key_slots;  // slots whose key is a root
-    std::vector<int32_t> unit_of_slot;   // current slot -> unit, or -1
-    std::vector<uint32_t> slot_of_unit;  // kept slot of a non-merged unit
-    std::vector<uint8_t> fresh;          // unit needs evaluation
-    std::vector<uint32_t> merged_rows;   // rows of the root-keyed groups
+    std::vector<PricingCache::Source> sources;  // one merge's unit sources
+    std::vector<int32_t> unit_of_slot;  // current slot -> unit, or -1
+    std::vector<uint32_t> merged_rows;  // rows of the root-keyed groups
     std::vector<uint32_t> merged_sources;  // base slots of the merged group
     std::vector<uint64_t> t_masks;         // t's lane bytes per chunk
     ir::MovedRows lowered;
@@ -301,6 +290,61 @@ class StepPricer {
   };
   static constexpr uint32_t kLowered = UINT32_MAX;
 
+  /// One unit of a merge as the shape pass fixed it. The units are one per
+  /// dirty slot the merge keeps, ascending, then the merged group; unit u
+  /// of the first kind has source u, the merged unit one source per key
+  /// slot. Ranges index the merge's block buffers.
+  struct ShapeUnit {
+    int64_t size = 0;    // size of the group's rows after the merge
+    int64_t reuse = -1;  // its terms in the cached generation, or -1
+    uint32_t slot = 0;   // the current slot of a kept group
+    // A fresh unit's fold resumes at row `start` from checkpoint
+    // `checkpoint` (-1: a zero state), over the group's kept rows from
+    // `start` on minus `moved`, spliced with `lowered`.
+    uint32_t start = 0;
+    int32_t checkpoint = -1;
+    uint32_t moved_off = 0;
+    uint32_t moved_end = 0;
+    uint32_t lowered_off = 0;
+    uint32_t lowered_end = 0;
+  };
+  /// A lowered row as a block keeps it: the kernels' row with its factor
+  /// spans as offsets into the block's arena, and the source row it folds
+  /// in front of.
+  struct LoweredRow {
+    uint32_t mono_off = 0;
+    uint32_t mono_len = 0;
+    uint32_t guard_off = 0;
+    uint32_t guard_len = 0;
+    uint32_t before = 0;
+    uint8_t has_guard = 0;
+    uint8_t guard_if_true = 0;
+    uint8_t guard_if_false = 0;
+    double contribution = 0.0;
+    double count_add = 0.0;
+  };
+  /// One merge's ranges of its block's buffers.
+  struct MergeShape {
+    uint32_t units_off = 0;
+    uint32_t num_units = 0;
+    uint32_t keys_off = 0;
+    uint32_t num_keys = 0;
+    int64_t size = 0;
+    bool identity = false;
+
+    uint32_t num_sources() const {
+      return num_units - (num_keys > 0 ? 1 : 0) + num_keys;
+    }
+  };
+  /// The shapes of a block of consecutive merges.
+  struct ShapeBlock {
+    Buffer<ShapeUnit> units;
+    Buffer<uint32_t> keys;
+    Buffer<uint32_t> moved;
+    Buffer<LoweredRow> lowered;
+    Buffer<AnnotationId> arena;  // the lowered rows' factors
+  };
+
   /// The calling thread's scratch.
   static Scratch& LocalScratch() {
     thread_local Scratch sc;
@@ -312,11 +356,24 @@ class StepPricer {
   /// slots), each ascending.
   void FindDirty(std::span<const AnnotationId> roots, Scratch* sc) const;
 
-  // The step's inputs, set by Prepare().
+  /// Points `su` at the terms of the unit of `old` with the same kind and
+  /// sources [src, src_end), if `old` has one.
+  void FindReuse(const PricingCache::Entry* old, bool merged,
+                 const PricingCache::Source* src,
+                 const PricingCache::Source* src_end, ShapeUnit* su) const;
+
+  /// Lowers the rows that merge `m` moves among `rows` into `blk`, sets the
+  /// unit's lowered range and returns the lowered rows' size.
+  int64_t AppendLowered(const MergeQuery& m, const uint32_t* rows,
+                        size_t num_rows, uint32_t begin, uint32_t end,
+                        Scratch* sc, ShapeBlock* blk, ShapeUnit* su) const;
+
+  // The step's inputs, set by Prepare() and BeginShapes().
   const EnumeratedDistance* oracle_ = nullptr;
   PricingCache* cache_ = nullptr;
   const ir::IrAggregateExpression* current_ = nullptr;
   const MappingState* state_ = nullptr;
+  const std::vector<MergeQuery>* merges_ = nullptr;
   kernels::ValFuncBatchKind vf_ = kernels::ValFuncBatchKind::kNone;
 
   kernels::BatchProgram program_;
@@ -332,17 +389,22 @@ class StepPricer {
   // Per chunk c: row i's lane mask at masks_[c · R + i], and the fold
   // state of row k · stride_'s group in front of that row at
   // checkpoints_[c · num_checkpoints_ + k].
-  std::vector<uint64_t> masks_;
+  Buffer<uint64_t> masks_;
   size_t stride_ = 1;
   size_t num_checkpoints_ = 0;
-  std::vector<kernels::AggAccumulator> checkpoints_;
+  Buffer<kernels::AggAccumulator> checkpoints_;
   std::vector<kernels::AggAccumulator> acc_;  // one chunk's fold, per group
   // Chunk-major term arrays: chunk c's lanes start at c · kLanes · G in
   // the step arrays below and at c · kLanes within a cached unit.
   size_t total_lanes_ = 0;
-  std::vector<double> proj_;      // base projected into current slots
-  std::vector<double> terms_;     // terms against proj_
-  std::vector<double> terms_id_;  // against the raw base (identity remap)
+  Buffer<double> proj_;      // base projected into current slots
+  Buffer<double> terms_;     // terms against proj_
+  Buffer<double> terms_id_;  // against the raw base (identity remap)
+  // The shape pass's output: one shape per merge, one block per
+  // block_size_ merges.
+  size_t block_size_ = 1;
+  std::vector<MergeShape> shapes_;
+  std::vector<ShapeBlock> shape_blocks_;
 };
 
 bool StepPricer::Prepare(const EnumeratedDistance& oracle,
@@ -506,21 +568,198 @@ void StepPricer::FindDirty(std::span<const AnnotationId> roots,
                   sc->dirty.end());
 }
 
-void StepPricer::Size(const MergeQuery& m, PricingCache::Entry* entry) const {
-  Scratch& sc = LocalScratch();
-  FindDirty(m.roots, &sc);
-  // One unit per dirty slot the merge keeps, plus the merged group; one
-  // source per dirty slot.
-  entry->num_roots = static_cast<uint32_t>(m.roots.size());
-  entry->num_units = static_cast<uint32_t>(sc.dirty.size() -
-                                           sc.key_slots.size() +
-                                           (sc.key_slots.empty() ? 0 : 1));
-  entry->num_sources = static_cast<uint32_t>(sc.dirty.size());
+void StepPricer::BeginShapes(const std::vector<MergeQuery>& merges,
+                             size_t block_size) {
+  merges_ = &merges;
+  block_size_ = std::max<size_t>(1, block_size);
+  shapes_.resize(merges.size());
+  if (shape_blocks_.size() < num_blocks()) shape_blocks_.resize(num_blocks());
 }
 
-bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
-                       PriceCounts* counts) const {
+void StepPricer::FindReuse(const PricingCache::Entry* old, bool merged,
+                           const PricingCache::Source* src,
+                           const PricingCache::Source* src_end,
+                           ShapeUnit* su) const {
+  if (old == nullptr) return;
+  // Reuse the terms of a unit whose source groups are unchanged since the
+  // step that computed them.
+  const PricingCache::Generation& prev = cache_->cached_;
+  const PricingCache::Unit* old_units = prev.units.data() + old->units_off;
+  const PricingCache::Source* old_sources = prev.sources.data() + old->src_off;
+  for (size_t k = 0; k < old->num_units; ++k) {
+    const PricingCache::Unit& o = old_units[k];
+    if (o.merged == merged &&
+        std::equal(old_sources + o.src_begin, old_sources + o.src_end, src,
+                   src_end)) {
+      su->reuse = static_cast<int64_t>(old->terms_off + o.terms_off);
+      su->size = o.size;
+      return;
+    }
+  }
+}
+
+int64_t StepPricer::AppendLowered(const MergeQuery& m, const uint32_t* rows,
+                                  size_t num_rows, uint32_t begin,
+                                  uint32_t end, Scratch* sc, ShapeBlock* blk,
+                                  ShapeUnit* su) const {
+  current_->LowerMoved(rows, num_rows, m.roots.data(), m.roots.size(),
+                       m.scratch, begin, end, &sc->lowered);
+  su->lowered_off = static_cast<uint32_t>(blk->lowered.size());
+  int64_t size = 0;
+  for (size_t j = 0; j < sc->lowered.rows.size(); ++j) {
+    const kernels::AggBatchRow& r = sc->lowered.rows[j];
+    LoweredRow& kept = blk->lowered.emplace_back();
+    kept.mono_off = static_cast<uint32_t>(blk->arena.size());
+    kept.mono_len = r.mono.len;
+    blk->arena.insert(blk->arena.end(), r.mono.data, r.mono.data + r.mono.len);
+    kept.guard_off = static_cast<uint32_t>(blk->arena.size());
+    kept.guard_len = r.guard_mono.len;
+    blk->arena.insert(blk->arena.end(), r.guard_mono.data,
+                      r.guard_mono.data + r.guard_mono.len);
+    kept.before = sc->lowered.before[j];
+    kept.has_guard = r.has_guard;
+    kept.guard_if_true = r.guard_if_true;
+    kept.guard_if_false = r.guard_if_false;
+    kept.contribution = r.contribution;
+    kept.count_add = r.count_add;
+    size += r.mono.len + r.guard_mono.len;
+  }
+  su->lowered_end = static_cast<uint32_t>(blk->lowered.size());
+  return size;
+}
+
+void StepPricer::Shape(size_t b) {
   Scratch& sc = LocalScratch();
+  ShapeBlock& blk = shape_blocks_[b];
+  blk.units.clear();
+  blk.keys.clear();
+  blk.moved.clear();
+  blk.lowered.clear();
+  blk.arena.clear();
+  const AnnotationId* groups = program_.groups;
+  const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
+  const size_t end_i = std::min(merges_->size(), (b + 1) * block_size_);
+  for (size_t i = b * block_size_; i < end_i; ++i) {
+    const MergeQuery& m = (*merges_)[i];
+    FindDirty(m.roots, &sc);
+    MergeShape& shape = shapes_[i];
+    shape.units_off = static_cast<uint32_t>(blk.units.size());
+    shape.keys_off = static_cast<uint32_t>(blk.keys.size());
+    shape.num_keys = static_cast<uint32_t>(sc.key_slots.size());
+    shape.identity = remap_.identity() && sc.key_slots.empty();
+    blk.keys.insert(blk.keys.end(), sc.key_slots.begin(), sc.key_slots.end());
+    const PricingCache::Entry* old = cache_->cached_.Find(m.roots);
+    sc.sources.clear();
+
+    // Units: one per dirty slot the merge keeps, then the merged group.
+    // Size: the dirty groups' rows are replaced by the units' rows.
+    int64_t size = size_;
+    for (uint32_t g : sc.dirty) size -= group_size_[g];
+    for (uint32_t g : sc.dirty) {
+      if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(), g)) {
+        continue;
+      }
+      ShapeUnit& su = blk.units.emplace_back();
+      su.slot = g;
+      sc.sources.push_back({groups[g], versions_[g]});
+      FindReuse(old, false, &sc.sources.back(), &sc.sources.back() + 1, &su);
+      if (su.reuse < 0) {
+        // Lower the rows the merge moves; the fold resumes at the last
+        // checkpoint in front of the first changed row when that row is
+        // in this group, else at the group's first row from a zero state.
+        const uint32_t begin = row_begin_[g];
+        const uint32_t end = row_begin_[g + 1];
+        const auto moved_begin =
+            std::lower_bound(sc.moved.begin(), sc.moved.end(), begin);
+        const auto moved_end =
+            std::lower_bound(moved_begin, sc.moved.end(), end);
+        su.size = AppendLowered(
+            m, &*moved_begin, static_cast<size_t>(moved_end - moved_begin),
+            begin, end, &sc, &blk, &su);
+        su.size += group_size_[g];
+        for (auto r = moved_begin; r != moved_end; ++r) {
+          su.size -= rows[*r].mono.len + rows[*r].guard_mono.len;
+        }
+        const uint32_t first = std::min(*moved_begin, sc.lowered.before[0]);
+        const size_t k = first / stride_;
+        su.start = begin;
+        if (k * stride_ >= begin) {
+          su.checkpoint = static_cast<int32_t>(k);
+          su.start = static_cast<uint32_t>(k * stride_);
+        }
+        su.moved_off = static_cast<uint32_t>(blk.moved.size());
+        blk.moved.insert(blk.moved.end(), moved_begin, moved_end);
+        su.moved_end = static_cast<uint32_t>(blk.moved.size());
+      }
+      size += su.size;
+    }
+    if (!sc.key_slots.empty()) {
+      ShapeUnit& su = blk.units.emplace_back();
+      const size_t src_begin = sc.sources.size();
+      for (uint32_t g : sc.key_slots) {
+        sc.sources.push_back({groups[g], versions_[g]});
+      }
+      FindReuse(old, true, sc.sources.data() + src_begin,
+                sc.sources.data() + sc.sources.size(), &su);
+      if (su.reuse < 0) {
+        // Every row of the root-keyed groups moves into t's group, which
+        // has no kept rows and folds from a zero state.
+        sc.merged_rows.clear();
+        for (uint32_t g : sc.key_slots) {
+          for (uint32_t r = row_begin_[g]; r < row_begin_[g + 1]; ++r) {
+            sc.merged_rows.push_back(r);
+          }
+        }
+        su.size = AppendLowered(m, sc.merged_rows.data(),
+                                sc.merged_rows.size(), 0, 0, &sc, &blk, &su);
+      }
+      size += su.size;
+    }
+    shape.num_units =
+        static_cast<uint32_t>(blk.units.size() - shape.units_off);
+    shape.size = size;
+  }
+}
+
+size_t StepPricer::LayOut(std::span<const uint32_t> which) {
+  // Each entry's ranges follow the ones already laid out this step.
+  PricingCache::Generation& gen = cache_->next_;
+  cache_->lanes_ = total_lanes_;
+  const size_t first = gen.entries.size();
+  size_t roots = gen.roots.size();
+  size_t units = gen.units.size();
+  size_t sources = gen.sources.size();
+  for (uint32_t i : which) {
+    PricingCache::Entry& e = gen.entries.emplace_back();
+    e.roots_off = static_cast<uint32_t>(roots);
+    e.num_roots = static_cast<uint32_t>((*merges_)[i].roots.size());
+    e.units_off = static_cast<uint32_t>(units);
+    e.num_units = shapes_[i].num_units;
+    e.src_off = static_cast<uint32_t>(sources);
+    e.num_sources = shapes_[i].num_sources();
+    e.terms_off = units * total_lanes_;
+    roots += e.num_roots;
+    units += e.num_units;
+    sources += e.num_sources;
+  }
+  GrowExactly(&gen.roots, roots);
+  for (size_t k = 0; k < which.size(); ++k) {
+    const std::span<const AnnotationId> r = (*merges_)[which[k]].roots;
+    std::copy(r.begin(), r.end(),
+              gen.roots.begin() + gen.entries[first + k].roots_off);
+  }
+  GrowExactly(&gen.units, units);
+  GrowExactly(&gen.sources, sources);
+  GrowExactly(&gen.terms, units * total_lanes_);
+  return first;
+}
+
+bool StepPricer::Fold(size_t i, size_t e, double* distance,
+                      PriceCounts* counts) const {
+  Scratch& sc = LocalScratch();
+  const MergeShape& shape = shapes_[i];
+  const ShapeBlock& blk = shape_blocks_[i / block_size_];
+  const MergeQuery& m = (*merges_)[i];
   const std::span<const AnnotationId> roots = m.roots;
   const AnnotationId t = m.scratch;
   const size_t G = num_groups_;
@@ -528,86 +767,48 @@ bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
   const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
   const size_t R = rows.size();
   const std::vector<kernels::BlockEval>& base = oracle_->base_blocks_;
-  FindDirty(roots, &sc);
-  const bool identity = remap_.identity() && sc.key_slots.empty();
+  const ShapeUnit* const shape_units = blk.units.data() + shape.units_off;
+  const uint32_t* const key_slots = blk.keys.data() + shape.keys_off;
+  const uint32_t* const key_end = key_slots + shape.num_keys;
+  const size_t num_units = shape.num_units;
+  const int32_t merged_unit =
+      shape.num_keys == 0 ? -1 : static_cast<int32_t>(num_units - 1);
 
-  // The entry's ranges of the next generation, sized by Size().
+  // The entry's ranges of the next generation, laid out by LayOut: each
+  // kept group's unit with its one source, then the merged group's unit
+  // with one source per key slot.
   PricingCache::Generation& gen = cache_->next_;
-  const PricingCache::Entry& entry = gen.entries[i];
+  const PricingCache::Entry& entry = gen.entries[e];
   PricingCache::Unit* const units = gen.units.data() + entry.units_off;
   PricingCache::Source* const sources = gen.sources.data() + entry.src_off;
   double* const terms = gen.terms.data() + entry.terms_off;
-  const size_t num_units = entry.num_units;
 
-  // Units: one per dirty slot the merge keeps, then the merged group.
   sc.unit_of_slot.assign(G, -1);
-  sc.slot_of_unit.clear();
-  size_t u_next = 0;
-  uint32_t src_next = 0;
-  auto add_unit = [&](bool merged) {
-    PricingCache::Unit& u = units[u_next];
-    u = PricingCache::Unit{};
-    u.merged = merged;
-    u.src_end = u.src_begin = src_next;
-    u.terms_off = static_cast<uint32_t>(u_next * total_lanes_);
-    ++u_next;
-    return &u;
-  };
-  for (uint32_t g : sc.dirty) {
-    if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(), g)) {
-      continue;
-    }
-    sc.unit_of_slot[g] = static_cast<int32_t>(u_next);
-    sc.slot_of_unit.push_back(g);
-    PricingCache::Unit* u = add_unit(false);
-    sources[src_next++] = {groups[g], versions_[g]};
-    ++u->src_end;
-  }
-  const int32_t merged_unit =
-      sc.key_slots.empty() ? -1 : static_cast<int32_t>(u_next);
-  if (merged_unit >= 0) {
-    PricingCache::Unit* u = add_unit(true);
-    for (uint32_t g : sc.key_slots) {
-      sources[src_next++] = {groups[g], versions_[g]};
-    }
-    u->src_end = src_next;
-  }
-  assert(u_next == num_units && src_next == entry.num_sources);
-
-  // Reuse the terms of units whose source groups are unchanged since the
-  // step that computed them.
-  sc.fresh.assign(num_units, 1);
-  if (const PricingCache::Entry* old = cache_->cached_.Find(roots)) {
-    const PricingCache::Generation& prev = cache_->cached_;
-    const PricingCache::Unit* old_units = prev.units.data() + old->units_off;
-    const PricingCache::Source* old_sources =
-        prev.sources.data() + old->src_off;
-    const double* old_terms = prev.terms.data() + old->terms_off;
-    for (size_t u = 0; u < num_units; ++u) {
-      PricingCache::Unit& unit = units[u];
-      for (size_t k = 0; k < old->num_units; ++k) {
-        const PricingCache::Unit& o = old_units[k];
-        if (o.merged == unit.merged &&
-            o.src_end - o.src_begin == unit.src_end - unit.src_begin &&
-            std::equal(old_sources + o.src_begin, old_sources + o.src_end,
-                       sources + unit.src_begin)) {
-          std::copy_n(old_terms + o.terms_off, total_lanes_,
-                      terms + unit.terms_off);
-          unit.size = o.size;
-          sc.fresh[u] = 0;
-          ++counts->reused;
-          break;
-        }
-      }
-    }
-  }
-
-  // Fresh units: lower the rows the merge moves, splice them among the
-  // rows it keeps, and resume the group's fold at the last checkpoint in
-  // front of the first changed row.
   sc.t_masks.clear();
   for (size_t u = 0; u < num_units; ++u) {
-    if (!sc.fresh[u]) continue;
+    const ShapeUnit& su = shape_units[u];
+    const bool merged = static_cast<int32_t>(u) == merged_unit;
+    PricingCache::Unit& unit = units[u];
+    unit.merged = merged;
+    unit.src_begin = static_cast<uint32_t>(u);
+    unit.size = su.size;
+    unit.terms_off = static_cast<uint32_t>(u * total_lanes_);
+    if (merged) {
+      for (const uint32_t* g = key_slots; g != key_end; ++g) {
+        sources[u + (g - key_slots)] = {groups[*g], versions_[*g]};
+      }
+      unit.src_end = static_cast<uint32_t>(u + shape.num_keys);
+    } else {
+      sources[u] = {groups[su.slot], versions_[su.slot]};
+      unit.src_end = static_cast<uint32_t>(u + 1);
+      sc.unit_of_slot[su.slot] = static_cast<int32_t>(u);
+    }
+    if (su.reuse >= 0) {
+      std::copy_n(cache_->cached_.terms.data() + su.reuse, total_lanes_,
+                  terms + unit.terms_off);
+      ++counts->reused;
+      continue;
+    }
     if (sc.t_masks.empty()) {
       // t's truth on each lane is φ of the roots' (its members are the
       // union of theirs).
@@ -622,90 +823,49 @@ bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
         sc.t_masks.push_back(mask);
       }
     }
-    PricingCache::Unit& unit = units[u];
-    const bool merged = static_cast<int32_t>(u) == merged_unit;
-    uint32_t begin = 0;
-    uint32_t end = 0;
-    const uint32_t* moved_begin;
-    const uint32_t* moved_end;
-    if (merged) {
-      // Every row of the root-keyed groups moves into t's group.
-      sc.merged_rows.clear();
-      for (uint32_t g : sc.key_slots) {
-        for (uint32_t i = row_begin_[g]; i < row_begin_[g + 1]; ++i) {
-          sc.merged_rows.push_back(i);
-        }
-      }
-      moved_begin = sc.merged_rows.data();
-      moved_end = moved_begin + sc.merged_rows.size();
-    } else {
-      const uint32_t g = sc.slot_of_unit[u];
-      begin = row_begin_[g];
-      end = row_begin_[g + 1];
-      const uint32_t* moved_last = sc.moved.data() + sc.moved.size();
-      moved_begin = std::lower_bound(
-          static_cast<const uint32_t*>(sc.moved.data()), moved_last, begin);
-      moved_end = std::lower_bound(moved_begin, moved_last, end);
-    }
-    current_->LowerMoved(moved_begin,
-                         static_cast<size_t>(moved_end - moved_begin),
-                         roots.data(), roots.size(), t, begin, end,
-                         &sc.lowered);
-    const std::vector<kernels::AggBatchRow>& lowered = sc.lowered.rows;
 
-    // The fold resumes at checkpoint k (row k · stride_) when that row is
-    // in this group, else at the group's first row from a zero state.
-    size_t k = 0;
-    bool from_checkpoint = false;
-    uint32_t start = begin;
-    if (!merged) {
-      const uint32_t first = std::min(*moved_begin, sc.lowered.before[0]);
-      k = first / stride_;
-      if (k * stride_ >= begin) {
-        from_checkpoint = true;
-        start = static_cast<uint32_t>(k * stride_);
-      }
-    }
+    // Splice the lowered rows among the kept rows from the resumed fold
+    // state on.
+    const LoweredRow* lowered = blk.lowered.data() + su.lowered_off;
+    const size_t num_lowered = su.lowered_end - su.lowered_off;
+    const uint32_t end = merged ? 0 : row_begin_[su.slot + 1];
     sc.fold_rows.clear();
     sc.fold_src.clear();
-    int64_t size = 0;
-    for (const kernels::AggBatchRow& r : lowered) {
-      size += r.mono.len + r.guard_mono.len;
-    }
-    if (!merged) {
-      size += group_size_[sc.slot_of_unit[u]];
-      for (const uint32_t* i = moved_begin; i != moved_end; ++i) {
-        size -= rows[*i].mono.len + rows[*i].guard_mono.len;
-      }
-    }
     size_t j = 0;
-    auto push_lowered_until = [&](uint32_t i) {
-      for (; j < lowered.size() && sc.lowered.before[j] <= i; ++j) {
-        sc.fold_rows.push_back(lowered[j]);
+    auto push_lowered_until = [&](uint32_t r) {
+      for (; j < num_lowered && lowered[j].before <= r; ++j) {
+        const LoweredRow& l = lowered[j];
+        kernels::AggBatchRow& row = sc.fold_rows.emplace_back();
+        row.mono = {blk.arena.data() + l.mono_off, l.mono_len};
+        row.guard_mono = {blk.arena.data() + l.guard_off, l.guard_len};
+        row.has_guard = l.has_guard;
+        row.guard_if_true = l.guard_if_true;
+        row.guard_if_false = l.guard_if_false;
+        row.contribution = l.contribution;
+        row.count_add = l.count_add;
         sc.fold_src.push_back(kLowered);
       }
     };
-    const uint32_t* mv = moved_begin;
-    for (uint32_t i = start; i < end; ++i) {
-      push_lowered_until(i);
-      if (mv != moved_end && *mv == i) {
+    const uint32_t* mv = blk.moved.data() + su.moved_off;
+    const uint32_t* const mv_end = blk.moved.data() + su.moved_end;
+    for (uint32_t r = su.start; r < end; ++r) {
+      push_lowered_until(r);
+      if (mv != mv_end && *mv == r) {
         ++mv;
         continue;
       }
-      sc.fold_rows.push_back(rows[i]);
+      sc.fold_rows.push_back(rows[r]);
       sc.fold_rows.back().group = 0;
-      sc.fold_src.push_back(i);
+      sc.fold_src.push_back(r);
     }
     push_lowered_until(UINT32_MAX);
-    unit.size = size;
 
     // The merged group's base preimage: base slots whose current image is
     // a root key, ascending.
     if (merged) {
       sc.merged_sources.clear();
       for (size_t b = 0; b < remap_.slot.size(); ++b) {
-        if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(),
-                               remap_.slot[b])) {
+        if (std::binary_search(key_slots, key_end, remap_.slot[b])) {
           sc.merged_sources.push_back(static_cast<uint32_t>(b));
         }
       }
@@ -723,8 +883,10 @@ bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
                                                      sc.t_masks[c]);
       }
       kernels::AggAccumulator acc =
-          from_checkpoint ? checkpoints_[c * num_checkpoints_ + k]
-                          : kernels::AggAccumulator{};
+          su.checkpoint >= 0
+              ? checkpoints_[c * num_checkpoints_ +
+                             static_cast<size_t>(su.checkpoint)]
+              : kernels::AggAccumulator{};
       kernels::FoldAggRows(program_.fold, sc.fold_rows.data(),
                            sc.fold_masks.data(), n, &acc);
       double cv[kLanes];
@@ -737,9 +899,8 @@ bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
                                sc.base_count);
         bv = sc.base_value;
       } else {
-        const uint32_t g = sc.slot_of_unit[u];
-        bv = identity ? base[c].values.data() + g * kLanes
-                      : proj_.data() + (c * G + g) * kLanes;
+        bv = shape.identity ? base[c].values.data() + su.slot * kLanes
+                            : proj_.data() + (c * G + su.slot) * kLanes;
       }
       double* out = terms + unit.terms_off + c * kLanes;
       for (size_t l = 0; l < kLanes; ++l) {
@@ -749,11 +910,6 @@ bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
     ++counts->priced;
     counts->refolded += n;
   }
-
-  // Size: the dirty groups' rows are replaced by the units' rows.
-  int64_t size = size_;
-  for (uint32_t g : sc.dirty) size -= group_size_[g];
-  for (size_t u = 0; u < num_units; ++u) size += units[u].size;
 
   // The candidate's groups in ascending order: the current keys the merge
   // keeps, with t's merged group in place. Each is a step group g (>= 0)
@@ -765,8 +921,7 @@ bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
       sc.order.push_back(~merged_unit);
       merged_placed = true;
     }
-    if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(),
-                           static_cast<uint32_t>(g))) {
+    if (std::binary_search(key_slots, key_end, static_cast<uint32_t>(g))) {
       continue;
     }
     const int32_t u = sc.unit_of_slot[g];
@@ -779,7 +934,7 @@ bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
   for (size_t c = 0; c < base.size(); ++c) {
     const size_t lane_off = c * kLanes;
     const double* step_terms =
-        (identity ? terms_id_.data() : terms_.data()) + lane_off * G;
+        (shape.identity ? terms_id_.data() : terms_.data()) + lane_off * G;
     const double* unit_terms = terms + lane_off;
     double err[kLanes] = {};
     for (int32_t o : sc.order) {
@@ -801,9 +956,8 @@ bool StepPricer::Price(size_t i, const MergeQuery& m, MergePrice* price,
     }
     total += partial;
   }
-  price->distance = (total / oracle_->total_weight_) / oracle_->max_error_;
-  price->size = size;
-  return identity;
+  *distance = (total / oracle_->total_weight_) / oracle_->max_error_;
+  return shape.identity;
 }
 
 void EnumeratedDistance::PriceMerges(const ProvenanceExpression& current,
@@ -812,49 +966,84 @@ void EnumeratedDistance::PriceMerges(const ProvenanceExpression& current,
                                      exec::ThreadPool* pool,
                                      PricingCache* cache,
                                      std::vector<MergePrice>* out) {
+  if (!ShapeMerges(current, state, merges, pool, cache, out)) {
+    MaterializeMerges(current, state, merges, pool, out);
+    return;
+  }
+  std::vector<uint32_t> all(merges.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  FoldMerges(all, pool, cache, out);
+  CommitStep(cache);
+}
+
+bool EnumeratedDistance::ShapeMerges(const ProvenanceExpression& current,
+                                     const MappingState& state,
+                                     const std::vector<MergeQuery>& merges,
+                                     exec::ThreadPool* pool,
+                                     PricingCache* cache,
+                                     std::vector<MergePrice>* out) {
   out->assign(merges.size(), MergePrice{});
   const ir::IrAggregateExpression* agg = current.AsAggregate();
-  if (agg != nullptr && !valuations_.empty() && EnsureBaseBlocks()) {
-    if (cache->pricer_ == nullptr) {
-      cache->pricer_ = std::make_unique<StepPricer>();
-    }
-    StepPricer& pricer = *cache->pricer_;
-    if (pricer.Prepare(*this, cache, *agg, state, agg->LowerBatch())) {
-      const DistanceMetrics& metrics = DistanceMetrics::Get();
-      const int64_t n = static_cast<int64_t>(merges.size());
-      // Size every entry, lay the generation out, then price in place.
-      cache->next_.entries.assign(merges.size(), PricingCache::Entry{});
-      exec::ParallelFor(pool, 0, n, 16, [&](int64_t idx) {
-        const size_t i = static_cast<size_t>(idx);
-        pricer.Size(merges[i], &cache->next_.entries[i]);
-      });
-      cache->Layout(merges, pricer.total_lanes());
-      std::atomic<uint64_t> priced{0};
-      std::atomic<uint64_t> reused{0};
-      std::atomic<uint64_t> refolded{0};
-      exec::ParallelFor(pool, 0, n, 1, [&](int64_t idx) {
-        const size_t i = static_cast<size_t>(idx);
-        Timer timer;
+  if (agg == nullptr || valuations_.empty() || !EnsureBaseBlocks()) {
+    cache->Clear();
+    return false;
+  }
+  if (cache->pricer_ == nullptr) {
+    cache->pricer_ = std::make_unique<StepPricer>();
+  }
+  StepPricer& pricer = *cache->pricer_;
+  if (!pricer.Prepare(*this, cache, *agg, state, agg->LowerBatch())) {
+    cache->Clear();
+    return false;
+  }
+  // Shape every merge; the fold pass lays out the entries it writes.
+  cache->next_.Clear();
+  const bool serial = pool == nullptr || pool->size() <= 1;
+  pricer.BeginShapes(merges, serial ? merges.size() : StepPricer::kShapeBlock);
+  exec::ParallelFor(pool, 0, static_cast<int64_t>(pricer.num_blocks()), 1,
+                    [&](int64_t b) { pricer.Shape(static_cast<size_t>(b)); });
+  for (size_t i = 0; i < merges.size(); ++i) (*out)[i].size = pricer.size(i);
+  return true;
+}
+
+void EnumeratedDistance::FoldMerges(std::span<const uint32_t> which,
+                                    exec::ThreadPool* pool,
+                                    PricingCache* cache,
+                                    std::vector<MergePrice>* out) {
+  StepPricer& pricer = *cache->pricer_;
+  const size_t first = pricer.LayOut(which);
+  std::atomic<uint64_t> priced{0};
+  std::atomic<uint64_t> reused{0};
+  std::atomic<uint64_t> refolded{0};
+  exec::ParallelFor(
+      pool, 0, static_cast<int64_t>(which.size()), 1, [&](int64_t idx) {
+        const size_t k = static_cast<size_t>(idx);
+        const size_t i = which[k];
         PriceCounts counts;
-        CountPricedMerge(pricer.Price(i, merges[i], &(*out)[i], &counts));
+        CountPricedMerge(
+            pricer.Fold(i, first + k, &(*out)[i].distance, &counts));
         priced.fetch_add(counts.priced, std::memory_order_relaxed);
         reused.fetch_add(counts.reused, std::memory_order_relaxed);
         refolded.fetch_add(counts.refolded, std::memory_order_relaxed);
-        (*out)[i].nanos = timer.ElapsedNanos();
       });
-      metrics.groups_priced->Increment(priced.load());
-      metrics.groups_reused->Increment(reused.load());
-      metrics.rows_refolded->Increment(refolded.load());
-      metrics.cache_evictions->Increment(cache->Commit());
-      return;
-    }
-  }
-  // Every group dirty: build each candidate and price it whole.
-  cache->Clear();
+  const DistanceMetrics& metrics = DistanceMetrics::Get();
+  metrics.groups_priced->Increment(priced.load());
+  metrics.groups_reused->Increment(reused.load());
+  metrics.rows_refolded->Increment(refolded.load());
+}
+
+void EnumeratedDistance::CommitStep(PricingCache* cache) {
+  DistanceMetrics::Get().cache_evictions->Increment(cache->Commit());
+}
+
+void EnumeratedDistance::MaterializeMerges(
+    const ProvenanceExpression& current, const MappingState& state,
+    const std::vector<MergeQuery>& merges, exec::ThreadPool* pool,
+    std::vector<MergePrice>* out) {
+  out->assign(merges.size(), MergePrice{});
   exec::ParallelFor(
       pool, 0, static_cast<int64_t>(merges.size()), 1, [&](int64_t idx) {
         const size_t i = static_cast<size_t>(idx);
-        Timer timer;
         const MergeQuery& m = merges[i];
         MappingState tentative = state;
         tentative.Merge(
@@ -865,7 +1054,6 @@ void EnumeratedDistance::PriceMerges(const ProvenanceExpression& current,
         const std::unique_ptr<ProvenanceExpression> cand = current.Apply(h);
         (*out)[i].distance = Distance(*cand, tentative);
         (*out)[i].size = cand->Size();
-        (*out)[i].nanos = timer.ElapsedNanos();
       });
 }
 

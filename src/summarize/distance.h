@@ -26,11 +26,10 @@ struct MergeQuery {
 };
 
 /// A priced merge: the normalized distance and the size of the candidate
-/// expression, plus the wall time spent pricing it.
+/// expression.
 struct MergePrice {
   double distance = 0.0;
   int64_t size = 0;
-  int64_t nanos = 0;
 };
 
 class StepPricer;
@@ -50,8 +49,11 @@ class StepPricer;
 ///
 /// Entries live in two generations of flat buffers (docs/KERNELS.md,
 /// *Across steps*): the step reads last step's generation and writes its
-/// own in place at offsets a sizing pre-pass fixed, then Commit swaps the
-/// two. Buffers are cleared, never freed, while the run lasts.
+/// own, one entry per merge whose distance the step folded, in place at
+/// offsets fixed from the shape pass's counts; then Commit swaps the two.
+/// A merge a bounded step left unfolded has no entry, so it prices its
+/// dirty groups afresh at its next step. Buffers are cleared, never freed,
+/// while the run lasts.
 class PricingCache {
  public:
   PricingCache();
@@ -104,8 +106,8 @@ class PricingCache {
   template <typename T>
   using Buffer = std::vector<T, MappedAllocator<T>>;
 
-  /// One step's entries, one per merge in candidate order, and the index
-  /// of those the byte cap kept.
+  /// One step's entries, one per folded merge in the order they were
+  /// folded, and the index of those the byte cap kept.
   struct Generation {
     Buffer<Entry> entries;
     Buffer<AnnotationId> roots;
@@ -137,12 +139,8 @@ class PricingCache {
     std::vector<uint64_t> content;
   };
 
-  /// Lays out `next_` for entries of the sizes the pre-pass wrote into
-  /// next_.entries (num_roots, num_units, num_sources), copying each
-  /// merge's roots in, with each term array `lanes` long.
-  void Layout(const std::vector<MergeQuery>& merges, size_t lanes);
-  /// Indexes this step's entries in candidate order until the byte cap,
-  /// makes them the cached generation and returns the number evicted.
+  /// Indexes this step's entries in order until the byte cap, makes them
+  /// the cached generation and returns the number evicted.
   uint64_t Commit();
   void Clear();
 
@@ -219,12 +217,49 @@ class EnumeratedDistance {
   /// `cache` carries dirty-group terms across the steps of one run.
   /// Expressions and VAL-FUNCs without a batch lowering (DDP, polynomial,
   /// group-less aggregates, kNone) have every group dirty: they build
-  /// each candidate and call Distance. Merges fan out over `pool`.
+  /// each candidate and call Distance (MaterializeMerges). Merges fan out
+  /// over `pool`.
+  ///
+  /// Equivalent to ShapeMerges, then FoldMerges over every merge and
+  /// CommitStep, or MaterializeMerges when ShapeMerges returns false.
   void PriceMerges(const ProvenanceExpression& current,
                    const MappingState& state,
                    const std::vector<MergeQuery>& merges,
                    exec::ThreadPool* pool, PricingCache* cache,
                    std::vector<MergePrice>* out);
+
+  /// Step pricing's shape pass, for a caller that folds the distances of
+  /// only some merges (Summarizer::Run's bounded steps, docs/KERNELS.md).
+  /// Prepares the step and fixes every merge's dirty groups, cache reuse,
+  /// lowered rows and exact candidate size: `out` gets one price per
+  /// merge, its size set. The merges must stay alive, unchanged, until
+  /// CommitStep. False when the expression or VAL-FUNC has no step
+  /// pricing: nothing is kept, `cache` is cleared, and the caller prices
+  /// with MaterializeMerges.
+  bool ShapeMerges(const ProvenanceExpression& current,
+                   const MappingState& state,
+                   const std::vector<MergeQuery>& merges,
+                   exec::ThreadPool* pool, PricingCache* cache,
+                   std::vector<MergePrice>* out);
+
+  /// Step pricing's fold pass: sets (*out)[i].distance for every merge `i`
+  /// of `which` (indices into the shaped merges, each folded at most once
+  /// per step), fanning out over `pool`. Only folded merges count as
+  /// priced in the oracle's and kernels' counters.
+  void FoldMerges(std::span<const uint32_t> which, exec::ThreadPool* pool,
+                  PricingCache* cache, std::vector<MergePrice>* out);
+
+  /// Ends a shaped step: the folded merges' entries become the generation
+  /// the next step reads.
+  void CommitStep(PricingCache* cache);
+
+  /// Prices every merge by building its candidate with Apply and calling
+  /// Distance and Size.
+  void MaterializeMerges(const ProvenanceExpression& current,
+                         const MappingState& state,
+                         const std::vector<MergeQuery>& merges,
+                         exec::ThreadPool* pool,
+                         std::vector<MergePrice>* out);
 
   size_t num_valuations() const { return valuations_.size(); }
   const std::vector<Valuation>& valuations() const { return valuations_; }

@@ -22,6 +22,7 @@ struct SummarizeMetrics {
   obs::Counter* rollbacks;
   obs::Counter* equivalence_merges;
   obs::Counter* candidates_scored;
+  obs::Counter* candidates_bounded;
   obs::Counter* candidate_eval_nanos_total;
   obs::Counter* warmstart_runs;
   obs::Counter* warmstart_replayed_merges;
@@ -29,7 +30,6 @@ struct SummarizeMetrics {
   obs::Histogram* run_nanos;
   obs::Histogram* candidates_per_step;
   obs::Gauge* expression_size;
-  obs::Gauge* parallel_efficiency;
   obs::Gauge* pricing_cache_peak_bytes;
 
   static const SummarizeMetrics& Get() {
@@ -48,7 +48,13 @@ struct SummarizeMetrics {
           "Distance-0 equivalence classes merged before the greedy loop.");
       m.candidates_scored =
           r.GetCounter("prox_summarize_candidates_scored_total",
-                       "Candidate merges priced (distance + size).");
+                       "Candidate merges scored (distance + size, or a "
+                       "bound that ruled them out).");
+      m.candidates_bounded = r.GetCounter(
+          "prox_summarize_candidates_bounded_total",
+          "Candidate merges whose score bound (size and taxonomy terms) "
+          "exceeded a folded candidate's score, so their distance was "
+          "never folded.");
       m.candidate_eval_nanos_total = r.GetCounter(
           "prox_summarize_candidate_eval_nanos_total",
           "Total wall time spent pricing candidates, nanoseconds.");
@@ -72,11 +78,6 @@ struct SummarizeMetrics {
       m.expression_size =
           r.GetGauge("prox_summarize_expression_size",
                      "Expression size after the most recent step.");
-      m.parallel_efficiency = r.GetGauge(
-          "prox_summarize_parallel_efficiency",
-          "Per-step candidate-scoring speedup estimate: sum of individual "
-          "candidate pricing times divided by the phase's wall time "
-          "(~1 serial, approaches the worker count under ideal scaling).");
       m.pricing_cache_peak_bytes = r.GetGauge(
           "prox_summarize_pricing_cache_peak_bytes",
           "Peak bytes of the cross-step pricing cache in the most recent "
@@ -134,6 +135,14 @@ int Summarizer::GroupEquivalent(
   return merges;
 }
 
+double CandidateScore(const SummarizerOptions& options, double distance,
+                      int64_t size, const Candidate& candidate,
+                      int64_t original_size) {
+  return options.w_dist * distance +
+         options.w_size * (static_cast<double>(size) / original_size) +
+         options.w_taxonomy * candidate.decision.taxonomy_distance_max;
+}
+
 size_t Summarizer::PickBest(const CandidateSet& candidates,
                             std::vector<ScoredCandidate>* scored) const {
   if (options_.use_ordinal_ranks) {
@@ -169,12 +178,14 @@ size_t Summarizer::PickBest(const CandidateSet& candidates,
     }
   }
 
-  // Minimal score; break ties by the taxonomy distance criterion, then by
-  // candidate order (deterministic).
+  // Minimal score among the priced candidates; break ties by the taxonomy
+  // distance criterion, then by candidate order (deterministic).
   size_t best = 0;
-  for (size_t i = 1; i < scored->size(); ++i) {
+  while (!(*scored)[best].priced) ++best;
+  for (size_t i = best + 1; i < scored->size(); ++i) {
     const auto& a = (*scored)[i];
     const auto& b = (*scored)[best];
+    if (!a.priced) continue;
     if (a.score < b.score) {
       best = i;
     } else if (a.score == b.score && options_.tie_break != TieBreak::kFirst) {
@@ -263,6 +274,14 @@ Result<SummaryOutcome> Summarizer::Run() {
   std::vector<MergeQuery> merges;
   std::vector<MergePrice> prices;
   std::vector<ScoredCandidate> scored;
+  std::vector<uint32_t> fold;
+  // Bounded steps fold a distance only where it can still decide the step
+  // (docs/KERNELS.md, *Bounded steps*). Ordinal ranks need every distance,
+  // and a bound without size or taxonomy term is the same for every
+  // candidate.
+  const bool bounded =
+      !options_.use_ordinal_ranks &&
+      (options_.w_size != 0.0 || options_.w_taxonomy != 0.0);
 
   int step = 0;
   while (step < options_.max_steps && current->Size() > options_.target_size &&
@@ -292,39 +311,71 @@ Result<SummaryOutcome> Summarizer::Run() {
       merges[i] = {candidates.roots(candidates[i]), scratch};
     }
 
-    // Step pricing (docs/KERNELS.md): the oracle prices every merge
-    // against the current expression without building the candidates,
-    // fanning out over the pool. Workers share only read-only state, and
-    // results land by index, so PickBest sees exactly the ordering and
-    // tie-breaks of the serial loop. This aggregate span stands in for
-    // per-candidate spans.
+    // Step pricing (docs/KERNELS.md): the oracle prices merges against the
+    // current expression without building the candidates, fanning out over
+    // the pool. Workers share only read-only state, and results land by
+    // index, so PickBest sees exactly the ordering and tie-breaks of the
+    // serial loop. This aggregate span stands in for per-candidate spans.
     obs::TraceSpan eval_span("summarize.candidate_eval");
-    oracle_->PriceMerges(*current, state, merges, pool.pool(), &pricing_cache,
-                         &prices);
-    scored.resize(candidates.size());
-    int64_t serial_estimate_nanos = 0;
-    for (size_t i = 0; i < candidates.size(); ++i) {
+    const size_t n = candidates.size();
+    scored.resize(n);
+    for (size_t i = 0; i < n; ++i) scored[i] = {i, 0.0, 0, 0.0, true};
+    if (!oracle_->ShapeMerges(*current, state, merges, pool.pool(),
+                              &pricing_cache, &prices)) {
+      oracle_->MaterializeMerges(*current, state, merges, pool.pool(),
+                                 &prices);
+    } else if (!bounded) {
+      fold.resize(n);
+      for (size_t i = 0; i < n; ++i) fold[i] = static_cast<uint32_t>(i);
+      oracle_->FoldMerges(fold, pool.pool(), &pricing_cache, &prices);
+      oracle_->CommitStep(&pricing_cache);
+    } else {
+      // The score at distance 0.0 bounds the score from below, bit for bit
+      // (the distance term is non-negative and rounding is monotone). Round
+      // 1 folds the candidate of smallest bound, the first on ties; its
+      // score bounds the step's best. Round 2 folds every other candidate
+      // whose bound does not exceed it. The rest can neither win nor tie.
+      size_t first = 0;
+      for (size_t i = 0; i < n; ++i) {
+        scored[i].score =
+            CandidateScore(options_, 0.0, prices[i].size, candidates[i],
+                           original_size);
+        if (scored[i].score < scored[first].score) first = i;
+      }
+      fold.assign(1, static_cast<uint32_t>(first));
+      oracle_->FoldMerges(fold, pool.pool(), &pricing_cache, &prices);
+      const double first_score =
+          CandidateScore(options_, prices[first].distance, prices[first].size,
+                         candidates[first], original_size);
+      fold.clear();
+      for (size_t i = 0; i < n; ++i) {
+        if (i == first) continue;
+        if (scored[i].score <= first_score) {
+          fold.push_back(static_cast<uint32_t>(i));
+        } else {
+          scored[i].priced = false;
+        }
+      }
+      oracle_->FoldMerges(fold, pool.pool(), &pricing_cache, &prices);
+      oracle_->CommitStep(&pricing_cache);
+    }
+    uint64_t unpriced = 0;
+    for (size_t i = 0; i < n; ++i) {
       ScoredCandidate& sc = scored[i];
-      sc.index = i;
+      if (!sc.priced) {
+        ++unpriced;
+        continue;
+      }
       sc.distance = prices[i].distance;
       sc.size = prices[i].size;
-      sc.score = options_.w_dist * sc.distance +
-                 options_.w_size *
-                     (static_cast<double>(sc.size) / original_size) +
-                 options_.w_taxonomy *
-                     candidates[i].decision.taxonomy_distance_max;
-      serial_estimate_nanos += prices[i].nanos;
+      sc.score = CandidateScore(options_, sc.distance, sc.size,
+                                candidates[i], original_size);
     }
     const int64_t eval_total_nanos = eval_span.Close();
-    metrics.candidates_scored->Increment(candidates.size());
+    metrics.candidates_scored->Increment(n);
+    metrics.candidates_bounded->Increment(unpriced);
     metrics.candidate_eval_nanos_total->Increment(eval_total_nanos);
-    if (eval_total_nanos > 0) {
-      metrics.parallel_efficiency->Set(
-          static_cast<double>(serial_estimate_nanos) /
-          static_cast<double>(eval_total_nanos));
-    }
-    const double eval_nanos =
-        static_cast<double>(eval_total_nanos) / candidates.size();
+    const double eval_nanos = static_cast<double>(eval_total_nanos) / n;
 
     size_t best = PickBest(candidates, &scored);
     const Candidate& winner = candidates[scored[best].index];

@@ -89,6 +89,15 @@ struct SummarizerOptions {
   int threads = 1;
 };
 
+/// CandidateScore of Definition 3.2.4 with normalized values:
+/// w_dist · distance + w_size · size / original_size + w_taxonomy · the
+/// candidate's MAX taxonomy distance. With `distance` 0.0 it bounds the
+/// score from below, bit for bit: the distance term is non-negative and
+/// floating-point rounding is monotone (Summarizer::Run's bounded steps).
+double CandidateScore(const SummarizerOptions& options, double distance,
+                      int64_t size, const Candidate& candidate,
+                      int64_t original_size);
+
 /// One committed iteration of the greedy loop.
 struct StepRecord {
   int step = 0;
@@ -157,14 +166,19 @@ class Summarizer {
     double distance;
     int64_t size;
     double score;
+    /// False when a bounded step never folded its distance: its score's
+    /// lower bound exceeded a folded candidate's score, so it can neither
+    /// win nor tie (docs/KERNELS.md, *Bounded steps*). PickBest skips it.
+    bool priced;
   };
 
   /// Applies GroupEquivalent; returns the number of classes merged.
   int GroupEquivalent(std::unique_ptr<ProvenanceExpression>* current,
                       MappingState* state);
 
-  /// Picks the winning candidate of a step (normalized or ordinal scoring
-  /// + tie-breaking). `scored` must be non-empty.
+  /// Picks the winning candidate of a step among the priced ones
+  /// (normalized or ordinal scoring + tie-breaking). `scored` must hold a
+  /// priced candidate.
   size_t PickBest(const CandidateSet& candidates,
                   std::vector<ScoredCandidate>* scored) const;
 

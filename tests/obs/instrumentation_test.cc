@@ -86,11 +86,16 @@ TEST(InstrumentationTest, RunIncrementsRegistryCounters) {
   EXPECT_EQ(after.CounterValue("prox_summarize_candidates_scored_total") -
                 before.CounterValue("prox_summarize_candidates_scored_total"),
             scored);
-  // Every candidate evaluation consults the enumerated oracle (plus one
-  // distance probe per committed step and one for the initial distance).
-  EXPECT_GE(after.CounterValue("prox_distance_enumerated_calls_total") -
-                before.CounterValue("prox_distance_enumerated_calls_total"),
-            scored);
+  // Every scored candidate was either step-priced, which counts one oracle
+  // call, or left unfolded by a bounded step; the run adds one Distance
+  // call for its starting distance.
+  const double bounded =
+      after.CounterValue("prox_summarize_candidates_bounded_total") -
+      before.CounterValue("prox_summarize_candidates_bounded_total");
+  const double step_priced =
+      after.CounterValue("prox_distance_enumerated_calls_total") -
+      before.CounterValue("prox_distance_enumerated_calls_total") - 1.0;
+  EXPECT_EQ(scored, step_priced + bounded);
 }
 
 TEST(InstrumentationTest, SpanDurationsAreTheStepRecordTimings) {
