@@ -8,7 +8,9 @@
 # group-slot remap folds base blocks through a per-call slot table) and
 # the step-pricing suites (the rows a merge moves are lowered into
 # per-thread arenas and spliced among the kept rows, folds resume from the
-# step's checkpoints, cached terms copied between a run's steps),
+# step's checkpoints, cached terms copied between a run's steps) and the
+# moved-size suite (`MovedSizeTest`: sizes counted over borrowed pool
+# spans, checked against the lowered rows),
 # the drawn Monte-Carlo set's suites (`SampledValuations*`,
 # `SamplingEpsilonTest`: thousands of drawn valuations packed into the
 # oracle's 8-lane blocks), the
@@ -50,7 +52,7 @@ ctest --test-dir "$build_dir" -L store --output-on-failure
 ctest --test-dir "$build_dir" -L ingest --output-on-failure
 ctest --test-dir "$build_dir" -L engine --output-on-failure
 ctest --test-dir "$build_dir" \
-  -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest|StepPricing|SampledValuations|SamplingEpsilon' \
+  -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest|StepPricing|MovedSize|SampledValuations|SamplingEpsilon' \
   --output-on-failure
 ctest --test-dir "$build_dir" -R '^(IoTest|(Seeds/)?ParserFuzzTest)[.]' \
   --output-on-failure

@@ -106,6 +106,80 @@ RowKey KeyOfRow(const PoolView& pv, MonomialId mono, GuardId guard,
   return k;
 }
 
+/// A moved row's key before the merge maps it: its canonical key and
+/// whether its group key is a root (mapped to the target).
+struct MovedKey {
+  RowKey key;
+  bool root_group = false;
+
+  int64_t size() const { return int64_t{key.mono_len} + key.guard_len; }
+};
+
+/// True when the spans Apply maps `a` and `b` to are equal. Every root
+/// maps to the one target and no factor is dropped, so that holds exactly
+/// when the lengths and the non-root factors, in order, are equal.
+template <typename IsRoot>
+bool SameMappedSpan(const AnnotationId* a, uint32_t la, const AnnotationId* b,
+                    uint32_t lb, const IsRoot& is_root) {
+  if (la != lb) return false;
+  if (a == b) return true;
+  uint32_t i = 0;
+  uint32_t j = 0;
+  for (;;) {
+    while (i < la && is_root(a[i])) ++i;
+    while (j < lb && is_root(b[j])) ++j;
+    if (i == la || j == lb) return i == la && j == lb;
+    if (a[i] != b[j]) return false;
+    ++i;
+    ++j;
+  }
+}
+
+/// CompareRowKeys(mapped a, mapped b) == 0, without mapping either: the
+/// guard scalars and thresholds compare as doubles, so +0.0 equals -0.0.
+template <typename IsRoot>
+bool SameMappedKey(const MovedKey& a, const MovedKey& b,
+                   const IsRoot& is_root) {
+  if (a.root_group != b.root_group) return false;
+  if (!a.root_group && a.key.group != b.key.group) return false;
+  if (a.key.has_guard != b.key.has_guard) return false;
+  if (a.key.has_guard &&
+      (a.key.scalar != b.key.scalar || a.key.op != b.key.op ||
+       a.key.threshold != b.key.threshold ||
+       !SameMappedSpan(a.key.guard_mono, a.key.guard_len, b.key.guard_mono,
+                       b.key.guard_len, is_root))) {
+    return false;
+  }
+  return SameMappedSpan(a.key.mono, a.key.mono_len, b.key.mono,
+                        b.key.mono_len, is_root);
+}
+
+/// FNV-1a over what SameMappedKey compares exactly, except the guard
+/// scalar and threshold: equal doubles can differ in their bits (±0.0),
+/// so they are left to the exact comparison.
+template <typename IsRoot>
+uint64_t MappedKeyHash(const MovedKey& k, const IsRoot& is_root) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t x) {
+    h ^= x;
+    h *= 0x100000001b3ull;
+  };
+  auto mix_span = [&](const AnnotationId* f, uint32_t len) {
+    mix(len);
+    for (uint32_t i = 0; i < len; ++i) {
+      if (!is_root(f[i])) mix(f[i]);
+    }
+  };
+  mix(k.root_group ? 0 : uint64_t{k.key.group} + 1);
+  mix_span(k.key.mono, k.key.mono_len);
+  mix(k.key.has_guard);
+  if (k.key.has_guard) {
+    mix_span(k.key.guard_mono, k.key.guard_len);
+    mix(static_cast<uint64_t>(k.key.op));
+  }
+  return h;
+}
+
 /// The kernel row of a canonical row, without its group slot.
 kernels::AggBatchRow LoweredRow(AggKind agg, const RowKey& k, AggValue value) {
   kernels::AggBatchRow r;
@@ -537,13 +611,17 @@ void IrAggregateExpression::LowerMoved(const uint32_t* rows, size_t num_rows,
   thread_local std::vector<std::pair<uint32_t, AggValue>> merged;
   thread_local std::vector<uint32_t> idx;
   merged.clear();
-  ForEachCanonicalRow(
-      keys, &idx,
-      [&](uint32_t j) { merged.emplace_back(j, value_[rows[j]]); },
-      [&](uint32_t j) {
-        merged.back().second =
-            MergeAggValues(agg_, merged.back().second, value_[rows[j]]);
-      });
+  if (num_rows == 1) {
+    merged.emplace_back(0, value_[rows[0]]);  // nothing to sort or merge
+  } else {
+    ForEachCanonicalRow(
+        keys, &idx,
+        [&](uint32_t j) { merged.emplace_back(j, value_[rows[j]]); },
+        [&](uint32_t j) {
+          merged.back().second =
+              MergeAggValues(agg_, merged.back().second, value_[rows[j]]);
+        });
+  }
   out->rows.clear();
   out->before.clear();
   // Rows come out ascending, so each search starts where the last ended.
@@ -562,6 +640,59 @@ void IrAggregateExpression::LowerMoved(const uint32_t* rows, size_t num_rows,
     }
     out->before.push_back(lo);
   }
+}
+
+int64_t IrAggregateExpression::MovedSize(const uint32_t* rows,
+                                         size_t num_rows,
+                                         const AnnotationId* roots,
+                                         size_t num_roots) const {
+  const PoolView pv = view();
+  auto is_root = [&](AnnotationId a) {
+    return std::binary_search(roots, roots + num_roots, a);
+  };
+  auto key_of = [&](uint32_t r) {
+    MovedKey k;
+    k.key = KeyOfRow(pv, mono_[r], guard_[r], group_[r]);
+    k.root_group = is_root(group_[r]);
+    return k;
+  };
+  // One row merges with nothing, and two need one comparison.
+  if (num_rows == 0) return 0;
+  if (num_rows == 1) return key_of(rows[0]).size();
+  if (num_rows == 2) {
+    const MovedKey a = key_of(rows[0]);
+    const MovedKey b = key_of(rows[1]);
+    return a.size() + (SameMappedKey(a, b, is_root) ? 0 : b.size());
+  }
+  // Rows of equal hash are compared exactly; a row that equals an earlier
+  // one merges into it (equality is transitive, so which earlier row does
+  // not matter).
+  thread_local std::vector<MovedKey> keys;
+  thread_local std::vector<std::pair<uint64_t, uint32_t>> hashed;
+  keys.resize(num_rows);
+  hashed.resize(num_rows);
+  int64_t size = 0;
+  for (size_t j = 0; j < num_rows; ++j) {
+    keys[j] = key_of(rows[j]);
+    size += keys[j].size();
+    hashed[j] = {MappedKeyHash(keys[j], is_root), static_cast<uint32_t>(j)};
+  }
+  std::sort(hashed.begin(), hashed.end());
+  for (size_t lo = 0; lo < num_rows;) {
+    size_t hi = lo + 1;
+    while (hi < num_rows && hashed[hi].first == hashed[lo].first) ++hi;
+    for (size_t k = lo + 1; k < hi; ++k) {
+      const MovedKey& row = keys[hashed[k].second];
+      for (size_t p = lo; p < k; ++p) {
+        if (SameMappedKey(keys[hashed[p].second], row, is_root)) {
+          size -= row.size();
+          break;
+        }
+      }
+    }
+    lo = hi;
+  }
+  return size;
 }
 
 std::unique_ptr<ProvenanceExpression> IrAggregateExpression::Clone() const {

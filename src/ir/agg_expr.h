@@ -39,7 +39,9 @@ struct AggTermView {
 /// 0; it folds right before source row `before[i]` among the rows the
 /// merge left in place. Mapped factor spans point into `arena`, the others
 /// into the expression's pool: valid until the next call, and while the
-/// pool is not interned into.
+/// pool is not interned into. Step pricing lowers only the merges whose
+/// distance it folds, straight into the fold's rows; sizes come from
+/// IrAggregateExpression::MovedSize.
 struct MovedRows {
   std::vector<kernels::AggBatchRow> rows;
   std::vector<uint32_t> before;
@@ -160,6 +162,18 @@ class IrAggregateExpression : public ProvenanceExpression,
                   const AnnotationId* roots, size_t num_roots,
                   AnnotationId target, uint32_t begin, uint32_t end,
                   MovedRows* out) const;
+
+  /// The number of factors LowerMoved emits for the same `rows` and
+  /// `roots`, counted without lowering them. Apply keeps a monomial's
+  /// length (it does not collapse `t·t`) and the target occurs in no row,
+  /// so two moved rows merge exactly when their mapped groups, their
+  /// monomials' and guard bodies' non-root factors and lengths, and their
+  /// guard scalars, ops and thresholds compare equal the way Canonicalize
+  /// compares them (+0.0 equals -0.0): the size is the moved rows' size
+  /// minus that of every row that merges into an earlier one. Reads only,
+  /// so safe on exec workers.
+  int64_t MovedSize(const uint32_t* rows, size_t num_rows,
+                    const AnnotationId* roots, size_t num_roots) const;
 
  private:
   PoolView view() const { return PoolView(pool_.get(), overlay_.get()); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -128,6 +129,23 @@ void GrowExactly(Vector* v, size_t n) {
   v->resize(n);
 }
 
+/// A fresh unit's size from its lowered rows: the kept group's size, less
+/// its moved rows [mv, mv_end), plus the lowered rows. The shape pass
+/// counted the same size with MovedSize, without lowering.
+[[maybe_unused]] int64_t LoweredUnitSize(
+    const ir::MovedRows& lowered,
+    const std::vector<kernels::AggBatchRow>& rows, const uint32_t* mv,
+    const uint32_t* mv_end, int64_t group_size) {
+  int64_t size = group_size;
+  for (; mv != mv_end; ++mv) {
+    size -= rows[*mv].mono.len + rows[*mv].guard_mono.len;
+  }
+  for (const kernels::AggBatchRow& r : lowered.rows) {
+    size += r.mono.len + r.guard_mono.len;
+  }
+  return size;
+}
+
 uint64_t RootsHash(std::span<const AnnotationId> roots) {
   uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
   for (AnnotationId a : roots) {
@@ -220,8 +238,12 @@ struct PriceCounts {
 /// \brief One step of dirty-group pricing over an aggregate expression
 /// (EnumeratedDistance::ShapeMerges and FoldMerges). Prepare() runs once
 /// per step on the calling thread; Shape() and Fold() run on exec workers.
-/// A run's PricingCache keeps one pricer, so the step arrays below keep
-/// their capacity from step to step.
+/// The shape pass counts: it finds each merge's dirty groups through the
+/// occurrence index and sizes its fresh units with MovedSize. The fold
+/// pass lowers: it lowers the moved rows of the merges it folds, so a
+/// merge a bounded step leaves unfolded is never lowered. A run's
+/// PricingCache keeps one pricer, so the step arrays below keep their
+/// capacity from step to step.
 class StepPricer {
  public:
   /// Merges per shape task when the step fans out: the shape pass gives
@@ -247,7 +269,7 @@ class StepPricer {
   }
 
   /// Shape pass over block `b`: fixes each of its merges' units, cache
-  /// reuse and candidate size, and lowers the rows its fresh units move.
+  /// reuse, moved rows and candidate size, lowering nothing.
   void Shape(size_t b);
 
   /// Merge `i`'s candidate size.
@@ -258,10 +280,10 @@ class StepPricer {
   /// generation's buffers to hold them; returns the index of the first.
   size_t LayOut(std::span<const uint32_t> which);
 
-  /// Fold pass for merge `i`: writes its units, sources and terms into
-  /// entry `e` of the cache's next generation, laid out by LayOut, and its
-  /// distance into `*distance`; returns true when its group remap is the
-  /// identity.
+  /// Fold pass for merge `i`: lowers the rows its fresh units move, writes
+  /// its units, sources and terms into entry `e` of the cache's next
+  /// generation, laid out by LayOut, and its distance into `*distance`;
+  /// returns true when its group remap is the identity.
   bool Fold(size_t i, size_t e, double* distance, PriceCounts* counts) const;
 
  private:
@@ -271,6 +293,7 @@ class StepPricer {
   /// Per-thread scratch of Shape() and Fold().
   struct Scratch {
     std::vector<uint32_t> moved;      // rows with a root in a factor
+    std::vector<uint32_t> union_tmp;  // FindDirty's merge of root spans
     std::vector<uint32_t> dirty;      // dirty current slots, ascending
     std::vector<uint32_t> key_slots;  // slots whose key is a root
     std::vector<PricingCache::Source> sources;  // one merge's unit sources
@@ -298,30 +321,10 @@ class StepPricer {
     int64_t size = 0;    // size of the group's rows after the merge
     int64_t reuse = -1;  // its terms in the cached generation, or -1
     uint32_t slot = 0;   // the current slot of a kept group
-    // A fresh unit's fold resumes at row `start` from checkpoint
-    // `checkpoint` (-1: a zero state), over the group's kept rows from
-    // `start` on minus `moved`, spliced with `lowered`.
-    uint32_t start = 0;
-    int32_t checkpoint = -1;
+    // A fresh kept group's moved rows, ascending; the merged group moves
+    // every row of the key slots.
     uint32_t moved_off = 0;
     uint32_t moved_end = 0;
-    uint32_t lowered_off = 0;
-    uint32_t lowered_end = 0;
-  };
-  /// A lowered row as a block keeps it: the kernels' row with its factor
-  /// spans as offsets into the block's arena, and the source row it folds
-  /// in front of.
-  struct LoweredRow {
-    uint32_t mono_off = 0;
-    uint32_t mono_len = 0;
-    uint32_t guard_off = 0;
-    uint32_t guard_len = 0;
-    uint32_t before = 0;
-    uint8_t has_guard = 0;
-    uint8_t guard_if_true = 0;
-    uint8_t guard_if_false = 0;
-    double contribution = 0.0;
-    double count_add = 0.0;
   };
   /// One merge's ranges of its block's buffers.
   struct MergeShape {
@@ -341,8 +344,6 @@ class StepPricer {
     Buffer<ShapeUnit> units;
     Buffer<uint32_t> keys;
     Buffer<uint32_t> moved;
-    Buffer<LoweredRow> lowered;
-    Buffer<AnnotationId> arena;  // the lowered rows' factors
   };
 
   /// The calling thread's scratch.
@@ -362,11 +363,9 @@ class StepPricer {
                  const PricingCache::Source* src,
                  const PricingCache::Source* src_end, ShapeUnit* su) const;
 
-  /// Lowers the rows that merge `m` moves among `rows` into `blk`, sets the
-  /// unit's lowered range and returns the lowered rows' size.
-  int64_t AppendLowered(const MergeQuery& m, const uint32_t* rows,
-                        size_t num_rows, uint32_t begin, uint32_t end,
-                        Scratch* sc, ShapeBlock* blk, ShapeUnit* su) const;
+  /// Fills sc.merged_rows with every row of the slots [keys, keys_end).
+  void MergedRows(const uint32_t* keys, const uint32_t* keys_end,
+                  Scratch* sc) const;
 
   // The step's inputs, set by Prepare() and BeginShapes().
   const EnumeratedDistance* oracle_ = nullptr;
@@ -382,7 +381,13 @@ class StepPricer {
   kernels::GroupRemap remap_;  // base slots -> current slots
   std::vector<uint32_t> row_begin_;    // current slot -> first row
   std::vector<int64_t> group_size_;
-  std::vector<std::pair<AnnotationId, uint32_t>> occurs_;  // (ann, row)
+  // The occurrence index: the annotations of the current rows, ascending,
+  // and the rows occ_ann_[k] occurs in (monomial or guard body),
+  // ascending: occ_rows_[occ_begin_[k] .. occ_begin_[k + 1]).
+  std::vector<AnnotationId> occ_ann_;
+  std::vector<uint32_t> occ_begin_;
+  std::vector<uint32_t> occ_rows_;
+  std::vector<std::pair<AnnotationId, uint32_t>> occurs_;  // Prepare's
   std::vector<uint64_t> versions_;
   // v^{h,φ} under the step's state, one block per grain-8 chunk.
   std::vector<kernels::ValuationBlock> blocks_;
@@ -457,8 +462,21 @@ bool StepPricer::Prepare(const EnumeratedDistance& oracle,
     }
   }
   for (size_t g = 0; g < G; ++g) row_begin_[g + 1] += row_begin_[g];
+  // A row is indexed once per annotation however often it occurs in it (a
+  // factor can repeat, or sit in both the monomial and the guard).
   std::sort(occurs_.begin(), occurs_.end());
   occurs_.erase(std::unique(occurs_.begin(), occurs_.end()), occurs_.end());
+  occ_ann_.clear();
+  occ_begin_.clear();
+  occ_rows_.resize(occurs_.size());
+  for (size_t k = 0; k < occurs_.size(); ++k) {
+    if (occ_ann_.empty() || occ_ann_.back() != occurs_[k].first) {
+      occ_ann_.push_back(occurs_[k].first);
+      occ_begin_.push_back(static_cast<uint32_t>(k));
+    }
+    occ_rows_[k] = occurs_[k].second;
+  }
+  occ_begin_.push_back(static_cast<uint32_t>(occurs_.size()));
   size_ = current_->Size();
 
   // Group versions against the previous step's rows.
@@ -540,32 +558,51 @@ bool StepPricer::Prepare(const EnumeratedDistance& oracle,
 void StepPricer::FindDirty(std::span<const AnnotationId> roots,
                            Scratch* sc) const {
   // The rows the merge moves: every row with a root in its monomial or
-  // guard body. Their groups and the groups keyed by a root are the dirty
-  // slots; roots that are group keys fold their groups into t's.
+  // guard body, the union of the roots' occurrence spans. Their groups and
+  // the groups keyed by a root are the dirty slots; roots that are group
+  // keys fold their groups into t's.
   const AnnotationId* groups = program_.groups;
   const size_t G = num_groups_;
   sc->moved.clear();
   sc->key_slots.clear();
+  auto ann = occ_ann_.begin();
   for (AnnotationId r : roots) {
-    auto it = std::lower_bound(occurs_.begin(), occurs_.end(),
-                               std::make_pair(r, uint32_t{0}));
-    for (; it != occurs_.end() && it->first == r; ++it) {
-      sc->moved.push_back(it->second);
+    // Roots are sorted, so each search starts where the last ended.
+    ann = std::lower_bound(ann, occ_ann_.end(), r);
+    if (ann != occ_ann_.end() && *ann == r) {
+      const size_t a = static_cast<size_t>(ann - occ_ann_.begin());
+      const uint32_t* occ = occ_rows_.data() + occ_begin_[a];
+      const uint32_t* occ_end = occ_rows_.data() + occ_begin_[a + 1];
+      if (sc->moved.empty()) {
+        sc->moved.assign(occ, occ_end);
+      } else {
+        sc->union_tmp.resize(sc->moved.size() + (occ_end - occ));
+        sc->union_tmp.erase(
+            std::set_union(sc->moved.begin(), sc->moved.end(), occ, occ_end,
+                           sc->union_tmp.begin()),
+            sc->union_tmp.end());
+        std::swap(sc->moved, sc->union_tmp);
+      }
     }
+    // The key slots come out ascending too.
     const AnnotationId* k = std::lower_bound(groups, groups + G, r);
     if (k != groups + G && *k == r) {
       sc->key_slots.push_back(static_cast<uint32_t>(k - groups));
     }
   }
-  std::sort(sc->moved.begin(), sc->moved.end());
-  sc->moved.erase(std::unique(sc->moved.begin(), sc->moved.end()),
-                  sc->moved.end());
-  std::sort(sc->key_slots.begin(), sc->key_slots.end());
-  sc->dirty.assign(sc->key_slots.begin(), sc->key_slots.end());
-  for (uint32_t i : sc->moved) sc->dirty.push_back(program_.agg_rows[i].group);
-  std::sort(sc->dirty.begin(), sc->dirty.end());
-  sc->dirty.erase(std::unique(sc->dirty.begin(), sc->dirty.end()),
-                  sc->dirty.end());
+  // Rows are group-sorted, so the moved rows' slots come out ascending;
+  // the key slots merge in, a slot that is both kept once.
+  sc->dirty.clear();
+  auto push = [sc](uint32_t g) {
+    if (sc->dirty.empty() || sc->dirty.back() != g) sc->dirty.push_back(g);
+  };
+  auto key = sc->key_slots.begin();
+  for (uint32_t i : sc->moved) {
+    const uint32_t g = program_.agg_rows[i].group;
+    while (key != sc->key_slots.end() && *key < g) push(*key++);
+    push(g);
+  }
+  while (key != sc->key_slots.end()) push(*key++);
 }
 
 void StepPricer::BeginShapes(const std::vector<MergeQuery>& merges,
@@ -598,34 +635,14 @@ void StepPricer::FindReuse(const PricingCache::Entry* old, bool merged,
   }
 }
 
-int64_t StepPricer::AppendLowered(const MergeQuery& m, const uint32_t* rows,
-                                  size_t num_rows, uint32_t begin,
-                                  uint32_t end, Scratch* sc, ShapeBlock* blk,
-                                  ShapeUnit* su) const {
-  current_->LowerMoved(rows, num_rows, m.roots.data(), m.roots.size(),
-                       m.scratch, begin, end, &sc->lowered);
-  su->lowered_off = static_cast<uint32_t>(blk->lowered.size());
-  int64_t size = 0;
-  for (size_t j = 0; j < sc->lowered.rows.size(); ++j) {
-    const kernels::AggBatchRow& r = sc->lowered.rows[j];
-    LoweredRow& kept = blk->lowered.emplace_back();
-    kept.mono_off = static_cast<uint32_t>(blk->arena.size());
-    kept.mono_len = r.mono.len;
-    blk->arena.insert(blk->arena.end(), r.mono.data, r.mono.data + r.mono.len);
-    kept.guard_off = static_cast<uint32_t>(blk->arena.size());
-    kept.guard_len = r.guard_mono.len;
-    blk->arena.insert(blk->arena.end(), r.guard_mono.data,
-                      r.guard_mono.data + r.guard_mono.len);
-    kept.before = sc->lowered.before[j];
-    kept.has_guard = r.has_guard;
-    kept.guard_if_true = r.guard_if_true;
-    kept.guard_if_false = r.guard_if_false;
-    kept.contribution = r.contribution;
-    kept.count_add = r.count_add;
-    size += r.mono.len + r.guard_mono.len;
+void StepPricer::MergedRows(const uint32_t* keys, const uint32_t* keys_end,
+                            Scratch* sc) const {
+  sc->merged_rows.clear();
+  for (const uint32_t* g = keys; g != keys_end; ++g) {
+    for (uint32_t r = row_begin_[*g]; r < row_begin_[*g + 1]; ++r) {
+      sc->merged_rows.push_back(r);
+    }
   }
-  su->lowered_end = static_cast<uint32_t>(blk->lowered.size());
-  return size;
 }
 
 void StepPricer::Shape(size_t b) {
@@ -634,8 +651,6 @@ void StepPricer::Shape(size_t b) {
   blk.units.clear();
   blk.keys.clear();
   blk.moved.clear();
-  blk.lowered.clear();
-  blk.arena.clear();
   const AnnotationId* groups = program_.groups;
   const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
   const size_t end_i = std::min(merges_->size(), (b + 1) * block_size_);
@@ -655,6 +670,7 @@ void StepPricer::Shape(size_t b) {
     // Size: the dirty groups' rows are replaced by the units' rows.
     int64_t size = size_;
     for (uint32_t g : sc.dirty) size -= group_size_[g];
+    auto moved = sc.moved.begin();
     for (uint32_t g : sc.dirty) {
       if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(), g)) {
         continue;
@@ -663,34 +679,25 @@ void StepPricer::Shape(size_t b) {
       su.slot = g;
       sc.sources.push_back({groups[g], versions_[g]});
       FindReuse(old, false, &sc.sources.back(), &sc.sources.back() + 1, &su);
+      // The group's moved rows: a kept slot is dirty because a root occurs
+      // in one of its rows, so there is at least one.
+      moved = std::lower_bound(moved, sc.moved.end(), row_begin_[g]);
+      const auto moved_end =
+          std::lower_bound(moved, sc.moved.end(), row_begin_[g + 1]);
       if (su.reuse < 0) {
-        // Lower the rows the merge moves; the fold resumes at the last
-        // checkpoint in front of the first changed row when that row is
-        // in this group, else at the group's first row from a zero state.
-        const uint32_t begin = row_begin_[g];
-        const uint32_t end = row_begin_[g + 1];
-        const auto moved_begin =
-            std::lower_bound(sc.moved.begin(), sc.moved.end(), begin);
-        const auto moved_end =
-            std::lower_bound(moved_begin, sc.moved.end(), end);
-        su.size = AppendLowered(
-            m, &*moved_begin, static_cast<size_t>(moved_end - moved_begin),
-            begin, end, &sc, &blk, &su);
-        su.size += group_size_[g];
-        for (auto r = moved_begin; r != moved_end; ++r) {
+        // The moved rows' old size gives way to what they lower to.
+        su.size = group_size_[g] +
+                  current_->MovedSize(&*moved,
+                                      static_cast<size_t>(moved_end - moved),
+                                      m.roots.data(), m.roots.size());
+        for (auto r = moved; r != moved_end; ++r) {
           su.size -= rows[*r].mono.len + rows[*r].guard_mono.len;
         }
-        const uint32_t first = std::min(*moved_begin, sc.lowered.before[0]);
-        const size_t k = first / stride_;
-        su.start = begin;
-        if (k * stride_ >= begin) {
-          su.checkpoint = static_cast<int32_t>(k);
-          su.start = static_cast<uint32_t>(k * stride_);
-        }
         su.moved_off = static_cast<uint32_t>(blk.moved.size());
-        blk.moved.insert(blk.moved.end(), moved_begin, moved_end);
+        blk.moved.insert(blk.moved.end(), moved, moved_end);
         su.moved_end = static_cast<uint32_t>(blk.moved.size());
       }
+      moved = moved_end;
       size += su.size;
     }
     if (!sc.key_slots.empty()) {
@@ -702,16 +709,12 @@ void StepPricer::Shape(size_t b) {
       FindReuse(old, true, sc.sources.data() + src_begin,
                 sc.sources.data() + sc.sources.size(), &su);
       if (su.reuse < 0) {
-        // Every row of the root-keyed groups moves into t's group, which
-        // has no kept rows and folds from a zero state.
-        sc.merged_rows.clear();
-        for (uint32_t g : sc.key_slots) {
-          for (uint32_t r = row_begin_[g]; r < row_begin_[g + 1]; ++r) {
-            sc.merged_rows.push_back(r);
-          }
-        }
-        su.size = AppendLowered(m, sc.merged_rows.data(),
-                                sc.merged_rows.size(), 0, 0, &sc, &blk, &su);
+        // Every row of the root-keyed groups moves into t's group.
+        MergedRows(sc.key_slots.data(),
+                   sc.key_slots.data() + sc.key_slots.size(), &sc);
+        su.size = current_->MovedSize(sc.merged_rows.data(),
+                                      sc.merged_rows.size(), m.roots.data(),
+                                      m.roots.size());
       }
       size += su.size;
     }
@@ -824,31 +827,48 @@ bool StepPricer::Fold(size_t i, size_t e, double* distance,
       }
     }
 
+    // Lower the rows the unit moves. A kept group's fold resumes at the
+    // last checkpoint in front of its first changed row (its first moved
+    // row, or where its first lowered row goes in) when that checkpoint is
+    // in the group, else at the group's first row from a zero state; t's
+    // merged group has no kept rows and folds from a zero state.
+    const uint32_t* mv = blk.moved.data() + su.moved_off;
+    const uint32_t* const mv_end = blk.moved.data() + su.moved_end;
+    uint32_t start = 0;
+    uint32_t end = 0;
+    int32_t checkpoint = -1;
+    if (merged) {
+      MergedRows(key_slots, key_end, &sc);
+      current_->LowerMoved(sc.merged_rows.data(), sc.merged_rows.size(),
+                           roots.data(), roots.size(), t, 0, 0, &sc.lowered);
+    } else {
+      start = row_begin_[su.slot];
+      end = row_begin_[su.slot + 1];
+      current_->LowerMoved(mv, static_cast<size_t>(mv_end - mv), roots.data(),
+                           roots.size(), t, start, end, &sc.lowered);
+      const size_t k = std::min(*mv, sc.lowered.before[0]) / stride_;
+      if (k * stride_ >= start) {
+        checkpoint = static_cast<int32_t>(k);
+        start = static_cast<uint32_t>(k * stride_);
+      }
+    }
+    assert(su.size == LoweredUnitSize(sc.lowered, rows, mv, mv_end,
+                                      merged ? 0 : group_size_[su.slot]));
+
     // Splice the lowered rows among the kept rows from the resumed fold
     // state on.
-    const LoweredRow* lowered = blk.lowered.data() + su.lowered_off;
-    const size_t num_lowered = su.lowered_end - su.lowered_off;
-    const uint32_t end = merged ? 0 : row_begin_[su.slot + 1];
+    const std::vector<kernels::AggBatchRow>& lowered = sc.lowered.rows;
+    const std::vector<uint32_t>& before = sc.lowered.before;
     sc.fold_rows.clear();
     sc.fold_src.clear();
     size_t j = 0;
     auto push_lowered_until = [&](uint32_t r) {
-      for (; j < num_lowered && lowered[j].before <= r; ++j) {
-        const LoweredRow& l = lowered[j];
-        kernels::AggBatchRow& row = sc.fold_rows.emplace_back();
-        row.mono = {blk.arena.data() + l.mono_off, l.mono_len};
-        row.guard_mono = {blk.arena.data() + l.guard_off, l.guard_len};
-        row.has_guard = l.has_guard;
-        row.guard_if_true = l.guard_if_true;
-        row.guard_if_false = l.guard_if_false;
-        row.contribution = l.contribution;
-        row.count_add = l.count_add;
+      for (; j < lowered.size() && before[j] <= r; ++j) {
+        sc.fold_rows.push_back(lowered[j]);
         sc.fold_src.push_back(kLowered);
       }
     };
-    const uint32_t* mv = blk.moved.data() + su.moved_off;
-    const uint32_t* const mv_end = blk.moved.data() + su.moved_end;
-    for (uint32_t r = su.start; r < end; ++r) {
+    for (uint32_t r = start; r < end; ++r) {
       push_lowered_until(r);
       if (mv != mv_end && *mv == r) {
         ++mv;
@@ -883,9 +903,9 @@ bool StepPricer::Fold(size_t i, size_t e, double* distance,
                                                      sc.t_masks[c]);
       }
       kernels::AggAccumulator acc =
-          su.checkpoint >= 0
+          checkpoint >= 0
               ? checkpoints_[c * num_checkpoints_ +
-                             static_cast<size_t>(su.checkpoint)]
+                             static_cast<size_t>(checkpoint)]
               : kernels::AggAccumulator{};
       kernels::FoldAggRows(program_.fold, sc.fold_rows.data(),
                            sc.fold_masks.data(), n, &acc);

@@ -211,9 +211,11 @@ class EnumeratedDistance {
   /// of R occurs (its *dirty* groups). Once per step this evaluates the
   /// current expression under `state` and keeps every group's VAL-FUNC
   /// terms, every row's lane liveness and the fold state in front of the
-  /// rows; each merge then lowers only the rows it moves, splices them
-  /// among the rows it keeps, resumes each dirty group's fold at its first
-  /// changed row, and folds the per-group terms in ascending group order.
+  /// rows; each merge then counts its exact size without lowering, and a
+  /// merge whose distance is folded lowers only the rows it moves, splices
+  /// them among the rows it keeps, resumes each dirty group's fold at its
+  /// first changed row, and folds the per-group terms in ascending group
+  /// order.
   /// `cache` carries dirty-group terms across the steps of one run.
   /// Expressions and VAL-FUNCs without a batch lowering (DDP, polynomial,
   /// group-less aggregates, kNone) have every group dirty: they build
@@ -230,22 +232,23 @@ class EnumeratedDistance {
 
   /// Step pricing's shape pass, for a caller that folds the distances of
   /// only some merges (Summarizer::Run's bounded steps, docs/KERNELS.md).
-  /// Prepares the step and fixes every merge's dirty groups, cache reuse,
-  /// lowered rows and exact candidate size: `out` gets one price per
-  /// merge, its size set. The merges must stay alive, unchanged, until
-  /// CommitStep. False when the expression or VAL-FUNC has no step
-  /// pricing: nothing is kept, `cache` is cleared, and the caller prices
-  /// with MaterializeMerges.
+  /// Prepares the step and fixes every merge's dirty groups (through the
+  /// step's occurrence index), cache reuse, moved rows and exact candidate
+  /// size, counted by IrAggregateExpression::MovedSize; nothing is lowered
+  /// until FoldMerges. `out` gets one price per merge, its size set. The
+  /// merges must stay alive, unchanged, until CommitStep. False when the
+  /// expression or VAL-FUNC has no step pricing: nothing is kept, `cache`
+  /// is cleared, and the caller prices with MaterializeMerges.
   bool ShapeMerges(const ProvenanceExpression& current,
                    const MappingState& state,
                    const std::vector<MergeQuery>& merges,
                    exec::ThreadPool* pool, PricingCache* cache,
                    std::vector<MergePrice>* out);
 
-  /// Step pricing's fold pass: sets (*out)[i].distance for every merge `i`
-  /// of `which` (indices into the shaped merges, each folded at most once
-  /// per step), fanning out over `pool`. Only folded merges count as
-  /// priced in the oracle's and kernels' counters.
+  /// Step pricing's fold pass: lowers the rows each merge `i` of `which`
+  /// moves (indices into the shaped merges, each folded at most once per
+  /// step) and sets (*out)[i].distance, fanning out over `pool`. Only
+  /// folded merges count as priced in the oracle's and kernels' counters.
   void FoldMerges(std::span<const uint32_t> which, exec::ThreadPool* pool,
                   PricingCache* cache, std::vector<MergePrice>* out);
 

@@ -11,19 +11,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "datasets/movielens.h"
+#include "datasets/wikipedia.h"
 #include "exec/thread_pool.h"
 #include "ir/adopt.h"
+#include "ir/agg_expr.h"
 #include "ir/golden_run.h"
 #include "ir/term_pool.h"
 #include "kernels/metrics.h"
 #include "obs/metrics.h"
+#include "provenance/guard.h"
 #include "summarize/candidates.h"
 #include "summarize/distance.h"
 #include "summarize/val_func.h"
@@ -35,6 +40,7 @@ namespace {
 using golden::DoubleBits;
 using testing_fixtures::DrawSamples;
 using testing_fixtures::MovieFixture;
+using testing_fixtures::NewAggregate;
 using testing_fixtures::ScalarReferenceValFunc;
 
 enum class VfKind { kEuclidean, kAbsoluteDifference, kDisagreement };
@@ -417,6 +423,248 @@ TEST(StepPricingRowsTest, FoldResumesAtTheFirstChangedRow) {
   EXPECT_EQ(DoubleBits(prices[0].distance),
             DoubleBits(oracle.Distance(*cand, tentative)));
   EXPECT_EQ(prices[0].size, cand->Size());
+}
+
+// MovedSize counts the factors LowerMoved emits without lowering: the
+// shape pass sizes every merge with it, and only folded merges lower.
+
+/// The size of LowerMoved's rows for `rows` of `expr`.
+int64_t LoweredSize(const ir::IrAggregateExpression& expr,
+                    const std::vector<uint32_t>& rows,
+                    const std::vector<AnnotationId>& roots,
+                    AnnotationId target, uint32_t begin, uint32_t end) {
+  ir::MovedRows out;
+  expr.LowerMoved(rows.data(), rows.size(), roots.data(), roots.size(),
+                  target, begin, end, &out);
+  int64_t size = 0;
+  for (const kernels::AggBatchRow& r : out.rows) {
+    size += r.mono.len + r.guard_mono.len;
+  }
+  return size;
+}
+
+/// Compares MovedSize with LowerMoved on every unit the merge of `roots`
+/// (sorted) dirties in `expr`: the moved rows of each group it keeps, and
+/// every row of the groups keyed by a root. Returns the units compared.
+size_t CompareUnits(const ir::IrAggregateExpression& expr,
+                    const std::vector<AnnotationId>& roots,
+                    AnnotationId target) {
+  auto is_root = [&](AnnotationId a) {
+    return std::binary_search(roots.begin(), roots.end(), a);
+  };
+  const uint32_t n = static_cast<uint32_t>(expr.num_terms());
+  std::vector<uint32_t> merged;
+  size_t units = 0;
+  for (uint32_t begin = 0; begin < n;) {
+    uint32_t end = begin;
+    while (end < n && expr.group(end) == expr.group(begin)) ++end;
+    const bool key = is_root(expr.group(begin));
+    std::vector<uint32_t> moved;
+    for (uint32_t i = begin; i < end; ++i) {
+      const ir::AggTermView t = expr.term(i);
+      if (key) {
+        merged.push_back(i);
+      } else if (std::any_of(t.mono, t.mono + t.mono_len, is_root) ||
+                 std::any_of(t.guard_mono, t.guard_mono + t.guard_len,
+                             is_root)) {
+        moved.push_back(i);
+      }
+    }
+    if (!moved.empty()) {
+      EXPECT_EQ(expr.MovedSize(moved.data(), moved.size(), roots.data(),
+                               roots.size()),
+                LoweredSize(expr, moved, roots, target, begin, end))
+          << "group " << expr.group(begin) << " roots " << roots[0] << ","
+          << roots[1];
+      ++units;
+    }
+    begin = end;
+  }
+  if (!merged.empty()) {
+    EXPECT_EQ(
+        expr.MovedSize(merged.data(), merged.size(), roots.data(),
+                       roots.size()),
+        LoweredSize(expr, merged, roots, target, 0, 0))
+        << "merged group, roots " << roots[0] << "," << roots[1];
+    ++units;
+  }
+  return units;
+}
+
+/// Walks five greedy steps over `ds`; at each, compares every unit of
+/// every pair of the current annotations and of 300 seeded triples.
+void CompareUnitsOnAWalk(Dataset ds) {
+  const std::vector<Valuation> valuations =
+      ds.valuation_class->Generate(*ds.provenance, ds.ctx);
+  EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
+                            ds.val_func.get(), valuations, 1);
+  CandidateGenerator generator(&ds.constraints, &ds.ctx);
+  MappingState state(ds.registry.get(), ds.phi);
+  std::unique_ptr<ProvenanceExpression> current =
+      ir::Adopt(*ds.provenance, std::make_shared<ir::TermPool>());
+  PricingCache cache;
+  CandidateSet candidates;
+  std::mt19937 rng(23);
+  size_t merged_units = 0;
+  for (int step = 0; step <= 4; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const ir::IrAggregateExpression& expr = *current->AsAggregate();
+    std::vector<AnnotationId> anns;
+    expr.CollectAnnotations(&anns);
+    ASSERT_GE(anns.size(), 3u);
+    const AnnotationId target =
+        ds.registry->AddSummary(ds.registry->domain(anns[0]), "~t");
+    size_t units = 0;
+    for (size_t a = 0; a < anns.size(); ++a) {
+      for (size_t b = a + 1; b < anns.size(); ++b) {
+        units += CompareUnits(expr, {anns[a], anns[b]}, target);
+      }
+    }
+    std::uniform_int_distribution<size_t> pick(0, anns.size() - 1);
+    for (int k = 0; k < 300; ++k) {
+      std::vector<AnnotationId> roots = {anns[pick(rng)], anns[pick(rng)],
+                                         anns[pick(rng)]};
+      std::sort(roots.begin(), roots.end());
+      if (std::unique(roots.begin(), roots.end()) != roots.end()) continue;
+      units += CompareUnits(expr, roots, target);
+    }
+    EXPECT_GT(units, anns.size());
+    for (const AnnotationId g : expr.Groups()) {
+      merged_units += std::binary_search(anns.begin(), anns.end(), g);
+    }
+
+    // The step's winner, picked as the step pricing walk picks it.
+    generator.Generate(*current, state, CandidateOptions{}, &candidates);
+    if (candidates.empty()) break;
+    std::map<DomainId, AnnotationId> scratch;
+    std::vector<MergeQuery> merges;
+    for (const Candidate& cand : candidates) {
+      if (scratch.count(cand.domain) == 0) {
+        scratch[cand.domain] = ds.registry->AddSummary(cand.domain, "~scratch");
+      }
+      merges.push_back({candidates.roots(cand), scratch.at(cand.domain)});
+    }
+    std::vector<MergePrice> prices;
+    oracle.PriceMerges(*current, state, merges, nullptr, &cache, &prices);
+    size_t best = 0;
+    auto score = [&](size_t i) {
+      return prices[i].distance + static_cast<double>(prices[i].size) / 1000.0;
+    };
+    for (size_t i = 1; i < prices.size(); ++i) {
+      if (score(i) < score(best)) best = i;
+    }
+    const std::vector<AnnotationId> roots(merges[best].roots.begin(),
+                                          merges[best].roots.end());
+    const AnnotationId summary =
+        ds.registry->AddSummary(candidates[best].domain, "winner");
+    state.Merge(roots, summary);
+    Homomorphism commit;
+    for (AnnotationId root : roots) commit.Set(root, summary);
+    current = current->Apply(commit);
+  }
+  EXPECT_GT(merged_units, 0u);  // group keys were among the roots
+}
+
+TEST(MovedSizeTest, CountsWhatLowerMovedEmitsAlongGreedyWalks) {
+  MovieLensConfig movielens;  // the perfbench shape
+  movielens.num_users = 25;
+  movielens.num_movies = 8;
+  movielens.seed = 99;
+  CompareUnitsOnAWalk(MovieLensGenerator::Generate(movielens));
+  WikipediaConfig wikipedia;
+  wikipedia.num_users = 10;
+  wikipedia.num_pages = 6;
+  CompareUnitsOnAWalk(WikipediaGenerator::Generate(wikipedia));
+}
+
+TEST(MovedSizeTest, HandBuiltRowsMergeExactlyWhenTheirMappedKeysAreEqual) {
+  // Roots 1 and 2 map to 99; 5 and 6 are other factors, 10 and 11 groups.
+  const std::vector<AnnotationId> roots = {1, 2};
+  const AnnotationId t = 99;
+  auto guard = [](Monomial body, double scalar, CompareOp op,
+                  double threshold) {
+    return std::optional<Guard>(Guard(std::move(body), scalar, op, threshold));
+  };
+  struct Case {
+    const char* name;
+    std::vector<std::pair<Monomial, std::optional<Guard>>> rows;
+    int64_t expected;  // the size after the merge
+  };
+  const Case cases[] = {
+      // 1·2·5, 1·1·5 and 2·2·5 all map to t·t·5; 1·5·6 and 2·5 (t·5:
+      // the same non-root factors, one root fewer) stay apart.
+      {"two roots in one monomial",
+       {{Monomial{1, 2, 5}, std::nullopt},
+        {Monomial{1, 1, 5}, std::nullopt},
+        {Monomial{2, 2, 5}, std::nullopt},
+        {Monomial{1, 5, 6}, std::nullopt},
+        {Monomial{2, 5}, std::nullopt}},
+       8},
+      // The roots sit in the guard bodies: 5·[1·6 > 2] and 5·[2·6 > 2]
+      // merge; 5·[1·5 > 2] differs in a non-root factor.
+      {"a root in a guard body",
+       {{Monomial{5}, guard(Monomial{1, 6}, 3.0, CompareOp::kGt, 2.0)},
+        {Monomial{5}, guard(Monomial{2, 6}, 3.0, CompareOp::kGt, 2.0)},
+        {Monomial{5}, guard(Monomial{1, 5}, 3.0, CompareOp::kGt, 2.0)}},
+       6},
+      {"guards that differ only in op, threshold or scalar",
+       {{Monomial{1}, guard(Monomial{6}, 3.0, CompareOp::kGt, 2.0)},
+        {Monomial{2}, guard(Monomial{6}, 3.0, CompareOp::kGe, 2.0)},
+        {Monomial{1, 5}, guard(Monomial{6}, 3.0, CompareOp::kGt, 2.0)},
+        {Monomial{2, 5}, guard(Monomial{6}, 3.0, CompareOp::kGt, 2.5)},
+        {Monomial{2, 6}, guard(Monomial{6}, 3.0, CompareOp::kGt, 2.0)},
+        {Monomial{1, 6}, guard(Monomial{6}, 4.0, CompareOp::kGt, 2.0)}},
+       16},
+      // +0.0 and -0.0 compare equal, as scalars and as thresholds.
+      {"guard scalars +0.0 and -0.0",
+       {{Monomial{1}, guard(Monomial{6}, 0.0, CompareOp::kGe, 0.0)},
+        {Monomial{2}, guard(Monomial{6}, -0.0, CompareOp::kGe, 0.0)},
+        {Monomial{1, 5}, guard(Monomial{6}, 1.0, CompareOp::kLt, 0.0)},
+        {Monomial{2, 5}, guard(Monomial{6}, 1.0, CompareOp::kLt, -0.0)}},
+       5},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (const bool root_group : {false, true}) {
+      SCOPED_TRACE(root_group ? "group keys 1 and 2" : "group 11");
+      // The moved rows sit in group 11, or alternate between the
+      // root-keyed groups 1 and 2, which both map to t's group; group 10
+      // keeps one row the merge does not move.
+      auto expr = NewAggregate(AggKind::kSum);
+      expr->AddTerm(Monomial{5, 6}, 10, AggValue{1.0, 1.0});
+      for (size_t i = 0; i < c.rows.size(); ++i) {
+        const AnnotationId group =
+            root_group ? roots[i % roots.size()] : AnnotationId{11};
+        expr->AddTerm(c.rows[i].first, group, AggValue{1.0, 1.0},
+                      c.rows[i].second);
+      }
+      expr->Canonicalize();
+      ASSERT_EQ(expr->num_terms(), c.rows.size() + 1);  // none merged yet
+      std::vector<uint32_t> moved;
+      for (uint32_t i = 0; i < expr->num_terms(); ++i) {
+        if (expr->group(i) != 10) moved.push_back(i);
+      }
+      const uint32_t begin = root_group ? 0 : moved.front();
+      const uint32_t end = root_group ? 0 : moved.back() + 1;
+      EXPECT_EQ(LoweredSize(*expr, moved, roots, t, begin, end), c.expected);
+      EXPECT_EQ(expr->MovedSize(moved.data(), moved.size(), roots.data(),
+                                roots.size()),
+                c.expected);
+      // Every pair and single row too: the one- and two-row fast paths.
+      for (size_t a = 0; a < moved.size(); ++a) {
+        for (size_t b = a; b < moved.size(); ++b) {
+          const std::vector<uint32_t> sub =
+              a == b ? std::vector<uint32_t>{moved[a]}
+                     : std::vector<uint32_t>{moved[a], moved[b]};
+          EXPECT_EQ(
+              expr->MovedSize(sub.data(), sub.size(), roots.data(),
+                              roots.size()),
+              LoweredSize(*expr, sub, roots, t, begin, end))
+              << "rows " << moved[a] << "," << moved[b];
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
