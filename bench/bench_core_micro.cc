@@ -262,12 +262,16 @@ int RunKernelsJsonBaseline() {
         ds.valuation_class->Generate(*ds.provenance, ds.ctx);
     EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
                               ds.val_func.get(), valuations, /*threads=*/1);
-    // The scalar reference's base valuations, materialized once at the
-    // oracle's registry size and outside every timed loop.
+    // The scalar reference's base valuations and v(p₀) under each,
+    // materialized and evaluated once at the oracle's registry size and
+    // outside every timed loop.
     std::vector<MaterializedValuation> base_mats;
+    std::vector<EvalResult> base_evals;
     base_mats.reserve(valuations.size());
+    base_evals.reserve(valuations.size());
     for (const Valuation& v : valuations) {
       base_mats.emplace_back(v, ds.registry->size());
+      base_evals.push_back(ds.provenance->Evaluate(base_mats.back()));
     }
     auto user_anns = ds.registry->AnnotationsInDomain(ds.domain("user"));
     AnnotationId summary =
@@ -295,7 +299,6 @@ int RunKernelsJsonBaseline() {
     // The per-valuation loop the batch path replaced (identity-on-groups
     // branch, serial), extending the pre-materialized bases above rather
     // than materializing each sparse valuation inside the timed loop.
-    const std::vector<EvalResult>& base_evals = oracle.base_evals();
     const double scalar_ns = MinNsPerOp([&] {
       const size_t n = ds.registry->size();
       double total = 0.0;

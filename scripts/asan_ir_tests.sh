@@ -23,7 +23,11 @@
 # use-after-close without touching freed memory, docs/EMBEDDING.md),
 # and the s-expression reader's suites (`IoTest`, `ParserFuzzTest` in
 # prox_provenance_test — the reader parses untrusted text and appends
-# rows straight into a fresh TermPool).
+# rows straight into a fresh TermPool), and the reference differential
+# suite (`ReferenceDifferential*` in prox_reference_test: Summarizer::Run
+# against the naive Algorithm 1 of tests/testing/reference_summarizer.h
+# over seeded random cases), once at its tier-1 budget through CTest and
+# once more over 1,000 seeds through the binary's --reference-cases.
 # The IR core hands out raw spans into a shared arena
 # and resolves overlay-tagged 32-bit ids against two pools; the store
 # layer parses attacker-shaped bytes out of an mmap — exactly the kind of
@@ -46,13 +50,15 @@ cmake --build "$build_dir" \
   --target prox_ir_test prox_ir_golden_test prox_kernels_test \
   prox_summarize_test \
   prox_kernels_golden_test prox_store_test prox_ingest_test \
-  prox_engine_test prox_capi_test prox_provenance_test -j "$(nproc)"
+  prox_engine_test prox_capi_test prox_provenance_test prox_reference_test \
+  -j "$(nproc)"
 ctest --test-dir "$build_dir" -L ir --output-on-failure
 ctest --test-dir "$build_dir" -L store --output-on-failure
 ctest --test-dir "$build_dir" -L ingest --output-on-failure
 ctest --test-dir "$build_dir" -L engine --output-on-failure
 ctest --test-dir "$build_dir" \
-  -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest|StepPricing|MovedSize|SampledValuations|SamplingEpsilon' \
+  -R 'GoldenIdentityTest|GoldenKernelsTest|ProjectedBatchTest|StepPricing|MovedSize|SampledValuations|SamplingEpsilon|ReferenceDifferential' \
   --output-on-failure
 ctest --test-dir "$build_dir" -R '^(IoTest|(Seeds/)?ParserFuzzTest)[.]' \
   --output-on-failure
+"$build_dir"/tests/prox_reference_test --reference-cases=1000

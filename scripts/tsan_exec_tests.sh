@@ -19,7 +19,10 @@
 # {1,8}), the
 # snapshot-serving suite (docs/STORE.md), and the epoll transport loopback
 # suite (event-loop shards + handler pool + frozen wire goldens,
-# docs/NET.md) — under TSan.
+# docs/NET.md) — under TSan. It also builds prox_reference_test and runs
+# the reference differential seeds that draw threads=4 (step pricing,
+# bounded folds and chunked distances on exec workers, compared with the
+# naive Algorithm 1 of tests/testing/reference_summarizer.h).
 #
 # The target list is read from tests/CMakeLists.txt: every executable
 # whose gtest_discover_tests() carries `LABELS tsan` is built. A suite
@@ -41,6 +44,7 @@ if [[ ${#targets[@]} -eq 0 ]]; then
   echo "tsan_exec_tests: no tsan-labelled targets found" >&2
   exit 1
 fi
+targets+=(prox_reference_test)
 echo "tsan_exec_tests: building ${targets[*]}"
 
 cmake -B "$build_dir" -S . \
@@ -57,3 +61,4 @@ if [[ -n "$not_built" ]]; then
   exit 1
 fi
 ctest --test-dir "$build_dir" -L tsan --output-on-failure
+"$build_dir"/tests/prox_reference_test --reference-threads=4

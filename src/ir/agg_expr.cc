@@ -1,7 +1,6 @@
 #include "ir/agg_expr.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -492,43 +491,6 @@ EvalResult IrAggregateExpression::Evaluate(
   for (size_t g = 0; g < groups_.size(); ++g) {
     coords.push_back(
         EvalResult::Coord{groups_[g], finalize(slots[g]), slots[g].count});
-  }
-  return EvalResult::Vector(std::move(coords));
-}
-
-EvalResult IrAggregateExpression::ProjectEvalResult(
-    const EvalResult& base, const Homomorphism& h) const {
-  if (base.kind() != EvalResult::Kind::kVector) return base;
-  struct Slot {
-    double value = 0.0;
-    double count = 0.0;
-    bool seen = false;
-  };
-  std::map<AnnotationId, Slot> acc;
-  for (const auto& c : base.coords()) {
-    auto& slot = acc[h.Map(c.group)];
-    if (agg_ == AggKind::kAvg) {
-      // Coordinates carry averages; merge as count-weighted sums.
-      slot.value += c.value * c.count;
-      slot.count += c.count;
-    } else {
-      AggValue v{c.value, 0.0};
-      if (agg_ == AggKind::kCount) v.count = c.value;
-      slot.value = FoldAggregate(agg_, slot.value, v, !slot.seen);
-    }
-    slot.seen = true;
-  }
-  std::vector<EvalResult::Coord> coords;
-  coords.reserve(acc.size());
-  for (const auto& [group, slot] : acc) {
-    double value = slot.value;
-    if (agg_ == AggKind::kAvg) {
-      value = slot.count > 0 ? slot.value / slot.count : 0.0;
-    }
-    coords.push_back(EvalResult::Coord{group, value, slot.count});
-  }
-  if (coords.size() == 1 && coords[0].group == kNoAnnotation) {
-    return EvalResult::Scalar(coords[0].value);
   }
   return EvalResult::Vector(std::move(coords));
 }

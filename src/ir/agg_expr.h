@@ -137,8 +137,6 @@ class IrAggregateExpression : public ProvenanceExpression,
   std::unique_ptr<ProvenanceExpression> Apply(
       const Homomorphism& h) const override;
   EvalResult Evaluate(const MaterializedValuation& v) const override;
-  EvalResult ProjectEvalResult(const EvalResult& base,
-                               const Homomorphism& h) const override;
   std::unique_ptr<ProvenanceExpression> Clone() const override;
   std::string ToString(const AnnotationRegistry& registry) const override;
   const IrAggregateExpression* AsAggregate() const override { return this; }

@@ -89,11 +89,6 @@ class IrDdpExpression : public ProvenanceExpression,
   std::unique_ptr<ProvenanceExpression> Apply(
       const Homomorphism& h) const override;
   EvalResult Evaluate(const MaterializedValuation& v) const override;
-  EvalResult ProjectEvalResult(const EvalResult& base,
-                               const Homomorphism& h) const override {
-    (void)h;
-    return base;
-  }
   std::unique_ptr<ProvenanceExpression> Clone() const override;
   std::string ToString(const AnnotationRegistry& registry) const override;
   const IrDdpExpression* AsDdp() const override { return this; }

@@ -120,14 +120,13 @@ struct BlockEval {
   std::vector<double> costs;
   std::array<uint8_t, kMaxLanes> feasible{};
 
-  /// Reassembles lane `lane` as a plain EvalResult (tests, fallbacks).
+  /// Reassembles lane `lane` as a plain EvalResult (tests).
   EvalResult Extract(size_t lane) const;
 };
 
-/// The batched VAL-FUNC reductions; kNone marks a ValFunc with no
-/// bit-identical batch counterpart (the oracle then keeps the scalar path).
+/// The batched VAL-FUNC reductions, one per ValFunc: each is bit-identical
+/// to its ValFunc::Compute lane by lane.
 enum class ValFuncBatchKind : uint8_t {
-  kNone,
   kL1,            ///< AbsoluteDifference
   kL2,            ///< Euclidean
   kDisagreement,  ///< Disagreement
@@ -213,8 +212,9 @@ inline void FinishAgg(AggKind agg, const AggAccumulator& acc, double* value) {
 
 /// Computes the per-lane VAL-FUNC error `err[l] = valfunc(base lane l,
 /// cand lane l)` for lanes [0, cand.width). `base` and `cand` must have
-/// the same kind and (for vector results) group layout — the
-/// oracle validates this once per call via MatchesLayout. `ddp_max_error`
+/// the same kind and (for vector results) group layout — the oracle
+/// projects its base blocks into the candidate's layout (ProjectBlock)
+/// first. `ddp_max_error`
 /// is DdpDifferenceValFunc's feasibility-mismatch penalty (ignored for
 /// other kinds).
 void ValFuncBlockErrors(ValFuncBatchKind kind, double ddp_max_error,
@@ -256,18 +256,19 @@ struct GroupRemap {
 /// `program`'s output layout under `h`; for vector layouts the tables are
 /// filled even when the map is the identity. Returns false when no remap
 /// reconciles the two: a kind mismatch, a base group whose image is not a
-/// program group, or a program group no base group maps to. Callers then
-/// keep the per-valuation scalar path.
+/// program group, or a program group no base group maps to. The distance
+/// oracle never sees false: its base layout is p₀'s, which remaps into the
+/// groups of every h(p₀).
 bool BuildGroupRemap(EvalResult::Kind kind, const AnnotationId* groups,
                      size_t num_groups, const BatchProgram& program,
                      const Homomorphism& h, GroupRemap* out);
 
 /// Folds base slots `slots` (ascending) of the vector block `base` into one
 /// coordinate, per lane: `value`/`count` receive kMaxLanes lanes. The
-/// per-lane operation sequence of
-/// IrAggregateExpression::ProjectEvalResult for one projected coordinate
-/// (FoldAggregate per slot, count-weighted sums for AVG; counts stay 0
-/// otherwise).
+/// per-lane operation sequence of the projection of Example 5.2.1 for one
+/// projected coordinate (FoldAggregate per slot, count-weighted sums for
+/// AVG; counts stay 0 otherwise), whose per-valuation spec lives in
+/// tests/testing/reference_summarizer.h.
 void FoldBaseSlots(AggKind agg, const BlockEval& base, const uint32_t* slots,
                    size_t num_slots, double* value, double* count);
 

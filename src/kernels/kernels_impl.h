@@ -268,8 +268,6 @@ void ValFuncErrorsImpl(ValFuncBatchKind kind, double ddp_max_error,
   const typename Ops::VecD one = Ops::Broadcast(1.0);
 
   switch (kind) {
-    case ValFuncBatchKind::kNone:
-      break;
     case ValFuncBatchKind::kL1:
     case ValFuncBatchKind::kL2: {
       if (cand.kind == EvalResult::Kind::kScalar) {

@@ -32,25 +32,10 @@ void CountBatchEvals(uint64_t n) {
   c->Increment(n);
 }
 
-void CountScalarFallback(uint64_t n) {
-  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
-      "prox_kernel_scalar_fallback_total",
-      "Distance calls that fell back to the per-valuation scalar path "
-      "(non-batchable expression, VAL-FUNC or layout mismatch).");
-  c->Increment(n);
-}
-
 uint64_t BatchEvalsForTesting() {
   CountBatchEvals(0);  // ensure the counter exists
   return obs::MetricsRegistry::Default()
       .GetCounter("prox_kernel_batch_evals_total", "")
-      ->value();
-}
-
-uint64_t ScalarFallbacksForTesting() {
-  CountScalarFallback(0);
-  return obs::MetricsRegistry::Default()
-      .GetCounter("prox_kernel_scalar_fallback_total", "")
       ->value();
 }
 

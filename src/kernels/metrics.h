@@ -20,15 +20,10 @@ void PublishSimdTier(int tier);
 /// once per valuation per priced candidate).
 void CountBatchEvals(uint64_t n);
 
-/// An oracle fell back to the per-valuation scalar path for one Distance
-/// call (layout mismatch, non-batchable expression or VAL-FUNC).
-void CountScalarFallback(uint64_t n = 1);
-
-/// Current counter values, for tests asserting that the batch path (or
-/// the fallback) actually engaged — identity checks are vacuous if the
-/// code under test silently took the other path.
+/// Current counter value, for tests asserting that the batch kernels
+/// actually engaged — identity checks are vacuous if the code under test
+/// priced nothing.
 uint64_t BatchEvalsForTesting();
-uint64_t ScalarFallbacksForTesting();
 
 }  // namespace kernels
 }  // namespace prox

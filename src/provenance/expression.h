@@ -51,13 +51,6 @@ class ProvenanceExpression {
   /// Evaluates under a (materialized) truth valuation.
   virtual EvalResult Evaluate(const MaterializedValuation& v) const = 0;
 
-  /// Projects an evaluation result of the *original* expression into this
-  /// expression's coordinate space through the cumulative homomorphism `h`
-  /// (Example 5.2.1: merged group keys merge coordinates under the
-  /// aggregation function). Identity for non-vector results.
-  virtual EvalResult ProjectEvalResult(const EvalResult& base,
-                                       const Homomorphism& h) const = 0;
-
   virtual std::unique_ptr<ProvenanceExpression> Clone() const = 0;
 
   /// Human-readable polynomial form as printed by the PROX expression view.
@@ -71,13 +64,10 @@ class ProvenanceExpression {
   }
   virtual const ir::IrDdpExpression* AsDdp() const { return nullptr; }
 
-  /// Batch-evaluation capability (kernels/batch_eval.h): non-null when the
-  /// expression can lower itself into a flat BatchProgram for the SIMD
-  /// batch kernels. The oracle gates its batched paths on it and falls
-  /// back to per-valuation Evaluate().
-  virtual const kernels::BatchEvalFacade* AsBatchEval() const {
-    return nullptr;
-  }
+  /// Batch evaluation (kernels/batch_eval.h): lowers the expression into a
+  /// flat BatchProgram for the SIMD batch kernels, the distance oracle's
+  /// one pricing path. Every implementation provides it.
+  virtual const kernels::BatchEvalFacade* AsBatchEval() const = 0;
 };
 
 }  // namespace prox

@@ -71,17 +71,6 @@ constexpr size_t kLanes = kernels::kMaxLanes;
 static_assert(static_cast<size_t>(EnumeratedDistance::kReductionGrain) ==
               kLanes);
 
-/// True when the cumulative homomorphism fixes every group key of the
-/// reference evaluation, making ProjectEvalResult the identity (scalar and
-/// cost/bool results have no group keys, so they always qualify).
-bool IdentityOnGroups(const EvalResult& reference, const MappingState& state) {
-  if (reference.kind() != EvalResult::Kind::kVector) return true;
-  for (const auto& coord : reference.coords()) {
-    if (state.cumulative().Map(coord.group) != coord.group) return false;
-  }
-  return true;
-}
-
 /// One group's VAL-FUNC term on one lane — what the batch error kernel
 /// folds per group (kernels_impl.h, ValFuncErrorsImpl): |d| for L1, d² for
 /// L2, and for Disagreement the mismatch bit.
@@ -253,10 +242,10 @@ class StepPricer {
 
   /// Lowers and evaluates `current` (= h(p₀) for `state`) under the step's
   /// chunks, keeping every row's lane mask, the fold checkpoints and every
-  /// group's terms. False when a side is not a vector result, the VAL-FUNC
-  /// has no per-group term, or no group remap reconciles the base layout
-  /// with the current one; every merge then materializes. The oracle's
-  /// base blocks must be packed (EnsureBaseBlocks).
+  /// group's terms. False when a side is not a vector result or the
+  /// VAL-FUNC has no per-group term; every merge then materializes.
+  /// `current` must be h(p₀) for `state` (EnumeratedDistance::Distance's
+  /// precondition), so the base layout remaps into its groups.
   bool Prepare(const EnumeratedDistance& oracle, PricingCache* cache,
                const ir::IrAggregateExpression& current,
                const MappingState& state, kernels::BatchProgram program);
@@ -373,7 +362,7 @@ class StepPricer {
   const ir::IrAggregateExpression* current_ = nullptr;
   const MappingState* state_ = nullptr;
   const std::vector<MergeQuery>* merges_ = nullptr;
-  kernels::ValFuncBatchKind vf_ = kernels::ValFuncBatchKind::kNone;
+  kernels::ValFuncBatchKind vf_ = kernels::ValFuncBatchKind::kL1;
 
   kernels::BatchProgram program_;
   size_t num_groups_ = 0;
@@ -438,12 +427,10 @@ bool StepPricer::Prepare(const EnumeratedDistance& oracle,
 
   // Base slot -> current slot through the cumulative h, and each current
   // slot's ascending preimage.
-  if (!kernels::BuildGroupRemap(oracle_->base_kind_,
-                                oracle_->base_groups_.data(),
-                                oracle_->base_groups_.size(), program_,
-                                state_->cumulative(), &remap_)) {
-    return false;
-  }
+  [[maybe_unused]] const bool remapped = kernels::BuildGroupRemap(
+      oracle_->base_kind_, oracle_->base_groups_.data(),
+      oracle_->base_groups_.size(), program_, state_->cumulative(), &remap_);
+  assert(remapped);
 
   // Rows are group-sorted: per-slot row ranges, sizes and the rows each
   // annotation occurs in.
@@ -980,22 +967,6 @@ bool StepPricer::Fold(size_t i, size_t e, double* distance,
   return shape.identity;
 }
 
-void EnumeratedDistance::PriceMerges(const ProvenanceExpression& current,
-                                     const MappingState& state,
-                                     const std::vector<MergeQuery>& merges,
-                                     exec::ThreadPool* pool,
-                                     PricingCache* cache,
-                                     std::vector<MergePrice>* out) {
-  if (!ShapeMerges(current, state, merges, pool, cache, out)) {
-    MaterializeMerges(current, state, merges, pool, out);
-    return;
-  }
-  std::vector<uint32_t> all(merges.size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  FoldMerges(all, pool, cache, out);
-  CommitStep(cache);
-}
-
 bool EnumeratedDistance::ShapeMerges(const ProvenanceExpression& current,
                                      const MappingState& state,
                                      const std::vector<MergeQuery>& merges,
@@ -1004,7 +975,7 @@ bool EnumeratedDistance::ShapeMerges(const ProvenanceExpression& current,
                                      std::vector<MergePrice>* out) {
   out->assign(merges.size(), MergePrice{});
   const ir::IrAggregateExpression* agg = current.AsAggregate();
-  if (agg == nullptr || valuations_.empty() || !EnsureBaseBlocks()) {
+  if (agg == nullptr || valuations_.empty()) {
     cache->Clear();
     return false;
   }
@@ -1088,45 +1059,40 @@ EnumeratedDistance::EnumeratedDistance(const ProvenanceExpression* p0,
       valuations_(std::move(valuations)),
       pool_(threads) {
   const size_t n = registry_->size();
-  base_evals_.reserve(valuations_.size());
-  for (const auto& v : valuations_) {
-    base_evals_.push_back(p0_->Evaluate(MaterializedValuation(v, n)));
-    total_weight_ += v.weight();
-  }
+  for (const auto& v : valuations_) total_weight_ += v.weight();
   EvalResult all_true = p0_->Evaluate(MaterializedValuation(n));
   max_error_ = val_func_->MaxError(all_true);
   if (max_error_ <= 0.0) max_error_ = 1.0;
-}
 
-bool EnumeratedDistance::EnsureBaseBlocks() {
-  std::call_once(base_blocks_once_, [&] {
-    base_kind_ = base_evals_[0].kind();
-    if (base_kind_ == EvalResult::Kind::kVector) {
-      base_groups_.reserve(base_evals_[0].coords().size());
-      for (const auto& c : base_evals_[0].coords()) {
-        base_groups_.push_back(c.group);
+  // v(p₀) per valuation, packed chunk by chunk into the batch kernels'
+  // blocks. Every evaluation comes from p₀'s Evaluate, which emits every
+  // group, so all share the first one's layout and every chunk packs.
+  const size_t num_chunks =
+      (valuations_.size() + kReductionGrain - 1) / kReductionGrain;
+  base_blocks_.resize(num_chunks);
+  std::vector<EvalResult> evals;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t lo = c * kReductionGrain;
+    const size_t w =
+        std::min(valuations_.size() - lo, size_t{kReductionGrain});
+    evals.clear();
+    for (size_t l = 0; l < w; ++l) {
+      evals.push_back(
+          p0_->Evaluate(MaterializedValuation(valuations_[lo + l], n)));
+    }
+    if (c == 0) {
+      base_kind_ = evals[0].kind();
+      if (base_kind_ == EvalResult::Kind::kVector) {
+        for (const auto& coord : evals[0].coords()) {
+          base_groups_.push_back(coord.group);
+        }
       }
     }
-    const size_t count = base_evals_.size();
-    const size_t num_chunks =
-        (count + kReductionGrain - 1) / kReductionGrain;
-    base_blocks_.resize(num_chunks);
-    base_blocks_ok_ = true;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const size_t lo = c * kReductionGrain;
-      const size_t w = std::min(count - lo, size_t{kReductionGrain});
-      // Every base eval must share the layout of the first one; a
-      // structurally heterogeneous valuation class keeps the scalar path.
-      if (!kernels::PackEvalBlock(&base_evals_[lo], w, base_kind_,
-                                  base_groups_.data(), base_groups_.size(),
-                                  &base_blocks_[c])) {
-        base_blocks_ok_ = false;
-        base_blocks_.clear();
-        return;
-      }
-    }
-  });
-  return base_blocks_ok_;
+    [[maybe_unused]] const bool packed = kernels::PackEvalBlock(
+        evals.data(), w, base_kind_, base_groups_.data(), base_groups_.size(),
+        &base_blocks_[c]);
+    assert(packed);
+  }
 }
 
 double EnumeratedDistance::Distance(const ProvenanceExpression& cand,
@@ -1140,79 +1106,48 @@ double EnumeratedDistance::Distance(const ProvenanceExpression& cand,
   // in for them. The serial path records exactly the spans it always did.
   std::optional<obs::TraceSpan> oracle_span;
   if (!exec::InParallelWorker()) oracle_span.emplace("distance.oracle");
-  const size_t n = registry_->size();
   metrics.enumerated_evals->Increment(valuations_.size());
-  // When the cumulative homomorphism leaves every group key of the cached
-  // base evaluations untouched (the common case — most merges group
-  // non-key annotations like users), the projection is the identity and
-  // the cached results feed VAL-FUNC directly, on either path. Each path
-  // decides that once: the batch path through its remap, the scalar loop
-  // through IdentityOnGroups.
-  //
-  // Batch path: the candidate lowers once into a flat program and each
-  // grain-8 chunk is evaluated in one pass over the program rows by the
-  // SIMD kernels. When a merge touched a group key, the cached base
-  // blocks are projected into the candidate's group slots through a remap
-  // table (kernels::ProjectBlock) instead of per valuation. Chunk
-  // boundaries, per-lane arithmetic and the weighted fold order all
-  // replicate the scalar path, so the distance is bit-identical
-  // (docs/KERNELS.md); only a VAL-FUNC without a batch counterpart or an
-  // irreconcilable layout keeps the scalar loop below.
-  const kernels::ValFuncBatchKind vf_kind = val_func_->batch_kind();
-  const kernels::BatchEvalFacade* facade = cand.AsBatchEval();
-  if (facade != nullptr && vf_kind != kernels::ValFuncBatchKind::kNone &&
-      EnsureBaseBlocks()) {
-    const kernels::BatchProgram program = facade->LowerBatch();
-    kernels::GroupRemap remap;
-    if (kernels::BuildGroupRemap(base_kind_, base_groups_.data(),
-                                 base_groups_.size(), program,
-                                 state.cumulative(), &remap)) {
-      if (remap.identity()) {
-        metrics.base_eval_reuse->Increment(valuations_.size());
-      }
-      kernels::CountBatchEvals(valuations_.size());
-      const double penalty = val_func_->batch_mismatch_penalty();
-      const double total = exec::DeterministicChunkSum(
-          pool_.pool(), static_cast<int64_t>(valuations_.size()),
-          kReductionGrain, [&](int64_t lo, int64_t /*hi*/) {
-            thread_local kernels::ValuationBlock block;
-            thread_local kernels::BlockEval cand_eval;
-            thread_local kernels::BlockEval projected;
-            const size_t c = static_cast<size_t>(lo / kReductionGrain);
-            TransformChunk(state, c, &block);
-            kernels::EvaluateBlock(program, block, &cand_eval);
-            const kernels::BlockEval& orig = kernels::ProjectBlock(
-                remap, program, base_blocks_[c], &projected);
-            double err[kLanes];
-            kernels::ValFuncBlockErrors(vf_kind, penalty, orig, cand_eval,
-                                        err);
-            double partial = 0.0;
-            for (size_t l = 0; l < block.width(); ++l) {
-              partial +=
-                  valuations_[static_cast<size_t>(lo) + l].weight() * err[l];
-            }
-            return partial;
-          });
-      return (total / total_weight_) / max_error_;
-    }
-  }
-  kernels::CountScalarFallback();
-  const bool identity_on_groups = IdentityOnGroups(base_evals_[0], state);
-  if (identity_on_groups) {
+  // The candidate lowers once into a flat program and each grain-8 chunk
+  // is evaluated in one pass over the program rows by the SIMD kernels.
+  // When the cumulative homomorphism leaves every group key untouched (the
+  // common case — most merges group non-key annotations like users), the
+  // remap is the identity and the packed base blocks feed VAL-FUNC
+  // directly; when a merge touched a group key, they are projected into
+  // the candidate's group slots through the remap table
+  // (kernels::ProjectBlock). Chunk boundaries, per-lane arithmetic and the
+  // weighted fold order all replicate the per-valuation definition, so the
+  // distance is bit-identical to it (docs/KERNELS.md).
+  const kernels::BatchProgram program = cand.AsBatchEval()->LowerBatch();
+  kernels::GroupRemap remap;
+  [[maybe_unused]] const bool remapped =
+      kernels::BuildGroupRemap(base_kind_, base_groups_.data(),
+                               base_groups_.size(), program,
+                               state.cumulative(), &remap);
+  assert(remapped);
+  if (remap.identity()) {
     metrics.base_eval_reuse->Increment(valuations_.size());
   }
-  const double total = exec::DeterministicSum(
+  kernels::CountBatchEvals(valuations_.size());
+  const kernels::ValFuncBatchKind vf_kind = val_func_->batch_kind();
+  const double penalty = val_func_->batch_mismatch_penalty();
+  const double total = exec::DeterministicChunkSum(
       pool_.pool(), static_cast<int64_t>(valuations_.size()), kReductionGrain,
-      [&](int64_t i) {
-        const Valuation& v = valuations_[static_cast<size_t>(i)];
-        EvalResult summ = cand.Evaluate(state.Transform(v, n));
-        if (identity_on_groups) {
-          return v.weight() *
-                 val_func_->Compute(base_evals_[static_cast<size_t>(i)], summ);
+      [&](int64_t lo, int64_t /*hi*/) {
+        thread_local kernels::ValuationBlock block;
+        thread_local kernels::BlockEval cand_eval;
+        thread_local kernels::BlockEval projected;
+        const size_t c = static_cast<size_t>(lo / kReductionGrain);
+        TransformChunk(state, c, &block);
+        kernels::EvaluateBlock(program, block, &cand_eval);
+        const kernels::BlockEval& orig =
+            kernels::ProjectBlock(remap, program, base_blocks_[c], &projected);
+        double err[kLanes];
+        kernels::ValFuncBlockErrors(vf_kind, penalty, orig, cand_eval, err);
+        double partial = 0.0;
+        for (size_t l = 0; l < block.width(); ++l) {
+          partial += valuations_[static_cast<size_t>(lo) + l].weight() * err[l];
         }
-        EvalResult orig = cand.ProjectEvalResult(
-            base_evals_[static_cast<size_t>(i)], state.cumulative());
-        return v.weight() * val_func_->Compute(orig, summ);
+        return partial;
       });
   return (total / total_weight_) / max_error_;
 }

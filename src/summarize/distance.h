@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -34,7 +33,7 @@ struct MergePrice {
 
 class StepPricer;
 
-/// \brief Run-local state of step pricing (EnumeratedDistance::PriceMerges):
+/// \brief Run-local state of step pricing (EnumeratedDistance::ShapeMerges):
 /// each candidate's dirty-group VAL-FUNC terms, kept across the steps of
 /// one Summarizer::Run under the candidate's sorted roots.
 ///
@@ -194,18 +193,25 @@ class EnumeratedDistance {
                      const ValFunc* val_func,
                      std::vector<Valuation> valuations, int threads = 1);
 
-  /// Weighted average normalized VAL-FUNC of `cand` (= h(p₀) for the
-  /// cumulative h in `state`) against the original expression.
+  /// Weighted average normalized VAL-FUNC of `cand` against the original
+  /// expression, priced through the batch kernels (docs/KERNELS.md).
+  ///
+  /// Precondition: `cand` is h(p₀) for the cumulative h in `state`. Every
+  /// base evaluation comes from p₀'s Evaluate, which emits every group, so
+  /// the base layout always packs and always remaps into h(p₀)'s groups;
+  /// both are asserted, not handled. The spec this path is checked against
+  /// (a per-valuation loop over Evaluate and VAL-FUNC Compute) lives in
+  /// tests/testing/reference_summarizer.h.
   double Distance(const ProvenanceExpression& cand, const MappingState& state);
 
   /// The normalization constant (maximum possible error).
   double max_error() const { return max_error_; }
 
-  /// \brief Step pricing: prices every merge of one greedy step against
+  /// \brief Step pricing: prices the merges of one greedy step against
   /// `current` (= h(p₀) for `state`'s cumulative h) without building the
-  /// candidate expressions (docs/KERNELS.md). `(*out)[i]` gets the
-  /// distance and size that `Distance(*current.Apply(h_i), state_i)` and
-  /// `Size()` would return for merge i, bit for bit.
+  /// candidate expressions (docs/KERNELS.md). A merge gets the distance and
+  /// size that `Distance(*current.Apply(h_i), state_i)` and `Size()` would
+  /// return for it, bit for bit.
   ///
   /// A merge of roots R can only change the groups in which an annotation
   /// of R occurs (its *dirty* groups). Once per step this evaluates the
@@ -215,27 +221,14 @@ class EnumeratedDistance {
   /// merge whose distance is folded lowers only the rows it moves, splices
   /// them among the rows it keeps, resumes each dirty group's fold at its
   /// first changed row, and folds the per-group terms in ascending group
-  /// order.
-  /// `cache` carries dirty-group terms across the steps of one run.
-  /// Expressions and VAL-FUNCs without a batch lowering (DDP, polynomial,
-  /// group-less aggregates, kNone) have every group dirty: they build
-  /// each candidate and call Distance (MaterializeMerges). Merges fan out
-  /// over `pool`.
+  /// order. `cache` carries dirty-group terms across the steps of one run.
+  /// Merges fan out over `pool`.
   ///
-  /// Equivalent to ShapeMerges, then FoldMerges over every merge and
-  /// CommitStep, or MaterializeMerges when ShapeMerges returns false.
-  void PriceMerges(const ProvenanceExpression& current,
-                   const MappingState& state,
-                   const std::vector<MergeQuery>& merges,
-                   exec::ThreadPool* pool, PricingCache* cache,
-                   std::vector<MergePrice>* out);
-
-  /// Step pricing's shape pass, for a caller that folds the distances of
-  /// only some merges (Summarizer::Run's bounded steps, docs/KERNELS.md).
-  /// Prepares the step and fixes every merge's dirty groups (through the
-  /// step's occurrence index), cache reuse, moved rows and exact candidate
-  /// size, counted by IrAggregateExpression::MovedSize; nothing is lowered
-  /// until FoldMerges. `out` gets one price per merge, its size set. The
+  /// This is the shape pass: it prepares the step and fixes every merge's
+  /// dirty groups (through the step's occurrence index), cache reuse,
+  /// moved rows and exact candidate size, counted by
+  /// IrAggregateExpression::MovedSize; nothing is lowered until
+  /// FoldMerges. `out` gets one price per merge, its size set. The
   /// merges must stay alive, unchanged, until CommitStep. False when the
   /// expression or VAL-FUNC has no step pricing: nothing is kept, `cache`
   /// is cleared, and the caller prices with MaterializeMerges.
@@ -257,7 +250,9 @@ class EnumeratedDistance {
   void CommitStep(PricingCache* cache);
 
   /// Prices every merge by building its candidate with Apply and calling
-  /// Distance and Size.
+  /// Distance and Size: the step pricing of expressions without a
+  /// per-group term (DDP, polynomial, group-less aggregates) or VAL-FUNCs
+  /// without one (DdpDifference).
   void MaterializeMerges(const ProvenanceExpression& current,
                          const MappingState& state,
                          const std::vector<MergeQuery>& merges,
@@ -266,19 +261,10 @@ class EnumeratedDistance {
 
   size_t num_valuations() const { return valuations_.size(); }
   const std::vector<Valuation>& valuations() const { return valuations_; }
-  /// Cached v(p₀) per valuation, aligned with valuations(): the base side
-  /// of every Distance call (packed once into the batch kernels' blocks;
-  /// read per valuation by the scalar reference path).
-  const std::vector<EvalResult>& base_evals() const { return base_evals_; }
   const AnnotationRegistry* registry() const { return registry_; }
 
  private:
   friend class StepPricer;
-
-  /// Packs base_evals_ into per-chunk BlockEvals for the batch kernels
-  /// (kernels/batch_eval.h), lazily and once — Distance runs concurrently
-  /// on exec workers during candidate scoring. Returns base_blocks_ok_.
-  bool EnsureBaseBlocks();
 
   /// Fills `block` with chunk `c`'s valuations transformed by `state`
   /// (v^{h,φ}, one lane per valuation).
@@ -293,17 +279,15 @@ class EnumeratedDistance {
   const AnnotationRegistry* registry_;
   const ValFunc* val_func_;
   std::vector<Valuation> valuations_;
-  std::vector<EvalResult> base_evals_;  // v(p₀) per valuation, cached
   double total_weight_ = 0.0;
   double max_error_ = 1.0;
   exec::PoolRef pool_;
 
-  // Batch-kernel state (makes the oracle non-copyable; it is always used
-  // in place). base_groups_ is the shared coordinate layout of every
-  // base evaluation; kernels::BuildGroupRemap maps it into each
-  // candidate's layout through the cumulative homomorphism.
-  std::once_flag base_blocks_once_;
-  bool base_blocks_ok_ = false;
+  // v(p₀) per valuation, packed once by the constructor into one BlockEval
+  // per grain-8 chunk (kernels/batch_eval.h). base_groups_ is the shared
+  // coordinate layout of every base evaluation; kernels::BuildGroupRemap
+  // maps it into each candidate's layout through the cumulative
+  // homomorphism.
   EvalResult::Kind base_kind_ = EvalResult::Kind::kScalar;
   std::vector<AnnotationId> base_groups_;
   std::vector<kernels::BlockEval> base_blocks_;  // one per grain-8 chunk

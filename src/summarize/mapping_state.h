@@ -40,7 +40,7 @@ struct PhiConfig {
 /// Copyable: the summarizer keeps the previous step's state for the
 /// TARGET-DIST rollback (Algorithm 1 line 11), and candidates that step
 /// pricing cannot price by their dirty groups are priced on a tentative
-/// copy (EnumeratedDistance::PriceMerges).
+/// copy (EnumeratedDistance::MaterializeMerges).
 class MappingState {
  public:
   MappingState(const AnnotationRegistry* registry, PhiConfig phi)

@@ -29,12 +29,9 @@ class ValFunc {
 
   virtual std::string name() const = 0;
 
-  /// The batched counterpart of Compute (kernels/batch_eval.h), when one
-  /// exists. kNone (the default) makes the distance oracle keep its
-  /// per-valuation scalar path for this VAL-FUNC.
-  virtual kernels::ValFuncBatchKind batch_kind() const {
-    return kernels::ValFuncBatchKind::kNone;
-  }
+  /// The batched counterpart of Compute (kernels/batch_eval.h): the
+  /// reduction the distance oracle prices this VAL-FUNC with, bit for bit.
+  virtual kernels::ValFuncBatchKind batch_kind() const = 0;
 
   /// For batch_kind() == kDdp: the feasibility-mismatch penalty the batch
   /// error kernel applies (DdpDifferenceValFunc's max_error()).

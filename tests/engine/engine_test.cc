@@ -351,10 +351,10 @@ Result<ingest::DeltaBatch> SyntheticDelta(DatasetSpec::Family family,
   return ingest::SyntheticMovieLensDelta(dataset, 1, 2, 1);
 }
 
-/// One pricing path: with the group-slot remap in the batch kernels, no
-/// default run of any family reaches the per-valuation scalar loop —
-/// neither a cold /v1/summarize nor the warm re-summarize an ingest with
-/// the "resummarize" directive runs (docs/KERNELS.md).
+/// One pricing path: every valuation the distance oracle evaluates goes
+/// through the batch kernels — on a cold /v1/summarize and on the warm
+/// re-summarize an ingest with the "resummarize" directive runs, for every
+/// family (docs/KERNELS.md).
 class NoScalarFallbackTest
     : public ::testing::TestWithParam<DatasetSpec::Family> {};
 
@@ -365,13 +365,18 @@ TEST_P(NoScalarFallbackTest, ColdSummarizeAndIngestResummarizeStayBatched) {
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   std::unique_ptr<Engine> engine = created.MoveValue();
 
-  const uint64_t fallbacks_before = kernels::ScalarFallbacksForTesting();
+  auto evals = [] {
+    return obs::MetricsRegistry::Default().Snapshot().CounterValue(
+        "prox_distance_enumerated_evals_total");
+  };
   uint64_t batch_before = kernels::BatchEvalsForTesting();
+  double evals_before = evals();
   Engine::Response cold = engine->HandleSummarize("{}");
   ASSERT_TRUE(cold.ok()) << cold.body;
   EXPECT_EQ(cold.cache, Engine::Response::CacheOutcome::kMiss);
-  EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallbacks_before);
   EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
+  EXPECT_EQ(static_cast<double>(kernels::BatchEvalsForTesting() - batch_before),
+            evals() - evals_before);
 
   Result<ingest::DeltaBatch> delta =
       SyntheticDelta(GetParam(), DefaultFamilyDataset(GetParam()));
@@ -379,6 +384,7 @@ TEST_P(NoScalarFallbackTest, ColdSummarizeAndIngestResummarizeStayBatched) {
   JsonValue body = ingest::DeltaBatchToJson(delta.value());
   body.Set("resummarize", JsonValue::Bool(true));
   batch_before = kernels::BatchEvalsForTesting();
+  evals_before = evals();
   Engine::Response ingested = engine->HandleIngest(WriteJson(body));
   ASSERT_TRUE(ingested.ok()) << ingested.body;
   JsonValue receipt = MustParse(ingested.body);
@@ -387,8 +393,9 @@ TEST_P(NoScalarFallbackTest, ColdSummarizeAndIngestResummarizeStayBatched) {
   const JsonValue* warm = resummarize->Find("warm");
   ASSERT_NE(warm, nullptr);
   EXPECT_TRUE(warm->bool_value());
-  EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallbacks_before);
   EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
+  EXPECT_EQ(static_cast<double>(kernels::BatchEvalsForTesting() - batch_before),
+            evals() - evals_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -23,9 +23,11 @@
 #include "ir/golden_run.h"
 #include "ir/term_pool.h"
 #include "kernels/metrics.h"
+#include "obs/metrics.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
 #include "testing/fixtures.h"
+#include "testing/reference_summarizer.h"
 
 namespace prox {
 namespace {
@@ -33,7 +35,6 @@ namespace {
 using golden::ExpectMatchesGolden;
 using golden::RunFamily;
 using testing_fixtures::DrawSamples;
-using testing_fixtures::ScalarReferenceValFunc;
 
 /// Scoped SIMD-tier cap; lifts back to the env/hardware decision on exit
 /// (under the PROX_SIMD=0 CTest variant every "tier" below therefore
@@ -42,6 +43,12 @@ struct TierCap {
   explicit TierCap(common::SimdTier tier) { common::SetSimdTierCap(tier); }
   ~TierCap() { common::SetSimdTierCap(common::SimdTier::kAvx2); }
 };
+
+/// Valuations the distance oracle has evaluated candidates under.
+double EnumeratedEvals() {
+  return obs::MetricsRegistry::Default().Snapshot().CounterValue(
+      "prox_distance_enumerated_evals_total");
+}
 
 template <typename Generator, typename Config>
 void ExpectMatchesAcrossTiers(const Config& config, const std::string& name) {
@@ -80,29 +87,28 @@ TEST(GoldenKernelsTest, Ddp) {
 
 TEST(GoldenKernelsTest, BatchPathActuallyEngages) {
   // Identity is vacuous if the batch path silently never runs. A
-  // summarizer run must advance the batched-valuation counter. A distance
-  // call whose cumulative homomorphism merges two movie keys (the
-  // projection case) is batched as well: it advances the batch counter by
-  // one per valuation and leaves the fallback counter alone. Only a
-  // VAL-FUNC without a batch counterpart still reaches the scalar loop,
-  // and it must agree bit for bit.
+  // summarizer run must advance the batched-valuation counter by every
+  // valuation the oracle evaluated. A distance call whose cumulative
+  // homomorphism merges two movie keys (the projection case) is batched as
+  // well, one count per valuation, and must agree bit for bit with the
+  // per-valuation spec (testing/reference_summarizer.h).
   MovieLensConfig config;
   config.num_users = 12;
   config.num_movies = 4;
   config.ratings_per_user = 3;
 
   const uint64_t batch_before = kernels::BatchEvalsForTesting();
+  const double evals_before = EnumeratedEvals();
   RunFamily<MovieLensGenerator>(config, /*threads=*/1);
   EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
+  EXPECT_EQ(static_cast<double>(kernels::BatchEvalsForTesting() - batch_before),
+            EnumeratedEvals() - evals_before);
 
   Dataset ds = MovieLensGenerator::Generate(config);
   std::vector<Valuation> valuations =
       ds.valuation_class->Generate(*ds.provenance, ds.ctx);
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
                             ds.val_func.get(), valuations, 1);
-  ScalarReferenceValFunc scalar_vf(ds.val_func.get());
-  EnumeratedDistance scalar_oracle(ds.provenance.get(), ds.registry.get(),
-                                   &scalar_vf, valuations, 1);
   const DomainId movie = ds.domain("movie");
   const std::vector<AnnotationId> movies =
       ds.registry->AnnotationsInDomain(movie);
@@ -114,14 +120,13 @@ TEST(GoldenKernelsTest, BatchPathActuallyEngages) {
                   ->Apply(state.cumulative());
 
   const uint64_t batch_after = kernels::BatchEvalsForTesting();
-  const uint64_t fallback_before = kernels::ScalarFallbacksForTesting();
   const double batched = oracle.Distance(*cand, state);
   EXPECT_EQ(kernels::BatchEvalsForTesting(), batch_after + valuations.size());
-  EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallback_before);
 
-  const double reference = scalar_oracle.Distance(*cand, state);
-  EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallback_before + 1);
-  EXPECT_EQ(kernels::BatchEvalsForTesting(), batch_after + valuations.size());
+  const double reference = testing_reference::ReferenceDistance(
+      {ds.provenance.get(), ds.registry.get(), ds.val_func.get(),
+       &valuations},
+      *cand, state);
   EXPECT_EQ(golden::DoubleBits(batched), golden::DoubleBits(reference));
 }
 

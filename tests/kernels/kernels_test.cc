@@ -304,7 +304,6 @@ TEST(ValFuncBlockTest, ErrorsMatchScalarComputeBitExact) {
 
     for (const Case& c : cases) {
       SCOPED_TRACE(c.name);
-      ASSERT_NE(c.vf->batch_kind(), kernels::ValFuncBatchKind::kNone);
       double err[kernels::kMaxLanes] = {0};
       kernels::ValFuncBlockErrors(c.vf->batch_kind(),
                                   c.vf->batch_mismatch_penalty(), base_evals,

@@ -2,8 +2,8 @@
 // group key, the oracles fold each block's base values into the
 // candidate's group slots (kernels::ProjectBlock) instead of projecting
 // v(p₀) valuation by valuation. Every candidate of such a step, priced
-// through the batch path and through the scalar reference (the same
-// VAL-FUNC wrapped to report kNone), must have the same double bits: for
+// through the batch path and through the per-valuation spec
+// (testing/reference_summarizer.h), must have the same double bits: for
 // every aggregation, every VAL-FUNC with a batch kind that accepts vectors
 // and both valuation sets (the dataset's class and a drawn Monte-Carlo
 // set), at threads {1, 8}.
@@ -25,13 +25,13 @@
 #include "summarize/distance.h"
 #include "summarize/val_func.h"
 #include "testing/fixtures.h"
+#include "testing/reference_summarizer.h"
 
 namespace prox {
 namespace {
 
 using golden::DoubleBits;
 using testing_fixtures::DrawSamples;
-using testing_fixtures::ScalarReferenceValFunc;
 
 enum class VfKind { kEuclidean, kAbsoluteDifference, kDisagreement };
 
@@ -100,7 +100,6 @@ TEST_P(ProjectedBatchTest, EveryCandidateMatchesTheScalarReferenceBitForBit) {
                       : c.vf == VfKind::kAbsoluteDifference
                           ? static_cast<const ValFunc*>(&absolute)
                           : &disagreement;
-  ScalarReferenceValFunc reference_vf(vf);
 
   // A committed group-key merge: two movies share one coordinate, so every
   // candidate of the next step prices through the projection. Any two
@@ -144,26 +143,18 @@ TEST_P(ProjectedBatchTest, EveryCandidateMatchesTheScalarReferenceBitForBit) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EnumeratedDistance batched(ds.provenance.get(), ds.registry.get(), vf,
                                valuations, threads);
-    EnumeratedDistance reference(ds.provenance.get(), ds.registry.get(),
-                                 &reference_vf, valuations, threads);
-
-    const uint64_t fallbacks_before = kernels::ScalarFallbacksForTesting();
     const uint64_t batch_before = kernels::BatchEvalsForTesting();
-    std::vector<double> batched_distances;
-    for (const Priced& p : step) {
-      batched_distances.push_back(batched.Distance(*p.expr, p.state));
-    }
-    EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallbacks_before);
-    EXPECT_GT(kernels::BatchEvalsForTesting(), batch_before);
-
     for (size_t i = 0; i < step.size(); ++i) {
-      const double expected = reference.Distance(*step[i].expr, step[i].state);
-      EXPECT_EQ(DoubleBits(batched_distances[i]), DoubleBits(expected))
-          << "candidate " << i << ": batched " << batched_distances[i]
-          << " vs scalar " << expected;
+      const double got = batched.Distance(*step[i].expr, step[i].state);
+      const double expected = testing_reference::ReferenceDistance(
+          {ds.provenance.get(), ds.registry.get(), vf, &valuations},
+          *step[i].expr, step[i].state);
+      EXPECT_EQ(DoubleBits(got), DoubleBits(expected))
+          << "candidate " << i << ": batched " << got << " vs spec "
+          << expected;
     }
-    EXPECT_EQ(kernels::ScalarFallbacksForTesting(),
-              fallbacks_before + step.size());
+    EXPECT_EQ(kernels::BatchEvalsForTesting() - batch_before,
+              valuations.size() * step.size());
   }
 }
 

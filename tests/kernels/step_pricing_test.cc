@@ -1,9 +1,10 @@
-// Bit-identity of step pricing (EnumeratedDistance::PriceMerges). A greedy run
-// is walked by hand: at every step each candidate merge is priced once
-// through the step pricer — dirty groups only, terms carried across steps
-// by the run's PricingCache — and once the old way, by building the
-// candidate with Apply and calling Distance (the scalar reference, a
-// kNone VAL-FUNC) and Size. Distance and size must have the same bits.
+// Bit-identity of step pricing (EnumeratedDistance::ShapeMerges and
+// FoldMerges). A greedy run is walked by hand: at every step each
+// candidate merge is priced once through the step pricer — dirty groups
+// only, terms carried across steps by the run's PricingCache — and once
+// the naive way, by building the candidate with Apply and pricing it with
+// the per-valuation spec (testing/reference_summarizer.h) and Size.
+// Distance and size must have the same bits.
 // The winner is then committed as Summarizer::Run commits it — at its
 // priced distance, which must equal Distance on the committed expression —
 // so later steps exercise the cross-step cache and the projected
@@ -33,15 +34,18 @@
 #include "summarize/distance.h"
 #include "summarize/val_func.h"
 #include "testing/fixtures.h"
+#include "testing/price_merges.h"
+#include "testing/reference_summarizer.h"
 
 namespace prox {
 namespace {
 
 using golden::DoubleBits;
 using testing_fixtures::DrawSamples;
+using testing_fixtures::MakeFoldOrderVisible;
 using testing_fixtures::MovieFixture;
 using testing_fixtures::NewAggregate;
-using testing_fixtures::ScalarReferenceValFunc;
+using testing_fixtures::PriceMerges;
 
 enum class VfKind { kEuclidean, kAbsoluteDifference, kDisagreement };
 
@@ -71,7 +75,7 @@ struct Walk {
   bool movie_merges = true;  ///< movies (group keys) may merge
   bool any_user_merge = false;
   int num_samples = 44;  ///< drawn set: five full chunks + a short one
-  bool scalar_reference = true;  ///< else the batched Distance
+  bool spec_reference = true;  ///< the per-valuation spec, else Distance
   bool fold_order_visible = false;  ///< MakeFoldOrderVisible the values
 };
 
@@ -84,29 +88,6 @@ struct WalkResult {
 
 double CounterValue(const char* name) {
   return obs::MetricsRegistry::Default().Snapshot().CounterValue(name);
-}
-
-/// Replaces the dataset's row values with ones whose fold order shows in
-/// the bits. MovieLens ratings are small integers, which SUM and AVG add
-/// exactly in any order; these are non-integral, one row is large enough
-/// (2^53 + ...) that its neighbours' adds round against it, and every
-/// ninth row contributes -0.0 or +0.0, which MAX and MIN keep or replace
-/// by fold order.
-void MakeFoldOrderVisible(Dataset* ds) {
-  const ir::IrAggregateExpression& src = *ds->provenance->AsAggregate();
-  auto out = std::make_unique<ir::IrAggregateExpression>(src.agg(), src.pool());
-  for (size_t i = 0; i < src.num_terms(); ++i) {
-    const ir::IrAggregateExpression::InternedRow row =
-        src.InternRow(i, src.pool().get());
-    AggValue v = row.value;
-    v.value = v.value * 0.1 + 0.013 * static_cast<double>(i % 7);
-    if (i % 9 == 2) v.value = -0.0;
-    if (i % 9 == 5) v.value = 0.0;
-    if (i == src.num_terms() / 2) v.value = 9007199254740993.0 * 1.5;
-    out->AddTermIds(row.mono, row.guard, row.group, v);
-  }
-  out->Canonicalize();
-  ds->provenance = std::move(out);
 }
 
 WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
@@ -125,12 +106,16 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
                       : c.vf == VfKind::kAbsoluteDifference
                           ? static_cast<const ValFunc*>(&absolute)
                           : &disagreement;
-  ScalarReferenceValFunc reference_vf(vf);
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(), vf,
                             valuations, threads);
-  EnumeratedDistance reference(ds.provenance.get(), ds.registry.get(),
-                               walk.scalar_reference ? &reference_vf : vf,
-                               valuations, threads);
+  const testing_reference::DistanceInputs spec{
+      ds.provenance.get(), ds.registry.get(), vf, &valuations};
+  auto reference = [&](const ProvenanceExpression& expr,
+                       const MappingState& s) {
+    return walk.spec_reference
+               ? testing_reference::ReferenceDistance(spec, expr, s)
+               : oracle.Distance(expr, s);
+  };
 
   const DomainId movie = ds.domain("movie");
   if (walk.movie_merges) {
@@ -165,17 +150,16 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
       merges.push_back({candidates.roots(cand), scratch.at(cand.domain)});
     }
 
-    const uint64_t fallbacks_before = kernels::ScalarFallbacksForTesting();
     const uint64_t batch_before = kernels::BatchEvalsForTesting();
     std::vector<MergePrice> prices;
-    oracle.PriceMerges(*current, state, merges, pool.pool(), &cache, &prices);
+    // Priced through the dirty-group path, never materialized, and counted
+    // once per valuation per candidate like a batched Distance call.
+    EXPECT_TRUE(PriceMerges(&oracle, *current, state, merges, pool.pool(),
+                            &cache, &prices));
     if (prices.size() != candidates.size()) {
       ADD_FAILURE() << "one price per merge expected";
       return result;
     }
-    // Priced through the dirty-group path, never materialized, and counted
-    // once per valuation per candidate like a batched Distance call.
-    EXPECT_EQ(kernels::ScalarFallbacksForTesting(), fallbacks_before);
     EXPECT_EQ(kernels::BatchEvalsForTesting() - batch_before,
               valuations.size() * candidates.size());
 
@@ -190,7 +174,7 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
         h.Set(root, merges[i].scratch);
       }
       const std::unique_ptr<ProvenanceExpression> expr = current->Apply(h);
-      const double expected = reference.Distance(*expr, tentative);
+      const double expected = reference(*expr, tentative);
       EXPECT_EQ(DoubleBits(prices[i].distance), DoubleBits(expected))
           << "candidate " << i << ": step pricing " << prices[i].distance
           << " vs reference " << expected;
@@ -346,7 +330,7 @@ TEST(StepPricingWalkTest, FoldsResumeFromStridedCheckpoints) {
   Walk walk = FoldOrderWalk();
   walk.num_samples = 4096;
   walk.steps = 3;
-  walk.scalar_reference = false;  // the batched Distance, for speed
+  walk.spec_reference = false;  // the batched Distance, for speed
   MovieLensConfig config = walk.config;
   const Dataset ds = MovieLensGenerator::Generate(config);
   const size_t chunks = (static_cast<size_t>(walk.num_samples) +
@@ -377,7 +361,7 @@ TEST(StepPricingWalkTest, EvictedCandidatesPriceTheirGroupsAfresh) {
   walk.any_user_merge = true;
   walk.num_samples = 2048;
   walk.steps = 2;
-  walk.scalar_reference = false;  // the batched Distance, for speed
+  walk.spec_reference = false;  // the batched Distance, for speed
   const WalkResult r =
       WalkAndCompare({AggKind::kSum, VfKind::kEuclidean, true}, walk, 1);
   EXPECT_GT(r.evictions, 0u);
@@ -408,8 +392,8 @@ TEST(StepPricingRowsTest, FoldResumesAtTheFirstChangedRow) {
   std::vector<MergePrice> prices;
   const double refolded = CounterValue("prox_summarize_rows_refolded_total");
   const double priced = CounterValue("prox_summarize_groups_priced_total");
-  oracle.PriceMerges(*fx.p0, state, {{roots, scratch}}, nullptr, &cache,
-                     &prices);
+  PriceMerges(&oracle, *fx.p0, state, {{roots, scratch}}, nullptr, &cache,
+              &prices);
   EXPECT_EQ(CounterValue("prox_summarize_groups_priced_total") - priced, 2.0);
   EXPECT_EQ(CounterValue("prox_summarize_rows_refolded_total") - refolded,
             2.0);
@@ -545,7 +529,7 @@ void CompareUnitsOnAWalk(Dataset ds) {
       merges.push_back({candidates.roots(cand), scratch.at(cand.domain)});
     }
     std::vector<MergePrice> prices;
-    oracle.PriceMerges(*current, state, merges, nullptr, &cache, &prices);
+    PriceMerges(&oracle, *current, state, merges, nullptr, &cache, &prices);
     size_t best = 0;
     auto score = [&](size_t i) {
       return prices[i].distance + static_cast<double>(prices[i].size) / 1000.0;

@@ -12,6 +12,7 @@ namespace {
 
 using testing_fixtures::MovieFixture;
 using testing_fixtures::NewAggregate;
+using testing_fixtures::ProjectThroughBlock;
 using testing_fixtures::WithAgg;
 
 TEST(AggregateExprTest, SizeCountsAnnotationOccurrences) {
@@ -157,7 +158,7 @@ TEST(AggregateExprTest, ProjectEvalResultMergesCoordinates) {
   auto mapped = fx.p0->Apply(h);
 
   EvalResult base = fx.p0->Evaluate(MaterializedValuation(fx.registry.size()));
-  EvalResult projected = mapped->ProjectEvalResult(base, h);
+  EvalResult projected = ProjectThroughBlock(*mapped, base, h);
   ASSERT_EQ(projected.kind(), EvalResult::Kind::kVector);
   // MAX(5, 4) = 5 under the merged coordinate.
   EXPECT_EQ(projected.CoordValue(merged_movie), 5.0);
@@ -165,14 +166,17 @@ TEST(AggregateExprTest, ProjectEvalResultMergesCoordinates) {
 
 TEST(AggregateExprTest, ProjectEvalResultSumAddsCoordinates) {
   // The vector transformation of Example 5.2.1: SUM-aggregating merged
-  // coordinates.
+  // coordinates. Groups 1 and 2 map to 10; annotation 5 is the rows' fact.
   auto e = NewAggregate(AggKind::kSum);
+  for (AnnotationId group : {1, 2, 3}) {
+    e->AddTerm(Monomial({5}), group, AggValue{1.0, 1.0});
+  }
   e->Canonicalize();
   Homomorphism h;
   h.Set(1, 10);
   h.Set(2, 10);
   EvalResult base = EvalResult::Vector({{1, 1.0}, {2, 1.0}, {3, 0.5}});
-  EvalResult projected = e->ProjectEvalResult(base, h);
+  EvalResult projected = ProjectThroughBlock(*e->Apply(h), base, h);
   EXPECT_EQ(projected.CoordValue(10), 2.0);
   EXPECT_EQ(projected.CoordValue(3), 0.5);
 }

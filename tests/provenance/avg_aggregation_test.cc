@@ -12,6 +12,7 @@ namespace {
 
 using testing_fixtures::MovieFixture;
 using testing_fixtures::NewAggregate;
+using testing_fixtures::ProjectThroughBlock;
 
 std::unique_ptr<ProvenanceExpression> AvgCopy(const MovieFixture& fx) {
   return testing_fixtures::WithAgg(*fx.p0, AggKind::kAvg);
@@ -60,13 +61,16 @@ TEST(AvgAggregationTest, ProjectionIsCountWeighted) {
   // Coordinates (avg 4 over 2 raters) and (avg 1 over 1 rater) merge to
   // avg (4·2 + 1·1)/3 = 3 — not the naive (4+1)/2.
   auto avg = NewAggregate(AggKind::kAvg);
+  for (AnnotationId group : {1, 2}) {
+    avg->AddTerm(Monomial({5}), group, AggValue{1.0, 1.0});
+  }
   avg->Canonicalize();
   Homomorphism h;
   h.Set(1, 10);
   h.Set(2, 10);
   EvalResult base = EvalResult::Vector(
       {EvalResult::Coord{1, 4.0, 2.0}, EvalResult::Coord{2, 1.0, 1.0}});
-  EvalResult projected = avg->ProjectEvalResult(base, h);
+  EvalResult projected = ProjectThroughBlock(*avg->Apply(h), base, h);
   EXPECT_DOUBLE_EQ(projected.CoordValue(10), 3.0);
 }
 

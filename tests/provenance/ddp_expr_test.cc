@@ -10,6 +10,7 @@ namespace prox {
 namespace {
 
 using testing_fixtures::NewDdp;
+using testing_fixtures::ProjectThroughBlock;
 
 /// Builds Example 5.2.2's expression:
 ///   ⟨c1,1⟩·⟨0,[d1·d2]≠0⟩ + ⟨0,[d2·d3]=0⟩·⟨c2,1⟩
@@ -152,7 +153,7 @@ TEST(DdpExprTest, ProjectEvalResultIsIdentity) {
   Homomorphism h;
   h.Set(fx.d1, fx.d2);
   EvalResult base = EvalResult::CostBool(4.0, true);
-  EXPECT_EQ(fx.expr->ProjectEvalResult(base, h), base);
+  EXPECT_EQ(ProjectThroughBlock(*fx.expr->Apply(h), base, h), base);
 }
 
 TEST(DdpExprTest, ToStringRendersTransitions) {

@@ -1,14 +1,16 @@
 // Bounded greedy steps (docs/KERNELS.md, *Bounded steps*). Summarizer::Run
 // folds a candidate's distance only when the candidate's score at distance
 // 0.0 — its size and taxonomy terms — does not exceed the score of the
-// step's smallest-bound candidate. Here a greedy run is walked by hand with
-// every merge priced (unbounded PriceMerges), next to Summarizer::Run on an
-// identical dataset: at every step each candidate's bound must not exceed
-// its score, and the run must commit the walk's winner at the walk's
-// distance, size and score, bit for bit, at threads {1, 8}.
+// step's smallest-bound candidate. Here the naive Algorithm 1
+// (testing/reference_summarizer.h), which prices every merge, runs next to
+// Summarizer::Run on an identical dataset: at every step each candidate's
+// bound must not exceed its score, and the run must commit the reference's
+// winner at the reference's distance, size and score, bit for bit, at
+// threads {1, 8}.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -17,21 +19,21 @@
 
 #include "datasets/movielens.h"
 #include "datasets/wikipedia.h"
-#include "exec/thread_pool.h"
-#include "ir/adopt.h"
-#include "ir/term_pool.h"
 #include "obs/metrics.h"
-#include "summarize/candidates.h"
 #include "summarize/distance.h"
 #include "summarize/summarizer.h"
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
 #include "testing/fixtures.h"
+#include "testing/reference_summarizer.h"
 
 namespace prox {
 namespace {
 
 using testing_fixtures::NewAggregate;
+using testing_reference::ReferencePrice;
+using testing_reference::ReferenceRun;
+using testing_reference::RunReference;
 
 uint64_t DoubleBits(double x) {
   uint64_t u;
@@ -60,17 +62,9 @@ double BoundedCount() {
       "prox_summarize_candidates_bounded_total");
 }
 
-/// One step of the hand walk: the winner full pricing picks.
-struct WalkStep {
-  std::vector<AnnotationId> roots;
-  AnnotationId summary = kNoAnnotation;
-  double distance = 0.0;
-  int64_t size = 0;
-  double score = 0.0;
-};
-
-struct WalkResult {
-  std::vector<WalkStep> steps;
+/// What bounding would have left out of the reference's fully priced
+/// steps.
+struct Bounds {
   /// Candidates whose bound exceeds the score of the step's smallest-bound
   /// candidate: what a bounded run leaves unfolded.
   uint64_t above_first = 0;
@@ -79,84 +73,39 @@ struct WalkResult {
   bool saw_taxonomy = false;
 };
 
-/// Walks Summarizer::Run's loop (no equivalence pass) with every merge
-/// priced, registering the same annotations in the same order, so the ids
-/// match a run on an identical dataset.
-WalkResult WalkUnbounded(Dataset* ds, const SummarizerOptions& options,
-                         int threads) {
-  WalkResult result;
+/// Runs the reference on `ds` and reads every step's bounds off its
+/// priced candidates; each bound must not exceed its candidate's score.
+ReferenceRun RunReferenceOn(Dataset* ds, const SummarizerOptions& options,
+                            Bounds* bounds) {
   const std::vector<Valuation> valuations =
       ds->valuation_class->Generate(*ds->provenance, ds->ctx);
-  EnumeratedDistance oracle(ds->provenance.get(), ds->registry.get(),
-                            ds->val_func.get(), valuations, threads);
-  CandidateGenerator generator(&ds->constraints, &ds->ctx);
-  MappingState state(ds->registry.get(), options.phi);
-  std::unique_ptr<ProvenanceExpression> current =
-      ir::Adopt(*ds->provenance, std::make_shared<ir::TermPool>());
+  ReferenceRun ref =
+      RunReference(*ds->provenance, ds->registry.get(), ds->ctx,
+                   ds->constraints, *ds->val_func, valuations, options);
   const int64_t original_size = std::max<int64_t>(ds->provenance->Size(), 1);
-  double dist = oracle.Distance(*current, state);
-  exec::PoolRef pool(threads);
-  PricingCache cache;
-  CandidateSet candidates;
-  std::vector<MergePrice> prices;
-  for (int step = 0; step < options.max_steps && current->Size() > 1 &&
-                     dist < options.target_dist;
-       ++step) {
-    SCOPED_TRACE("step " + std::to_string(step));
-    generator.Generate(*current, state, options.candidates, &candidates);
-    if (candidates.empty()) break;
-    std::vector<MergeQuery> merges(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const DomainId domain = candidates[i].domain;
-      const AnnotationId scratch =
-          i > 0 && candidates[i - 1].domain == domain
-              ? merges[i - 1].scratch
-              : ds->registry->AddSummary(domain, "~scratch");
-      merges[i] = {candidates.roots(candidates[i]), scratch};
-    }
-    oracle.PriceMerges(*current, state, merges, pool.pool(), &cache, &prices);
-
-    size_t best = 0;
+  for (size_t s = 0; s < ref.priced.size(); ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    const std::vector<ReferencePrice>& priced = ref.priced[s];
+    std::vector<double> bound(priced.size());
     size_t first = 0;
-    std::vector<double> bounds(candidates.size());
-    std::vector<double> scores(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const Candidate& c = candidates[i];
-      if (c.decision.taxonomy_distance_max != 0.0) result.saw_taxonomy = true;
-      bounds[i] = CandidateScore(options, 0.0, prices[i].size, c,
-                                 original_size);
-      scores[i] = CandidateScore(options, prices[i].distance, prices[i].size,
-                                 c, original_size);
-      EXPECT_LE(bounds[i], scores[i]) << "candidate " << i;
-      if (bounds[i] < bounds[first]) first = i;
-      const double ta = c.decision.taxonomy_distance_max;
-      const double tb = candidates[best].decision.taxonomy_distance_max;
-      if (scores[i] < scores[best] ||
-          (scores[i] == scores[best] && ta < tb)) {
-        best = i;
+    size_t winner = 0;
+    for (size_t i = 0; i < priced.size(); ++i) {
+      const ReferencePrice& p = priced[i];
+      if (p.candidate.decision.taxonomy_distance_max != 0.0) {
+        bounds->saw_taxonomy = true;
       }
+      bound[i] =
+          CandidateScore(options, 0.0, p.size, p.candidate, original_size);
+      EXPECT_LE(bound[i], p.score) << "candidate " << i;
+      if (bound[i] < bound[first]) first = i;
+      if (p.roots == ref.outcome.steps[s].merged_roots) winner = i;
     }
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (bounds[i] > scores[first]) ++result.above_first;
+    for (size_t i = 0; i < priced.size(); ++i) {
+      if (bound[i] > priced[first].score) ++bounds->above_first;
     }
-    if (best != first) ++result.round_two_wins;
-
-    const Candidate& winner = candidates[best];
-    WalkStep record;
-    record.roots.assign(merges[best].roots.begin(), merges[best].roots.end());
-    record.summary =
-        ds->registry->AddSummary(winner.domain, winner.decision.name);
-    record.distance = prices[best].distance;
-    record.size = prices[best].size;
-    record.score = scores[best];
-    state.Merge(record.roots, record.summary);
-    Homomorphism commit;
-    for (AnnotationId root : record.roots) commit.Set(root, record.summary);
-    current = current->Apply(commit);
-    dist = record.distance;
-    result.steps.push_back(std::move(record));
+    if (winner != first) ++bounds->round_two_wins;
   }
-  return result;
+  return ref;
 }
 
 struct Weights {
@@ -165,9 +114,9 @@ struct Weights {
   double w_taxonomy;
 };
 
-/// Runs Summarizer::Run and the unbounded walk on identical datasets and
+/// Runs Summarizer::Run and the reference on identical datasets and
 /// compares every step.
-void CompareRunWithWalk(Family family, Weights w, int threads) {
+void CompareRunWithReference(Family family, Weights w, int threads) {
   SCOPED_TRACE(std::string(family == Family::kMovieLens ? "MovieLens"
                                                         : "Wikipedia") +
                " w_dist=" + std::to_string(w.w_dist) +
@@ -175,7 +124,7 @@ void CompareRunWithWalk(Family family, Weights w, int threads) {
                " w_taxonomy=" + std::to_string(w.w_taxonomy) +
                " threads=" + std::to_string(threads));
   Dataset run_ds = Generate(family);
-  Dataset walk_ds = Generate(family);
+  Dataset spec_ds = Generate(family);
   SummarizerOptions options;
   options.w_dist = w.w_dist;
   options.w_size = w.w_size;
@@ -198,27 +147,29 @@ void CompareRunWithWalk(Family family, Weights w, int threads) {
   ASSERT_TRUE(outcome.ok());
   const SummaryOutcome& o = outcome.value();
 
-  const WalkResult walk = WalkUnbounded(&walk_ds, options, threads);
-  ASSERT_EQ(o.steps.size(), walk.steps.size());
+  Bounds bounds;
+  const ReferenceRun ref = RunReferenceOn(&spec_ds, options, &bounds);
+  const std::vector<StepRecord>& expected = ref.outcome.steps;
+  ASSERT_EQ(o.steps.size(), expected.size());
   ASSERT_GT(o.steps.size(), 1u);
   for (size_t s = 0; s < o.steps.size(); ++s) {
     SCOPED_TRACE("step " + std::to_string(s));
-    EXPECT_EQ(o.steps[s].merged_roots, walk.steps[s].roots);
-    EXPECT_EQ(o.steps[s].summary, walk.steps[s].summary);
+    EXPECT_EQ(o.steps[s].merged_roots, expected[s].merged_roots);
+    EXPECT_EQ(o.steps[s].summary, expected[s].summary);
     EXPECT_EQ(DoubleBits(o.steps[s].distance),
-              DoubleBits(walk.steps[s].distance));
-    EXPECT_EQ(o.steps[s].size, walk.steps[s].size);
-    EXPECT_EQ(DoubleBits(o.steps[s].score), DoubleBits(walk.steps[s].score));
+              DoubleBits(expected[s].distance));
+    EXPECT_EQ(o.steps[s].size, expected[s].size);
+    EXPECT_EQ(DoubleBits(o.steps[s].score), DoubleBits(expected[s].score));
   }
   if (w.w_taxonomy > 0.0 && family == Family::kWikipedia) {
-    EXPECT_TRUE(walk.saw_taxonomy);
+    EXPECT_TRUE(bounds.saw_taxonomy);
   }
   if (!obs::Enabled()) return;
   // Bounding is off when the bound is the same for every candidate; else
   // the run leaves exactly the candidates above the first folded score.
   const bool constant_bound = w.w_size == 0.0 && w.w_taxonomy == 0.0;
   EXPECT_EQ(bounded,
-            constant_bound ? 0.0 : static_cast<double>(walk.above_first));
+            constant_bound ? 0.0 : static_cast<double>(bounds.above_first));
 }
 
 const Weights kWeights[] = {
@@ -230,7 +181,7 @@ const Weights kWeights[] = {
 TEST(BoundedPricingTest, MovieLensRunsPickTheUnboundedWinners) {
   for (const Weights& w : kWeights) {
     for (int threads : {1, 8}) {
-      CompareRunWithWalk(Family::kMovieLens, w, threads);
+      CompareRunWithReference(Family::kMovieLens, w, threads);
     }
   }
 }
@@ -238,7 +189,7 @@ TEST(BoundedPricingTest, MovieLensRunsPickTheUnboundedWinners) {
 TEST(BoundedPricingTest, WikipediaRunsPickTheUnboundedWinners) {
   for (const Weights& w : kWeights) {
     for (int threads : {1, 8}) {
-      CompareRunWithWalk(Family::kWikipedia, w, threads);
+      CompareRunWithReference(Family::kWikipedia, w, threads);
     }
   }
 }
@@ -253,8 +204,9 @@ TEST(BoundedPricingTest, BoundsPruneWhenTheSizeTermDominates) {
   options.max_steps = 12;
   options.group_equivalent_first = false;
   options.phi = ds.phi;
-  const WalkResult walk = WalkUnbounded(&ds, options, 1);
-  EXPECT_GT(walk.above_first, 0u);
+  Bounds bounds;
+  RunReferenceOn(&ds, options, &bounds);
+  EXPECT_GT(bounds.above_first, 0u);
 }
 
 TEST(BoundedPricingTest, ZeroDistanceWeightPicksTheFullPricingWinner) {
@@ -263,7 +215,7 @@ TEST(BoundedPricingTest, ZeroDistanceWeightPicksTheFullPricingWinner) {
   // them as it does under full pricing.
   for (Family family : {Family::kMovieLens, Family::kWikipedia}) {
     for (int threads : {1, 8}) {
-      CompareRunWithWalk(family, {0.0, 1.0, 0.0}, threads);
+      CompareRunWithReference(family, {0.0, 1.0, 0.0}, threads);
     }
   }
 }
@@ -311,45 +263,26 @@ TEST(BoundedPricingTest, SmallestBoundLosesToARoundTwoMerge) {
   options.group_equivalent_first = false;
   const int64_t original_size = p0->Size();
 
-  // Full pricing of the first step.
-  EnumeratedDistance walk_oracle(p0.get(), &registry, &vf, valuations);
-  CandidateGenerator generator(&constraints, &ctx);
-  CandidateSet candidates;
-  MappingState state(&registry, options.phi);
-  generator.Generate(*p0, state, options.candidates, &candidates);
-  const AnnotationId scratch = registry.AddSummary(user, "~scratch");
-  std::vector<MergeQuery> merges;
-  for (const Candidate& c : candidates) {
-    merges.push_back({candidates.roots(c), scratch});
-  }
-  PricingCache cache;
-  std::vector<MergePrice> prices;
-  walk_oracle.PriceMerges(*p0, state, merges, nullptr, &cache, &prices);
+  // Full pricing of the first step, by the reference.
+  const ReferenceRun ref = RunReference(*p0, &registry, ctx, constraints, vf,
+                                        valuations, options);
+  ASSERT_EQ(ref.priced.size(), 1u);
+  const std::vector<ReferencePrice>& priced = ref.priced[0];
   size_t first = 0;
   size_t best = 0;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const double bound =
-        CandidateScore(options, 0.0, prices[i].size, candidates[i],
-                       original_size);
-    if (bound < CandidateScore(options, 0.0, prices[first].size,
-                               candidates[first], original_size)) {
+  for (size_t i = 0; i < priced.size(); ++i) {
+    const double bound = CandidateScore(options, 0.0, priced[i].size,
+                                        priced[i].candidate, original_size);
+    if (bound < CandidateScore(options, 0.0, priced[first].size,
+                               priced[first].candidate, original_size)) {
       first = i;
     }
-    if (CandidateScore(options, prices[i].distance, prices[i].size,
-                       candidates[i], original_size) <
-        CandidateScore(options, prices[best].distance, prices[best].size,
-                       candidates[best], original_size)) {
-      best = i;
-    }
+    if (priced[i].score < priced[best].score) best = i;
   }
   const std::vector<AnnotationId> u12 = {u[0], u[1]};
   const std::vector<AnnotationId> u34 = {u[2], u[3]};
-  ASSERT_EQ(std::vector<AnnotationId>(merges[first].roots.begin(),
-                                      merges[first].roots.end()),
-            u12);
-  ASSERT_EQ(std::vector<AnnotationId>(merges[best].roots.begin(),
-                                      merges[best].roots.end()),
-            u34);
+  ASSERT_EQ(priced[first].roots, u12);
+  ASSERT_EQ(priced[best].roots, u34);
 
   EnumeratedDistance oracle(p0.get(), &registry, &vf, valuations);
   Summarizer summarizer(p0.get(), &registry, &ctx, &constraints, &oracle,
@@ -359,8 +292,8 @@ TEST(BoundedPricingTest, SmallestBoundLosesToARoundTwoMerge) {
   ASSERT_EQ(outcome.value().steps.size(), 1u);
   const StepRecord& step = outcome.value().steps[0];
   EXPECT_EQ(step.merged_roots, u34);
-  EXPECT_EQ(DoubleBits(step.distance), DoubleBits(prices[best].distance));
-  EXPECT_EQ(step.size, prices[best].size);
+  EXPECT_EQ(DoubleBits(step.distance), DoubleBits(priced[best].distance));
+  EXPECT_EQ(step.size, priced[best].size);
 }
 
 }  // namespace

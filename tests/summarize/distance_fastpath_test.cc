@@ -1,6 +1,7 @@
 // The EnumeratedDistance projection fast path (identity group mapping)
-// must agree exactly with the general path that projects through the
-// cumulative homomorphism.
+// and its projected path (group keys merged) must both agree exactly with
+// the per-valuation spec that projects through the cumulative
+// homomorphism.
 
 #include <gtest/gtest.h>
 
@@ -8,29 +9,22 @@
 #include "summarize/val_func.h"
 #include "summarize/valuation_class.h"
 #include "testing/fixtures.h"
+#include "testing/reference_summarizer.h"
 
 namespace prox {
 namespace {
 
 using testing_fixtures::MovieFixture;
 
-/// Re-derivation that always takes the general (projecting) path.
-double SlowDistance(const ProvenanceExpression& p0,
-                    const ProvenanceExpression& cand,
+/// The spec (testing/reference_summarizer.h): Definition 3.2.2 one
+/// valuation at a time, projecting v(p₀) through the cumulative
+/// homomorphism whenever it merges a group key.
+double SlowDistance(const MovieFixture& fx, const ProvenanceExpression& cand,
                     const MappingState& state,
                     const std::vector<Valuation>& valuations,
-                    const ValFunc& vf, size_t n) {
-  EvalResult all_true = p0.Evaluate(MaterializedValuation(n));
-  double max_error = vf.MaxError(all_true);
-  double total = 0.0, weights = 0.0;
-  for (const Valuation& v : valuations) {
-    EvalResult base = p0.Evaluate(MaterializedValuation(v, n));
-    EvalResult orig = cand.ProjectEvalResult(base, state.cumulative());
-    EvalResult summ = cand.Evaluate(state.Transform(v, n));
-    total += v.weight() * vf.Compute(orig, summ);
-    weights += v.weight();
-  }
-  return (total / weights) / max_error;
+                    const ValFunc& vf) {
+  return testing_reference::ReferenceDistance(
+      {fx.p0.get(), &fx.registry, &vf, &valuations}, cand, state);
 }
 
 TEST(DistanceFastPathTest, UserOnlyMergeMatchesGeneralPath) {
@@ -49,10 +43,8 @@ TEST(DistanceFastPathTest, UserOnlyMergeMatchesGeneralPath) {
   h.Set(fx.u2, female);
   auto cand = fx.p0->Apply(h);
 
-  EXPECT_NEAR(oracle.Distance(*cand, state),
-              SlowDistance(*fx.p0, *cand, state, valuations, vf,
-                           fx.registry.size()),
-              1e-12);
+  EXPECT_EQ(oracle.Distance(*cand, state),
+            SlowDistance(fx, *cand, state, valuations, vf));
 }
 
 TEST(DistanceFastPathTest, MovieMergeTakesProjectingPathAndAgrees) {
@@ -72,10 +64,8 @@ TEST(DistanceFastPathTest, MovieMergeTakesProjectingPathAndAgrees) {
   h.Set(fx.blue_jasmine, merged);
   auto cand = fx.p0->Apply(h);
 
-  EXPECT_NEAR(oracle.Distance(*cand, state),
-              SlowDistance(*fx.p0, *cand, state, valuations, vf,
-                           fx.registry.size()),
-              1e-12);
+  EXPECT_EQ(oracle.Distance(*cand, state),
+            SlowDistance(fx, *cand, state, valuations, vf));
 }
 
 TEST(DistanceFastPathTest, MixedMergeSequencesAgree) {
@@ -98,10 +88,8 @@ TEST(DistanceFastPathTest, MixedMergeSequencesAgree) {
   h.Set(fx.blue_jasmine, merged);
   auto cand = fx.p0->Apply(h);
 
-  EXPECT_NEAR(oracle.Distance(*cand, state),
-              SlowDistance(*fx.p0, *cand, state, valuations, vf,
-                           fx.registry.size()),
-              1e-12);
+  EXPECT_EQ(oracle.Distance(*cand, state),
+            SlowDistance(fx, *cand, state, valuations, vf));
 }
 
 }  // namespace

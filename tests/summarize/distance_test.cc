@@ -10,30 +10,12 @@
 #include "summarize/valuation_class.h"
 #include "summarize/val_func.h"
 #include "testing/fixtures.h"
+#include "testing/reference_summarizer.h"
 
 namespace prox {
 namespace {
 
 using testing_fixtures::MovieFixture;
-
-/// Brute-force distance: re-derives Definition 3.2.2 with no caching.
-double BruteForceDistance(const ProvenanceExpression& p0,
-                          const ProvenanceExpression& cand,
-                          const MappingState& state,
-                          const std::vector<Valuation>& valuations,
-                          const ValFunc& vf, size_t registry_size) {
-  double total = 0.0, weights = 0.0;
-  for (const Valuation& v : valuations) {
-    EvalResult base = p0.Evaluate(MaterializedValuation(v, registry_size));
-    EvalResult proj = cand.ProjectEvalResult(base, state.cumulative());
-    EvalResult summ = cand.Evaluate(state.Transform(v, registry_size));
-    total += v.weight() * vf.Compute(proj, summ);
-    weights += v.weight();
-  }
-  EvalResult all_true = p0.Evaluate(MaterializedValuation(registry_size));
-  double max_error = vf.MaxError(all_true);
-  return (total / weights) / max_error;
-}
 
 TEST(EnumeratedDistanceTest, IdentityMappingHasZeroDistance) {
   MovieFixture fx;
@@ -88,9 +70,11 @@ TEST(EnumeratedDistanceTest, MatchesBruteForceRederivation) {
   h.Set(fx.u2, female);
   auto cand = fx.p0->Apply(h);
 
-  double expected = BruteForceDistance(*fx.p0, *cand, state, valuations, vf,
-                                       fx.registry.size());
-  EXPECT_NEAR(oracle.Distance(*cand, state), expected, 1e-12);
+  // The spec re-derives Definition 3.2.2 one valuation at a time, with no
+  // caching (testing/reference_summarizer.h).
+  const double expected = testing_reference::ReferenceDistance(
+      {fx.p0.get(), &fx.registry, &vf, &valuations}, *cand, state);
+  EXPECT_EQ(oracle.Distance(*cand, state), expected);
 }
 
 TEST(EnumeratedDistanceTest, WeightsScaleContributions) {

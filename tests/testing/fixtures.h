@@ -5,8 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "datasets/dataset.h"
 #include "ir/agg_expr.h"
 #include "ir/ddp_expr.h"
+#include "kernels/batch_eval.h"
 #include "provenance/annotation.h"
 #include "semantics/constraints.h"
 #include "semantics/context.h"
@@ -42,26 +44,52 @@ inline std::unique_ptr<ir::IrAggregateExpression> WithAgg(
   return out;
 }
 
-/// A VAL-FUNC that forwards to `inner` but has no batch counterpart
-/// (batch_kind() stays kNone), so the distance oracles price every call
-/// through their per-valuation scalar loop: the reference the batch
-/// kernels are checked against bit for bit.
-class ScalarReferenceValFunc : public ValFunc {
- public:
-  explicit ScalarReferenceValFunc(const ValFunc* inner) : inner_(inner) {}
-
-  double Compute(const EvalResult& orig,
-                 const EvalResult& summ) const override {
-    return inner_->Compute(orig, summ);
+/// `base`, an evaluation of p₀, projected into the coordinate space of
+/// `cand` = h(p₀) the way the distance oracle projects it: packed into one
+/// lane of a block, folded through kernels::ProjectBlock and read back.
+/// An empty vector when no group remap reconciles the two layouts.
+inline EvalResult ProjectThroughBlock(const ProvenanceExpression& cand,
+                                      const EvalResult& base,
+                                      const Homomorphism& h) {
+  std::vector<AnnotationId> groups;
+  if (base.kind() == EvalResult::Kind::kVector) {
+    for (const EvalResult::Coord& c : base.coords()) groups.push_back(c.group);
   }
-  double MaxError(const EvalResult& all_true_orig) const override {
-    return inner_->MaxError(all_true_orig);
+  kernels::BlockEval block;
+  const kernels::BatchProgram program = cand.AsBatchEval()->LowerBatch();
+  kernels::GroupRemap remap;
+  if (!kernels::PackEvalBlock(&base, 1, base.kind(), groups.data(),
+                              groups.size(), &block) ||
+      !kernels::BuildGroupRemap(base.kind(), groups.data(), groups.size(),
+                                program, h, &remap)) {
+    return EvalResult::Vector({});
   }
-  std::string name() const override { return inner_->name(); }
+  kernels::BlockEval scratch;
+  return kernels::ProjectBlock(remap, program, block, &scratch).Extract(0);
+}
 
- private:
-  const ValFunc* inner_;
-};
+/// Replaces the dataset's row values with ones whose fold order shows in
+/// the bits. MovieLens ratings are small integers, which SUM and AVG add
+/// exactly in any order; these are non-integral, one row is large enough
+/// (2^53 + ...) that its neighbours' adds round against it, and every
+/// ninth row contributes -0.0 or +0.0, which MAX and MIN keep or replace
+/// by fold order.
+inline void MakeFoldOrderVisible(Dataset* ds) {
+  const ir::IrAggregateExpression& src = *ds->provenance->AsAggregate();
+  auto out = std::make_unique<ir::IrAggregateExpression>(src.agg(), src.pool());
+  for (size_t i = 0; i < src.num_terms(); ++i) {
+    const ir::IrAggregateExpression::InternedRow row =
+        src.InternRow(i, src.pool().get());
+    AggValue v = row.value;
+    v.value = v.value * 0.1 + 0.013 * static_cast<double>(i % 7);
+    if (i % 9 == 2) v.value = -0.0;
+    if (i % 9 == 5) v.value = 0.0;
+    if (i == src.num_terms() / 2) v.value = 9007199254740993.0 * 1.5;
+    out->AddTermIds(row.mono, row.guard, row.group, v);
+  }
+  out->Canonicalize();
+  ds->provenance = std::move(out);
+}
 
 /// `num_samples` valuations drawn by SampledValuations (default seed) over
 /// `p0`'s annotations: the Monte-Carlo set of the sampled test cases.
