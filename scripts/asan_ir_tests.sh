@@ -35,6 +35,13 @@
 # silent corruption; under ASan it turns into a report instead.
 # Fail-closed must never mean fail-by-UB.
 #
+# The build keeps its Release optimization but leaves NDEBUG undefined, so
+# every assert runs: the remap and pack preconditions of the distance
+# oracle, the fold pass's check that a unit lowers to the size the shape
+# pass counted, the carried step's checks that its annotation list equals
+# CollectAnnotations' and that a carried merge shapes to its carried size
+# (docs/KERNELS.md, *Carried steps*).
+#
 # Usage: scripts/asan_ir_tests.sh [build-dir]   (default: build-asan)
 set -euo pipefail
 
@@ -44,6 +51,7 @@ build_dir=${1:-build-asan}
 
 cmake -B "$build_dir" -S . \
   -DPROX_SANITIZE=address \
+  -DCMAKE_CXX_FLAGS_RELEASE=-O2 \
   -DPROX_BUILD_BENCHMARKS=OFF \
   -DPROX_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" \

@@ -30,6 +30,9 @@
 # placeholder, which `ctest -L tsan` would skip without a word, so the
 # script fails if any such placeholder remains.
 #
+# As in scripts/asan_ir_tests.sh, the build leaves NDEBUG undefined, so
+# every assert runs on the exec workers too.
+#
 # Usage: scripts/tsan_exec_tests.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
 
@@ -49,6 +52,7 @@ echo "tsan_exec_tests: building ${targets[*]}"
 
 cmake -B "$build_dir" -S . \
   -DPROX_SANITIZE=thread \
+  -DCMAKE_CXX_FLAGS_RELEASE=-O2 \
   -DPROX_BUILD_BENCHMARKS=OFF \
   -DPROX_BUILD_EXAMPLES=OFF
 cmake --build "$build_dir" --target "${targets[@]}" -j "$(nproc)"

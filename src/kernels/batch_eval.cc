@@ -104,17 +104,6 @@ bool EvalMatchesLayout(const EvalResult& e, EvalResult::Kind kind,
   return true;
 }
 
-bool ProgramMatchesLayout(const BatchProgram& p, EvalResult::Kind kind,
-                          const AnnotationId* groups, size_t num_groups) {
-  if (p.kind != kind) return false;
-  if (kind != EvalResult::Kind::kVector) return true;
-  if (p.num_groups != num_groups) return false;
-  for (size_t g = 0; g < num_groups; ++g) {
-    if (p.groups[g] != groups[g]) return false;
-  }
-  return true;
-}
-
 bool PackEvalBlock(const EvalResult* evals, size_t count,
                    EvalResult::Kind kind, const AnnotationId* groups,
                    size_t num_groups, BlockEval* out) {

@@ -227,10 +227,6 @@ void ValFuncBlockErrors(ValFuncBatchKind kind, double ddp_max_error,
 bool EvalMatchesLayout(const EvalResult& e, EvalResult::Kind kind,
                        const AnnotationId* groups, size_t num_groups);
 
-/// Same check against a lowered program's output layout.
-bool ProgramMatchesLayout(const BatchProgram& p, EvalResult::Kind kind,
-                          const AnnotationId* groups, size_t num_groups);
-
 /// Packs `count` (<= kMaxLanes) EvalResults into a BlockEval with the
 /// given layout, validating each against it. Returns false (out
 /// unspecified) on any mismatch. `groups` is borrowed by the result.

@@ -27,6 +27,7 @@ struct DistanceMetrics {
   obs::Counter* groups_reused;
   obs::Counter* rows_refolded;
   obs::Counter* cache_evictions;
+  obs::Counter* merges_carried;
 
   static const DistanceMetrics& Get() {
     static const DistanceMetrics m = [] {
@@ -59,6 +60,10 @@ struct DistanceMetrics {
       m.cache_evictions = r.GetCounter(
           "prox_summarize_pricing_cache_evictions_total",
           "Candidate entries dropped by the pricing cache's byte cap.");
+      m.merges_carried = r.GetCounter(
+          "prox_summarize_merges_carried_total",
+          "Candidate merges whose size step pricing carried from the "
+          "previous step instead of shaping them.");
       return m;
     }();
     return m;
@@ -80,33 +85,6 @@ double GroupTerm(kernels::ValFuncBatchKind kind, double b, double c) {
   }
   const double d = b - c;
   return kind == kernels::ValFuncBatchKind::kL1 ? std::abs(d) : d * d;
-}
-
-/// Row content of one group, for the cross-step version check: everything
-/// lowering and evaluation read from a row.
-void GroupContent(const ir::IrAggregateExpression& expr, size_t begin,
-                  size_t end, std::vector<uint64_t>* out) {
-  auto bits = [](double x) {
-    uint64_t u;
-    std::memcpy(&u, &x, sizeof(u));
-    return u;
-  };
-  out->clear();
-  for (size_t i = begin; i < end; ++i) {
-    const ir::AggTermView t = expr.term(i);
-    out->push_back(t.mono_len);
-    out->insert(out->end(), t.mono, t.mono + t.mono_len);
-    out->push_back(bits(t.value.value));
-    out->push_back(bits(t.value.count));
-    out->push_back(t.has_guard);
-    if (t.has_guard) {
-      out->push_back(t.guard_len);
-      out->insert(out->end(), t.guard_mono, t.guard_mono + t.guard_len);
-      out->push_back(bits(t.guard_scalar));
-      out->push_back(static_cast<uint64_t>(t.guard_op));
-      out->push_back(bits(t.guard_threshold));
-    }
-  }
 }
 
 /// Grows `v` to `n` elements, keeping its contents: a buffer that must grow
@@ -135,75 +113,36 @@ void GrowExactly(Vector* v, size_t n) {
   return size;
 }
 
-uint64_t RootsHash(std::span<const AnnotationId> roots) {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
-  for (AnnotationId a : roots) {
-    h ^= a;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 }  // namespace
-
-size_t PricingCache::Generation::Slot(
-    std::span<const AnnotationId> key) const {
-  const size_t mask = table.size() - 1;
-  for (size_t p = RootsHash(key) & mask;; p = (p + 1) & mask) {
-    if (table[p] == 0) return p;
-    const std::span<const AnnotationId> roots = RootsOf(entries[table[p] - 1]);
-    if (std::equal(roots.begin(), roots.end(), key.begin(), key.end())) {
-      return p;
-    }
-  }
-}
-
-const PricingCache::Entry* PricingCache::Generation::Find(
-    std::span<const AnnotationId> key) const {
-  if (table.empty()) return nullptr;
-  const uint32_t e = table[Slot(key)];
-  return e == 0 ? nullptr : &entries[e - 1];
-}
-
-bool PricingCache::Generation::Insert(uint32_t i) {
-  uint32_t& e = table[Slot(RootsOf(entries[i]))];
-  if (e != 0) return false;
-  e = i + 1;
-  return true;
-}
 
 void PricingCache::Generation::Clear() {
   entries.clear();
-  roots.clear();
   units.clear();
   sources.clear();
   terms.clear();
-  table.clear();
+  entry_of.clear();
 }
 
-uint64_t PricingCache::Commit() {
-  // A power of two at least twice the entry count keeps probes short.
-  size_t slots = 16;
-  while (slots < 2 * next_.entries.size()) slots *= 2;
-  next_.table.assign(slots, 0);
+uint64_t PricingCache::Commit(size_t num_merges) {
+  next_.entry_of.assign(num_merges, 0);
   bytes_ = 0;
   uint64_t evicted = 0;
   for (size_t i = 0; i < next_.entries.size(); ++i) {
     const Entry& e = next_.entries[i];
     const size_t b = kEntryHeaderBytes + e.num_units * sizeof(Unit) +
                      e.num_sources * sizeof(Source) +
-                     e.num_units * lanes_ * sizeof(double) +
-                     e.num_roots * sizeof(AnnotationId);
+                     e.num_units * lanes_ * sizeof(double);
     if (bytes_ + b > kMaxBytes) {
       ++evicted;
       continue;
     }
-    // Duplicate roots keep the first entry.
-    if (next_.Insert(static_cast<uint32_t>(i))) bytes_ += b;
+    next_.entry_of[e.merge] = static_cast<uint32_t>(i + 1);
+    bytes_ += b;
   }
   peak_bytes_ = std::max(peak_bytes_, bytes_);
   evictions_ += evicted;
   std::swap(cached_, next_);
+  committed_ = true;
   return evicted;
 }
 
@@ -213,7 +152,8 @@ PricingCache::~PricingCache() = default;
 void PricingCache::Clear() {
   cached_.Clear();
   next_.Clear();
-  groups_.clear();
+  mark_ = MappingState::Mark{};
+  committed_ = false;
   bytes_ = 0;
 }
 
@@ -227,12 +167,13 @@ struct PriceCounts {
 /// \brief One step of dirty-group pricing over an aggregate expression
 /// (EnumeratedDistance::ShapeMerges and FoldMerges). Prepare() runs once
 /// per step on the calling thread; Shape() and Fold() run on exec workers.
-/// The shape pass counts: it finds each merge's dirty groups through the
+/// The shape pass counts: it sizes a carried merge from its previous
+/// step's size change, finds every other merge's dirty groups through the
 /// occurrence index and sizes its fresh units with MovedSize. The fold
-/// pass lowers: it lowers the moved rows of the merges it folds, so a
-/// merge a bounded step leaves unfolded is never lowered. A run's
-/// PricingCache keeps one pricer, so the step arrays below keep their
-/// capacity from step to step.
+/// pass shapes the carried merges it folds the same way, then lowers: it
+/// lowers the moved rows of the merges it folds, so a merge a bounded step
+/// leaves unfolded is never lowered. A run's PricingCache keeps one
+/// pricer, so the step arrays below keep their capacity from step to step.
 class StepPricer {
  public:
   /// Merges per shape task when the step fans out: the shape pass gives
@@ -257,16 +198,29 @@ class StepPricer {
     return (merges_->size() + block_size_ - 1) / block_size_;
   }
 
-  /// Shape pass over block `b`: fixes each of its merges' units, cache
-  /// reuse, moved rows and candidate size, lowering nothing.
+  /// Shape pass over block `b`: sizes each of its carried merges from the
+  /// previous step and fixes every other one's units, cache reuse, moved
+  /// rows and candidate size, lowering nothing.
   void Shape(size_t b);
 
+  /// Ends the shape pass: keeps each merge's size change for the next step
+  /// and returns the number of merges sized from the previous step's.
+  uint64_t EndShapes();
+
+  size_t num_merges() const { return merges_->size(); }
   /// Merge `i`'s candidate size.
   int64_t size(size_t i) const { return shapes_[i].size; }
 
+  /// Lists the carried merges of `which`, to be shaped in blocks of
+  /// `block_size`, and returns the number of blocks.
+  size_t BeginCarried(std::span<const uint32_t> which, size_t block_size);
+  /// Shapes the carried merges of block `j` of BeginCarried's list as the
+  /// shape pass shapes any other merge.
+  void ShapeCarried(size_t j);
+
   /// Appends entries for merges `which` to the cache's next generation,
-  /// sized from their shapes, copies their roots in and grows the
-  /// generation's buffers to hold them; returns the index of the first.
+  /// sized from their shapes, and grows the generation's buffers to hold
+  /// them; returns the index of the first.
   size_t LayOut(std::span<const uint32_t> which);
 
   /// Fold pass for merge `i`: lowers the rows its fresh units move, writes
@@ -315,14 +269,17 @@ class StepPricer {
     uint32_t moved_off = 0;
     uint32_t moved_end = 0;
   };
-  /// One merge's ranges of its block's buffers.
+  /// One merge's ranges of its block's buffers. A carried merge has only
+  /// its size until it is shaped.
   struct MergeShape {
+    uint32_t block = 0;
     uint32_t units_off = 0;
     uint32_t num_units = 0;
     uint32_t keys_off = 0;
     uint32_t num_keys = 0;
     int64_t size = 0;
     bool identity = false;
+    bool carried = false;
 
     uint32_t num_sources() const {
       return num_units - (num_keys > 0 ? 1 : 0) + num_keys;
@@ -345,6 +302,14 @@ class StepPricer {
   /// keyed by a root) and sc.dirty (their union with the moved rows'
   /// slots), each ascending.
   void FindDirty(std::span<const AnnotationId> roots, Scratch* sc) const;
+
+  /// Shapes merge `i` into block `b`: its units, cache reuse, moved rows
+  /// and candidate size.
+  void ShapeMerge(size_t i, size_t b, Scratch* sc);
+
+  /// True when the last merge touched a root: it occurs in a changed row
+  /// or keys the group of one.
+  bool Touched(std::span<const AnnotationId> roots) const;
 
   /// Points `su` at the terms of the unit of `old` with the same kind and
   /// sources [src, src_end), if `old` has one.
@@ -377,7 +342,19 @@ class StepPricer {
   std::vector<uint32_t> occ_begin_;
   std::vector<uint32_t> occ_rows_;
   std::vector<std::pair<AnnotationId, uint32_t>> occurs_;  // Prepare's
+  // Whether the step carries the last one, the slots of its changed rows
+  // (Prepare's) and the annotations the last merge touched, ascending.
+  bool carry_ = false;
+  std::vector<uint32_t> changed_;
+  std::vector<AnnotationId> touched_;
+  // The groups' keys and versions, and each merge's size change, at this
+  // step and at the last one.
+  std::vector<AnnotationId> keys_;
+  std::vector<AnnotationId> prev_keys_;
   std::vector<uint64_t> versions_;
+  std::vector<uint64_t> prev_versions_;
+  std::vector<int64_t> delta_;
+  std::vector<int64_t> prev_delta_;
   // v^{h,φ} under the step's state, one block per grain-8 chunk.
   std::vector<kernels::ValuationBlock> blocks_;
   // Per chunk c: row i's lane mask at masks_[c · R + i], and the fold
@@ -399,6 +376,12 @@ class StepPricer {
   size_t block_size_ = 1;
   std::vector<MergeShape> shapes_;
   std::vector<ShapeBlock> shape_blocks_;
+  // The blocks the fold pass shapes carried merges into: its list of them,
+  // their first block and the step's next free block.
+  std::vector<uint32_t> carried_;
+  size_t carried_block_ = 0;
+  size_t carried_block_size_ = 1;
+  size_t free_block_ = 0;
 };
 
 bool StepPricer::Prepare(const EnumeratedDistance& oracle,
@@ -466,29 +449,66 @@ bool StepPricer::Prepare(const EnumeratedDistance& oracle,
   occ_begin_.push_back(static_cast<uint32_t>(occurs_.size()));
   size_ = current_->Size();
 
-  // Group versions against the previous step's rows.
+  // Group versions (PricingCache). The candidates' projection changes form
+  // (raw base vs folded base) when the remap's identity does, so no cached
+  // term carries over it; sizes and versions still do.
   if (cache_->identity_on_groups_ != remap_.identity()) {
-    // The candidates' projection changes form (raw base vs folded base),
-    // so no cached term carries over.
-    cache_->Clear();
+    cache_->cached_.Clear();
     cache_->identity_on_groups_ = remap_.identity();
   }
+  carry_ = cache_->committed_ && state.OneMergePast(cache_->mark_);
+  cache_->mark_ = state.mark();
+  cache_->committed_ = false;
+  std::swap(keys_, prev_keys_);
+  std::swap(versions_, prev_versions_);
+  std::swap(delta_, prev_delta_);
+  keys_.assign(groups, groups + G);
   versions_.resize(G);
-  const uint64_t step = ++cache_->step_;
-  for (size_t g = 0; g < G; ++g) {
-    GroupContent(*current_, row_begin_[g], row_begin_[g + 1],
-                 &cache_->content_);
-    auto [it, added] = cache_->groups_.try_emplace(groups[g]);
-    PricingCache::GroupState& state = it->second;
-    if (added || state.content != cache_->content_) {
-      state.content.assign(cache_->content_.begin(), cache_->content_.end());
-      state.version = ++cache_->next_version_;
+  changed_.clear();
+  touched_.clear();
+  if (carry_) {
+    // The changed rows: the rows s occurs in, and the rows of s's group.
+    // Their slots, and the annotations they touch, ascending.
+    const AnnotationId s = state.last_merge().summary;
+    auto touch = [&](uint32_t i) {
+      const kernels::AggBatchRow& r = rows[i];
+      touched_.insert(touched_.end(), r.mono.data, r.mono.data + r.mono.len);
+      touched_.insert(touched_.end(), r.guard_mono.data,
+                      r.guard_mono.data + r.guard_mono.len);
+      touched_.push_back(groups[r.group]);
+      changed_.push_back(r.group);
+    };
+    const auto ann = std::lower_bound(occ_ann_.begin(), occ_ann_.end(), s);
+    if (ann != occ_ann_.end() && *ann == s) {
+      const size_t a = static_cast<size_t>(ann - occ_ann_.begin());
+      for (uint32_t k = occ_begin_[a]; k < occ_begin_[a + 1]; ++k) {
+        touch(occ_rows_[k]);
+      }
     }
-    state.seen = step;
-    versions_[g] = state.version;
+    const AnnotationId* key = std::lower_bound(groups, groups + G, s);
+    if (key != groups + G && *key == s) {
+      const size_t g = static_cast<size_t>(key - groups);
+      for (uint32_t i = row_begin_[g]; i < row_begin_[g + 1]; ++i) touch(i);
+    }
+    std::sort(changed_.begin(), changed_.end());
+    changed_.erase(std::unique(changed_.begin(), changed_.end()),
+                   changed_.end());
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
+    // Bump exactly the groups with a changed row and the new keys.
+    size_t j = 0;
+    auto changed = changed_.begin();
+    for (size_t g = 0; g < G; ++g) {
+      while (j < prev_keys_.size() && prev_keys_[j] < groups[g]) ++j;
+      while (changed != changed_.end() && *changed < g) ++changed;
+      const bool kept = j < prev_keys_.size() && prev_keys_[j] == groups[g] &&
+                        (changed == changed_.end() || *changed != g);
+      versions_[g] = kept ? prev_versions_[j] : ++cache_->next_version_;
+    }
+  } else {
+    for (size_t g = 0; g < G; ++g) versions_[g] = ++cache_->next_version_;
   }
-  std::erase_if(cache_->groups_,
-                [&](const auto& kv) { return kv.second.seen != step; });
 
   // The current state's masks, fold checkpoints, values and terms, per
   // chunk: the fold EvaluateBlock performs, paused at every checkpoint.
@@ -597,7 +617,57 @@ void StepPricer::BeginShapes(const std::vector<MergeQuery>& merges,
   merges_ = &merges;
   block_size_ = std::max<size_t>(1, block_size);
   shapes_.resize(merges.size());
-  if (shape_blocks_.size() < num_blocks()) shape_blocks_.resize(num_blocks());
+  free_block_ = num_blocks();
+  if (shape_blocks_.size() < free_block_) shape_blocks_.resize(free_block_);
+}
+
+bool StepPricer::Touched(std::span<const AnnotationId> roots) const {
+  return std::any_of(roots.begin(), roots.end(), [&](AnnotationId r) {
+    return std::binary_search(touched_.begin(), touched_.end(), r);
+  });
+}
+
+uint64_t StepPricer::EndShapes() {
+  delta_.resize(shapes_.size());
+  uint64_t carried = 0;
+  for (size_t i = 0; i < shapes_.size(); ++i) {
+    delta_[i] = shapes_[i].size - size_;
+    carried += shapes_[i].carried;
+  }
+  return carried;
+}
+
+size_t StepPricer::BeginCarried(std::span<const uint32_t> which,
+                                size_t block_size) {
+  carried_.clear();
+  for (uint32_t i : which) {
+    if (shapes_[i].carried) carried_.push_back(i);
+  }
+  carried_block_ = free_block_;
+  const size_t bs = std::max<size_t>(1, block_size);
+  const size_t blocks = (carried_.size() + bs - 1) / bs;
+  free_block_ += blocks;
+  if (shape_blocks_.size() < free_block_) shape_blocks_.resize(free_block_);
+  carried_block_size_ = bs;
+  return blocks;
+}
+
+void StepPricer::ShapeCarried(size_t j) {
+  Scratch& sc = LocalScratch();
+  const size_t b = carried_block_ + j;
+  ShapeBlock& blk = shape_blocks_[b];
+  blk.units.clear();
+  blk.keys.clear();
+  blk.moved.clear();
+  const size_t end =
+      std::min(carried_.size(), (j + 1) * carried_block_size_);
+  for (size_t k = j * carried_block_size_; k < end; ++k) {
+    [[maybe_unused]] const int64_t carried = shapes_[carried_[k]].size;
+    ShapeMerge(carried_[k], b, &sc);
+    // A merge the last merge did not touch changes the size as it did at
+    // the previous step.
+    assert(shapes_[carried_[k]].size == carried);
+  }
 }
 
 void StepPricer::FindReuse(const PricingCache::Entry* old, bool merged,
@@ -638,77 +708,95 @@ void StepPricer::Shape(size_t b) {
   blk.units.clear();
   blk.keys.clear();
   blk.moved.clear();
-  const AnnotationId* groups = program_.groups;
-  const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
   const size_t end_i = std::min(merges_->size(), (b + 1) * block_size_);
   for (size_t i = b * block_size_; i < end_i; ++i) {
     const MergeQuery& m = (*merges_)[i];
-    FindDirty(m.roots, &sc);
-    MergeShape& shape = shapes_[i];
-    shape.units_off = static_cast<uint32_t>(blk.units.size());
-    shape.keys_off = static_cast<uint32_t>(blk.keys.size());
-    shape.num_keys = static_cast<uint32_t>(sc.key_slots.size());
-    shape.identity = remap_.identity() && sc.key_slots.empty();
-    blk.keys.insert(blk.keys.end(), sc.key_slots.begin(), sc.key_slots.end());
-    const PricingCache::Entry* old = cache_->cached_.Find(m.roots);
-    sc.sources.clear();
-
-    // Units: one per dirty slot the merge keeps, then the merged group.
-    // Size: the dirty groups' rows are replaced by the units' rows.
-    int64_t size = size_;
-    for (uint32_t g : sc.dirty) size -= group_size_[g];
-    auto moved = sc.moved.begin();
-    for (uint32_t g : sc.dirty) {
-      if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(), g)) {
-        continue;
-      }
-      ShapeUnit& su = blk.units.emplace_back();
-      su.slot = g;
-      sc.sources.push_back({groups[g], versions_[g]});
-      FindReuse(old, false, &sc.sources.back(), &sc.sources.back() + 1, &su);
-      // The group's moved rows: a kept slot is dirty because a root occurs
-      // in one of its rows, so there is at least one.
-      moved = std::lower_bound(moved, sc.moved.end(), row_begin_[g]);
-      const auto moved_end =
-          std::lower_bound(moved, sc.moved.end(), row_begin_[g + 1]);
-      if (su.reuse < 0) {
-        // The moved rows' old size gives way to what they lower to.
-        su.size = group_size_[g] +
-                  current_->MovedSize(&*moved,
-                                      static_cast<size_t>(moved_end - moved),
-                                      m.roots.data(), m.roots.size());
-        for (auto r = moved; r != moved_end; ++r) {
-          su.size -= rows[*r].mono.len + rows[*r].guard_mono.len;
-        }
-        su.moved_off = static_cast<uint32_t>(blk.moved.size());
-        blk.moved.insert(blk.moved.end(), moved, moved_end);
-        su.moved_end = static_cast<uint32_t>(blk.moved.size());
-      }
-      moved = moved_end;
-      size += su.size;
+    if (carry_ && m.prev >= 0 && !Touched(m.roots)) {
+      // The size change of a merge depends only on the rows its roots
+      // occur in and on the groups they key, which the last merge left as
+      // they were (docs/KERNELS.md, *Carried steps*).
+      assert(static_cast<size_t>(m.prev) < prev_delta_.size());
+      shapes_[i].size = size_ + prev_delta_[m.prev];
+      shapes_[i].carried = true;
+      continue;
     }
-    if (!sc.key_slots.empty()) {
-      ShapeUnit& su = blk.units.emplace_back();
-      const size_t src_begin = sc.sources.size();
-      for (uint32_t g : sc.key_slots) {
-        sc.sources.push_back({groups[g], versions_[g]});
-      }
-      FindReuse(old, true, sc.sources.data() + src_begin,
-                sc.sources.data() + sc.sources.size(), &su);
-      if (su.reuse < 0) {
-        // Every row of the root-keyed groups moves into t's group.
-        MergedRows(sc.key_slots.data(),
-                   sc.key_slots.data() + sc.key_slots.size(), &sc);
-        su.size = current_->MovedSize(sc.merged_rows.data(),
-                                      sc.merged_rows.size(), m.roots.data(),
-                                      m.roots.size());
-      }
-      size += su.size;
-    }
-    shape.num_units =
-        static_cast<uint32_t>(blk.units.size() - shape.units_off);
-    shape.size = size;
+    ShapeMerge(i, b, &sc);
   }
+}
+
+void StepPricer::ShapeMerge(size_t i, size_t b, Scratch* sc_ptr) {
+  Scratch& sc = *sc_ptr;
+  ShapeBlock& blk = shape_blocks_[b];
+  const AnnotationId* groups = program_.groups;
+  const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
+  const MergeQuery& m = (*merges_)[i];
+  FindDirty(m.roots, &sc);
+  MergeShape& shape = shapes_[i];
+  shape.block = static_cast<uint32_t>(b);
+  shape.carried = false;
+  shape.units_off = static_cast<uint32_t>(blk.units.size());
+  shape.keys_off = static_cast<uint32_t>(blk.keys.size());
+  shape.num_keys = static_cast<uint32_t>(sc.key_slots.size());
+  shape.identity = remap_.identity() && sc.key_slots.empty();
+  blk.keys.insert(blk.keys.end(), sc.key_slots.begin(), sc.key_slots.end());
+  const PricingCache::Entry* old =
+      carry_ ? cache_->cached_.Find(m.prev) : nullptr;
+  sc.sources.clear();
+
+  // Units: one per dirty slot the merge keeps, then the merged group.
+  // Size: the dirty groups' rows are replaced by the units' rows.
+  int64_t size = size_;
+  for (uint32_t g : sc.dirty) size -= group_size_[g];
+  auto moved = sc.moved.begin();
+  for (uint32_t g : sc.dirty) {
+    if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(), g)) {
+      continue;
+    }
+    ShapeUnit& su = blk.units.emplace_back();
+    su.slot = g;
+    sc.sources.push_back({groups[g], versions_[g]});
+    FindReuse(old, false, &sc.sources.back(), &sc.sources.back() + 1, &su);
+    // The group's moved rows: a kept slot is dirty because a root occurs
+    // in one of its rows, so there is at least one.
+    moved = std::lower_bound(moved, sc.moved.end(), row_begin_[g]);
+    const auto moved_end =
+        std::lower_bound(moved, sc.moved.end(), row_begin_[g + 1]);
+    if (su.reuse < 0) {
+      // The moved rows' old size gives way to what they lower to.
+      su.size = group_size_[g] +
+                current_->MovedSize(&*moved,
+                                    static_cast<size_t>(moved_end - moved),
+                                    m.roots.data(), m.roots.size());
+      for (auto r = moved; r != moved_end; ++r) {
+        su.size -= rows[*r].mono.len + rows[*r].guard_mono.len;
+      }
+      su.moved_off = static_cast<uint32_t>(blk.moved.size());
+      blk.moved.insert(blk.moved.end(), moved, moved_end);
+      su.moved_end = static_cast<uint32_t>(blk.moved.size());
+    }
+    moved = moved_end;
+    size += su.size;
+  }
+  if (!sc.key_slots.empty()) {
+    ShapeUnit& su = blk.units.emplace_back();
+    const size_t src_begin = sc.sources.size();
+    for (uint32_t g : sc.key_slots) {
+      sc.sources.push_back({groups[g], versions_[g]});
+    }
+    FindReuse(old, true, sc.sources.data() + src_begin,
+              sc.sources.data() + sc.sources.size(), &su);
+    if (su.reuse < 0) {
+      // Every row of the root-keyed groups moves into t's group.
+      MergedRows(sc.key_slots.data(),
+                 sc.key_slots.data() + sc.key_slots.size(), &sc);
+      su.size = current_->MovedSize(sc.merged_rows.data(),
+                                    sc.merged_rows.size(), m.roots.data(),
+                                    m.roots.size());
+    }
+    size += su.size;
+  }
+  shape.num_units = static_cast<uint32_t>(blk.units.size() - shape.units_off);
+  shape.size = size;
 }
 
 size_t StepPricer::LayOut(std::span<const uint32_t> which) {
@@ -716,27 +804,18 @@ size_t StepPricer::LayOut(std::span<const uint32_t> which) {
   PricingCache::Generation& gen = cache_->next_;
   cache_->lanes_ = total_lanes_;
   const size_t first = gen.entries.size();
-  size_t roots = gen.roots.size();
   size_t units = gen.units.size();
   size_t sources = gen.sources.size();
   for (uint32_t i : which) {
     PricingCache::Entry& e = gen.entries.emplace_back();
-    e.roots_off = static_cast<uint32_t>(roots);
-    e.num_roots = static_cast<uint32_t>((*merges_)[i].roots.size());
+    e.merge = i;
     e.units_off = static_cast<uint32_t>(units);
     e.num_units = shapes_[i].num_units;
     e.src_off = static_cast<uint32_t>(sources);
     e.num_sources = shapes_[i].num_sources();
     e.terms_off = units * total_lanes_;
-    roots += e.num_roots;
     units += e.num_units;
     sources += e.num_sources;
-  }
-  GrowExactly(&gen.roots, roots);
-  for (size_t k = 0; k < which.size(); ++k) {
-    const std::span<const AnnotationId> r = (*merges_)[which[k]].roots;
-    std::copy(r.begin(), r.end(),
-              gen.roots.begin() + gen.entries[first + k].roots_off);
   }
   GrowExactly(&gen.units, units);
   GrowExactly(&gen.sources, sources);
@@ -748,7 +827,7 @@ bool StepPricer::Fold(size_t i, size_t e, double* distance,
                       PriceCounts* counts) const {
   Scratch& sc = LocalScratch();
   const MergeShape& shape = shapes_[i];
-  const ShapeBlock& blk = shape_blocks_[i / block_size_];
+  const ShapeBlock& blk = shape_blocks_[shape.block];
   const MergeQuery& m = (*merges_)[i];
   const std::span<const AnnotationId> roots = m.roots;
   const AnnotationId t = m.scratch;
@@ -993,6 +1072,7 @@ bool EnumeratedDistance::ShapeMerges(const ProvenanceExpression& current,
   pricer.BeginShapes(merges, serial ? merges.size() : StepPricer::kShapeBlock);
   exec::ParallelFor(pool, 0, static_cast<int64_t>(pricer.num_blocks()), 1,
                     [&](int64_t b) { pricer.Shape(static_cast<size_t>(b)); });
+  DistanceMetrics::Get().merges_carried->Increment(pricer.EndShapes());
   for (size_t i = 0; i < merges.size(); ++i) (*out)[i].size = pricer.size(i);
   return true;
 }
@@ -1002,6 +1082,14 @@ void EnumeratedDistance::FoldMerges(std::span<const uint32_t> which,
                                     PricingCache* cache,
                                     std::vector<MergePrice>* out) {
   StepPricer& pricer = *cache->pricer_;
+  // The carried merges it folds are shaped first, as the shape pass
+  // shapes the others.
+  const bool serial = pool == nullptr || pool->size() <= 1;
+  const size_t blocks = pricer.BeginCarried(
+      which, serial ? which.size() : StepPricer::kShapeBlock);
+  exec::ParallelFor(pool, 0, static_cast<int64_t>(blocks), 1, [&](int64_t j) {
+    pricer.ShapeCarried(static_cast<size_t>(j));
+  });
   const size_t first = pricer.LayOut(which);
   std::atomic<uint64_t> priced{0};
   std::atomic<uint64_t> reused{0};
@@ -1024,7 +1112,8 @@ void EnumeratedDistance::FoldMerges(std::span<const uint32_t> which,
 }
 
 void EnumeratedDistance::CommitStep(PricingCache* cache) {
-  DistanceMetrics::Get().cache_evictions->Increment(cache->Commit());
+  DistanceMetrics::Get().cache_evictions->Increment(
+      cache->Commit(cache->pricer_->num_merges()));
 }
 
 void EnumeratedDistance::MaterializeMerges(

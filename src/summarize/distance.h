@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mapped_allocator.h"
@@ -19,9 +18,12 @@ namespace prox {
 
 /// One candidate merge of a greedy step: the current annotations `roots`
 /// (sorted) merged into the step's scratch summary annotation `scratch`.
+/// `prev` is the index of the merge with the same roots among the previous
+/// step's merges (Candidate::prev), or -1.
 struct MergeQuery {
   std::span<const AnnotationId> roots;
   AnnotationId scratch = kNoAnnotation;
+  int32_t prev = -1;
 };
 
 /// A priced merge: the normalized distance and the size of the candidate
@@ -34,25 +36,31 @@ struct MergePrice {
 class StepPricer;
 
 /// \brief Run-local state of step pricing (EnumeratedDistance::ShapeMerges):
-/// each candidate's dirty-group VAL-FUNC terms, kept across the steps of
-/// one Summarizer::Run under the candidate's sorted roots.
+/// what one step of a Summarizer::Run carries into the next — each merge's
+/// size change and dirty-group VAL-FUNC terms, the groups' versions — and
+/// the step arrays, kept with their capacity.
 ///
-/// A group's cached terms stay valid while the group's rows are unchanged
-/// — while no winning merge dirtied it (Minoux's lazy greedy at group
-/// granularity). Every step compares each group's rows with the previous
-/// step's and bumps the group's version when they differ; a cached term
-/// is reused only under the versions it was computed at. The cache holds
-/// at most kMaxBytes of terms; a candidate whose entry does not fit is
-/// evicted (counted in `prox_summarize_pricing_cache_evictions_total`)
+/// A step is *carried* when its state is one merge past the last shaped
+/// and committed step's (MappingState::OneMergePast); every other step
+/// (a run's first, a call on an unrelated state) is full. A carried step's
+/// rows are the last step's except the *changed* rows: those that contain
+/// the last merge's summary annotation s, and the rows of s's group. It
+/// bumps the version of every group with a changed row and gives the new
+/// keys fresh versions; every other group keeps its version. A cached term
+/// is reused only under the versions it was computed at, so an unchanged
+/// group's terms carry over (Minoux's lazy greedy over the groups a merge
+/// dirties). A full step gives every group a fresh version. The cache
+/// holds at most kMaxBytes of terms; a candidate whose entry does not fit
+/// is evicted (counted in `prox_summarize_pricing_cache_evictions_total`)
 /// and prices all of its dirty groups afresh at its next step.
 ///
 /// Entries live in two generations of flat buffers (docs/KERNELS.md,
-/// *Across steps*): the step reads last step's generation and writes its
-/// own, one entry per merge whose distance the step folded, in place at
-/// offsets fixed from the shape pass's counts; then Commit swaps the two.
-/// A merge a bounded step left unfolded has no entry, so it prices its
-/// dirty groups afresh at its next step. Buffers are cleared, never freed,
-/// while the run lasts.
+/// *Across steps*): the step reads last step's generation, finding a
+/// merge's entry through MergeQuery::prev, and writes its own, one entry
+/// per merge whose distance the step folded, in place at offsets fixed from
+/// the shape pass's counts; then Commit swaps the two. A merge a bounded
+/// step left unfolded has no entry, so it prices its dirty groups afresh at
+/// its next step. Buffers are cleared, never freed, while the run lasts.
 class PricingCache {
  public:
   PricingCache();
@@ -83,8 +91,7 @@ class PricingCache {
   /// One candidate's entry: its ranges of the generation's flat buffers.
   /// Its terms are num_units whole term arrays at terms_off.
   struct Entry {
-    uint32_t roots_off = 0;
-    uint32_t num_roots = 0;
+    uint32_t merge = 0;  ///< the merge's index among its step's merges
     uint32_t units_off = 0;
     uint32_t num_units = 0;
     uint32_t src_off = 0;
@@ -106,50 +113,40 @@ class PricingCache {
   using Buffer = std::vector<T, MappedAllocator<T>>;
 
   /// One step's entries, one per folded merge in the order they were
-  /// folded, and the index of those the byte cap kept.
+  /// folded, and for each of the step's merges its kept entry.
   struct Generation {
     Buffer<Entry> entries;
-    Buffer<AnnotationId> roots;
     Buffer<Unit> units;
     Buffer<Source> sources;
     Buffer<double> terms;
-    /// Open addressing with linear probing over the kept entries, keyed
-    /// by the FNV-1a hash of their roots: entry index + 1, 0 when empty.
-    Buffer<uint32_t> table;
+    /// Merge i's kept entry index + 1, 0 when it has none.
+    Buffer<uint32_t> entry_of;
 
-    std::span<const AnnotationId> RootsOf(const Entry& e) const {
-      return {roots.data() + e.roots_off, e.num_roots};
+    /// Merge `i`'s kept entry, or null.
+    const Entry* Find(int32_t i) const {
+      return i < 0 || static_cast<size_t>(i) >= entry_of.size() ||
+                     entry_of[i] == 0
+                 ? nullptr
+                 : &entries[entry_of[i] - 1];
     }
-
-    /// The slot of the entry with roots `key`, or the empty slot where
-    /// it would go.
-    size_t Slot(std::span<const AnnotationId> key) const;
-    /// The kept entry with these roots, or null.
-    const Entry* Find(std::span<const AnnotationId> key) const;
-    /// Indexes entry `i`; false when an entry with its roots is indexed.
-    bool Insert(uint32_t i);
     void Clear();
   };
-  /// A group of the last priced step: its version, its row content and
-  /// the step that last saw it.
-  struct GroupState {
-    uint64_t version = 0;
-    uint64_t seen = 0;
-    std::vector<uint64_t> content;
-  };
 
-  /// Indexes this step's entries in order until the byte cap, makes them
-  /// the cached generation and returns the number evicted.
-  uint64_t Commit();
+  /// Keeps this step's entries in order until the byte cap, indexes them
+  /// by merge among the step's `num_merges`, makes them the cached
+  /// generation and returns the number evicted.
+  uint64_t Commit(size_t num_merges);
   void Clear();
 
   std::unique_ptr<StepPricer> pricer_;  // the run's step arrays
   Generation cached_;  // last step's entries, read by this step
   Generation next_;    // this step's entries, written in place
-  std::unordered_map<AnnotationId, GroupState> groups_;
-  std::vector<uint64_t> content_;  // scratch row content of one group
-  size_t lanes_ = 0;               // length of one unit's term array
-  uint64_t step_ = 0;
+  // The point of the run the last shaped step priced, and whether that
+  // step was committed: the next step carries it when its state is one
+  // merge past the mark.
+  MappingState::Mark mark_;
+  bool committed_ = false;
+  size_t lanes_ = 0;  // length of one unit's term array
   uint64_t next_version_ = 0;
   bool identity_on_groups_ = true;
   size_t bytes_ = 0;
@@ -224,24 +221,31 @@ class EnumeratedDistance {
   /// order. `cache` carries dirty-group terms across the steps of one run.
   /// Merges fan out over `pool`.
   ///
-  /// This is the shape pass: it prepares the step and fixes every merge's
-  /// dirty groups (through the step's occurrence index), cache reuse,
-  /// moved rows and exact candidate size, counted by
-  /// IrAggregateExpression::MovedSize; nothing is lowered until
-  /// FoldMerges. `out` gets one price per merge, its size set. The
-  /// merges must stay alive, unchanged, until CommitStep. False when the
-  /// expression or VAL-FUNC has no step pricing: nothing is kept, `cache`
-  /// is cleared, and the caller prices with MaterializeMerges.
+  /// This is the shape pass: it prepares the step and sizes every merge.
+  /// On a carried step (PricingCache), a merge with a `prev` none of whose
+  /// roots the last merge touched — none occurs in a changed row or keys
+  /// the group of one — changes the size by what it did at the previous
+  /// step, and is sized from there (counted in
+  /// `prox_summarize_merges_carried_total`). Every other merge's dirty
+  /// groups (through the step's occurrence index), cache reuse, moved rows
+  /// and exact candidate size, counted by IrAggregateExpression::MovedSize,
+  /// are fixed here; a carried merge's are fixed by FoldMerges if it folds
+  /// it. Nothing is lowered until FoldMerges. `out` gets one price per
+  /// merge, its size set. The merges must stay alive, unchanged, until
+  /// CommitStep. False when the expression or VAL-FUNC has no step
+  /// pricing: nothing is kept, `cache` is cleared, and the caller prices
+  /// with MaterializeMerges.
   bool ShapeMerges(const ProvenanceExpression& current,
                    const MappingState& state,
                    const std::vector<MergeQuery>& merges,
                    exec::ThreadPool* pool, PricingCache* cache,
                    std::vector<MergePrice>* out);
 
-  /// Step pricing's fold pass: lowers the rows each merge `i` of `which`
-  /// moves (indices into the shaped merges, each folded at most once per
-  /// step) and sets (*out)[i].distance, fanning out over `pool`. Only
-  /// folded merges count as priced in the oracle's and kernels' counters.
+  /// Step pricing's fold pass: shapes the carried merges of `which`
+  /// (indices into the shaped merges, each folded at most once per step),
+  /// lowers the rows each merge moves and sets (*out)[i].distance, fanning
+  /// out over `pool`. Only folded merges count as priced in the oracle's
+  /// and kernels' counters.
   void FoldMerges(std::span<const uint32_t> which, exec::ThreadPool* pool,
                   PricingCache* cache, std::vector<MergePrice>* out);
 

@@ -23,6 +23,8 @@ void MappingState::Merge(const std::vector<AnnotationId>& roots,
   }
   summaries_.emplace_back(summary, merged_members);
   members_.emplace(summary, std::move(merged_members));
+  last_roots_.assign(roots.begin(), roots.end());
+  std::sort(last_roots_.begin(), last_roots_.end());
   ++num_merges_;
 }
 

@@ -73,6 +73,35 @@ class MappingState {
   /// Number of merges performed.
   int num_merges() const { return num_merges_; }
 
+  /// The most recent merge: the roots given to Merge, sorted, and the
+  /// summary annotation they became (no roots and kNoAnnotation before the
+  /// first merge).
+  struct LastMerge {
+    std::span<const AnnotationId> roots;
+    AnnotationId summary = kNoAnnotation;
+  };
+  LastMerge last_merge() const {
+    return {last_roots_,
+            summaries_.empty() ? kNoAnnotation : summaries_.back().first};
+  }
+
+  /// A point of a run: the merge count and the last merge's summary.
+  struct Mark {
+    int merges = -1;
+    AnnotationId last = kNoAnnotation;
+  };
+  Mark mark() const { return {num_merges_, last_merge().summary}; }
+  /// True when this state is exactly one merge past `m`: it has one merge
+  /// more, and its merge before last is the one `m` saw last. A greedy
+  /// step whose state is one merge past the previous step's carries that
+  /// step's work (CandidateGenerator::Generate, the step pricer); a first
+  /// step, a warm start or a rollback never is.
+  bool OneMergePast(const Mark& m) const {
+    return m.merges >= 0 && num_merges_ == m.merges + 1 &&
+           (m.merges == 0 ||
+            summaries_[static_cast<size_t>(m.merges) - 1].first == m.last);
+  }
+
   /// Materializes the transformed valuation v^{h,φ}: original annotations
   /// keep their base truth; each summary annotation gets
   /// φ(truth of its members) (Section 3.2's v_{Ann'}(a') = v_{Ann}(φ(a'))).
@@ -113,6 +142,7 @@ class MappingState {
   /// summary annotation -> sorted original members
   std::unordered_map<AnnotationId, std::vector<AnnotationId>> members_;
   std::vector<std::pair<AnnotationId, std::vector<AnnotationId>>> summaries_;
+  std::vector<AnnotationId> last_roots_;  // sorted
   int num_merges_ = 0;
 };
 

@@ -267,8 +267,9 @@ Result<SummaryOutcome> Summarizer::Run() {
   // One pool resolution per run. threads = 1 keeps pool() null, which makes
   // every ParallelFor below the plain serial loop.
   exec::PoolRef pool(options_.threads);
-  // Dirty-group terms carried across this run's steps, and the step's
-  // working vectors, reused from step to step.
+  // What a step carries into the next (the candidates, the merges' size
+  // changes and dirty-group terms), and the step's working vectors, reused
+  // from step to step.
   PricingCache pricing_cache;
   CandidateSet candidates;
   std::vector<MergeQuery> merges;
@@ -308,7 +309,8 @@ Result<SummaryOutcome> Summarizer::Run() {
           i > 0 && candidates[i - 1].domain == domain
               ? merges[i - 1].scratch
               : registry_->AddSummary(domain, "~scratch");
-      merges[i] = {candidates.roots(candidates[i]), scratch};
+      merges[i] = {candidates.roots(candidates[i]), scratch,
+                   candidates[i].prev};
     }
 
     // Step pricing (docs/KERNELS.md): the oracle prices merges against the

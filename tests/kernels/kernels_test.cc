@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -272,9 +273,11 @@ TEST(ValFuncBlockTest, ErrorsMatchScalarComputeBitExact) {
   // Merging users leaves the movie group keys untouched, so both
   // programs share one coordinate layout — the precondition the oracles
   // check before engaging the batch path.
-  ASSERT_TRUE(kernels::ProgramMatchesLayout(
-      cand_program, base_program.kind, base_program.groups,
-      base_program.num_groups));
+  ASSERT_EQ(cand_program.kind, base_program.kind);
+  ASSERT_EQ(cand_program.num_groups, base_program.num_groups);
+  ASSERT_TRUE(std::equal(cand_program.groups,
+                         cand_program.groups + cand_program.num_groups,
+                         base_program.groups));
 
   CancelSingleAnnotation cls;
   const std::vector<Valuation> valuations = cls.Generate(*fx.p0, fx.ctx);

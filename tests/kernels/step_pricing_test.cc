@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "provenance/guard.h"
 #include "summarize/candidates.h"
 #include "summarize/distance.h"
+#include "summarize/summarizer.h"
 #include "summarize/val_func.h"
 #include "testing/fixtures.h"
 #include "testing/price_merges.h"
@@ -147,7 +149,8 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
       if (scratch.count(cand.domain) == 0) {
         scratch[cand.domain] = ds.registry->AddSummary(cand.domain, "~scratch");
       }
-      merges.push_back({candidates.roots(cand), scratch.at(cand.domain)});
+      merges.push_back(
+          {candidates.roots(cand), scratch.at(cand.domain), cand.prev});
     }
 
     const uint64_t batch_before = kernels::BatchEvalsForTesting();
@@ -526,7 +529,8 @@ void CompareUnitsOnAWalk(Dataset ds) {
       if (scratch.count(cand.domain) == 0) {
         scratch[cand.domain] = ds.registry->AddSummary(cand.domain, "~scratch");
       }
-      merges.push_back({candidates.roots(cand), scratch.at(cand.domain)});
+      merges.push_back(
+          {candidates.roots(cand), scratch.at(cand.domain), cand.prev});
     }
     std::vector<MergePrice> prices;
     PriceMerges(&oracle, *current, state, merges, nullptr, &cache, &prices);
@@ -649,6 +653,347 @@ TEST(MovedSizeTest, HandBuiltRowsMergeExactlyWhenTheirMappedKeysAreEqual) {
       }
     }
   }
+}
+
+// Carried steps (docs/KERNELS.md, *Carried steps*): a run's CandidateSet
+// and PricingCache carry the last step's candidates and merge sizes into a
+// step whose state is one merge past it. At every step of a greedy walk the
+// carried set must equal a fresh Generate — roots, verdicts and order —
+// each candidate's `prev` must name the previous step's candidate with the
+// same roots (-1 on a step that is not carried), and every size and
+// distance must equal what a fresh cache shapes and folds.
+
+struct CarryWalk {
+  int steps = 6;
+  CandidateOptions options;
+  /// At odd steps the best candidate of this domain wins, when it has one
+  /// (group-key merges: the next step's summary keys a group).
+  std::optional<DomainId> forced_domain;
+  /// Warm start: the state replays the first two merges of a Summarizer run.
+  bool warm = false;
+  /// After committing this step, roll back to the state before it and go on.
+  int rollback_at = -1;
+};
+
+/// `ds` with its rows' monomials cut down to their user: a merge of users
+/// then changes movie groups whose keys occur in no row, so only the
+/// group-key half of the touched rule sees them, and a movie merge's size
+/// change counts the users its two movies share.
+void UsersOnlyMonomials(Dataset* ds) {
+  const ir::IrAggregateExpression& src = *ds->provenance->AsAggregate();
+  const DomainId user = ds->domain("user");
+  auto out = NewAggregate(src.agg());
+  for (uint32_t i = 0; i < src.num_terms(); ++i) {
+    const ir::AggTermView t = src.term(i);
+    std::vector<AnnotationId> factors;
+    for (size_t k = 0; k < t.mono_len; ++k) {
+      if (ds->registry->domain(t.mono[k]) == user) {
+        factors.push_back(t.mono[k]);
+      }
+    }
+    std::optional<Guard> guard;
+    if (t.has_guard) {
+      guard = Guard(Monomial(std::vector<AnnotationId>(
+                        t.guard_mono, t.guard_mono + t.guard_len)),
+                    t.guard_scalar, t.guard_op, t.guard_threshold);
+    }
+    out->AddTerm(Monomial(std::move(factors)), t.group, t.value, guard);
+  }
+  out->Canonicalize();
+  ds->provenance = std::move(out);
+}
+
+/// Walks `walk` over `ds`, comparing every step with a fresh one; returns
+/// the merges whose size the run's cache carried.
+double WalkCarried(Dataset* ds, const CarryWalk& walk, int threads) {
+  const std::vector<Valuation> valuations =
+      ds->valuation_class->Generate(*ds->provenance, ds->ctx);
+  EnumeratedDistance oracle(ds->provenance.get(), ds->registry.get(),
+                            ds->val_func.get(), valuations, threads);
+  CandidateGenerator generator(&ds->constraints, &ds->ctx);
+  MappingState state(ds->registry.get(), ds->phi);
+  std::unique_ptr<ProvenanceExpression> current =
+      ir::Adopt(*ds->provenance, std::make_shared<ir::TermPool>());
+  if (walk.warm) {
+    SummarizerOptions options;
+    options.max_steps = 2;
+    options.candidates = walk.options;
+    const std::vector<std::pair<AnnotationId, std::vector<AnnotationId>>>
+        seed = Summarizer(ds->provenance.get(), ds->registry.get(), &ds->ctx,
+                          &ds->constraints, &oracle, &valuations, options)
+                   .Run()
+                   .MoveValue()
+                   .state.summaries();
+    EXPECT_FALSE(seed.empty());
+    state.Replay(seed);
+    current = current->Apply(state.cumulative());
+  }
+  exec::PoolRef pool(threads);
+  PricingCache cache;
+  CandidateSet candidates;
+  const double carried_before =
+      CounterValue("prox_summarize_merges_carried_total");
+  // The previous step's candidates' roots, when this step carries it.
+  std::vector<std::vector<AnnotationId>> prev_roots;
+  std::unique_ptr<ProvenanceExpression> prev_expr;
+  MappingState prev_state = state;
+
+  for (int step = 0; step < walk.steps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    generator.Generate(*current, state, walk.options, &candidates);
+    CandidateSet fresh;
+    generator.Generate(*current, state, walk.options, &fresh);
+    if (candidates.size() != fresh.size()) {
+      ADD_FAILURE() << candidates.size() << " carried candidates vs "
+                    << fresh.size() << " fresh";
+      break;
+    }
+    std::vector<std::vector<AnnotationId>> roots(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const Candidate& c = candidates[i];
+      const Candidate& f = fresh[i];
+      const std::span<const AnnotationId> r = candidates.roots(c);
+      roots[i].assign(r.begin(), r.end());
+      const std::span<const AnnotationId> fr = fresh.roots(f);
+      EXPECT_EQ(roots[i], std::vector<AnnotationId>(fr.begin(), fr.end()))
+          << "candidate " << i;
+      EXPECT_EQ(c.domain, f.domain) << "candidate " << i;
+      EXPECT_EQ(c.decision.allowed, f.decision.allowed);
+      EXPECT_EQ(c.decision.name, f.decision.name) << "candidate " << i;
+      EXPECT_EQ(DoubleBits(c.decision.taxonomy_distance_max),
+                DoubleBits(f.decision.taxonomy_distance_max));
+      EXPECT_EQ(DoubleBits(c.decision.taxonomy_distance_sum),
+                DoubleBits(f.decision.taxonomy_distance_sum));
+      EXPECT_EQ(c.decision.concept_id, f.decision.concept_id);
+      const auto same = std::find(prev_roots.begin(), prev_roots.end(),
+                                  roots[i]);
+      const int32_t expected_prev =
+          same == prev_roots.end()
+              ? -1
+              : static_cast<int32_t>(same - prev_roots.begin());
+      EXPECT_EQ(c.prev, expected_prev) << "candidate " << i;
+      EXPECT_EQ(f.prev, -1);
+    }
+    if (candidates.empty()) break;
+
+    std::map<DomainId, AnnotationId> scratch;
+    std::vector<MergeQuery> merges;
+    std::vector<MergeQuery> fresh_merges;
+    for (const Candidate& cand : candidates) {
+      if (scratch.count(cand.domain) == 0) {
+        scratch[cand.domain] = ds->registry->AddSummary(cand.domain, "~scratch");
+      }
+      merges.push_back(
+          {candidates.roots(cand), scratch.at(cand.domain), cand.prev});
+      fresh_merges.push_back({candidates.roots(cand), scratch.at(cand.domain)});
+    }
+    std::vector<MergePrice> prices;
+    EXPECT_TRUE(PriceMerges(&oracle, *current, state, merges, pool.pool(),
+                            &cache, &prices));
+    PricingCache fresh_cache;
+    std::vector<MergePrice> fresh_prices;
+    PriceMerges(&oracle, *current, state, fresh_merges, pool.pool(),
+                &fresh_cache, &fresh_prices);
+    size_t best = SIZE_MAX;
+    auto score = [&](size_t i) {
+      return prices[i].distance + static_cast<double>(prices[i].size) / 1000.0;
+    };
+    const bool forced = walk.forced_domain.has_value() && step % 2 == 1 &&
+                        std::any_of(candidates.begin(), candidates.end(),
+                                    [&](const Candidate& c) {
+                                      return c.domain == *walk.forced_domain;
+                                    });
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      EXPECT_EQ(prices[i].size, fresh_prices[i].size) << "candidate " << i;
+      EXPECT_EQ(DoubleBits(prices[i].distance),
+                DoubleBits(fresh_prices[i].distance))
+          << "candidate " << i;
+      if (forced && candidates[i].domain != *walk.forced_domain) continue;
+      if (best == SIZE_MAX || score(i) < score(best)) best = i;
+    }
+
+    const AnnotationId summary =
+        ds->registry->AddSummary(candidates[best].domain, "winner");
+    prev_expr = std::move(current);
+    prev_state = state;
+    state.Merge(roots[best], summary);
+    Homomorphism commit;
+    for (AnnotationId root : roots[best]) commit.Set(root, summary);
+    current = prev_expr->Apply(commit);
+    prev_roots = std::move(roots);
+    if (step == walk.rollback_at) {
+      // The next step's state is the one this step saw: it is not carried.
+      current = std::move(prev_expr);
+      state = prev_state;
+      prev_roots.clear();
+    }
+  }
+  return CounterValue("prox_summarize_merges_carried_total") - carried_before;
+}
+
+struct CarryCase {
+  const char* name;
+  Dataset (*dataset)();
+  CarryWalk (*walk)(const Dataset&);
+};
+
+Dataset SmallMovieLensDataset() {
+  return MovieLensGenerator::Generate(SmallMovieLens());
+}
+
+CarryWalk MovieMerges(const Dataset& ds) {
+  CarryWalk walk;
+  walk.forced_domain = ds.domain("movie");
+  return walk;
+}
+
+const CarryCase kCarryCases[] = {
+    {"MovieLens", SmallMovieLensDataset,
+     [](const Dataset&) { return CarryWalk{}; }},
+    {"MovieLensMovieMerges", SmallMovieLensDataset, MovieMerges},
+    {"GuardedMovieLensStatsMerges",
+     [] {
+       MovieLensConfig config = SmallMovieLens();
+       config.with_guards = true;
+       config.min_reviews = 1.0;
+       Dataset ds = MovieLensGenerator::Generate(config);
+       // Stats annotations occur only in guard bodies: only the guard half
+       // of the touched rule sees the merges of their users.
+       ds.constraints.SetRule(ds.domain("stats"),
+                              std::make_unique<AnyMergeRule>("stats"));
+       return ds;
+     },
+     [](const Dataset&) {
+       CarryWalk walk;
+       walk.steps = 8;
+       return walk;
+     }},
+    {"UsersOnlyMovieLensMovieMerges",
+     [] {
+       Dataset ds = SmallMovieLensDataset();
+       UsersOnlyMonomials(&ds);
+       return ds;
+     },
+     MovieMerges},
+    {"Wikipedia",
+     [] {
+       WikipediaConfig config;
+       config.num_users = 10;
+       config.num_pages = 6;
+       return WikipediaGenerator::Generate(config);
+     },
+     [](const Dataset&) { return CarryWalk{}; }},
+    {"ArityThree", SmallMovieLensDataset,
+     [](const Dataset&) {
+       CarryWalk walk;
+       walk.options.arity = 3;
+       walk.steps = 4;
+       return walk;
+     }},
+    {"MaxCandidates", SmallMovieLensDataset,
+     [](const Dataset&) {
+       CarryWalk walk;
+       walk.options.max_candidates = 12;
+       return walk;
+     }},
+    {"WarmStart", SmallMovieLensDataset,
+     [](const Dataset&) {
+       CarryWalk walk;
+       walk.warm = true;
+       return walk;
+     }},
+    {"Rollback", SmallMovieLensDataset,
+     [](const Dataset& ds) {
+       CarryWalk walk = MovieMerges(ds);
+       walk.rollback_at = 2;
+       return walk;
+     }},
+};
+
+TEST(StepPricingCarryTest, CarriedStepsEqualFreshSteps) {
+  for (const CarryCase& c : kCarryCases) {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   " threads=" + std::to_string(threads));
+      Dataset ds = c.dataset();
+      const CarryWalk walk = c.walk(ds);
+      EXPECT_GT(WalkCarried(&ds, walk, threads), 0.0);  // steps were carried
+    }
+  }
+}
+
+TEST(StepPricingCarryTest, CountsTheMergesSizedFromThePreviousStep) {
+  // Users A, B rate M1 and C, D rate M2; any two users may merge. Step 0
+  // has six fresh merges. Committing A,B -> s changes only M1's rows, so
+  // at step 1 the carried C,D is sized from step 0 and the fresh C,s and
+  // D,s are shaped: the counter moves by exactly 0, then 1.
+  AnnotationRegistry registry;
+  const DomainId user = registry.AddDomain("user");
+  const DomainId movie = registry.AddDomain("movie");
+  auto add = [&](DomainId d, const char* name) {
+    return registry.Add(d, name, kNoEntity).MoveValue();
+  };
+  const AnnotationId a = add(user, "A");
+  const AnnotationId b = add(user, "B");
+  const AnnotationId c = add(user, "C");
+  const AnnotationId d = add(user, "D");
+  const AnnotationId m1 = add(movie, "M1");
+  const AnnotationId m2 = add(movie, "M2");
+  auto p0 = NewAggregate(AggKind::kMax);
+  p0->AddTerm(Monomial{a, m1}, m1, AggValue{3.0, 1.0});
+  p0->AddTerm(Monomial{b, m1}, m1, AggValue{5.0, 1.0});
+  p0->AddTerm(Monomial{c, m2}, m2, AggValue{2.0, 1.0});
+  p0->AddTerm(Monomial{d, m2}, m2, AggValue{4.0, 1.0});
+  p0->Canonicalize();
+  SemanticContext ctx;
+  ctx.registry = &registry;
+  ConstraintSet constraints;
+  constraints.SetRule(user, std::make_unique<AnyMergeRule>("users"));
+  std::vector<Valuation> valuations;
+  for (AnnotationId x : {a, b, c, d}) {
+    valuations.emplace_back(std::vector<AnnotationId>{x});
+  }
+  AbsoluteDifferenceValFunc vf;
+  EnumeratedDistance oracle(p0.get(), &registry, &vf, valuations, 1);
+  CandidateGenerator generator(&constraints, &ctx);
+  MappingState state(&registry, PhiConfig{});
+  std::unique_ptr<ProvenanceExpression> current = p0->Clone();
+  CandidateSet candidates;
+  PricingCache cache;
+  std::vector<MergePrice> prices;
+
+  auto price_step = [&]() {
+    generator.Generate(*current, state, CandidateOptions{}, &candidates);
+    const AnnotationId scratch = registry.AddSummary(user, "~scratch");
+    std::vector<MergeQuery> merges;
+    for (const Candidate& cand : candidates) {
+      merges.push_back({candidates.roots(cand), scratch, cand.prev});
+    }
+    const double before = CounterValue("prox_summarize_merges_carried_total");
+    PriceMerges(&oracle, *current, state, merges, nullptr, &cache, &prices);
+    return CounterValue("prox_summarize_merges_carried_total") - before;
+  };
+
+  EXPECT_EQ(price_step(), 0.0);
+  ASSERT_EQ(candidates.size(), 6u);
+  EXPECT_EQ(prices[5].size, 6);  // C,D: [t M2] replaces two rows
+
+  const AnnotationId s = registry.AddSummary(user, "AB");
+  state.Merge({a, b}, s);
+  Homomorphism commit;
+  commit.Set(a, s);
+  commit.Set(b, s);
+  current = current->Apply(commit);
+
+  EXPECT_EQ(price_step(), 1.0);
+  ASSERT_EQ(candidates.size(), 3u);
+  const std::span<const AnnotationId> carried = candidates.roots(candidates[0]);
+  EXPECT_EQ(std::vector<AnnotationId>(carried.begin(), carried.end()),
+            (std::vector<AnnotationId>{c, d}));
+  EXPECT_EQ(candidates[0].prev, 5);
+  EXPECT_EQ(candidates[1].prev, -1);
+  EXPECT_EQ(candidates[2].prev, -1);
+  EXPECT_EQ(prices[0].size, 4);  // [s M1] and [t M2]
 }
 
 }  // namespace

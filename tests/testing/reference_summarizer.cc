@@ -206,11 +206,13 @@ ReferenceRun RunReference(const ProvenanceExpression& p0,
   MappingState prev_state = state;
   double prev_dist = dist;
   CandidateGenerator generator(&constraints, &ctx);
-  CandidateSet candidates;
 
   int step = 0;
   while (step < options.max_steps && current->Size() > options.target_size &&
          dist < options.target_dist) {
+    // A set of its own each step: every subset is enumerated and evaluated
+    // afresh, never carried from the last step.
+    CandidateSet candidates;
     generator.Generate(*current, state, options.candidates, &candidates);
     if (candidates.empty()) break;
 
