@@ -3,11 +3,10 @@
 /// homomorphism application, distance estimation, equivalence grouping,
 /// candidate generation, DDP evaluation and polynomial arithmetic.
 ///
-/// The distance-oracle benches build their oracles with threads = 0 (the
-/// process default), so the PROX_THREADS env var selects the parallelism:
-/// `PROX_THREADS=1 bench_core_micro` measures the exact serial path,
-/// `PROX_THREADS=$(nproc)` the parallel one. scripts/bench_smoke.sh runs
-/// both and gates on serial regressions.
+/// The distance-oracle benches time EnumeratedDistance::Distance, which
+/// reduces its valuations on the calling thread whatever PROX_THREADS
+/// says. scripts/bench_smoke.sh runs them at PROX_THREADS=1 and at
+/// $(nproc) and gates on regressions of the PROX_THREADS=1 run.
 
 #include <benchmark/benchmark.h>
 
@@ -72,7 +71,7 @@ void BM_EnumeratedDistanceOneCandidate(benchmark::State& state) {
   std::vector<Valuation> valuations =
       ds.valuation_class->Generate(*ds.provenance, ds.ctx);
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
-                            ds.val_func.get(), valuations, /*threads=*/0);
+                            ds.val_func.get(), valuations);
   auto users = ds.registry->AnnotationsInDomain(ds.domain("user"));
   AnnotationId summary =
       ds.registry->AddSummary(ds.domain("user"), "Merged");
@@ -94,12 +93,10 @@ void BM_SampledDistanceOneCandidate(benchmark::State& state) {
   Dataset ds = MakeMovies(20);
   SampledValuations::Options options;
   options.num_samples = static_cast<int>(state.range(0));
-  // Process-default threads; PROX_THREADS selects parallelism.
   EnumeratedDistance oracle(
       ds.provenance.get(), ds.registry.get(), ds.val_func.get(),
       SampledValuations::Create(options).MoveValue().Generate(*ds.provenance,
-                                                              ds.ctx),
-      /*threads=*/0);
+                                                              ds.ctx));
   auto users = ds.registry->AnnotationsInDomain(ds.domain("user"));
   AnnotationId summary =
       ds.registry->AddSummary(ds.domain("user"), "Merged");
@@ -261,7 +258,7 @@ int RunKernelsJsonBaseline() {
     std::vector<Valuation> valuations =
         ds.valuation_class->Generate(*ds.provenance, ds.ctx);
     EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
-                              ds.val_func.get(), valuations, /*threads=*/1);
+                              ds.val_func.get(), valuations);
     // The scalar reference's base valuations and v(p₀) under each,
     // materialized and evaluated once at the oracle's registry size and
     // outside every timed loop.

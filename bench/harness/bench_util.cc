@@ -88,7 +88,7 @@ AlgoResult RunProvApprox(Dataset* ds, const RunConfig& config) {
     std::vector<Valuation> valuations =
         ds->valuation_class->Generate(*ds->provenance, ds->ctx);
     EnumeratedDistance oracle(ds->provenance.get(), ds->registry.get(),
-                              ds->val_func.get(), valuations, config.threads);
+                              ds->val_func.get(), valuations);
     SummarizerOptions options;
     options.w_dist = config.w_dist;
     options.w_size = 1.0 - config.w_dist;
@@ -149,7 +149,7 @@ AlgoResult RunClustering(Dataset* ds, const RunConfig& config) {
     std::vector<Valuation> valuations =
         ds->valuation_class->Generate(*ds->provenance, ds->ctx);
     EnumeratedDistance oracle(ds->provenance.get(), ds->registry.get(),
-                              ds->val_func.get(), valuations, config.threads);
+                              ds->val_func.get(), valuations);
     ClusteringOptions options;
     options.linkage = Linkage::kSingle;  // the linkage §6.2 presents
     options.target_dist = config.target_dist;
@@ -176,7 +176,7 @@ AlgoResult RunRandom(Dataset* ds, const RunConfig& config) {
     std::vector<Valuation> valuations =
         ds->valuation_class->Generate(*ds->provenance, ds->ctx);
     EnumeratedDistance oracle(ds->provenance.get(), ds->registry.get(),
-                              ds->val_func.get(), valuations, config.threads);
+                              ds->val_func.get(), valuations);
     RandomSummarizerOptions options;
     options.target_dist = config.target_dist;
     options.target_size = config.target_size;

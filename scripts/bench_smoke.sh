@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Smoke-gate for the parallel engine: the serial path (threads = 1) must
-# stay free. Runs bench_core_micro's distance benches at PROX_THREADS=1
-# and PROX_THREADS=$(nproc), stores/updates a serial baseline, and fails
-# when any serial bench regresses more than 5% against that baseline.
+# Smoke-gate for the distance oracle: Distance() must stay free. Runs
+# bench_core_micro's distance benches at PROX_THREADS=1 and
+# PROX_THREADS=$(nproc), stores/updates a baseline of the PROX_THREADS=1
+# run, and fails when any bench of that run regresses more than 5% against
+# that baseline. The oracle reduces its valuations on the calling thread,
+# so the two runs do the same work; the second only shows how much a
+# process-default pool that sits idle costs.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]
 #   BENCH_SMOKE_BASELINE   baseline JSON path
@@ -39,8 +42,8 @@ PROX_THREADS=$max_threads "$bench_bin" \
   --benchmark_min_time=0.05 \
   --benchmark_format=json >"$tmpdir/parallel.json"
 
-# Informational: serial vs parallel per bench (speedup < 1 is expected on
-# single-core machines — oversubscription has overhead, not parallelism).
+# Informational: the PROX_THREADS=1 run vs the PROX_THREADS=$(nproc) run
+# per bench (both time the same calling-thread reduction).
 jq -r -n \
   --slurpfile s "$tmpdir/serial.json" \
   --slurpfile p "$tmpdir/parallel.json" \

@@ -10,19 +10,19 @@
 # session, docs/INGEST.md), the
 # IR golden byte-identity suite against tests/ir/golden/ (worker-overlay
 # Apply at threads {1,8}), the batch-kernel golden, projected-batch and
-# step-pricing suites (thread-local valuation blocks, projected base
-# blocks and call_once base packing on exec workers; step-pricing workers
-# read the step's shared blocks, row masks, fold checkpoints, terms and
-# cross-step cache,
-# docs/KERNELS.md), the bounded-step suite (round-2 folds on exec workers
-# read the shape pass's blocks and write their own entries, at threads
-# {1,8}), the
+# step-pricing suites (thread-local valuation blocks and projected base
+# blocks where MaterializeMerges calls Distance on exec workers; fold-pass
+# workers read the step's shared blocks, row masks, fold checkpoints,
+# terms, shape buffers and cross-step cache, docs/KERNELS.md), the
+# bounded-step suite (round-2 folds on exec workers read the shape
+# buffers the calling thread filled and write their own entries, at
+# threads {1,8}), the
 # snapshot-serving suite (docs/STORE.md), and the epoll transport loopback
 # suite (event-loop shards + handler pool + frozen wire goldens,
 # docs/NET.md) — under TSan. It also builds prox_reference_test and runs
-# the reference differential seeds that draw threads=4 (step pricing,
-# bounded folds and chunked distances on exec workers, compared with the
-# naive Algorithm 1 of tests/testing/reference_summarizer.h).
+# the reference differential seeds that draw threads=4 (fold passes and
+# bounded folds on exec workers, compared with the naive Algorithm 1 of
+# tests/testing/reference_summarizer.h).
 #
 # The target list is read from tests/CMakeLists.txt: every executable
 # whose gtest_discover_tests() carries `LABELS tsan` is built. A suite

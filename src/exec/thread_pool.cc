@@ -261,13 +261,14 @@ void ThreadPool::RunChunks(int64_t begin, int64_t end, int64_t grain,
 // PoolRef
 // ---------------------------------------------------------------------------
 
-PoolRef::PoolRef(int threads) : resolved_(ResolveThreads(threads)) {
-  if (resolved_ <= 1) return;
-  if (resolved_ == DefaultThreads()) {
+PoolRef::PoolRef(int threads) {
+  const int resolved = ResolveThreads(threads);
+  if (resolved <= 1) return;
+  if (resolved >= DefaultThreads()) {
     pool_ = &ThreadPool::Default();
     return;
   }
-  owned_ = std::make_unique<ThreadPool>(resolved_);
+  owned_ = std::make_unique<ThreadPool>(resolved);
   pool_ = owned_.get();
 }
 

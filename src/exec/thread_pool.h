@@ -1,7 +1,6 @@
 #ifndef PROX_EXEC_THREAD_POOL_H_
 #define PROX_EXEC_THREAD_POOL_H_
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -15,29 +14,27 @@ namespace prox {
 namespace exec {
 
 /// \brief `prox::exec` — a small work-stealing thread pool for the
-/// embarrassingly parallel loops of the summarization hot path (candidate
-/// scoring, distance-oracle reductions, the HAC distance-matrix fill).
+/// embarrassingly parallel loops of the summarization hot path (the fold
+/// and materialize passes of step pricing, the HAC distance-matrix fill).
 ///
 /// Design constraints, in priority order (docs/PARALLELISM.md):
 ///  1. *Determinism*: every parallel construct here produces bit-identical
 ///     results at any thread count, including the serial inline path.
 ///     `ParallelFor` gives each index to exactly one task and callers write
-///     to index-addressed slots; `DeterministicSum` reduces fixed-size
-///     chunk partials in ascending chunk order, so the floating-point
-///     summation tree depends only on (count, grain) — never on scheduling.
+///     to index-addressed slots; a reduction adds those slots in ascending
+///     order on the calling thread, never in scheduling order.
 ///  2. *Exact serial behaviour at 1 thread*: a null pool (or a nested call
 ///     from inside a worker) runs the plain `for` loop inline on the
 ///     calling thread — no tasks, no allocation, no synchronization.
 ///  3. *No deadlocks from nesting*: a `ParallelFor` issued from a pool
-///     worker (e.g. a distance oracle called from a candidate-scoring
-///     task) degrades to the inline loop instead of submitting to the pool
-///     it is running on.
+///     worker degrades to the inline loop instead of submitting to the
+///     pool it is running on.
 ///
 /// Thread count resolution (shared by `SummarizerOptions::threads`,
-/// `ClusteringOptions::threads`, oracle options and `prox_cli --threads`):
-/// `0` = automatic — the `PROX_THREADS` environment variable when set, the
-/// hardware concurrency otherwise; `1` = serial; `N > 1` = exactly N
-/// workers.
+/// `ClusteringOptions::threads`, `SummarizationRequest::threads` and
+/// `prox_cli --threads`): `0` = automatic — the `PROX_THREADS` environment
+/// variable when set, the hardware concurrency otherwise; `1` = serial;
+/// `N > 1` = N workers, at most DefaultThreads() (PoolRef).
 ///
 /// Metrics (docs/OBSERVABILITY.md): `prox_exec_pool_size`,
 /// `prox_exec_tasks_total`, `prox_exec_steal_total`.
@@ -116,21 +113,21 @@ class ThreadPool {
 };
 
 /// \brief Resolves a `threads` option into the pool to run on. `pool()` is
-/// nullptr when the resolved count is 1 (serial), the process-default pool
-/// when the count matches DefaultThreads(), and an owned transient pool
-/// otherwise (so `threads = N` means exactly N workers, independent of the
-/// process default).
+/// nullptr when the resolved count is 1 (serial), an owned transient pool
+/// of exactly that many workers when it is below DefaultThreads(), and the
+/// process-default pool otherwise: a count above the default runs on the
+/// default pool, so no option can start more workers than the process
+/// already has.
 class PoolRef {
  public:
   explicit PoolRef(int threads);
 
-  /// The pool to pass to ParallelFor / DeterministicSum; nullptr = serial.
+  /// The pool to pass to ParallelFor; nullptr = serial.
   ThreadPool* pool() const { return pool_; }
-  /// The resolved thread count (>= 1).
-  int threads() const { return resolved_; }
+  /// The worker count the pool runs (>= 1).
+  int threads() const { return pool_ == nullptr ? 1 : pool_->size(); }
 
  private:
-  int resolved_;
   ThreadPool* pool_ = nullptr;
   std::unique_ptr<ThreadPool> owned_;
 };
@@ -156,54 +153,6 @@ void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end, int64_t grain,
     for (int64_t i = lo; i < hi; ++i) fn(i);
   };
   pool->RunChunks(begin, end, grain, chunk_fn);
-}
-
-/// Deterministic parallel reduction: partials[c] accumulates
-/// term(c*grain) ... term(min(count, (c+1)*grain) - 1) in ascending index
-/// order, and the partials fold in ascending chunk order. The summation
-/// tree depends only on (count, grain), so the result is bit-identical at
-/// every thread count — including the serial path, which runs the same
-/// chunked arithmetic inline.
-template <typename TermFn>
-double DeterministicSum(ThreadPool* pool, int64_t count, int64_t grain,
-                        TermFn&& term) {
-  if (count <= 0) return 0.0;
-  if (grain <= 0) grain = 1;
-  const int64_t num_chunks = (count + grain - 1) / grain;
-  std::vector<double> partials(static_cast<size_t>(num_chunks), 0.0);
-  ParallelFor(pool, 0, num_chunks, 1, [&](int64_t c) {
-    const int64_t lo = c * grain;
-    const int64_t hi = std::min(count, lo + grain);
-    double partial = 0.0;
-    for (int64_t i = lo; i < hi; ++i) partial += term(i);
-    partials[static_cast<size_t>(c)] = partial;
-  });
-  double total = 0.0;
-  for (double partial : partials) total += partial;
-  return total;
-}
-
-/// Chunk-granular variant of DeterministicSum for the batch kernels:
-/// `chunk(lo, hi)` returns the partial for indexes [lo, hi). Provided the
-/// chunk accumulates its per-index terms in ascending index order with
-/// plain `+`, the result is bit-identical to DeterministicSum over the
-/// equivalent per-index term function, at every thread count — the chunk
-/// boundaries and the ascending partial fold are the same.
-template <typename ChunkFn>
-double DeterministicChunkSum(ThreadPool* pool, int64_t count, int64_t grain,
-                             ChunkFn&& chunk) {
-  if (count <= 0) return 0.0;
-  if (grain <= 0) grain = 1;
-  const int64_t num_chunks = (count + grain - 1) / grain;
-  std::vector<double> partials(static_cast<size_t>(num_chunks), 0.0);
-  ParallelFor(pool, 0, num_chunks, 1, [&](int64_t c) {
-    const int64_t lo = c * grain;
-    const int64_t hi = std::min(count, lo + grain);
-    partials[static_cast<size_t>(c)] = chunk(lo, hi);
-  });
-  double total = 0.0;
-  for (double partial : partials) total += partial;
-  return total;
 }
 
 }  // namespace exec

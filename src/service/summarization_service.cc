@@ -117,7 +117,7 @@ Result<SummaryOutcome> SummarizationService::SummarizeImpl(
   std::vector<Valuation> valuations =
       valuation_class->Generate(selected, dataset_->ctx);
   EnumeratedDistance oracle(&selected, dataset_->registry.get(), val_func,
-                            valuations, request.threads);
+                            valuations);
 
   SummarizerOptions options;
   options.w_dist = request.w_dist;

@@ -34,7 +34,7 @@ struct SummarizationRequest {
   };
   ValFuncKind val_func = ValFuncKind::kDatasetDefault;
 
-  /// Worker threads for candidate scoring and the distance oracle
+  /// Worker threads for the fold and materialize passes of step pricing
   /// (0 = process default, 1 = serial; SummarizerOptions::threads
   /// convention). Identical results at every setting.
   int threads = 1;

@@ -165,8 +165,8 @@ struct PriceCounts {
 };
 
 /// \brief One step of dirty-group pricing over an aggregate expression
-/// (EnumeratedDistance::ShapeMerges and FoldMerges). Prepare() runs once
-/// per step on the calling thread; Shape() and Fold() run on exec workers.
+/// (EnumeratedDistance::ShapeMerges and FoldMerges). Prepare(), Shape() and
+/// ShapeCarried() run on the calling thread; Fold() runs on exec workers.
 /// The shape pass counts: it sizes a carried merge from its previous
 /// step's size change, finds every other merge's dirty groups through the
 /// occurrence index and sizes its fresh units with MovedSize. The fold
@@ -176,11 +176,6 @@ struct PriceCounts {
 /// pricer, so the step arrays below keep their capacity from step to step.
 class StepPricer {
  public:
-  /// Merges per shape task when the step fans out: the shape pass gives
-  /// each exec task one block of merges, whose shapes go to that block's
-  /// flat buffers. A serial step shapes every merge into one block.
-  static constexpr size_t kShapeBlock = 8;
-
   /// Lowers and evaluates `current` (= h(p₀) for `state`) under the step's
   /// chunks, keeping every row's lane mask, the fold checkpoints and every
   /// group's terms. False when a side is not a vector result or the
@@ -191,32 +186,20 @@ class StepPricer {
                const ir::IrAggregateExpression& current,
                const MappingState& state, kernels::BatchProgram program);
 
-  /// Sizes the shape buffers for `merges`, which must outlive the step,
-  /// in blocks of `block_size` merges.
-  void BeginShapes(const std::vector<MergeQuery>& merges, size_t block_size);
-  size_t num_blocks() const {
-    return (merges_->size() + block_size_ - 1) / block_size_;
-  }
-
-  /// Shape pass over block `b`: sizes each of its carried merges from the
-  /// previous step and fixes every other one's units, cache reuse, moved
-  /// rows and candidate size, lowering nothing.
-  void Shape(size_t b);
-
-  /// Ends the shape pass: keeps each merge's size change for the next step
-  /// and returns the number of merges sized from the previous step's.
-  uint64_t EndShapes();
+  /// Shape pass over `merges`, which must outlive the step: sizes each
+  /// carried merge from the previous step and fixes every other one's
+  /// units, cache reuse, moved rows and candidate size, lowering nothing.
+  /// Keeps each merge's size change for the next step and returns the
+  /// number of merges sized from the previous step's.
+  uint64_t Shape(const std::vector<MergeQuery>& merges);
 
   size_t num_merges() const { return merges_->size(); }
   /// Merge `i`'s candidate size.
   int64_t size(size_t i) const { return shapes_[i].size; }
 
-  /// Lists the carried merges of `which`, to be shaped in blocks of
-  /// `block_size`, and returns the number of blocks.
-  size_t BeginCarried(std::span<const uint32_t> which, size_t block_size);
-  /// Shapes the carried merges of block `j` of BeginCarried's list as the
-  /// shape pass shapes any other merge.
-  void ShapeCarried(size_t j);
+  /// Shapes the carried merges of `which` as the shape pass shapes any
+  /// other merge.
+  void ShapeCarried(std::span<const uint32_t> which);
 
   /// Appends entries for merges `which` to the cache's next generation,
   /// sized from their shapes, and grows the generation's buffers to hold
@@ -259,7 +242,7 @@ class StepPricer {
   /// One unit of a merge as the shape pass fixed it. The units are one per
   /// dirty slot the merge keeps, ascending, then the merged group; unit u
   /// of the first kind has source u, the merged unit one source per key
-  /// slot. Ranges index the merge's block buffers.
+  /// slot. Ranges index the step's shape buffers.
   struct ShapeUnit {
     int64_t size = 0;    // size of the group's rows after the merge
     int64_t reuse = -1;  // its terms in the cached generation, or -1
@@ -269,10 +252,9 @@ class StepPricer {
     uint32_t moved_off = 0;
     uint32_t moved_end = 0;
   };
-  /// One merge's ranges of its block's buffers. A carried merge has only
-  /// its size until it is shaped.
+  /// One merge's ranges of the step's shape buffers. A carried merge has
+  /// only its size until it is shaped.
   struct MergeShape {
-    uint32_t block = 0;
     uint32_t units_off = 0;
     uint32_t num_units = 0;
     uint32_t keys_off = 0;
@@ -285,13 +267,6 @@ class StepPricer {
       return num_units - (num_keys > 0 ? 1 : 0) + num_keys;
     }
   };
-  /// The shapes of a block of consecutive merges.
-  struct ShapeBlock {
-    Buffer<ShapeUnit> units;
-    Buffer<uint32_t> keys;
-    Buffer<uint32_t> moved;
-  };
-
   /// The calling thread's scratch.
   static Scratch& LocalScratch() {
     thread_local Scratch sc;
@@ -303,9 +278,9 @@ class StepPricer {
   /// slots), each ascending.
   void FindDirty(std::span<const AnnotationId> roots, Scratch* sc) const;
 
-  /// Shapes merge `i` into block `b`: its units, cache reuse, moved rows
-  /// and candidate size.
-  void ShapeMerge(size_t i, size_t b, Scratch* sc);
+  /// Shapes merge `i`: its units, cache reuse, moved rows and candidate
+  /// size.
+  void ShapeMerge(size_t i, Scratch* sc);
 
   /// True when the last merge touched a root: it occurs in a changed row
   /// or keys the group of one.
@@ -321,7 +296,7 @@ class StepPricer {
   void MergedRows(const uint32_t* keys, const uint32_t* keys_end,
                   Scratch* sc) const;
 
-  // The step's inputs, set by Prepare() and BeginShapes().
+  // The step's inputs, set by Prepare() and Shape().
   const EnumeratedDistance* oracle_ = nullptr;
   PricingCache* cache_ = nullptr;
   const ir::IrAggregateExpression* current_ = nullptr;
@@ -371,17 +346,13 @@ class StepPricer {
   Buffer<double> proj_;      // base projected into current slots
   Buffer<double> terms_;     // terms against proj_
   Buffer<double> terms_id_;  // against the raw base (identity remap)
-  // The shape pass's output: one shape per merge, one block per
-  // block_size_ merges.
-  size_t block_size_ = 1;
+  // The shape pass's output: one shape per merge, and the units, key
+  // slots and moved rows its ranges index. The fold pass appends the
+  // carried merges it shapes.
   std::vector<MergeShape> shapes_;
-  std::vector<ShapeBlock> shape_blocks_;
-  // The blocks the fold pass shapes carried merges into: its list of them,
-  // their first block and the step's next free block.
-  std::vector<uint32_t> carried_;
-  size_t carried_block_ = 0;
-  size_t carried_block_size_ = 1;
-  size_t free_block_ = 0;
+  Buffer<ShapeUnit> shape_units_;
+  Buffer<uint32_t> shape_keys_;
+  Buffer<uint32_t> shape_moved_;
 };
 
 bool StepPricer::Prepare(const EnumeratedDistance& oracle,
@@ -612,61 +583,21 @@ void StepPricer::FindDirty(std::span<const AnnotationId> roots,
   while (key != sc->key_slots.end()) push(*key++);
 }
 
-void StepPricer::BeginShapes(const std::vector<MergeQuery>& merges,
-                             size_t block_size) {
-  merges_ = &merges;
-  block_size_ = std::max<size_t>(1, block_size);
-  shapes_.resize(merges.size());
-  free_block_ = num_blocks();
-  if (shape_blocks_.size() < free_block_) shape_blocks_.resize(free_block_);
-}
-
 bool StepPricer::Touched(std::span<const AnnotationId> roots) const {
   return std::any_of(roots.begin(), roots.end(), [&](AnnotationId r) {
     return std::binary_search(touched_.begin(), touched_.end(), r);
   });
 }
 
-uint64_t StepPricer::EndShapes() {
-  delta_.resize(shapes_.size());
-  uint64_t carried = 0;
-  for (size_t i = 0; i < shapes_.size(); ++i) {
-    delta_[i] = shapes_[i].size - size_;
-    carried += shapes_[i].carried;
-  }
-  return carried;
-}
-
-size_t StepPricer::BeginCarried(std::span<const uint32_t> which,
-                                size_t block_size) {
-  carried_.clear();
-  for (uint32_t i : which) {
-    if (shapes_[i].carried) carried_.push_back(i);
-  }
-  carried_block_ = free_block_;
-  const size_t bs = std::max<size_t>(1, block_size);
-  const size_t blocks = (carried_.size() + bs - 1) / bs;
-  free_block_ += blocks;
-  if (shape_blocks_.size() < free_block_) shape_blocks_.resize(free_block_);
-  carried_block_size_ = bs;
-  return blocks;
-}
-
-void StepPricer::ShapeCarried(size_t j) {
+void StepPricer::ShapeCarried(std::span<const uint32_t> which) {
   Scratch& sc = LocalScratch();
-  const size_t b = carried_block_ + j;
-  ShapeBlock& blk = shape_blocks_[b];
-  blk.units.clear();
-  blk.keys.clear();
-  blk.moved.clear();
-  const size_t end =
-      std::min(carried_.size(), (j + 1) * carried_block_size_);
-  for (size_t k = j * carried_block_size_; k < end; ++k) {
-    [[maybe_unused]] const int64_t carried = shapes_[carried_[k]].size;
-    ShapeMerge(carried_[k], b, &sc);
+  for (uint32_t i : which) {
+    if (!shapes_[i].carried) continue;
+    [[maybe_unused]] const int64_t carried = shapes_[i].size;
+    ShapeMerge(i, &sc);
     // A merge the last merge did not touch changes the size as it did at
     // the previous step.
-    assert(shapes_[carried_[k]].size == carried);
+    assert(shapes_[i].size == carried);
   }
 }
 
@@ -702,15 +633,17 @@ void StepPricer::MergedRows(const uint32_t* keys, const uint32_t* keys_end,
   }
 }
 
-void StepPricer::Shape(size_t b) {
+uint64_t StepPricer::Shape(const std::vector<MergeQuery>& merges) {
   Scratch& sc = LocalScratch();
-  ShapeBlock& blk = shape_blocks_[b];
-  blk.units.clear();
-  blk.keys.clear();
-  blk.moved.clear();
-  const size_t end_i = std::min(merges_->size(), (b + 1) * block_size_);
-  for (size_t i = b * block_size_; i < end_i; ++i) {
-    const MergeQuery& m = (*merges_)[i];
+  merges_ = &merges;
+  shapes_.resize(merges.size());
+  shape_units_.clear();
+  shape_keys_.clear();
+  shape_moved_.clear();
+  delta_.resize(merges.size());
+  uint64_t carried = 0;
+  for (size_t i = 0; i < merges.size(); ++i) {
+    const MergeQuery& m = merges[i];
     if (carry_ && m.prev >= 0 && !Touched(m.roots)) {
       // The size change of a merge depends only on the rows its roots
       // occur in and on the groups they key, which the last merge left as
@@ -718,27 +651,29 @@ void StepPricer::Shape(size_t b) {
       assert(static_cast<size_t>(m.prev) < prev_delta_.size());
       shapes_[i].size = size_ + prev_delta_[m.prev];
       shapes_[i].carried = true;
-      continue;
+      ++carried;
+    } else {
+      ShapeMerge(i, &sc);
     }
-    ShapeMerge(i, b, &sc);
+    delta_[i] = shapes_[i].size - size_;
   }
+  return carried;
 }
 
-void StepPricer::ShapeMerge(size_t i, size_t b, Scratch* sc_ptr) {
+void StepPricer::ShapeMerge(size_t i, Scratch* sc_ptr) {
   Scratch& sc = *sc_ptr;
-  ShapeBlock& blk = shape_blocks_[b];
   const AnnotationId* groups = program_.groups;
   const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
   const MergeQuery& m = (*merges_)[i];
   FindDirty(m.roots, &sc);
   MergeShape& shape = shapes_[i];
-  shape.block = static_cast<uint32_t>(b);
   shape.carried = false;
-  shape.units_off = static_cast<uint32_t>(blk.units.size());
-  shape.keys_off = static_cast<uint32_t>(blk.keys.size());
+  shape.units_off = static_cast<uint32_t>(shape_units_.size());
+  shape.keys_off = static_cast<uint32_t>(shape_keys_.size());
   shape.num_keys = static_cast<uint32_t>(sc.key_slots.size());
   shape.identity = remap_.identity() && sc.key_slots.empty();
-  blk.keys.insert(blk.keys.end(), sc.key_slots.begin(), sc.key_slots.end());
+  shape_keys_.insert(shape_keys_.end(), sc.key_slots.begin(),
+                     sc.key_slots.end());
   const PricingCache::Entry* old =
       carry_ ? cache_->cached_.Find(m.prev) : nullptr;
   sc.sources.clear();
@@ -752,7 +687,7 @@ void StepPricer::ShapeMerge(size_t i, size_t b, Scratch* sc_ptr) {
     if (std::binary_search(sc.key_slots.begin(), sc.key_slots.end(), g)) {
       continue;
     }
-    ShapeUnit& su = blk.units.emplace_back();
+    ShapeUnit& su = shape_units_.emplace_back();
     su.slot = g;
     sc.sources.push_back({groups[g], versions_[g]});
     FindReuse(old, false, &sc.sources.back(), &sc.sources.back() + 1, &su);
@@ -770,15 +705,15 @@ void StepPricer::ShapeMerge(size_t i, size_t b, Scratch* sc_ptr) {
       for (auto r = moved; r != moved_end; ++r) {
         su.size -= rows[*r].mono.len + rows[*r].guard_mono.len;
       }
-      su.moved_off = static_cast<uint32_t>(blk.moved.size());
-      blk.moved.insert(blk.moved.end(), moved, moved_end);
-      su.moved_end = static_cast<uint32_t>(blk.moved.size());
+      su.moved_off = static_cast<uint32_t>(shape_moved_.size());
+      shape_moved_.insert(shape_moved_.end(), moved, moved_end);
+      su.moved_end = static_cast<uint32_t>(shape_moved_.size());
     }
     moved = moved_end;
     size += su.size;
   }
   if (!sc.key_slots.empty()) {
-    ShapeUnit& su = blk.units.emplace_back();
+    ShapeUnit& su = shape_units_.emplace_back();
     const size_t src_begin = sc.sources.size();
     for (uint32_t g : sc.key_slots) {
       sc.sources.push_back({groups[g], versions_[g]});
@@ -795,7 +730,8 @@ void StepPricer::ShapeMerge(size_t i, size_t b, Scratch* sc_ptr) {
     }
     size += su.size;
   }
-  shape.num_units = static_cast<uint32_t>(blk.units.size() - shape.units_off);
+  shape.num_units =
+      static_cast<uint32_t>(shape_units_.size() - shape.units_off);
   shape.size = size;
 }
 
@@ -827,7 +763,6 @@ bool StepPricer::Fold(size_t i, size_t e, double* distance,
                       PriceCounts* counts) const {
   Scratch& sc = LocalScratch();
   const MergeShape& shape = shapes_[i];
-  const ShapeBlock& blk = shape_blocks_[shape.block];
   const MergeQuery& m = (*merges_)[i];
   const std::span<const AnnotationId> roots = m.roots;
   const AnnotationId t = m.scratch;
@@ -836,8 +771,8 @@ bool StepPricer::Fold(size_t i, size_t e, double* distance,
   const std::vector<kernels::AggBatchRow>& rows = program_.agg_rows;
   const size_t R = rows.size();
   const std::vector<kernels::BlockEval>& base = oracle_->base_blocks_;
-  const ShapeUnit* const shape_units = blk.units.data() + shape.units_off;
-  const uint32_t* const key_slots = blk.keys.data() + shape.keys_off;
+  const ShapeUnit* const shape_units = shape_units_.data() + shape.units_off;
+  const uint32_t* const key_slots = shape_keys_.data() + shape.keys_off;
   const uint32_t* const key_end = key_slots + shape.num_keys;
   const size_t num_units = shape.num_units;
   const int32_t merged_unit =
@@ -898,8 +833,8 @@ bool StepPricer::Fold(size_t i, size_t e, double* distance,
     // row, or where its first lowered row goes in) when that checkpoint is
     // in the group, else at the group's first row from a zero state; t's
     // merged group has no kept rows and folds from a zero state.
-    const uint32_t* mv = blk.moved.data() + su.moved_off;
-    const uint32_t* const mv_end = blk.moved.data() + su.moved_end;
+    const uint32_t* mv = shape_moved_.data() + su.moved_off;
+    const uint32_t* const mv_end = shape_moved_.data() + su.moved_end;
     uint32_t start = 0;
     uint32_t end = 0;
     int32_t checkpoint = -1;
@@ -1049,7 +984,6 @@ bool StepPricer::Fold(size_t i, size_t e, double* distance,
 bool EnumeratedDistance::ShapeMerges(const ProvenanceExpression& current,
                                      const MappingState& state,
                                      const std::vector<MergeQuery>& merges,
-                                     exec::ThreadPool* pool,
                                      PricingCache* cache,
                                      std::vector<MergePrice>* out) {
   out->assign(merges.size(), MergePrice{});
@@ -1068,11 +1002,7 @@ bool EnumeratedDistance::ShapeMerges(const ProvenanceExpression& current,
   }
   // Shape every merge; the fold pass lays out the entries it writes.
   cache->next_.Clear();
-  const bool serial = pool == nullptr || pool->size() <= 1;
-  pricer.BeginShapes(merges, serial ? merges.size() : StepPricer::kShapeBlock);
-  exec::ParallelFor(pool, 0, static_cast<int64_t>(pricer.num_blocks()), 1,
-                    [&](int64_t b) { pricer.Shape(static_cast<size_t>(b)); });
-  DistanceMetrics::Get().merges_carried->Increment(pricer.EndShapes());
+  DistanceMetrics::Get().merges_carried->Increment(pricer.Shape(merges));
   for (size_t i = 0; i < merges.size(); ++i) (*out)[i].size = pricer.size(i);
   return true;
 }
@@ -1084,12 +1014,7 @@ void EnumeratedDistance::FoldMerges(std::span<const uint32_t> which,
   StepPricer& pricer = *cache->pricer_;
   // The carried merges it folds are shaped first, as the shape pass
   // shapes the others.
-  const bool serial = pool == nullptr || pool->size() <= 1;
-  const size_t blocks = pricer.BeginCarried(
-      which, serial ? which.size() : StepPricer::kShapeBlock);
-  exec::ParallelFor(pool, 0, static_cast<int64_t>(blocks), 1, [&](int64_t j) {
-    pricer.ShapeCarried(static_cast<size_t>(j));
-  });
+  pricer.ShapeCarried(which);
   const size_t first = pricer.LayOut(which);
   std::atomic<uint64_t> priced{0};
   std::atomic<uint64_t> reused{0};
@@ -1140,13 +1065,11 @@ void EnumeratedDistance::MaterializeMerges(
 EnumeratedDistance::EnumeratedDistance(const ProvenanceExpression* p0,
                                        const AnnotationRegistry* registry,
                                        const ValFunc* val_func,
-                                       std::vector<Valuation> valuations,
-                                       int threads)
+                                       std::vector<Valuation> valuations)
     : p0_(p0),
       registry_(registry),
       val_func_(val_func),
-      valuations_(std::move(valuations)),
-      pool_(threads) {
+      valuations_(std::move(valuations)) {
   const size_t n = registry_->size();
   for (const auto& v : valuations_) total_weight_ += v.weight();
   EvalResult all_true = p0_->Evaluate(MaterializedValuation(n));
@@ -1219,25 +1142,23 @@ double EnumeratedDistance::Distance(const ProvenanceExpression& cand,
   kernels::CountBatchEvals(valuations_.size());
   const kernels::ValFuncBatchKind vf_kind = val_func_->batch_kind();
   const double penalty = val_func_->batch_mismatch_penalty();
-  const double total = exec::DeterministicChunkSum(
-      pool_.pool(), static_cast<int64_t>(valuations_.size()), kReductionGrain,
-      [&](int64_t lo, int64_t /*hi*/) {
-        thread_local kernels::ValuationBlock block;
-        thread_local kernels::BlockEval cand_eval;
-        thread_local kernels::BlockEval projected;
-        const size_t c = static_cast<size_t>(lo / kReductionGrain);
-        TransformChunk(state, c, &block);
-        kernels::EvaluateBlock(program, block, &cand_eval);
-        const kernels::BlockEval& orig =
-            kernels::ProjectBlock(remap, program, base_blocks_[c], &projected);
-        double err[kLanes];
-        kernels::ValFuncBlockErrors(vf_kind, penalty, orig, cand_eval, err);
-        double partial = 0.0;
-        for (size_t l = 0; l < block.width(); ++l) {
-          partial += valuations_[static_cast<size_t>(lo) + l].weight() * err[l];
-        }
-        return partial;
-      });
+  thread_local kernels::ValuationBlock block;
+  thread_local kernels::BlockEval cand_eval;
+  thread_local kernels::BlockEval projected;
+  double total = 0.0;
+  for (size_t c = 0; c < base_blocks_.size(); ++c) {
+    TransformChunk(state, c, &block);
+    kernels::EvaluateBlock(program, block, &cand_eval);
+    const kernels::BlockEval& orig =
+        kernels::ProjectBlock(remap, program, base_blocks_[c], &projected);
+    double err[kLanes];
+    kernels::ValFuncBlockErrors(vf_kind, penalty, orig, cand_eval, err);
+    double partial = 0.0;
+    for (size_t l = 0; l < block.width(); ++l) {
+      partial += valuations_[c * kLanes + l].weight() * err[l];
+    }
+    total += partial;
+  }
   return (total / total_weight_) / max_error_;
 }
 

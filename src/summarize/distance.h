@@ -168,9 +168,10 @@ class PricingCache {
 /// bound, matching the normalized distances reported in §6.3.
 class EnumeratedDistance {
  public:
-  /// Valuations per reduction chunk. Fixed (never derived from the thread
-  /// count) so the floating-point summation tree — and therefore the
-  /// reported distance — is bit-identical at any parallelism level.
+  /// Valuations per reduction chunk, one per batch-kernel lane. A distance
+  /// adds each chunk's weighted errors in lane order and the chunk partials
+  /// in ascending chunk order, so its summation tree depends only on the
+  /// number of valuations.
   static constexpr int64_t kReductionGrain = 8;
 
   /// Byte cap on one step's fold checkpoints (docs/KERNELS.md, *Step
@@ -184,14 +185,14 @@ class EnumeratedDistance {
   /// \param registry annotation registry (may grow while the oracle lives)
   /// \param val_func VAL-FUNC (must outlive the oracle)
   /// \param valuations the enumerated or drawn valuation set
-  /// \param threads exec thread count (0 = process default, 1 = serial)
   EnumeratedDistance(const ProvenanceExpression* p0,
                      const AnnotationRegistry* registry,
                      const ValFunc* val_func,
-                     std::vector<Valuation> valuations, int threads = 1);
+                     std::vector<Valuation> valuations);
 
   /// Weighted average normalized VAL-FUNC of `cand` against the original
-  /// expression, priced through the batch kernels (docs/KERNELS.md).
+  /// expression, priced through the batch kernels (docs/KERNELS.md) on the
+  /// calling thread.
   ///
   /// Precondition: `cand` is h(p₀) for the cumulative h in `state`. Every
   /// base evaluation comes from p₀'s Evaluate, which emits every group, so
@@ -219,9 +220,9 @@ class EnumeratedDistance {
   /// them among the rows it keeps, resumes each dirty group's fold at its
   /// first changed row, and folds the per-group terms in ascending group
   /// order. `cache` carries dirty-group terms across the steps of one run.
-  /// Merges fan out over `pool`.
   ///
-  /// This is the shape pass: it prepares the step and sizes every merge.
+  /// This is the shape pass: it prepares the step and sizes every merge, on
+  /// the calling thread.
   /// On a carried step (PricingCache), a merge with a `prev` none of whose
   /// roots the last merge touched — none occurs in a changed row or keys
   /// the group of one — changes the size by what it did at the previous
@@ -238,14 +239,13 @@ class EnumeratedDistance {
   bool ShapeMerges(const ProvenanceExpression& current,
                    const MappingState& state,
                    const std::vector<MergeQuery>& merges,
-                   exec::ThreadPool* pool, PricingCache* cache,
-                   std::vector<MergePrice>* out);
+                   PricingCache* cache, std::vector<MergePrice>* out);
 
   /// Step pricing's fold pass: shapes the carried merges of `which`
-  /// (indices into the shaped merges, each folded at most once per step),
-  /// lowers the rows each merge moves and sets (*out)[i].distance, fanning
-  /// out over `pool`. Only folded merges count as priced in the oracle's
-  /// and kernels' counters.
+  /// (indices into the shaped merges, each folded at most once per step) on
+  /// the calling thread, then lowers the rows each merge moves and sets
+  /// (*out)[i].distance, fanning the merges out over `pool`. Only folded
+  /// merges count as priced in the oracle's and kernels' counters.
   void FoldMerges(std::span<const uint32_t> which, exec::ThreadPool* pool,
                   PricingCache* cache, std::vector<MergePrice>* out);
 
@@ -254,9 +254,9 @@ class EnumeratedDistance {
   void CommitStep(PricingCache* cache);
 
   /// Prices every merge by building its candidate with Apply and calling
-  /// Distance and Size: the step pricing of expressions without a
-  /// per-group term (DDP, polynomial, group-less aggregates) or VAL-FUNCs
-  /// without one (DdpDifference).
+  /// Distance and Size, fanning the merges out over `pool`: the step
+  /// pricing of expressions without a per-group term (DDP, polynomial,
+  /// group-less aggregates) or VAL-FUNCs without one (DdpDifference).
   void MaterializeMerges(const ProvenanceExpression& current,
                          const MappingState& state,
                          const std::vector<MergeQuery>& merges,
@@ -285,7 +285,6 @@ class EnumeratedDistance {
   std::vector<Valuation> valuations_;
   double total_weight_ = 0.0;
   double max_error_ = 1.0;
-  exec::PoolRef pool_;
 
   // v(p₀) per valuation, packed once by the constructor into one BlockEval
   // per grain-8 chunk (kernels/batch_eval.h). base_groups_ is the shared

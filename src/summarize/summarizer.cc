@@ -314,16 +314,17 @@ Result<SummaryOutcome> Summarizer::Run() {
     }
 
     // Step pricing (docs/KERNELS.md): the oracle prices merges against the
-    // current expression without building the candidates, fanning out over
-    // the pool. Workers share only read-only state, and results land by
+    // current expression without building the candidates, fanning the fold
+    // (or materialize) pass out over the pool; the shape pass runs here.
+    // Workers share only read-only state, and results land by
     // index, so PickBest sees exactly the ordering and tie-breaks of the
     // serial loop. This aggregate span stands in for per-candidate spans.
     obs::TraceSpan eval_span("summarize.candidate_eval");
     const size_t n = candidates.size();
     scored.resize(n);
     for (size_t i = 0; i < n; ++i) scored[i] = {i, 0.0, 0, 0.0, true};
-    if (!oracle_->ShapeMerges(*current, state, merges, pool.pool(),
-                              &pricing_cache, &prices)) {
+    if (!oracle_->ShapeMerges(*current, state, merges, &pricing_cache,
+                              &prices)) {
       oracle_->MaterializeMerges(*current, state, merges, pool.pool(),
                                  &prices);
     } else if (!bounded) {

@@ -82,10 +82,12 @@ struct SummarizerOptions {
   /// φ combiners per domain (Section 3.2).
   PhiConfig phi;
 
-  /// Worker threads for candidate scoring (exec/thread_pool.h): `0` =
-  /// process default (the PROX_THREADS env var, else hardware
-  /// concurrency), `1` = the exact serial path, `N` = N workers. Results
-  /// are bit-identical at every setting; see docs/PARALLELISM.md.
+  /// Worker threads for the fold and materialize passes of step pricing
+  /// (exec/thread_pool.h): `0` = process default (the PROX_THREADS env
+  /// var, else hardware concurrency), `1` = the exact serial path, `N` = N
+  /// workers, at most the process default. The shape pass and Distance's
+  /// valuation reduction always run on the calling thread. Results are
+  /// bit-identical at every setting; see docs/PARALLELISM.md.
   int threads = 1;
 };
 

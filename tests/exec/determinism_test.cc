@@ -97,8 +97,7 @@ std::string RunProvApprox(Kind kind, Oracle oracle_kind, int threads) {
       ds.provenance.get(), ds.registry.get(), ds.val_func.get(),
       oracle_kind == Oracle::kEnumerated
           ? valuations
-          : testing_fixtures::DrawSamples(*ds.provenance, ds.ctx, 200),
-      threads);
+          : testing_fixtures::DrawSamples(*ds.provenance, ds.ctx, 200));
 
   SummarizerOptions options;
   options.w_dist = 0.6;
@@ -119,7 +118,7 @@ std::string RunHac(Kind kind, int threads) {
   std::vector<Valuation> valuations =
       ds.valuation_class->Generate(*ds.provenance, ds.ctx);
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
-                            ds.val_func.get(), valuations, threads);
+                            ds.val_func.get(), valuations);
   ClusteringOptions options;
   options.max_steps = 6;
   options.phi = ds.phi;

@@ -155,39 +155,6 @@ TEST(ParallelForTest, NestedCallFromWorkerRunsInlineWithoutDeadlock) {
   EXPECT_FALSE(InParallelWorker());
 }
 
-TEST(DeterministicSumTest, MatchesAtEveryThreadCountBitwise) {
-  // Terms chosen so naive reassociation visibly changes the result in the
-  // low bits: scale alternates over ten orders of magnitude.
-  auto term = [](int64_t i) {
-    double sign = (i % 2 == 0) ? 1.0 : -1.0;
-    return sign * (1.0 + static_cast<double>(i % 97)) *
-           ((i % 3 == 0) ? 1e-10 : 1e3);
-  };
-  constexpr int64_t kN = 1237;
-  constexpr int64_t kGrain = 8;
-  const double serial = DeterministicSum(nullptr, kN, kGrain, term);
-  for (int threads : {2, 3, 8}) {
-    ThreadPool pool(threads);
-    for (int round = 0; round < 3; ++round) {
-      const double parallel = DeterministicSum(&pool, kN, kGrain, term);
-      // Bitwise, not approximate: the summation tree is scheduling-free.
-      EXPECT_EQ(serial, parallel)
-          << "threads=" << threads << " round=" << round;
-    }
-  }
-}
-
-TEST(DeterministicSumTest, EdgeCases) {
-  ThreadPool pool(2);
-  EXPECT_EQ(DeterministicSum(&pool, 0, 8, [](int64_t) { return 1.0; }), 0.0);
-  EXPECT_EQ(DeterministicSum(&pool, -5, 8, [](int64_t) { return 1.0; }), 0.0);
-  EXPECT_EQ(DeterministicSum(&pool, 5, 0, [](int64_t) { return 1.0; }), 5.0);
-  EXPECT_EQ(DeterministicSum(nullptr, 1, 8, [](int64_t i) {
-              return static_cast<double>(i) + 2.5;
-            }),
-            2.5);
-}
-
 TEST(ExecMetricsTest, TasksAreCounted) {
   auto snapshot_tasks = [] {
     return obs::MetricsRegistry::Default().Snapshot().CounterValue(
@@ -210,12 +177,13 @@ TEST(PoolRefTest, SerialAndParallelResolution) {
   EXPECT_EQ(serial.threads(), 1);
 
   PoolRef two(2);
-  EXPECT_EQ(two.threads(), 2);
-  if (DefaultThreads() == 2) {
+  if (DefaultThreads() <= 2) {
     EXPECT_EQ(two.pool(), &ThreadPool::Default());
+    EXPECT_EQ(two.threads(), DefaultThreads());
   } else {
     ASSERT_NE(two.pool(), nullptr);
     EXPECT_EQ(two.pool()->size(), 2);
+    EXPECT_EQ(two.threads(), 2);
   }
 
   PoolRef automatic(0);
@@ -225,6 +193,14 @@ TEST(PoolRefTest, SerialAndParallelResolution) {
   } else {
     EXPECT_EQ(automatic.pool(), nullptr);
   }
+}
+
+TEST(PoolRefTest, CountAboveTheDefaultRunsOnTheDefaultPool) {
+  // A count above the process default starts no pool of its own, so a
+  // request's `threads` cannot start more workers than the process has.
+  PoolRef above(DefaultThreads() + 1);
+  EXPECT_EQ(above.pool(), &ThreadPool::Default());
+  EXPECT_EQ(above.threads(), DefaultThreads());
 }
 
 }  // namespace

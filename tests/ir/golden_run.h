@@ -100,7 +100,7 @@ GoldenRun RunFamily(const Config& config, int threads) {
   std::vector<Valuation> valuations =
       ds.valuation_class->Generate(*ds.provenance, ds.ctx);
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
-                            ds.val_func.get(), valuations, threads);
+                            ds.val_func.get(), valuations);
   SummarizerOptions options;
   options.w_dist = 0.5;
   options.w_size = 0.5;

@@ -108,7 +108,7 @@ TEST(GoldenKernelsTest, BatchPathActuallyEngages) {
   std::vector<Valuation> valuations =
       ds.valuation_class->Generate(*ds.provenance, ds.ctx);
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
-                            ds.val_func.get(), valuations, 1);
+                            ds.val_func.get(), valuations);
   const DomainId movie = ds.domain("movie");
   const std::vector<AnnotationId> movies =
       ds.registry->AnnotationsInDomain(movie);
@@ -133,7 +133,7 @@ TEST(GoldenKernelsTest, BatchPathActuallyEngages) {
 TEST(GoldenKernelsTest, SampledSetBitIdenticalAcrossTiers) {
   // The Monte-Carlo set draws each sample from (seed, index), so
   // distances over it are comparable across runs; they must be
-  // bit-identical across tiers and thread counts too.
+  // bit-identical across tiers too.
   MovieLensConfig config;
   config.num_users = 14;
   config.num_movies = 5;
@@ -151,19 +151,17 @@ TEST(GoldenKernelsTest, SampledSetBitIdenticalAcrossTiers) {
   state.Merge({movies[0], movies[1]}, ds.registry->AddSummary(movie, "m"));
   cand = cand->Apply(state.cumulative());
 
-  auto distance_at = [&](common::SimdTier tier, int threads) {
+  auto distance_at = [&](common::SimdTier tier) {
     TierCap cap(tier);
     EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
-                              ds.val_func.get(), drawn, threads);
+                              ds.val_func.get(), drawn);
     return oracle.Distance(*cand, state);
   };
 
-  const double reference = distance_at(common::SimdTier::kScalar, 1);
+  const double reference = distance_at(common::SimdTier::kScalar);
   EXPECT_GT(reference, 0.0);
-  EXPECT_EQ(distance_at(common::SimdTier::kSse42, 1), reference);
-  EXPECT_EQ(distance_at(common::SimdTier::kAvx2, 1), reference);
-  EXPECT_EQ(distance_at(common::SimdTier::kAvx2, 8), reference);
-  EXPECT_EQ(distance_at(common::SimdTier::kScalar, 8), reference);
+  EXPECT_EQ(distance_at(common::SimdTier::kSse42), reference);
+  EXPECT_EQ(distance_at(common::SimdTier::kAvx2), reference);
 }
 
 /// Relative difference |a - b| / |b| (0 when both are 0).
@@ -194,7 +192,7 @@ TEST(GoldenKernelsTest, SampledSetMatchesTheRetiredSampledOracle) {
     auto cand = ir::Adopt(*ds.provenance, std::make_shared<ir::TermPool>());
     EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
                               ds.val_func.get(),
-                              DrawSamples(*ds.provenance, ds.ctx, 160), 1);
+                              DrawSamples(*ds.provenance, ds.ctx, 160));
     const DomainId user = ds.domain("user");
     const DomainId movie = ds.domain("movie");
     const std::vector<AnnotationId> users =
@@ -234,7 +232,7 @@ TEST(GoldenKernelsTest, SampledSetMatchesTheRetiredSampledOracle) {
         ds.valuation_class->Generate(*ds.provenance, ds.ctx);
     EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
                               ds.val_func.get(),
-                              DrawSamples(*ds.provenance, ds.ctx, samples), 1);
+                              DrawSamples(*ds.provenance, ds.ctx, samples));
     SummarizerOptions options;
     options.w_dist = 0.5;
     options.w_size = 0.5;

@@ -1,8 +1,6 @@
 // prox::kernels units: ValuationBlock layout, BlockEval pack/extract
 // round-trips, batch evaluation vs the scalar Evaluate() oracle at every
-// SIMD tier, batched VAL-FUNC errors vs ValFunc::Compute, and the
-// chunked-reduction-order identity that makes the batch path
-// bit-identical to DeterministicSum at every thread count.
+// SIMD tier, and batched VAL-FUNC errors vs ValFunc::Compute.
 
 #include "kernels/batch_eval.h"
 
@@ -18,7 +16,6 @@
 
 #include "common/cpu_features.h"
 #include "datasets/ddp.h"
-#include "exec/thread_pool.h"
 #include "ir/adopt.h"
 #include "ir/term_pool.h"
 #include "kernels/valuation_block.h"
@@ -363,44 +360,6 @@ TEST(ValFuncBlockTest, DdpErrorsMatchScalarComputeBitExact) {
                                                    cand_evals.Extract(l));
       EXPECT_EQ(err[l], expected) << "lane " << l;
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Reduction order: the chunked batch reduction is the DeterministicSum
-// summation tree, bit for bit, at every thread count.
-
-TEST(ReductionOrderTest, ChunkSumMatchesPerTermSumBitExact) {
-  const int64_t count = 103;  // deliberately not a grain multiple
-  const int64_t grain = 8;
-  std::vector<double> terms(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    // Irrational-ish magnitudes at wildly different scales, so any
-    // reassociation of the summation tree changes the result bits.
-    terms[static_cast<size_t>(i)] =
-        std::sin(static_cast<double>(i) + 0.5) *
-        std::pow(10.0, static_cast<double>(i % 13) - 6.0);
-  }
-  const double reference = exec::DeterministicSum(
-      nullptr, count, grain,
-      [&](int64_t i) { return terms[static_cast<size_t>(i)]; });
-
-  for (int threads : {1, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    exec::PoolRef pool(threads);
-    const double per_term = exec::DeterministicSum(
-        pool.pool(), count, grain,
-        [&](int64_t i) { return terms[static_cast<size_t>(i)]; });
-    const double chunked = exec::DeterministicChunkSum(
-        pool.pool(), count, grain, [&](int64_t lo, int64_t hi) {
-          double partial = 0.0;  // ascending, plain + — the contract
-          for (int64_t i = lo; i < hi; ++i) {
-            partial += terms[static_cast<size_t>(i)];
-          }
-          return partial;
-        });
-    EXPECT_EQ(per_term, reference);
-    EXPECT_EQ(chunked, reference);
   }
 }
 

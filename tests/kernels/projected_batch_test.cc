@@ -6,7 +6,7 @@
 // (testing/reference_summarizer.h), must have the same double bits: for
 // every aggregation, every VAL-FUNC with a batch kind that accepts vectors
 // and both valuation sets (the dataset's class and a drawn Monte-Carlo
-// set), at threads {1, 8}.
+// set).
 
 #include <gtest/gtest.h>
 
@@ -139,23 +139,20 @@ TEST_P(ProjectedBatchTest, EveryCandidateMatchesTheScalarReferenceBitForBit) {
   ASSERT_GT(movie_merges, 0);
   ASSERT_GT(step.size(), static_cast<size_t>(movie_merges));
 
-  for (int threads : {1, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EnumeratedDistance batched(ds.provenance.get(), ds.registry.get(), vf,
-                               valuations, threads);
-    const uint64_t batch_before = kernels::BatchEvalsForTesting();
-    for (size_t i = 0; i < step.size(); ++i) {
-      const double got = batched.Distance(*step[i].expr, step[i].state);
-      const double expected = testing_reference::ReferenceDistance(
-          {ds.provenance.get(), ds.registry.get(), vf, &valuations},
-          *step[i].expr, step[i].state);
-      EXPECT_EQ(DoubleBits(got), DoubleBits(expected))
-          << "candidate " << i << ": batched " << got << " vs spec "
-          << expected;
-    }
-    EXPECT_EQ(kernels::BatchEvalsForTesting() - batch_before,
-              valuations.size() * step.size());
+  EnumeratedDistance batched(ds.provenance.get(), ds.registry.get(), vf,
+                             valuations);
+  const uint64_t batch_before = kernels::BatchEvalsForTesting();
+  for (size_t i = 0; i < step.size(); ++i) {
+    const double got = batched.Distance(*step[i].expr, step[i].state);
+    const double expected = testing_reference::ReferenceDistance(
+        {ds.provenance.get(), ds.registry.get(), vf, &valuations},
+        *step[i].expr, step[i].state);
+    EXPECT_EQ(DoubleBits(got), DoubleBits(expected))
+        << "candidate " << i << ": batched " << got << " vs spec "
+        << expected;
   }
+  EXPECT_EQ(kernels::BatchEvalsForTesting() - batch_before,
+            valuations.size() * step.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AggValFuncOracle, ProjectedBatchTest,

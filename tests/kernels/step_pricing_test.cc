@@ -109,7 +109,7 @@ WalkResult WalkAndCompare(const StepCase& c, const Walk& walk, int threads) {
                           ? static_cast<const ValFunc*>(&absolute)
                           : &disagreement;
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(), vf,
-                            valuations, threads);
+                            valuations);
   const testing_reference::DistanceInputs spec{
       ds.provenance.get(), ds.registry.get(), vf, &valuations};
   auto reference = [&](const ProvenanceExpression& expr,
@@ -387,7 +387,7 @@ TEST(StepPricingRowsTest, FoldResumesAtTheFirstChangedRow) {
     valuations.emplace_back(std::vector<AnnotationId>{a});
   }
   AbsoluteDifferenceValFunc vf;
-  EnumeratedDistance oracle(fx.p0.get(), &fx.registry, &vf, valuations, 1);
+  EnumeratedDistance oracle(fx.p0.get(), &fx.registry, &vf, valuations);
   const std::vector<AnnotationId> roots = {fx.u3, u4};
   const AnnotationId scratch = fx.registry.AddSummary(fx.user_domain, "~t");
   MappingState state(&fx.registry, PhiConfig{});
@@ -410,6 +410,62 @@ TEST(StepPricingRowsTest, FoldResumesAtTheFirstChangedRow) {
   EXPECT_EQ(DoubleBits(prices[0].distance),
             DoubleBits(oracle.Distance(*cand, tentative)));
   EXPECT_EQ(prices[0].size, cand->Size());
+}
+
+TEST(StepPricingRowsTest, MergedGroupFoldsInKeyOrder) {
+  // Movies C and D each hold one row that A occurs in, so merging A and B
+  // dirties both; t, registered last, sorts after every movie. Under
+  // "cancel A" the merge revives A's rows: C and D each add 2^-53 to the
+  // one lane's error and t's merged group adds |(0 + 0.5) - (1 + 0.5)| = 1.
+  // In key order (C, D, t) the sum is 1 + 2^-52; with t's term first, each
+  // 2^-53 rounds away and it is 1.
+  AnnotationRegistry registry;
+  const DomainId user = registry.AddDomain("user");
+  const DomainId movie = registry.AddDomain("movie");
+  auto add = [&](DomainId d, const char* name) {
+    return registry.Add(d, name, kNoEntity).MoveValue();
+  };
+  const AnnotationId u1 = add(user, "U1");
+  const AnnotationId u2 = add(user, "U2");
+  const AnnotationId u3 = add(user, "U3");
+  const AnnotationId u4 = add(user, "U4");
+  const AnnotationId a = add(movie, "A");
+  const AnnotationId b = add(movie, "B");
+  const AnnotationId c = add(movie, "C");
+  const AnnotationId d = add(movie, "D");
+  constexpr double kTiny = 0x1p-53;
+  auto p0 = NewAggregate(AggKind::kSum);
+  p0->AddTerm(Monomial{u1, a}, a, AggValue{1.0, 1.0});
+  p0->AddTerm(Monomial{u2, b}, b, AggValue{0.5, 1.0});
+  p0->AddTerm(Monomial{u3, a}, c, AggValue{kTiny, 1.0});
+  p0->AddTerm(Monomial{u4, a}, d, AggValue{kTiny, 1.0});
+  p0->Canonicalize();
+  std::vector<Valuation> valuations;
+  valuations.emplace_back(std::vector<AnnotationId>{a});
+  AbsoluteDifferenceValFunc vf;
+  EnumeratedDistance oracle(p0.get(), &registry, &vf, valuations);
+  const std::vector<AnnotationId> roots = {a, b};
+  const AnnotationId t = registry.AddSummary(movie, "~t");
+  MappingState state(&registry, PhiConfig{});
+  PricingCache cache;
+  std::vector<MergePrice> prices;
+  ASSERT_TRUE(PriceMerges(&oracle, *p0, state, {{roots, t}}, nullptr, &cache,
+                          &prices));
+  ASSERT_EQ(prices.size(), 1u);
+
+  const double key_order = ((kTiny + kTiny) + 1.0) / oracle.max_error();
+  const double merged_first = ((1.0 + kTiny) + kTiny) / oracle.max_error();
+  ASSERT_NE(DoubleBits(key_order), DoubleBits(merged_first));
+  EXPECT_EQ(DoubleBits(prices[0].distance), DoubleBits(key_order));
+
+  MappingState tentative = state;
+  tentative.Merge(roots, t);
+  Homomorphism h;
+  for (AnnotationId r : roots) h.Set(r, t);
+  const std::unique_ptr<ProvenanceExpression> cand = p0->Apply(h);
+  EXPECT_EQ(DoubleBits(prices[0].distance),
+            DoubleBits(testing_reference::ReferenceDistance(
+                {p0.get(), &registry, &vf, &valuations}, *cand, tentative)));
 }
 
 // MovedSize counts the factors LowerMoved emits without lowering: the
@@ -484,7 +540,7 @@ void CompareUnitsOnAWalk(Dataset ds) {
   const std::vector<Valuation> valuations =
       ds.valuation_class->Generate(*ds.provenance, ds.ctx);
   EnumeratedDistance oracle(ds.provenance.get(), ds.registry.get(),
-                            ds.val_func.get(), valuations, 1);
+                            ds.val_func.get(), valuations);
   CandidateGenerator generator(&ds.constraints, &ds.ctx);
   MappingState state(ds.registry.get(), ds.phi);
   std::unique_ptr<ProvenanceExpression> current =
@@ -709,7 +765,7 @@ double WalkCarried(Dataset* ds, const CarryWalk& walk, int threads) {
   const std::vector<Valuation> valuations =
       ds->valuation_class->Generate(*ds->provenance, ds->ctx);
   EnumeratedDistance oracle(ds->provenance.get(), ds->registry.get(),
-                            ds->val_func.get(), valuations, threads);
+                            ds->val_func.get(), valuations);
   CandidateGenerator generator(&ds->constraints, &ds->ctx);
   MappingState state(ds->registry.get(), ds->phi);
   std::unique_ptr<ProvenanceExpression> current =
@@ -954,7 +1010,7 @@ TEST(StepPricingCarryTest, CountsTheMergesSizedFromThePreviousStep) {
     valuations.emplace_back(std::vector<AnnotationId>{x});
   }
   AbsoluteDifferenceValFunc vf;
-  EnumeratedDistance oracle(p0.get(), &registry, &vf, valuations, 1);
+  EnumeratedDistance oracle(p0.get(), &registry, &vf, valuations);
   CandidateGenerator generator(&constraints, &ctx);
   MappingState state(&registry, PhiConfig{});
   std::unique_ptr<ProvenanceExpression> current = p0->Clone();

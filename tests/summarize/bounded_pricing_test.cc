@@ -137,7 +137,7 @@ void CompareRunWithReference(Family family, Weights w, int threads) {
   const std::vector<Valuation> valuations =
       run_ds.valuation_class->Generate(*run_ds.provenance, run_ds.ctx);
   EnumeratedDistance oracle(run_ds.provenance.get(), run_ds.registry.get(),
-                            run_ds.val_func.get(), valuations, threads);
+                            run_ds.val_func.get(), valuations);
   Summarizer summarizer(run_ds.provenance.get(), run_ds.registry.get(),
                         &run_ds.ctx, &run_ds.constraints, &oracle,
                         &valuations, options);

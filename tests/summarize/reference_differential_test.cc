@@ -354,8 +354,7 @@ void ExpectSameOutcome(const SummaryOutcome& run, const AnnotationRegistry& rr,
 Result<SummaryOutcome> RunSummarizer(const Case& c, Side* fast) {
   TierCap cap(c.tier);
   EnumeratedDistance oracle(fast->ds.provenance.get(), fast->ds.registry.get(),
-                            fast->ds.val_func.get(), fast->valuations,
-                            c.threads);
+                            fast->ds.val_func.get(), fast->valuations);
   auto run = [&](const SummarizerOptions& options) {
     return Summarizer(fast->ds.provenance.get(), fast->ds.registry.get(),
                       &fast->ds.ctx, &fast->ds.constraints, &oracle,

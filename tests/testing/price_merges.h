@@ -24,7 +24,7 @@ inline bool PriceMerges(EnumeratedDistance* oracle,
                         const std::vector<MergeQuery>& merges,
                         exec::ThreadPool* pool, PricingCache* cache,
                         std::vector<MergePrice>* out) {
-  if (!oracle->ShapeMerges(current, state, merges, pool, cache, out)) {
+  if (!oracle->ShapeMerges(current, state, merges, cache, out)) {
     oracle->MaterializeMerges(current, state, merges, pool, out);
     return false;
   }
