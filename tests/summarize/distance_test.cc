@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -75,6 +76,97 @@ TEST(EnumeratedDistanceTest, MatchesBruteForceRederivation) {
   const double expected = testing_reference::ReferenceDistance(
       {fx.p0.get(), &fx.registry, &vf, &valuations}, *cand, state);
   EXPECT_EQ(oracle.Distance(*cand, state), expected);
+}
+
+// Reduction order: Distance adds its per-valuation terms in ascending
+// order within grain-sized chunks and the chunk partials in ascending
+// chunk order, on the calling thread. That summation tree is part of the
+// bytes, so it is checked bit for bit against terms computed one valuation
+// at a time.
+
+TEST(ReductionOrderTest, ChunkSumMatchesPerTermSumBitExact) {
+  MovieFixture fx;
+  CancelSingleAnnotation cls;
+  const auto drawn = cls.Generate(*fx.p0, fx.ctx);
+  ASSERT_FALSE(drawn.empty());
+  // 103 valuations, deliberately not a grain multiple, with weights at
+  // wildly different scales, so any reassociation of the summation tree
+  // changes the result bits.
+  std::vector<Valuation> valuations;
+  for (int i = 0; i < 103; ++i) {
+    const double weight =
+        (1.5 + std::sin(static_cast<double>(i) + 0.5)) *
+        std::pow(10.0, static_cast<double>(i % 13) - 6.0);
+    const Valuation& v = drawn[static_cast<size_t>(i) % drawn.size()];
+    valuations.emplace_back(v.false_set(), v.label(), weight);
+  }
+  EuclideanValFunc vf;
+  EnumeratedDistance oracle(fx.p0.get(), &fx.registry, &vf, valuations);
+
+  AnnotationId female = fx.registry.AddSummary(fx.user_domain, "Female");
+  MappingState state(&fx.registry, PhiConfig{});
+  state.Merge({fx.u1, fx.u2}, female);
+  Homomorphism h;
+  h.Set(fx.u1, female);
+  h.Set(fx.u2, female);
+  auto cand = fx.p0->Apply(h);
+
+  const size_t n = fx.registry.size();
+  std::vector<double> terms;
+  double total_weight = 0.0;
+  for (const Valuation& v : valuations) {
+    const EvalResult orig = testing_reference::ProjectEvalResult(
+        *cand, fx.p0->Evaluate(MaterializedValuation(v, n)),
+        state.cumulative());
+    const EvalResult summ = cand->Evaluate(state.Transform(v, n));
+    terms.push_back(v.weight() * vf.Compute(orig, summ));
+    total_weight += v.weight();
+  }
+  const size_t grain = EnumeratedDistance::kReductionGrain;
+  double chunked = 0.0;
+  for (size_t lo = 0; lo < terms.size(); lo += grain) {
+    double partial = 0.0;  // ascending, plain + — the contract
+    for (size_t i = lo; i < std::min(terms.size(), lo + grain); ++i) {
+      partial += terms[i];
+    }
+    chunked += partial;
+  }
+  double flat = 0.0;
+  for (double t : terms) flat += t;
+  // The data must tell the two trees apart, or the check below shows
+  // nothing about the order.
+  ASSERT_NE(chunked, flat);
+
+  double max_error = vf.MaxError(fx.p0->Evaluate(MaterializedValuation(n)));
+  if (max_error <= 0.0) max_error = 1.0;
+  const double expected = (chunked / total_weight) / max_error;
+  EXPECT_EQ(oracle.Distance(*cand, state), expected);
+  // Repeat calls reuse the oracle's thread-local blocks; the bits hold.
+  EXPECT_EQ(oracle.Distance(*cand, state), expected);
+}
+
+TEST(ReductionOrderTest, EmptyAndSingleValuation) {
+  MovieFixture fx;
+  EuclideanValFunc vf;
+  AnnotationId female = fx.registry.AddSummary(fx.user_domain, "Female");
+  MappingState state(&fx.registry, PhiConfig{});
+  state.Merge({fx.u1, fx.u2}, female);
+  Homomorphism h;
+  h.Set(fx.u1, female);
+  h.Set(fx.u2, female);
+  auto cand = fx.p0->Apply(h);
+
+  EnumeratedDistance empty(fx.p0.get(), &fx.registry, &vf, {});
+  EXPECT_EQ(empty.Distance(*cand, state), 0.0);
+
+  // One valuation is one chunk holding one term: the distance is that
+  // term's normalized error whatever its weight.
+  const std::vector<Valuation> one = {Valuation({fx.u2}, "cancel u2", 2.5)};
+  EnumeratedDistance single(fx.p0.get(), &fx.registry, &vf, one);
+  const double expected = testing_reference::ReferenceDistance(
+      {fx.p0.get(), &fx.registry, &vf, &one}, *cand, state);
+  EXPECT_GT(expected, 0.0);
+  EXPECT_EQ(single.Distance(*cand, state), expected);
 }
 
 TEST(EnumeratedDistanceTest, WeightsScaleContributions) {
